@@ -8,6 +8,12 @@ is the Euclidean distance to goal scaled by heuristic_weight, so solutions
 are within that factor of optimal and the search stays fast even though the
 deviation term makes straight-line cost exceed plain distance.
 
+Expanding a node costs one batched grid lookup: all steering primitives are
+placed in the world together, and their bounds, occupancy and mean route
+deviation come from whole-array operations, so only the surviving arcs pay
+per-arc Python work. Nodes keep their parent and steer index instead of
+their arc samples; arcs are materialized only for the returned chain.
+
 Replanning is event driven, not periodic: a validated hazard on the route
 ahead, a time-to-collision dip on the current plan prefix, or a map version
 change each force exactly one replan.
@@ -66,6 +72,21 @@ class PlannerConfig:
     slowdown_margin: float = 1.5          # envelope = margin * v^2 / (2 * decel)
     goal_ramp_distance: float = 10.0      # [m]
     prefix_horizon: float = 3.0           # [s] plan prefix checked for risk
+
+    def __post_init__(self):
+        """Reject settings the search cannot run with, naming the field."""
+        if self.heading_bins < 1:
+            raise ValueError(f"planner.heading_bins must be >= 1, got {self.heading_bins}")
+        if self.steering_samples < 3 or self.steering_samples % 2 == 0:
+            raise ValueError("planner.steering_samples must be odd and >= 3 (straight "
+                             f"plus both locks), got {self.steering_samples}")
+        for name in ("xy_resolution", "primitive_arc_length", "goal_xy_tol",
+                     "heuristic_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"planner.{name} must be finite and > 0, got {value}")
+        if self.max_expansions < 0:
+            raise ValueError(f"planner.max_expansions must be >= 0, got {self.max_expansions}")
 
 
 @dataclass(frozen=True)
@@ -249,6 +270,19 @@ def _primitives(cfg: PlannerConfig, vparams: VehicleParams):
     return steers, pts, dthetas
 
 
+def _arcs_from(prim_pts: np.ndarray, x: float, y: float, th: float) -> np.ndarray:
+    """World-frame samples of every primitive from pose (x, y, th).
+
+    The one place a primitive is placed in the world: the search and the
+    path rebuild both call it, so a rebuilt arc has the search's exact bits.
+    """
+    c, s = math.cos(th), math.sin(th)
+    rot = np.array([[c, -s], [s, c]])
+    world = prim_pts @ rot.T
+    world += (x, y)
+    return world
+
+
 def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
          cfg: PlannerConfig, vparams: VehicleParams, cause: str = "initial",
          base_grid: OccupancyGrid | None = None,
@@ -257,10 +291,17 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     """Search a drivable path and attach its target speed profile.
 
     `deviation_field` (from route_deviation_field) prices distance from the
-    route reference so the optimum keeps the lane instead of cutting it.
+    route reference so the optimum keeps the lane instead of cutting it; it
+    must have the planning grid's shape.
     Returns a failed attempt (trajectory None) when the goal is unreachable
     within the expansion budget; the caller is expected to fall back to a
     minimum-safety stop.
+
+    Expanding a node places all steering primitives at once and checks
+    them with one batched grid lookup (bounds, occupancy and mean route
+    deviation of every arc); only the surviving arcs reach the Python-level
+    push. A node stores its parent and steer index, not its arc: arc
+    samples are rebuilt only for the nodes of the returned path.
     """
     t0 = time.perf_counter()
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
@@ -268,78 +309,94 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
+    if deviation_field is not None and deviation_field.shape != cells.shape:
+        raise ValueError(f"deviation_field shape {deviation_field.shape} != "
+                         f"planning grid shape {cells.shape}")
     res = grid.cell_size
     ox, oy = grid.origin
     inv_res = 1.0 / res
     bin_size = TWO_PI / cfg.heading_bins
+    n_bins = cfg.heading_bins
     hw = cfg.heuristic_weight
+    goal_xy_tol, goal_heading_tol = cfg.goal_xy_tol, cfg.goal_heading_tol
 
     steers, prim_pts, prim_dth = _primitives(cfg, vparams)
-    n_steer = len(steers)
+    substep = prim_pts.shape[1]
     arc = cfg.primitive_arc_length
+    # per-plan constants, each evaluated in the order the per-push cost is
+    # summed: arc + steering change, then + (lateral_weight * arc) * deviation
+    step_cost = (arc + cfg.steering_change_weight
+                 * np.abs(steers[None, :] - steers[:, None])).tolist()
+    lateral_arc = cfg.lateral_weight * arc
+    end_dth = prim_dth[:, -1].tolist()
+    origin = np.array([ox, oy])
+    upper = np.array([nx, ny], dtype=np.uint64)
+    flat_stride = np.array([1, nx])
+    flat_cells = cells.ravel()
+    flat_dev = None if deviation_field is None else deviation_field.ravel()
 
     # node storage: parallel lists, parent links by index
     xs = [sx]; ys = [sy]; ths = [sth]; gs = [0.0]
     steer_idx = [int(np.argmin(np.abs(steers - start_steering)))]
     parents = [-1]
-    arcs: list = [None]
 
     open_heap = [(hw * math.hypot(gx - sx, gy - sy), 0, 0)]
     closed: set = set()
     push_count = 1
     expansions = 0
     goal_node = -1
+    heappush, heappop, hypot = heapq.heappush, heapq.heappop, math.hypot
 
     def bin_key(x: float, y: float, th: float):
         return (int(x * inv_res), int(y * inv_res),
-                int(((th % TWO_PI) / bin_size)) % cfg.heading_bins)
+                int(((th % TWO_PI) / bin_size)) % n_bins)
 
     while open_heap:
-        f, _, ni = heapq.heappop(open_heap)
+        _, _, ni = heappop(open_heap)
         x, y, th = xs[ni], ys[ni], ths[ni]
         key = bin_key(x - ox, y - oy, th)
         if key in closed:
             continue
         closed.add(key)
 
-        if (math.hypot(gx - x, gy - y) <= cfg.goal_xy_tol
-                and abs(wrap_angle(th - gth)) <= cfg.goal_heading_tol):
+        if (hypot(gx - x, gy - y) <= goal_xy_tol
+                and abs(wrap_angle(th - gth)) <= goal_heading_tol):
             goal_node = ni
             break
         expansions += 1
         if expansions > cfg.max_expansions:
             break
 
-        c, s = math.cos(th), math.sin(th)
-        rot = np.array([[c, -s], [s, c]])
-        world = prim_pts @ rot.T
-        world[:, :, 0] += x
-        world[:, :, 1] += y
-        ix = np.floor((world[:, :, 0] - ox) * inv_res).astype(np.int64)
-        iy = np.floor((world[:, :, 1] - oy) * inv_res).astype(np.int64)
-        inb = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-
-        for si in range(n_steer):
-            if not inb[si].all():
+        # one lookup for all (steer, substep) samples. Seen as unsigned, a
+        # negative cell index is huge, so one comparison checks both bounds;
+        # clipped flat indices only ever stand for arcs `inb` rejects
+        world = _arcs_from(prim_pts, x, y, th)
+        idx = np.floor((world - origin) * inv_res).astype(np.int64)
+        inb = (idx.view(np.uint64) < upper).all(axis=(1, 2))
+        flat = idx @ flat_stride
+        free = inb & ~flat_cells.take(flat, mode="clip").any(axis=1)
+        survivors = free.nonzero()[0].tolist()
+        if not survivors:
+            continue
+        ends = world[:, -1].tolist()
+        if flat_dev is not None:
+            # sum / count is exactly what ndarray.mean computes
+            dev = (flat_dev.take(flat, mode="clip").sum(axis=1) / substep).tolist()
+        costs = step_cost[steer_idx[ni]]
+        g = gs[ni]
+        for si in survivors:
+            ex, ey = ends[si]
+            th_new = th + end_dth[si]
+            if bin_key(ex - ox, ey - oy, th_new) in closed:
                 continue
-            if cells[iy[si], ix[si]].any():
-                continue
-            end = world[si, -1]
-            th_new = th + prim_dth[si, -1]
-            cost = arc + cfg.steering_change_weight * abs(steers[si] - steers[steer_idx[ni]])
-            if deviation_field is not None:
-                cost += cfg.lateral_weight * arc * \
-                    float(deviation_field[iy[si], ix[si]].mean())
-            g_new = gs[ni] + cost
-            kx, kyy = end[0] - ox, end[1] - oy
-            if bin_key(kx, kyy, th_new) in closed:
-                continue
-            xs.append(float(end[0])); ys.append(float(end[1]))
-            ths.append(float(th_new)); gs.append(g_new)
+            cost = costs[si]
+            if flat_dev is not None:
+                cost += lateral_arc * dev[si]
+            g_new = g + cost
+            xs.append(ex); ys.append(ey); ths.append(th_new); gs.append(g_new)
             steer_idx.append(si); parents.append(ni)
-            arcs.append((world[si].copy(), th + prim_dth[si]))
-            h = math.hypot(gx - end[0], gy - end[1])
-            heapq.heappush(open_heap, (g_new + hw * h, push_count, len(xs) - 1))
+            heappush(open_heap, (g_new + hw * hypot(gx - ex, gy - ey),
+                                 push_count, len(xs) - 1))
             push_count += 1
 
     cpu_ms = (time.perf_counter() - t0) * 1000.0
@@ -349,17 +406,17 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
 
     chain = []
     ni = goal_node
-    while ni >= 0:
+    while ni > 0:
         chain.append(ni)
         ni = parents[ni]
     chain.reverse()
 
-    pose_rows = [(sx, sy, sth)]
-    for ni in chain[1:]:
-        pts, dth = arcs[ni]
-        for j in range(pts.shape[0]):
-            pose_rows.append((float(pts[j, 0]), float(pts[j, 1]), float(dth[j])))
-    poses = np.array(pose_rows)
+    blocks = [np.array([[sx, sy, sth]])]
+    for ni in chain:
+        pi, si = parents[ni], steer_idx[ni]
+        pts = _arcs_from(prim_pts, xs[pi], ys[pi], ths[pi])[si]
+        blocks.append(np.column_stack([pts, ths[pi] + prim_dth[si]]))
+    poses = np.concatenate(blocks)
     d = np.diff(poses[:, :2], axis=0)
     seg = np.hypot(d[:, 0], d[:, 1])
     arc_lengths = np.concatenate([[0.0], np.cumsum(seg)])

@@ -1,18 +1,22 @@
 """Arc-expansion search, obstacle stamping, risk rollout, replan triggers."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
-                             PlannerConfig, RISK_THRESHOLD, TriggerConfig,
+                             PlannerConfig, PlanAttempt, RISK_THRESHOLD,
+                             TWO_PI, Trajectory, TriggerConfig, _primitives,
                              attach_speed_profile, check_triggers,
                              obstacle_grid, plan, route_deviation_field,
                              ttc_min, unexplained_tracks)
+from v2xloop.scenarios import build_s1, spec_from_dict, spec_to_dict
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature
-from v2xloop.world import LaneSegment, Route, build_corridor_map
+from v2xloop.world import LaneSegment, Route, build_corridor_map, wrap_angle
 
 CFG = PlannerConfig()
 TRIG = TriggerConfig()
@@ -108,6 +112,203 @@ def test_plan_arc_lengths_monotone_and_consistent():
     seg = np.hypot(*np.diff(traj.poses[:, :2], axis=0).T)
     assert np.allclose(np.diff(traj.arc_lengths), seg)
     assert attempt.path_length == pytest.approx(traj.length)
+
+
+def test_plan_rejects_deviation_field_of_another_shape():
+    with pytest.raises(ValueError, match="deviation_field"):
+        plan((2.0, 10.0, 0.0), 0.0, ROUTE.goal_pose, _ldm(), CFG, VP,
+             deviation_field=np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# bit-identity against the per-steer search loop
+
+
+def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
+                    cause="initial", base_grid=None, start_steering=0.0,
+                    deviation_field=None):
+    """The search as first written: one lookup per steering sample and one
+    stored arc per pushed node. `plan` must reproduce it bit for bit."""
+    sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
+    gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
+    grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
+    cells = grid.cells
+    ny, nx = cells.shape
+    res = grid.cell_size
+    ox, oy = grid.origin
+    inv_res = 1.0 / res
+    bin_size = TWO_PI / cfg.heading_bins
+    hw = cfg.heuristic_weight
+
+    steers, prim_pts, prim_dth = _primitives(cfg, vparams)
+    n_steer = len(steers)
+    arc = cfg.primitive_arc_length
+
+    xs = [sx]; ys = [sy]; ths = [sth]; gs = [0.0]
+    steer_idx = [int(np.argmin(np.abs(steers - start_steering)))]
+    parents = [-1]
+    arcs: list = [None]
+
+    open_heap = [(hw * math.hypot(gx - sx, gy - sy), 0, 0)]
+    closed: set = set()
+    push_count = 1
+    expansions = 0
+    goal_node = -1
+
+    def bin_key(x, y, th):
+        return (int(x * inv_res), int(y * inv_res),
+                int(((th % TWO_PI) / bin_size)) % cfg.heading_bins)
+
+    while open_heap:
+        f, _, ni = heapq.heappop(open_heap)
+        x, y, th = xs[ni], ys[ni], ths[ni]
+        key = bin_key(x - ox, y - oy, th)
+        if key in closed:
+            continue
+        closed.add(key)
+
+        if (math.hypot(gx - x, gy - y) <= cfg.goal_xy_tol
+                and abs(wrap_angle(th - gth)) <= cfg.goal_heading_tol):
+            goal_node = ni
+            break
+        expansions += 1
+        if expansions > cfg.max_expansions:
+            break
+
+        c, s = math.cos(th), math.sin(th)
+        rot = np.array([[c, -s], [s, c]])
+        world = prim_pts @ rot.T
+        world[:, :, 0] += x
+        world[:, :, 1] += y
+        ix = np.floor((world[:, :, 0] - ox) * inv_res).astype(np.int64)
+        iy = np.floor((world[:, :, 1] - oy) * inv_res).astype(np.int64)
+        inb = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+
+        for si in range(n_steer):
+            if not inb[si].all():
+                continue
+            if cells[iy[si], ix[si]].any():
+                continue
+            end = world[si, -1]
+            th_new = th + prim_dth[si, -1]
+            cost = arc + cfg.steering_change_weight * abs(steers[si] - steers[steer_idx[ni]])
+            if deviation_field is not None:
+                cost += cfg.lateral_weight * arc * \
+                    float(deviation_field[iy[si], ix[si]].mean())
+            g_new = gs[ni] + cost
+            kx, kyy = end[0] - ox, end[1] - oy
+            if bin_key(kx, kyy, th_new) in closed:
+                continue
+            xs.append(float(end[0])); ys.append(float(end[1]))
+            ths.append(float(th_new)); gs.append(g_new)
+            steer_idx.append(si); parents.append(ni)
+            arcs.append((world[si].copy(), th + prim_dth[si]))
+            h = math.hypot(gx - end[0], gy - end[1])
+            heapq.heappush(open_heap, (g_new + hw * h, push_count, len(xs) - 1))
+            push_count += 1
+
+    if goal_node < 0:
+        return PlanAttempt(trajectory=None, expansions=expansions, cpu_ms=0.0,
+                           cause=cause)
+
+    chain = []
+    ni = goal_node
+    while ni >= 0:
+        chain.append(ni)
+        ni = parents[ni]
+    chain.reverse()
+
+    pose_rows = [(sx, sy, sth)]
+    for ni in chain[1:]:
+        pts, dth = arcs[ni]
+        for j in range(pts.shape[0]):
+            pose_rows.append((float(pts[j, 0]), float(pts[j, 1]), float(dth[j])))
+    poses = np.array(pose_rows)
+    d = np.diff(poses[:, :2], axis=0)
+    seg = np.hypot(d[:, 0], d[:, 1])
+    arc_lengths = np.concatenate([[0.0], np.cumsum(seg)])
+    traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), cfg.cruise_speed),
+                      arc_lengths=arc_lengths,
+                      planned_on_version=ldm.active_map.version_id,
+                      planned_at=ldm.stamp)
+    traj = attach_speed_profile(traj, ldm, cfg, vparams, start_speed)
+    return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=0.0,
+                       cause=cause, path_length=traj.length)
+
+
+def _random_corridor(rng, near_edge: bool):
+    """Random S-bend on a 100 x 100 m map with up to two parked tracks, built
+    like the acceptance planner instances. With `near_edge` the lane runs off
+    the map's left edge and the start sits within 2 m of it, so some arcs
+    leave the grid through free cells."""
+    y0 = float(rng.uniform(20.0, 80.0))
+    amp = float(rng.uniform(0.0, 6.0))
+    xs = np.arange(-4.0 if near_edge else 4.0, 96.0 + 1e-9, 2.0)
+    ys = y0 + amp * np.sin(2.0 * math.pi * (xs - 4.0) / 92.0)
+    line = np.column_stack([xs, ys])
+    mapv = build_corridor_map(
+        0, [LaneSegment("lane", line.tolist(), half_width=5.0)], 100.0, 100.0)
+
+    def pose_at(i):
+        dx, dy = line[i + 1] - line[i]
+        return float(xs[i]), float(ys[i]), math.atan2(dy, dx)
+
+    if near_edge:
+        x = float(rng.uniform(0.2, 2.0))
+        start = (x, float(np.interp(x, xs, ys)), float(rng.uniform(-2.0, 2.0)))
+    else:
+        start = pose_at(1)
+    goal = pose_at(len(xs) - 2)
+    ldm = initial_state(mapv)
+    slots = [(25.0, 45.0), (57.0, 77.0)]
+    for j in range(int(rng.integers(0, 3))):
+        tx = float(rng.uniform(*slots[j]))
+        ty = float(np.interp(tx, xs, ys)) + (2.0 if j % 2 == 0 else -2.0)
+        ldm.objects.append(_track(f"T{j}", (tx, ty), belief=0.9))
+    return start, goal, line, ldm
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), with_field=st.booleans(),
+       near_edge=st.booleans(),
+       budget=st.sampled_from([20, 300, 4000]),
+       xy_resolution=st.sampled_from([0.5, 0.3, 0.2]),
+       arc=st.sampled_from([2.0, 1.7]),
+       start_steering=st.sampled_from([0.0, -0.6, 0.3]))
+def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
+                                                    budget, xy_resolution, arc,
+                                                    start_steering):
+    start, goal, line, ldm = _random_corridor(np.random.default_rng(seed), near_edge)
+    # xy_resolution and arc give 5 to 13 samples per arc, on both sides of
+    # the 8-element block where numpy's pairwise summation changes form
+    cfg = PlannerConfig(max_expansions=budget, xy_resolution=xy_resolution,
+                        primitive_arc_length=arc)
+    field = None
+    if with_field:
+        field = route_deviation_field(obstacle_grid(ldm, cfg, VP), line)
+    got = plan(start, 0.0, goal, ldm, cfg, VP, start_steering=start_steering,
+               deviation_field=field)
+    want = _reference_plan(start, 0.0, goal, ldm, cfg, VP,
+                           start_steering=start_steering, deviation_field=field)
+    assert got.expansions == want.expansions
+    assert got.succeeded == want.succeeded
+    if want.succeeded:
+        assert got.trajectory.poses.tobytes() == want.trajectory.poses.tobytes()
+        assert (got.trajectory.arc_lengths.tobytes()
+                == want.trajectory.arc_lengths.tobytes())
+
+
+def test_reference_oracle_covers_failure_edge_and_success():
+    """The random instances reach every branch the oracle test relies on."""
+    rng = np.random.default_rng(7)
+    start, goal, line, ldm = _random_corridor(rng, near_edge=True)
+    tight = PlannerConfig(max_expansions=20)
+    assert not plan(start, 0.0, goal, ldm, tight, VP).succeeded
+    grid = obstacle_grid(ldm, CFG, VP)
+    assert not grid.occupied_at(0.1, start[1])      # free up to the map edge
+    ok = plan(start, 0.0, goal, ldm, PlannerConfig(max_expansions=4000), VP,
+              deviation_field=route_deviation_field(grid, line))
+    assert ok.succeeded
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +517,33 @@ def test_trigger_knowledge_change():
 def test_trigger_nothing_without_trajectory():
     fired = check_triggers(_ldm(), ROUTE, None, _ego(), 0.0, TRIG, CFG, VP)
     assert fired == []
+
+
+# ---------------------------------------------------------------------------
+# configuration validation
+
+
+@pytest.mark.parametrize("field_name, bad", [
+    ("heading_bins", 0),
+    ("steering_samples", 1),
+    ("steering_samples", 4),
+    ("xy_resolution", 0.0),
+    ("xy_resolution", math.nan),
+    ("primitive_arc_length", -2.0),
+    ("primitive_arc_length", math.inf),
+    ("goal_xy_tol", 0.0),
+    ("heuristic_weight", 0.0),
+    ("heuristic_weight", math.inf),
+    ("max_expansions", -1),
+])
+def test_planner_config_rejects_unrunnable_values(field_name, bad):
+    with pytest.raises(ValueError, match=f"planner.{field_name}"):
+        PlannerConfig(**{field_name: bad})
+    d = spec_to_dict(build_s1())
+    d["planner"][field_name] = bad
+    with pytest.raises(ValueError, match=f"planner.{field_name}"):
+        spec_from_dict(d)
+
+
+def test_planner_config_accepts_edge_values():
+    PlannerConfig(heading_bins=1, steering_samples=3, max_expansions=0)
