@@ -25,7 +25,7 @@ def main() -> int:
     byz = sorted(spec.stations.byzantine_ids)
     print(f"population: {len(spec.stations.stations)} stations, "
           f"compromised: {', '.join(byz)}")
-    print(f"gate: n={spec.gate.n} f={spec.gate.f} "
+    print(f"gate: n={len(spec.stations.stations)} f={spec.gate.f} "
           f"threshold={spec.gate.threshold():.0f} veto eta={spec.gate.eta}")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -237,7 +237,11 @@ def main(argv=None) -> int:
     p_replay.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # bad input (seed list, grid, scenario document): message, not traceback
+        raise SystemExit(f"v2xloop {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 An event hypothesis is accepted only when enough distinct authenticated
 stations corroborate it inside a recency window AND the onboard sensor does
 not contradict it. With uniform weights the threshold 2f + 1 tolerates f
-Byzantine reporters out of n. Disabling the gate reproduces the naive
-consumer: the first authenticated DENM is believed outright.
+Byzantine reporters out of n >= 3f + 1 stations, which `ScenarioSpec`
+checks. Disabling the gate reproduces the naive consumer: the first
+authenticated DENM is believed outright.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .ldm import ACCEPTED, PENDING, EventHypothesis
 
 @dataclass(frozen=True)
 class GateConfig:
-    n: int = 10                       # station population size
     f: int = 3                        # tolerated Byzantine stations
     quorum: float | None = None       # defaults to 2f + 1 with unit weights
     eta: float = 0.5                  # sensor-likelihood floor
@@ -93,9 +93,3 @@ def apply_decision(event: EventHypothesis, decision: GateDecision) -> None:
     if decision.accepted and event.status == PENDING:
         event.status = ACCEPTED
         event.accepted_at = decision.decided_at
-
-
-def trigger_latency_ms(event: EventHypothesis) -> float | None:
-    if event.accepted_at is None:
-        return None
-    return (event.accepted_at - event.first_seen) * 1000.0

@@ -19,7 +19,7 @@ to a separate timing file outside the log directory.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .control import ControlCommand, PidState, follow_tick, safety_stop_command
@@ -29,7 +29,7 @@ from .logio import CsvLog, _round_floats, read_csv, read_json, roundtrip_rows, w
 from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
                       clear_mot, command_variance, gate_rates, heading_stats,
                       lateral_rmse, objective_vector, v2x_reaction_ms)
-from .pareto import ParetoResult, config_grid
+from .pareto import Configuration, ParetoResult, config_grid
 from .pareto import sweep as pareto_sweep
 from .perception import sense, sensor_likelihood
 from .planner import (check_triggers, plan, route_deviation_field, ttc_min,
@@ -101,15 +101,11 @@ def _truth_at(spec: ScenarioSpec, t: float) -> list[tuple[WorldObject, bool]]:
     return out
 
 
-def _event_is_true(kind: str, position, spec: ScenarioSpec) -> bool:
-    """A hypothesis is true iff a same-kind hazard exists near its location."""
-    for hz in spec.hazards:
-        if hz.kind != kind:
-            continue
-        d = math.hypot(position[0] - hz.position[0], position[1] - hz.position[1])
-        if d <= spec.event_label_radius:
-            return True
-    return False
+def _is_true_claim(kind: str, x: float, y: float, hazards, radius: float) -> bool:
+    """A claimed event is true iff a same-kind hazard, given as (kind, x, y),
+    lies within `radius` of it."""
+    return any(hk == kind and math.hypot(x - hx, y - hy) <= radius
+               for hk, hx, hy in hazards)
 
 
 def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
@@ -155,21 +151,6 @@ def run_episode(spec: ScenarioSpec, seed: int,
     pending_map: tuple | None = None
     poll_ticks = max(1, int(round(spec.update_client.poll_interval / dt)))
 
-    grid_cache: dict[int, object] = {}
-    field_cache: dict[int, object] = {}
-
-    def grid_for(version):
-        if version.version_id not in grid_cache:
-            grid_cache[version.version_id] = planning_occupancy(
-                version, spec.vehicle.collision_radius)
-        return grid_cache[version.version_id]
-
-    def field_for(version):
-        if version.version_id not in field_cache:
-            field_cache[version.version_id] = route_deviation_field(
-                grid_for(version), spec.route.reference_path)
-        return field_cache[version.version_id]
-
     x0, y0, h0, v0 = spec.ego_start
     ego = VehicleState(x=x0, y=y0, heading=h0, speed=v0)
     pid = PidState()
@@ -188,15 +169,27 @@ def run_episode(spec: ScenarioSpec, seed: int,
     counters: dict[str, int] = {}
     next_ids = {"track": [1], "event": [1]}
     logged_status: dict[str, str] = {}
+    # labels use the hazards as built, not the rounded copy in meta.json
+    hazards = [(h.kind, h.position[0], h.position[1]) for h in spec.hazards]
     cam_bound = set()
     if spec.v2x_enabled and spec.stations is not None:
         cam_bound = {s.bound_object for s in spec.stations.honest()
                      if s.bound_object is not None}
 
     plan_count = 0
+    planning_maps: dict[int, tuple] = {}   # version_id -> (grid, deviation field)
 
-    def record_plan(attempt, tick: int, t: float) -> None:
+    def replan(cause: str, tick: int, t: float):
+        """Plan from the current ego state on the active map and log the attempt."""
         nonlocal plan_count
+        if active.version_id not in planning_maps:
+            grid = planning_occupancy(active, spec.vehicle.collision_radius)
+            planning_maps[active.version_id] = (
+                grid, route_deviation_field(grid, ref_path))
+        grid, deviation = planning_maps[active.version_id]
+        attempt = plan(ego.pose, ego.speed, goal, ldm, spec.planner, spec.vehicle,
+                       cause=cause, base_grid=grid, start_steering=ego.steering,
+                       deviation_field=deviation)
         n_poses = len(attempt.trajectory.poses) if attempt.succeeded else 0
         logs["plans"].append(tick, t, attempt.cause, attempt.succeeded,
                              attempt.expansions, attempt.path_length, n_poses,
@@ -204,12 +197,9 @@ def run_episode(spec: ScenarioSpec, seed: int,
         timing.append(plan_count, tick, attempt.cause, attempt.cpu_ms,
                       attempt.expansions)
         plan_count += 1
+        return attempt
 
-    attempt = plan(ego.pose, ego.speed, goal, ldm, spec.planner, spec.vehicle,
-                   cause="initial", base_grid=grid_for(active),
-                   start_steering=0.0, deviation_field=field_for(active))
-    record_plan(attempt, 0, 0.0)
-    traj = attempt.trajectory
+    traj = replan("initial", 0, 0.0).trajectory
     stop_tick = -1
     if traj is None:
         mode = SAFETY_STOP
@@ -328,7 +318,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
                     t, ev.event_id, ev.kind, ev.status, ev.position[0],
                     ev.position[1], ev.first_seen, ev.accepted_at,
                     len(ev.support),
-                    _event_is_true(ev.kind, ev.position, spec), 0)
+                    _is_true_claim(ev.kind, *ev.position, hazards,
+                                   spec.event_label_radius), 0)
 
         s_route = spec.route.progress_of(ego.position)
         ttc_now = math.inf
@@ -341,12 +332,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                                    spec.triggers, spec.planner, spec.vehicle,
                                    risk_ttc=ttc_now)
             if fired:
-                attempt = plan(ego.pose, ego.speed, goal, ldm, spec.planner,
-                               spec.vehicle, cause="+".join(fired),
-                               base_grid=grid_for(active),
-                               start_steering=ego.steering,
-                               deviation_field=field_for(active))
-                record_plan(attempt, k, t)
+                attempt = replan("+".join(fired), k, t)
                 if attempt.succeeded:
                     traj = attempt.trajectory
                 else:
@@ -357,12 +343,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                 and (k - stop_tick) % RECOVERY_TICKS == 0:
             # retry while the stop ramp still has speed: a stop forced by a
             # transient phantom track should not latch for the whole episode
-            attempt = plan(ego.pose, ego.speed, goal, ldm, spec.planner,
-                           spec.vehicle, cause="recovery",
-                           base_grid=grid_for(active),
-                           start_steering=ego.steering,
-                           deviation_field=field_for(active))
-            record_plan(attempt, k, t)
+            attempt = replan("recovery", k, t)
             if attempt.succeeded:
                 traj = attempt.trajectory
                 mode = FOLLOW
@@ -394,7 +375,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
         logs["events"].append(sim_time, ev.event_id, ev.kind, ev.status,
                               ev.position[0], ev.position[1], ev.first_seen,
                               ev.accepted_at, len(ev.support),
-                              _event_is_true(ev.kind, ev.position, spec), 1)
+                              _is_true_claim(ev.kind, *ev.position, hazards,
+                                             spec.event_label_radius), 1)
     logs["episode"].append(termination, sim_time, ticks_done, collision_flag)
 
     tables = {name: roundtrip_rows(log) for name, log in logs.items()}
@@ -463,22 +445,13 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
     brakes = [row["brake"] for row in control]
     speeds = [row["speed"] for row in control]
 
-    hazards = meta.get("hazards", [])
-
-    def denm_is_true(row) -> bool:
-        if row["event_x"] is None:
-            return False
-        for hz in hazards:
-            if hz["kind"] != row["event_kind"]:
-                continue
-            d = math.hypot(row["event_x"] - hz["x"], row["event_y"] - hz["y"])
-            if d <= float(meta["event_label_radius"]):
-                return True
-        return False
-
+    hazards = [(hz["kind"], hz["x"], hz["y"]) for hz in meta.get("hazards", [])]
+    label_radius = float(meta["event_label_radius"])
     reaction = None
     true_denm_times = [row["gen_time"] for row in tables.get("v2x", [])
-                       if row["msg_kind"] == "DENM" and denm_is_true(row)]
+                       if row["msg_kind"] == "DENM" and row["event_x"] is not None
+                       and _is_true_claim(row["event_kind"], row["event_x"],
+                                          row["event_y"], hazards, label_radius)]
     if true_denm_times:
         rows = [(row["t"], row["steering"], row["throttle"], row["brake"])
                 for row in control]
@@ -558,6 +531,8 @@ def run_batch(spec: ScenarioSpec, seeds, out_dir: str | Path | None = None
               ) -> tuple[list[EpisodeResult], dict]:
     """Run one scenario over distinct seeds and aggregate the results."""
     seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     out_path = Path(out_dir) if out_dir is not None else None
@@ -595,6 +570,10 @@ def run_sweep(grid: dict, scenario_ids, seeds,
     """Grid-sweep operating points across scenarios; persist frontier artifacts."""
     scenario_ids = list(scenario_ids)
     seeds = [int(s) for s in seeds]
+    if not scenario_ids:
+        raise ValueError("scenario_ids must not be empty")
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     if base_specs is None:
@@ -608,16 +587,12 @@ def run_sweep(grid: dict, scenario_ids, seeds,
         by_id = {c.config_id: c for c in configs}
         frontier_ids = {p.config_id for p in result.frontier}
         knee_id = result.knee.config_id if result.knee is not None else None
-        table = CsvLog(("config_id", "look_ahead", "k_p", "k_i", "k_d",
-                        "tau_risk", "hazard_lookahead", "update_poll_interval",
+        table = CsvLog((*(f.name for f in fields(Configuration)),
                         "j_trk", "j_sfty", "j_resp", "j_smth", "j_eng",
                         "collided", "on_frontier", "is_knee"))
         for p in result.points:
-            c = by_id[p.config_id]
-            table.append(c.config_id, c.look_ahead, c.k_p, c.k_i, c.k_d,
-                         c.tau_risk, c.hazard_lookahead, c.update_poll_interval,
-                         *p.objectives, p.collided, p.config_id in frontier_ids,
-                         p.config_id == knee_id)
+            table.append(*astuple(by_id[p.config_id]), *p.objectives, p.collided,
+                         p.config_id in frontier_ids, p.config_id == knee_id)
         table.write(out_path / "sweep.csv")
         write_json(out_path / "pareto.json", {
             "scenario_ids": scenario_ids,

@@ -62,8 +62,6 @@ class Track:
     velocity: tuple[float, float]
     belief: float
     last_update: float
-    born_at: float
-    sources: set = field(default_factory=set)
 
     def predicted(self, t: float) -> tuple[float, float]:
         dt = max(0.0, t - self.last_update)
@@ -87,9 +85,6 @@ class EventHypothesis:
     support: dict = field(default_factory=dict)
     status: str = PENDING
     accepted_at: float | None = None
-
-    def support_stations(self) -> list[str]:
-        return sorted(self.support)
 
     def refresh_position(self, alpha: float | None = None) -> None:
         """Blend the mean of the stations' latest claims into the location.
@@ -304,7 +299,6 @@ def fuse_tick(prev: LdmState, bundle: SyncBundle, delivered_v2x,
             tr.velocity = (tr.velocity[0] + av * (vx - tr.velocity[0]),
                            tr.velocity[1] + av * (vy - tr.velocity[1]))
             tr.last_update = now
-            tr.sources.update(m.source for m in ms)
 
         covered = any(f.covers(tr.predicted(now)) for f in frames_this_tick)
         if sensor_hits:
@@ -328,8 +322,7 @@ def fuse_tick(prev: LdmState, bundle: SyncBundle, delivered_v2x,
         tid = f"T{next_ids['track'][0]}"
         next_ids["track"][0] += 1
         kept.append(Track(track_id=tid, position=m.position, velocity=m.velocity,
-                          belief=params.b_birth, last_update=now, born_at=now,
-                          sources={m.source}))
+                          belief=params.b_birth, last_update=now))
 
     events = prev.events
     for msg in denms:

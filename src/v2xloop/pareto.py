@@ -9,7 +9,7 @@ not dominate each other, so duplicates coexist on the frontier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -17,7 +17,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Configuration:
-    """One operating point theta of the control/replanning stack."""
+    """One operating point theta of the control/replanning stack.
+
+    Its fields after `config_id` are the swept knobs: the grid keys
+    `config_grid` accepts and the `sweep.csv` columns, in this order.
+    """
 
     config_id: str
     look_ahead: float = 4.0
@@ -27,13 +31,6 @@ class Configuration:
     tau_risk: float = 2.5
     hazard_lookahead: float = 50.0
     update_poll_interval: float = 2.0
-
-    def as_dict(self) -> dict:
-        return {"config_id": self.config_id, "look_ahead": self.look_ahead,
-                "k_p": self.k_p, "k_i": self.k_i, "k_d": self.k_d,
-                "tau_risk": self.tau_risk,
-                "hazard_lookahead": self.hazard_lookahead,
-                "update_poll_interval": self.update_poll_interval}
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,7 @@ def hypervolume(points, reference, method: str = "auto",
 
 def config_grid(grid: dict) -> list[Configuration]:
     """Cartesian product of per-field value lists into Configuration objects."""
-    allowed = {"look_ahead", "k_p", "k_i", "k_d", "tau_risk",
-               "hazard_lookahead", "update_poll_interval"}
+    allowed = {f.name for f in fields(Configuration)} - {"config_id"}
     unknown = set(grid) - allowed
     if unknown:
         raise ValueError(f"unknown grid fields: {sorted(unknown)}")

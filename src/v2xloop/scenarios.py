@@ -16,7 +16,9 @@ defaults behind the experimenter's back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -117,6 +119,13 @@ class ScenarioSpec:
             raise ValueError(f"scenario_id must be one of {SCENARIO_IDS}")
         object.__setattr__(self, "hazards", tuple(self.hazards))
         object.__setattr__(self, "traffic", tuple(self.traffic))
+        # 2f+1 votes outvote f liars only among at least 3f+1 stations
+        # (Castro & Liskov, PBFT, 1999)
+        gate, stations = self.gate, self.stations
+        if gate.enabled and gate.quorum is None and stations is not None \
+                and 3 * gate.f + 1 > len(stations.stations):
+            raise ValueError(f"gate.f={gate.f} needs at least 3f+1={3 * gate.f + 1} "
+                             f"stations, the population has {len(stations.stations)}")
 
 
 def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSpec:
@@ -219,7 +228,7 @@ def build_s2(v2x_enabled: bool = True) -> ScenarioSpec:
         stations=population if v2x_enabled else None,
         sensor=SensorModel(max_range=12.0, p_miss=0.3, pos_noise_sigma=0.6,
                            clutter_rate=0.2),
-        gate=GateConfig(n=9, f=1, eta=0.5),
+        gate=GateConfig(f=1, eta=0.5),
         hazards=(hazard,), traffic=traffic, time_limit=40.0)
 
 
@@ -284,7 +293,7 @@ def build_s4(gate_enabled: bool = True) -> ScenarioSpec:
                            clutter_rate=0.2),
         channel=ChannelModel(drop_prob=0.02, latency_mean=0.14,
                              latency_jitter=0.025),
-        gate=GateConfig(n=10, f=3, eta=0.5, enabled=gate_enabled),
+        gate=GateConfig(f=3, eta=0.5, enabled=gate_enabled),
         hazards=(hazard,), time_limit=40.0)
 
 
@@ -296,206 +305,107 @@ def build_scenario(scenario_id: str, **kwargs) -> ScenarioSpec:
 
 
 # ---------------------------------------------------------------------------
-# strict JSON round-trip
-
-
-def _check_keys(d: dict, allowed, where: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _dataclass_to_dict(obj) -> dict:
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, frozenset):
-            value = sorted(value)
-        out[f.name] = value
-    return out
-
-
-def _dataclass_from_dict(cls, d: dict, where: str):
-    names = [f.name for f in fields(cls)]
-    _check_keys(d, names, where)
-    return cls(**d)
+# strict JSON round-trip: document keys are the dataclass field names
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
-    versions = []
-    for version, publish_time in zip(spec.vmap.versions, spec.vmap.publish_times):
-        versions.append({
-            "version_id": version.version_id,
-            "created_at": version.created_at,
-            "publish_time": publish_time,
-            "segments": [{
-                "id": seg.segment_id,
-                "polyline": np.asarray(seg.polyline).tolist(),
-                "half_width": seg.half_width,
-                "closed": seg.closed,
-            } for seg in version.lane_graph],
-        })
-    stations = None
-    if spec.stations is not None:
-        stations = {
-            "members": [{
-                "id": s.station_id, "position": list(s.position),
-                "sensing_range": s.sensing_range, "bound_object": s.bound_object,
-            } for s in spec.stations.stations],
-            "byzantine_ids": sorted(spec.stations.byzantine_ids),
-            "honest_report_noise_sigma": spec.stations.honest_report_noise_sigma,
-            "cam_period": spec.stations.cam_period,
-            "denm_period": spec.stations.denm_policy.period,
-            "denm_enabled": spec.stations.denm_policy.enabled,
-        }
-    gate_d = _dataclass_to_dict(spec.gate)
-    return {
-        "scenario_id": spec.scenario_id,
-        "dt": spec.dt,
-        "time_limit": spec.time_limit,
-        "goal_tolerance": spec.goal_tolerance,
-        "v2x_enabled": spec.v2x_enabled,
-        "updates_enabled": spec.updates_enabled,
-        "attack_enabled": spec.attack_enabled,
-        "sensor_likelihood_window": spec.sensor_likelihood_window,
-        "event_label_radius": spec.event_label_radius,
-        "map": {"size": list(spec.vmap.size), "cell_size": spec.vmap.cell_size,
-                "versions": versions},
-        "route": {"reference": np.asarray(spec.route.reference_path).tolist(),
-                  "goal": list(spec.route.goal_pose),
-                  "segment_ids": list(spec.route.segment_ids)},
-        "ego": {"start": list(spec.ego_start)},
-        "vehicle": _dataclass_to_dict(spec.vehicle),
-        "sensor": _dataclass_to_dict(spec.sensor),
-        "channel": _dataclass_to_dict(spec.channel),
-        "stations": stations,
-        "attack": _dataclass_to_dict(spec.attack) if spec.attack else None,
-        "ldm": _dataclass_to_dict(spec.ldm),
-        "gate": gate_d,
-        "triggers": _dataclass_to_dict(spec.triggers),
-        "planner": _dataclass_to_dict(spec.planner),
-        "controller": _dataclass_to_dict(spec.controller),
-        "metrics": _dataclass_to_dict(spec.metrics),
-        "update_client": _dataclass_to_dict(spec.update_client),
-        "hazards": [{
-            "id": h.hazard_id, "position": list(h.position), "kind": h.kind,
-            "spawn_time": h.spawn_time,
-            "observable_by_sensing": h.observable_by_sensing, "radius": h.radius,
-        } for h in spec.hazards],
-        "traffic": [{
-            "id": v.vehicle_id, "path": np.asarray(v.path).tolist(),
-            "speed": v.speed, "radius": v.radius, "start_time": v.start_time,
-        } for v in spec.traffic],
-    }
-
-
-_TOP_KEYS = ("scenario_id", "dt", "time_limit", "goal_tolerance", "v2x_enabled",
-             "updates_enabled", "attack_enabled", "sensor_likelihood_window",
-             "event_label_radius", "map", "route", "ego", "vehicle", "sensor",
-             "channel", "stations", "attack", "ldm", "gate", "triggers",
-             "planner", "controller", "metrics", "update_client", "hazards",
-             "traffic")
+    return _encode(spec)
 
 
 def spec_from_dict(d: dict) -> ScenarioSpec:
-    _check_keys(d, _TOP_KEYS, "scenario")
-    md = d["map"]
-    _check_keys(md, ("size", "cell_size", "versions"), "map")
+    """Decode a scenario document; a bad key, shape or value raises a
+    ValueError naming its dotted path, e.g. `scenario.gate.paranoia`."""
+    return _decode(ScenarioSpec, d, "scenario")
+
+
+def _encode(value):
+    if is_dataclass(value):
+        # occupancy grids are derived from the lane graph, never serialized
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)
+                if not (isinstance(value, MapVersion) and f.name == "occupancy")}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
+
+
+def _decode_fields(cls, d, path: str, exclude=(), raw=()) -> dict:
+    """Constructor arguments for cls: fields named in `raw` come back as
+    found, `exclude` fields are not part of the document."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: expected an object, got {type(d).__name__}")
+    known = [f for f in fields(cls) if f.name not in exclude]
+    unknown = sorted(set(d) - {f.name for f in known})
+    if unknown:
+        raise ValueError(f"{path}.{unknown[0]}: unknown key")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in known:
+        if f.name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{path}.{f.name}: missing required field")
+        elif f.name in raw:
+            kwargs[f.name] = d[f.name]
+        else:
+            kwargs[f.name] = _decode(hints[f.name], d[f.name], f"{path}.{f.name}")
+    return kwargs
+
+
+def _decode_map(d, path: str) -> VersionedMap:
+    kwargs = _decode_fields(VersionedMap, d, path, raw=("versions",))
     versions = []
-    publish_times = []
-    for vd in md["versions"]:
-        _check_keys(vd, ("version_id", "created_at", "publish_time", "segments"),
-                    "map.versions[]")
-        segs = []
-        for sd in vd["segments"]:
-            _check_keys(sd, ("id", "polyline", "half_width", "closed"),
-                        "map.versions[].segments[]")
-            segs.append(LaneSegment(segment_id=sd["id"],
-                                    polyline=np.asarray(sd["polyline"], dtype=float),
-                                    half_width=float(sd.get("half_width", 4.0)),
-                                    closed=bool(sd.get("closed", False))))
-        versions.append(build_corridor_map(
-            int(vd["version_id"]), segs, float(md["size"][0]), float(md["size"][1]),
-            float(md["cell_size"]), created_at=float(vd.get("created_at", 0.0))))
-        publish_times.append(None if vd.get("publish_time") is None
-                             else float(vd["publish_time"]))
-    vmap = VersionedMap(size=(float(md["size"][0]), float(md["size"][1])),
-                        cell_size=float(md["cell_size"]),
-                        versions=tuple(versions), publish_times=tuple(publish_times))
+    for i, vd in enumerate(_decode(tuple[dict, ...], kwargs["versions"],
+                                   f"{path}.versions")):
+        where = f"{path}.versions[{i}]"
+        v = _decode_fields(MapVersion, vd, where, exclude=("occupancy",))
+        try:
+            versions.append(build_corridor_map(
+                v["version_id"], v["lane_graph"], *kwargs["size"],
+                kwargs["cell_size"], created_at=v.get("created_at", 0.0)))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return VersionedMap(**{**kwargs, "versions": tuple(versions)})
 
-    rd = d["route"]
-    _check_keys(rd, ("reference", "goal", "segment_ids"), "route")
-    route = Route(reference_path=np.asarray(rd["reference"], dtype=float),
-                  goal_pose=tuple(float(v) for v in rd["goal"]),
-                  segment_ids=tuple(rd.get("segment_ids", [])))
-    ed = d["ego"]
-    _check_keys(ed, ("start",), "ego")
 
-    stations = None
-    if d.get("stations") is not None:
-        sd = d["stations"]
-        _check_keys(sd, ("members", "byzantine_ids", "honest_report_noise_sigma",
-                         "cam_period", "denm_period", "denm_enabled"), "stations")
-        members = []
-        for m in sd["members"]:
-            _check_keys(m, ("id", "position", "sensing_range", "bound_object"),
-                        "stations.members[]")
-            members.append(Station(station_id=m["id"],
-                                   position=tuple(float(v) for v in m["position"]),
-                                   sensing_range=float(m.get("sensing_range", 60.0)),
-                                   bound_object=m.get("bound_object")))
-        stations = StationPopulation(
-            stations=tuple(members),
-            byzantine_ids=frozenset(sd.get("byzantine_ids", [])),
-            honest_report_noise_sigma=float(sd.get("honest_report_noise_sigma", 0.5)),
-            cam_period=float(sd.get("cam_period", 0.1)),
-            denm_policy=DenmPolicy(period=float(sd.get("denm_period", 1.0)),
-                                   enabled=bool(sd.get("denm_enabled", True))))
-
-    attack = None
-    if d.get("attack") is not None:
-        attack = _dataclass_from_dict(AttackPolicy, d["attack"], "attack")
-
-    gate_d = dict(d["gate"])
-    hazards = []
-    for hd in d.get("hazards", []):
-        _check_keys(hd, ("id", "position", "kind", "spawn_time",
-                         "observable_by_sensing", "radius"), "hazards[]")
-        hazards.append(GroundTruthHazard(
-            hazard_id=hd["id"], position=tuple(float(v) for v in hd["position"]),
-            kind=hd["kind"], spawn_time=float(hd.get("spawn_time", 0.0)),
-            observable_by_sensing=bool(hd.get("observable_by_sensing", True)),
-            radius=float(hd.get("radius", 1.0))))
-    traffic = []
-    for td in d.get("traffic", []):
-        _check_keys(td, ("id", "path", "speed", "radius", "start_time"), "traffic[]")
-        traffic.append(ScriptedVehicle(
-            vehicle_id=td["id"], path=np.asarray(td["path"], dtype=float),
-            speed=float(td["speed"]), radius=float(td.get("radius", 1.0)),
-            start_time=float(td.get("start_time", 0.0))))
-
-    return ScenarioSpec(
-        scenario_id=d["scenario_id"],
-        vmap=vmap, route=route,
-        ego_start=tuple(float(v) for v in ed["start"]),
-        dt=float(d.get("dt", 0.05)),
-        time_limit=float(d.get("time_limit", 40.0)),
-        goal_tolerance=float(d.get("goal_tolerance", 2.0)),
-        v2x_enabled=bool(d.get("v2x_enabled", False)),
-        updates_enabled=bool(d.get("updates_enabled", False)),
-        attack_enabled=bool(d.get("attack_enabled", False)),
-        sensor_likelihood_window=float(d.get("sensor_likelihood_window", 1.0)),
-        event_label_radius=float(d.get("event_label_radius", 16.0)),
-        vehicle=_dataclass_from_dict(VehicleParams, d["vehicle"], "vehicle"),
-        sensor=_dataclass_from_dict(SensorModel, d["sensor"], "sensor"),
-        channel=_dataclass_from_dict(ChannelModel, d["channel"], "channel"),
-        stations=stations, attack=attack,
-        ldm=_dataclass_from_dict(LdmParams, d["ldm"], "ldm"),
-        gate=_dataclass_from_dict(GateConfig, gate_d, "gate"),
-        triggers=_dataclass_from_dict(TriggerConfig, d["triggers"], "triggers"),
-        planner=_dataclass_from_dict(PlannerConfig, d["planner"], "planner"),
-        controller=_dataclass_from_dict(ControllerConfig, d["controller"], "controller"),
-        metrics=_dataclass_from_dict(MetricParams, d["metrics"], "metrics"),
-        update_client=_dataclass_from_dict(UpdateClientConfig, d["update_client"],
-                                           "update_client"),
-        hazards=tuple(hazards), traffic=tuple(traffic))
+def _decode(tp, value, path: str):
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:    # every union in a spec is `X | None`
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _decode(tp, value, path)
+    if tp is VersionedMap:
+        return _decode_map(value, path)
+    if is_dataclass(tp):
+        kwargs = _decode_fields(tp, value, path)
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ValueError(f"{path}: expected a list, got {type(value).__name__}")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ValueError(f"{path}: expected {len(args)} items, got {len(value)}")
+        else:
+            args = (args[0],) * len(value)
+        return origin(_decode(a, v, f"{path}[{i}]")
+                      for i, (a, v) in enumerate(zip(args, value)))
+    if tp is np.ndarray:
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: expected an array of numbers") from None
+    if tp in (float, int, bool, str, dict):
+        if tp is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):
+            raise ValueError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
+        return value
+    raise TypeError(f"{path}: no codec for {tp!r}")

@@ -226,12 +226,6 @@ class MapVersion:
             raise ValueError("version_id must be non-negative")
         object.__setattr__(self, "lane_graph", tuple(self.lane_graph))
 
-    def segment(self, segment_id: str) -> LaneSegment:
-        for seg in self.lane_graph:
-            if seg.segment_id == segment_id:
-                return seg
-        raise KeyError(segment_id)
-
 
 def planning_occupancy(version: MapVersion, vehicle_radius: float) -> OccupancyGrid:
     """Planner-facing view: base grid, closed segments stamped in, inflated."""
@@ -330,9 +324,6 @@ class WorldObject:
 @dataclass(frozen=True)
 class UpdateServerState:
     published: tuple[tuple[float, MapVersion], ...] = ()
-
-    def latest_version_id(self) -> int:
-        return self.published[-1][1].version_id if self.published else -1
 
 
 def publish_version(server: UpdateServerState, version: MapVersion,

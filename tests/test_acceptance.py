@@ -282,7 +282,7 @@ def _corridor_instance(rng):
         oy = float(np.interp(ox, xs, ys)) + (2.0 if j % 2 == 0 else -2.0)
         tracks.append(Track(track_id=f"T{j}", position=(ox, oy),
                             velocity=(0.0, 0.0), belief=0.9,
-                            last_update=0.0, born_at=0.0))
+                            last_update=0.0))
     ldm = initial_state(mapv)
     ldm.objects.extend(tracks)
     return start, goal, route, ldm
@@ -453,7 +453,7 @@ def test_09_metric_hand_values(pytestconfig):
     # constant-velocity gap closure: (29 - (2 + 1)) / 4 = 6.5 s
     traj = _traj_from_path([[float(x), 0.0] for x in range(41)], 4.0)
     tr = Track(track_id="T", position=(29.0, 0.0), velocity=(0.0, 0.0),
-               belief=0.9, last_update=0.0, born_at=0.0)
+               belief=0.9, last_update=0.0)
     ego = VehicleState(x=0.0, y=0.0, heading=0.0, speed=4.0)
     ttc = ttc_min(ego, traj, [tr], horizon=8.0, collision_radius=2.0,
                   track_radius=1.0)

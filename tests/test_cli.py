@@ -44,6 +44,15 @@ def test_run_config_scenario_conflict(tmp_path):
         main(["run", "--config", str(cfg), "--scenario", "s2"])
 
 
+def test_run_rejects_old_document_spelling(tmp_path):
+    d = spec_to_dict(build_s1())
+    d["map"] = d.pop("vmap")
+    cfg = tmp_path / "scenario.json"
+    write_json(cfg, d)
+    with pytest.raises(SystemExit, match=r"scenario\.map: unknown key"):
+        main(["run", "--config", str(cfg)])
+
+
 def test_run_requires_some_scenario():
     with pytest.raises(SystemExit):
         main(["run", "--seed", "1"])
@@ -68,6 +77,17 @@ def test_batch_and_report(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "completion_rate=1.000" in text
     assert "goal_reached" in text
+
+
+def test_empty_seed_list_exits_with_message(tmp_path):
+    with pytest.raises(SystemExit, match="seeds must not be empty"):
+        main(["batch", "--scenario", "s1", "--seeds", ""])
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"look_ahead": [4.0]}))
+    with pytest.raises(SystemExit, match="seeds must not be empty"):
+        main(["sweep", "--grid", str(grid), "--scenarios", "s1", "--seeds", ""])
+    with pytest.raises(SystemExit, match="scenario_ids must not be empty"):
+        main(["sweep", "--grid", str(grid), "--scenarios", "", "--seeds", "1"])
 
 
 def test_report_on_episode_dir(tmp_path, capsys):

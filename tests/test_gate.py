@@ -1,13 +1,11 @@
 """Quorum-with-veto acceptance gate for V2X event claims."""
 
-import pytest
-
 from v2xloop.gate import (GateConfig, REASON_ACCEPTED, REASON_QUORUM,
                           REASON_VETO, apply_decision, evaluate,
-                          support_weight, trigger_latency_ms)
+                          support_weight)
 from v2xloop.ldm import ACCEPTED, PENDING, EventHypothesis
 
-CFG = GateConfig(n=10, f=3)
+CFG = GateConfig(f=3)
 
 
 def _event(position=(50.0, 10.0), support=None, first_seen=1.0):
@@ -21,9 +19,9 @@ def _support(k, t=5.0, pos=(50.0, 10.0)):
 
 
 def test_threshold_default_is_2f_plus_1():
-    assert GateConfig(n=10, f=3).threshold() == 7.0
-    assert GateConfig(n=9, f=1).threshold() == 3.0
-    assert GateConfig(n=5, f=1, quorum=4.0).threshold() == 4.0
+    assert GateConfig(f=3).threshold() == 7.0
+    assert GateConfig(f=1).threshold() == 3.0
+    assert GateConfig(f=1, quorum=4.0).threshold() == 4.0
 
 
 def test_weight_of_defaults_and_overrides():
@@ -114,7 +112,7 @@ def test_attacker_minority_never_reaches_quorum():
 
 
 def test_disabled_gate_believes_first_claim():
-    cfg = GateConfig(n=10, f=3, enabled=False)
+    cfg = GateConfig(f=3, enabled=False)
     ev = _event(support=_support(1))
     d = evaluate(ev, cfg, sensor_likelihood=0.0, now=5.0)
     assert d.accepted
@@ -123,7 +121,7 @@ def test_disabled_gate_believes_first_claim():
 
 
 # ---------------------------------------------------------------------------
-# latching and latency
+# latching
 
 
 def test_apply_decision_latches_acceptance():
@@ -145,10 +143,3 @@ def test_apply_decision_keeps_pending_on_reject():
     apply_decision(ev, d)
     assert ev.status == PENDING
     assert ev.accepted_at is None
-
-
-def test_trigger_latency_measures_first_seen_to_acceptance():
-    ev = _event(support=_support(7, t=1.2), first_seen=1.0)
-    assert trigger_latency_ms(ev) is None
-    apply_decision(ev, evaluate(ev, CFG, 0.9, now=1.35))
-    assert trigger_latency_ms(ev) == pytest.approx(350.0)

@@ -1,13 +1,16 @@
 """Episode loop plumbing: outputs, determinism, replay, batch aggregation."""
 
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from v2xloop.harness import (LOG_NAMES, replay, run_batch, run_episode,
-                             run_sweep)
+from v2xloop.harness import (LOG_NAMES, compute_episode_metrics, replay,
+                             run_batch, run_episode, run_sweep)
 from v2xloop.logio import read_csv, read_json
+from v2xloop.metrics import MetricParams
+from v2xloop.pareto import Configuration
 from v2xloop.rng import StreamSet, stream
 from v2xloop.scenarios import build_s1, build_s2
 
@@ -126,6 +129,15 @@ def test_run_batch_rejects_duplicate_seeds():
         run_batch(build_s1(), [1, 1])
 
 
+def test_batch_and_sweep_reject_empty_lists():
+    with pytest.raises(ValueError, match="seeds must not be empty"):
+        run_batch(build_s1(), [])
+    with pytest.raises(ValueError, match="seeds must not be empty"):
+        run_sweep({"look_ahead": [4.0]}, ["s1"], [])
+    with pytest.raises(ValueError, match="scenario_ids must not be empty"):
+        run_sweep({"look_ahead": [4.0]}, [], [1])
+
+
 def test_stream_independence_and_reproducibility():
     s = StreamSet(123)
     a = s.get("sense").uniform(size=4)
@@ -144,11 +156,50 @@ def test_run_sweep_outputs(tmp_path):
     res = run_sweep({"look_ahead": [4.0, 6.0]}, ["s2"], [1], out)
     rows = read_csv(out / "sweep.csv")
     assert len(rows) == 2
-    cols = set(rows[0])
-    assert {"config_id", "look_ahead", "j_trk", "j_sfty", "j_resp", "j_smth",
-            "j_eng", "collided", "on_frontier", "is_knee"} <= cols
+    header = (out / "sweep.csv").read_text().splitlines()[0].split(",")
+    # config_id and the swept knobs are Configuration's fields, in order
+    assert header[:8] == [f.name for f in fields(Configuration)]
+    assert header == ["config_id", "look_ahead", "k_p", "k_i", "k_d", "tau_risk",
+                      "hazard_lookahead", "update_poll_interval", "j_trk",
+                      "j_sfty", "j_resp", "j_smth", "j_eng", "collided",
+                      "on_frontier", "is_knee"]
     report = read_json(out / "pareto.json")
     assert report["grid"] == {"look_ahead": [4.0, 6.0]}
     assert report["frontier"]
     assert res.frontier            # someone always survives a 2-point sweep
     assert sorted(p.config_id for p in res.frontier) == report["frontier"]
+
+
+def test_metrics_label_claims_against_meta_hazards():
+    meta = {"metrics": asdict(MetricParams()), "dt": 0.05, "route_length": 84.0,
+            "event_label_radius": 16.0, "mot_belief_min": 0.6,
+            "hazards": [{"id": "hz-0", "x": 62.0, "y": 50.4, "kind": "debris",
+                         "spawn_time": 0.0, "radius": 1.0}]}
+
+    def denm(gen, kind, x, y):
+        return {"msg_kind": "DENM", "gen_time": gen, "event_kind": kind,
+                "event_x": x, "event_y": y}
+
+    tables = {
+        "vehicle": [{"cross_track": 0.0, "heading_err": 0.0, "ttc": None,
+                     "s_route": 84.0}],
+        "control": [{"t": t, "steering": 0.0, "throttle": 0.2, "brake": b,
+                     "speed": 5.0} for t, b in ((0.0, 0.0), (1.0, 0.0),
+                                                (2.0, 0.5), (3.0, 0.5))],
+        "episode": [{"termination": "goal_reached", "sim_time": 3.0,
+                     "ticks": 60, "collision": 0}],
+        "v2x": [{"msg_kind": "CAM", "gen_time": 0.2, "event_kind": None,
+                 "event_x": None, "event_y": None},
+                denm(0.5, "road_closure", 62.0, 50.0),   # wrong kind
+                denm(1.0, "debris", 100.0, 50.0),        # 38 m away
+                denm(1.5, "debris", 70.0, 50.0)],        # 8 m away: true
+        "events": [{"event_id": "E1", "status": "accepted", "is_true": 1,
+                    "first_seen": 1.0, "accepted_at": 1.35},
+                   {"event_id": "E2", "status": "accepted", "is_true": 0,
+                    "first_seen": 1.0, "accepted_at": 2.0}],
+    }
+    m = compute_episode_metrics(tables, meta)
+    assert m.v2x_reaction_ms == pytest.approx(500.0)   # from the true DENM only
+    assert m.trigger_latency_ms == pytest.approx(350.0)  # true events only
+    assert m.false_positive_rate == 1.0
+    assert m.false_negative_rate == 0.0

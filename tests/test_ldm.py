@@ -143,7 +143,7 @@ def test_synchronize_empty_window():
 
 def _track(tid, pos, vel=(0.0, 0.0), belief=0.6, t=0.0):
     return Track(track_id=tid, position=pos, velocity=vel, belief=belief,
-                 last_update=t, born_at=t)
+                 last_update=t)
 
 
 def _meas(pos, source="sensor", conf=0.9, t=1.0, vel=(0.0, 0.0)):
@@ -249,7 +249,6 @@ def test_cam_measurements_support_tracks():
     state = _tick(state, 0.10, v2x=[_cam("obu-a", (12.0, 10.0), recv=0.10)])
     # odds 1 * 2 = 2 -> 2/3
     assert state.objects[0].belief == pytest.approx(2.0 / 3.0)
-    assert "cam:obu-a" in state.objects[0].sources
 
 
 def test_track_ids_are_sequential():
@@ -284,7 +283,7 @@ def test_ingest_denm_opens_pending_hypothesis():
     assert out is not None
     assert out.status == PENDING
     assert out.event_id == "E1"
-    assert out.support_stations() == ["rsu-0"]
+    assert sorted(out.support) == ["rsu-0"]
     assert out.position == (50.0, 10.0)
 
 
@@ -294,7 +293,7 @@ def test_ingest_denm_merges_same_kind_nearby():
     ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P, {}, nums)
     ingest_denm(_denm("rsu-1", (52.0, 10.0), recv=1.5), events, P, {}, nums)
     assert len(events) == 1
-    assert events[0].support_stations() == ["rsu-0", "rsu-1"]
+    assert sorted(events[0].support) == ["rsu-0", "rsu-1"]
     # pending refresh: position is the plain mean of the claims
     assert events[0].position == pytest.approx((51.0, 10.0))
 

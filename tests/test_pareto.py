@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_config_grid_rejects_unknown_fields():
 
 def test_configuration_as_dict_roundtrip():
     c = Configuration(config_id="cfg-000", look_ahead=5.0)
-    d = c.as_dict()
+    d = asdict(c)
     assert d["config_id"] == "cfg-000"
     assert d["look_ahead"] == 5.0
     assert Configuration(**d) == c

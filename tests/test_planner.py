@@ -38,7 +38,7 @@ def _ldm(tracks=(), events=()):
 
 def _track(tid, pos, vel=(0.0, 0.0), belief=0.8):
     return Track(track_id=tid, position=pos, velocity=vel, belief=belief,
-                 last_update=0.0, born_at=0.0)
+                 last_update=0.0)
 
 
 def _event(pos, kind="stationary_vehicle", accepted_at=1.0):

@@ -1,5 +1,8 @@
 """Scenario builders, ablation switches, and the strict JSON round-trip."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -150,9 +153,50 @@ def test_spec_roundtrip(spec):
 
 
 def test_spec_from_dict_rejects_unknown_keys():
-    d = spec_to_dict(build_s1())
-    d["gate"]["paranoia"] = 11
-    with pytest.raises(ValueError):
+    cases = [
+        (lambda d: d["gate"], "scenario.gate.paranoia"),
+        (lambda d: d["vmap"]["versions"][0]["lane_graph"][0],
+         "scenario.vmap.versions[0].lane_graph[0].paranoia"),
+        (lambda d: d["stations"]["stations"][0],
+         "scenario.stations.stations[0].paranoia"),
+        (lambda d: d["hazards"][0], "scenario.hazards[0].paranoia"),
+        (lambda d: d["traffic"][0], "scenario.traffic[0].paranoia"),
+    ]
+    for section, path in cases:
+        d = spec_to_dict(build_s2())
+        section(d)["paranoia"] = 11
+        with pytest.raises(ValueError, match=re.escape(path)):
+            spec_from_dict(d)
+
+
+@pytest.mark.parametrize("damage, path", [
+    (lambda d: d["route"].pop("goal_pose"), "scenario.route.goal_pose"),
+    (lambda d: d.update(gate=3), "scenario.gate"),
+    (lambda d: d.update(ego_start=[8.0, 50.0]), "scenario.ego_start"),
+    (lambda d: d["traffic"][0].update(speed="fast"), "scenario.traffic[0].speed"),
+], ids=["missing-field", "section-not-object", "tuple-length", "wrong-type"])
+def test_spec_from_dict_rejects_malformed_documents(damage, path):
+    d = spec_to_dict(build_s2())
+    damage(d)
+    with pytest.raises(ValueError, match=re.escape(path)):
+        spec_from_dict(d)
+
+
+def test_gate_population_check():
+    # every built-in spec, including the ablations, satisfies n >= 3f + 1
+    for sid in ("s1", "s2", "s3", "s4"):
+        build_scenario(sid)
+    build_s2(v2x_enabled=False)
+    build_s4(gate_enabled=False)
+    s4 = build_s4()
+    with pytest.raises(ValueError, match="gate.f"):
+        replace(s4, gate=replace(s4.gate, f=4))     # 13 > 10 stations
+    # an explicit quorum or a disabled gate is the experimenter's call
+    replace(s4, gate=replace(s4.gate, f=4, quorum=9.0))
+    replace(s4, gate=replace(s4.gate, f=4, enabled=False))
+    d = spec_to_dict(s4)
+    d["gate"]["f"] = 4
+    with pytest.raises(ValueError, match=re.escape("scenario: gate.f")):
         spec_from_dict(d)
 
 

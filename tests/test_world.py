@@ -151,9 +151,6 @@ def test_corridor_map_carves_open_segments():
     assert not occ.occupied_at(10.0, 15.0)
     assert not occ.occupied_at(15.0, 25.0)
     assert occ.occupied_at(5.0, 5.0)     # off-road stays wall
-    assert ver.segment("ew").half_width == 2.0
-    with pytest.raises(KeyError):
-        ver.segment("nope")
 
 
 def test_corridor_map_skips_closed_segments():
@@ -204,7 +201,7 @@ def test_publish_version_monotonic():
     server = UpdateServerState()
     server = publish_version(server, _version(0), 0.0)
     server = publish_version(server, _version(1), 4.0)
-    assert server.latest_version_id() == 1
+    assert [v.version_id for _, v in server.published] == [0, 1]
     with pytest.raises(ValueError):
         publish_version(server, _version(1), 5.0)
     with pytest.raises(ValueError):
