@@ -47,16 +47,14 @@ class PidState:
 
 
 def pure_pursuit(pose, traj: Trajectory, look_ahead: float,
-                 vparams: VehicleParams, s_ego: float | None = None) -> float:
+                 vparams: VehicleParams, s_ego: float) -> float:
     """Steering toward the point look_ahead meters down the trajectory.
 
     Curvature command is 2 sin(alpha) / L_a with alpha the bearing of the
     target in the body frame; past the trajectory end the final pose is
-    chased instead.
+    chased instead. `s_ego` is the pose's arc length along the trajectory.
     """
     x, y, heading = float(pose[0]), float(pose[1]), float(pose[2])
-    if s_ego is None:
-        s_ego = traj.project((x, y))
     target = traj.point_at(min(s_ego + look_ahead, traj.length))
     alpha = wrap_angle(math.atan2(target[1] - y, target[0] - x) - heading)
     kappa = 2.0 * math.sin(alpha) / look_ahead

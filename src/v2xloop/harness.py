@@ -3,9 +3,10 @@
 One episode couples the world, the fused environment model, the acceptance
 gate, the replanner, and the tracking controller on a fixed-step clock.
 The order inside a tick is always: activate any downloaded map, snapshot
-ground truth, check termination, sense, exchange V2X traffic, synchronize
-and fuse, poll the map server, gate pending event hypotheses, evaluate
-replan triggers, compute the command, log, step the vehicle.
+ground truth, check termination, project the ego onto the route, sense,
+exchange V2X traffic, synchronize and fuse, poll the map server, gate
+pending event hypotheses, evaluate replan triggers, compute the command,
+log, step the vehicle.
 
 Determinism contract: every stochastic draw goes through a named Philox
 stream, all log rows are formatted to nine significant digits in an order
@@ -38,8 +39,8 @@ from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import VehicleState, step
-from .world import (UpdateServerState, WorldObject, cross_track_error,
-                    heading_along_polyline, planning_occupancy, poll_update,
+from .world import (UpdateServerState, WorldObject, heading_along_polyline,
+                    planning_occupancy, poll_update, project_to_polyline,
                     publish_version, wrap_angle)
 
 FOLLOW = "follow"
@@ -149,7 +150,9 @@ def run_episode(spec: ScenarioSpec, seed: int,
     active = spec.vmap.initial()
     last_seen = active.version_id
     pending_map: tuple | None = None
-    poll_ticks = max(1, int(round(spec.update_client.poll_interval / dt)))
+    client = spec.update_client
+    if client is not None:
+        poll_ticks = max(1, int(round(client.poll_interval / dt)))
 
     x0, y0, h0, v0 = spec.ego_start
     ego = VehicleState(x=x0, y=y0, heading=h0, speed=v0)
@@ -172,7 +175,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
     # labels use the hazards as built, not the rounded copy in meta.json
     hazards = [(h.kind, h.position[0], h.position[1]) for h in spec.hazards]
     cam_bound = set()
-    if spec.v2x_enabled and spec.stations is not None:
+    if spec.stations is not None:
         cam_bound = {s.bound_object for s in spec.stations.honest()
                      if s.bound_object is not None}
 
@@ -198,6 +201,13 @@ def run_episode(spec: ScenarioSpec, seed: int,
                       attempt.expansions)
         plan_count += 1
         return attempt
+
+    def log_event(t: float, ev, final: int) -> None:
+        logs["events"].append(t, ev.event_id, ev.kind, ev.status, ev.position[0],
+                              ev.position[1], ev.first_seen, ev.accepted_at,
+                              len(ev.support),
+                              _is_true_claim(ev.kind, *ev.position, hazards,
+                                             spec.event_label_radius), final)
 
     traj = replan("initial", 0, 0.0).trajectory
     stop_tick = -1
@@ -237,6 +247,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         if mode == SAFETY_STOP and ego.speed <= 0.02:
             termination, sim_time = "safety_stop", t
             break
+        s_route, cross_track, _ = project_to_polyline(ego.position, ref_path)
 
         frame = sense(ego.pose, [o for o, sensable in truth if sensable],
                       spec.sensor, streams.get("sense"), t)
@@ -255,15 +266,14 @@ def run_episode(spec: ScenarioSpec, seed: int,
                                  obj.velocity[1], obj.radius, scored)
 
         due: list = []
-        if spec.v2x_enabled and spec.stations is not None:
+        if spec.stations is not None:
             active_hazards = [h for h in spec.hazards if h.spawn_time <= t]
             outgoing = generate_honest_traffic(
                 spec.stations, objs, active_hazards, t, dt, seq_counters,
                 streams.get("v2x_honest"), denm_started)
-            if spec.attack_enabled and spec.attack is not None:
-                ego_s = spec.route.progress_of(ego.position)
+            if spec.attack is not None:
                 outgoing += generate_attack_traffic(
-                    spec.attack, spec.stations, spec.route, ego_s, t, dt,
+                    spec.attack, spec.stations, spec.route, s_route, t, dt,
                     seq_counters, streams.get("attack"),
                     map_bounds=(0.0, 0.0, spec.vmap.size[0], spec.vmap.size[1]))
             if outgoing:
@@ -286,9 +296,9 @@ def run_episode(spec: ScenarioSpec, seed: int,
         ldm = fuse_tick(ldm, bundle, due, active, [frame], spec.ldm, t,
                         counters, next_ids)
 
-        if spec.updates_enabled and k > 0 and k % poll_ticks == 0:
-            jitter = spec.update_client.download_latency_jitter
-            latency = spec.update_client.download_latency_mean
+        if client is not None and k > 0 and k % poll_ticks == 0:
+            jitter = client.download_latency_jitter
+            latency = client.download_latency_mean
             if jitter > 0.0:
                 latency += jitter * float(streams.get("updates").normal())
             latency = max(0.05, latency)
@@ -314,22 +324,15 @@ def run_episode(spec: ScenarioSpec, seed: int,
         for ev in sorted(ldm.events, key=lambda e: e.event_id):
             if logged_status.get(ev.event_id) != ev.status:
                 logged_status[ev.event_id] = ev.status
-                logs["events"].append(
-                    t, ev.event_id, ev.kind, ev.status, ev.position[0],
-                    ev.position[1], ev.first_seen, ev.accepted_at,
-                    len(ev.support),
-                    _is_true_claim(ev.kind, *ev.position, hazards,
-                                   spec.event_label_radius), 0)
+                log_event(t, ev, 0)
 
-        s_route = spec.route.progress_of(ego.position)
         ttc_now = math.inf
         if mode == FOLLOW and traj is not None:
             ttc_now = ttc_min(ego, traj, unexplained_tracks(ldm, spec.planner),
                               spec.planner.prefix_horizon,
                               spec.vehicle.collision_radius,
                               spec.planner.track_radius, spec.planner.b_obstacle)
-            fired = check_triggers(ldm, spec.route, traj, ego, s_route,
-                                   spec.triggers, spec.planner, spec.vehicle,
+            fired = check_triggers(ldm, spec.route, traj, s_route, spec.triggers,
                                    risk_ttc=ttc_now)
             if fired:
                 attempt = replan("+".join(fired), k, t)
@@ -359,8 +362,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
         heading_ref = heading_along_polyline(ref_path, s_route)
         logs["vehicle"].append(k, t, ego.x, ego.y, ego.heading, ego.speed,
                                ego.steering, ego.throttle, ego.brake, s_route,
-                               cross_track_error(ego.pose, ref_path),
-                               wrap_angle(ego.heading - heading_ref), ttc_now)
+                               cross_track, wrap_angle(ego.heading - heading_ref),
+                               ttc_now)
         logs["control"].append(k, t, cmd.steering, cmd.throttle, cmd.brake,
                                target_speed, ego.speed)
         for tr in ldm.objects:
@@ -372,11 +375,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         ticks_done = k + 1
 
     for ev in sorted(ldm.events, key=lambda e: e.event_id):
-        logs["events"].append(sim_time, ev.event_id, ev.kind, ev.status,
-                              ev.position[0], ev.position[1], ev.first_seen,
-                              ev.accepted_at, len(ev.support),
-                              _is_true_claim(ev.kind, *ev.position, hazards,
-                                             spec.event_label_radius), 1)
+        log_event(sim_time, ev, 1)
     logs["episode"].append(termination, sim_time, ticks_done, collision_flag)
 
     tables = {name: roundtrip_rows(log) for name, log in logs.items()}

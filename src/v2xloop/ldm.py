@@ -248,16 +248,15 @@ def ingest_denm(msg: V2xMessage, events: list, params: LdmParams,
 
 def fuse_tick(prev: LdmState, bundle: SyncBundle, delivered_v2x,
               active_map: MapVersion, frames_this_tick, params: LdmParams,
-              now: float, counters: dict | None = None,
-              next_ids: dict | None = None) -> LdmState:
+              now: float, counters: dict, next_ids: dict) -> LdmState:
     """One fusion step over the synchronized bundle and fresh V2X deliveries.
 
     Items older than the previous stamp were already consumed by an earlier
     tick and only ride along in the window for late-arrival tolerance, so
-    belief updates count each item exactly once.
+    belief updates count each item exactly once. `counters` and `next_ids`
+    ({"track": [n], "event": [n]}) carry the episode's tallies and id
+    sequences between ticks.
     """
-    counters = counters if counters is not None else {}
-    next_ids = next_ids if next_ids is not None else {"track": [1], "event": [1]}
     tracks: list[Track] = prev.objects
 
     measurements: list[Measurement] = []

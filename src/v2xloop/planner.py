@@ -24,14 +24,13 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ldm import LdmState
-from .vehicle import VehicleParams, max_curvature
-from .world import (MapVersion, OccupancyGrid, Route, is_on_route,
-                    planning_occupancy, point_along_polyline,
+from .vehicle import VehicleParams
+from .world import (OccupancyGrid, Route, is_on_route, mark_disk,
                     project_to_polyline, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
@@ -164,7 +163,7 @@ def unexplained_tracks(ldm: LdmState, cfg: PlannerConfig) -> list:
     for tr in ldm.obstacles(cfg.b_obstacle):
         covered = False
         for ev in events:
-            reach = EVENT_RADIUS.get(ev.kind, 1.0) + cfg.track_radius
+            reach = EVENT_RADIUS[ev.kind] + cfg.track_radius
             if math.hypot(tr.position[0] - ev.position[0],
                           tr.position[1] - ev.position[1]) <= reach:
                 covered = True
@@ -175,9 +174,9 @@ def unexplained_tracks(ldm: LdmState, cfg: PlannerConfig) -> list:
 
 
 def obstacle_grid(ldm: LdmState, cfg: PlannerConfig, vparams: VehicleParams,
-                  base: OccupancyGrid | None = None,
-                  start_xy=None) -> OccupancyGrid:
-    """Planning grid = inflated static map + confident tracks + accepted events.
+                  base: OccupancyGrid, start_xy) -> OccupancyGrid:
+    """Planning grid = `base` (the inflated static map, from
+    world.planning_occupancy) + confident tracks + accepted events.
 
     Moving tracks are stamped at their prefix-mean predicted position so a
     mover is blocked where it will be; near-static ones are stamped in place
@@ -188,17 +187,11 @@ def obstacle_grid(ldm: LdmState, cfg: PlannerConfig, vparams: VehicleParams,
     escape a region its own start is buried in, and the right reaction to
     an overlapping estimate is to keep driving the stop ramp, not to fail.
     """
-    from .world import mark_disk  # local import keeps module load light
-
-    grid = base if base is not None else planning_occupancy(ldm.active_map,
-                                                            vparams.collision_radius)
-    cells = grid.cells.copy()
-    out = OccupancyGrid(cells=cells, cell_size=grid.cell_size, origin=grid.origin)
+    cells = base.cells.copy()
+    out = OccupancyGrid(cells=cells, cell_size=base.cell_size, origin=base.origin)
     half_prefix = cfg.prefix_horizon / 2.0
 
     def blocks_start(cx: float, cy: float, radius: float) -> bool:
-        if start_xy is None:
-            return False
         return math.hypot(cx - start_xy[0], cy - start_xy[1]) <= radius
 
     for tr in unexplained_tracks(ldm, cfg):
@@ -211,8 +204,7 @@ def obstacle_grid(ldm: LdmState, cfg: PlannerConfig, vparams: VehicleParams,
             continue
         mark_disk(cells, out, (px, py), radius)
     for ev in ldm.accepted_events():
-        radius = (EVENT_RADIUS.get(ev.kind, 1.0) + vparams.collision_radius
-                  + cfg.event_margin)
+        radius = EVENT_RADIUS[ev.kind] + vparams.collision_radius + cfg.event_margin
         if blocks_start(ev.position[0], ev.position[1], radius):
             continue
         mark_disk(cells, out, ev.position, radius)
@@ -284,15 +276,16 @@ def _arcs_from(prim_pts: np.ndarray, x: float, y: float, th: float) -> np.ndarra
 
 
 def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
-         cfg: PlannerConfig, vparams: VehicleParams, cause: str = "initial",
-         base_grid: OccupancyGrid | None = None,
-         start_steering: float = 0.0,
-         deviation_field: np.ndarray | None = None) -> PlanAttempt:
+         cfg: PlannerConfig, vparams: VehicleParams, cause: str,
+         base_grid: OccupancyGrid, start_steering: float,
+         deviation_field: np.ndarray) -> PlanAttempt:
     """Search a drivable path and attach its target speed profile.
 
-    `deviation_field` (from route_deviation_field) prices distance from the
-    route reference so the optimum keeps the lane instead of cutting it; it
-    must have the planning grid's shape.
+    `base_grid` is the inflated static map (world.planning_occupancy) that
+    obstacle_grid stamps the LDM into. `deviation_field` (from
+    route_deviation_field) prices distance from the route reference so the
+    optimum keeps the lane instead of cutting it; it must have the planning
+    grid's shape, and an all-zero field prices no deviation.
     Returns a failed attempt (trajectory None) when the goal is unreachable
     within the expansion budget; the caller is expected to fall back to a
     minimum-safety stop.
@@ -309,7 +302,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
-    if deviation_field is not None and deviation_field.shape != cells.shape:
+    if deviation_field.shape != cells.shape:
         raise ValueError(f"deviation_field shape {deviation_field.shape} != "
                          f"planning grid shape {cells.shape}")
     res = grid.cell_size
@@ -333,7 +326,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     upper = np.array([nx, ny], dtype=np.uint64)
     flat_stride = np.array([1, nx])
     flat_cells = cells.ravel()
-    flat_dev = None if deviation_field is None else deviation_field.ravel()
+    flat_dev = deviation_field.ravel()
 
     # node storage: parallel lists, parent links by index
     xs = [sx]; ys = [sy]; ths = [sth]; gs = [0.0]
@@ -379,9 +372,8 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
         if not survivors:
             continue
         ends = world[:, -1].tolist()
-        if flat_dev is not None:
-            # sum / count is exactly what ndarray.mean computes
-            dev = (flat_dev.take(flat, mode="clip").sum(axis=1) / substep).tolist()
+        # sum / count is exactly what ndarray.mean computes
+        dev = (flat_dev.take(flat, mode="clip").sum(axis=1) / substep).tolist()
         costs = step_cost[steer_idx[ni]]
         g = gs[ni]
         for si in survivors:
@@ -389,10 +381,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
             th_new = th + end_dth[si]
             if bin_key(ex - ox, ey - oy, th_new) in closed:
                 continue
-            cost = costs[si]
-            if flat_dev is not None:
-                cost += lateral_arc * dev[si]
-            g_new = g + cost
+            g_new = g + (costs[si] + lateral_arc * dev[si])
             xs.append(ex); ys.append(ey); ths.append(th_new); gs.append(g_new)
             steer_idx.append(si); parents.append(ni)
             heappush(open_heap, (g_new + hw * hypot(gx - ex, gy - ey),
@@ -453,7 +442,7 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
         d = np.hypot(xy[:, 0] - ev.position[0], xy[:, 1] - ev.position[1])
         i_min = int(np.argmin(d))
         d_min = float(d[i_min])
-        radius = EVENT_RADIUS.get(ev.kind, 1.0)
+        radius = EVENT_RADIUS[ev.kind]
         corridor = radius + cfg.track_radius + vparams.collision_radius + 2.0
         if d_min > corridor:
             continue
@@ -479,8 +468,8 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
 
 
 def ttc_min(ego_state, traj: Trajectory, tracks, horizon: float,
-            collision_radius: float, track_radius: float = 1.0,
-            b_obstacle: float = 0.6, dt: float = 0.01) -> float:
+            collision_radius: float, track_radius: float,
+            b_obstacle: float, dt: float = 0.01) -> float:
     """Earliest collision time under a constant-velocity rollout.
 
     The ego slides along the plan prefix at its current speed; each track
@@ -508,36 +497,26 @@ def ttc_min(ego_state, traj: Trajectory, tracks, horizon: float,
     return best
 
 
-def check_triggers(ldm: LdmState, route: Route, traj: Trajectory | None,
-                   ego_state, ego_progress: float, trig: TriggerConfig,
-                   cfg: PlannerConfig, vparams: VehicleParams,
-                   risk_ttc: float | None = None) -> list[str]:
+def check_triggers(ldm: LdmState, route: Route, traj: Trajectory,
+                   ego_progress: float, trig: TriggerConfig,
+                   risk_ttc: float) -> list[str]:
     """Evaluate the three replan conditions; pure, no side effects.
 
     hazard_on_route fires only for events accepted after the current plan
     was made, so one acceptance causes one replan rather than one per tick.
-    A precomputed rollout TTC can be passed through `risk_ttc` to avoid
-    evaluating it twice per tick.
+    `risk_ttc` is the tick's rollout TTC (ttc_min over the unexplained
+    tracks), which the caller also logs.
     """
     fired: list[str] = []
-    planned_at = traj.planned_at if traj is not None else -math.inf
-    planned_version = traj.planned_on_version if traj is not None else -1
-
     for ev in ldm.accepted_events():
-        if ev.accepted_at is None or ev.accepted_at <= planned_at:
+        if ev.accepted_at is None or ev.accepted_at <= traj.planned_at:
             continue
         if is_on_route(ev.position, route, ego_progress,
                        trig.hazard_corridor, trig.hazard_lookahead):
             fired.append(HAZARD_ON_ROUTE)
             break
-
-    if traj is not None:
-        risk = risk_ttc if risk_ttc is not None else ttc_min(
-            ego_state, traj, ldm.objects, cfg.prefix_horizon,
-            vparams.collision_radius, cfg.track_radius, cfg.b_obstacle)
-        if risk < trig.tau_risk:
-            fired.append(RISK_THRESHOLD)
-
-    if traj is not None and ldm.active_map.version_id != planned_version:
+    if risk_ttc < trig.tau_risk:
+        fired.append(RISK_THRESHOLD)
+    if ldm.active_map.version_id != traj.planned_on_version:
         fired.append(KNOWLEDGE_CHANGE)
     return fired

@@ -10,7 +10,9 @@ Four built-in scenarios exercise the stack:
 A scenario is a value object; everything an episode needs, including every
 tunable, serializes to JSON and back. Unknown keys anywhere in the document
 are errors, never silently ignored, so a typo in a config cannot run with
-defaults behind the experimenter's back.
+defaults behind the experimenter's back. The optional sections switch their
+capability by being present: `stations` (V2X), `attack` (forged DENMs from
+the Byzantine stations) and `update_client` (map polling).
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ class ScenarioSpec:
     dt: float = 0.05
     time_limit: float = 40.0
     goal_tolerance: float = 2.0           # [m]
-    v2x_enabled: bool = False
-    updates_enabled: bool = False
-    attack_enabled: bool = False
     vehicle: VehicleParams = VehicleParams()
     sensor: SensorModel = SensorModel()
     channel: ChannelModel = ChannelModel()
@@ -108,7 +107,7 @@ class ScenarioSpec:
     planner: PlannerConfig = PlannerConfig()
     controller: ControllerConfig = ControllerConfig()
     metrics: MetricParams = MetricParams()
-    update_client: UpdateClientConfig = UpdateClientConfig()
+    update_client: UpdateClientConfig | None = None
     hazards: tuple[GroundTruthHazard, ...] = ()
     traffic: tuple[ScriptedVehicle, ...] = ()
     sensor_likelihood_window: float = 1.0  # [s] veto evidence horizon
@@ -119,6 +118,9 @@ class ScenarioSpec:
             raise ValueError(f"scenario_id must be one of {SCENARIO_IDS}")
         object.__setattr__(self, "hazards", tuple(self.hazards))
         object.__setattr__(self, "traffic", tuple(self.traffic))
+        if self.attack is not None and self.stations is None:
+            raise ValueError("scenario.attack needs scenario.stations: "
+                             "the attackers are stations")
         # 2f+1 votes outvote f liars only among at least 3f+1 stations
         # (Castro & Liskov, PBFT, 1999)
         gate, stations = self.gate, self.stations
@@ -132,7 +134,8 @@ def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSp
     """Overlay one swept operating point onto a scenario.
 
     The swept look_ahead is the carrot distance at cruise speed; the
-    speed-scaled bounds stretch around it proportionally.
+    speed-scaled bounds stretch around it proportionally. The poll interval
+    only acts on a spec that polls, i.e. has an update_client.
     """
     controller = replace(spec.controller,
                          look_ahead_gain=config.look_ahead / spec.planner.cruise_speed,
@@ -141,8 +144,9 @@ def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSp
                          k_p=config.k_p, k_i=config.k_i, k_d=config.k_d)
     triggers = replace(spec.triggers, tau_risk=config.tau_risk,
                        hazard_lookahead=config.hazard_lookahead)
-    client = replace(spec.update_client,
-                     poll_interval=config.update_poll_interval)
+    client = spec.update_client
+    if client is not None:
+        client = replace(client, poll_interval=config.update_poll_interval)
     return replace(spec, controller=controller, triggers=triggers,
                    update_client=client)
 
@@ -186,7 +190,7 @@ def build_s1(route_shape: str = "straight") -> ScenarioSpec:
     goal = (float(ref[-1, 0]), float(ref[-1, 1]), 0.0)
     return ScenarioSpec(
         scenario_id="s1", vmap=vmap,
-        route=Route(reference_path=ref, goal_pose=goal, segment_ids=("main",)),
+        route=Route(reference_path=ref, goal_pose=goal),
         ego_start=(float(ref[0, 0]), float(ref[0, 1]), heading, 0.0),
         sensor=SensorModel(max_range=20.0, p_miss=0.1, clutter_rate=0.0),
         time_limit=40.0)
@@ -198,8 +202,7 @@ def _s2_layout():
                         versions=(build_corridor_map(1, [seg], 100.0, 100.0, 0.5),),
                         publish_times=(None,))
     ref = _straight((8.0, 50.0), (92.0, 50.0), n=24)
-    route = Route(reference_path=ref, goal_pose=(92.0, 50.0, 0.0),
-                  segment_ids=("main",))
+    route = Route(reference_path=ref, goal_pose=(92.0, 50.0, 0.0))
     # off-center stall: blocks the reference line but leaves a gap below it
     hazard = GroundTruthHazard(hazard_id="hz-0", position=(62.0, 50.4),
                                kind="stationary_vehicle", spawn_time=3.5,
@@ -224,7 +227,6 @@ def build_s2(v2x_enabled: bool = True) -> ScenarioSpec:
     return ScenarioSpec(
         scenario_id="s2", vmap=vmap, route=route,
         ego_start=(8.0, 50.0, 0.0, 0.0),
-        v2x_enabled=v2x_enabled,
         stations=population if v2x_enabled else None,
         sensor=SensorModel(max_range=12.0, p_miss=0.3, pos_noise_sigma=0.6,
                            clutter_rate=0.2),
@@ -257,8 +259,7 @@ def build_s3(updates_enabled: bool = True) -> ScenarioSpec:
     vmap = VersionedMap(size=(100.0, 100.0), cell_size=0.5,
                         versions=(v1, v2), publish_times=(None, 4.0))
     ref = _straight((8.0, 30.0), (92.0, 30.0), n=24)
-    route = Route(reference_path=ref, goal_pose=(92.0, 30.0, 0.0),
-                  segment_ids=("main_w", "main_mid", "main_e"))
+    route = Route(reference_path=ref, goal_pose=(92.0, 30.0, 0.0))
     posts = tuple(
         GroundTruthHazard(hazard_id=f"bar-{i}", position=(70.0, 26.8 + 1.6 * i),
                           kind="road_closure", spawn_time=4.0,
@@ -267,7 +268,7 @@ def build_s3(updates_enabled: bool = True) -> ScenarioSpec:
     return ScenarioSpec(
         scenario_id="s3", vmap=vmap, route=route,
         ego_start=(8.0, 30.0, 0.0, 0.0),
-        updates_enabled=updates_enabled,
+        update_client=UpdateClientConfig() if updates_enabled else None,
         sensor=SensorModel(max_range=20.0, p_miss=0.2, pos_noise_sigma=0.6,
                            clutter_rate=0.1),
         hazards=posts, time_limit=60.0)
@@ -284,7 +285,6 @@ def build_s4(gate_enabled: bool = True) -> ScenarioSpec:
     return ScenarioSpec(
         scenario_id="s4", vmap=vmap, route=route,
         ego_start=(8.0, 50.0, 0.0, 0.0),
-        v2x_enabled=True, attack_enabled=True,
         stations=population,
         attack=AttackPolicy(p_attack=1.0, emission_period=1.0,
                             placement="on_route_ahead",
@@ -358,6 +358,10 @@ def _decode_fields(cls, d, path: str, exclude=(), raw=()) -> dict:
 
 def _decode_map(d, path: str) -> VersionedMap:
     kwargs = _decode_fields(VersionedMap, d, path, raw=("versions",))
+    # checked before any grid is built: a grid's shape is size / cell_size
+    for name in ("size", "cell_size"):
+        if not all(math.isfinite(v) and v > 0.0 for v in np.ravel(kwargs[name])):
+            raise ValueError(f"{path}.{name}: must be finite and > 0, got {kwargs[name]}")
     versions = []
     for i, vd in enumerate(_decode(tuple[dict, ...], kwargs["versions"],
                                    f"{path}.versions")):

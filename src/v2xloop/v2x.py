@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .world import Route, point_along_polyline
+from .world import HAZARD_KINDS, Route, point_along_polyline
 
 CAM = "CAM"
 DENM = "DENM"
@@ -75,10 +75,6 @@ class StationPopulation:
         if unknown:
             raise ValueError(f"byzantine ids not in population: {sorted(unknown)}")
 
-    @property
-    def n(self) -> int:
-        return len(self.stations)
-
     def honest(self) -> list[Station]:
         return [s for s in self.stations if s.station_id not in self.byzantine_ids]
 
@@ -93,16 +89,27 @@ class ChannelModel:
     latency_jitter: float = 0.025     # [s] Gaussian sigma, clamped at zero latency
 
 
+ATTACK_PLACEMENTS = ("on_route_ahead", "uniform_in_map")
+
+
 @dataclass(frozen=True)
 class AttackPolicy:
     p_attack: float = 1.0             # per attacker per emission
     emission_period: float = 1.0      # [s]
-    placement: str = "on_route_ahead"  # or "uniform_in_map"
+    placement: str = "on_route_ahead"  # one of ATTACK_PLACEMENTS
     false_event_kind: str = "road_closure"
     start_time: float = 0.0
     ahead_min: float = 10.0           # [m] placement window along the route
     ahead_max: float = 40.0
     colluding: bool = True            # all attackers corroborate one location
+
+    def __post_init__(self):
+        if self.placement not in ATTACK_PLACEMENTS:
+            raise ValueError(f"attack.placement must be one of {ATTACK_PLACEMENTS}, "
+                             f"got {self.placement!r}")
+        if self.false_event_kind not in HAZARD_KINDS:
+            raise ValueError(f"attack.false_event_kind must be one of {HAZARD_KINDS}, "
+                             f"got {self.false_event_kind!r}")
 
 
 def _emits_this_tick(t: float, dt: float, period: float, offset: float = 0.0) -> bool:
@@ -125,7 +132,7 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
                             active_hazards, t: float, dt: float,
                             seq_counters: dict[str, int],
                             rng: np.random.Generator,
-                            denm_started: set[tuple[str, str]] | None = None) -> list[V2xMessage]:
+                            denm_started: set[tuple[str, str]]) -> list[V2xMessage]:
     """Vehicle CAMs on the beacon schedule plus DENMs for sensed hazards.
 
     A station emits its first DENM for a hazard on the tick it first sees it
@@ -135,7 +142,6 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
     sigma = population.honest_report_noise_sigma
     truth_by_id = {o.object_id: o for o in truth_objects}
     msgs: list[V2xMessage] = []
-    started = denm_started if denm_started is not None else set()
 
     for station in sorted(population.honest(), key=lambda s: s.station_id):
         pos, vel = _station_state(station, truth_by_id)
@@ -159,9 +165,9 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
             if dist > station.sensing_range:
                 continue
             key = (station.station_id, hazard.hazard_id)
-            first = key not in started
+            first = key not in denm_started
             if first:
-                started.add(key)
+                denm_started.add(key)
             periodic = _emits_this_tick(t, dt, population.denm_policy.period,
                                         offset=hazard.spawn_time)
             if not (first or periodic):
@@ -183,7 +189,7 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
                             route: Route, ego_progress: float, t: float, dt: float,
                             seq_counters: dict[str, int],
                             rng: np.random.Generator,
-                            map_bounds: tuple[float, float, float, float] | None = None
+                            map_bounds: tuple[float, float, float, float]
                             ) -> list[V2xMessage]:
     """Authenticated false DENMs from the Byzantine subset.
 
@@ -202,10 +208,8 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
             s = ego_progress + rng.uniform(policy.ahead_min, policy.ahead_max)
             p = point_along_polyline(route.reference_path, s)
             return (float(p[0]), float(p[1]))
-        if policy.placement == "uniform_in_map":
-            x0, y0, x1, y1 = map_bounds if map_bounds else (0.0, 0.0, 100.0, 100.0)
-            return (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
-        raise ValueError(f"unknown placement {policy.placement!r}")
+        x0, y0, x1, y1 = map_bounds      # uniform_in_map
+        return (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
 
     shared = draw_position() if policy.colluding else None
     msgs: list[V2xMessage] = []

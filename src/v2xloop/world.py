@@ -83,12 +83,6 @@ def heading_along_polyline(path: np.ndarray, s: float) -> float:
     return math.atan2(d[1], d[0])
 
 
-def cross_track_error(pose, reference_path: np.ndarray) -> float:
-    """Signed lateral offset of a pose from a reference path, left positive."""
-    _, lateral, _ = project_to_polyline(pose, reference_path)
-    return lateral
-
-
 # ---------------------------------------------------------------------------
 # map layers
 
@@ -260,7 +254,6 @@ def build_corridor_map(version_id: int, segments: list[LaneSegment],
 class Route:
     reference_path: np.ndarray    # (N, 2) [m]
     goal_pose: tuple[float, float, float]
-    segment_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         p = np.asarray(self.reference_path, dtype=float)
@@ -271,10 +264,6 @@ class Route:
     @property
     def length(self) -> float:
         return float(polyline_cumlength(self.reference_path)[-1])
-
-    def progress_of(self, position) -> float:
-        s, _, _ = project_to_polyline(position, self.reference_path)
-        return s
 
 
 def is_on_route(position, route: Route, ego_progress: float,

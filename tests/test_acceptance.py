@@ -27,7 +27,8 @@ from v2xloop.planner import (PlannerConfig, Trajectory, obstacle_grid, plan,
                              ttc_min)
 from v2xloop.scenarios import build_s2, build_s3, build_s4
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature, step
-from v2xloop.world import LaneSegment, Route, build_corridor_map
+from v2xloop.world import (LaneSegment, Route, build_corridor_map,
+                           planning_occupancy)
 
 SEEDS = tuple(range(1, 31))
 VP = VehicleParams()
@@ -298,7 +299,11 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
     times_ms = []
     for _ in range(30):
         start, goal, route, ldm = _corridor_instance(rng)
-        attempt = plan(start, 0.0, goal, ldm, cfg, VP)
+        # the static planning grid is built once per map version outside the
+        # plan, as the episode loop does; no deviation field prices none
+        base = planning_occupancy(ldm.active_map, VP.collision_radius)
+        attempt = plan(start, 0.0, goal, ldm, cfg, VP, "initial", base, 0.0,
+                       np.zeros(base.shape))
         if not attempt.succeeded:
             failures += 1
             continue
@@ -313,7 +318,7 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         # instead of dividing by the chord, which overstates k by (k ds)^2/24
         kappa = 2.0 * np.sin(dh[m] / 2.0) / chord[m]
         worst_ratio = max(worst_ratio, float(np.max(kappa) / k_max))
-        grid = obstacle_grid(ldm, cfg, VP, start_xy=start[:2])
+        grid = obstacle_grid(ldm, cfg, VP, base, start[:2])
         if any(grid.occupied_at(x, y) for x, y, _ in poses):
             collisions += 1
     mean_ms = mean(times_ms) if times_ms else math.inf
@@ -378,7 +383,7 @@ def test_08_controller_and_dynamics_oracles(pytestconfig):
     s = VehicleState(x=radius, y=0.0, heading=math.pi / 2, speed=5.0)
     last = 0.0
     for _ in range(400):
-        last = pure_pursuit(s.pose, circle, 3.0, VP)
+        last = pure_pursuit(s.pose, circle, 3.0, VP, circle.project(s.position))
         s = step(s, ControlCommand(steering=last, throttle=0.0, brake=0.0),
                  VP, 0.02)
         s = VehicleState(x=s.x, y=s.y, heading=s.heading, speed=5.0,
@@ -456,7 +461,7 @@ def test_09_metric_hand_values(pytestconfig):
                belief=0.9, last_update=0.0)
     ego = VehicleState(x=0.0, y=0.0, heading=0.0, speed=4.0)
     ttc = ttc_min(ego, traj, [tr], horizon=8.0, collision_radius=2.0,
-                  track_radius=1.0)
+                  track_radius=1.0, b_obstacle=0.6)
     ttc_ok = ttc == 6.5
 
     # 10-tick tracking log: 8 truth ticks, one miss, one identity switch,

@@ -27,6 +27,11 @@ def _traj_from_path(path, speed=8.0):
                       arc_lengths=arc, planned_on_version=0, planned_at=0.0)
 
 
+def _steer(pose, traj, look_ahead):
+    """Pure Pursuit from the pose's projection, as follow_tick calls it."""
+    return pure_pursuit(pose, traj, look_ahead, VP, traj.project(pose[:2]))
+
+
 def _circle_traj(radius, n=200):
     ang = np.linspace(0.0, 2 * math.pi, n)
     return _traj_from_path(np.column_stack([radius * np.cos(ang),
@@ -41,15 +46,15 @@ def test_look_ahead_scales_with_speed():
 
 def test_pure_pursuit_straight_path_zero_steer():
     traj = _traj_from_path([[0.0, 0.0], [50.0, 0.0]])
-    assert pure_pursuit((5.0, 0.0, 0.0), traj, 4.0, VP) == pytest.approx(0.0)
+    assert _steer((5.0, 0.0, 0.0), traj, 4.0) == pytest.approx(0.0)
 
 
 def test_pure_pursuit_steers_toward_offset_path():
     traj = _traj_from_path([[0.0, 2.0], [50.0, 2.0]])
-    left = pure_pursuit((5.0, 0.0, 0.0), traj, 4.0, VP)
+    left = _steer((5.0, 0.0, 0.0), traj, 4.0)
     assert left > 0.0
     traj_r = _traj_from_path([[0.0, -2.0], [50.0, -2.0]])
-    assert pure_pursuit((5.0, 0.0, 0.0), traj_r, 4.0, VP) == pytest.approx(-left)
+    assert _steer((5.0, 0.0, 0.0), traj_r, 4.0) == pytest.approx(-left)
 
 
 def test_pure_pursuit_circle_matches_geometry():
@@ -62,7 +67,7 @@ def test_pure_pursuit_circle_matches_geometry():
     dt = 0.02
     last = 0.0
     for _ in range(400):
-        steer = pure_pursuit(s.pose, traj, 3.0, VP)
+        steer = _steer(s.pose, traj, 3.0)
         s = step(s, ControlCommand(steering=steer, throttle=0.0, brake=0.0),
                  VP, dt)
         s = VehicleState(x=s.x, y=s.y, heading=s.heading, speed=5.0,
@@ -76,7 +81,7 @@ def test_pure_pursuit_circle_matches_geometry():
 def test_pure_pursuit_chases_final_pose_past_end():
     traj = _traj_from_path([[0.0, 0.0], [10.0, 0.0]])
     # ego beyond the goal, pointing away: command saturates back toward it
-    steer = pure_pursuit((12.0, 1.0, 0.0), traj, 4.0, VP)
+    steer = _steer((12.0, 1.0, 0.0), traj, 4.0)
     assert abs(steer) <= VP.max_steer
     assert steer != 0.0
 

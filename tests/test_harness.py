@@ -12,7 +12,7 @@ from v2xloop.logio import read_csv, read_json
 from v2xloop.metrics import MetricParams
 from v2xloop.pareto import Configuration
 from v2xloop.rng import StreamSet, stream
-from v2xloop.scenarios import build_s1, build_s2
+from v2xloop.scenarios import build_s1, build_s2, spec_from_dict, spec_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,20 @@ def test_same_seed_same_logs(tmp_path):
         fb = (b / "logs" / f"{name}.csv").read_bytes()
         assert fa == fb, name
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+def test_null_stations_document_runs_the_no_v2x_arm(tmp_path):
+    # a section's presence is its switch: `stations: null` is the ablation
+    d = spec_to_dict(build_s2())
+    d["stations"] = None
+    run_episode(spec_from_dict(d), 1, tmp_path / "doc")
+    run_episode(build_s2(v2x_enabled=False), 1, tmp_path / "arm")
+    files = sorted(p.name for p in (tmp_path / "arm" / "logs").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "doc" / "logs").iterdir())
+    for name in files:
+        assert ((tmp_path / "doc" / "logs" / name).read_bytes()
+                == (tmp_path / "arm" / "logs" / name).read_bytes()), name
+    assert not read_csv(tmp_path / "doc" / "logs" / "v2x.csv")
 
 
 def test_different_seeds_differ(tmp_path):

@@ -52,10 +52,15 @@ def _bundle(t, frames):
                       items=tuple((f.timestamp, f) for f in frames))
 
 
-def _tick(state, t, frames=(), v2x=(), params=P, counters=None, next_ids=None):
+def _new_ids():
+    return {"track": [1], "event": [1]}
+
+
+def _tick(state, t, frames=(), v2x=(), params=P, next_ids=None):
+    """One fusion step; without `next_ids` the id sequences start afresh."""
     return fuse_tick(state, _bundle(t, list(frames)), list(v2x), MAP0,
-                     list(frames), params, t, counters=counters,
-                     next_ids=next_ids)
+                     list(frames), params, t, {},
+                     next_ids if next_ids is not None else _new_ids())
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +257,7 @@ def test_cam_measurements_support_tracks():
 
 
 def test_track_ids_are_sequential():
-    ids = {"track": [1], "event": [1]}
+    ids = _new_ids()
     state = initial_state(MAP0)
     state = _tick(state, 0.05, frames=[
         _frame(0.05, [_det(12.0, 10.0, 0.05), _det(30.0, 10.0, 0.05)])],
@@ -269,7 +274,7 @@ def test_fuse_tick_skips_items_already_consumed():
     f2 = _frame(0.10, [_det(12.1, 10.0, 0.10)])
     bundle = SyncBundle(window_end=0.10, window=P.tau_sync,
                         items=((0.05, f1), (0.10, f2)))
-    state = fuse_tick(state, bundle, [], MAP0, [f2], P, 0.10)
+    state = fuse_tick(state, bundle, [], MAP0, [f2], P, 0.10, {}, _new_ids())
     assert state.objects[0].belief == pytest.approx(0.75)   # one update only
 
 

@@ -16,7 +16,8 @@ from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
                              ttc_min, unexplained_tracks)
 from v2xloop.scenarios import build_s1, spec_from_dict, spec_to_dict
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature
-from v2xloop.world import LaneSegment, Route, build_corridor_map, wrap_angle
+from v2xloop.world import (LaneSegment, Route, build_corridor_map,
+                           planning_occupancy, wrap_angle)
 
 CFG = PlannerConfig()
 TRIG = TriggerConfig()
@@ -51,6 +52,25 @@ def _ego(x=2.0, y=10.0, heading=0.0, speed=8.0):
     return VehicleState(x=x, y=y, heading=heading, speed=speed)
 
 
+def _base(ldm):
+    """The static planning grid the episode loop passes to `plan`."""
+    return planning_occupancy(ldm.active_map, VP.collision_radius)
+
+
+def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
+          deviation_field=None, goal=ROUTE.goal_pose):
+    """`plan` on the ldm's static grid; no deviation field prices no deviation."""
+    base = _base(ldm)
+    if deviation_field is None:
+        deviation_field = np.zeros(base.shape)
+    return plan(start, 0.0, goal, ldm, cfg, VP, cause, base, start_steering,
+                deviation_field)
+
+
+def _grid(ldm, cfg=CFG, start_xy=ROUTE.reference_path[0]):
+    return obstacle_grid(ldm, cfg, VP, _base(ldm), start_xy)
+
+
 def _check_plan(attempt, goal):
     assert attempt.succeeded
     traj = attempt.trajectory
@@ -64,7 +84,7 @@ def _check_plan(attempt, goal):
 
 
 def test_plan_straight_corridor():
-    attempt = plan((2.0, 10.0, 0.0), 0.0, ROUTE.goal_pose, _ldm(), CFG, VP)
+    attempt = _plan((2.0, 10.0, 0.0), _ldm())
     traj = _check_plan(attempt, (95.0, 10.0))
     assert attempt.cause == "initial"
     assert attempt.expansions < 500     # weighted heuristic keeps this tight
@@ -73,7 +93,7 @@ def test_plan_straight_corridor():
 
 
 def test_plan_respects_curvature_bound():
-    attempt = plan((2.0, 10.0, 0.0), 0.0, ROUTE.goal_pose, _ldm(), CFG, VP)
+    attempt = _plan((2.0, 10.0, 0.0), _ldm())
     poses = attempt.trajectory.poses
     k_max = max_curvature(VP)
     d = np.diff(poses[:, :2], axis=0)
@@ -85,9 +105,9 @@ def test_plan_respects_curvature_bound():
 
 def test_plan_poses_collision_free():
     ldm = _ldm(tracks=[_track("T1", (40.0, 10.0))])
-    attempt = plan((2.0, 10.0, 0.0), 0.0, ROUTE.goal_pose, ldm, CFG, VP)
+    attempt = _plan((2.0, 10.0, 0.0), ldm)
     traj = _check_plan(attempt, (95.0, 10.0))
-    grid = obstacle_grid(ldm, CFG, VP, start_xy=(2.0, 10.0))
+    grid = _grid(ldm, start_xy=(2.0, 10.0))
     for x, y, _ in traj.poses:
         assert not grid.occupied_at(x, y)
     # the path actually deviates around the stamped track
@@ -98,15 +118,14 @@ def test_plan_poses_collision_free():
 def test_plan_reports_failure_when_goal_unreachable():
     # a wall of confident tracks seals the corridor
     wall = [_track(f"T{i}", (50.0, 5.5 + i * 1.5)) for i in range(7)]
-    attempt = plan((2.0, 10.0, 0.0), 0.0, ROUTE.goal_pose, _ldm(tracks=wall),
-                   CFG, VP, cause="risk_threshold")
+    attempt = _plan((2.0, 10.0, 0.0), _ldm(tracks=wall), cause="risk_threshold")
     assert not attempt.succeeded
     assert attempt.trajectory is None
     assert attempt.cause == "risk_threshold"
 
 
 def test_plan_arc_lengths_monotone_and_consistent():
-    attempt = plan((2.0, 10.0, 0.0), 0.0, ROUTE.goal_pose, _ldm(), CFG, VP)
+    attempt = _plan((2.0, 10.0, 0.0), _ldm())
     traj = attempt.trajectory
     assert np.all(np.diff(traj.arc_lengths) >= 0.0)
     seg = np.hypot(*np.diff(traj.poses[:, :2], axis=0).T)
@@ -116,8 +135,7 @@ def test_plan_arc_lengths_monotone_and_consistent():
 
 def test_plan_rejects_deviation_field_of_another_shape():
     with pytest.raises(ValueError, match="deviation_field"):
-        plan((2.0, 10.0, 0.0), 0.0, ROUTE.goal_pose, _ldm(), CFG, VP,
-             deviation_field=np.zeros((3, 3)))
+        _plan((2.0, 10.0, 0.0), _ldm(), deviation_field=np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +143,10 @@ def test_plan_rejects_deviation_field_of_another_shape():
 
 
 def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
-                    cause="initial", base_grid=None, start_steering=0.0,
-                    deviation_field=None):
+                    cause, base_grid, start_steering, deviation_field=None):
     """The search as first written: one lookup per steering sample and one
-    stored arc per pushed node. `plan` must reproduce it bit for bit."""
+    stored arc per pushed node. `plan` must reproduce it bit for bit; with
+    no deviation field it must equal `plan` given an all-zero one."""
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
     grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
@@ -283,13 +301,12 @@ def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
     # the 8-element block where numpy's pairwise summation changes form
     cfg = PlannerConfig(max_expansions=budget, xy_resolution=xy_resolution,
                         primitive_arc_length=arc)
-    field = None
-    if with_field:
-        field = route_deviation_field(obstacle_grid(ldm, cfg, VP), line)
-    got = plan(start, 0.0, goal, ldm, cfg, VP, start_steering=start_steering,
-               deviation_field=field)
-    want = _reference_plan(start, 0.0, goal, ldm, cfg, VP,
-                           start_steering=start_steering, deviation_field=field)
+    base = _base(ldm)
+    field = route_deviation_field(base, line) if with_field else None
+    got = plan(start, 0.0, goal, ldm, cfg, VP, "initial", base, start_steering,
+               field if with_field else np.zeros(base.shape))
+    want = _reference_plan(start, 0.0, goal, ldm, cfg, VP, "initial", base,
+                           start_steering, deviation_field=field)
     assert got.expansions == want.expansions
     assert got.succeeded == want.succeeded
     if want.succeeded:
@@ -303,11 +320,11 @@ def test_reference_oracle_covers_failure_edge_and_success():
     rng = np.random.default_rng(7)
     start, goal, line, ldm = _random_corridor(rng, near_edge=True)
     tight = PlannerConfig(max_expansions=20)
-    assert not plan(start, 0.0, goal, ldm, tight, VP).succeeded
-    grid = obstacle_grid(ldm, CFG, VP)
+    assert not _plan(start, ldm, tight, goal=goal).succeeded
+    grid = _grid(ldm, start_xy=start[:2])
     assert not grid.occupied_at(0.1, start[1])      # free up to the map edge
-    ok = plan(start, 0.0, goal, ldm, PlannerConfig(max_expansions=4000), VP,
-              deviation_field=route_deviation_field(grid, line))
+    ok = _plan(start, ldm, PlannerConfig(max_expansions=4000), goal=goal,
+               deviation_field=route_deviation_field(grid, line))
     assert ok.succeeded
 
 
@@ -332,7 +349,7 @@ def test_route_deviation_field_measures_distance():
 def test_obstacle_grid_stamps_confident_tracks():
     ldm = _ldm(tracks=[_track("T1", (40.0, 10.0), belief=0.8),
                        _track("T2", (60.0, 10.0), belief=0.55)])
-    grid = obstacle_grid(ldm, CFG, VP)
+    grid = _grid(ldm)
     pad = CFG.track_radius + VP.collision_radius + CFG.obstacle_margin
     assert grid.occupied_at(40.0, 10.0)
     assert grid.occupied_at(40.0 + pad - 0.3, 10.0)
@@ -343,9 +360,9 @@ def test_obstacle_grid_stamps_confident_tracks():
 def test_obstacle_grid_static_track_stamped_in_place():
     # velocity below the floor: no extrapolation of the stamp
     crawling = _track("T1", (40.0, 10.0), vel=(0.5, 0.0))
-    grid = obstacle_grid(_ldm(tracks=[crawling]), CFG, VP)
+    grid = _grid(_ldm(tracks=[crawling]))
     moving = _track("T2", (40.0, 10.0), vel=(4.0, 0.0))
-    grid_m = obstacle_grid(_ldm(tracks=[moving]), CFG, VP)
+    grid_m = _grid(_ldm(tracks=[moving]))
     ahead = 40.0 + 4.0 * CFG.prefix_horizon / 2.0
     assert grid.occupied_at(40.0, 10.0)
     assert not grid.occupied_at(ahead + 1.0, 10.0)
@@ -354,8 +371,7 @@ def test_obstacle_grid_static_track_stamped_in_place():
 
 def test_obstacle_grid_event_radius_by_kind():
     for kind, r in EVENT_RADIUS.items():
-        grid = obstacle_grid(_ldm(events=[_event((50.0, 10.0), kind=kind)]),
-                             CFG, VP)
+        grid = _grid(_ldm(events=[_event((50.0, 10.0), kind=kind)]))
         pad = r + VP.collision_radius + CFG.event_margin
         assert grid.occupied_at(50.0 + pad - 0.3, 10.0), kind
         assert not grid.occupied_at(50.0 + pad + 1.0, 10.0), kind
@@ -363,8 +379,8 @@ def test_obstacle_grid_event_radius_by_kind():
 
 def test_obstacle_grid_skips_disk_over_start():
     ldm = _ldm(tracks=[_track("T1", (2.5, 10.0))])
-    trapped = obstacle_grid(ldm, CFG, VP)
-    freed = obstacle_grid(ldm, CFG, VP, start_xy=(2.0, 10.0))
+    trapped = _grid(ldm, start_xy=(95.0, 10.0))     # start far from the track
+    freed = _grid(ldm, start_xy=(2.0, 10.0))
     assert trapped.occupied_at(2.0, 10.0)
     assert not freed.occupied_at(2.0, 10.0)
 
@@ -377,7 +393,7 @@ def test_unexplained_tracks_suppressed_near_events():
     kept = unexplained_tracks(ldm, CFG)
     assert [t.track_id for t in kept] == ["T2"]
     # and the grid contains no double stamp around the event
-    grid = obstacle_grid(ldm, CFG, VP)
+    grid = _grid(ldm)
     track_pad = CFG.track_radius + VP.collision_radius + CFG.obstacle_margin
     event_pad = EVENT_RADIUS["stationary_vehicle"] + VP.collision_radius + CFG.event_margin
     assert not grid.occupied_at(50.8 + track_pad - 0.2, 10.0)
@@ -389,7 +405,7 @@ def test_unexplained_tracks_suppressed_near_events():
 
 
 def _plain_traj():
-    return plan((2.0, 10.0, 0.0), 0.0, ROUTE.goal_pose, _ldm(), CFG, VP).trajectory
+    return _plan((2.0, 10.0, 0.0), _ldm()).trajectory
 
 
 def test_speed_profile_cruise_and_goal_ramp():
@@ -429,7 +445,8 @@ def test_ttc_exact_head_on_oracle():
     # closing distance 27 - (1 + 1) = 25 m at 5 m/s -> 5.0 s
     tracks = [_track("T1", (29.0, 10.0))]
     t = ttc_min(ego, traj, tracks, horizon=10.0,
-                collision_radius=VP.collision_radius)
+                collision_radius=VP.collision_radius,
+                track_radius=CFG.track_radius, b_obstacle=CFG.b_obstacle)
     assert t == pytest.approx(5.0, abs=0.02)
 
 
@@ -439,25 +456,27 @@ def test_ttc_converging_track():
     # obstacle drives toward the ego at 5 m/s: closing speed 10 m/s
     tracks = [_track("T1", (52.0, 10.0), vel=(-5.0, 0.0))]
     t = ttc_min(ego, traj, tracks, horizon=10.0,
-                collision_radius=VP.collision_radius)
+                collision_radius=VP.collision_radius,
+                track_radius=CFG.track_radius, b_obstacle=CFG.b_obstacle)
     assert t == pytest.approx(4.8, abs=0.02)
 
 
 def test_ttc_ignores_weak_and_clear_tracks():
     traj = _plain_traj()
     ego = _ego(x=2.0, speed=5.0)
-    assert ttc_min(ego, traj, [], 10.0, 1.0) == math.inf
+    assert ttc_min(ego, traj, [], 10.0, 1.0, 1.0, 0.6) == math.inf
     weak = [_track("T1", (20.0, 10.0), belief=0.3)]
-    assert ttc_min(ego, traj, weak, 10.0, 1.0) == math.inf
+    assert ttc_min(ego, traj, weak, 10.0, 1.0, 1.0, 0.6) == math.inf
     offside = [_track("T1", (20.0, 16.0))]
-    assert ttc_min(ego, traj, offside, 10.0, 1.0) == math.inf
+    assert ttc_min(ego, traj, offside, 10.0, 1.0, 1.0, 0.6) == math.inf
 
 
 def test_ttc_horizon_cutoff():
     traj = _plain_traj()
     ego = _ego(x=2.0, speed=5.0)
     tracks = [_track("T1", (80.0, 10.0))]    # collision at ~15.2 s
-    assert ttc_min(ego, traj, tracks, horizon=3.0, collision_radius=1.0) == math.inf
+    assert ttc_min(ego, traj, tracks, horizon=3.0, collision_radius=1.0,
+                   track_radius=1.0, b_obstacle=0.6) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -468,37 +487,36 @@ def test_trigger_hazard_on_route_only_after_plan():
     traj = _plain_traj()   # planned_at 0.0
     before = _event((40.0, 10.0), accepted_at=-1.0)
     ldm = _ldm(events=[before])
-    fired = check_triggers(ldm, ROUTE, traj, _ego(), 0.0, TRIG, CFG, VP,
-                           risk_ttc=math.inf)
+    fired = check_triggers(ldm, ROUTE, traj, 0.0, TRIG, risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
     after = _event((40.0, 10.0), accepted_at=1.0)
-    fired = check_triggers(_ldm(events=[after]), ROUTE, traj, _ego(), 0.0,
-                           TRIG, CFG, VP, risk_ttc=math.inf)
+    fired = check_triggers(_ldm(events=[after]), ROUTE, traj, 0.0, TRIG,
+                           risk_ttc=math.inf)
     assert fired == [HAZARD_ON_ROUTE]
 
 
 def test_trigger_hazard_respects_corridor_and_window():
     traj = _plain_traj()
     wide = _event((40.0, 10.0 + TRIG.hazard_corridor + 0.5), accepted_at=1.0)
-    fired = check_triggers(_ldm(events=[wide]), ROUTE, traj, _ego(), 0.0,
-                           TRIG, CFG, VP, risk_ttc=math.inf)
+    fired = check_triggers(_ldm(events=[wide]), ROUTE, traj, 0.0, TRIG,
+                           risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
-    behind = _event((10.0, 10.0), accepted_at=1.0)
-    fired = check_triggers(_ldm(events=[behind]), ROUTE, traj, _ego(x=30.0),
-                           28.0, TRIG, CFG, VP, risk_ttc=math.inf)
+    behind = _event((10.0, 10.0), accepted_at=1.0)    # ego at s = 28
+    fired = check_triggers(_ldm(events=[behind]), ROUTE, traj, 28.0, TRIG,
+                           risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
     past_window = _event((95.0, 10.0), accepted_at=1.0)
-    fired = check_triggers(_ldm(events=[past_window]), ROUTE, traj, _ego(),
-                           0.0, TRIG, CFG, VP, risk_ttc=math.inf)
+    fired = check_triggers(_ldm(events=[past_window]), ROUTE, traj, 0.0, TRIG,
+                           risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
 
 
 def test_trigger_risk_threshold():
     traj = _plain_traj()
-    fired = check_triggers(_ldm(), ROUTE, traj, _ego(), 0.0, TRIG, CFG, VP,
+    fired = check_triggers(_ldm(), ROUTE, traj, 0.0, TRIG,
                            risk_ttc=TRIG.tau_risk - 0.1)
     assert fired == [RISK_THRESHOLD]
-    fired = check_triggers(_ldm(), ROUTE, traj, _ego(), 0.0, TRIG, CFG, VP,
+    fired = check_triggers(_ldm(), ROUTE, traj, 0.0, TRIG,
                            risk_ttc=TRIG.tau_risk + 0.1)
     assert fired == []
 
@@ -509,14 +527,8 @@ def test_trigger_knowledge_change():
         1, [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)],
         100.0, 20.0)
     ldm = initial_state(new_map)
-    fired = check_triggers(ldm, ROUTE, traj, _ego(), 0.0, TRIG, CFG, VP,
-                           risk_ttc=math.inf)
+    fired = check_triggers(ldm, ROUTE, traj, 0.0, TRIG, risk_ttc=math.inf)
     assert fired == [KNOWLEDGE_CHANGE]
-
-
-def test_trigger_nothing_without_trajectory():
-    fired = check_triggers(_ldm(), ROUTE, None, _ego(), 0.0, TRIG, CFG, VP)
-    assert fired == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario builders, ablation switches, and the strict JSON round-trip."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from v2xloop.scenarios import (ScriptedVehicle, apply_configuration,
 
 def test_build_scenario_dispatch():
     assert build_scenario("s1").scenario_id == "s1"
-    assert build_scenario("s2", v2x_enabled=False).v2x_enabled is False
+    assert build_scenario("s2", v2x_enabled=False).stations is None
     with pytest.raises(ValueError):
         build_scenario("s9")
 
@@ -29,7 +30,8 @@ def test_s1_variants():
     assert straight.route.length > 50.0
     assert curve.route.length > straight.route.length   # the S-curve is longer
     for spec in (straight, curve):
-        assert not spec.v2x_enabled and not spec.attack_enabled
+        assert spec.stations is None and spec.attack is None
+        assert spec.update_client is None
         assert spec.hazards == ()
         # ego starts on the route, roughly at its head
         x, y, _, v = spec.ego_start
@@ -41,7 +43,7 @@ def test_s1_variants():
 def test_s2_arms():
     v2x = build_s2(v2x_enabled=True)
     bare = build_s2(v2x_enabled=False)
-    assert v2x.v2x_enabled and not bare.v2x_enabled
+    assert v2x.stations is not None and bare.stations is None
     # same physical world in both arms
     assert v2x.hazards == bare.hazards
     assert v2x.route.length == bare.route.length
@@ -56,13 +58,13 @@ def test_s2_arms():
     assert lat < 2.0
     # enough stations that the gate quorum is reachable
     assert v2x.stations is not None
-    assert v2x.stations.n >= 2 * v2x.gate.f + 1
+    assert len(v2x.stations.stations) >= 2 * v2x.gate.f + 1
 
 
 def test_s3_arms():
     updates = build_s3(updates_enabled=True)
     frozen = build_s3(updates_enabled=False)
-    assert updates.updates_enabled and not frozen.updates_enabled
+    assert updates.update_client is not None and frozen.update_client is None
     # two map versions exist in both arms; only polling differs
     assert len(updates.vmap.versions) == 2
     assert len(frozen.vmap.versions) == 2
@@ -82,7 +84,7 @@ def test_s4_arms():
     gated = build_s4(gate_enabled=True)
     naive = build_s4(gate_enabled=False)
     assert gated.gate.enabled and not naive.gate.enabled
-    assert gated.attack_enabled and naive.attack_enabled
+    assert gated.attack is not None and naive.attack is not None
     assert gated.stations is not None
     byz = gated.stations.byzantine()
     assert len(byz) == gated.gate.f
@@ -123,7 +125,9 @@ def test_apply_configuration_maps_fields():
         pytest.approx(6.0)
     assert out.triggers.tau_risk == 3.0
     assert out.triggers.hazard_lookahead == 40.0
-    assert out.update_client.poll_interval == 1.0
+    # the poll interval acts only on a spec that polls
+    assert out.update_client is None
+    assert apply_configuration(build_s3(), cfg).update_client.poll_interval == 1.0
     # everything else untouched
     assert out.hazards == spec.hazards
     assert out.planner == spec.planner
@@ -144,7 +148,8 @@ def test_spec_roundtrip(spec):
     # dict-level equality sidesteps array identity in dataclass __eq__
     assert spec_to_dict(back) == d
     assert back.scenario_id == spec.scenario_id
-    assert back.v2x_enabled == spec.v2x_enabled
+    for section in ("stations", "attack", "update_client"):
+        assert (getattr(back, section) is None) == (getattr(spec, section) is None)
     assert len(back.vmap.versions) == len(spec.vmap.versions)
     assert back.route.length == pytest.approx(spec.route.length)
     # occupancy grids are rebuilt identically from the lane graph
@@ -154,19 +159,46 @@ def test_spec_roundtrip(spec):
 
 def test_spec_from_dict_rejects_unknown_keys():
     cases = [
-        (lambda d: d["gate"], "scenario.gate.paranoia"),
-        (lambda d: d["vmap"]["versions"][0]["lane_graph"][0],
+        (lambda d: d["gate"], "paranoia", "scenario.gate.paranoia"),
+        (lambda d: d["vmap"]["versions"][0]["lane_graph"][0], "paranoia",
          "scenario.vmap.versions[0].lane_graph[0].paranoia"),
-        (lambda d: d["stations"]["stations"][0],
+        (lambda d: d["stations"]["stations"][0], "paranoia",
          "scenario.stations.stations[0].paranoia"),
-        (lambda d: d["hazards"][0], "scenario.hazards[0].paranoia"),
-        (lambda d: d["traffic"][0], "scenario.traffic[0].paranoia"),
+        (lambda d: d["hazards"][0], "paranoia", "scenario.hazards[0].paranoia"),
+        (lambda d: d["traffic"][0], "paranoia", "scenario.traffic[0].paranoia"),
+        # the old capability flags: a section's presence is the switch now
+        (lambda d: d, "v2x_enabled", "scenario.v2x_enabled: unknown key"),
+        (lambda d: d, "attack_enabled", "scenario.attack_enabled: unknown key"),
+        (lambda d: d, "updates_enabled", "scenario.updates_enabled: unknown key"),
     ]
-    for section, path in cases:
+    for section, key, path in cases:
         d = spec_to_dict(build_s2())
-        section(d)["paranoia"] = 11
+        section(d)[key] = 11
         with pytest.raises(ValueError, match=re.escape(path)):
             spec_from_dict(d)
+
+
+def test_attack_requires_stations():
+    # the attackers are stations: an attack without a population cannot run
+    s4 = build_s4()
+    with pytest.raises(ValueError, match=re.escape("scenario.attack")):
+        replace(s4, stations=None)
+    d = spec_to_dict(s4)
+    d["stations"] = None
+    with pytest.raises(ValueError, match=re.escape("scenario.attack")):
+        spec_from_dict(d)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan], ids=["zero", "negative", "nan"])
+def test_spec_from_dict_rejects_bad_map_extent(bad):
+    d = spec_to_dict(build_s2())
+    d["vmap"]["cell_size"] = bad
+    with pytest.raises(ValueError, match=re.escape("scenario.vmap.cell_size")):
+        spec_from_dict(d)
+    d = spec_to_dict(build_s2())
+    d["vmap"]["size"] = [100.0, bad]
+    with pytest.raises(ValueError, match=re.escape("scenario.vmap.size")):
+        spec_from_dict(d)
 
 
 @pytest.mark.parametrize("damage, path", [

@@ -1,11 +1,13 @@
 """Message generation, the lossy channel, and the Byzantine attackers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from v2xloop.rng import stream
+from v2xloop.scenarios import build_s4, spec_from_dict, spec_to_dict
 from v2xloop.v2x import (CAM, DENM, AttackPolicy, ChannelModel, DenmPolicy,
                          Station, StationPopulation, V2xMessage,
                          generate_attack_traffic, generate_honest_traffic,
@@ -13,6 +15,7 @@ from v2xloop.v2x import (CAM, DENM, AttackPolicy, ChannelModel, DenmPolicy,
 from v2xloop.world import GroundTruthHazard, Route, WorldObject
 
 DT = 0.05
+BOUNDS = (0.0, 0.0, 100.0, 100.0)     # map extent for uniform_in_map placement
 
 
 def _population(byz=frozenset(), cam_period=0.1):
@@ -59,7 +62,7 @@ def test_population_rejects_unknown_byzantine():
 
 def test_population_partitions():
     pop = _population(byz=frozenset({"rsu-1"}))
-    assert pop.n == 3
+    assert len(pop.stations) == 3
     assert {s.station_id for s in pop.honest()} == {"rsu-0", "obu-a"}
     assert {s.station_id for s in pop.byzantine()} == {"rsu-1"}
 
@@ -161,7 +164,7 @@ def test_attack_emits_only_from_byzantine_stations():
     pop = _population(byz=frozenset({"rsu-0", "rsu-1"}))
     policy = AttackPolicy()
     msgs = generate_attack_traffic(policy, pop, _route(), 5.0, 0.0, DT, {},
-                                   stream(2, "attack"))
+                                   stream(2, "attack"), BOUNDS)
     assert {m.station_id for m in msgs} == {"rsu-0", "rsu-1"}
     for m in msgs:
         assert m.msg_kind == DENM
@@ -172,7 +175,7 @@ def test_attack_emits_only_from_byzantine_stations():
 def test_colluding_attackers_share_one_location():
     pop = _population(byz=frozenset({"rsu-0", "rsu-1"}))
     msgs = generate_attack_traffic(AttackPolicy(colluding=True), pop, _route(),
-                                   5.0, 0.0, DT, {}, stream(3, "attack"))
+                                   5.0, 0.0, DT, {}, stream(3, "attack"), BOUNDS)
     positions = {m.payload.event_position for m in msgs}
     assert len(positions) == 1
     x, y = positions.pop()
@@ -185,18 +188,18 @@ def test_attack_respects_start_time_and_period():
     pop = _population(byz=frozenset({"rsu-0"}))
     policy = AttackPolicy(start_time=2.0, emission_period=1.0)
     assert not generate_attack_traffic(policy, pop, _route(), 0.0, 0.0, DT,
-                                       {}, stream(4, "attack"))
+                                       {}, stream(4, "attack"), BOUNDS)
     assert generate_attack_traffic(policy, pop, _route(), 0.0, 2.0, DT,
-                                   {}, stream(4, "attack"))
+                                   {}, stream(4, "attack"), BOUNDS)
     assert not generate_attack_traffic(policy, pop, _route(), 0.0, 2.5, DT,
-                                       {}, stream(4, "attack"))
+                                       {}, stream(4, "attack"), BOUNDS)
     assert generate_attack_traffic(policy, pop, _route(), 0.0, 3.0, DT,
-                                   {}, stream(4, "attack"))
+                                   {}, stream(4, "attack"), BOUNDS)
 
 
 def test_attack_no_byzantine_no_messages():
     msgs = generate_attack_traffic(AttackPolicy(), _population(), _route(),
-                                   0.0, 0.0, DT, {}, stream(5, "attack"))
+                                   0.0, 0.0, DT, {}, stream(5, "attack"), BOUNDS)
     assert msgs == []
 
 
@@ -213,10 +216,24 @@ def test_attack_uniform_placement_in_bounds():
 
 
 def test_attack_rejects_unknown_placement():
-    pop = _population(byz=frozenset({"rsu-0"}))
-    with pytest.raises(ValueError):
-        generate_attack_traffic(AttackPolicy(placement="teleport"), pop,
-                                _route(), 0.0, 0.0, DT, {}, stream(7, "attack"))
+    # rejected when the policy is built, not mid-episode
+    with pytest.raises(ValueError, match="attack.placement"):
+        AttackPolicy(placement="teleport")
+    d = spec_to_dict(build_s4())
+    d["attack"]["placement"] = "bogus"
+    with pytest.raises(ValueError, match=re.escape("scenario.attack: attack.placement")):
+        spec_from_dict(d)
+
+
+def test_attack_rejects_unknown_event_kind():
+    # a kind without a hazard footprint would otherwise plan with a guessed radius
+    with pytest.raises(ValueError, match="attack.false_event_kind"):
+        AttackPolicy(false_event_kind="meteor")
+    d = spec_to_dict(build_s4())
+    d["attack"]["false_event_kind"] = "meteor"
+    with pytest.raises(ValueError,
+                       match=re.escape("scenario.attack: attack.false_event_kind")):
+        spec_from_dict(d)
 
 
 # ---------------------------------------------------------------------------

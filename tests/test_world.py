@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Route,
-                           build_corridor_map, cross_track_error, empty_grid,
+                           build_corridor_map, empty_grid,
                            heading_along_polyline, inflate, mark_disk,
                            planning_occupancy, point_along_polyline,
                            poll_update, polyline_cumlength,
@@ -53,6 +53,10 @@ def test_project_to_polyline_on_and_off_segment():
     s, d, _ = project_to_polyline((13.0, 0.0), path)
     assert s == pytest.approx(10.0)
     assert d == pytest.approx(3.0)
+    # right of the travel direction is negative
+    s, d, _ = project_to_polyline((5.0, -2.0), path)
+    assert s == pytest.approx(5.0)
+    assert d == pytest.approx(-2.0)
 
 
 def test_point_and_heading_along_polyline():
@@ -64,13 +68,6 @@ def test_point_and_heading_along_polyline():
     # arc length clamps at both ends
     assert point_along_polyline(path, -5.0).tolist() == pytest.approx([0.0, 0.0])
     assert point_along_polyline(path, 99.0).tolist() == pytest.approx([10.0, 10.0])
-
-
-def test_cross_track_error_sign():
-    path = np.array([[0.0, 0.0], [10.0, 0.0]])
-    # left of travel direction is positive
-    assert cross_track_error((5.0, 2.0, 0.0), path) == pytest.approx(2.0)
-    assert cross_track_error((5.0, -2.0, 0.0), path) == pytest.approx(-2.0)
 
 
 # ---------------------------------------------------------------------------
