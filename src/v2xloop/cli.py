@@ -14,9 +14,7 @@ from .scenarios import (SCENARIO_IDS, build_scenario, spec_from_dict,
                         spec_to_dict)
 
 # ablation switch per scenario: the flag each builder exposes
-_ABLATIONS = {"s2": ("v2x_off", "v2x_enabled"),
-              "s3": ("updates_off", "updates_enabled"),
-              "s4": ("gate_off", "gate_enabled")}
+_ABLATIONS = {"s2": "v2x_enabled", "s3": "updates_enabled", "s4": "gate_enabled"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -44,8 +42,7 @@ def _load_spec(args):
     if getattr(args, "ablation", False):
         if args.scenario not in _ABLATIONS:
             raise SystemExit(f"{args.scenario} has no ablation switch")
-        _, flag = _ABLATIONS[args.scenario]
-        kwargs[flag] = False
+        kwargs[_ABLATIONS[args.scenario]] = False
     return build_scenario(args.scenario, **kwargs)
 
 

@@ -10,7 +10,7 @@ integration), so the integrator cannot wind up against the actuator limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .planner import Trajectory
 from .vehicle import VehicleParams

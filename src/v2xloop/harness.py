@@ -39,9 +39,7 @@ from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import VehicleState, step
-from .world import (UpdateServerState, WorldObject, heading_along_polyline,
-                    planning_occupancy, poll_update, project_to_polyline,
-                    publish_version, wrap_angle)
+from .world import WorldObject, planning_occupancy, poll_update, wrap_angle
 
 FOLLOW = "follow"
 SAFETY_STOP = "safety_stop"
@@ -115,7 +113,7 @@ def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
         "seed": int(seed),
         "dt": spec.dt,
         "time_limit": spec.time_limit,
-        "route_length": spec.route.length,
+        "route_length": spec.route.reference_path.length,
         "goal": list(spec.route.goal_pose),
         "goal_tolerance": spec.goal_tolerance,
         "collision_radius": spec.vehicle.collision_radius,
@@ -143,10 +141,6 @@ def run_episode(spec: ScenarioSpec, seed: int,
     timing = CsvLog(TIMING_COLS)
     meta = _build_meta(spec, seed)
 
-    server = UpdateServerState()
-    for version, publish_time in zip(spec.vmap.versions, spec.vmap.publish_times):
-        if publish_time is not None:
-            server = publish_version(server, version, publish_time)
     active = spec.vmap.initial()
     last_seen = active.version_id
     pending_map: tuple | None = None
@@ -160,7 +154,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
     mode = FOLLOW
     last_cmd = ControlCommand(steering=0.0, throttle=0.0, brake=0.0)
     goal = spec.route.goal_pose
-    ref_path = spec.route.reference_path
+    ref = spec.route.reference_path
 
     ldm = initial_state(active)
     sense_buffer: list = []
@@ -188,7 +182,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         if active.version_id not in planning_maps:
             grid = planning_occupancy(active, spec.vehicle.collision_radius)
             planning_maps[active.version_id] = (
-                grid, route_deviation_field(grid, ref_path))
+                grid, route_deviation_field(grid, ref.points))
         grid, deviation = planning_maps[active.version_id]
         attempt = plan(ego.pose, ego.speed, goal, ldm, spec.planner, spec.vehicle,
                        cause=cause, base_grid=grid, start_steering=ego.steering,
@@ -247,7 +241,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         if mode == SAFETY_STOP and ego.speed <= 0.02:
             termination, sim_time = "safety_stop", t
             break
-        s_route, cross_track, _ = project_to_polyline(ego.position, ref_path)
+        s_route, cross_track, _ = ref.project(ego.position)
 
         frame = sense(ego.pose, [o for o, sensable in truth if sensable],
                       spec.sensor, streams.get("sense"), t)
@@ -302,7 +296,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             if jitter > 0.0:
                 latency += jitter * float(streams.get("updates").normal())
             latency = max(0.05, latency)
-            polled = poll_update(t, last_seen, server, latency)
+            polled = poll_update(t, last_seen, spec.vmap, latency)
             if polled is not None:
                 version, activation_time = polled
                 pending_map = (version, activation_time)
@@ -359,7 +353,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             cmd = safety_stop_command(last_cmd.brake, dt)
             target_speed = 0.0
 
-        heading_ref = heading_along_polyline(ref_path, s_route)
+        heading_ref = ref.heading_at(s_route)
         logs["vehicle"].append(k, t, ego.x, ego.y, ego.heading, ego.speed,
                                ego.steering, ego.throttle, ego.brake, s_route,
                                cross_track, wrap_angle(ego.heading - heading_ref),
@@ -415,12 +409,9 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
     """Score an episode purely from its (parsed) log tables and meta block."""
     params = MetricParams(**meta["metrics"])
     dt = float(meta["dt"])
-    vehicle = tables.get("vehicle", [])
-    control = tables.get("control", [])
-    episode = tables.get("episode", [])
-
-    ep = episode[0] if episode else {"termination": "timeout", "sim_time": 0.0,
-                                     "ticks": 0, "collision": 0}
+    vehicle = tables["vehicle"]
+    control = tables["control"]
+    ep = tables["episode"][0]
     termination = str(ep["termination"])
     sim_time = float(ep["sim_time"])
     collisions = int(ep["collision"])
@@ -444,10 +435,10 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
     brakes = [row["brake"] for row in control]
     speeds = [row["speed"] for row in control]
 
-    hazards = [(hz["kind"], hz["x"], hz["y"]) for hz in meta.get("hazards", [])]
+    hazards = [(hz["kind"], hz["x"], hz["y"]) for hz in meta["hazards"]]
     label_radius = float(meta["event_label_radius"])
     reaction = None
-    true_denm_times = [row["gen_time"] for row in tables.get("v2x", [])
+    true_denm_times = [row["gen_time"] for row in tables["v2x"]
                        if row["msg_kind"] == "DENM" and row["event_x"] is not None
                        and _is_true_claim(row["event_kind"], row["event_x"],
                                           row["event_y"], hazards, label_radius)]
@@ -458,7 +449,7 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
 
     activation = None
     poll_t: dict[int, float] = {}
-    for row in tables.get("updates", []):
+    for row in tables["updates"]:
         if row["action"] == "poll":
             poll_t.setdefault(int(row["version_id"]), float(row["t"]))
         elif row["action"] == "activate" and activation is None:
@@ -467,7 +458,7 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
                 activation = float(row["t"]) - poll_t[vid]
 
     final_events = {}
-    for row in tables.get("events", []):
+    for row in tables["events"]:
         final_events[row["event_id"]] = row
     latencies = [(float(row["accepted_at"]) - float(row["first_seen"])) * 1000.0
                  for row in final_events.values()
@@ -480,13 +471,13 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
                           for row in final_events.values())
 
     gt_by_tick: dict[int, list] = {}
-    for row in tables.get("truth", []):
+    for row in tables["truth"]:
         if row["scored"] == 1:
             gt_by_tick.setdefault(int(row["tick"]), []).append(
                 (row["object_id"], row["x"], row["y"]))
     tracks_by_tick: dict[int, list] = {}
     belief_min = float(meta["mot_belief_min"])
-    for row in tables.get("ldm", []):
+    for row in tables["ldm"]:
         if row["belief"] >= belief_min:
             tracks_by_tick.setdefault(int(row["tick"]), []).append(
                 (row["track_id"], row["x"], row["y"]))
@@ -512,13 +503,18 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
 
 
 def replay(log_dir: str | Path) -> EpisodeMetrics:
-    """Recompute metrics from a written log directory."""
+    """Recompute metrics from a written log directory; a missing file is a
+    ValueError naming it."""
     log_dir = Path(log_dir)
     if (log_dir / "logs").is_dir():
         log_dir = log_dir / "logs"
+    files = ["meta.json"] + [f"{name}.csv" for name in LOG_NAMES]
+    missing = [f for f in files if not (log_dir / f).is_file()]
+    if missing:
+        raise ValueError(f"{log_dir} is not a complete log directory: "
+                         f"missing {', '.join(missing)}")
     meta = read_json(log_dir / "meta.json")
-    tables = {name: read_csv(log_dir / f"{name}.csv") for name in LOG_NAMES
-              if (log_dir / f"{name}.csv").exists()}
+    tables = {name: read_csv(log_dir / f"{name}.csv") for name in LOG_NAMES}
     return compute_episode_metrics(tables, meta)
 
 

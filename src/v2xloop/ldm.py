@@ -11,11 +11,8 @@ hypotheses that stay pending until the acceptance gate or expiry decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from .perception import SenseFrame
 from .v2x import CAM, DENM, V2xMessage
 from .world import MapVersion
 
@@ -125,8 +122,6 @@ class LdmState:
 
 @dataclass(frozen=True)
 class SyncBundle:
-    window_end: float
-    window: float
     items: tuple       # (timestamp, payload) pairs, oldest first
 
 
@@ -140,7 +135,7 @@ def synchronize(buffer: list, t: float, tau_sync: float) -> SyncBundle:
     late = [(tk, item) for tk, item in buffer if tk > t]
     buffer[:] = kept + late
     kept.sort(key=lambda pair: pair[0])
-    return SyncBundle(window_end=t, window=tau_sync, items=tuple(kept))
+    return SyncBundle(items=tuple(kept))
 
 
 @dataclass(frozen=True)

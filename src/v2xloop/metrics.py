@@ -8,7 +8,7 @@ identically to the run that produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 

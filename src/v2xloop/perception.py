@@ -9,7 +9,7 @@ ego pose at sensing time, which is what fusion consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,14 +24,14 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ldm import LdmState
 from .vehicle import VehicleParams
-from .world import (OccupancyGrid, Route, is_on_route, mark_disk,
-                    project_to_polyline, wrap_angle)
+from .world import (OccupancyGrid, Polyline, Route, is_on_route, mark_disk,
+                    wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,33 +102,33 @@ KNOWLEDGE_CHANGE = "knowledge_change"
 
 @dataclass(frozen=True)
 class Trajectory:
-    poses: np.ndarray                 # (N, 3) x, y, heading
+    poses: np.ndarray                 # (N, 3) x, y, heading; N >= 2
     target_speeds: np.ndarray         # (N,) [m/s]
-    arc_lengths: np.ndarray           # (N,) cumulative [m]
     planned_on_version: int
     planned_at: float
+    path: Polyline = field(init=False, repr=False)   # the poses' x, y
 
     def __post_init__(self):
-        object.__setattr__(self, "poses", np.asarray(self.poses, dtype=float))
+        poses = np.asarray(self.poses, dtype=float)
+        object.__setattr__(self, "poses", poses)
         object.__setattr__(self, "target_speeds", np.asarray(self.target_speeds, dtype=float))
-        object.__setattr__(self, "arc_lengths", np.asarray(self.arc_lengths, dtype=float))
+        object.__setattr__(self, "path", Polyline(poses[:, :2]))
 
     @property
     def length(self) -> float:
-        return float(self.arc_lengths[-1])
+        return self.path.length
 
     def project(self, position) -> float:
-        s, _, _ = project_to_polyline(position, self.poses[:, :2])
-        return s
+        return self.path.project(position)[0]
 
     def point_at(self, s: float) -> np.ndarray:
         s = float(np.clip(s, 0.0, self.length))
-        x = np.interp(s, self.arc_lengths, self.poses[:, 0])
-        y = np.interp(s, self.arc_lengths, self.poses[:, 1])
+        x = np.interp(s, self.path.cumlength, self.poses[:, 0])
+        y = np.interp(s, self.path.cumlength, self.poses[:, 1])
         return np.array([x, y])
 
     def speed_at(self, s: float) -> float:
-        return float(np.interp(s, self.arc_lengths, self.target_speeds))
+        return float(np.interp(s, self.path.cumlength, self.target_speeds))
 
 
 @dataclass(frozen=True)
@@ -401,17 +401,14 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     chain.reverse()
 
     blocks = [np.array([[sx, sy, sth]])]
+    if not chain:    # the start meets the goal: the zero-length path to itself
+        blocks *= 2
     for ni in chain:
         pi, si = parents[ni], steer_idx[ni]
         pts = _arcs_from(prim_pts, xs[pi], ys[pi], ths[pi])[si]
         blocks.append(np.column_stack([pts, ths[pi] + prim_dth[si]]))
     poses = np.concatenate(blocks)
-    d = np.diff(poses[:, :2], axis=0)
-    seg = np.hypot(d[:, 0], d[:, 1])
-    arc_lengths = np.concatenate([[0.0], np.cumsum(seg)])
-
     traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), cfg.cruise_speed),
-                      arc_lengths=arc_lengths,
                       planned_on_version=ldm.active_map.version_id,
                       planned_at=ldm.stamp)
     traj = attach_speed_profile(traj, ldm, cfg, vparams, start_speed)
@@ -429,7 +426,7 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
     summed radii) the target goes to zero instead, since there is nothing
     to pass it by.
     """
-    s_axis = traj.arc_lengths
+    s_axis = traj.path.cumlength
     speeds = np.full(len(s_axis), cfg.cruise_speed)
 
     total = traj.length
@@ -457,10 +454,7 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
         local[holding] = floor
         speeds = np.minimum(speeds, local)
 
-    return Trajectory(poses=traj.poses, target_speeds=speeds,
-                      arc_lengths=traj.arc_lengths,
-                      planned_on_version=traj.planned_on_version,
-                      planned_at=traj.planned_at)
+    return replace(traj, target_speeds=speeds)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +477,8 @@ def ttc_min(ego_state, traj: Trajectory, tracks, horizon: float,
     s0 = traj.project((ego_state.x, ego_state.y))
     taus = np.arange(0.0, horizon + dt * 0.5, dt)
     s_grid = np.minimum(s0 + v * taus, traj.length)
-    ex = np.interp(s_grid, traj.arc_lengths, traj.poses[:, 0])
-    ey = np.interp(s_grid, traj.arc_lengths, traj.poses[:, 1])
+    ex = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 0])
+    ey = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 1])
 
     best = math.inf
     for tr in obstacles:

@@ -33,8 +33,9 @@ from .perception import SensorModel
 from .planner import PlannerConfig, TriggerConfig
 from .v2x import AttackPolicy, ChannelModel, DenmPolicy, Station, StationPopulation
 from .vehicle import VehicleParams
-from .world import (GroundTruthHazard, LaneSegment, MapVersion, Route,
-                    build_corridor_map, point_along_polyline, polyline_cumlength)
+# polyline_cumlength is not called here: perfbench/layers.py traces this binding
+from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
+                    VersionedMap, as_polyline, build_corridor_map, polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
 
@@ -44,20 +45,20 @@ class ScriptedVehicle:
     """Constant-speed traffic along a fixed polyline; parks at the end."""
 
     vehicle_id: str
-    path: np.ndarray
+    path: Polyline
     speed: float
     radius: float = 1.0
     start_time: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "path", np.asarray(self.path, dtype=float))
+        object.__setattr__(self, "path", as_polyline(self.path))
 
     def state_at(self, t: float):
-        total = float(polyline_cumlength(self.path)[-1])
+        total = self.path.length
         s = self.speed * max(0.0, t - self.start_time)
-        pos = point_along_polyline(self.path, min(s, total))
+        pos = self.path.point_at(min(s, total))
         if t >= self.start_time and s < total:
-            ahead = point_along_polyline(self.path, min(s + 0.5, total))
+            ahead = self.path.point_at(min(s + 0.5, total))
             d = ahead - pos
             norm = math.hypot(d[0], d[1])
             vel = (self.speed * d[0] / norm, self.speed * d[1] / norm) if norm > 1e-9 \
@@ -65,19 +66,6 @@ class ScriptedVehicle:
         else:
             vel = (0.0, 0.0)
         return (float(pos[0]), float(pos[1])), vel
-
-
-@dataclass(frozen=True)
-class VersionedMap:
-    """Initial map plus later publishes with their server-side publish times."""
-
-    size: tuple[float, float]
-    cell_size: float
-    versions: tuple[MapVersion, ...]
-    publish_times: tuple[float | None, ...]   # None for the initial version
-
-    def initial(self) -> MapVersion:
-        return self.versions[0]
 
 
 @dataclass(frozen=True)
@@ -319,12 +307,12 @@ def spec_from_dict(d: dict) -> ScenarioSpec:
 
 
 def _encode(value):
+    if isinstance(value, Polyline):
+        return value.points.tolist()
     if is_dataclass(value):
         # occupancy grids are derived from the lane graph, never serialized
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value)
                 if not (isinstance(value, MapVersion) and f.name == "occupancy")}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (tuple, list)):
@@ -373,7 +361,10 @@ def _decode_map(d, path: str) -> VersionedMap:
                 kwargs["cell_size"], created_at=v.get("created_at", 0.0)))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-    return VersionedMap(**{**kwargs, "versions": tuple(versions)})
+    try:
+        return VersionedMap(**{**kwargs, "versions": tuple(versions)})
+    except ValueError as exc:    # the message starts with the field at fault
+        raise ValueError(f"{path}.{exc}") from None
 
 
 def _decode(tp, value, path: str):
@@ -385,6 +376,11 @@ def _decode(tp, value, path: str):
         return _decode(tp, value, path)
     if tp is VersionedMap:
         return _decode_map(value, path)
+    if tp is Polyline:
+        try:
+            return Polyline(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if is_dataclass(tp):
         kwargs = _decode_fields(tp, value, path)
         try:
@@ -401,11 +397,6 @@ def _decode(tp, value, path: str):
             args = (args[0],) * len(value)
         return origin(_decode(a, v, f"{path}[{i}]")
                       for i, (a, v) in enumerate(zip(args, value)))
-    if tp is np.ndarray:
-        try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: expected an array of numbers") from None
     if tp in (float, int, bool, str, dict):
         if tp is float and type(value) is int:
             value = float(value)

@@ -9,11 +9,11 @@ Cryptographic plumbing is out of scope; `authenticated` is a trusted flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .world import HAZARD_KINDS, Route, point_along_polyline
+from .world import HAZARD_KINDS, Route
 
 CAM = "CAM"
 DENM = "DENM"
@@ -29,7 +29,6 @@ class CamPayload:
 class DenmPayload:
     event_kind: str
     event_position: tuple[float, float]
-    event_time: float
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,7 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
                 gen_time=t, payload=DenmPayload(
                     event_kind=hazard.kind,
                     event_position=(hazard.position[0] + noise[0],
-                                    hazard.position[1] + noise[1]),
-                    event_time=t)))
+                                    hazard.position[1] + noise[1]))))
     return msgs
 
 
@@ -206,7 +204,7 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
     def draw_position():
         if policy.placement == "on_route_ahead":
             s = ego_progress + rng.uniform(policy.ahead_min, policy.ahead_max)
-            p = point_along_polyline(route.reference_path, s)
+            p = route.reference_path.point_at(s)
             return (float(p[0]), float(p[1]))
         x0, y0, x1, y1 = map_bounds      # uniform_in_map
         return (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
@@ -223,7 +221,7 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
             msg_kind=DENM, station_id=station.station_id, seq_no=seq,
             gen_time=t, payload=DenmPayload(
                 event_kind=policy.false_event_kind,
-                event_position=pos, event_time=t)))
+                event_position=pos)))
     return msgs
 
 

@@ -8,7 +8,7 @@ command. Deterministic: no hidden state, no randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Static world model: versioned maps, routes, hazards, and the update server.
+"""Static world model: paths, versioned maps, routes, hazards, the update server.
 
 Map versions are value snapshots. Publishing a new version never mutates an
 old one, so an episode can be replayed against the exact map knowledge the
@@ -9,7 +9,7 @@ east, y north, headings in radians counterclockwise from +x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,56 +31,82 @@ def polyline_cumlength(path: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def project_to_polyline(point, path: np.ndarray) -> tuple[float, float, int]:
-    """Project a point onto a polyline.
+@dataclass(frozen=True, eq=False)
+class Polyline:
+    """A path of N >= 2 points, parameterised by arc length.
 
-    Returns (arc_length, signed_lateral, segment_index). Lateral offset is
-    positive on the left of the local path direction.
+    The shape is checked and the cumulative arc length computed once, here;
+    every query reuses them. Segments may have zero length.
     """
-    p = np.asarray(path, dtype=float)
-    if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] != 2:
-        raise ValueError("path must be an (N, 2) array with N >= 2")
-    q = np.asarray(point, dtype=float)[:2]
-    a = p[:-1]
-    d = p[1:] - a
-    len2 = (d * d).sum(axis=1)
-    len2_safe = np.where(len2 < 1e-18, 1.0, len2)
-    t = np.clip(((q - a) * d).sum(axis=1) / len2_safe, 0.0, 1.0)
-    t = np.where(len2 < 1e-18, 0.0, t)
-    closest = a + t[:, None] * d
-    diff = q - closest
-    dist2 = (diff * diff).sum(axis=1)
-    i = int(np.argmin(dist2))
-    seg_len = math.sqrt(len2[i]) if len2[i] > 1e-18 else 0.0
-    cum = polyline_cumlength(p)
-    s = float(cum[i] + t[i] * seg_len)
-    cross = d[i, 0] * diff[i, 1] - d[i, 1] * diff[i, 0]
-    lateral = math.sqrt(float(dist2[i]))
-    if cross < 0.0:
-        lateral = -lateral
-    return s, lateral, i
+
+    points: np.ndarray                                    # (N, 2) [m]
+    cumlength: np.ndarray = field(init=False, repr=False)  # (N,) [m]
+
+    def __post_init__(self):
+        try:
+            p = np.asarray(self.points, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("expected an array of numbers") from None
+        if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] != 2:
+            raise ValueError(f"expected an (N, 2) array with N >= 2, got shape {p.shape}")
+        object.__setattr__(self, "points", p)
+        object.__setattr__(self, "cumlength", polyline_cumlength(p))
+
+    @property
+    def length(self) -> float:
+        return float(self.cumlength[-1])
+
+    def project(self, point) -> tuple[float, float, int]:
+        """Project a point onto the path.
+
+        Returns (arc_length, signed_lateral, segment_index). Lateral offset
+        is positive on the left of the local path direction.
+        """
+        p = self.points
+        q = np.asarray(point, dtype=float)[:2]
+        a = p[:-1]
+        d = p[1:] - a
+        len2 = (d * d).sum(axis=1)
+        len2_safe = np.where(len2 < 1e-18, 1.0, len2)
+        t = np.clip(((q - a) * d).sum(axis=1) / len2_safe, 0.0, 1.0)
+        t = np.where(len2 < 1e-18, 0.0, t)
+        closest = a + t[:, None] * d
+        diff = q - closest
+        dist2 = (diff * diff).sum(axis=1)
+        i = int(np.argmin(dist2))
+        seg_len = math.sqrt(len2[i]) if len2[i] > 1e-18 else 0.0
+        s = float(self.cumlength[i] + t[i] * seg_len)
+        cross = d[i, 0] * diff[i, 1] - d[i, 1] * diff[i, 0]
+        lateral = math.sqrt(float(dist2[i]))
+        if cross < 0.0:
+            lateral = -lateral
+        return s, lateral, i
+
+    def _locate(self, s: float) -> tuple[int, float]:
+        """(segment index, s clamped to [0, length]) of arc length s."""
+        cum = self.cumlength
+        s = float(np.clip(s, 0.0, cum[-1]))
+        i = int(np.searchsorted(cum, s, side="right")) - 1
+        return min(max(i, 0), len(cum) - 2), s
+
+    def point_at(self, s: float) -> np.ndarray:
+        """Point at arc length s, clamped to the path's extent."""
+        i, s = self._locate(s)
+        cum, p = self.cumlength, self.points
+        seg = cum[i + 1] - cum[i]
+        t = 0.0 if seg < 1e-12 else (s - cum[i]) / seg
+        return p[i] + t * (p[i + 1] - p[i])
+
+    def heading_at(self, s: float) -> float:
+        """Direction of the segment under arc length s."""
+        i, _ = self._locate(s)
+        d = self.points[i + 1] - self.points[i]
+        return math.atan2(d[1], d[0])
 
 
-def point_along_polyline(path: np.ndarray, s: float) -> np.ndarray:
-    """Point at arc length s, clamped to the polyline extent."""
-    p = np.asarray(path, dtype=float)
-    cum = polyline_cumlength(p)
-    s = float(np.clip(s, 0.0, cum[-1]))
-    i = int(np.searchsorted(cum, s, side="right")) - 1
-    i = min(max(i, 0), len(p) - 2)
-    seg = cum[i + 1] - cum[i]
-    t = 0.0 if seg < 1e-12 else (s - cum[i]) / seg
-    return p[i] + t * (p[i + 1] - p[i])
-
-
-def heading_along_polyline(path: np.ndarray, s: float) -> float:
-    p = np.asarray(path, dtype=float)
-    cum = polyline_cumlength(p)
-    s = float(np.clip(s, 0.0, cum[-1]))
-    i = int(np.searchsorted(cum, s, side="right")) - 1
-    i = min(max(i, 0), len(p) - 2)
-    d = p[i + 1] - p[i]
-    return math.atan2(d[1], d[0])
+def as_polyline(path) -> Polyline:
+    """`path` itself if it already is a Polyline, else one built from it."""
+    return path if isinstance(path, Polyline) else Polyline(path)
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +116,12 @@ def heading_along_polyline(path: np.ndarray, s: float) -> float:
 @dataclass(frozen=True)
 class LaneSegment:
     segment_id: str
-    polyline: np.ndarray          # (N, 2) [m]
+    polyline: Polyline            # centerline [m]
     half_width: float = 4.0       # [m] drivable half width around the centerline
     closed: bool = False
 
     def __post_init__(self):
-        p = np.asarray(self.polyline, dtype=float)
-        if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] != 2:
-            raise ValueError(f"segment {self.segment_id}: polyline must be (N, 2), N >= 2")
-        object.__setattr__(self, "polyline", p)
+        object.__setattr__(self, "polyline", as_polyline(self.polyline))
 
 
 @dataclass(frozen=True)
@@ -221,12 +244,60 @@ class MapVersion:
         object.__setattr__(self, "lane_graph", tuple(self.lane_graph))
 
 
+@dataclass(frozen=True)
+class VersionedMap:
+    """The map server: the initial map, then later versions with their
+    publish times, in publish order. A rejected schedule's message starts
+    with the field at fault."""
+
+    size: tuple[float, float]
+    cell_size: float
+    versions: tuple[MapVersion, ...]
+    publish_times: tuple[float | None, ...]   # None for the initial version
+
+    def __post_init__(self):
+        times, ids = self.publish_times, [v.version_id for v in self.versions]
+        if len(times) != len(ids):
+            raise ValueError(f"publish_times: expected one per version, got {len(times)} "
+                             f"for {len(ids)} versions")
+        later = times[1:]
+        if not times or times[0] is not None or None in later \
+                or not all(map(math.isfinite, later)) \
+                or any(b < a for a, b in zip(later, later[1:])):
+            raise ValueError("publish_times: expected null for the initial version, then "
+                             f"finite non-decreasing times, got {list(times)}")
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"versions: ids must strictly increase, got {ids}")
+
+    def initial(self) -> MapVersion:
+        return self.versions[0]
+
+
+def poll_update(client_time: float, last_seen_version: int, vmap: VersionedMap,
+                download_latency: float) -> tuple[MapVersion, float] | None:
+    """Return (newest visible version, activation_time) or None if up to date.
+
+    A version is visible once its publish time has passed. activation_time
+    = client_time + download_latency; the caller defers the actual swap to
+    its next tick boundary.
+    """
+    best = None
+    for publish_time, version in zip(vmap.publish_times[1:], vmap.versions[1:]):
+        # ids strictly increase, so the last visible newer version is the newest
+        if publish_time <= client_time and version.version_id > last_seen_version:
+            best = version
+    if best is None:
+        return None
+    return best, client_time + float(download_latency)
+
+
 def planning_occupancy(version: MapVersion, vehicle_radius: float) -> OccupancyGrid:
     """Planner-facing view: base grid, closed segments stamped in, inflated."""
     cells = version.occupancy.cells.copy()
     for seg in version.lane_graph:
         if seg.closed:
-            stamp_polyline(cells, version.occupancy, seg.polyline, seg.half_width)
+            stamp_polyline(cells, version.occupancy, seg.polyline.points,
+                           seg.half_width)
     raw = OccupancyGrid(cells=cells, cell_size=version.occupancy.cell_size,
                         origin=version.occupancy.origin)
     return inflate(raw, vehicle_radius)
@@ -240,7 +311,8 @@ def build_corridor_map(version_id: int, segments: list[LaneSegment],
     cells = grid.cells
     for seg in segments:
         if not seg.closed:
-            stamp_polyline(cells, grid, seg.polyline, seg.half_width, value=False)
+            stamp_polyline(cells, grid, seg.polyline.points, seg.half_width,
+                           value=False)
     occ = OccupancyGrid(cells=cells, cell_size=cell_size, origin=grid.origin)
     return MapVersion(version_id=version_id, lane_graph=tuple(segments),
                       occupancy=occ, created_at=created_at)
@@ -252,18 +324,11 @@ def build_corridor_map(version_id: int, segments: list[LaneSegment],
 
 @dataclass(frozen=True)
 class Route:
-    reference_path: np.ndarray    # (N, 2) [m]
+    reference_path: Polyline
     goal_pose: tuple[float, float, float]
 
     def __post_init__(self):
-        p = np.asarray(self.reference_path, dtype=float)
-        if p.ndim != 2 or p.shape[0] < 2:
-            raise ValueError("reference_path must be (N, 2) with N >= 2")
-        object.__setattr__(self, "reference_path", p)
-
-    @property
-    def length(self) -> float:
-        return float(polyline_cumlength(self.reference_path)[-1])
+        object.__setattr__(self, "reference_path", as_polyline(self.reference_path))
 
 
 def is_on_route(position, route: Route, ego_progress: float,
@@ -273,7 +338,7 @@ def is_on_route(position, route: Route, ego_progress: float,
     The window is [ego_progress, ego_progress + lookahead] in arc length and
     |lateral| <= lateral_corridor. Points behind the ego are never on route.
     """
-    s, lateral, _ = project_to_polyline(position, route.reference_path)
+    s, lateral, _ = route.reference_path.project(position)
     if s < ego_progress or s > ego_progress + lookahead:
         return False
     return abs(lateral) <= lateral_corridor
@@ -305,41 +370,3 @@ class WorldObject:
     velocity: tuple[float, float]
     radius: float = 1.0
 
-
-# ---------------------------------------------------------------------------
-# update server
-
-
-@dataclass(frozen=True)
-class UpdateServerState:
-    published: tuple[tuple[float, MapVersion], ...] = ()
-
-
-def publish_version(server: UpdateServerState, version: MapVersion,
-                    publish_time: float) -> UpdateServerState:
-    """Append a strictly newer version; rejects non-monotonic ids and times."""
-    if server.published:
-        last_time, last_ver = server.published[-1]
-        if version.version_id <= last_ver.version_id:
-            raise ValueError("version_id must be strictly increasing")
-        if publish_time < last_time:
-            raise ValueError("publish_time must be non-decreasing")
-    return UpdateServerState(published=server.published + ((publish_time, version),))
-
-
-def poll_update(client_time: float, last_seen_version: int,
-                server: UpdateServerState,
-                download_latency: float) -> tuple[MapVersion, float] | None:
-    """Return (newest visible version, activation_time) or None if up to date.
-
-    activation_time = client_time + download_latency; the caller defers the
-    actual swap to its next tick boundary.
-    """
-    best = None
-    for publish_time, version in server.published:
-        if publish_time <= client_time and version.version_id > last_seen_version:
-            if best is None or version.version_id > best.version_id:
-                best = version
-    if best is None:
-        return None
-    return best, client_time + float(download_latency)

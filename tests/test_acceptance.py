@@ -49,10 +49,9 @@ def _traj_from_path(path, speed):
     d = np.diff(path, axis=0)
     headings = np.arctan2(d[:, 1], d[:, 0])
     headings = np.append(headings, headings[-1])
-    arc = np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
     poses = np.column_stack([path, headings])
     return Trajectory(poses=poses, target_speeds=np.full(len(path), speed),
-                      arc_lengths=arc, planned_on_version=0, planned_at=0.0)
+                      planned_on_version=0, planned_at=0.0)
 
 
 # ---------------------------------------------------------------------------

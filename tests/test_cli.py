@@ -121,6 +121,17 @@ def test_replay_agreement_and_tamper_exit(tmp_path, capsys):
     assert "REPLAY MISMATCH" in capsys.readouterr().out
 
 
+def test_replay_of_an_incomplete_log_directory_exits_with_one_line(tmp_path):
+    out = tmp_path / "ep"
+    main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])
+    (out / "logs" / "episode.csv").unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--log", str(out)])
+    message = str(exc.value)
+    assert message.startswith("v2xloop replay: ") and "missing episode.csv" in message
+    assert "\n" not in message
+
+
 def test_sweep_cli(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"look_ahead": [4.0, 6.0]}))

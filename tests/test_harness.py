@@ -1,7 +1,7 @@
 """Episode loop plumbing: outputs, determinism, replay, batch aggregation."""
 
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -87,6 +87,33 @@ def test_replay_detects_tampering(s1_result, tmp_path):
     replayed = replay(copy)
     stored = replay(out)
     assert replayed.lateral_rmse != pytest.approx(stored.lateral_rmse)
+
+
+def test_replay_refuses_an_incomplete_log_directory(s1_result, tmp_path):
+    _, out = s1_result
+    import shutil
+    copy = tmp_path / "partial"
+    shutil.copytree(out, copy)
+    (copy / "logs" / "vehicle.csv").unlink()
+    (copy / "logs" / "episode.csv").unlink()
+    with pytest.raises(ValueError, match="missing vehicle.csv, episode.csv$"):
+        replay(copy)
+    (copy / "logs" / "meta.json").unlink()
+    with pytest.raises(ValueError, match="missing meta.json, vehicle.csv"):
+        replay(copy / "logs")
+
+
+def test_ego_starting_on_the_goal_reaches_it_at_once(tmp_path):
+    spec = build_s1()
+    spec = replace(spec, ego_start=(*spec.route.goal_pose, 0.0))
+    result = run_episode(spec, 1, tmp_path)
+    assert result.metrics.termination == "goal_reached"
+    assert result.metrics.sim_time == 0.0
+    plans = read_csv(tmp_path / "logs" / "plans.csv")
+    assert len(plans) == 1
+    assert plans[0]["cause"] == "initial" and plans[0]["success"] == 1
+    assert plans[0]["path_length"] == 0.0
+    assert replay(tmp_path) == result.metrics
 
 
 def test_run_episode_rejects_negative_seed():
@@ -211,6 +238,7 @@ def test_metrics_label_claims_against_meta_hazards():
                     "first_seen": 1.0, "accepted_at": 1.35},
                    {"event_id": "E2", "status": "accepted", "is_true": 0,
                     "first_seen": 1.0, "accepted_at": 2.0}],
+        "truth": [], "ldm": [], "updates": [],
     }
     m = compute_episode_metrics(tables, meta)
     assert m.v2x_reaction_ms == pytest.approx(500.0)   # from the true DENM only

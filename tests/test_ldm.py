@@ -24,8 +24,7 @@ def _denm(station, pos, kind="stationary_vehicle", recv=1.0, gen=None,
           auth=True, seq=0):
     return V2xMessage(msg_kind="DENM", station_id=station, seq_no=seq,
                       gen_time=gen if gen is not None else recv - 0.1,
-                      payload=DenmPayload(event_kind=kind, event_position=pos,
-                                          event_time=recv - 0.1),
+                      payload=DenmPayload(event_kind=kind, event_position=pos),
                       authenticated=auth, recv_time=recv)
 
 
@@ -48,8 +47,7 @@ def _det(wx, wy, t, conf=0.9, vel=(0.0, 0.0)):
 
 
 def _bundle(t, frames):
-    return SyncBundle(window_end=t, window=P.tau_sync,
-                      items=tuple((f.timestamp, f) for f in frames))
+    return SyncBundle(items=tuple((f.timestamp, f) for f in frames))
 
 
 def _new_ids():
@@ -272,8 +270,7 @@ def test_fuse_tick_skips_items_already_consumed():
     state = _tick(state, 0.05, frames=[f1])
     # the same frame rides along in the next window but is not re-counted
     f2 = _frame(0.10, [_det(12.1, 10.0, 0.10)])
-    bundle = SyncBundle(window_end=0.10, window=P.tau_sync,
-                        items=((0.05, f1), (0.10, f2)))
+    bundle = SyncBundle(items=((0.05, f1), (0.10, f2)))
     state = fuse_tick(state, bundle, [], MAP0, [f2], P, 0.10, {}, _new_ids())
     assert state.objects[0].belief == pytest.approx(0.75)   # one update only
 

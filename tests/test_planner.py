@@ -67,7 +67,7 @@ def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
                 deviation_field)
 
 
-def _grid(ldm, cfg=CFG, start_xy=ROUTE.reference_path[0]):
+def _grid(ldm, cfg=CFG, start_xy=ROUTE.reference_path.points[0]):
     return obstacle_grid(ldm, cfg, VP, _base(ldm), start_xy)
 
 
@@ -127,9 +127,9 @@ def test_plan_reports_failure_when_goal_unreachable():
 def test_plan_arc_lengths_monotone_and_consistent():
     attempt = _plan((2.0, 10.0, 0.0), _ldm())
     traj = attempt.trajectory
-    assert np.all(np.diff(traj.arc_lengths) >= 0.0)
+    assert np.all(np.diff(traj.path.cumlength) >= 0.0)
     seg = np.hypot(*np.diff(traj.poses[:, :2], axis=0).T)
-    assert np.allclose(np.diff(traj.arc_lengths), seg)
+    assert np.allclose(np.diff(traj.path.cumlength), seg)
     assert attempt.path_length == pytest.approx(traj.length)
 
 
@@ -241,12 +241,10 @@ def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
         pts, dth = arcs[ni]
         for j in range(pts.shape[0]):
             pose_rows.append((float(pts[j, 0]), float(pts[j, 1]), float(dth[j])))
+    if len(pose_rows) == 1:    # the start meets the goal
+        pose_rows *= 2
     poses = np.array(pose_rows)
-    d = np.diff(poses[:, :2], axis=0)
-    seg = np.hypot(d[:, 0], d[:, 1])
-    arc_lengths = np.concatenate([[0.0], np.cumsum(seg)])
     traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), cfg.cruise_speed),
-                      arc_lengths=arc_lengths,
                       planned_on_version=ldm.active_map.version_id,
                       planned_at=ldm.stamp)
     traj = attach_speed_profile(traj, ldm, cfg, vparams, start_speed)
@@ -311,8 +309,13 @@ def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
     assert got.succeeded == want.succeeded
     if want.succeeded:
         assert got.trajectory.poses.tobytes() == want.trajectory.poses.tobytes()
-        assert (got.trajectory.arc_lengths.tobytes()
-                == want.trajectory.arc_lengths.tobytes())
+        assert (got.trajectory.target_speeds.tobytes()
+                == want.trajectory.target_speeds.tobytes())
+        # the arc lengths the trajectory derives are the ones `plan` once
+        # computed inline from its poses
+        d = np.diff(want.trajectory.poses[:, :2], axis=0)
+        arc = np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
+        assert got.trajectory.path.cumlength.tobytes() == arc.tobytes()
 
 
 def test_reference_oracle_covers_failure_edge_and_success():
@@ -334,7 +337,7 @@ def test_reference_oracle_covers_failure_edge_and_success():
 
 def test_route_deviation_field_measures_distance():
     grid = ROAD.occupancy
-    fld = route_deviation_field(grid, ROUTE.reference_path)
+    fld = route_deviation_field(grid, ROUTE.reference_path.points)
     assert fld.shape == grid.cells.shape
     ix, iy = grid.index_of(50.0, 10.0)
     assert fld[iy, ix] < grid.cell_size
@@ -423,7 +426,7 @@ def test_speed_profile_dips_to_pass_speed_near_hazard():
     s_h = traj.project((50.0, 10.0))
     assert traj.speed_at(s_h) == pytest.approx(CFG.pass_speed, abs=0.3)
     # comfort-decel envelope: monotone ramp down into the hazard
-    ramp = traj.target_speeds[traj.arc_lengths <= s_h]
+    ramp = traj.target_speeds[traj.path.cumlength <= s_h]
     assert np.all(np.diff(ramp) <= 1e-9)
     assert ramp[0] == CFG.cruise_speed
 

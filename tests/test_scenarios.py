@@ -27,8 +27,9 @@ def test_build_scenario_dispatch():
 def test_s1_variants():
     straight = build_s1("straight")
     curve = build_s1("curve")
-    assert straight.route.length > 50.0
-    assert curve.route.length > straight.route.length   # the S-curve is longer
+    assert straight.route.reference_path.length > 50.0
+    # the S-curve is longer
+    assert curve.route.reference_path.length > straight.route.reference_path.length
     for spec in (straight, curve):
         assert spec.stations is None and spec.attack is None
         assert spec.update_client is None
@@ -36,7 +37,7 @@ def test_s1_variants():
         # ego starts on the route, roughly at its head
         x, y, _, v = spec.ego_start
         assert v == 0.0
-        d0 = np.hypot(*(spec.route.reference_path[0] - np.array([x, y])))
+        d0 = np.hypot(*(spec.route.reference_path.points[0] - np.array([x, y])))
         assert d0 < 2.0
 
 
@@ -46,13 +47,13 @@ def test_s2_arms():
     assert v2x.stations is not None and bare.stations is None
     # same physical world in both arms
     assert v2x.hazards == bare.hazards
-    assert v2x.route.length == bare.route.length
+    assert v2x.route.reference_path.length == bare.route.reference_path.length
     assert len(v2x.hazards) == 1
     hz = v2x.hazards[0]
     assert hz.kind == "stationary_vehicle"
     assert hz.spawn_time > 0.0
     # the stall sits near the route but off its centerline
-    s_axis = v2x.route.reference_path
+    s_axis = v2x.route.reference_path.points
     lat = np.min(np.hypot(s_axis[:, 0] - hz.position[0],
                           s_axis[:, 1] - hz.position[1]))
     assert lat < 2.0
@@ -151,7 +152,7 @@ def test_spec_roundtrip(spec):
     for section in ("stations", "attack", "update_client"):
         assert (getattr(back, section) is None) == (getattr(spec, section) is None)
     assert len(back.vmap.versions) == len(spec.vmap.versions)
-    assert back.route.length == pytest.approx(spec.route.length)
+    assert back.route.reference_path.length == pytest.approx(spec.route.reference_path.length)
     # occupancy grids are rebuilt identically from the lane graph
     for a, b in zip(back.vmap.versions, spec.vmap.versions):
         assert np.array_equal(a.occupancy.cells, b.occupancy.cells)
@@ -211,6 +212,42 @@ def test_spec_from_dict_rejects_malformed_documents(damage, path):
     d = spec_to_dict(build_s2())
     damage(d)
     with pytest.raises(ValueError, match=re.escape(path)):
+        spec_from_dict(d)
+
+
+@pytest.mark.parametrize("damage, path", [
+    (lambda d: d["route"].update(reference_path=[[8.0, 50.0]]),
+     "scenario.route.reference_path"),
+    (lambda d: d["route"].update(reference_path=[[8.0, 50.0, 0.0], [92.0, 50.0, 0.0]]),
+     "scenario.route.reference_path"),
+    (lambda d: d["traffic"][0].update(path=[[90.0, 58.0]]), "scenario.traffic[0].path"),
+    (lambda d: d["traffic"][1].update(path=[[10.0, 42.0, 0.0], [90.0, 42.0, 0.0]]),
+     "scenario.traffic[1].path"),
+    (lambda d: d["vmap"]["versions"][0]["lane_graph"][0].update(polyline=[[4.0, 50.0]]),
+     "scenario.vmap.versions[0].lane_graph[0].polyline"),
+], ids=["route-one-point", "route-three-columns", "traffic-one-point",
+        "traffic-three-columns", "lane-one-point"])
+def test_spec_from_dict_rejects_bad_paths(damage, path):
+    d = spec_to_dict(build_s2())
+    damage(d)
+    with pytest.raises(ValueError, match=re.escape(path) + ": expected an "):
+        spec_from_dict(d)
+
+
+@pytest.mark.parametrize("damage, path", [
+    # a version without a publish time would never be served
+    (lambda d: d["vmap"]["publish_times"].pop(), "scenario.vmap.publish_times"),
+    (lambda d: d["vmap"]["publish_times"].__setitem__(0, 0.0),
+     "scenario.vmap.publish_times"),
+    (lambda d: d["vmap"]["publish_times"].__setitem__(1, None),
+     "scenario.vmap.publish_times"),
+    # an update whose id is not newer would never activate
+    (lambda d: d["vmap"]["versions"][1].update(version_id=1), "scenario.vmap.versions"),
+], ids=["time-missing", "initial-published", "update-unpublished", "equal-ids"])
+def test_spec_from_dict_rejects_bad_publish_schedule(damage, path):
+    d = spec_to_dict(build_s3())
+    damage(d)
+    with pytest.raises(ValueError, match=re.escape(path) + ": "):
         spec_from_dict(d)
 
 

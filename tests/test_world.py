@@ -4,15 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Route,
-                           build_corridor_map, empty_grid,
-                           heading_along_polyline, inflate, mark_disk,
-                           planning_occupancy, point_along_polyline,
-                           poll_update, polyline_cumlength,
-                           project_to_polyline, publish_version,
-                           stamp_polyline, wrap_angle, UpdateServerState)
+from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Polyline,
+                           Route, VersionedMap, build_corridor_map, empty_grid,
+                           inflate, mark_disk, planning_occupancy, poll_update,
+                           polyline_cumlength, stamp_polyline, wrap_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -41,33 +38,124 @@ def test_polyline_cumlength():
     path = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 10.0]])
     cl = polyline_cumlength(path)
     assert cl.tolist() == [0.0, 5.0, 11.0]
+    line = Polyline(path)
+    assert line.cumlength.tolist() == [0.0, 5.0, 11.0]
+    assert line.length == 11.0
 
 
 def test_project_to_polyline_on_and_off_segment():
-    path = np.array([[0.0, 0.0], [10.0, 0.0]])
-    s, d, i = project_to_polyline((4.0, 3.0), path)
+    path = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
+    s, d, i = path.project((4.0, 3.0))
     assert s == pytest.approx(4.0)
     assert d == pytest.approx(3.0)
     assert i == 0
     # beyond the end clamps to the endpoint
-    s, d, _ = project_to_polyline((13.0, 0.0), path)
+    s, d, _ = path.project((13.0, 0.0))
     assert s == pytest.approx(10.0)
     assert d == pytest.approx(3.0)
     # right of the travel direction is negative
-    s, d, _ = project_to_polyline((5.0, -2.0), path)
+    s, d, _ = path.project((5.0, -2.0))
     assert s == pytest.approx(5.0)
     assert d == pytest.approx(-2.0)
 
 
 def test_point_and_heading_along_polyline():
-    path = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
-    p = point_along_polyline(path, 12.0)
+    path = Polyline(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]))
+    p = path.point_at(12.0)
     assert p.tolist() == pytest.approx([10.0, 2.0])
-    assert heading_along_polyline(path, 2.0) == pytest.approx(0.0)
-    assert heading_along_polyline(path, 12.0) == pytest.approx(math.pi / 2)
+    assert path.heading_at(2.0) == pytest.approx(0.0)
+    assert path.heading_at(12.0) == pytest.approx(math.pi / 2)
     # arc length clamps at both ends
-    assert point_along_polyline(path, -5.0).tolist() == pytest.approx([0.0, 0.0])
-    assert point_along_polyline(path, 99.0).tolist() == pytest.approx([10.0, 10.0])
+    assert path.point_at(-5.0).tolist() == pytest.approx([0.0, 0.0])
+    assert path.point_at(99.0).tolist() == pytest.approx([10.0, 10.0])
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.0, 1.0], [], "ab",
+    [[0.0, "x"], [1.0, 0.0]], [[0.0, 0.0], [1.0]],
+], ids=["one-point", "three-columns", "flat", "empty", "string", "non-number",
+        "ragged"])
+def test_polyline_rejects_other_shapes(points):
+    with pytest.raises(ValueError, match="expected an"):
+        Polyline(points)
+
+
+# the free functions the Polyline methods replaced, kept verbatim as the
+# oracle: each rebuilt the cumulative length on every call
+
+
+def _old_project(point, path):
+    p = np.asarray(path, dtype=float)
+    q = np.asarray(point, dtype=float)[:2]
+    a = p[:-1]
+    d = p[1:] - a
+    len2 = (d * d).sum(axis=1)
+    len2_safe = np.where(len2 < 1e-18, 1.0, len2)
+    t = np.clip(((q - a) * d).sum(axis=1) / len2_safe, 0.0, 1.0)
+    t = np.where(len2 < 1e-18, 0.0, t)
+    closest = a + t[:, None] * d
+    diff = q - closest
+    dist2 = (diff * diff).sum(axis=1)
+    i = int(np.argmin(dist2))
+    seg_len = math.sqrt(len2[i]) if len2[i] > 1e-18 else 0.0
+    cum = polyline_cumlength(p)
+    s = float(cum[i] + t[i] * seg_len)
+    cross = d[i, 0] * diff[i, 1] - d[i, 1] * diff[i, 0]
+    lateral = math.sqrt(float(dist2[i]))
+    if cross < 0.0:
+        lateral = -lateral
+    return s, lateral, i
+
+
+def _old_point_along(path, s):
+    p = np.asarray(path, dtype=float)
+    cum = polyline_cumlength(p)
+    s = float(np.clip(s, 0.0, cum[-1]))
+    i = int(np.searchsorted(cum, s, side="right")) - 1
+    i = min(max(i, 0), len(p) - 2)
+    seg = cum[i + 1] - cum[i]
+    t = 0.0 if seg < 1e-12 else (s - cum[i]) / seg
+    return p[i] + t * (p[i + 1] - p[i])
+
+
+def _old_heading_along(path, s):
+    p = np.asarray(path, dtype=float)
+    cum = polyline_cumlength(p)
+    s = float(np.clip(s, 0.0, cum[-1]))
+    i = int(np.searchsorted(cum, s, side="right")) - 1
+    i = min(max(i, 0), len(p) - 2)
+    d = p[i + 1] - p[i]
+    return math.atan2(d[1], d[0])
+
+
+_coord = st.floats(-50.0, 50.0, allow_nan=False, width=64)
+
+
+@st.composite
+def _paths(draw):
+    """Random paths; some vertices repeat, so segments of zero length occur."""
+    pts = draw(st.lists(st.tuples(_coord, _coord), min_size=2, max_size=8))
+    repeats = draw(st.lists(st.integers(0, len(pts) - 1), max_size=3))
+    for i in sorted(repeats, reverse=True):
+        pts.insert(i, pts[i])
+    return np.array(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=_paths(), point=st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0)),
+       s=st.floats(-20.0, 1.2, allow_nan=False))
+def test_polyline_methods_match_the_free_functions_bit_for_bit(path, point, s):
+    line = Polyline(path)
+    assert line.cumlength.tobytes() == polyline_cumlength(path).tobytes()
+    # repr tells -0.0 from 0.0, so these compare bit for bit
+    assert repr(line.project(point)) == repr(_old_project(point, path))
+    # s from before the start to past the end, in units of the length
+    for at in (s * line.length, s, line.length, 0.0, line.length + 1.0):
+        assert line.point_at(at).tobytes() == _old_point_along(path, at).tobytes()
+        assert repr(line.heading_at(at)) == repr(_old_heading_along(path, at))
+    # points beyond both ends
+    for q in (path[0] - (7.0, 3.0), path[-1] + (5.0, -2.0)):
+        assert repr(line.project(q)) == repr(_old_project(q, path))
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +267,14 @@ def test_map_version_rejects_negative_id():
 
 
 def test_route_validates_shape():
-    with pytest.raises(ValueError):
-        Route(reference_path=np.array([[0.0, 0.0]]), goal_pose=(0.0, 0.0, 0.0))
+    for bad in ([[0.0, 0.0]], [[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]]):
+        with pytest.raises(ValueError):
+            Route(reference_path=np.array(bad), goal_pose=(0.0, 0.0, 0.0))
     r = Route(reference_path=np.array([[0.0, 0.0], [3.0, 4.0]]),
               goal_pose=(3.0, 4.0, 0.0))
-    assert r.length == pytest.approx(5.0)
+    assert r.reference_path.length == pytest.approx(5.0)
+    # a Polyline is taken as it is, not rebuilt
+    assert Route(r.reference_path, r.goal_pose).reference_path is r.reference_path
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +285,47 @@ def _version(vid):
     return build_corridor_map(vid, _cross_segments(), 30.0, 30.0)
 
 
+def _vmap(ids, times):
+    return VersionedMap(size=(30.0, 30.0), cell_size=0.5,
+                        versions=tuple(_version(v) for v in ids),
+                        publish_times=tuple(times))
+
+
 def test_publish_version_monotonic():
-    server = UpdateServerState()
-    server = publish_version(server, _version(0), 0.0)
-    server = publish_version(server, _version(1), 4.0)
-    assert [v.version_id for _, v in server.published] == [0, 1]
-    with pytest.raises(ValueError):
-        publish_version(server, _version(1), 5.0)
-    with pytest.raises(ValueError):
-        publish_version(server, _version(2), 3.0)
+    vmap = _vmap((0, 1, 2), (None, 4.0, 4.0))
+    assert [v.version_id for v in vmap.versions] == [0, 1, 2]
+    assert vmap.initial().version_id == 0
+    for ids, times, field in [
+            ((0, 1), (None,), "publish_times"),        # a version unpublished
+            ((0,), (None, 4.0), "publish_times"),      # a time without version
+            ((0, 1), (0.0, 4.0), "publish_times"),     # the initial is published
+            ((0, 1), (None, None), "publish_times"),
+            ((0, 1), (None, math.inf), "publish_times"),
+            ((0, 1, 2), (None, 5.0, 3.0), "publish_times"),
+            ((0, 1, 1), (None, 4.0, 5.0), "versions"),  # equal ids
+            ((0, 2, 1), (None, 4.0, 5.0), "versions"),
+            ((), (), "publish_times")]:
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            _vmap(ids, times)
 
 
 def test_poll_update_visibility_and_latency():
-    server = publish_version(UpdateServerState(), _version(0), 0.0)
-    server = publish_version(server, _version(1), 4.0)
+    vmap = _vmap((0, 1), (None, 4.0))
 
     # before the publish time nothing new is visible
-    assert poll_update(2.0, 0, server, 1.1) is None
-    got = poll_update(4.0, 0, server, 1.1)
+    assert poll_update(2.0, 0, vmap, 1.1) is None
+    got = poll_update(4.0, 0, vmap, 1.1)
     assert got is not None
     version, activation = got
     assert version.version_id == 1
     assert activation == pytest.approx(5.1)
     # already current
-    assert poll_update(6.0, 1, server, 1.1) is None
+    assert poll_update(6.0, 1, vmap, 1.1) is None
 
 
 def test_poll_update_skips_to_newest():
-    server = UpdateServerState()
-    for vid, t in ((0, 0.0), (1, 1.0), (2, 2.0)):
-        server = publish_version(server, _version(vid), t)
-    version, _ = poll_update(10.0, 0, server, 0.5)
+    vmap = _vmap((0, 1, 2), (None, 1.0, 2.0))
+    version, _ = poll_update(10.0, 0, vmap, 0.5)
     assert version.version_id == 2
+    version, _ = poll_update(1.5, 0, vmap, 0.5)
+    assert version.version_id == 1
