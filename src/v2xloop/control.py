@@ -85,15 +85,15 @@ def pid_longitudinal(error: float, state: PidState, cfg: ControllerConfig,
     return u, PidState(integral=integral, prev_error=error, initialized=True)
 
 
-def follow_tick(ego_state, traj: Trajectory, cfg: ControllerConfig,
+def follow_tick(ego_state, traj: Trajectory, s_plan: float, cfg: ControllerConfig,
                 pid_state: PidState, vparams: VehicleParams,
                 dt: float) -> tuple[ControlCommand, PidState, float]:
-    """Compute the tick's command; returns (command, pid_state, target_speed)."""
-    s_ego = traj.project((ego_state.x, ego_state.y))
-    target_speed = traj.speed_at(s_ego)
+    """Compute the tick's command from `s_plan`, the ego's arc length along
+    `traj`; returns (command, pid_state, target_speed)."""
+    target_speed = traj.speed_at(s_plan)
     steering = pure_pursuit(ego_state.pose, traj,
                             cfg.look_ahead(ego_state.speed), vparams,
-                            s_ego=s_ego)
+                            s_ego=s_plan)
     u, pid_next = pid_longitudinal(target_speed - ego_state.speed, pid_state,
                                    cfg, dt)
     if u >= 0.0:

@@ -5,8 +5,15 @@ gate, the replanner, and the tracking controller on a fixed-step clock.
 The order inside a tick is always: activate any downloaded map, snapshot
 ground truth, check termination, project the ego onto the route, sense,
 exchange V2X traffic, synchronize and fuse, poll the map server, gate
-pending event hypotheses, evaluate replan triggers, compute the command,
-log, step the vehicle.
+pending event hypotheses, project the ego onto the plan, evaluate replan
+triggers, compute the command, log, step the vehicle. The ego is projected
+once onto the route and once onto the plan per tick (again onto a plan a
+replan just made), and every stage reuses those arc lengths.
+
+Planning maps (inflated grid and route deviation field) are built once per
+map version, route and collision radius, and kept on the map version for
+the life of the spec: every episode of a batch or sweep that runs on the
+same map objects reuses them.
 
 Determinism contract: every stochastic draw goes through a named Philox
 stream, all log rows are formatted to nine significant digits in an order
@@ -39,30 +46,50 @@ from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import VehicleState, step
-from .world import WorldObject, planning_occupancy, poll_update, wrap_angle
+from .world import (MapVersion, Polyline, WorldObject, planning_occupancy,
+                    poll_update, wrap_angle)
 
 FOLLOW = "follow"
 SAFETY_STOP = "safety_stop"
 RECOVERY_TICKS = 10               # replan retry cadence during a stop ramp
 
-VEHICLE_COLS = ("tick", "t", "x", "y", "heading", "speed", "steering",
-                "throttle", "brake", "s_route", "cross_track", "heading_err",
-                "ttc")
-CONTROL_COLS = ("tick", "t", "steering", "throttle", "brake", "target_speed",
-                "speed")
-TRUTH_COLS = ("tick", "t", "object_id", "x", "y", "vx", "vy", "radius", "scored")
-LDM_COLS = ("tick", "t", "track_id", "x", "y", "vx", "vy", "belief")
-V2X_COLS = ("tick", "t", "station_id", "msg_kind", "seq_no", "gen_time",
-            "recv_time", "event_kind", "event_x", "event_y")
-GATE_COLS = ("tick", "t", "event_id", "accepted", "support_weight",
-             "sensor_likelihood", "reason")
-EVENTS_COLS = ("t", "event_id", "kind", "status", "x", "y", "first_seen",
-               "accepted_at", "n_support", "is_true", "final")
-PLANS_COLS = ("tick", "t", "cause", "success", "expansions", "path_length",
-              "n_poses", "planned_on_version")
-UPDATES_COLS = ("tick", "t", "action", "version_id", "value")
-EPISODE_COLS = ("termination", "sim_time", "ticks", "collision")
-TIMING_COLS = ("plan_index", "tick", "cause", "cpu_ms", "expansions")
+# column name -> kind (logio: int, bool, float, str; "?" allows None)
+VEHICLE_COLS = {"tick": "int", "t": "float", "x": "float", "y": "float",
+                "heading": "float", "speed": "float", "steering": "float",
+                "throttle": "float", "brake": "float", "s_route": "float",
+                "cross_track": "float", "heading_err": "float", "ttc": "float"}
+CONTROL_COLS = {"tick": "int", "t": "float", "steering": "float",
+                "throttle": "float", "brake": "float", "target_speed": "float",
+                "speed": "float"}
+TRUTH_COLS = {"tick": "int", "t": "float", "object_id": "str", "x": "float",
+              "y": "float", "vx": "float", "vy": "float", "radius": "float",
+              "scored": "bool"}
+LDM_COLS = {"tick": "int", "t": "float", "track_id": "str", "x": "float",
+            "y": "float", "vx": "float", "vy": "float", "belief": "float"}
+# CAM rows carry no event
+V2X_COLS = {"tick": "int", "t": "float", "station_id": "str", "msg_kind": "str",
+            "seq_no": "int", "gen_time": "float", "recv_time": "float",
+            "event_kind": "str?", "event_x": "float?", "event_y": "float?"}
+GATE_COLS = {"tick": "int", "t": "float", "event_id": "str", "accepted": "bool",
+             "support_weight": "float", "sensor_likelihood": "float",
+             "reason": "str"}
+EVENTS_COLS = {"t": "float", "event_id": "str", "kind": "str", "status": "str",
+               "x": "float", "y": "float", "first_seen": "float",
+               "accepted_at": "float?", "n_support": "int", "is_true": "bool",
+               "final": "bool"}
+PLANS_COLS = {"tick": "int", "t": "float", "cause": "str", "success": "bool",
+              "expansions": "int", "path_length": "float", "n_poses": "int",
+              "planned_on_version": "int"}
+UPDATES_COLS = {"tick": "int", "t": "float", "action": "str",
+                "version_id": "int", "value": "float"}
+EPISODE_COLS = {"termination": "str", "sim_time": "float", "ticks": "int",
+                "collision": "int"}
+TIMING_COLS = {"plan_index": "int", "tick": "int", "cause": "str",
+               "cpu_ms": "float", "expansions": "int"}
+SWEEP_COLS = {**{f.name: "str" if f.name == "config_id" else "float"
+                 for f in fields(Configuration)},
+              **dict.fromkeys(("j_trk", "j_sfty", "j_resp", "j_smth", "j_eng"), "float"),
+              **dict.fromkeys(("collided", "on_frontier", "is_knee"), "bool")}
 
 LOG_NAMES = ("vehicle", "control", "truth", "ldm", "v2x", "gate", "events",
              "plans", "updates", "episode")
@@ -105,6 +132,25 @@ def _is_true_claim(kind: str, x: float, y: float, hazards, radius: float) -> boo
     lies within `radius` of it."""
     return any(hk == kind and math.hypot(x - hx, y - hy) <= radius
                for hk, hx, hy in hazards)
+
+
+def _planning_maps(version: MapVersion, route: Polyline,
+                   collision_radius: float) -> tuple:
+    """(inflated planning grid, route deviation field) of `version`.
+
+    Built on first use and kept, read-only, in the version's planning_memo,
+    so every episode of a spec (and of specs sharing its map objects) reuses
+    them.
+    """
+    key = (route, collision_radius)
+    maps = version.planning_memo.get(key)
+    if maps is None:
+        grid = planning_occupancy(version, collision_radius)
+        deviation = route_deviation_field(grid, route.points)
+        grid.cells.setflags(write=False)
+        deviation.setflags(write=False)
+        maps = version.planning_memo[key] = (grid, deviation)
+    return maps
 
 
 def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
@@ -174,16 +220,11 @@ def run_episode(spec: ScenarioSpec, seed: int,
                      if s.bound_object is not None}
 
     plan_count = 0
-    planning_maps: dict[int, tuple] = {}   # version_id -> (grid, deviation field)
 
     def replan(cause: str, tick: int, t: float):
         """Plan from the current ego state on the active map and log the attempt."""
         nonlocal plan_count
-        if active.version_id not in planning_maps:
-            grid = planning_occupancy(active, spec.vehicle.collision_radius)
-            planning_maps[active.version_id] = (
-                grid, route_deviation_field(grid, ref.points))
-        grid, deviation = planning_maps[active.version_id]
+        grid, deviation = _planning_maps(active, ref, spec.vehicle.collision_radius)
         attempt = plan(ego.pose, ego.speed, goal, ldm, spec.planner, spec.vehicle,
                        cause=cause, base_grid=grid, start_steering=ego.steering,
                        deviation_field=deviation)
@@ -320,9 +361,13 @@ def run_episode(spec: ScenarioSpec, seed: int,
                 logged_status[ev.event_id] = ev.status
                 log_event(t, ev, 0)
 
+        # in FOLLOW mode traj is never None; s_plan is the ego's arc length
+        # along it, projected once per tick and again after a replan
         ttc_now = math.inf
-        if mode == FOLLOW and traj is not None:
-            ttc_now = ttc_min(ego, traj, unexplained_tracks(ldm, spec.planner),
+        if mode == FOLLOW:
+            s_plan = traj.project(ego.position)
+            ttc_now = ttc_min(ego, traj, s_plan,
+                              unexplained_tracks(ldm, spec.planner),
                               spec.planner.prefix_horizon,
                               spec.vehicle.collision_radius,
                               spec.planner.track_radius, spec.planner.b_obstacle)
@@ -332,6 +377,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                 attempt = replan("+".join(fired), k, t)
                 if attempt.succeeded:
                     traj = attempt.trajectory
+                    s_plan = traj.project(ego.position)
                 else:
                     traj = None
                     mode = SAFETY_STOP
@@ -343,11 +389,12 @@ def run_episode(spec: ScenarioSpec, seed: int,
             attempt = replan("recovery", k, t)
             if attempt.succeeded:
                 traj = attempt.trajectory
+                s_plan = traj.project(ego.position)
                 mode = FOLLOW
                 pid = PidState()
 
         if mode == FOLLOW:
-            cmd, pid, target_speed = follow_tick(ego, traj, spec.controller,
+            cmd, pid, target_speed = follow_tick(ego, traj, s_plan, spec.controller,
                                                  pid, spec.vehicle, dt)
         else:
             cmd = safety_stop_command(last_cmd.brake, dt)
@@ -503,8 +550,8 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
 
 
 def replay(log_dir: str | Path) -> EpisodeMetrics:
-    """Recompute metrics from a written log directory; a missing file is a
-    ValueError naming it."""
+    """Recompute metrics from a written log directory; a missing file, or an
+    episode.csv without its row, is a ValueError naming it."""
     log_dir = Path(log_dir)
     if (log_dir / "logs").is_dir():
         log_dir = log_dir / "logs"
@@ -515,6 +562,8 @@ def replay(log_dir: str | Path) -> EpisodeMetrics:
                          f"missing {', '.join(missing)}")
     meta = read_json(log_dir / "meta.json")
     tables = {name: read_csv(log_dir / f"{name}.csv") for name in LOG_NAMES}
+    if not tables["episode"]:
+        raise ValueError(f"{log_dir / 'episode.csv'} holds no episode row")
     return compute_episode_metrics(tables, meta)
 
 
@@ -582,9 +631,7 @@ def run_sweep(grid: dict, scenario_ids, seeds,
         by_id = {c.config_id: c for c in configs}
         frontier_ids = {p.config_id for p in result.frontier}
         knee_id = result.knee.config_id if result.knee is not None else None
-        table = CsvLog((*(f.name for f in fields(Configuration)),
-                        "j_trk", "j_sfty", "j_resp", "j_smth", "j_eng",
-                        "collided", "on_frontier", "is_knee"))
+        table = CsvLog(SWEEP_COLS)
         for p in result.points:
             table.append(*astuple(by_id[p.config_id]), *p.objectives, p.collided,
                          p.config_id in frontier_ids, p.config_id == knee_id)

@@ -209,7 +209,7 @@ def ingest_denm(msg: V2xMessage, events: list, params: LdmParams,
         counters["unauthenticated_denms"] = counters.get("unauthenticated_denms", 0) + 1
         return None
     claim = tuple(msg.payload.event_position)
-    recv = msg.recv_time if msg.recv_time is not None else msg.gen_time
+    recv = msg.recv_time
 
     best = None
     best_d = None
@@ -269,7 +269,7 @@ def fuse_tick(prev: LdmState, bundle: SyncBundle, delivered_v2x,
                 position=tuple(msg.payload.position),
                 velocity=tuple(msg.payload.velocity),
                 confidence=1.0, source=f"cam:{msg.station_id}",
-                timestamp=msg.recv_time if msg.recv_time is not None else msg.gen_time))
+                timestamp=msg.recv_time))
         elif msg.msg_kind == DENM:
             denms.append(msg)
 

@@ -122,7 +122,7 @@ class Trajectory:
         return self.path.project(position)[0]
 
     def point_at(self, s: float) -> np.ndarray:
-        s = float(np.clip(s, 0.0, self.length))
+        s = min(max(float(s), 0.0), self.length)
         x = np.interp(s, self.path.cumlength, self.poses[:, 0])
         y = np.interp(s, self.path.cumlength, self.poses[:, 1])
         return np.array([x, y])
@@ -461,22 +461,21 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
 # risk and triggers
 
 
-def ttc_min(ego_state, traj: Trajectory, tracks, horizon: float,
+def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
             collision_radius: float, track_radius: float,
             b_obstacle: float, dt: float = 0.01) -> float:
     """Earliest collision time under a constant-velocity rollout.
 
-    The ego slides along the plan prefix at its current speed; each track
-    extrapolates linearly. Returns inf when no pair closes within the
-    horizon.
+    The ego slides along the plan prefix at its current speed from `s_plan`,
+    its arc length along `traj`; each track extrapolates linearly. Returns
+    inf when no pair closes within the horizon.
     """
     obstacles = [t for t in tracks if t.belief >= b_obstacle]
     if not obstacles:
         return math.inf
     v = max(float(ego_state.speed), 0.0)
-    s0 = traj.project((ego_state.x, ego_state.y))
     taus = np.arange(0.0, horizon + dt * 0.5, dt)
-    s_grid = np.minimum(s0 + v * taus, traj.length)
+    s_grid = np.minimum(s_plan + v * taus, traj.length)
     ex = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 0])
     ey = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 1])
 

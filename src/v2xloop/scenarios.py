@@ -18,6 +18,7 @@ the Byzantine stations) and `update_client` (map polling).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -106,6 +107,17 @@ class ScenarioSpec:
             raise ValueError(f"scenario_id must be one of {SCENARIO_IDS}")
         object.__setattr__(self, "hazards", tuple(self.hazards))
         object.__setattr__(self, "traffic", tuple(self.traffic))
+        # a message that starts with the field at fault extends the dotted
+        # path spec_from_dict reports
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt: must be finite and > 0, got {self.dt}")
+        if not (math.isfinite(self.time_limit) and self.time_limit >= 0.0):
+            raise ValueError(f"time_limit: must be finite and >= 0, got {self.time_limit}")
+        if self.planner.goal_xy_tol > self.goal_tolerance:
+            # the plan could then end inside the planner's goal region but
+            # outside the episode's, where the ego holds still until timeout
+            raise ValueError(f"planner.goal_xy_tol: must not exceed goal_tolerance="
+                             f"{self.goal_tolerance}, got {self.planner.goal_xy_tol}")
         if self.attack is not None and self.stations is None:
             raise ValueError("scenario.attack needs scenario.stations: "
                              "the attackers are stations")
@@ -310,9 +322,10 @@ def _encode(value):
     if isinstance(value, Polyline):
         return value.points.tolist()
     if is_dataclass(value):
-        # occupancy grids are derived from the lane graph, never serialized
+        # occupancy grids are derived from the lane graph and non-init fields
+        # from the others: neither is serialized
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value)
-                if not (isinstance(value, MapVersion) and f.name == "occupancy")}
+                if f.init and not (isinstance(value, MapVersion) and f.name == "occupancy")}
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (tuple, list)):
@@ -327,7 +340,7 @@ def _decode_fields(cls, d, path: str, exclude=(), raw=()) -> dict:
     found, `exclude` fields are not part of the document."""
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected an object, got {type(d).__name__}")
-    known = [f for f in fields(cls) if f.name not in exclude]
+    known = [f for f in fields(cls) if f.init and f.name not in exclude]
     unknown = sorted(set(d) - {f.name for f in known})
     if unknown:
         raise ValueError(f"{path}.{unknown[0]}: unknown key")
@@ -367,6 +380,10 @@ def _decode_map(d, path: str) -> VersionedMap:
         raise ValueError(f"{path}.{exc}") from None
 
 
+# "name: ..." or "name.sub: ...", a message naming the field at fault
+_FIELD_FIRST = re.compile(r"([A-Za-z_]\w*)(\.\w+)*: ")
+
+
 def _decode(tp, value, path: str):
     origin, args = get_origin(tp), get_args(tp)
     if origin is UnionType:    # every union in a spec is `X | None`
@@ -386,6 +403,9 @@ def _decode(tp, value, path: str):
         try:
             return tp(**kwargs)
         except ValueError as exc:
+            field_first = _FIELD_FIRST.match(str(exc))
+            if field_first and field_first[1] in {f.name for f in fields(tp)}:
+                raise ValueError(f"{path}.{exc}") from None
             raise ValueError(f"{path}: {exc}") from None
     if origin in (tuple, frozenset):
         if not isinstance(value, list):

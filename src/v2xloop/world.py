@@ -35,12 +35,21 @@ def polyline_cumlength(path: np.ndarray) -> np.ndarray:
 class Polyline:
     """A path of N >= 2 points, parameterised by arc length.
 
-    The shape is checked and the cumulative arc length computed once, here;
-    every query reuses them. Segments may have zero length.
+    The shape is checked, and the segment table and cumulative arc length
+    computed, once, here; every query reuses them. Segments may have zero
+    length.
     """
 
     points: np.ndarray                                    # (N, 2) [m]
     cumlength: np.ndarray = field(init=False, repr=False)  # (N,) [m]
+    length: float = field(init=False, repr=False)          # [m]
+    # segment table, (N-1) rows: starts, directions, squared lengths, which
+    # segments have zero length, and the divisor used in their place
+    _starts: np.ndarray = field(init=False, repr=False)
+    _dirs: np.ndarray = field(init=False, repr=False)
+    _len2: np.ndarray = field(init=False, repr=False)
+    _zero: np.ndarray = field(init=False, repr=False)
+    _len2_safe: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -49,12 +58,16 @@ class Polyline:
             raise ValueError("expected an array of numbers") from None
         if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] != 2:
             raise ValueError(f"expected an (N, 2) array with N >= 2, got shape {p.shape}")
-        object.__setattr__(self, "points", p)
-        object.__setattr__(self, "cumlength", polyline_cumlength(p))
-
-    @property
-    def length(self) -> float:
-        return float(self.cumlength[-1])
+        cum = polyline_cumlength(p)
+        a = p[:-1]
+        d = p[1:] - a
+        len2 = (d * d).sum(axis=1)
+        zero = len2 < 1e-18
+        for name, value in (("points", p), ("cumlength", cum),
+                            ("length", float(cum[-1])), ("_starts", a),
+                            ("_dirs", d), ("_len2", len2), ("_zero", zero),
+                            ("_len2_safe", np.where(zero, 1.0, len2))):
+            object.__setattr__(self, name, value)
 
     def project(self, point) -> tuple[float, float, int]:
         """Project a point onto the path.
@@ -62,14 +75,10 @@ class Polyline:
         Returns (arc_length, signed_lateral, segment_index). Lateral offset
         is positive on the left of the local path direction.
         """
-        p = self.points
         q = np.asarray(point, dtype=float)[:2]
-        a = p[:-1]
-        d = p[1:] - a
-        len2 = (d * d).sum(axis=1)
-        len2_safe = np.where(len2 < 1e-18, 1.0, len2)
-        t = np.clip(((q - a) * d).sum(axis=1) / len2_safe, 0.0, 1.0)
-        t = np.where(len2 < 1e-18, 0.0, t)
+        a, d, len2 = self._starts, self._dirs, self._len2
+        t = np.minimum(np.maximum(0.0, ((q - a) * d).sum(axis=1) / self._len2_safe), 1.0)
+        t = np.where(self._zero, 0.0, t)
         closest = a + t[:, None] * d
         diff = q - closest
         dist2 = (diff * diff).sum(axis=1)
@@ -85,7 +94,7 @@ class Polyline:
     def _locate(self, s: float) -> tuple[int, float]:
         """(segment index, s clamped to [0, length]) of arc length s."""
         cum = self.cumlength
-        s = float(np.clip(s, 0.0, cum[-1]))
+        s = min(max(float(s), 0.0), self.length)
         i = int(np.searchsorted(cum, s, side="right")) - 1
         return min(max(i, 0), len(cum) - 2), s
 
@@ -237,6 +246,11 @@ class MapVersion:
     lane_graph: tuple[LaneSegment, ...]
     occupancy: OccupancyGrid
     created_at: float = 0.0
+    # read-only planning views of this version, built by the first episode
+    # that plans on it and reused for as long as the version lives:
+    # (route reference path, collision radius) -> (planning grid, deviation field)
+    planning_memo: dict = field(init=False, repr=False, compare=False,
+                                default_factory=dict)
 
     def __post_init__(self):
         if self.version_id < 0:

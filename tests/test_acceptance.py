@@ -428,7 +428,8 @@ def test_08_controller_and_dynamics_oracles(pytestconfig):
     pid = PidState()
     lateral = []
     for _ in range(250):
-        cmd, pid, _ = follow_tick(s, straight, ccfg, pid, VP, 0.05)
+        cmd, pid, _ = follow_tick(s, straight, straight.project(s.position), ccfg,
+                                  pid, VP, 0.05)
         s = step(s, cmd, VP, 0.05)
         if s.x > 20.0:  # settle the initial transient first
             lateral.append(s.y)
@@ -459,8 +460,8 @@ def test_09_metric_hand_values(pytestconfig):
     tr = Track(track_id="T", position=(29.0, 0.0), velocity=(0.0, 0.0),
                belief=0.9, last_update=0.0)
     ego = VehicleState(x=0.0, y=0.0, heading=0.0, speed=4.0)
-    ttc = ttc_min(ego, traj, [tr], horizon=8.0, collision_radius=2.0,
-                  track_radius=1.0, b_obstacle=0.6)
+    ttc = ttc_min(ego, traj, traj.project(ego.position), [tr], horizon=8.0,
+                  collision_radius=2.0, track_radius=1.0, b_obstacle=0.6)
     ttc_ok = ttc == 6.5
 
     # 10-tick tracking log: 8 truth ticks, one miss, one identity switch,

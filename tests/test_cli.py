@@ -132,6 +132,18 @@ def test_replay_of_an_incomplete_log_directory_exits_with_one_line(tmp_path):
     assert "\n" not in message
 
 
+def test_replay_of_a_header_only_episode_csv_exits_with_one_line(tmp_path):
+    out = tmp_path / "ep"
+    main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])
+    episode = out / "logs" / "episode.csv"
+    episode.write_text(episode.read_text().splitlines()[0] + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--log", str(out)])
+    message = str(exc.value)
+    assert message.startswith("v2xloop replay: ") and "episode.csv holds no episode row" in message
+    assert "\n" not in message
+
+
 def test_sweep_cli(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"look_ahead": [4.0, 6.0]}))

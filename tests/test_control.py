@@ -126,7 +126,7 @@ def test_closed_loop_straight_tracking_rmse():
     dt = 0.05
     lateral = []
     for _ in range(250):
-        cmd, pid, _ = follow_tick(s, traj, CFG, pid, VP, dt)
+        cmd, pid, _ = follow_tick(s, traj, traj.project(s.position), CFG, pid, VP, dt)
         s = step(s, cmd, VP, dt)
         if s.x > 20.0:   # skip the initial transient
             lateral.append(s.y)
@@ -139,11 +139,13 @@ def test_closed_loop_straight_tracking_rmse():
 def test_follow_tick_splits_throttle_and_brake():
     traj = _traj_from_path([[0.0, 0.0], [50.0, 0.0]], speed=8.0)
     slow = VehicleState(x=1.0, y=0.0, heading=0.0, speed=2.0)
-    cmd, _, target = follow_tick(slow, traj, CFG, PidState(), VP, 0.05)
+    cmd, _, target = follow_tick(slow, traj, traj.project(slow.position), CFG,
+                                 PidState(), VP, 0.05)
     assert target == 8.0
     assert cmd.throttle > 0.0 and cmd.brake == 0.0
     fast = VehicleState(x=1.0, y=0.0, heading=0.0, speed=14.0)
-    cmd, _, _ = follow_tick(fast, traj, CFG, PidState(), VP, 0.05)
+    cmd, _, _ = follow_tick(fast, traj, traj.project(fast.position), CFG,
+                            PidState(), VP, 0.05)
     assert cmd.brake > 0.0 and cmd.throttle == 0.0
 
 

@@ -1,6 +1,7 @@
 """Episode loop plumbing: outputs, determinism, replay, batch aggregation."""
 
 import math
+import re
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from v2xloop.logio import read_csv, read_json
 from v2xloop.metrics import MetricParams
 from v2xloop.pareto import Configuration
 from v2xloop.rng import StreamSet, stream
-from v2xloop.scenarios import build_s1, build_s2, spec_from_dict, spec_to_dict
+from v2xloop.scenarios import (apply_configuration, build_s1, build_s2, build_s3,
+                               spec_from_dict, spec_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,17 @@ def test_replay_refuses_an_incomplete_log_directory(s1_result, tmp_path):
         replay(copy / "logs")
 
 
+def test_replay_refuses_an_episode_csv_without_its_row(s1_result, tmp_path):
+    _, out = s1_result
+    import shutil
+    copy = tmp_path / "cut"
+    shutil.copytree(out, copy)
+    episode = copy / "logs" / "episode.csv"
+    episode.write_text(episode.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{episode} holds no episode row")):
+        replay(copy)
+
+
 def test_ego_starting_on_the_goal_reaches_it_at_once(tmp_path):
     spec = build_s1()
     spec = replace(spec, ego_start=(*spec.route.goal_pose, 0.0))
@@ -163,6 +176,35 @@ def test_run_batch_aggregates(tmp_path):
     for s in (1, 2, 3):
         assert (out / f"seed-{s:04d}" / "summary.json").is_file()
     assert [e["seed"] for e in payload["episodes"]] == [1, 2, 3]
+
+
+def test_planning_maps_are_built_once_per_map_version(monkeypatch):
+    from v2xloop import harness
+    calls = []
+
+    def counted(grid, reference_path):
+        calls.append(grid.cells.shape)
+        return route_deviation_field(grid, reference_path)
+
+    route_deviation_field = harness.route_deviation_field
+    monkeypatch.setattr(harness, "route_deviation_field", counted)
+    spec = build_s3()
+    results, _ = run_batch(spec, [1, 2, 3])
+    assert all(r.summary["counters"]["plans"] >= 2 for r in results)
+    # both map versions were planned on, each map built once for all seeds
+    assert len(calls) == len(spec.vmap.versions) == 2
+    for version in spec.vmap.versions:
+        ((key, (grid, deviation)),) = version.planning_memo.items()
+        assert key == (spec.route.reference_path, spec.vehicle.collision_radius)
+        for array in (grid.cells, deviation):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = array[0, 0]
+    # a configured copy shares the map objects, so it starts warm
+    run_episode(apply_configuration(spec, Configuration(config_id="c")), 4)
+    assert len(calls) == 2
+    # a freshly built spec starts cold, and its document carries no memo
+    assert all(not v.planning_memo for v in build_s3().vmap.versions)
+    assert "planning_memo" not in str(spec_to_dict(spec))
 
 
 def test_run_batch_rejects_duplicate_seeds():

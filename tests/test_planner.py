@@ -447,7 +447,7 @@ def test_ttc_exact_head_on_oracle():
     ego = _ego(x=2.0, speed=5.0)
     # closing distance 27 - (1 + 1) = 25 m at 5 m/s -> 5.0 s
     tracks = [_track("T1", (29.0, 10.0))]
-    t = ttc_min(ego, traj, tracks, horizon=10.0,
+    t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
                 collision_radius=VP.collision_radius,
                 track_radius=CFG.track_radius, b_obstacle=CFG.b_obstacle)
     assert t == pytest.approx(5.0, abs=0.02)
@@ -458,7 +458,7 @@ def test_ttc_converging_track():
     ego = _ego(x=2.0, speed=5.0)
     # obstacle drives toward the ego at 5 m/s: closing speed 10 m/s
     tracks = [_track("T1", (52.0, 10.0), vel=(-5.0, 0.0))]
-    t = ttc_min(ego, traj, tracks, horizon=10.0,
+    t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
                 collision_radius=VP.collision_radius,
                 track_radius=CFG.track_radius, b_obstacle=CFG.b_obstacle)
     assert t == pytest.approx(4.8, abs=0.02)
@@ -467,19 +467,20 @@ def test_ttc_converging_track():
 def test_ttc_ignores_weak_and_clear_tracks():
     traj = _plain_traj()
     ego = _ego(x=2.0, speed=5.0)
-    assert ttc_min(ego, traj, [], 10.0, 1.0, 1.0, 0.6) == math.inf
+    s_plan = traj.project(ego.position)
+    assert ttc_min(ego, traj, s_plan, [], 10.0, 1.0, 1.0, 0.6) == math.inf
     weak = [_track("T1", (20.0, 10.0), belief=0.3)]
-    assert ttc_min(ego, traj, weak, 10.0, 1.0, 1.0, 0.6) == math.inf
+    assert ttc_min(ego, traj, s_plan, weak, 10.0, 1.0, 1.0, 0.6) == math.inf
     offside = [_track("T1", (20.0, 16.0))]
-    assert ttc_min(ego, traj, offside, 10.0, 1.0, 1.0, 0.6) == math.inf
+    assert ttc_min(ego, traj, s_plan, offside, 10.0, 1.0, 1.0, 0.6) == math.inf
 
 
 def test_ttc_horizon_cutoff():
     traj = _plain_traj()
     ego = _ego(x=2.0, speed=5.0)
     tracks = [_track("T1", (80.0, 10.0))]    # collision at ~15.2 s
-    assert ttc_min(ego, traj, tracks, horizon=3.0, collision_radius=1.0,
-                   track_radius=1.0, b_obstacle=0.6) == math.inf
+    assert ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=3.0,
+                   collision_radius=1.0, track_radius=1.0, b_obstacle=0.6) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -273,3 +273,29 @@ def test_spec_dict_is_json_ready():
     import json
     text = json.dumps(spec_to_dict(build_s4()), sort_keys=True)
     assert "byzantine_ids" in text
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: d.update(dt=0.0), "scenario.dt: must be finite and > 0, got 0.0"),
+    (lambda d: d.update(dt=-0.05), "scenario.dt: must be finite and > 0"),
+    (lambda d: d.update(dt=float("inf")), "scenario.dt: must be finite and > 0"),
+    (lambda d: d.update(dt=float("nan")), "scenario.dt: must be finite and > 0"),
+    (lambda d: d.update(time_limit=-1.0), "scenario.time_limit: must be finite and >= 0"),
+    (lambda d: d.update(time_limit=float("inf")), "scenario.time_limit: must be finite"),
+    (lambda d: d["planner"].update(goal_xy_tol=2.5),
+     "scenario.planner.goal_xy_tol: must not exceed goal_tolerance=2.0, got 2.5"),
+    (lambda d: d.update(goal_tolerance=0.5),
+     "scenario.planner.goal_xy_tol: must not exceed goal_tolerance=0.5, got 1.0"),
+], ids=["dt-zero", "dt-negative", "dt-inf", "dt-nan", "time-limit-negative",
+        "time-limit-inf", "goal-xy-tol-too-wide", "goal-tolerance-too-tight"])
+def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message):
+    d = spec_to_dict(build_s2())
+    damage(d)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        spec_from_dict(d)
+
+
+def test_spec_limits_admit_the_edges():
+    s2 = build_s2()
+    replace(s2, time_limit=0.0)
+    replace(s2, planner=replace(s2.planner, goal_xy_tol=s2.goal_tolerance))
