@@ -376,12 +376,21 @@ def _decode_map(d, path: str) -> VersionedMap:
             raise ValueError(f"{where}: {exc}") from None
     try:
         return VersionedMap(**{**kwargs, "versions": tuple(versions)})
-    except ValueError as exc:    # the message starts with the field at fault
-        raise ValueError(f"{path}.{exc}") from None
+    except ValueError as exc:
+        raise _located(exc, path, VersionedMap) from None
 
 
 # "name: ..." or "name.sub: ...", a message naming the field at fault
 _FIELD_FIRST = re.compile(r"([A-Za-z_]\w*)(\.\w+)*: ")
+
+
+def _located(exc: ValueError, path: str, cls) -> ValueError:
+    """cls's constructor error under `path`; a message that starts with a
+    field of cls extends the dotted path, e.g. `scenario.dt: ...`."""
+    field_first = _FIELD_FIRST.match(str(exc))
+    if field_first and field_first[1] in {f.name for f in fields(cls)}:
+        return ValueError(f"{path}.{exc}")
+    return ValueError(f"{path}: {exc}")
 
 
 def _decode(tp, value, path: str):
@@ -403,10 +412,7 @@ def _decode(tp, value, path: str):
         try:
             return tp(**kwargs)
         except ValueError as exc:
-            field_first = _FIELD_FIRST.match(str(exc))
-            if field_first and field_first[1] in {f.name for f in fields(tp)}:
-                raise ValueError(f"{path}.{exc}") from None
-            raise ValueError(f"{path}: {exc}") from None
+            raise _located(exc, path, tp) from None
     if origin in (tuple, frozenset):
         if not isinstance(value, list):
             raise ValueError(f"{path}: expected a list, got {type(value).__name__}")

@@ -77,6 +77,7 @@ class Polyline:
         """
         q = np.asarray(point, dtype=float)[:2]
         a, d, len2 = self._starts, self._dirs, self._len2
+        # np.clip's bits: maximum(0.0, x) keeps the sign of an x of -0.0
         t = np.minimum(np.maximum(0.0, ((q - a) * d).sum(axis=1) / self._len2_safe), 1.0)
         t = np.where(self._zero, 0.0, t)
         closest = a + t[:, None] * d
