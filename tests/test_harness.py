@@ -180,13 +180,12 @@ def test_run_batch_aggregates(tmp_path):
 
 def test_planning_maps_are_built_once_per_map_version(monkeypatch):
     from v2xloop import harness
-    calls = []
+    original, calls = harness.route_deviation_field, []
 
     def counted(grid, reference_path):
-        calls.append(grid.cells.shape)
-        return route_deviation_field(grid, reference_path)
+        calls.append(reference_path)
+        return original(grid, reference_path)
 
-    route_deviation_field = harness.route_deviation_field
     monkeypatch.setattr(harness, "route_deviation_field", counted)
     spec = build_s3()
     results, _ = run_batch(spec, [1, 2, 3])
