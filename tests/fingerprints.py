@@ -3,9 +3,11 @@
 Every entry is the SHA-256 of one file a run writes (or of one built-in
 spec's document), grouped under a key naming the run:
 
-- `episode/<scenario>/seed-<n>`: the log tree and summary of s1-s4 at seeds 1-2;
+- `episode/<scenario>/seed-<n>`: the log tree and summary of s1-s4 at seeds 1-2,
+  and of the s1 curve variant (`s1-curve`) at seed 1;
 - `ablation/<arm>`: the s2 no-V2X, s3 no-update and s4 no-gate arms at seed 1;
-- `sweep`: `sweep.csv` and `pareto.json` of the perfbench sweep grid at seed 1;
+- `sweep`, `sweep/seed-2`: `sweep.csv` and `pareto.json` of the perfbench
+  sweep grid at seeds 1 and 2;
 - `batch/s2`: an s2 batch over seeds 1-3, its `batch.json` and log trees;
 - `spec/<name>`: `spec_to_dict` of the eight built-in specs.
 
@@ -67,12 +69,17 @@ def compute(work: Path) -> dict[str, dict[str, str]]:
             key = f"episode/{sid}/seed-{seed}"
             run_episode(spec, seed, work / key)
             out[key] = tree_fingerprints(work / key)
+    key = "episode/s1-curve/seed-1"
+    run_episode(_spec("s1-curve"), 1, work / key)
+    out[key] = tree_fingerprints(work / key)
     for arm in ABLATION_ARMS:
         key = f"ablation/{arm}"
         run_episode(_spec(arm), 1, work / key)
         out[key] = tree_fingerprints(work / key)
     run_sweep(SWEEP_GRID, ("s1", "s2"), [1], work / "sweep")
     out["sweep"] = tree_fingerprints(work / "sweep")
+    run_sweep(SWEEP_GRID, ("s1", "s2"), [2], work / "sweep-seed-2")
+    out["sweep/seed-2"] = tree_fingerprints(work / "sweep-seed-2")
     run_batch(_spec("s2"), [1, 2, 3], work / "batch" / "s2")
     out["batch/s2"] = tree_fingerprints(work / "batch" / "s2")
     for name in BUILT_IN_SPECS:
