@@ -1,8 +1,8 @@
 """Colluding roadside stations forge road-closure claims; the gate holds.
 
 Three of ten stations are compromised and keep announcing a closure just
-ahead of the ego. With the quorum gate on, their combined weight (3) never
-reaches the 2f+1 = 7 threshold, so the forgeries stay pending and the drive
+ahead of the ego. With the quorum gate on, their 3 supporting stations never
+reach the 2f+1 = 7 threshold, so the forgeries stay pending and the drive
 completes. With the gate off, the first forged claim is believed, the planner
 loses its corridor, and the run degrades to a safety stop.
 

@@ -1,11 +1,13 @@
-"""Acceptance gate for V2X event claims: weighted quorum plus sensor veto.
+"""Acceptance gate for V2X event claims: station quorum plus sensor veto.
 
 An event hypothesis is accepted only when enough distinct authenticated
 stations corroborate it inside a recency window AND the onboard sensor does
-not contradict it. With uniform weights the threshold 2f + 1 tolerates f
-Byzantine reporters out of n >= 3f + 1 stations, which `ScenarioSpec`
-checks. Disabling the gate reproduces the naive consumer: the first
-authenticated DENM is believed outright.
+not contradict it. The default threshold 2f + 1 tolerates f Byzantine
+reporters out of n >= 3f + 1 stations, which `ScenarioSpec` checks. An
+explicit quorum must exceed f: a forged event has no honest support, so f
+colluders alone must never reach it (Malkhi & Reiter 1998, "Byzantine
+Quorum Systems"). Disabling the gate reproduces the naive consumer: the
+first authenticated DENM is believed outright.
 """
 
 from __future__ import annotations
@@ -19,21 +21,20 @@ from .ldm import ACCEPTED, PENDING, EventHypothesis
 @dataclass(frozen=True)
 class GateConfig:
     f: int = 3                        # tolerated Byzantine stations
-    quorum: float | None = None       # defaults to 2f + 1 with unit weights
+    quorum: float | None = None       # stations needed; defaults to 2f + 1
     eta: float = 0.5                  # sensor-likelihood floor
     support_radius: float = 15.0      # [m] claims farther than this do not count
     sensor_support_radius: float = 3.0  # [m] detection-to-event match for the veto
     tau_bft: float = 3.0              # [s] recency window for support
     enabled: bool = True
-    weights: dict | None = None       # station_id -> weight, default 1.0
+
+    def __post_init__(self):
+        if self.quorum is not None and not self.quorum > self.f:
+            raise ValueError(f"quorum: must exceed f={self.f}, or f colluding "
+                             f"stations reach it alone, got {self.quorum}")
 
     def threshold(self) -> float:
         return float(2 * self.f + 1) if self.quorum is None else float(self.quorum)
-
-    def weight_of(self, station_id: str) -> float:
-        if self.weights is None:
-            return 1.0
-        return float(self.weights.get(station_id, 1.0))
 
 
 REASON_ACCEPTED = "accepted"
@@ -45,23 +46,18 @@ REASON_VETO = "veto_fail"
 class GateDecision:
     event_id: str
     accepted: bool
-    support_weight: float
+    support_weight: int               # distinct supporting stations
     sensor_likelihood: float
     decided_at: float
     reason: str
 
 
-def support_weight(event: EventHypothesis, cfg: GateConfig, now: float) -> float:
-    """Sum of weights over distinct stations with a fresh, in-radius claim."""
-    total = 0.0
-    for station_id, (recv_time, claim) in event.support.items():
-        if recv_time < now - cfg.tau_bft or recv_time > now:
-            continue
-        d = math.hypot(claim[0] - event.position[0], claim[1] - event.position[1])
-        if d > cfg.support_radius:
-            continue
-        total += cfg.weight_of(station_id)
-    return total
+def support_weight(event: EventHypothesis, cfg: GateConfig, now: float) -> int:
+    """Number of distinct stations with a fresh, in-radius claim."""
+    return sum(1 for recv_time, claim in event.support.values()
+               if now - cfg.tau_bft <= recv_time <= now
+               and math.hypot(claim[0] - event.position[0],
+                              claim[1] - event.position[1]) <= cfg.support_radius)
 
 
 def evaluate(event: EventHypothesis, cfg: GateConfig, sensor_likelihood: float,

@@ -4,9 +4,9 @@ One episode couples the world, the fused environment model, the acceptance
 gate, the replanner, and the tracking controller on a fixed-step clock.
 The order inside a tick is always: activate any downloaded map, snapshot
 ground truth, check termination, project the ego onto the route, sense,
-exchange V2X traffic, synchronize and fuse, poll the map server, gate
-pending event hypotheses, project the ego onto the plan, evaluate replan
-triggers, compute the command, log, step the vehicle. The ego is projected
+exchange V2X traffic, fuse, poll the map server, gate pending event
+hypotheses, project the ego onto the plan, evaluate replan triggers,
+compute the command, log, step the vehicle. The ego is projected
 once onto the route and once onto the plan per tick (again onto a plan a
 replan just made), and every stage reuses those arc lengths.
 
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .control import ControlCommand, PidState, follow_tick, safety_stop_command
 from .gate import apply_decision, evaluate
-from .ldm import PENDING, fuse_tick, initial_state, synchronize
+from .ldm import PENDING, fuse_tick, initial_state
 from .logio import CsvLog, _round_floats, read_csv, read_json, roundtrip_rows, write_json
 from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
                       clear_mot, command_variance, gate_rates, heading_stats,
@@ -203,13 +203,11 @@ def run_episode(spec: ScenarioSpec, seed: int,
     ref = spec.route.reference_path
 
     ldm = initial_state(active)
-    sense_buffer: list = []
     frames_window: list = []
-    window_keep = max(spec.sensor_likelihood_window, spec.ldm.tau_sync) + 0.2
+    window_keep = spec.sensor_likelihood_window + 0.2
     in_flight: list = []
     seq_counters: dict[str, int] = {}
     denm_started: set = set()
-    counters: dict[str, int] = {}
     next_ids = {"track": [1], "event": [1]}
     logged_status: dict[str, str] = {}
     # labels use the hazards as built, not the rounded copy in meta.json
@@ -286,7 +284,6 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
         frame = sense(ego.pose, [o for o, sensable in truth if sensable],
                       spec.sensor, streams.get("sense"), t)
-        sense_buffer.append((t, frame))
         frames_window.append(frame)
         while frames_window and frames_window[0].timestamp < t - window_keep:
             frames_window.pop(0)
@@ -327,9 +324,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                     logs["v2x"].append(k, t, m.station_id, m.msg_kind, m.seq_no,
                                        m.gen_time, m.recv_time, ek, ex, ey)
 
-        bundle = synchronize(sense_buffer, t, spec.ldm.tau_sync)
-        ldm = fuse_tick(ldm, bundle, due, active, [frame], spec.ldm, t,
-                        counters, next_ids)
+        ldm = fuse_tick(ldm, t, due, active, [frame], spec.ldm, next_ids)
 
         if client is not None and k > 0 and k % poll_ticks == 0:
             jitter = client.download_latency_jitter
@@ -429,8 +424,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
         "metrics": asdict(m),
         "objectives": list(objective_vector(m, spec.metrics)),
         "counters": {"plans": plan_count, "ticks": ticks_done,
-                     "events": len(ldm.events), "tracks_born": next_ids["track"][0] - 1,
-                     **counters},
+                     "events": len(ldm.events),
+                     "tracks_born": next_ids["track"][0] - 1},
     }
 
     out_path: Path | None = None

@@ -1,4 +1,4 @@
-"""Local dynamic map: sliding-window fusion of detections and V2X messages.
+"""Local dynamic map: per-tick fusion of detections and V2X messages.
 
 Object tracks carry an existence belief updated in log-odds form; one update
 folds in the onboard sensor's likelihood ratio and a weighted likelihood
@@ -6,6 +6,8 @@ ratio per corroborating V2X source. A covering sensor frame that sees
 nothing at a track is contradiction evidence, which is what lets the ego
 veto V2X claims about its own field of view. DENMs accumulate into event
 hypotheses that stay pending until the acceptance gate or expiry decides.
+Each tick fuses exactly the sensor frames and messages handed to it, so every
+input is fused once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .world import MapVersion
 
 @dataclass(frozen=True)
 class LdmParams:
-    tau_sync: float = 0.1             # [s] synchronization window
     d_gate: float = 2.0               # [m] association gate
     b_prune: float = 0.05             # drop tracks below this belief
     tau_stale: float = 1.0            # [s] drop tracks unsupported this long
@@ -78,7 +79,7 @@ class EventHypothesis:
     kind: str
     position: tuple[float, float]
     first_seen: float
-    # latest authenticated claim per station: id -> (recv_time, claimed position)
+    # latest claim per station: id -> (recv_time, claimed position)
     support: dict = field(default_factory=dict)
     status: str = PENDING
     accepted_at: float | None = None
@@ -121,24 +122,6 @@ class LdmState:
 
 
 @dataclass(frozen=True)
-class SyncBundle:
-    items: tuple       # (timestamp, payload) pairs, oldest first
-
-
-def synchronize(buffer: list, t: float, tau_sync: float) -> SyncBundle:
-    """Select items with t - tau <= t_k <= t; the buffer drops older ones.
-
-    `buffer` is a list of (timestamp, item) pairs and is pruned in place so
-    the caller's retention matches the window.
-    """
-    kept = [(tk, item) for tk, item in buffer if t - tau_sync <= tk <= t]
-    late = [(tk, item) for tk, item in buffer if tk > t]
-    buffer[:] = kept + late
-    kept.sort(key=lambda pair: pair[0])
-    return SyncBundle(items=tuple(kept))
-
-
-@dataclass(frozen=True)
 class Measurement:
     """Association input: one detection or one CAM, in world coordinates."""
 
@@ -146,7 +129,6 @@ class Measurement:
     velocity: tuple[float, float]
     confidence: float
     source: str                       # "sensor" or "cam:<station_id>"
-    timestamp: float
 
 
 def associate(measurements, tracks, d_gate: float, now: float):
@@ -193,21 +175,17 @@ def update_belief(belief: float, lr_sensor: float, v2x_support,
 
 
 def ingest_denm(msg: V2xMessage, events: list, params: LdmParams,
-                counters: dict, next_event_no: list) -> EventHypothesis | None:
+                next_event_no: list) -> EventHypothesis:
     """Fold one DENM into the hypothesis set.
 
     Merges into the nearest same-kind hypothesis within the merge radius
     whose latest report is recent enough, otherwise opens a new pending
     hypothesis. Kinds never mix: a closure claim next to a stalled-vehicle
     hypothesis is a different assertion about the world, not a corroboration.
-    Unauthenticated messages are dropped and counted. Returns the touched
-    hypothesis, or None for a drop.
+    Returns the touched hypothesis.
     """
     if msg.msg_kind != DENM:
         raise ValueError("ingest_denm expects a DENM")
-    if not msg.authenticated:
-        counters["unauthenticated_denms"] = counters.get("unauthenticated_denms", 0) + 1
-        return None
     claim = tuple(msg.payload.event_position)
     recv = msg.recv_time
 
@@ -241,35 +219,30 @@ def ingest_denm(msg: V2xMessage, events: list, params: LdmParams,
     return best
 
 
-def fuse_tick(prev: LdmState, bundle: SyncBundle, delivered_v2x,
-              active_map: MapVersion, frames_this_tick, params: LdmParams,
-              now: float, counters: dict, next_ids: dict) -> LdmState:
-    """One fusion step over the synchronized bundle and fresh V2X deliveries.
+def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
+              frames, params: LdmParams, next_ids: dict) -> LdmState:
+    """One fusion step over this tick's sensor frames and V2X deliveries.
 
-    Items older than the previous stamp were already consumed by an earlier
-    tick and only ride along in the window for late-arrival tolerance, so
-    belief updates count each item exactly once. `counters` and `next_ids`
-    ({"track": [n], "event": [n]}) carry the episode's tallies and id
-    sequences between ticks.
+    Every detection of `frames` and every message of `delivered_v2x` is
+    fused here and nowhere else; the frames' coverage is this tick's
+    contradiction evidence. `next_ids` ({"track": [n], "event": [n]})
+    carries the episode's id sequences between ticks.
     """
     tracks: list[Track] = prev.objects
 
     measurements: list[Measurement] = []
-    for tk, item in bundle.items:
-        if tk <= prev.stamp and prev.stamp > 0.0:
-            continue
-        for det in item.detections:
+    for frame in frames:
+        for det in frame.detections:
             measurements.append(Measurement(
                 position=det.world_position, velocity=det.world_velocity,
-                confidence=det.confidence, source="sensor", timestamp=tk))
+                confidence=det.confidence, source="sensor"))
     denms = []
     for msg in delivered_v2x:
         if msg.msg_kind == CAM:
             measurements.append(Measurement(
                 position=tuple(msg.payload.position),
                 velocity=tuple(msg.payload.velocity),
-                confidence=1.0, source=f"cam:{msg.station_id}",
-                timestamp=msg.recv_time))
+                confidence=1.0, source=f"cam:{msg.station_id}"))
         elif msg.msg_kind == DENM:
             denms.append(msg)
 
@@ -294,7 +267,7 @@ def fuse_tick(prev: LdmState, bundle: SyncBundle, delivered_v2x,
                            tr.velocity[1] + av * (vy - tr.velocity[1]))
             tr.last_update = now
 
-        covered = any(f.covers(tr.predicted(now)) for f in frames_this_tick)
+        covered = any(f.covers(tr.predicted(now)) for f in frames)
         if sensor_hits:
             lr_sensor = params.lr_detect
         elif covered:
@@ -320,7 +293,7 @@ def fuse_tick(prev: LdmState, bundle: SyncBundle, delivered_v2x,
 
     events = prev.events
     for msg in denms:
-        ingest_denm(msg, events, params, counters, next_ids["event"])
+        ingest_denm(msg, events, params, next_ids["event"])
     for hyp in events:
         if hyp.status == PENDING and now - hyp.first_seen > params.tau_event:
             hyp.status = EXPIRED

@@ -1,9 +1,8 @@
 """Abstract onboard sensor: range/FOV gated detections with misses and clutter.
 
 There is no ray casting; an object inside the coverage wedge is detected
-unless a miss is drawn. Detections carry ego-frame coordinates (what a real
-perception stack emits) plus the world-frame equivalents resolved with the
-ego pose at sensing time, which is what fusion consumes.
+unless a miss is drawn. Detections are in world coordinates, resolved with
+the ego pose at sensing time, which is what fusion and the veto consume.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import wrap_angle
+from .world import check_range, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -25,16 +24,16 @@ class SensorModel:
     p_miss: float = 0.15              # per object per frame
     clutter_rate: float = 0.3         # Poisson mean false detections per frame
 
+    def __post_init__(self):
+        check_range(self, ("p_miss",), hi=1.0)
+        check_range(self, ("pos_noise_sigma", "vel_noise_sigma", "clutter_rate"))
+
 
 @dataclass(frozen=True)
 class Detection:
-    position: tuple[float, float]     # [m] ego frame, x forward
-    velocity: tuple[float, float]     # [m/s] ego frame
-    timestamp: float
-    source: str                       # "sensor" or "clutter" (truth bookkeeping only)
     confidence: float                 # [0, 1]
-    world_position: tuple[float, float]
-    world_velocity: tuple[float, float]
+    world_position: tuple[float, float]   # [m]
+    world_velocity: tuple[float, float]   # [m/s]
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,6 @@ class SenseFrame:
         return abs(bearing) <= self.field_of_view / 2.0 + 1e-12
 
 
-def _to_ego(ego_pose, wx: float, wy: float) -> tuple[float, float]:
-    ex, ey, eh = ego_pose
-    c, s = math.cos(eh), math.sin(eh)
-    dx, dy = wx - ex, wy - ey
-    return (c * dx + s * dy, -s * dx + c * dy)
-
-
 def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
           timestamp: float) -> SenseFrame:
     """Produce one frame of detections for the visible subset of `truth_objects`.
@@ -71,7 +63,6 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
     Objects are visited in id order so the draw sequence is reproducible.
     """
     ex, ey, eh = ego_pose
-    c, s = math.cos(eh), math.sin(eh)
     detections: list[Detection] = []
 
     for obj in sorted(truth_objects, key=lambda o: o.object_id):
@@ -90,11 +81,8 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
         wx, wy = obj.position[0] + nx, obj.position[1] + ny
         wvx, wvy = obj.velocity[0] + nvx, obj.velocity[1] + nvy
         conf = rng.uniform(0.6, 1.0)
-        detections.append(Detection(
-            position=_to_ego(ego_pose, wx, wy),
-            velocity=(c * wvx + s * wvy, -s * wvx + c * wvy),
-            timestamp=timestamp, source="sensor", confidence=conf,
-            world_position=(wx, wy), world_velocity=(wvx, wvy)))
+        detections.append(Detection(confidence=conf, world_position=(wx, wy),
+                                    world_velocity=(wvx, wvy)))
 
     n_clutter = int(rng.poisson(model.clutter_rate)) if model.clutter_rate > 0 else 0
     for _ in range(n_clutter):
@@ -104,10 +92,8 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
         wx = ex + r * math.cos(eh + b)
         wy = ey + r * math.sin(eh + b)
         conf = rng.uniform(0.1, 0.6)
-        detections.append(Detection(
-            position=_to_ego(ego_pose, wx, wy),
-            velocity=(0.0, 0.0), timestamp=timestamp, source="clutter",
-            confidence=conf, world_position=(wx, wy), world_velocity=(0.0, 0.0)))
+        detections.append(Detection(confidence=conf, world_position=(wx, wy),
+                                    world_velocity=(0.0, 0.0)))
 
     return SenseFrame(timestamp=timestamp, ego_pose=tuple(ego_pose),
                       detections=tuple(detections),

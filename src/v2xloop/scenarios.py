@@ -254,8 +254,8 @@ def build_s3(updates_enabled: bool = True) -> ScenarioSpec:
         LaneSegment("det_b", _straight((56.0, 62.0), (80.0, 62.0)), hw),
         LaneSegment("det_c", _straight((80.0, 62.0), (80.0, 30.0)), hw),
     ]
-    v1 = build_corridor_map(1, segs_v1, 100.0, 100.0, 0.5, created_at=0.0)
-    v2 = build_corridor_map(2, segs_v2, 100.0, 100.0, 0.5, created_at=4.0)
+    v1 = build_corridor_map(1, segs_v1, 100.0, 100.0, 0.5)
+    v2 = build_corridor_map(2, segs_v2, 100.0, 100.0, 0.5)
     vmap = VersionedMap(size=(100.0, 100.0), cell_size=0.5,
                         versions=(v1, v2), publish_times=(None, 4.0))
     ref = _straight((8.0, 30.0), (92.0, 30.0), n=24)
@@ -371,7 +371,7 @@ def _decode_map(d, path: str) -> VersionedMap:
         try:
             versions.append(build_corridor_map(
                 v["version_id"], v["lane_graph"], *kwargs["size"],
-                kwargs["cell_size"], created_at=v.get("created_at", 0.0)))
+                kwargs["cell_size"]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     try:

@@ -3,7 +3,7 @@
 Stations are either roadside units at fixed positions or transmitters bound
 to a scripted vehicle. Byzantine stations hold valid credentials and mount a
 content-level attack: authenticated DENMs for hazards that do not exist.
-Cryptographic plumbing is out of scope; `authenticated` is a trusted flag.
+Cryptographic plumbing is out of scope: every message counts as authenticated.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .world import HAZARD_KINDS, Route
+from .world import HAZARD_KINDS, Route, check_range
 
 CAM = "CAM"
 DENM = "DENM"
@@ -38,7 +38,6 @@ class V2xMessage:
     seq_no: int
     gen_time: float
     payload: object
-    authenticated: bool = True
     recv_time: float | None = None    # set by transmit()
 
 
@@ -87,6 +86,10 @@ class ChannelModel:
     latency_mean: float = 0.14        # [s]
     latency_jitter: float = 0.025     # [s] Gaussian sigma, clamped at zero latency
 
+    def __post_init__(self):
+        check_range(self, ("drop_prob",), hi=1.0)
+        check_range(self, ("latency_mean", "latency_jitter"))
+
 
 ATTACK_PLACEMENTS = ("on_route_ahead", "uniform_in_map")
 
@@ -103,6 +106,9 @@ class AttackPolicy:
     colluding: bool = True            # all attackers corroborate one location
 
     def __post_init__(self):
+        check_range(self, ("p_attack",), hi=1.0)
+        # a period of 0 never emits
+        check_range(self, ("emission_period",))
         if self.placement not in ATTACK_PLACEMENTS:
             raise ValueError(f"attack.placement must be one of {ATTACK_PLACEMENTS}, "
                              f"got {self.placement!r}")

@@ -21,6 +21,19 @@ def wrap_angle(a: float) -> float:
     return (a + math.pi) % TWO_PI - math.pi
 
 
+def check_range(obj, names, lo: float = 0.0, hi: float = math.inf) -> None:
+    """Reject a field of `obj` that is not finite or lies outside [lo, hi].
+
+    The message starts with the field, so the scenario decoder reports its
+    dotted path, e.g. `scenario.sensor.p_miss: ...`.
+    """
+    bound = f">= {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and lo <= value <= hi):
+            raise ValueError(f"{name}: must be finite and {bound}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # polyline geometry
 
@@ -246,7 +259,6 @@ class MapVersion:
     version_id: int
     lane_graph: tuple[LaneSegment, ...]
     occupancy: OccupancyGrid
-    created_at: float = 0.0
     # read-only planning views of this version, built by the first episode
     # that plans on it and reused for as long as the version lives:
     # (route reference path, collision radius) -> (planning grid, deviation field)
@@ -319,8 +331,8 @@ def planning_occupancy(version: MapVersion, vehicle_radius: float) -> OccupancyG
 
 
 def build_corridor_map(version_id: int, segments: list[LaneSegment],
-                       size_x: float, size_y: float, cell_size: float = 0.5,
-                       created_at: float = 0.0) -> MapVersion:
+                       size_x: float, size_y: float, cell_size: float = 0.5
+                       ) -> MapVersion:
     """Occupancy from a lane graph: everything is wall except open corridors."""
     grid = empty_grid(size_x, size_y, cell_size, occupied=True)
     cells = grid.cells
@@ -330,7 +342,7 @@ def build_corridor_map(version_id: int, segments: list[LaneSegment],
                            value=False)
     occ = OccupancyGrid(cells=cells, cell_size=cell_size, origin=grid.origin)
     return MapVersion(version_id=version_id, lane_graph=tuple(segments),
-                      occupancy=occ, created_at=created_at)
+                      occupancy=occ)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Quorum-with-veto acceptance gate for V2X event claims."""
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
 from v2xloop.gate import (GateConfig, REASON_ACCEPTED, REASON_QUORUM,
                           REASON_VETO, apply_decision, evaluate,
                           support_weight)
@@ -22,13 +25,6 @@ def test_threshold_default_is_2f_plus_1():
     assert GateConfig(f=3).threshold() == 7.0
     assert GateConfig(f=1).threshold() == 3.0
     assert GateConfig(f=1, quorum=4.0).threshold() == 4.0
-
-
-def test_weight_of_defaults_and_overrides():
-    assert CFG.weight_of("anything") == 1.0
-    weighted = GateConfig(weights={"trusted": 2.0})
-    assert weighted.weight_of("trusted") == 2.0
-    assert weighted.weight_of("other") == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +56,6 @@ def test_support_excludes_far_claims():
                "far": (5.0, (80.0, 10.0))}   # 30 m from the hypothesis
     ev = _event(support=support)
     assert support_weight(ev, CFG, now=5.0) == 1.0
-
-
-def test_support_applies_weights():
-    cfg = GateConfig(weights={"s0": 3.0})
-    ev = _event(support=_support(2, t=5.0))
-    assert support_weight(ev, cfg, now=5.0) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +99,39 @@ def test_attacker_minority_never_reaches_quorum():
         ev = _event(support=_support(k))
         d = evaluate(ev, CFG, sensor_likelihood=1.0, now=5.0)
         assert not d.accepted
+
+
+def test_explicit_quorum_must_exceed_f():
+    with pytest.raises(ValueError, match=r"^quorum: must exceed f=2"):
+        GateConfig(f=2, quorum=2.0)
+    assert GateConfig(f=2, quorum=2.5).threshold() == 2.5
+    assert GateConfig(f=0, quorum=1.0).threshold() == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_colluding_coalition_never_reaches_a_valid_quorum(data):
+    # any n, f and quorum the gate admits, and at most f colluders agreeing
+    # on one forged location with claims at both edges of the tau_bft window:
+    # a forged event has no honest support, so it stays below quorum
+    f = data.draw(st.integers(0, 12), label="f")
+    n = data.draw(st.integers(3 * f + 1, 3 * f + 12), label="n")
+    quorum = data.draw(st.none() | st.floats(0.0, n), label="quorum")
+    tau_bft = data.draw(st.floats(0.1, 10.0), label="tau_bft")
+    try:
+        cfg = GateConfig(f=f, quorum=quorum, tau_bft=tau_bft)
+    except ValueError:
+        assume(False)
+    k = data.draw(st.integers(0, f), label="coalition")
+    now = data.draw(st.floats(0.0, 100.0), label="now")
+    edges = (now - cfg.tau_bft, now)
+    support = {f"byz-{i}": (data.draw(st.sampled_from(edges)), (50.0, 10.0))
+               for i in range(k)}
+    event = _event(support=support)
+    assert support_weight(event, cfg, now) == k
+    d = evaluate(event, cfg, sensor_likelihood=1.0, now=now)
+    assert not d.accepted
+    assert d.reason == REASON_QUORUM
 
 
 def test_disabled_gate_believes_first_claim():

@@ -4,17 +4,21 @@ import math
 import re
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from v2xloop import harness
 from v2xloop.harness import (LOG_NAMES, compute_episode_metrics, replay,
                              run_batch, run_episode, run_sweep)
 from v2xloop.logio import read_csv, read_json
 from v2xloop.metrics import MetricParams
 from v2xloop.pareto import Configuration
+from v2xloop.perception import SenseFrame
 from v2xloop.rng import StreamSet, stream
 from v2xloop.scenarios import (apply_configuration, build_s1, build_s2, build_s3,
-                               spec_from_dict, spec_to_dict)
+                               build_s4, spec_from_dict, spec_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -286,3 +290,71 @@ def test_metrics_label_claims_against_meta_hazards():
     assert m.trigger_latency_ms == pytest.approx(350.0)  # true events only
     assert m.false_positive_rate == 1.0
     assert m.false_negative_rate == 0.0
+
+
+harness_sense, harness_transmit = harness.sense, harness.transmit
+harness_fuse_tick = harness.fuse_tick
+
+
+class _WatchedFrame(SenseFrame):
+    """A sense frame that notes which fusion calls read its detections.
+
+    `fusing` is shared with the test: {"call": index of the fuse_tick call
+    running, or None}; `fused_in` collects those indices.
+    """
+
+    def __getattribute__(self, name):
+        if name == "detections":
+            call = object.__getattribute__(self, "fusing")["call"]
+            if call is not None:
+                object.__getattribute__(self, "fused_in").add(call)
+        return object.__getattribute__(self, name)
+
+
+@settings(max_examples=4, deadline=None)
+@given(dt=st.floats(0.02, 0.15), seed=st.integers(1, 50))
+def test_every_frame_and_message_is_fused_exactly_once(dt, seed):
+    for spec in (build_s2(), build_s4()):
+        spec = replace(spec, dt=dt, time_limit=5.0)
+        sensed, sent, passed = [], [], []
+        fusing = {"call": None}
+
+        def sense(*args):
+            frame = harness_sense(*args)
+            watched = _WatchedFrame(**{f.name: getattr(frame, f.name)
+                                       for f in fields(frame)})
+            object.__setattr__(watched, "fusing", fusing)
+            object.__setattr__(watched, "fused_in", set())
+            sensed.append(watched)
+            return watched
+
+        def transmit(*args):
+            delivered = harness_transmit(*args)
+            sent.extend(delivered)
+            return delivered
+
+        def fuse_tick(*args):
+            fusing["call"] = len(passed)
+            passed.append([(m.station_id, m.seq_no) for m in args[2]])
+            try:
+                return harness_fuse_tick(*args)
+            finally:
+                fusing["call"] = None
+
+        with patch.object(harness, "sense", sense), \
+                patch.object(harness, "transmit", transmit), \
+                patch.object(harness, "fuse_tick", fuse_tick):
+            run_episode(spec, seed)
+
+        # one fusion call per tick, and each tick's frame is read by its own
+        assert len(passed) == len(sensed)
+        for k, frame in enumerate(sensed):
+            assert frame.fused_in == {k}, \
+                f"{spec.scenario_id}: frame of tick {k} fused in calls {sorted(frame.fused_in)}"
+        # every message received by the last tick is fused once, on one tick
+        fused = [key for keys in passed for key in keys]
+        last_t = sensed[-1].timestamp
+        due = {(m.station_id, m.seq_no) for m in sent if m.recv_time <= last_t + 1e-9}
+        assert len(fused) == len(set(fused))
+        assert set(fused) == due
+        assert fused, f"{spec.scenario_id}: no message delivered"

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2xloop.ldm import (ACCEPTED, EXPIRED, PENDING, EventHypothesis,
-                         LdmParams, LdmState, Measurement, SyncBundle, Track,
-                         associate, contradiction_ratio, fuse_tick,
-                         ingest_denm, initial_state, synchronize,
-                         update_belief)
+                         LdmParams, LdmState, Measurement, Track, associate,
+                         contradiction_ratio, fuse_tick, ingest_denm,
+                         initial_state, update_belief)
 from v2xloop.perception import Detection, SenseFrame
 from v2xloop.v2x import CamPayload, DenmPayload, V2xMessage
 from v2xloop.world import LaneSegment, build_corridor_map
@@ -20,12 +19,11 @@ MAP0 = build_corridor_map(
     100.0, 20.0)
 
 
-def _denm(station, pos, kind="stationary_vehicle", recv=1.0, gen=None,
-          auth=True, seq=0):
+def _denm(station, pos, kind="stationary_vehicle", recv=1.0, gen=None, seq=0):
     return V2xMessage(msg_kind="DENM", station_id=station, seq_no=seq,
                       gen_time=gen if gen is not None else recv - 0.1,
                       payload=DenmPayload(event_kind=kind, event_position=pos),
-                      authenticated=auth, recv_time=recv)
+                      recv_time=recv)
 
 
 def _cam(station, pos, vel=(0.0, 0.0), recv=1.0):
@@ -40,14 +38,8 @@ def _frame(t, detections=(), ego=(0.0, 10.0, 0.0), max_range=25.0):
                       max_range=max_range, field_of_view=2.0 * math.pi)
 
 
-def _det(wx, wy, t, conf=0.9, vel=(0.0, 0.0)):
-    return Detection(position=(wx, wy), velocity=vel, timestamp=t,
-                     source="sensor", confidence=conf, world_position=(wx, wy),
-                     world_velocity=vel)
-
-
-def _bundle(t, frames):
-    return SyncBundle(items=tuple((f.timestamp, f) for f in frames))
+def _det(wx, wy, conf=0.9, vel=(0.0, 0.0)):
+    return Detection(confidence=conf, world_position=(wx, wy), world_velocity=vel)
 
 
 def _new_ids():
@@ -56,8 +48,7 @@ def _new_ids():
 
 def _tick(state, t, frames=(), v2x=(), params=P, next_ids=None):
     """One fusion step; without `next_ids` the id sequences start afresh."""
-    return fuse_tick(state, _bundle(t, list(frames)), list(v2x), MAP0,
-                     list(frames), params, t, {},
+    return fuse_tick(state, t, list(v2x), MAP0, list(frames), params,
                      next_ids if next_ids is not None else _new_ids())
 
 
@@ -116,31 +107,6 @@ def test_update_belief_stays_clamped(b, lr, cams):
 
 
 # ---------------------------------------------------------------------------
-# synchronization window
-
-
-def test_synchronize_window_boundaries():
-    buf = [(9.89, "old"), (9.96, "a"), (9.99, "b"), (10.0, "c"), (10.2, "late")]
-    bundle = synchronize(buf, 10.0, 0.1)
-    assert [item for _, item in bundle.items] == ["a", "b", "c"]
-    # pruned in place: the stale entry is gone, the late one is retained
-    assert [item for _, item in buf] == ["a", "b", "c", "late"]
-
-
-def test_synchronize_sorts_oldest_first():
-    buf = [(10.0, "c"), (9.95, "a"), (9.97, "b")]
-    bundle = synchronize(buf, 10.0, 0.1)
-    assert [tk for tk, _ in bundle.items] == [9.95, 9.97, 10.0]
-
-
-def test_synchronize_empty_window():
-    buf = [(5.0, "x")]
-    bundle = synchronize(buf, 10.0, 0.1)
-    assert bundle.items == ()
-    assert buf == []
-
-
-# ---------------------------------------------------------------------------
 # association
 
 
@@ -149,9 +115,8 @@ def _track(tid, pos, vel=(0.0, 0.0), belief=0.6, t=0.0):
                  last_update=t)
 
 
-def _meas(pos, source="sensor", conf=0.9, t=1.0, vel=(0.0, 0.0)):
-    return Measurement(position=pos, velocity=vel, confidence=conf,
-                       source=source, timestamp=t)
+def _meas(pos, source="sensor", conf=0.9, vel=(0.0, 0.0)):
+    return Measurement(position=pos, velocity=vel, confidence=conf, source=source)
 
 
 def test_associate_nearest_within_gate():
@@ -192,7 +157,7 @@ def test_associate_uses_predicted_position():
 
 def test_birth_starts_below_obstacle_threshold():
     state = initial_state(MAP0)
-    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0, 0.05)])])
+    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
     assert len(state.objects) == 1
     assert state.objects[0].belief == P.b_birth
     assert state.obstacles(0.6) == []    # one hit is not yet an obstacle
@@ -200,8 +165,8 @@ def test_birth_starts_below_obstacle_threshold():
 
 def test_second_hit_confirms():
     state = initial_state(MAP0)
-    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0, 0.05)])])
-    state = _tick(state, 0.10, frames=[_frame(0.10, [_det(12.1, 10.0, 0.10)])])
+    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
+    state = _tick(state, 0.10, frames=[_frame(0.10, [_det(12.1, 10.0)])])
     assert len(state.objects) == 1
     assert state.objects[0].belief == pytest.approx(0.75)
     assert len(state.obstacles(0.6)) == 1
@@ -210,14 +175,14 @@ def test_second_hit_confirms():
 def test_low_confidence_birth_rejected():
     state = initial_state(MAP0)
     state = _tick(state, 0.05,
-                  frames=[_frame(0.05, [_det(12.0, 10.0, 0.05, conf=0.2)])])
+                  frames=[_frame(0.05, [_det(12.0, 10.0, conf=0.2)])])
     assert state.objects == []
 
 
 def test_covered_silence_erodes_belief():
     state = initial_state(MAP0)
-    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0, 0.05)])])
-    state = _tick(state, 0.10, frames=[_frame(0.10, [_det(12.0, 10.0, 0.10)])])
+    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
+    state = _tick(state, 0.10, frames=[_frame(0.10, [_det(12.0, 10.0)])])
     b_confirmed = state.objects[0].belief
     # covering frame, no detection: contradiction at the capped ratio
     state = _tick(state, 0.15, frames=[_frame(0.15)])
@@ -229,7 +194,7 @@ def test_covered_silence_erodes_belief():
 
 def test_uncovered_track_keeps_belief():
     state = initial_state(MAP0)
-    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0, 0.05)])])
+    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
     b0 = state.objects[0].belief
     # a frame that cannot see the track site: no evidence either way
     state = _tick(state, 0.10,
@@ -239,7 +204,7 @@ def test_uncovered_track_keeps_belief():
 
 def test_stale_track_dropped():
     state = initial_state(MAP0)
-    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0, 0.05)])])
+    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
     # no frames at all for longer than tau_stale
     state = _tick(state, 0.05 + P.tau_stale + 0.05)
     assert state.objects == []
@@ -247,7 +212,7 @@ def test_stale_track_dropped():
 
 def test_cam_measurements_support_tracks():
     state = initial_state(MAP0)
-    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0, 0.05)])])
+    state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
     # CAM only, no sensing frame: belief rises by lr_cam
     state = _tick(state, 0.10, v2x=[_cam("obu-a", (12.0, 10.0), recv=0.10)])
     # odds 1 * 2 = 2 -> 2/3
@@ -258,21 +223,10 @@ def test_track_ids_are_sequential():
     ids = _new_ids()
     state = initial_state(MAP0)
     state = _tick(state, 0.05, frames=[
-        _frame(0.05, [_det(12.0, 10.0, 0.05), _det(30.0, 10.0, 0.05)])],
+        _frame(0.05, [_det(12.0, 10.0), _det(30.0, 10.0)])],
         next_ids=ids)
     assert sorted(tr.track_id for tr in state.objects) == ["T1", "T2"]
     assert ids["track"][0] == 3
-
-
-def test_fuse_tick_skips_items_already_consumed():
-    state = initial_state(MAP0)
-    f1 = _frame(0.05, [_det(12.0, 10.0, 0.05)])
-    state = _tick(state, 0.05, frames=[f1])
-    # the same frame rides along in the next window but is not re-counted
-    f2 = _frame(0.10, [_det(12.1, 10.0, 0.10)])
-    bundle = SyncBundle(items=((0.05, f1), (0.10, f2)))
-    state = fuse_tick(state, bundle, [], MAP0, [f2], P, 0.10, {}, _new_ids())
-    assert state.objects[0].belief == pytest.approx(0.75)   # one update only
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +235,7 @@ def test_fuse_tick_skips_items_already_consumed():
 
 def test_ingest_denm_opens_pending_hypothesis():
     events = []
-    out = ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P, {}, [1])
+    out = ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P, [1])
     assert out is not None
     assert out.status == PENDING
     assert out.event_id == "E1"
@@ -292,8 +246,8 @@ def test_ingest_denm_opens_pending_hypothesis():
 def test_ingest_denm_merges_same_kind_nearby():
     events = []
     nums = [1]
-    ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P, {}, nums)
-    ingest_denm(_denm("rsu-1", (52.0, 10.0), recv=1.5), events, P, {}, nums)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P, nums)
+    ingest_denm(_denm("rsu-1", (52.0, 10.0), recv=1.5), events, P, nums)
     assert len(events) == 1
     assert sorted(events[0].support) == ["rsu-0", "rsu-1"]
     # pending refresh: position is the plain mean of the claims
@@ -303,55 +257,45 @@ def test_ingest_denm_merges_same_kind_nearby():
 def test_ingest_denm_kinds_never_mix():
     events = []
     nums = [1]
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), kind="debris"), events, P, {}, nums)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), kind="debris"), events, P, nums)
     ingest_denm(_denm("rsu-1", (50.5, 10.0), kind="road_closure"), events,
-                P, {}, nums)
+                P, nums)
     assert len(events) == 2
 
 
 def test_ingest_denm_merge_window_expires():
     events = []
     nums = [1]
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, {}, nums)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, nums)
     # next claim arrives past the merge window: separate hypothesis
     ingest_denm(_denm("rsu-1", (50.0, 10.0),
                       recv=1.0 + P.event_merge_window + 0.5),
-                events, P, {}, nums)
+                events, P, nums)
     assert len(events) == 2
 
 
 def test_ingest_denm_latest_claim_per_station_wins():
     events = []
     nums = [1]
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, {}, nums)
-    ingest_denm(_denm("rsu-0", (52.0, 10.0), recv=2.0, seq=1), events, P, {}, nums)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, nums)
+    ingest_denm(_denm("rsu-0", (52.0, 10.0), recv=2.0, seq=1), events, P, nums)
     assert len(events) == 1
     assert len(events[0].support) == 1
     assert events[0].support["rsu-0"][0] == 2.0
     assert events[0].position == pytest.approx((52.0, 10.0))
 
 
-def test_ingest_denm_drops_unauthenticated():
-    events = []
-    counters = {}
-    out = ingest_denm(_denm("rogue", (50.0, 10.0), auth=False), events, P,
-                      counters, [1])
-    assert out is None
-    assert events == []
-    assert counters["unauthenticated_denms"] == 1
-
-
 def test_ingest_denm_rejects_cam():
     with pytest.raises(ValueError):
-        ingest_denm(_cam("obu-a", (0.0, 0.0)), [], P, {}, [1])
+        ingest_denm(_cam("obu-a", (0.0, 0.0)), [], P, [1])
 
 
 def test_accepted_event_position_eases_in():
     events = []
     nums = [1]
-    hyp = ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, {}, nums)
+    hyp = ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, nums)
     hyp.status = ACCEPTED
-    ingest_denm(_denm("rsu-0", (54.0, 10.0), recv=2.0, seq=1), events, P, {}, nums)
+    ingest_denm(_denm("rsu-0", (54.0, 10.0), recv=2.0, seq=1), events, P, nums)
     # EMA with alpha: 50 + 0.25 * (54 - 50) = 51
     assert hyp.position[0] == pytest.approx(51.0)
 

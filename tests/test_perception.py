@@ -18,9 +18,8 @@ def _frame(timestamp=0.0, ego=(0.0, 0.0, 0.0), detections=(),
                       field_of_view=fov)
 
 
-def _det(wx, wy, t=0.0):
-    return Detection(position=(wx, wy), velocity=(0.0, 0.0), timestamp=t,
-                     source="sensor", confidence=0.9, world_position=(wx, wy),
+def _det(wx, wy):
+    return Detection(confidence=0.9, world_position=(wx, wy),
                      world_velocity=(0.0, 0.0))
 
 
@@ -100,7 +99,7 @@ def test_sense_clutter_rate_and_bounds():
     for k in range(2000):
         frame = sense((0.0, 0.0, 0.0), [], model, rng, k * 0.05)
         for det in frame.detections:
-            assert det.source == "clutter"
+            assert 0.1 <= det.confidence < 0.6     # clutter's confidence band
             assert math.hypot(*det.world_position) <= 15.0 + 1e-9
             count += 1
     assert count / 2000 == pytest.approx(0.5, abs=0.06)
@@ -108,13 +107,16 @@ def test_sense_clutter_rate_and_bounds():
 
 def test_sense_ego_frame_conversion():
     objs = [WorldObject("a", (0.0, 10.0), (0.0, 0.0))]
-    model = SensorModel(pos_noise_sigma=0.0, vel_noise_sigma=0.0,
-                        p_miss=0.0, clutter_rate=0.0)
-    # ego facing +y: the object sits straight ahead in the body frame
+    model = SensorModel(field_of_view=math.pi / 2, pos_noise_sigma=0.0,
+                        vel_noise_sigma=0.0, p_miss=0.0, clutter_rate=0.0)
+    # ego facing +y: the object sits straight ahead in the body frame and is
+    # detected at its world position
     frame = sense((0.0, 0.0, math.pi / 2), objs, model, stream(6, "sense"), 0.0)
-    d = frame.detections[0]
-    assert d.position[0] == pytest.approx(10.0)
-    assert d.position[1] == pytest.approx(0.0, abs=1e-9)
+    (d,) = frame.detections
+    assert d.world_position == (0.0, 10.0)
+    # facing -y, the same object is behind the wedge
+    behind = sense((0.0, 0.0, -math.pi / 2), objs, model, stream(6, "sense"), 0.0)
+    assert behind.detections == ()
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,11 @@ def test_spec_from_dict_rejects_unknown_keys():
         (lambda d: d, "v2x_enabled", "scenario.v2x_enabled: unknown key"),
         (lambda d: d, "attack_enabled", "scenario.attack_enabled: unknown key"),
         (lambda d: d, "updates_enabled", "scenario.updates_enabled: unknown key"),
+        # deleted settable values are unknown keys like any other
+        (lambda d: d["ldm"], "tau_sync", "scenario.ldm.tau_sync: unknown key"),
+        (lambda d: d["gate"], "weights", "scenario.gate.weights: unknown key"),
+        (lambda d: d["vmap"]["versions"][0], "created_at",
+         "scenario.vmap.versions[0].created_at: unknown key"),
     ]
     for section, key, path in cases:
         d = spec_to_dict(build_s2())
@@ -299,3 +304,49 @@ def test_spec_limits_admit_the_edges():
     s2 = build_s2()
     replace(s2, time_limit=0.0)
     replace(s2, planner=replace(s2.planner, goal_xy_tol=s2.goal_tolerance))
+
+
+NOT_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+def _rejects_out_of_range(section, probabilities, non_negative):
+    """Every named field of the s4 document's `section` is rejected at load
+    outside its range, naming its dotted path; the edges load."""
+    cases = [(name, bad, "in [0, 1]") for name in probabilities
+             for bad in (-0.1, 1.5, *NOT_FINITE)]
+    cases += [(name, bad, ">= 0") for name in non_negative
+              for bad in (-0.01, *NOT_FINITE)]
+    for name, bad, bound in cases:
+        d = spec_to_dict(build_s4())
+        d[section][name] = bad
+        message = f"scenario.{section}.{name}: must be finite and {bound}, got {bad}"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            spec_from_dict(d)
+    for name, edge in [(n, e) for n in probabilities for e in (0.0, 1.0)] \
+            + [(n, 0.0) for n in non_negative]:
+        d = spec_to_dict(build_s4())
+        d[section][name] = edge
+        spec_from_dict(d)
+
+
+def test_sensor_model_ranges():
+    _rejects_out_of_range("sensor", ["p_miss"],
+                          ["pos_noise_sigma", "vel_noise_sigma", "clutter_rate"])
+
+
+def test_channel_model_ranges():
+    _rejects_out_of_range("channel", ["drop_prob"], ["latency_mean", "latency_jitter"])
+
+
+def test_attack_policy_ranges():
+    _rejects_out_of_range("attack", ["p_attack"], ["emission_period"])
+
+
+def test_gate_quorum_must_exceed_f():
+    # f colluders alone must not reach an explicit quorum
+    d = spec_to_dict(build_s4())           # f = 3
+    d["gate"]["quorum"] = 3
+    with pytest.raises(ValueError, match=r"^scenario\.gate\.quorum: must exceed f=3"):
+        spec_from_dict(d)
+    d["gate"]["quorum"] = 3.5
+    assert spec_from_dict(d).gate.threshold() == 3.5
