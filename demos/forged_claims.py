@@ -14,8 +14,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from v2xloop.harness import run_episode
-from v2xloop.logio import read_csv
+from v2xloop.harness import LOG_COLUMNS, run_episode
+from v2xloop.logio import read_csv, rows
 from v2xloop.scenarios import build_s4
 
 
@@ -32,8 +32,8 @@ def main() -> int:
         for tag, enabled in (("gate on", True), ("gate off", False)):
             out = Path(tmp) / tag.replace(" ", "-")
             res = run_episode(build_s4(enabled), seed, out)
-            decisions = read_csv(out / "logs" / "gate.csv")
-            events = read_csv(out / "logs" / "events.csv")
+            decisions = rows(read_csv(out / "logs" / "gate.csv", LOG_COLUMNS["gate"]))
+            events = rows(read_csv(out / "logs" / "events.csv", LOG_COLUMNS["events"]))
             finals = [r for r in events if r["final"]]
             truth = {r["event_id"]: r["is_true"] for r in finals}
             outcomes = Counter()

@@ -13,15 +13,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-from v2xloop.harness import run_episode
-from v2xloop.logio import read_csv
+from v2xloop.harness import LOG_COLUMNS, run_episode
+from v2xloop.logio import read_csv, rows
 from v2xloop.scenarios import build_s2
 
 
 def describe(tag: str, out: Path) -> None:
-    decisions = read_csv(out / "logs" / "gate.csv")
-    events = read_csv(out / "logs" / "events.csv")
-    plans = read_csv(out / "logs" / "plans.csv")
+    decisions = rows(read_csv(out / "logs" / "gate.csv", LOG_COLUMNS["gate"]))
+    events = rows(read_csv(out / "logs" / "events.csv", LOG_COLUMNS["events"]))
+    plans = rows(read_csv(out / "logs" / "plans.csv", LOG_COLUMNS["plans"]))
     kinds = {r["event_id"]: r["kind"] for r in events}
     accepted = [r for r in decisions if r["accepted"]]
     print(f"--- {tag} ---")

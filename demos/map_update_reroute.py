@@ -14,8 +14,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from v2xloop.harness import run_episode
-from v2xloop.logio import read_csv
+from v2xloop.harness import LOG_COLUMNS, run_episode
+from v2xloop.logio import read_csv, rows
 from v2xloop.scenarios import build_s3
 
 
@@ -25,8 +25,8 @@ def main() -> int:
         for tag, enabled in (("updates on", True), ("updates off", False)):
             out = Path(tmp) / tag.replace(" ", "-")
             res = run_episode(build_s3(enabled), seed, out)
-            ups = read_csv(out / "logs" / "updates.csv")
-            plans = read_csv(out / "logs" / "plans.csv")
+            ups = rows(read_csv(out / "logs" / "updates.csv", LOG_COLUMNS["updates"]))
+            plans = rows(read_csv(out / "logs" / "plans.csv", LOG_COLUMNS["plans"]))
             print(f"--- {tag} ---")
             for r in ups:
                 if r["action"] == "poll":

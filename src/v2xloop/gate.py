@@ -6,7 +6,7 @@ not contradict it. The default threshold 2f + 1 tolerates f Byzantine
 reporters out of n >= 3f + 1 stations, which `ScenarioSpec` checks. An
 explicit quorum must exceed f: a forged event has no honest support, so f
 colluders alone must never reach it (Malkhi & Reiter 1998, "Byzantine
-Quorum Systems"). Disabling the gate reproduces the naive consumer: the
+Quorum Systems"); `ScenarioSpec` also rejects one above the population. Disabling the gate reproduces the naive consumer: the
 first authenticated DENM is believed outright.
 """
 
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .ldm import ACCEPTED, PENDING, EventHypothesis
+from .world import check_range
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,8 @@ class GateConfig:
     enabled: bool = True
 
     def __post_init__(self):
+        check_range(self, ("eta",), hi=1.0)
+        check_range(self, ("support_radius", "sensor_support_radius", "tau_bft"))
         if self.quorum is not None and not self.quorum > self.f:
             raise ValueError(f"quorum: must exceed f={self.f}, or f colluding "
                              f"stations reach it alone, got {self.quorum}")

@@ -91,8 +91,12 @@ SWEEP_COLS = {**{f.name: "str" if f.name == "config_id" else "float"
               **dict.fromkeys(("j_trk", "j_sfty", "j_resp", "j_smth", "j_eng"), "float"),
               **dict.fromkeys(("collided", "on_frontier", "is_knee"), "bool")}
 
-LOG_NAMES = ("vehicle", "control", "truth", "ldm", "v2x", "gate", "events",
-             "plans", "updates", "episode")
+# every replayable table of logs/, in the order the episode writes them
+LOG_COLUMNS = {"vehicle": VEHICLE_COLS, "control": CONTROL_COLS,
+               "truth": TRUTH_COLS, "ldm": LDM_COLS, "v2x": V2X_COLS,
+               "gate": GATE_COLS, "events": EVENTS_COLS, "plans": PLANS_COLS,
+               "updates": UPDATES_COLS, "episode": EPISODE_COLS}
+LOG_NAMES = tuple(LOG_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,7 @@ class EpisodeResult:
 
 
 def _new_logs() -> dict[str, CsvLog]:
-    cols = {"vehicle": VEHICLE_COLS, "control": CONTROL_COLS,
-            "truth": TRUTH_COLS, "ldm": LDM_COLS, "v2x": V2X_COLS,
-            "gate": GATE_COLS, "events": EVENTS_COLS, "plans": PLANS_COLS,
-            "updates": UPDATES_COLS, "episode": EPISODE_COLS}
-    return {name: CsvLog(cols[name]) for name in LOG_NAMES}
+    return {name: CsvLog(columns) for name, columns in LOG_COLUMNS.items()}
 
 
 def _truth_at(spec: ScenarioSpec, t: float) -> list[tuple[WorldObject, bool]]:
@@ -446,87 +446,86 @@ def run_episode(spec: ScenarioSpec, seed: int,
 # metrics from logs
 
 
-def compute_episode_metrics(tables: dict[str, list[dict]],
+def compute_episode_metrics(tables: dict[str, dict[str, list]],
                             meta: dict) -> EpisodeMetrics:
-    """Score an episode purely from its (parsed) log tables and meta block."""
+    """Score an episode purely from its parsed log tables ({column: values},
+    as read_csv returns them) and meta block."""
     params = MetricParams(**meta["metrics"])
     dt = float(meta["dt"])
     vehicle = tables["vehicle"]
     control = tables["control"]
-    ep = tables["episode"][0]
-    termination = str(ep["termination"])
-    sim_time = float(ep["sim_time"])
-    collisions = int(ep["collision"])
+    ep = tables["episode"]
+    termination = str(ep["termination"][0])
+    sim_time = float(ep["sim_time"][0])
+    collisions = int(ep["collision"][0])
 
-    cross = [row["cross_track"] for row in vehicle]
-    head_err = [row["heading_err"] for row in vehicle]
-    h_rmse, h_mabs = heading_stats(head_err)
+    h_rmse, h_mabs = heading_stats(vehicle["heading_err"])
 
-    ttcs = [row["ttc"] for row in vehicle
-            if row["ttc"] is not None and math.isfinite(row["ttc"])]
+    ttcs = [ttc for ttc in vehicle["ttc"] if ttc is not None and math.isfinite(ttc)]
     ttc_min_val = min(ttcs) if ttcs else math.inf
 
     route_length = float(meta["route_length"])
     progress = 0.0
-    if vehicle and route_length > 0.0:
-        progress = max(row["s_route"] for row in vehicle) / route_length
+    if vehicle["s_route"] and route_length > 0.0:
+        progress = max(vehicle["s_route"]) / route_length
         progress = min(max(progress, 0.0), 1.0)
-
-    steer = [row["steering"] for row in control]
-    throttle = [row["throttle"] for row in control]
-    brakes = [row["brake"] for row in control]
-    speeds = [row["speed"] for row in control]
 
     hazards = [(hz["kind"], hz["x"], hz["y"]) for hz in meta["hazards"]]
     label_radius = float(meta["event_label_radius"])
     reaction = None
-    true_denm_times = [row["gen_time"] for row in tables["v2x"]
-                       if row["msg_kind"] == "DENM" and row["event_x"] is not None
-                       and _is_true_claim(row["event_kind"], row["event_x"],
-                                          row["event_y"], hazards, label_radius)]
+    v2x = tables["v2x"]
+    true_denm_times = [gen for gen, kind, ek, ex, ey in zip(
+                           v2x["gen_time"], v2x["msg_kind"], v2x["event_kind"],
+                           v2x["event_x"], v2x["event_y"])
+                       if kind == "DENM" and ex is not None
+                       and _is_true_claim(ek, ex, ey, hazards, label_radius)]
     if true_denm_times:
-        rows = [(row["t"], row["steering"], row["throttle"], row["brake"])
-                for row in control]
+        rows = zip(control["t"], control["steering"], control["throttle"],
+                   control["brake"])
         reaction = v2x_reaction_ms(min(true_denm_times), rows, params)
 
     activation = None
     poll_t: dict[int, float] = {}
-    for row in tables["updates"]:
-        if row["action"] == "poll":
-            poll_t.setdefault(int(row["version_id"]), float(row["t"]))
-        elif row["action"] == "activate" and activation is None:
-            vid = int(row["version_id"])
+    updates = tables["updates"]
+    for action, vid, t in zip(updates["action"], updates["version_id"], updates["t"]):
+        if action == "poll":
+            poll_t.setdefault(int(vid), float(t))
+        elif action == "activate" and activation is None:
+            vid = int(vid)
             if vid in poll_t:
-                activation = float(row["t"]) - poll_t[vid]
+                activation = float(t) - poll_t[vid]
 
-    final_events = {}
-    for row in tables["events"]:
-        final_events[row["event_id"]] = row
-    latencies = [(float(row["accepted_at"]) - float(row["first_seen"])) * 1000.0
-                 for row in final_events.values()
-                 if row["status"] == "accepted" and row["is_true"] == 1
-                 and row["accepted_at"] is not None]
+    events = tables["events"]
+    # each event's last row is its final state
+    final = list({eid: i for i, eid in enumerate(events["event_id"])}.values())
+    status, is_true = events["status"], events["is_true"]
+    accepted_at, first_seen = events["accepted_at"], events["first_seen"]
+    latencies = [(float(accepted_at[i]) - float(first_seen[i])) * 1000.0
+                 for i in final
+                 if status[i] == "accepted" and is_true[i] == 1
+                 and accepted_at[i] is not None]
     trigger_latency = sum(latencies) / len(latencies) if latencies else None
 
-    fpr, fnr = gate_rates((row["event_id"], bool(row["is_true"]),
-                           row["status"] == "accepted")
-                          for row in final_events.values())
+    fpr, fnr = gate_rates((events["event_id"][i], bool(is_true[i]),
+                           status[i] == "accepted") for i in final)
 
     gt_by_tick: dict[int, list] = {}
-    for row in tables["truth"]:
-        if row["scored"] == 1:
-            gt_by_tick.setdefault(int(row["tick"]), []).append(
-                (row["object_id"], row["x"], row["y"]))
+    truth = tables["truth"]
+    for tick, oid, x, y, scored in zip(truth["tick"], truth["object_id"],
+                                       truth["x"], truth["y"], truth["scored"]):
+        if scored == 1:
+            gt_by_tick.setdefault(int(tick), []).append((oid, x, y))
     tracks_by_tick: dict[int, list] = {}
     belief_min = float(meta["mot_belief_min"])
-    for row in tables["ldm"]:
-        if row["belief"] >= belief_min:
-            tracks_by_tick.setdefault(int(row["tick"]), []).append(
-                (row["track_id"], row["x"], row["y"]))
+    ldm = tables["ldm"]
+    for tick, tid, x, y, belief in zip(ldm["tick"], ldm["track_id"], ldm["x"],
+                                       ldm["y"], ldm["belief"]):
+        if belief >= belief_min:
+            tracks_by_tick.setdefault(int(tick), []).append((tid, x, y))
     mota, motp, idsw = clear_mot(gt_by_tick, tracks_by_tick, params.match_radius)
 
     return EpisodeMetrics(
-        lateral_rmse=lateral_rmse(cross),
+        lateral_rmse=lateral_rmse(vehicle["cross_track"]),
         heading_rmse_deg=h_rmse,
         heading_mean_abs_deg=h_mabs,
         completion=termination == "goal_reached",
@@ -536,17 +535,18 @@ def compute_episode_metrics(tables: dict[str, list[dict]],
         v2x_reaction_ms=reaction,
         update_activation_s=activation,
         trigger_latency_ms=trigger_latency,
-        steer_variance=command_variance(steer),
-        throttle_variance=command_variance(throttle),
-        brake_energy=brake_energy(brakes, speeds, dt),
+        steer_variance=command_variance(control["steering"]),
+        throttle_variance=command_variance(control["throttle"]),
+        brake_energy=brake_energy(control["brake"], control["speed"], dt),
         mota=mota, motp=motp, id_switches=idsw,
         false_positive_rate=fpr, false_negative_rate=fnr,
         termination=termination, sim_time=sim_time)
 
 
 def replay(log_dir: str | Path) -> EpisodeMetrics:
-    """Recompute metrics from a written log directory; a missing file, or an
-    episode.csv without its row, is a ValueError naming it."""
+    """Recompute metrics from a written log directory. A missing file, a
+    table whose header or cells are not its declared columns', or an
+    episode.csv without its row is a ValueError naming it."""
     log_dir = Path(log_dir)
     if (log_dir / "logs").is_dir():
         log_dir = log_dir / "logs"
@@ -556,8 +556,9 @@ def replay(log_dir: str | Path) -> EpisodeMetrics:
         raise ValueError(f"{log_dir} is not a complete log directory: "
                          f"missing {', '.join(missing)}")
     meta = read_json(log_dir / "meta.json")
-    tables = {name: read_csv(log_dir / f"{name}.csv") for name in LOG_NAMES}
-    if not tables["episode"]:
+    tables = {name: read_csv(log_dir / f"{name}.csv", columns)
+              for name, columns in LOG_COLUMNS.items()}
+    if not tables["episode"]["termination"]:
         raise ValueError(f"{log_dir / 'episode.csv'} holds no episode row")
     return compute_episode_metrics(tables, meta)
 

@@ -6,17 +6,30 @@ byte-identical log directories and metrics recomputed from the files match
 the originals exactly. Wall-clock timings never go through this module's
 log writers; they live in a separate timing file outside the log directory.
 
-Every table declares a kind per column, and each kind is a %-conversion:
+Every table declares a kind per column. Each kind is one %-conversion on
+the way out and one parser on the way back in:
 
-  int    %d      counters, ids, ticks
-  bool   %d      flags, written 1/0
-  float  %.9g    nine significant digits; inf, -inf and nan spelled so
-  str    %s      quoted the way csv.writer quotes (a comma, quote or line
-                 break inside), so any text reads back unchanged
+  int    %d      int()       counters, ids, ticks
+  bool   %d      int()       flags, written 1/0 and read back as 1/0
+  float  %.9g    float()     nine significant digits; inf, -inf and nan
+                             spelled so. A cell with no fraction, exponent,
+                             inf or nan (an integral value below 1e9, e.g.
+                             2 or -0) reads back as an int
+  str    %s      the text    quoted the way csv.writer quotes (a comma,
+                             quote or line break inside), so any text reads
+                             back unchanged, even text that looks like a
+                             number
 
 A kind ending in "?" is nullable: a None there is written as an empty cell,
 and a None anywhere else is an error. A row is formatted in one %-operation
-on the table's row format.
+on the table's row format. An empty cell reads back as None in every kind.
+
+A table reads back as columns, {column: [value per row]}: `read_csv(path,
+columns)` for a file and `roundtrip_rows(log)` for a table still in memory.
+Each column is parsed in one pass by its declared kind, and a header that is
+not the declared one, a row of another width or a cell its kind cannot
+parse is a ValueError naming the file, the line and the column. `rows`
+turns a table back into one dict per row for callers that loop over rows.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ import csv
 import json
 import math
 import re
+from itertools import zip_longest
 from pathlib import Path
 
 CONVERSIONS = {"int": "%d", "bool": "%d", "float": "%.9g", "str": "%s"}
@@ -45,7 +59,7 @@ class CsvLog:
     """
 
     def __init__(self, columns: dict[str, str]):
-        self.columns = list(columns)
+        self.columns = dict(columns)
         kinds = list(columns.values())
         unknown = [k for k in kinds if k.removesuffix("?") not in CONVERSIONS]
         if unknown:
@@ -88,46 +102,90 @@ class CsvLog:
             fh.write("\n".join([",".join(self.columns), *self.rows]) + "\n")
 
 
-def parse_cell(raw):
-    """Inverse of a cell's format; empty means None."""
-    if raw == "" or raw is None:
-        return None
-    try:
-        num = float(raw)
-    except ValueError:
-        return raw
-    if num.is_integer() and "." not in raw and "e" not in raw \
-            and "E" not in raw and "inf" not in raw and "nan" not in raw:
-        return int(num)
-    return num
+def _read_int(raw: str):
+    return int(raw) if raw else None
 
 
-def _parse_rows(columns: list[str], reader, where) -> list[dict]:
-    """Rows of `reader` as dicts over `columns`, cells parsed; a row of any
-    other width is a ValueError naming `where` and its line."""
-    out: list[dict] = []
-    for row in reader:
-        if len(row) != len(columns):
-            raise ValueError(f"{where}, line {reader.line_num}: expected "
-                             f"{len(columns)} cells, got {len(row)}")
-        out.append({key: parse_cell(raw) for key, raw in zip(columns, row)})
-    return out
+def _read_float(raw: str):
+    if "." in raw:
+        return float(raw)
+    # %.9g prints an integral value below 1e9 with neither a point nor an
+    # exponent ("2", "-0"), and such a cell has always read back as an int:
+    # summary.json's ttc_min can be exactly 2.0 and its bytes say 2
+    if raw.lstrip("-").isdecimal():
+        return int(raw)
+    return float(raw) if raw else None
 
 
-def read_csv(path) -> list[dict]:
-    """Rows as dicts with floats parsed; empty cells come back as None."""
+def _read_text(raw: str):
+    return raw or None
+
+
+READERS = {"int": _read_int, "bool": _read_int, "float": _read_float, "str": _read_text}
+
+
+def _line_num(lines, index: int) -> int:
+    """The reader's line number once data row `index` of `lines` is read."""
+    reader = csv.reader(lines)
+    for _ in range(index + 2):      # the header, then rows 0..index
+        next(reader)
+    return reader.line_num
+
+
+def _parse_table(columns: dict[str, str], lines: list[str], where) -> dict[str, list]:
+    """The CSV `lines` (header first) as {column: values}, each column parsed
+    by its kind in `columns`; anything other than such a table is a
+    ValueError naming `where`, the line and the column."""
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{where}: expected a header line, the file is empty")
+    names = list(columns)
+    if header != names:
+        i = next(i for i, pair in enumerate(zip_longest(header, names))
+                 if pair[0] != pair[1])
+        got = repr(header[i]) if i < len(header) else "nothing"
+        want = repr(names[i]) if i < len(names) else "no further column"
+        raise ValueError(f"{where}, line 1: header column {i + 1} is {got}, "
+                         f"expected {want}")
+    records = list(reader)
+    if set(map(len, records)) - {len(names)}:
+        i = next(i for i, row in enumerate(records) if len(row) != len(names))
+        raise ValueError(f"{where}, line {_line_num(lines, i)}: expected "
+                         f"{len(names)} cells, got {len(records[i])}")
+    table = {}
+    for name, cells in zip(names, zip(*records) if records else [()] * len(names)):
+        kind = columns[name].removesuffix("?")
+        parse = READERS[kind]
+        try:
+            table[name] = list(map(parse, cells))
+        except ValueError:
+            for i, raw in enumerate(cells):
+                try:
+                    parse(raw)
+                except ValueError:
+                    raise ValueError(f"{where}, line {_line_num(lines, i)}, column "
+                                     f"{name}: cannot read {raw!r} as {kind}") from None
+    return table
+
+
+def read_csv(path, columns: dict[str, str]) -> dict[str, list]:
+    """The table at `path` as {column: values}, parsed by the kinds in
+    `columns` (for a log table, harness.LOG_COLUMNS[name])."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: expected a header line, the file is empty")
-        return _parse_rows(header, reader, path)
+        lines = fh.readlines()
+    return _parse_table(columns, lines, path)
 
 
-def roundtrip_rows(log: CsvLog) -> list[dict]:
+def roundtrip_rows(log: CsvLog) -> dict[str, list]:
     """Parse a CsvLog's formatted rows exactly as read_csv would after a
     write, so in-run metrics match metrics recomputed from the files."""
-    return _parse_rows(log.columns, csv.reader(log.rows), "log rows")
+    return _parse_table(log.columns, [",".join(log.columns), *log.rows], "log rows")
+
+
+def rows(table: dict[str, list]) -> list[dict]:
+    """A table from read_csv or roundtrip_rows as one dict per row."""
+    return [dict(zip(table, values)) for values in zip(*table.values())]
 
 
 def _round_floats(obj):

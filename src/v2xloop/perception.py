@@ -15,6 +15,11 @@ import numpy as np
 from .world import check_range, wrap_angle
 
 
+# the widest field of view: 2π as a document written at nine significant
+# digits spells it, a hair above 2π itself
+FULL_CIRCLE = float("%.9g" % (2.0 * math.pi))
+
+
 @dataclass(frozen=True)
 class SensorModel:
     max_range: float = 25.0           # [m]
@@ -26,7 +31,10 @@ class SensorModel:
 
     def __post_init__(self):
         check_range(self, ("p_miss",), hi=1.0)
-        check_range(self, ("pos_noise_sigma", "vel_noise_sigma", "clutter_rate"))
+        check_range(self, ("max_range", "pos_noise_sigma", "vel_noise_sigma",
+                           "clutter_rate"))
+        # a value in degrees (say 120) would otherwise see all round
+        check_range(self, ("field_of_view",), hi=FULL_CIRCLE)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ from .v2x import AttackPolicy, ChannelModel, DenmPolicy, Station, StationPopulat
 from .vehicle import VehicleParams
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
-                    VersionedMap, as_polyline, build_corridor_map, polyline_cumlength)
+                    VersionedMap, as_polyline, build_corridor_map, check_range,
+                    polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
 
@@ -74,6 +75,11 @@ class UpdateClientConfig:
     poll_interval: float = 2.0            # [s]
     download_latency_mean: float = 1.1    # [s]
     download_latency_jitter: float = 0.2  # [s] Gaussian sigma, clamped >= 0.05
+
+    def __post_init__(self):
+        # an interval shorter than a tick polls every tick
+        check_range(self, ("poll_interval", "download_latency_mean",
+                           "download_latency_jitter"))
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,7 @@ class ScenarioSpec:
             raise ValueError(f"dt: must be finite and > 0, got {self.dt}")
         if not (math.isfinite(self.time_limit) and self.time_limit >= 0.0):
             raise ValueError(f"time_limit: must be finite and >= 0, got {self.time_limit}")
+        check_range(self, ("sensor_likelihood_window", "event_label_radius"))
         if self.planner.goal_xy_tol > self.goal_tolerance:
             # the plan could then end inside the planner's goal region but
             # outside the episode's, where the ego holds still until timeout
@@ -128,6 +135,11 @@ class ScenarioSpec:
                 and 3 * gate.f + 1 > len(stations.stations):
             raise ValueError(f"gate.f={gate.f} needs at least 3f+1={3 * gate.f + 1} "
                              f"stations, the population has {len(stations.stations)}")
+        # a quorum above the population can never be reached
+        if gate.enabled and gate.quorum is not None and stations is not None \
+                and gate.quorum > len(stations.stations):
+            raise ValueError(f"gate.quorum: must not exceed the {len(stations.stations)} "
+                             f"stations of the population, got {gate.quorum}")
 
 
 def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSpec:

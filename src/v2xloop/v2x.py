@@ -46,6 +46,10 @@ class DenmPolicy:
     period: float = 1.0               # [s] repeat interval while the hazard persists
     enabled: bool = True
 
+    def __post_init__(self):
+        # a period of 0 sends the event-triggered first DENM and no repeats
+        check_range(self, ("period",))
+
 
 @dataclass(frozen=True)
 class Station:
@@ -64,6 +68,8 @@ class StationPopulation:
     denm_policy: DenmPolicy = DenmPolicy()
 
     def __post_init__(self):
+        # a CAM period of 0 never emits
+        check_range(self, ("honest_report_noise_sigma", "cam_period"))
         object.__setattr__(self, "stations", tuple(self.stations))
         object.__setattr__(self, "byzantine_ids", frozenset(self.byzantine_ids))
         ids = [s.station_id for s in self.stations]

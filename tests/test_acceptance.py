@@ -17,9 +17,9 @@ import pytest
 from v2xloop.control import (ControlCommand, ControllerConfig, PidState,
                              follow_tick, pid_longitudinal, pure_pursuit)
 from v2xloop.gate import evaluate, support_weight
-from v2xloop.harness import make_episode_runner, replay, run_episode
+from v2xloop.harness import LOG_COLUMNS, make_episode_runner, replay, run_episode
 from v2xloop.ldm import EventHypothesis, Track, initial_state
-from v2xloop.logio import read_csv
+from v2xloop.logio import read_csv, rows
 from v2xloop.metrics import clear_mot, command_variance, lateral_rmse
 from v2xloop.pareto import (config_grid, evaluate_grid, hypervolume,
                             nondominated_set, normalize)
@@ -218,9 +218,9 @@ def test_05_map_update_reroute(pytestconfig, s3_bank):
     worst_slack = 0.0
     dt = 0.05
     for d in dirs:
-        ups = read_csv(d / "logs" / "updates.csv")
-        plans = read_csv(d / "logs" / "plans.csv")
-        veh = read_csv(d / "logs" / "vehicle.csv")
+        ups = rows(read_csv(d / "logs" / "updates.csv", LOG_COLUMNS["updates"]))
+        plans = rows(read_csv(d / "logs" / "plans.csv", LOG_COLUMNS["plans"]))
+        veh = rows(read_csv(d / "logs" / "vehicle.csv", LOG_COLUMNS["vehicle"]))
         dt = veh[1]["t"] - veh[0]["t"]
         acts = [r for r in ups if r["action"] == "activate"]
         if not acts:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from v2xloop.cli import main, parse_seeds
+from v2xloop.harness import SWEEP_COLS
 from v2xloop.logio import read_csv, read_json, write_json
 from v2xloop.scenarios import build_s1, spec_to_dict
 
@@ -144,6 +145,26 @@ def test_replay_of_a_header_only_episode_csv_exits_with_one_line(tmp_path):
     assert "\n" not in message
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda lines: lines.__setitem__(0, lines[0].replace("brake", "brakes")),
+     "control.csv, line 1: header column 5 is 'brakes', expected 'brake'"),
+    (lambda lines: lines.__setitem__(3, "abc" + lines[3][1:]),
+     "control.csv, line 4, column tick: cannot read 'abc' as int"),
+], ids=["foreign-header", "damaged-cell"])
+def test_replay_of_a_foreign_or_damaged_table_exits_with_one_line(tmp_path, damage, message):
+    out = tmp_path / "ep"
+    main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])
+    p = out / "logs" / "control.csv"
+    lines = p.read_text().splitlines()
+    damage(lines)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--log", str(out)])
+    text = str(exc.value)
+    assert text.startswith("v2xloop replay: ") and text.endswith(message)
+    assert "\n" not in text
+
+
 def test_sweep_cli(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"look_ahead": [4.0, 6.0]}))
@@ -152,7 +173,7 @@ def test_sweep_cli(tmp_path, capsys):
                "--seeds", "1", "--out", str(out)])
     assert rc == 0
     assert "frontier size" in capsys.readouterr().out
-    assert len(read_csv(out / "sweep.csv")) == 2
+    assert len(read_csv(out / "sweep.csv", SWEEP_COLS)["config_id"]) == 2
     assert main(["report", "--in", str(out)]) == 0
     assert "hypervolume" in capsys.readouterr().out
 

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2xloop import harness
-from v2xloop.harness import (LOG_NAMES, compute_episode_metrics, replay,
-                             run_batch, run_episode, run_sweep)
-from v2xloop.logio import read_csv, read_json
+from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, SWEEP_COLS,
+                             compute_episode_metrics, replay, run_batch,
+                             run_episode, run_sweep)
+from v2xloop.logio import read_csv, read_json, rows
 from v2xloop.metrics import MetricParams
 from v2xloop.pareto import Configuration
 from v2xloop.perception import SenseFrame
@@ -56,14 +57,14 @@ def test_episode_writes_artifact_tree(s1_result):
 
 def test_vehicle_log_structure(s1_result):
     _, out = s1_result
-    rows = read_csv(out / "logs" / "vehicle.csv")
-    assert rows[0]["tick"] == 0
-    ts = [r["t"] for r in rows]
+    vehicle = read_csv(out / "logs" / "vehicle.csv", LOG_COLUMNS["vehicle"])
+    assert vehicle["tick"][0] == 0
+    ts = vehicle["t"]
     assert ts == sorted(ts)
     dt = read_json(out / "logs" / "meta.json")["dt"]
     assert ts[1] - ts[0] == pytest.approx(dt)
-    for r in rows[:50]:
-        assert 0.0 <= r["speed"] <= 15.0
+    for speed in vehicle["speed"][:50]:
+        assert 0.0 <= speed <= 15.0
 
 
 def test_replay_matches_stored_summary(s1_result):
@@ -126,7 +127,7 @@ def test_ego_starting_on_the_goal_reaches_it_at_once(tmp_path):
     result = run_episode(spec, 1, tmp_path)
     assert result.metrics.termination == "goal_reached"
     assert result.metrics.sim_time == 0.0
-    plans = read_csv(tmp_path / "logs" / "plans.csv")
+    plans = rows(read_csv(tmp_path / "logs" / "plans.csv", LOG_COLUMNS["plans"]))
     assert len(plans) == 1
     assert plans[0]["cause"] == "initial" and plans[0]["success"] == 1
     assert plans[0]["path_length"] == 0.0
@@ -161,7 +162,7 @@ def test_null_stations_document_runs_the_no_v2x_arm(tmp_path):
     for name in files:
         assert ((tmp_path / "doc" / "logs" / name).read_bytes()
                 == (tmp_path / "arm" / "logs" / name).read_bytes()), name
-    assert not read_csv(tmp_path / "doc" / "logs" / "v2x.csv")
+    assert not read_csv(tmp_path / "doc" / "logs" / "v2x.csv", LOG_COLUMNS["v2x"])["tick"]
 
 
 def test_different_seeds_differ(tmp_path):
@@ -240,8 +241,7 @@ def test_stream_independence_and_reproducibility():
 def test_run_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
     res = run_sweep({"look_ahead": [4.0, 6.0]}, ["s2"], [1], out)
-    rows = read_csv(out / "sweep.csv")
-    assert len(rows) == 2
+    assert len(read_csv(out / "sweep.csv", SWEEP_COLS)["config_id"]) == 2
     header = (out / "sweep.csv").read_text().splitlines()[0].split(",")
     # config_id and the swept knobs are Configuration's fields, in order
     assert header[:8] == [f.name for f in fields(Configuration)]
@@ -266,6 +266,9 @@ def test_metrics_label_claims_against_meta_hazards():
         return {"msg_kind": "DENM", "gen_time": gen, "event_kind": kind,
                 "event_x": x, "event_y": y}
 
+    def columns(name, rows):
+        return {col: [row.get(col) for row in rows] for col in LOG_COLUMNS[name]}
+
     tables = {
         "vehicle": [{"cross_track": 0.0, "heading_err": 0.0, "ttc": None,
                      "s_route": 84.0}],
@@ -285,7 +288,8 @@ def test_metrics_label_claims_against_meta_hazards():
                     "first_seen": 1.0, "accepted_at": 2.0}],
         "truth": [], "ldm": [], "updates": [],
     }
-    m = compute_episode_metrics(tables, meta)
+    m = compute_episode_metrics({name: columns(name, rows)
+                                 for name, rows in tables.items()}, meta)
     assert m.v2x_reaction_ms == pytest.approx(500.0)   # from the true DENM only
     assert m.trigger_latency_ms == pytest.approx(350.0)  # true events only
     assert m.false_positive_rate == 1.0

@@ -4,13 +4,29 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2xloop import harness
 
-from v2xloop.logio import CsvLog, parse_cell, read_csv, read_json, roundtrip_rows, write_json
+from v2xloop.logio import CsvLog, read_csv, read_json, roundtrip_rows, rows, write_json
+
+
+def parse_cell(raw):
+    """The per-cell parser the typed readers replaced, kept as their
+    reference: a cell's type is sniffed from its text; empty means None."""
+    if raw == "" or raw is None:
+        return None
+    try:
+        num = float(raw)
+    except ValueError:
+        return raw
+    if num.is_integer() and "." not in raw and "e" not in raw \
+            and "E" not in raw and "inf" not in raw and "nan" not in raw:
+        return int(num)
+    return num
 
 
 def _cell(value, kind: str) -> str:
@@ -76,13 +92,13 @@ def test_csvlog_write_read_roundtrip(tmp_path):
     log.append(0.1, -0.0, "stop")
     p = tmp_path / "log.csv"
     log.write(p)
-    rows = read_csv(p)
-    assert len(rows) == 2
-    assert rows[0]["t"] == 0.05
-    assert _cell(rows[0]["x"], "float") == _cell(1.0 / 3.0, "float")
-    assert rows[1]["label"] == "stop"
+    table = read_csv(p, log.columns)
+    assert table["t"] == [0.05, 0.1]
+    assert _cell(table["x"][0], "float") == _cell(1.0 / 3.0, "float")
+    assert table["label"] == ["follow", "stop"]
+    assert rows(table)[1] == {"t": 0.1, "x": 0, "label": "stop"}
     # in-memory roundtrip agrees with the on-disk one
-    assert roundtrip_rows(log) == rows
+    assert roundtrip_rows(log) == table
 
 
 def test_csvlog_write_is_deterministic(tmp_path):
@@ -142,8 +158,8 @@ def _reference_line(values) -> str:
     return buf.getvalue().removesuffix("\n")
 
 
-TABLES = {name: getattr(harness, f"{name.upper()}_COLS")
-          for name in (*harness.LOG_NAMES, "timing", "sweep")}
+TABLES = {**harness.LOG_COLUMNS, "timing": harness.TIMING_COLS,
+          "sweep": harness.SWEEP_COLS}
 _FLOATS = st.one_of(st.floats(width=64), st.sampled_from([-0.0, math.inf, -math.inf]),
                     st.integers(-10**9 + 1, 10**9 - 1), st.booleans())
 # a bare carriage return is quoted on purpose (csv.writer leaves it bare, and
@@ -169,11 +185,7 @@ def test_every_table_row_format_gives_the_per_cell_strings(data):
         values = data.draw(_rows(columns), label=name)
         log = CsvLog(columns)
         log.append(*values)
-        line = _reference_line(values)
-        assert log.rows == [line], name
-        expected = [dict(zip(columns, map(parse_cell, row)))
-                    for row in csv.reader([line])]
-        assert repr(roundtrip_rows(log)) == repr(expected), name
+        assert log.rows == [_reference_line(values)], name
 
 
 def test_text_needing_quotes_reads_back(tmp_path):
@@ -182,9 +194,9 @@ def test_text_needing_quotes_reads_back(tmp_path):
     for text in texts:
         log.append(text, None)
     log.write(tmp_path / "t.csv")
-    rows = read_csv(tmp_path / "t.csv")
-    assert [r["label"] for r in rows] == [t or None for t in texts]
-    assert rows == roundtrip_rows(log)
+    table = read_csv(tmp_path / "t.csv", log.columns)
+    assert table["label"] == [t or None for t in texts]
+    assert table == roundtrip_rows(log)
     one = CsvLog({"only": "str?"})
     one.append(None)
     assert one.rows == ['""']          # as csv.writer writes a lone empty cell
@@ -200,16 +212,102 @@ def test_declared_kinds_are_enforced():
     assert log.rows == []
 
 
+AB = {"a": "int", "b": "int"}
+
+
 def test_read_csv_rejects_a_row_of_the_wrong_width(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n3\n")
     with pytest.raises(ValueError, match=r"bad\.csv, line 3: expected 2 cells, got 1"):
-        read_csv(p)
+        read_csv(p, AB)
     p.write_text("a,b\n1,2,3\n")
     with pytest.raises(ValueError, match="line 2: expected 2 cells, got 3"):
-        read_csv(p)
+        read_csv(p, AB)
     p.write_text("")
     with pytest.raises(ValueError, match="bad.csv: expected a header line"):
-        read_csv(p)
+        read_csv(p, AB)
     p.write_text("a,b\n")
-    assert read_csv(p) == []
+    assert read_csv(p, AB) == {"a": [], "b": []}
+
+
+@pytest.mark.parametrize("header, message", [
+    ("a,c", "header column 2 is 'c', expected 'b'"),
+    ("b,a", "header column 1 is 'b', expected 'a'"),
+    ("a", "header column 2 is nothing, expected 'b'"),
+    ("a,b,c", "header column 3 is 'c', expected no further column"),
+], ids=["renamed", "swapped", "missing", "extra"])
+def test_read_csv_refuses_a_header_other_than_the_declared_columns(tmp_path, header, message):
+    p = tmp_path / "foreign.csv"
+    p.write_text(header + "\n1,2\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}, line 1: {message}")):
+        read_csv(p, AB)
+
+
+def test_read_csv_refuses_a_cell_its_kind_cannot_parse(tmp_path):
+    p = tmp_path / "damaged.csv"
+    columns = {"n": "int", "x": "float?", "label": "str"}
+    p.write_text('n,x,label\n1,0.5,"two\nlines"\n2,,ok\nabc,1,ok\n')
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{p}, line 5, column n: cannot read 'abc' as int")):
+        read_csv(p, columns)
+    p.write_text("n,x,label\n1,0.5.1,a\n")
+    with pytest.raises(ValueError, match=re.escape("line 2, column x: cannot read "
+                                                   "'0.5.1' as float")):
+        read_csv(p, columns)
+    p.write_text("n,x,label\n1,,a\n,inf,\n")
+    assert read_csv(p, columns) == {"n": [1, None], "x": [None, math.inf],
+                                    "label": ["a", None]}
+
+
+def test_text_and_large_integers_read_back_exactly():
+    # where the typed readers deliberately differ from the sniffing parser:
+    # a str column keeps text that looks like a number, and an int column
+    # keeps integers beyond 2**53, which parse_cell rounded through float
+    log = CsvLog({"id": "str", "n": "int"})
+    for text in ("7", "-0", "nan", "1e3", "inf"):
+        log.append(text, 2**62 + 1)
+    table = roundtrip_rows(log)
+    assert table["id"] == ["7", "-0", "nan", "1e3", "inf"]
+    assert table["n"] == [2**62 + 1] * 5
+    assert parse_cell("7") == 7 and parse_cell(str(2**62 + 1)) == 2**62
+
+
+# ---------------------------------------------------------------------------
+# typed columnar reading against the per-cell parser it replaced
+
+_INTS = st.integers(-2**53, 2**53)     # parse_cell reads these exactly
+_SPECIAL_FLOATS = st.sampled_from([2.0, -0.0, 2, 0, -7.0, 1e9, 123456789.0,
+                                   math.inf, -math.inf, math.nan, 0.5, 1e-300])
+READ_VALUES = {"int": st.one_of(_INTS, st.booleans()),
+               "bool": st.one_of(st.booleans(), st.sampled_from([0, 1])),
+               "float": st.one_of(_FLOATS, _SPECIAL_FLOATS),
+               "str": KIND_VALUES["str"]}
+
+
+def _reference_table(columns: dict, lines: list[str]) -> dict:
+    """{column: values} by parse_cell on each cell, except that a str column
+    keeps its text (parse_cell would read a station named "7" as 7)."""
+    table = {name: [] for name in columns}
+    for row in csv.reader(lines):
+        for (name, kind), raw in zip(columns.items(), row):
+            text = kind.removesuffix("?") == "str"
+            table[name].append((raw or None) if text else parse_cell(raw))
+    return table
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_typed_columns_read_as_parse_cell_reads_each_cell(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracle") / "table.csv"
+    for name, columns in TABLES.items():
+        strategies = [READ_VALUES[k.removesuffix("?")] for k in columns.values()]
+        strategies = [st.one_of(st.none(), s) if k.endswith("?") else s
+                      for k, s in zip(columns.values(), strategies)]
+        values = data.draw(st.lists(st.tuples(*strategies), max_size=4), label=name)
+        log = CsvLog(columns)
+        for row in values:
+            log.append(*row)
+        expected = repr(_reference_table(columns, log.rows))
+        assert repr(roundtrip_rows(log)) == expected, name
+        log.write(path)
+        assert repr(read_csv(path, columns)) == expected, name

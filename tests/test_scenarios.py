@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from v2xloop.pareto import Configuration
+from v2xloop.perception import FULL_CIRCLE
 from v2xloop.scenarios import (ScriptedVehicle, apply_configuration,
                                build_s1, build_s2, build_s3, build_s4,
                                build_scenario, spec_from_dict, spec_to_dict)
@@ -309,23 +310,31 @@ def test_spec_limits_admit_the_edges():
 NOT_FINITE = (float("nan"), float("inf"), -float("inf"))
 
 
-def _rejects_out_of_range(section, probabilities, non_negative):
-    """Every named field of the s4 document's `section` is rejected at load
-    outside its range, naming its dotted path; the edges load."""
-    cases = [(name, bad, "in [0, 1]") for name in probabilities
-             for bad in (-0.1, 1.5, *NOT_FINITE)]
+def _rejects_out_of_range(section, probabilities, non_negative, build=build_s4,
+                          upper=1.0):
+    """Every named field of the `section` of `build`'s document (dotted, ""
+    for the top level) is rejected at load outside its range, naming its
+    dotted path; the edges load. `probabilities` lie in [0, upper]."""
+    def fields_of(d):
+        for key in filter(None, section.split(".")):
+            d = d[key]
+        return d
+
+    prefix = f"scenario.{section}." if section else "scenario."
+    cases = [(name, bad, f"in [0, {upper:g}]") for name in probabilities
+             for bad in (-0.1, upper + 0.5, *NOT_FINITE)]
     cases += [(name, bad, ">= 0") for name in non_negative
               for bad in (-0.01, *NOT_FINITE)]
     for name, bad, bound in cases:
-        d = spec_to_dict(build_s4())
-        d[section][name] = bad
-        message = f"scenario.{section}.{name}: must be finite and {bound}, got {bad}"
+        d = spec_to_dict(build())
+        fields_of(d)[name] = bad
+        message = f"{prefix}{name}: must be finite and {bound}, got {bad}"
         with pytest.raises(ValueError, match="^" + re.escape(message)):
             spec_from_dict(d)
-    for name, edge in [(n, e) for n in probabilities for e in (0.0, 1.0)] \
+    for name, edge in [(n, e) for n in probabilities for e in (0.0, upper)] \
             + [(n, 0.0) for n in non_negative]:
-        d = spec_to_dict(build_s4())
-        d[section][name] = edge
+        d = spec_to_dict(build())
+        fields_of(d)[name] = edge
         spec_from_dict(d)
 
 
@@ -350,3 +359,54 @@ def test_gate_quorum_must_exceed_f():
         spec_from_dict(d)
     d["gate"]["quorum"] = 3.5
     assert spec_from_dict(d).gate.threshold() == 3.5
+
+
+def test_sensor_reach_ranges():
+    # the bound admits 2π as write_json rounds it, so run --out's
+    # scenario.json loads again
+    assert math.pi * 2.0 < FULL_CIRCLE == float("%.9g" % (2.0 * math.pi))
+    _rejects_out_of_range("sensor", ["field_of_view"], ["max_range"], upper=FULL_CIRCLE)
+    d = spec_to_dict(build_s4())
+    d["sensor"]["field_of_view"] = 2.0 * math.pi
+    spec_from_dict(d)
+
+
+def test_station_population_ranges():
+    # -1 used to load and crash mid-episode in numpy's normal(scale < 0)
+    _rejects_out_of_range("stations", [], ["honest_report_noise_sigma", "cam_period"])
+
+
+def test_denm_policy_ranges():
+    _rejects_out_of_range("stations.denm_policy", [], ["period"])
+
+
+def test_update_client_ranges():
+    _rejects_out_of_range("update_client", [], ["poll_interval", "download_latency_mean",
+                                                "download_latency_jitter"], build=build_s3)
+
+
+def test_gate_config_ranges():
+    _rejects_out_of_range("gate", ["eta"], ["support_radius", "sensor_support_radius",
+                                            "tau_bft"])
+
+
+def test_scenario_window_and_label_radius_ranges():
+    _rejects_out_of_range("", [], ["sensor_likelihood_window", "event_label_radius"])
+
+
+def test_gate_quorum_must_not_exceed_the_population():
+    # s2 with quorum 20 used to run to goal_reached with the gate accepting
+    # nothing (false_negative_rate 1.0)
+    d = spec_to_dict(build_s2())            # 9 stations
+    d["gate"]["quorum"] = 20
+    with pytest.raises(ValueError, match=r"^scenario\.gate\.quorum: must not exceed "
+                                         r"the 9 stations of the population, got 20"):
+        spec_from_dict(d)
+    d["gate"]["quorum"] = 9.5
+    with pytest.raises(ValueError, match=r"^scenario\.gate\.quorum"):
+        spec_from_dict(d)
+    d["gate"]["quorum"] = 9
+    assert spec_from_dict(d).gate.threshold() == 9.0
+    d["gate"]["quorum"] = 20
+    d["gate"]["enabled"] = False              # a disabled gate counts nothing
+    spec_from_dict(d)
