@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .planner import Trajectory
 from .vehicle import VehicleParams
-from .world import wrap_angle
+from .world import check_range, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,13 @@ class ControllerConfig:
     k_i: float = 0.1
     k_d: float = 0.05
     integral_clamp: float = 2.0       # |integral| bound [m/s * s]
+
+    def __post_init__(self):
+        # pure pursuit divides by the look-ahead
+        check_range(self, ("look_ahead_min", "look_ahead_max"), strict=True)
+        if self.look_ahead_min > self.look_ahead_max:
+            raise ValueError(f"look_ahead_min: must not exceed look_ahead_max="
+                             f"{self.look_ahead_max}, got {self.look_ahead_min}")
 
     def look_ahead(self, speed: float) -> float:
         return min(self.look_ahead_max,

@@ -47,7 +47,6 @@ REASON_VETO = "veto_fail"
 
 @dataclass(frozen=True)
 class GateDecision:
-    event_id: str
     accepted: bool
     support_weight: int               # distinct supporting stations
     sensor_likelihood: float
@@ -70,10 +69,8 @@ def evaluate(event: EventHypothesis, cfg: GateConfig, sensor_likelihood: float,
 
     if not cfg.enabled:
         accepted = len(event.support) > 0
-        return GateDecision(event_id=event.event_id, accepted=accepted,
-                            support_weight=weight,
-                            sensor_likelihood=sensor_likelihood,
-                            decided_at=now,
+        return GateDecision(accepted=accepted, support_weight=weight,
+                            sensor_likelihood=sensor_likelihood, decided_at=now,
                             reason=REASON_ACCEPTED if accepted else REASON_QUORUM)
 
     if weight < cfg.threshold():
@@ -82,9 +79,9 @@ def evaluate(event: EventHypothesis, cfg: GateConfig, sensor_likelihood: float,
         reason, accepted = REASON_VETO, False
     else:
         reason, accepted = REASON_ACCEPTED, True
-    return GateDecision(event_id=event.event_id, accepted=accepted,
-                        support_weight=weight, sensor_likelihood=sensor_likelihood,
-                        decided_at=now, reason=reason)
+    return GateDecision(accepted=accepted, support_weight=weight,
+                        sensor_likelihood=sensor_likelihood, decided_at=now,
+                        reason=reason)
 
 
 def apply_decision(event: EventHypothesis, decision: GateDecision) -> None:

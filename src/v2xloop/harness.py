@@ -10,6 +10,10 @@ compute the command, log, step the vehicle. The ego is projected
 once onto the route and once onto the plan per tick (again onto a plan a
 replan just made), and every stage reuses those arc lengths.
 
+The ego follows its plan and replans when a trigger fires. No plan means a
+safety stop: the brake ramps to full, and planning is retried every
+RECOVERY_TICKS ticks until a plan is found or the ego stands still.
+
 Planning maps (inflated grid and route deviation field) are built once per
 map version, route and collision radius, and kept on the map version for
 the life of the spec: every episode of a batch or sweep that runs on the
@@ -30,7 +34,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
-from .control import ControlCommand, PidState, follow_tick, safety_stop_command
+from .control import PidState, follow_tick, safety_stop_command
 from .gate import apply_decision, evaluate
 from .ldm import PENDING, fuse_tick, initial_state
 from .logio import CsvLog, _round_floats, read_csv, read_json, roundtrip_rows, write_json
@@ -49,8 +53,6 @@ from .vehicle import VehicleState, step
 from .world import (MapVersion, Polyline, WorldObject, planning_occupancy,
                     poll_update, wrap_angle)
 
-FOLLOW = "follow"
-SAFETY_STOP = "safety_stop"
 RECOVERY_TICKS = 10               # replan retry cadence during a stop ramp
 
 # column name -> kind (logio: int, bool, float, str; "?" allows None)
@@ -97,6 +99,9 @@ LOG_COLUMNS = {"vehicle": VEHICLE_COLS, "control": CONTROL_COLS,
                "gate": GATE_COLS, "events": EVENTS_COLS, "plans": PLANS_COLS,
                "updates": UPDATES_COLS, "episode": EPISODE_COLS}
 LOG_NAMES = tuple(LOG_COLUMNS)
+# the meta.json keys compute_episode_metrics reads
+METRIC_META_KEYS = ("metrics", "dt", "route_length", "hazards", "event_label_radius",
+                    "mot_belief_min")
 
 
 @dataclass(frozen=True)
@@ -188,23 +193,16 @@ def run_episode(spec: ScenarioSpec, seed: int,
     meta = _build_meta(spec, seed)
 
     active = spec.vmap.initial()
-    last_seen = active.version_id
-    pending_map: tuple | None = None
+    pending_map: tuple | None = None      # (version, activation time)
     client = spec.update_client
-    if client is not None:
-        poll_ticks = max(1, int(round(client.poll_interval / dt)))
 
-    x0, y0, h0, v0 = spec.ego_start
-    ego = VehicleState(x=x0, y=y0, heading=h0, speed=v0)
+    ego = VehicleState(*spec.ego_start)
     pid = PidState()
-    mode = FOLLOW
-    last_cmd = ControlCommand(steering=0.0, throttle=0.0, brake=0.0)
     goal = spec.route.goal_pose
     ref = spec.route.reference_path
 
     ldm = initial_state(active)
     frames_window: list = []
-    window_keep = spec.sensor_likelihood_window + 0.2
     in_flight: list = []
     seq_counters: dict[str, int] = {}
     denm_started: set = set()
@@ -217,23 +215,21 @@ def run_episode(spec: ScenarioSpec, seed: int,
         cam_bound = {s.bound_object for s in spec.stations.honest()
                      if s.bound_object is not None}
 
-    plan_count = 0
-
     def replan(cause: str, tick: int, t: float):
-        """Plan from the current ego state on the active map and log the attempt."""
-        nonlocal plan_count
+        """Plan from the current ego state on the active map, log the attempt
+        and return its trajectory, None when the search failed."""
         grid, deviation = _planning_maps(active, ref, spec.vehicle.collision_radius)
         attempt = plan(ego.pose, ego.speed, goal, ldm, spec.planner, spec.vehicle,
                        cause=cause, base_grid=grid, start_steering=ego.steering,
                        deviation_field=deviation)
-        n_poses = len(attempt.trajectory.poses) if attempt.succeeded else 0
-        logs["plans"].append(tick, t, attempt.cause, attempt.succeeded,
-                             attempt.expansions, attempt.path_length, n_poses,
+        traj = attempt.trajectory
+        logs["plans"].append(tick, t, attempt.cause, traj is not None,
+                             attempt.expansions, attempt.path_length,
+                             0 if traj is None else len(traj.poses),
                              active.version_id)
-        timing.append(plan_count, tick, attempt.cause, attempt.cpu_ms,
+        timing.append(len(timing.rows), tick, attempt.cause, attempt.cpu_ms,
                       attempt.expansions)
-        plan_count += 1
-        return attempt
+        return traj
 
     def log_event(t: float, ev, final: int) -> None:
         logs["events"].append(t, ev.event_id, ev.kind, ev.status, ev.position[0],
@@ -242,18 +238,11 @@ def run_episode(spec: ScenarioSpec, seed: int,
                               _is_true_claim(ev.kind, *ev.position, hazards,
                                              spec.event_label_radius), final)
 
-    traj = replan("initial", 0, 0.0).trajectory
-    stop_tick = -1
-    if traj is None:
-        mode = SAFETY_STOP
-        stop_tick = 0
+    # stop_tick: the last failed plan attempt, which the retries count from
+    traj = replan("initial", 0, 0.0)
+    stop_tick = 0
 
     n_ticks = int(round(spec.time_limit / dt))
-    termination = "timeout"
-    sim_time = n_ticks * dt
-    ticks_done = 0
-    collision_flag = 0
-
     for k in range(n_ticks):
         t = k * dt
 
@@ -265,27 +254,22 @@ def run_episode(spec: ScenarioSpec, seed: int,
         truth = _truth_at(spec, t)
         objs = [o for o, _ in truth]
 
-        hit = False
-        for obj in objs:
-            d = math.hypot(ego.x - obj.position[0], ego.y - obj.position[1])
-            if d < spec.vehicle.collision_radius + obj.radius:
-                hit = True
-                break
-        if hit:
-            termination, sim_time, collision_flag = "collision", t, 1
-            break
-        if math.hypot(ego.x - goal[0], ego.y - goal[1]) <= spec.goal_tolerance:
-            termination, sim_time = "goal_reached", t
-            break
-        if mode == SAFETY_STOP and ego.speed <= 0.02:
-            termination, sim_time = "safety_stop", t
+        termination = None
+        if any(math.hypot(ego.x - o.position[0], ego.y - o.position[1])
+               < spec.vehicle.collision_radius + o.radius for o in objs):
+            termination = "collision"
+        elif math.hypot(ego.x - goal[0], ego.y - goal[1]) <= spec.goal_tolerance:
+            termination = "goal_reached"
+        elif traj is None and ego.speed <= 0.02:
+            termination = "safety_stop"
+        if termination is not None:
             break
         s_route, cross_track, _ = ref.project(ego.position)
 
         frame = sense(ego.pose, [o for o, sensable in truth if sensable],
                       spec.sensor, streams.get("sense"), t)
         frames_window.append(frame)
-        while frames_window and frames_window[0].timestamp < t - window_keep:
+        while frames_window[0].timestamp < t - spec.sensor_likelihood_window:
             frames_window.pop(0)
 
         for obj, sensable in truth:
@@ -326,19 +310,13 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
         ldm = fuse_tick(ldm, t, due, active, [frame], spec.ldm, next_ids)
 
-        if client is not None and k > 0 and k % poll_ticks == 0:
-            jitter = client.download_latency_jitter
-            latency = client.download_latency_mean
-            if jitter > 0.0:
-                latency += jitter * float(streams.get("updates").normal())
-            latency = max(0.05, latency)
-            polled = poll_update(t, last_seen, spec.vmap, latency)
+        if client is not None and client.polls_at(k, dt):
+            newest = active if pending_map is None else pending_map[0]
+            polled = poll_update(t, newest.version_id, spec.vmap,
+                                 client.download_latency(streams.get("updates")))
             if polled is not None:
-                version, activation_time = polled
-                pending_map = (version, activation_time)
-                last_seen = version.version_id
-                logs["updates"].append(k, t, "poll", version.version_id,
-                                       activation_time)
+                pending_map = polled
+                logs["updates"].append(k, t, "poll", polled[0].version_id, polled[1])
 
         for ev in sorted((e for e in ldm.events if e.status == PENDING),
                          key=lambda e: e.event_id):
@@ -356,44 +334,34 @@ def run_episode(spec: ScenarioSpec, seed: int,
                 logged_status[ev.event_id] = ev.status
                 log_event(t, ev, 0)
 
-        # in FOLLOW mode traj is never None; s_plan is the ego's arc length
-        # along it, projected once per tick and again after a replan
+        # s_plan: the ego's arc length along the plan, again after a replan
         ttc_now = math.inf
-        if mode == FOLLOW:
+        cause = ""
+        if traj is not None:
             s_plan = traj.project(ego.position)
             ttc_now = ttc_min(ego, traj, s_plan,
                               unexplained_tracks(ldm, spec.planner),
                               spec.planner.prefix_horizon,
                               spec.vehicle.collision_radius,
                               spec.planner.track_radius, spec.planner.b_obstacle)
-            fired = check_triggers(ldm, spec.route, traj, s_route, spec.triggers,
-                                   risk_ttc=ttc_now)
-            if fired:
-                attempt = replan("+".join(fired), k, t)
-                if attempt.succeeded:
-                    traj = attempt.trajectory
-                    s_plan = traj.project(ego.position)
-                else:
-                    traj = None
-                    mode = SAFETY_STOP
-                    stop_tick = k
-        elif mode == SAFETY_STOP and k > stop_tick \
-                and (k - stop_tick) % RECOVERY_TICKS == 0:
+            cause = "+".join(check_triggers(ldm, spec.route, traj, s_route,
+                                            spec.triggers, risk_ttc=ttc_now))
+        elif k == stop_tick + RECOVERY_TICKS:
             # retry while the stop ramp still has speed: a stop forced by a
             # transient phantom track should not latch for the whole episode
-            attempt = replan("recovery", k, t)
-            if attempt.succeeded:
-                traj = attempt.trajectory
+            cause, pid = "recovery", PidState()
+        if cause:
+            traj = replan(cause, k, t)
+            if traj is None:
+                stop_tick = k
+            else:
                 s_plan = traj.project(ego.position)
-                mode = FOLLOW
-                pid = PidState()
 
-        if mode == FOLLOW:
+        if traj is None:
+            cmd, target_speed = safety_stop_command(ego.brake, dt), 0.0
+        else:
             cmd, pid, target_speed = follow_tick(ego, traj, s_plan, spec.controller,
                                                  pid, spec.vehicle, dt)
-        else:
-            cmd = safety_stop_command(last_cmd.brake, dt)
-            target_speed = 0.0
 
         heading_ref = ref.heading_at(s_route)
         logs["vehicle"].append(k, t, ego.x, ego.y, ego.heading, ego.speed,
@@ -407,12 +375,14 @@ def run_episode(spec: ScenarioSpec, seed: int,
                                tr.velocity[0], tr.velocity[1], tr.belief)
 
         ego = step(ego, cmd, spec.vehicle, dt)
-        last_cmd = cmd
-        ticks_done = k + 1
+    else:
+        termination, k = "timeout", n_ticks
+    # k ticks ran to completion
+    sim_time = k * dt
 
     for ev in sorted(ldm.events, key=lambda e: e.event_id):
         log_event(sim_time, ev, 1)
-    logs["episode"].append(termination, sim_time, ticks_done, collision_flag)
+    logs["episode"].append(termination, sim_time, k, int(termination == "collision"))
 
     tables = {name: roundtrip_rows(log) for name, log in logs.items()}
     m = compute_episode_metrics(tables, meta)
@@ -423,7 +393,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         "sim_time": sim_time,
         "metrics": asdict(m),
         "objectives": list(objective_vector(m, spec.metrics)),
-        "counters": {"plans": plan_count, "ticks": ticks_done,
+        "counters": {"plans": len(timing.rows), "ticks": k,
                      "events": len(ldm.events),
                      "tracks_born": next_ids["track"][0] - 1},
     }
@@ -545,8 +515,9 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
 
 def replay(log_dir: str | Path) -> EpisodeMetrics:
     """Recompute metrics from a written log directory. A missing file, a
-    table whose header or cells are not its declared columns', or an
-    episode.csv without its row is a ValueError naming it."""
+    table whose header or cells are not its declared columns', an
+    episode.csv without its row or a meta.json without a key the metrics
+    read is a ValueError naming it."""
     log_dir = Path(log_dir)
     if (log_dir / "logs").is_dir():
         log_dir = log_dir / "logs"
@@ -556,6 +527,9 @@ def replay(log_dir: str | Path) -> EpisodeMetrics:
         raise ValueError(f"{log_dir} is not a complete log directory: "
                          f"missing {', '.join(missing)}")
     meta = read_json(log_dir / "meta.json")
+    missing = [key for key in METRIC_META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{log_dir / 'meta.json'}: missing key {missing[0]!r}")
     tables = {name: read_csv(log_dir / f"{name}.csv", columns)
               for name, columns in LOG_COLUMNS.items()}
     if not tables["episode"]["termination"]:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .v2x import CAM, DENM, V2xMessage
-from .world import MapVersion
+from .world import MapVersion, check_range
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,21 @@ class LdmParams:
     velocity_alpha: float = 0.3
     event_merge_radius: float = 15.0  # [m] DENM-to-hypothesis merge distance
     event_merge_window: float = 3.0   # [s] max report age gap when merging
+
+    def __post_init__(self):
+        check_range(self, ("d_gate", "tau_stale", "tau_event", "event_merge_radius",
+                           "event_merge_window"))
+        check_range(self, ("b_prune", "b_birth", "conf_birth", "clutter_term",
+                           "event_position_alpha", "position_alpha",
+                           "velocity_alpha"), hi=1.0)
+        # log-odds fusion takes the log of every ratio, the contradiction
+        # ratio included, and of the clamped belief's odds
+        check_range(self, ("lr_detect", "lr_cam", "lr_absent_cap", "p_miss_assumed"),
+                    strict=True)
+        check_range(self, ("belief_floor", "belief_ceiling"), hi=1.0, strict=True)
+        if self.belief_floor >= self.belief_ceiling:
+            raise ValueError(f"belief_floor: must be below belief_ceiling="
+                             f"{self.belief_ceiling}, got {self.belief_floor}")
 
 
 def contradiction_ratio(params: LdmParams) -> float:

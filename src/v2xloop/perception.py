@@ -33,6 +33,8 @@ class SensorModel:
         check_range(self, ("p_miss",), hi=1.0)
         check_range(self, ("max_range", "pos_noise_sigma", "vel_noise_sigma",
                            "clutter_rate"))
+        # every false detection is drawn, fused and may seed a track
+        check_range(self, ("clutter_rate",), hi=100.0)
         # a value in degrees (say 120) would otherwise see all round
         check_range(self, ("field_of_view",), hi=FULL_CIRCLE)
 
@@ -55,13 +57,19 @@ class SenseFrame:
     field_of_view: float
 
     def covers(self, point) -> bool:
-        ex, ey, eh = self.ego_pose
-        dx = point[0] - ex
-        dy = point[1] - ey
-        if math.hypot(dx, dy) > self.max_range:
-            return False
-        bearing = wrap_angle(math.atan2(dy, dx) - eh)
-        return abs(bearing) <= self.field_of_view / 2.0 + 1e-12
+        return in_wedge(self.ego_pose, self.max_range, self.field_of_view, point)
+
+
+def in_wedge(ego_pose, max_range: float, field_of_view: float, point) -> bool:
+    """Whether `point` lies within `max_range` of the pose and within half
+    the field of view of its heading: the sensor's coverage wedge."""
+    ex, ey, eh = ego_pose
+    dx = point[0] - ex
+    dy = point[1] - ey
+    if math.hypot(dx, dy) > max_range:
+        return False
+    bearing = wrap_angle(math.atan2(dy, dx) - eh)
+    return abs(bearing) <= field_of_view / 2.0 + 1e-12
 
 
 def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
@@ -74,13 +82,8 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
     detections: list[Detection] = []
 
     for obj in sorted(truth_objects, key=lambda o: o.object_id):
-        dx = obj.position[0] - ex
-        dy = obj.position[1] - ey
-        dist = math.hypot(dx, dy)
-        if dist > model.max_range:
-            continue
-        bearing = wrap_angle(math.atan2(dy, dx) - eh)
-        if abs(bearing) > model.field_of_view / 2.0 + 1e-12:
+        if not in_wedge(ego_pose, model.max_range, model.field_of_view,
+                        obj.position):
             continue
         if rng.uniform() < model.p_miss:
             continue

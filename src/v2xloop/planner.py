@@ -30,8 +30,8 @@ import numpy as np
 
 from .ldm import LdmState
 from .vehicle import VehicleParams
-from .world import (OccupancyGrid, Polyline, Route, is_on_route, mark_disk,
-                    wrap_angle)
+from .world import (OccupancyGrid, Polyline, Route, check_range, is_on_route,
+                    mark_disk, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,18 +74,16 @@ class PlannerConfig:
 
     def __post_init__(self):
         """Reject settings the search cannot run with, naming the field."""
-        if self.heading_bins < 1:
-            raise ValueError(f"planner.heading_bins must be >= 1, got {self.heading_bins}")
+        check_range(self, ("heading_bins",), lo=1)
         if self.steering_samples < 3 or self.steering_samples % 2 == 0:
-            raise ValueError("planner.steering_samples must be odd and >= 3 (straight "
+            raise ValueError("steering_samples: must be odd and >= 3 (straight "
                              f"plus both locks), got {self.steering_samples}")
-        for name in ("xy_resolution", "primitive_arc_length", "goal_xy_tol",
-                     "heuristic_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"planner.{name} must be finite and > 0, got {value}")
-        if self.max_expansions < 0:
-            raise ValueError(f"planner.max_expansions must be >= 0, got {self.max_expansions}")
+        check_range(self, ("xy_resolution", "primitive_arc_length", "goal_xy_tol",
+                           "heuristic_weight", "cruise_speed", "comfort_decel"),
+                    strict=True)
+        check_range(self, ("max_expansions",))
+        # the risk rollout samples every 10 ms, per track
+        check_range(self, ("prefix_horizon",), hi=60.0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from types import UnionType
+from types import SimpleNamespace, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -36,8 +36,8 @@ from .v2x import AttackPolicy, ChannelModel, DenmPolicy, Station, StationPopulat
 from .vehicle import VehicleParams
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
-                    VersionedMap, as_polyline, build_corridor_map, check_range,
-                    polyline_cumlength)
+                    VersionedMap, as_polyline, build_corridor_map, check_grid,
+                    check_range, polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
 
@@ -74,12 +74,25 @@ class ScriptedVehicle:
 class UpdateClientConfig:
     poll_interval: float = 2.0            # [s]
     download_latency_mean: float = 1.1    # [s]
-    download_latency_jitter: float = 0.2  # [s] Gaussian sigma, clamped >= 0.05
+    download_latency_jitter: float = 0.2  # [s] Gaussian sigma
 
     def __post_init__(self):
         # an interval shorter than a tick polls every tick
         check_range(self, ("poll_interval", "download_latency_mean",
                            "download_latency_jitter"))
+
+    def polls_at(self, tick: int, dt: float) -> bool:
+        """Whether the client polls on `tick`: every poll_interval, rounded
+        to whole ticks (at least one), from the first tick after 0."""
+        return tick > 0 and tick % max(1, int(round(self.poll_interval / dt))) == 0
+
+    def download_latency(self, rng) -> float:
+        """One poll's download time: mean + jitter * N(0, 1), at least 0.05 s.
+        `rng` is drawn from only when the jitter is positive."""
+        latency = self.download_latency_mean
+        if self.download_latency_jitter > 0.0:
+            latency += self.download_latency_jitter * float(rng.normal())
+        return max(0.05, latency)
 
 
 @dataclass(frozen=True)
@@ -115,16 +128,19 @@ class ScenarioSpec:
         object.__setattr__(self, "traffic", tuple(self.traffic))
         # a message that starts with the field at fault extends the dotted
         # path spec_from_dict reports
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt: must be finite and > 0, got {self.dt}")
-        if not (math.isfinite(self.time_limit) and self.time_limit >= 0.0):
-            raise ValueError(f"time_limit: must be finite and >= 0, got {self.time_limit}")
-        check_range(self, ("sensor_likelihood_window", "event_label_radius"))
+        check_range(self, ("dt",), strict=True)
+        check_range(self, ("time_limit", "sensor_likelihood_window",
+                           "event_label_radius"))
         if self.planner.goal_xy_tol > self.goal_tolerance:
             # the plan could then end inside the planner's goal region but
             # outside the episode's, where the ego holds still until timeout
             raise ValueError(f"planner.goal_xy_tol: must not exceed goal_tolerance="
                              f"{self.goal_tolerance}, got {self.planner.goal_xy_tol}")
+        # a longer motion primitive leaves the map from anywhere on it
+        diagonal = math.hypot(*self.vmap.size)
+        if self.planner.primitive_arc_length > diagonal:
+            raise ValueError(f"planner.primitive_arc_length: must not exceed the map "
+                             f"diagonal {diagonal:g}, got {self.planner.primitive_arc_length}")
         if self.attack is not None and self.stations is None:
             raise ValueError("scenario.attack needs scenario.stations: "
                              "the attackers are stations")
@@ -372,18 +388,27 @@ def _decode_fields(cls, d, path: str, exclude=(), raw=()) -> dict:
 def _decode_map(d, path: str) -> VersionedMap:
     kwargs = _decode_fields(VersionedMap, d, path, raw=("versions",))
     # checked before any grid is built: a grid's shape is size / cell_size
-    for name in ("size", "cell_size"):
-        if not all(math.isfinite(v) and v > 0.0 for v in np.ravel(kwargs[name])):
-            raise ValueError(f"{path}.{name}: must be finite and > 0, got {kwargs[name]}")
+    try:
+        check_range(SimpleNamespace(**kwargs), ("size", "cell_size"), strict=True)
+        check_grid(kwargs["size"], kwargs["cell_size"])
+    except ValueError as exc:
+        raise _located(exc, path, VersionedMap) from None
+    size_x, size_y = kwargs["size"]
     versions = []
     for i, vd in enumerate(_decode(tuple[dict, ...], kwargs["versions"],
                                    f"{path}.versions")):
         where = f"{path}.versions[{i}]"
         v = _decode_fields(MapVersion, vd, where, exclude=("occupancy",))
+        # stamping samples every centerline at half a cell, so a lane far off
+        # the map would take unbounded memory
+        for seg in v["lane_graph"]:
+            p = seg.polyline.points
+            if p.min() < 0.0 or p[:, 0].max() > size_x or p[:, 1].max() > size_y:
+                raise ValueError(f"{where}.lane_graph: segment {seg.segment_id!r} leaves "
+                                 f"the {size_x:g} x {size_y:g} m map")
         try:
             versions.append(build_corridor_map(
-                v["version_id"], v["lane_graph"], *kwargs["size"],
-                kwargs["cell_size"]))
+                v["version_id"], v["lane_graph"], size_x, size_y, kwargs["cell_size"]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     try:
@@ -422,9 +447,15 @@ def _decode(tp, value, path: str):
     if is_dataclass(tp):
         kwargs = _decode_fields(tp, value, path)
         try:
-            return tp(**kwargs)
+            decoded = tp(**kwargs)
         except ValueError as exc:
             raise _located(exc, path, tp) from None
+        # a number that no rule of the constructor covers must still be finite
+        for name, v in kwargs.items():
+            if any(type(x) is float and not math.isfinite(x)
+                   for x in (v if isinstance(v, tuple) else (v,))):
+                raise ValueError(f"{path}.{name}: must be finite, got {v}")
+        return decoded
     if origin in (tuple, frozenset):
         if not isinstance(value, list):
             raise ValueError(f"{path}: expected a list, got {type(value).__name__}")

@@ -114,12 +114,15 @@ class AttackPolicy:
     def __post_init__(self):
         check_range(self, ("p_attack",), hi=1.0)
         # a period of 0 never emits
-        check_range(self, ("emission_period",))
+        check_range(self, ("emission_period", "ahead_min", "ahead_max"))
+        if self.ahead_min > self.ahead_max:
+            raise ValueError(f"ahead_min: must not exceed ahead_max={self.ahead_max}, "
+                             f"got {self.ahead_min}")
         if self.placement not in ATTACK_PLACEMENTS:
-            raise ValueError(f"attack.placement must be one of {ATTACK_PLACEMENTS}, "
+            raise ValueError(f"placement: must be one of {ATTACK_PLACEMENTS}, "
                              f"got {self.placement!r}")
         if self.false_event_kind not in HAZARD_KINDS:
-            raise ValueError(f"attack.false_event_kind must be one of {HAZARD_KINDS}, "
+            raise ValueError(f"false_event_kind: must be one of {HAZARD_KINDS}, "
                              f"got {self.false_event_kind!r}")
 
 

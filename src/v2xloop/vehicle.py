@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .world import check_range
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -20,6 +22,12 @@ class VehicleParams:
     collision_radius: float = 1.0     # [m]
     v_max: float = 15.0               # [m/s]
 
+    def __post_init__(self):
+        # the bicycle model divides by the wheelbase, and tan(max_steer) is
+        # the tightest curvature's numerator
+        check_range(self, ("wheelbase",), strict=True)
+        check_range(self, ("max_steer",), hi=math.pi / 2.0, strict=True)
+
 
 @dataclass(frozen=True)
 class VehicleState:
@@ -28,8 +36,8 @@ class VehicleState:
     heading: float                    # [rad]
     speed: float                      # [m/s]
     steering: float = 0.0             # [rad] applied at the last step
-    throttle: float = 0.0             # [0, 1]
-    brake: float = 0.0                # [0, 1]
+    throttle: float = 0.0             # [0, 1] applied at the last step
+    brake: float = 0.0                # [0, 1] applied at the last step
 
     @property
     def position(self) -> tuple[float, float]:

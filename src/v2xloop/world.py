@@ -21,17 +21,24 @@ def wrap_angle(a: float) -> float:
     return (a + math.pi) % TWO_PI - math.pi
 
 
-def check_range(obj, names, lo: float = 0.0, hi: float = math.inf) -> None:
-    """Reject a field of `obj` that is not finite or lies outside [lo, hi].
+def check_range(obj, names, lo: float = 0.0, hi: float = math.inf,
+                strict: bool = False) -> None:
+    """Reject a field of `obj` that is not finite or lies outside [lo, hi],
+    or outside (lo, hi) when `strict`. Every item of a tuple field is checked.
 
     The message starts with the field, so the scenario decoder reports its
     dotted path, e.g. `scenario.sensor.p_miss: ...`.
     """
-    bound = f">= {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+    if strict:
+        bound = f"> {lo:g}" if hi == math.inf else f"in ({lo:g}, {hi:g})"
+    else:
+        bound = f">= {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
     for name in names:
         value = getattr(obj, name)
-        if not (math.isfinite(value) and lo <= value <= hi):
-            raise ValueError(f"{name}: must be finite and {bound}, got {value}")
+        for v in value if isinstance(value, tuple) else (value,):
+            inside = lo < v < hi if strict else lo <= v <= hi
+            if not (math.isfinite(v) and inside):
+                raise ValueError(f"{name}: must be finite and {bound}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +78,8 @@ class Polyline:
             raise ValueError("expected an array of numbers") from None
         if p.ndim != 2 or p.shape[0] < 2 or p.shape[1] != 2:
             raise ValueError(f"expected an (N, 2) array with N >= 2, got shape {p.shape}")
+        if not np.isfinite(p).all():
+            raise ValueError("expected finite points")
         cum = polyline_cumlength(p)
         a = p[:-1]
         d = p[1:] - a
@@ -182,6 +191,21 @@ class OccupancyGrid:
         return bool(self.cells[iy, ix])
 
 
+# a 1 km square at 0.5 m; the route deviation field alone takes several
+# float64 arrays of this many cells
+MAX_GRID_CELLS = 4_000_000
+
+
+def check_grid(size, cell_size: float) -> None:
+    """Reject a map extent that `cell_size` divides into no cell along an
+    axis or into more than MAX_GRID_CELLS; the message starts with the field."""
+    nx, ny = (round(side / cell_size) for side in size)
+    if not (nx >= 1 and ny >= 1 and nx * ny <= MAX_GRID_CELLS):
+        raise ValueError(f"cell_size: must divide the {size[0]:g} x {size[1]:g} m map "
+                         f"into 1 to {MAX_GRID_CELLS} cells, got {nx} x {ny} at "
+                         f"{cell_size:g}")
+
+
 def empty_grid(size_x: float, size_y: float, cell_size: float = 0.5,
                origin: tuple[float, float] = (0.0, 0.0),
                occupied: bool = False) -> OccupancyGrid:
@@ -236,12 +260,18 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     if radius <= 0.0:
         return grid
     r_cells = radius / grid.cell_size
-    r = int(math.ceil(r_cells))
     src = grid.cells
-    out = src.copy()
     ny, nx = src.shape
-    for di in range(-r, r + 1):
-        for dj in range(-r, r + 1):
+    if r_cells >= math.hypot(ny, nx):
+        # every cell lies within reach of every other
+        return OccupancyGrid(cells=np.full_like(src, src.any()),
+                             cell_size=grid.cell_size, origin=grid.origin)
+    r = int(math.ceil(r_cells))
+    # an offset past the grid's extent reaches no cell
+    ry, rx = min(r, ny - 1), min(r, nx - 1)
+    out = src.copy()
+    for di in range(-ry, ry + 1):
+        for dj in range(-rx, rx + 1):
             if di == 0 and dj == 0:
                 continue
             if di * di + dj * dj > r_cells * r_cells + 1e-9:

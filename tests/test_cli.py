@@ -145,16 +145,19 @@ def test_replay_of_a_header_only_episode_csv_exits_with_one_line(tmp_path):
     assert "\n" not in message
 
 
-@pytest.mark.parametrize("damage, message", [
-    (lambda lines: lines.__setitem__(0, lines[0].replace("brake", "brakes")),
+@pytest.mark.parametrize("name, damage, message", [
+    ("control.csv", lambda lines: lines.__setitem__(0, lines[0].replace("brake", "brakes")),
      "control.csv, line 1: header column 5 is 'brakes', expected 'brake'"),
-    (lambda lines: lines.__setitem__(3, "abc" + lines[3][1:]),
+    ("control.csv", lambda lines: lines.__setitem__(3, "abc" + lines[3][1:]),
      "control.csv, line 4, column tick: cannot read 'abc' as int"),
-], ids=["foreign-header", "damaged-cell"])
-def test_replay_of_a_foreign_or_damaged_table_exits_with_one_line(tmp_path, damage, message):
+    ("meta.json", lambda lines: lines.remove('  "route_length": 84.0,'),
+     "meta.json: missing key 'route_length'"),
+], ids=["foreign-header", "damaged-cell", "meta-key-missing"])
+def test_replay_of_a_foreign_or_damaged_table_exits_with_one_line(tmp_path, name, damage,
+                                                                  message):
     out = tmp_path / "ep"
     main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])
-    p = out / "logs" / "control.csv"
+    p = out / "logs" / name
     lines = p.read_text().splitlines()
     damage(lines)
     p.write_text("\n".join(lines) + "\n")

@@ -553,11 +553,11 @@ def test_trigger_knowledge_change():
     ("max_expansions", -1),
 ])
 def test_planner_config_rejects_unrunnable_values(field_name, bad):
-    with pytest.raises(ValueError, match=f"planner.{field_name}"):
+    with pytest.raises(ValueError, match=f"^{field_name}: "):
         PlannerConfig(**{field_name: bad})
     d = spec_to_dict(build_s1())
     d["planner"][field_name] = bad
-    with pytest.raises(ValueError, match=f"planner.{field_name}"):
+    with pytest.raises(ValueError, match=f"^scenario\\.planner\\.{field_name}: "):
         spec_from_dict(d)
 
 

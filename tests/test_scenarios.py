@@ -1,15 +1,19 @@
 """Scenario builders, ablation switches, and the strict JSON round-trip."""
 
+import copy
 import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fingerprints import BUILT_IN_SPECS
+from v2xloop.harness import run_episode
 from v2xloop.pareto import Configuration
 from v2xloop.perception import FULL_CIRCLE
-from v2xloop.scenarios import (ScriptedVehicle, apply_configuration,
+from v2xloop.scenarios import (ScriptedVehicle, UpdateClientConfig, apply_configuration,
                                build_s1, build_s2, build_s3, build_s4,
                                build_scenario, spec_from_dict, spec_to_dict)
 
@@ -301,6 +305,41 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
         spec_from_dict(d)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: d["vmap"].update(cell_size=1e12),
+     "scenario.vmap.cell_size: must divide the 100 x 100 m map into 1 to 4000000 "
+     "cells, got 0 x 0"),
+    (lambda d: d["vmap"].update(size=[1e12, 100.0]),
+     "scenario.vmap.cell_size: must divide the 1e+12 x 100 m map"),
+    (lambda d: d["vmap"]["versions"][0]["lane_graph"][0]["polyline"][0].__setitem__(0, 1e12),
+     "scenario.vmap.versions[0].lane_graph: segment 'main' leaves the 100 x 100 m map"),
+    (lambda d: d["planner"].update(primitive_arc_length=1e12),
+     "scenario.planner.primitive_arc_length: must not exceed the map diagonal 141.421"),
+    (lambda d: d["planner"].update(prefix_horizon=1e12),
+     "scenario.planner.prefix_horizon: must be finite and in [0, 60]"),
+    (lambda d: d["planner"].update(comfort_decel=0.0),
+     "scenario.planner.comfort_decel: must be finite and > 0"),
+    (lambda d: d["sensor"].update(clutter_rate=1e12),
+     "scenario.sensor.clutter_rate: must be finite and in [0, 100]"),
+    (lambda d: d["attack"].update(ahead_max=0.0),
+     "scenario.attack.ahead_min: must not exceed ahead_max=0.0, got 10.0"),
+    (lambda d: d["ego_start"].__setitem__(0, math.nan),
+     "scenario.ego_start: must be finite, got (nan, 50.0, 0.0, 0.0)"),
+    (lambda d: d["route"]["reference_path"][3].__setitem__(1, math.inf),
+     "scenario.route.reference_path: expected finite points"),
+    (lambda d: d["vehicle"].update(max_accel=math.inf),
+     "scenario.vehicle.max_accel: must be finite, got inf"),
+], ids=["grid-without-cells", "grid-too-large", "lane-off-map", "primitive-past-map",
+        "risk-horizon", "no-deceleration", "clutter-flood", "empty-attack-window",
+        "ego-nan", "route-inf", "unchecked-inf"])
+def test_spec_from_dict_rejects_values_that_cannot_run(damage, message):
+    # each of these used to load, then crash, exhaust memory or never end
+    d = spec_to_dict(build_s4())
+    damage(d)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        spec_from_dict(d)
+
+
 def test_spec_limits_admit_the_edges():
     s2 = build_s2()
     replace(s2, time_limit=0.0)
@@ -310,32 +349,36 @@ def test_spec_limits_admit_the_edges():
 NOT_FINITE = (float("nan"), float("inf"), -float("inf"))
 
 
-def _rejects_out_of_range(section, probabilities, non_negative, build=build_s4,
-                          upper=1.0):
-    """Every named field of the `section` of `build`'s document (dotted, ""
-    for the top level) is rejected at load outside its range, naming its
-    dotted path; the edges load. `probabilities` lie in [0, upper]."""
-    def fields_of(d):
-        for key in filter(None, section.split(".")):
-            d = d[key]
-        return d
+def _document_with(section, name, value, build=build_s4):
+    """`build`'s document with field `name` of `section` (dotted, "" for the
+    top level) set to `value`."""
+    d = spec_to_dict(build())
+    fields_of = d
+    for key in filter(None, section.split(".")):
+        fields_of = fields_of[key]
+    fields_of[name] = value
+    return d
 
+
+def _rejects_out_of_range(section, probabilities, non_negative, build=build_s4,
+                          upper=1.0, positive=()):
+    """Every named field of the `section` of `build`'s document is rejected at
+    load outside its range, naming its dotted path; the edges load.
+    `probabilities` lie in [0, upper], `positive` fields are > 0 (no edge)."""
     prefix = f"scenario.{section}." if section else "scenario."
     cases = [(name, bad, f"in [0, {upper:g}]") for name in probabilities
              for bad in (-0.1, upper + 0.5, *NOT_FINITE)]
     cases += [(name, bad, ">= 0") for name in non_negative
               for bad in (-0.01, *NOT_FINITE)]
+    cases += [(name, bad, "> 0") for name in positive
+              for bad in (0.0, -0.01, *NOT_FINITE)]
     for name, bad, bound in cases:
-        d = spec_to_dict(build())
-        fields_of(d)[name] = bad
         message = f"{prefix}{name}: must be finite and {bound}, got {bad}"
         with pytest.raises(ValueError, match="^" + re.escape(message)):
-            spec_from_dict(d)
+            spec_from_dict(_document_with(section, name, bad, build))
     for name, edge in [(n, e) for n in probabilities for e in (0.0, upper)] \
             + [(n, 0.0) for n in non_negative]:
-        d = spec_to_dict(build())
-        fields_of(d)[name] = edge
-        spec_from_dict(d)
+        spec_from_dict(_document_with(section, name, edge, build))
 
 
 def test_sensor_model_ranges():
@@ -385,6 +428,24 @@ def test_update_client_ranges():
                                                 "download_latency_jitter"], build=build_s3)
 
 
+def test_update_client_schedule_and_latency():
+    client = UpdateClientConfig(poll_interval=0.12, download_latency_mean=0.01,
+                                download_latency_jitter=0.0)
+    # 0.12 s is two 0.05 s ticks; tick 0 never polls
+    assert [k for k in range(7) if client.polls_at(k, 0.05)] == [2, 4, 6]
+    every_tick = replace(client, poll_interval=0.0)
+    assert [k for k in range(4) if every_tick.polls_at(k, 0.05)] == [1, 2, 3]
+
+    class NoDraws:
+        def normal(self):
+            raise AssertionError("a jitter of 0 draws nothing")
+
+    assert client.download_latency(NoDraws()) == 0.05         # clamped
+    jittered = replace(client, download_latency_mean=1.1, download_latency_jitter=0.2)
+    draw = float(np.random.default_rng(3).normal())
+    assert jittered.download_latency(np.random.default_rng(3)) == max(0.05, 1.1 + 0.2 * draw)
+
+
 def test_gate_config_ranges():
     _rejects_out_of_range("gate", ["eta"], ["support_radius", "sensor_support_radius",
                                             "tau_bft"])
@@ -392,6 +453,45 @@ def test_gate_config_ranges():
 
 def test_scenario_window_and_label_radius_ranges():
     _rejects_out_of_range("", [], ["sensor_likelihood_window", "event_label_radius"])
+
+
+def test_vehicle_params_ranges():
+    # wheelbase 0 used to load and raise ZeroDivisionError at the first plan
+    _rejects_out_of_range("vehicle", [], [], positive=["wheelbase"])
+    for bad in (0.0, math.pi / 2.0, -0.1, *NOT_FINITE):
+        with pytest.raises(ValueError, match=r"^scenario\.vehicle\.max_steer: must be "
+                                             r"finite and in \(0, 1\.5708\), got "):
+            spec_from_dict(_document_with("vehicle", "max_steer", bad))
+    spec_from_dict(_document_with("vehicle", "max_steer", 1.57))
+    spec_from_dict(_document_with("vehicle", "wheelbase", 1e-3))
+
+
+def test_controller_config_ranges():
+    # look_ahead_min 0 used to load and raise ZeroDivisionError in
+    # pure_pursuit on the first tick
+    _rejects_out_of_range("controller", [], [], positive=["look_ahead_min",
+                                                           "look_ahead_max"])
+    with pytest.raises(ValueError, match=r"^scenario\.controller\.look_ahead_min: must "
+                                         r"not exceed look_ahead_max=6\.0, got 6\.5"):
+        spec_from_dict(_document_with("controller", "look_ahead_min", 6.5))
+    spec_from_dict(_document_with("controller", "look_ahead_min", 6.0))
+
+
+def test_ldm_params_ranges():
+    _rejects_out_of_range(
+        "ldm", ["b_prune", "b_birth", "conf_birth", "clutter_term",
+                "event_position_alpha", "position_alpha", "velocity_alpha"],
+        ["d_gate", "tau_stale", "tau_event", "event_merge_radius", "event_merge_window"],
+        positive=["lr_detect", "lr_cam", "lr_absent_cap", "p_miss_assumed"])
+    for name in ("belief_floor", "belief_ceiling"):
+        for bad in (0.0, 1.0, *NOT_FINITE):
+            with pytest.raises(ValueError, match=f"^scenario\\.ldm\\.{name}: must be "
+                                                 r"finite and in \(0, 1\), got "):
+                spec_from_dict(_document_with("ldm", name, bad))
+    with pytest.raises(ValueError, match=r"^scenario\.ldm\.belief_floor: must be below "
+                                         r"belief_ceiling=0\.99, got 0\.99"):
+        spec_from_dict(_document_with("ldm", "belief_floor", 0.99))
+    spec_from_dict(_document_with("ldm", "belief_floor", 0.98))
 
 
 def test_gate_quorum_must_not_exceed_the_population():
@@ -410,3 +510,47 @@ def test_gate_quorum_must_not_exceed_the_population():
     d["gate"]["quorum"] = 20
     d["gate"]["enabled"] = False              # a disabled gate counts nothing
     spec_from_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# spec-document fuzz
+
+
+def _numeric_leaves(doc, path=()):
+    """The path of every number (not bool) in a document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+BUILT_IN_DOCS = {name: spec_to_dict(build_scenario(sid, **kwargs))
+                 for name, (sid, kwargs) in BUILT_IN_SPECS.items()}
+NUMERIC_LEAVES = [(name, path) for name, doc in BUILT_IN_DOCS.items()
+                  for path in _numeric_leaves(doc)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(leaf=st.sampled_from(NUMERIC_LEAVES),
+       value=st.sampled_from([0, -1, math.nan, math.inf, 1e12, "1"]))
+def test_a_document_with_one_bad_number_is_rejected_at_load_or_runs(leaf, value):
+    # a document that cannot run is refused at load, naming its dotted path;
+    # one that loads runs to a termination
+    name, path = leaf
+    d = copy.deepcopy(BUILT_IN_DOCS[name])
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        spec = spec_from_dict(d)
+    except ValueError as exc:
+        assert str(exc).startswith("scenario."), str(exc)
+        return
+    result = run_episode(replace(spec, time_limit=min(spec.time_limit, 2.0)), 1)
+    assert result.summary["termination"] in ("goal_reached", "collision",
+                                             "safety_stop", "timeout")

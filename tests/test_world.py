@@ -210,6 +210,16 @@ def test_inflate_grows_by_metric_radius():
     assert np.all(grown.cells[g.cells])
 
 
+def test_inflate_beyond_the_grid_diagonal_fills_the_grid_at_once():
+    # a radius of 1e12 m used to loop over (2r + 1)^2 offsets, and one past
+    # the grid's side made the offset slices disagree (ValueError)
+    g = empty_grid(2.5, 2.0, cell_size=0.5)           # 4 x 5 cells, diagonal 6.4
+    g.cells[1, 2] = True
+    assert inflate(g, 6.3 * 0.5).cells.all()          # the offset loop
+    assert inflate(g, 1e12).cells.all()
+    assert not inflate(empty_grid(2.5, 2.0, cell_size=0.5), 1e12).cells.any()
+
+
 def test_inflate_zero_radius_is_identity():
     g = empty_grid(5.0, 5.0, cell_size=0.5)
     mark_disk(g.cells, g, (2.0, 2.0), 0.6)
