@@ -8,9 +8,13 @@ is the Euclidean distance to goal scaled by heuristic_weight, so solutions
 are within that factor of optimal and the search stays fast even though the
 deviation term makes straight-line cost exceed plain distance.
 
-Expanding a node costs one batched grid lookup: all steering primitives are
-placed in the world together, and their bounds, occupancy and mean route
-deviation come from whole-array operations, so only the surviving arcs pay
+Expanding a node costs one batched grid lookup. Each plan builds a cost
+table holding the route deviation on free cells and inf on blocked cells
+and on a border past the grid, so one `take` of all arc samples' clamped
+cell indices and one row sum give every arc's bounds, occupancy and
+deviation at once: an arc is free iff its sum is finite. The primitives
+turned to a heading are memoized per plan by that exact heading, so
+placing them at a node is one addition, and only the surviving arcs pay
 per-arc Python work. Nodes keep their parent and steer index instead of
 their arc samples; arcs are materialized only for the returned chain.
 
@@ -260,17 +264,23 @@ def _primitives(cfg: PlannerConfig, vparams: VehicleParams):
     return steers, pts, dthetas
 
 
-def _arcs_from(prim_pts: np.ndarray, x: float, y: float, th: float) -> np.ndarray:
-    """World-frame samples of every primitive from pose (x, y, th).
-
-    The one place a primitive is placed in the world: the search and the
-    path rebuild both call it, so a rebuilt arc has the search's exact bits.
-    """
+def _rotate(prim_pts: np.ndarray, th: float) -> np.ndarray:
+    """Body-frame primitives turned to heading `th`, not yet placed."""
     c, s = math.cos(th), math.sin(th)
     rot = np.array([[c, -s], [s, c]])
-    world = prim_pts @ rot.T
-    world += (x, y)
-    return world
+    return prim_pts @ rot.T
+
+
+def _arcs_from(rotated: np.ndarray, x: float, y: float) -> np.ndarray:
+    """World-frame samples of every primitive from (x, y), given the
+    primitives `_rotate`d to the pose's heading.
+
+    The one place a primitive is placed in the world: the search places
+    its memoized rotations with it and the path rebuild places a fresh
+    `_rotate` of the same heading, so a rebuilt arc has the search's
+    exact bits.
+    """
+    return rotated + (x, y)
 
 
 def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
@@ -282,17 +292,22 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     `base_grid` is the inflated static map (world.planning_occupancy) that
     obstacle_grid stamps the LDM into. `deviation_field` (from
     route_deviation_field) prices distance from the route reference so the
-    optimum keeps the lane instead of cutting it; it must have the planning
-    grid's shape, and an all-zero field prices no deviation.
+    optimum keeps the lane instead of cutting it; it must be finite and
+    have the planning grid's shape, and an all-zero field prices no
+    deviation.
     Returns a failed attempt (trajectory None) when the goal is unreachable
     within the expansion budget; the caller is expected to fall back to a
     minimum-safety stop.
 
-    Expanding a node places all steering primitives at once and checks
-    them with one batched grid lookup (bounds, occupancy and mean route
-    deviation of every arc); only the surviving arcs reach the Python-level
-    push. A node stores its parent and steer index, not its arc: arc
-    samples are rebuilt only for the nodes of the returned path.
+    The grid is read through one cost table per plan: the deviation on
+    free cells, inf on blocked ones and on a border row and column. An
+    arc sample's cell index is clamped onto that border, so one lookup
+    and one row sum per node give every arc's bounds, occupancy and
+    deviation sum, and an arc is free iff its sum is finite. The
+    primitives turned to a heading are memoized by that exact heading, so
+    placing them is one addition. A node stores its parent and steer
+    index, not its arc: arc samples are rebuilt only for the nodes of the
+    returned path.
     """
     t0 = time.perf_counter()
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
@@ -303,6 +318,8 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     if deviation_field.shape != cells.shape:
         raise ValueError(f"deviation_field shape {deviation_field.shape} != "
                          f"planning grid shape {cells.shape}")
+    if not np.isfinite(deviation_field).all():
+        raise ValueError("deviation_field: must be finite everywhere")
     res = grid.cell_size
     ox, oy = grid.origin
     inv_res = 1.0 / res
@@ -310,6 +327,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     n_bins = cfg.heading_bins
     hw = cfg.heuristic_weight
     goal_xy_tol, goal_heading_tol = cfg.goal_xy_tol, cfg.goal_heading_tol
+    max_expansions = cfg.max_expansions
 
     steers, prim_pts, prim_dth = _primitives(cfg, vparams)
     substep = prim_pts.shape[1]
@@ -321,31 +339,36 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     lateral_arc = cfg.lateral_weight * arc
     end_dth = prim_dth[:, -1].tolist()
     origin = np.array([ox, oy])
-    upper = np.array([nx, ny], dtype=np.uint64)
-    flat_stride = np.array([1, nx])
-    flat_cells = cells.ravel()
-    flat_dev = deviation_field.ravel()
+    # cost table: the deviation on free cells, inf on blocked cells and on
+    # one border row and column past the far edges. A cell index clamped
+    # into [-1, n] lands on that border: an index of n directly, one of -1
+    # by wrapping round, as negative indices do in `take`
+    inf = math.inf
+    table = np.full((ny + 1, nx + 1), inf)
+    table[:ny, :nx] = np.where(cells, inf, deviation_field)
+    flat_table = table.ravel()
+    upper = np.array([float(nx), float(ny)])
+    flat_stride = np.array([1, nx + 1])
+    rotations: dict = {}            # heading -> _rotate(prim_pts, heading)
 
-    # node storage: parallel lists, parent links by index
+    # node storage: parallel lists, parent links by index. A node's index
+    # is also its push order, so heap ties go to the first pushed
     xs = [sx]; ys = [sy]; ths = [sth]; gs = [0.0]
     steer_idx = [int(np.argmin(np.abs(steers - start_steering)))]
     parents = [-1]
 
-    open_heap = [(hw * math.hypot(gx - sx, gy - sy), 0, 0)]
+    open_heap = [(hw * math.hypot(gx - sx, gy - sy), 0)]
     closed: set = set()
-    push_count = 1
     expansions = 0
     goal_node = -1
-    heappush, heappop, hypot = heapq.heappush, heapq.heappop, math.hypot
-
-    def bin_key(x: float, y: float, th: float):
-        return (int(x * inv_res), int(y * inv_res),
-                int(((th % TWO_PI) / bin_size)) % n_bins)
+    heappush, heappop, hypot, floor = heapq.heappush, heapq.heappop, math.hypot, np.floor
+    maximum, minimum, copysign, intp = np.maximum, np.minimum, math.copysign, np.intp
 
     while open_heap:
-        _, _, ni = heappop(open_heap)
+        ni = heappop(open_heap)[1]
         x, y, th = xs[ni], ys[ni], ths[ni]
-        key = bin_key(x - ox, y - oy, th)
+        key = (int((x - ox) * inv_res), int((y - oy) * inv_res),
+               int(((th % TWO_PI) / bin_size)) % n_bins)
         if key in closed:
             continue
         closed.add(key)
@@ -355,36 +378,39 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
             goal_node = ni
             break
         expansions += 1
-        if expansions > cfg.max_expansions:
+        if expansions > max_expansions:
             break
 
-        # one lookup for all (steer, substep) samples. Seen as unsigned, a
-        # negative cell index is huge, so one comparison checks both bounds;
-        # clipped flat indices only ever stand for arcs `inb` rejects
-        world = _arcs_from(prim_pts, x, y, th)
-        idx = np.floor((world - origin) * inv_res).astype(np.int64)
-        inb = (idx.view(np.uint64) < upper).all(axis=(1, 2))
-        flat = idx @ flat_stride
-        free = inb & ~flat_cells.take(flat, mode="clip").any(axis=1)
-        survivors = free.nonzero()[0].tolist()
-        if not survivors:
-            continue
+        # 0.0 and -0.0 are one dict key but turn the primitives to
+        # different zero signs, so -0.0 gets a key of its own
+        hkey = th if th or copysign(1.0, th) > 0.0 else "-0.0"
+        rotated = rotations.get(hkey)
+        if rotated is None:
+            rotated = rotations[hkey] = _rotate(prim_pts, th)
+        world = _arcs_from(rotated, x, y)
+        idx = world - origin
+        idx *= inv_res
+        floor(idx, out=idx)
+        maximum(idx, -1.0, out=idx)
+        minimum(idx, upper, out=idx)
+        # the row sum adds each arc's deviations in the order
+        # ndarray.mean does
+        sums = flat_table.take(idx.astype(intp) @ flat_stride).sum(axis=1).tolist()
         ends = world[:, -1].tolist()
-        # sum / count is exactly what ndarray.mean computes
-        dev = (flat_dev.take(flat, mode="clip").sum(axis=1) / substep).tolist()
         costs = step_cost[steer_idx[ni]]
         g = gs[ni]
-        for si in survivors:
+        for si, total in enumerate(sums):
+            if total == inf:
+                continue
             ex, ey = ends[si]
             th_new = th + end_dth[si]
-            if bin_key(ex - ox, ey - oy, th_new) in closed:
+            if (int((ex - ox) * inv_res), int((ey - oy) * inv_res),
+                    int(((th_new % TWO_PI) / bin_size)) % n_bins) in closed:
                 continue
-            g_new = g + (costs[si] + lateral_arc * dev[si])
+            g_new = g + (costs[si] + lateral_arc * (total / substep))
+            heappush(open_heap, (g_new + hw * hypot(gx - ex, gy - ey), len(xs)))
             xs.append(ex); ys.append(ey); ths.append(th_new); gs.append(g_new)
             steer_idx.append(si); parents.append(ni)
-            heappush(open_heap, (g_new + hw * hypot(gx - ex, gy - ey),
-                                 push_count, len(xs) - 1))
-            push_count += 1
 
     cpu_ms = (time.perf_counter() - t0) * 1000.0
     if goal_node < 0:
@@ -403,7 +429,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
         blocks *= 2
     for ni in chain:
         pi, si = parents[ni], steer_idx[ni]
-        pts = _arcs_from(prim_pts, xs[pi], ys[pi], ths[pi])[si]
+        pts = _arcs_from(_rotate(prim_pts, ths[pi]), xs[pi], ys[pi])[si]
         blocks.append(np.column_stack([pts, ths[pi] + prim_dth[si]]))
     poses = np.concatenate(blocks)
     traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), cfg.cruise_speed),

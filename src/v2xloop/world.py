@@ -244,15 +244,48 @@ def mark_disk(cells: np.ndarray, grid: OccupancyGrid, center, radius: float,
 
 def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
                    radius: float, value: bool = True) -> None:
-    """Mark every cell within `radius` of the polyline."""
+    """Mark every cell within `radius` of the polyline.
+
+    Each segment is sampled every half cell at the parameters
+    np.linspace(0, 1, n) gives, but only the samples whose disk can reach
+    the grid are made, so the work is bounded by the grid and not by the
+    length of the lane.
+    """
     p = np.asarray(polyline, dtype=float)
-    step = grid.cell_size * 0.5
+    cs = grid.cell_size
+    step = cs * 0.5
+    ny, nx = grid.cells.shape
+    # `_disk_cells` pads a disk's box by a cell, so a disk reaches the grid
+    # only from inside the grid grown by radius and two cells; one more
+    # cell is slack for rounding
+    reach = radius + 3.0 * cs
+    lo = (grid.origin[0] - reach, grid.origin[1] - reach)
+    hi = (grid.origin[0] + nx * cs + reach, grid.origin[1] + ny * cs + reach)
     for i in range(len(p) - 1):
         a, b = p[i], p[i + 1]
         seg = math.hypot(b[0] - a[0], b[1] - a[1])
         n = max(2, int(math.ceil(seg / step)) + 1)
-        for t in np.linspace(0.0, 1.0, n):
-            mark_disk(cells, grid, a + t * (b - a), radius, value)
+        # the parameter interval [t0, t1] inside the grown grid
+        t0, t1 = 0.0, 1.0
+        for axis in (0, 1):
+            d = b[axis] - a[axis]
+            if d == 0.0:
+                if not lo[axis] <= a[axis] <= hi[axis]:
+                    t0, t1 = 1.0, 0.0
+                continue
+            u, v = sorted(((lo[axis] - a[axis]) / d, (hi[axis] - a[axis]) / d))
+            t0, t1 = max(t0, u), min(t1, v)
+        if t0 > t1:
+            continue
+        # samples k0..k1, one of slack on each side, with t computed as
+        # np.linspace(0, 1, n) does: k * (1 / (n - 1)), the last one 1.0
+        k0 = max(0, int(math.floor(t0 * (n - 1))) - 1)
+        k1 = min(n - 1, int(math.ceil(t1 * (n - 1))) + 1)
+        t = np.arange(k0, k1 + 1).astype(float) * (1.0 / (n - 1))
+        if k1 == n - 1:
+            t[-1] = 1.0
+        for center in a + t[:, None] * (b - a):
+            mark_disk(cells, grid, center, radius, value)
 
 
 def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:

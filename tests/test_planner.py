@@ -16,8 +16,8 @@ from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
                              ttc_min, unexplained_tracks)
 from v2xloop.scenarios import build_s1, spec_from_dict, spec_to_dict
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature
-from v2xloop.world import (LaneSegment, Route, build_corridor_map,
-                           planning_occupancy, wrap_angle)
+from v2xloop.world import (LaneSegment, MapVersion, Route, build_corridor_map,
+                           empty_grid, planning_occupancy, wrap_angle)
 
 CFG = PlannerConfig()
 TRIG = TriggerConfig()
@@ -284,7 +284,7 @@ def _random_corridor(rng, near_edge: bool):
     return start, goal, line, ldm
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), with_field=st.booleans(),
        near_edge=st.booleans(),
        budget=st.sampled_from([20, 300, 4000]),
@@ -299,10 +299,18 @@ def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
     # the 8-element block where numpy's pairwise summation changes form
     cfg = PlannerConfig(max_expansions=budget, xy_resolution=xy_resolution,
                         primitive_arc_length=arc)
+    _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering,
+                                   line if with_field else None)
+
+
+def _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering=0.0,
+                                   line=None):
+    """`plan` and `_reference_plan` agree bit for bit; a `line` prices the
+    deviation from it, no line prices none. Returns `plan`'s attempt."""
     base = _base(ldm)
-    field = route_deviation_field(base, line) if with_field else None
+    field = None if line is None else route_deviation_field(base, line)
     got = plan(start, 0.0, goal, ldm, cfg, VP, "initial", base, start_steering,
-               field if with_field else np.zeros(base.shape))
+               np.zeros(base.shape) if field is None else field)
     want = _reference_plan(start, 0.0, goal, ldm, cfg, VP, "initial", base,
                            start_steering, deviation_field=field)
     assert got.expansions == want.expansions
@@ -316,6 +324,7 @@ def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
         d = np.diff(want.trajectory.poses[:, :2], axis=0)
         arc = np.concatenate([[0.0], np.cumsum(np.hypot(d[:, 0], d[:, 1]))])
         assert got.trajectory.path.cumlength.tobytes() == arc.tobytes()
+    return got
 
 
 def test_reference_oracle_covers_failure_edge_and_success():
@@ -329,6 +338,76 @@ def test_reference_oracle_covers_failure_edge_and_success():
     ok = _plan(start, ldm, PlannerConfig(max_expansions=4000), goal=goal,
                deviation_field=route_deviation_field(grid, line))
     assert ok.succeeded
+
+
+# an open 30 x 20 m map whose origin is off zero, and its middle line
+OPEN_ORIGIN = (-3.0, 2.0)
+OPEN_MID = np.array([[-3.0, 12.0], [27.0, 12.0]])
+
+
+def _open_ldm(blocked=()):
+    """`initial_state` of the open map with `blocked` (x0, x1, y0, y1) boxes."""
+    grid = empty_grid(30.0, 20.0, 0.5, origin=OPEN_ORIGIN)
+    for x0, x1, y0, y1 in blocked:
+        ix0, iy0 = grid.index_of(x0, y0)
+        ix1, iy1 = grid.index_of(x1, y1)
+        grid.cells[iy0:iy1, ix0:ix1] = True
+    return initial_state(MapVersion(0, (), grid))
+
+
+# (x, y, outward heading) 0.4 m inside each side of the open map
+NEAR_SIDES = {"left": (-2.6, 12.0, math.pi), "right": (26.6, 8.0, 0.0),
+              "bottom": (10.0, 2.4, -math.pi / 2), "top": (16.0, 21.6, math.pi / 2)}
+
+
+@pytest.mark.parametrize("side", NEAR_SIDES)
+@pytest.mark.parametrize("turn", [0.0, 1.3, -1.3])
+def test_plan_matches_reference_leaving_every_side(side, turn):
+    # heading outward, or turned 1.3 rad off it so the search runs along the
+    # side: arcs leave the grid through each of its four borders
+    x, y, out = NEAR_SIDES[side]
+    got = _assert_plan_matches_reference(
+        (x, y, out + turn), (12.0, 12.0, 0.0), _open_ldm(),
+        PlannerConfig(max_expansions=3000), line=OPEN_MID)
+    # no cell is blocked, so straight out every arc leaves the grid at
+    # once; turned, the straight arc leaves and the inward ones run on
+    assert (got.expansions == 1) == (turn == 0.0)
+
+
+def test_plan_matches_reference_beside_blocked_cells_on_the_border():
+    # a wall from each side inward, each touching the grid's edge cells
+    walls = [(-3.0, 3.0, 6.0, 7.0), (21.0, 27.0, 15.0, 16.0),
+             (8.0, 9.0, 2.0, 8.0), (15.0, 16.0, 16.0, 22.0)]
+    ldm = _open_ldm(walls)
+    base = _base(ldm).cells
+    assert base[:, 0].any() and base[:, -1].any()
+    assert base[0].any() and base[-1].any()
+    for x, y, out in NEAR_SIDES.values():
+        for turn in (0.5, -0.5):
+            _assert_plan_matches_reference(
+                (x, y, out + turn), (12.0, 12.0, 0.0), ldm,
+                PlannerConfig(max_expansions=300), line=OPEN_MID)
+
+
+@pytest.mark.parametrize("steer", [0.0, 0.3])
+def test_plan_matches_reference_from_both_signed_zero_headings(steer):
+    for heading in (0.0, -0.0):
+        got = _assert_plan_matches_reference(
+            (2.0, 10.0, heading), ROUTE.goal_pose, _ldm(),
+            PlannerConfig(max_expansions=300), steer,
+            ROUTE.reference_path.points)
+        assert got.succeeded
+        assert math.copysign(1.0, got.trajectory.poses[0, 2]) == \
+            math.copysign(1.0, heading)
+
+
+def test_plan_rejects_a_deviation_field_that_is_not_finite():
+    # an arc is free iff its summed cost is finite, so the field must be
+    ldm = _ldm()
+    field = np.zeros(_base(ldm).shape)
+    field[3, 4] = math.inf
+    with pytest.raises(ValueError, match="deviation_field"):
+        _plan((2.0, 10.0, 0.0), ldm, deviation_field=field)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,80 @@ def test_stamp_polyline_covers_full_band():
         assert not g.occupied_at(x, 7.5)
 
 
+def _stamp_polyline_sampling_every_sample(cells, grid, polyline, radius,
+                                          value=True):
+    """stamp_polyline as first written: every sample of every segment, on
+    the grid or not. The bounded version must mark exactly its cells."""
+    p = np.asarray(polyline, dtype=float)
+    step = grid.cell_size * 0.5
+    for i in range(len(p) - 1):
+        a, b = p[i], p[i + 1]
+        seg = math.hypot(b[0] - a[0], b[1] - a[1])
+        n = max(2, int(math.ceil(seg / step)) + 1)
+        for t in np.linspace(0.0, 1.0, n):
+            mark_disk(cells, grid, a + t * (b - a), radius, value)
+
+
+# a 30 x 20 m grid whose origin is off zero and off the cell lattice
+STAMP_GRID = dict(size_x=30.0, size_y=20.0, cell_size=0.5, origin=(-7.3, 4.1))
+
+
+def _stamp_coord(lo: float, hi: float):
+    """Up to 1 km off either side of [lo, hi], or within 2 m of an edge."""
+    return st.one_of(st.floats(lo - 1000.0, hi + 1000.0),
+                     st.builds(lambda edge, d: edge + d,
+                               st.sampled_from([lo, hi]), st.floats(-2.0, 2.0)))
+
+
+_X0, _Y0 = STAMP_GRID["origin"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.lists(st.tuples(_stamp_coord(_X0, _X0 + 30.0),
+                               _stamp_coord(_Y0, _Y0 + 20.0)),
+                     min_size=2, max_size=4),
+       radius=st.sampled_from([0.0, 0.3, 1.5, 5.0]),
+       value=st.booleans())
+def test_stamp_polyline_marks_the_cells_of_every_sample(line, radius, value):
+    # lanes that cross, graze and miss the grid on every side
+    want = empty_grid(**STAMP_GRID, occupied=not value)
+    _stamp_polyline_sampling_every_sample(want.cells, want, line, radius, value)
+    got = empty_grid(**STAMP_GRID, occupied=not value)
+    stamp_polyline(got.cells, got, line, radius, value)
+    assert np.array_equal(got.cells, want.cells)
+
+
+@pytest.mark.parametrize("line", [
+    [[-1000.0, 5.0], [1000.0, 5.0]],              # horizontal, through
+    [[3.0, -1000.0], [3.0, 1000.0]],              # vertical, through
+    [[-1000.0, -995.0], [1000.0, 1005.0]],        # diagonal, through
+    [[-1000.0, 40.0], [1000.0, 40.0]],            # parallel, misses
+    [[-7.3 - 1000.0, 4.1 - 3.0], [-7.3 - 1.0, 4.1 - 3.0]],  # ends short
+    [[10.0, 10.0], [10.0, 10.0]],                 # one point
+    [[-400.0, 10.0], [10.0, 10.0], [10.0, 900.0]],  # enters, turns, leaves
+], ids=["horizontal", "vertical", "diagonal", "parallel-miss", "ends-short",
+        "point", "turning"])
+def test_stamp_polyline_edge_lanes_match_every_sample(line):
+    for radius in (0.0, 1.5, 5.0):
+        want = empty_grid(**STAMP_GRID)
+        _stamp_polyline_sampling_every_sample(want.cells, want, line, radius)
+        got = empty_grid(**STAMP_GRID)
+        stamp_polyline(got.cells, got, line, radius)
+        assert np.array_equal(got.cells, want.cells)
+
+
+def test_a_lane_to_a_trillion_metres_builds_at_once():
+    # sampled along its whole length this lane asked numpy for 29 TiB
+    far = build_corridor_map(
+        0, [LaneSegment("far", [[0.0, 10.0], [1e12, 10.0]], half_width=3.0)],
+        40.0, 20.0)
+    near = build_corridor_map(
+        0, [LaneSegment("near", [[0.0, 10.0], [60.0, 10.0]], half_width=3.0)],
+        40.0, 20.0)
+    assert not far.occupancy.occupied_at(39.9, 10.0)
+    assert np.array_equal(far.occupancy.cells, near.occupancy.cells)
+
+
 def test_inflate_grows_by_metric_radius():
     g = empty_grid(20.0, 20.0, cell_size=0.5)
     mark_disk(g.cells, g, (10.0, 10.0), 0.4)   # single cell
