@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 from .harness import replay, run_batch, run_episode, run_sweep
-from .logio import read_json, write_json
+from .logio import read_json
 from .scenarios import (SCENARIO_IDS, build_scenario, spec_from_dict,
                         spec_to_dict)
 
@@ -71,12 +74,20 @@ def _print_metrics(metrics: dict) -> None:
             print(f"  {key:<{width}}  {_fmt_value(metrics[key])}")
 
 
+def _write_spec(path: Path, spec) -> None:
+    """scenario.json with every float as Python writes it, which reads back
+    exactly: the document rebuilds the spec that ran, as `replay --rerun`
+    needs (write_json's nine significant digits would not)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n")
+
+
 def cmd_run(args) -> int:
     spec = _load_spec(args)
     out = Path(args.out) if args.out else None
     result = run_episode(spec, args.seed, out)
     if out is not None:
-        write_json(out / "scenario.json", spec_to_dict(spec))
+        _write_spec(out / "scenario.json", spec)
     print(f"{spec.scenario_id} seed={args.seed} -> {result.metrics.termination} "
           f"at t={result.metrics.sim_time:.2f}s")
     _print_metrics(result.summary["metrics"])
@@ -91,7 +102,7 @@ def cmd_batch(args) -> int:
     out = Path(args.out) if args.out else None
     results, payload = run_batch(spec, seeds, out)
     if out is not None:
-        write_json(out / "scenario.json", spec_to_dict(spec))
+        _write_spec(out / "scenario.json", spec)
     agg = payload["aggregate"]
     print(f"{spec.scenario_id}: {len(results)} episodes")
     print(f"  completion_rate      {agg['completion_rate']:.3f}")
@@ -165,12 +176,68 @@ def cmd_report(args) -> int:
     raise SystemExit(f"no summary.json, batch.json, or pareto.json under {root}")
 
 
+def _first_difference(stored: Path, rerun: Path) -> str | None:
+    """Where the files of directory `rerun` first differ from those of
+    `stored` (file, line and, in a table, column), None if they are equal."""
+    names = sorted(p.name for p in stored.iterdir())
+    fresh = sorted(p.name for p in rerun.iterdir())
+    if names != fresh:
+        return f"the file lists: stored {names}, rerun {fresh}"
+    for name in names:
+        old, new = (stored / name).read_bytes(), (rerun / name).read_bytes()
+        if old == new:
+            continue
+        old_lines, new_lines = old.decode().split("\n"), new.decode().split("\n")
+        line, a, b = next((n, a, b) for n, (a, b) in enumerate(
+            itertools.zip_longest(old_lines, new_lines), 1) if a != b)
+        where = f"{name} line {line}"
+        if name.endswith(".csv") and a is not None and b is not None:
+            header, a_cells, b_cells = (next(csv.reader([text]))
+                                        for text in (old_lines[0], a, b))
+            # None when only the quoting differs
+            col = next((i for i in range(max(len(a_cells), len(b_cells)))
+                        if a_cells[i:i + 1] != b_cells[i:i + 1]), None)
+            if col is not None:
+                where += f" column {header[col] if col < len(header) else col + 1}"
+        return f"{where}: stored {a!r}, rerun {b!r}"
+    return None
+
+
+def _rerun(root: Path) -> int:
+    """Re-simulate an episode directory from its scenario.json and the seed
+    in its meta.json, and compare the new logs/ with the stored one byte for
+    byte."""
+    if root.name == "logs":
+        root = root.parent
+    # a batch keeps scenario.json beside its seed-NNNN episode directories
+    doc = next((d / "scenario.json" for d in (root, root.parent)
+                if (d / "scenario.json").is_file()), None)
+    if doc is None or not (root / "logs" / "meta.json").is_file():
+        raise ValueError(f"{root} is not an episode directory with logs/meta.json "
+                         "and a scenario.json beside it or one level up")
+    spec = spec_from_dict(read_json(doc))
+    meta = read_json(root / "logs" / "meta.json")
+    if "seed" not in meta:
+        raise ValueError(f"{root / 'logs' / 'meta.json'}: missing key 'seed'")
+    seed = meta["seed"]
+    with tempfile.TemporaryDirectory() as tmp:
+        run_episode(spec, seed, tmp)
+        diff = _first_difference(root / "logs", Path(tmp) / "logs")
+    if diff is not None:
+        print(f"RERUN MISMATCH of {spec.scenario_id} seed={seed} at {diff}")
+        return 1
+    print(f"rerun of {spec.scenario_id} seed={seed} matches {root / 'logs'} byte for byte")
+    return 0
+
+
 def cmd_replay(args) -> int:
     from dataclasses import asdict
 
     from .logio import _round_floats
 
     root = Path(args.log)
+    if args.rerun:
+        return _rerun(root)
     metrics = replay(root)
     print(f"replayed {root}")
     _print_metrics(asdict(metrics))
@@ -231,6 +298,9 @@ def main(argv=None) -> int:
     p_replay = sub.add_parser("replay", help="recompute metrics from logs")
     p_replay.add_argument("--log", required=True,
                           help="episode output directory (or its logs/)")
+    p_replay.add_argument("--rerun", action="store_true",
+                          help="re-simulate the episode from its scenario.json and "
+                               "seed, and compare the logs byte for byte")
     p_replay.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)

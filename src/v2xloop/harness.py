@@ -8,22 +8,38 @@ exchange V2X traffic, fuse, poll the map server, gate pending event
 hypotheses, project the ego onto the plan, evaluate replan triggers,
 compute the command, log, step the vehicle. The ego is projected
 once onto the route and once onto the plan per tick (again onto a plan a
-replan just made), and every stage reuses those arc lengths.
+replan just made), and every stage reuses those arc lengths. A projection
+(`world.Polyline.project`) bounds every segment's distance from its
+midpoint and half length in one vectorised pass, then measures exactly
+only the segments that bound cannot rule out, with the arithmetic of a scan
+of every segment: the same (arc length, lateral, index) bits, ties to the
+lowest index.
 
 The ego follows its plan and replans when a trigger fires. No plan means a
 safety stop: the brake ramps to full, and planning is retried every
 RECOVERY_TICKS ticks until a plan is found or the ego stands still.
 
-Planning maps (inflated grid and route deviation field) are built once per
-map version, route and collision radius, and kept on the map version for
-the life of the spec: every episode of a batch or sweep that runs on the
-same map objects reuses them.
+Work that does not depend on the seed is done once and kept on the object
+it derives from, never in `logs/` and never in the scenario document:
+
+- planning maps (inflated grid and route deviation field), per route and
+  collision radius, on the map version;
+- each scripted vehicle's state per time t, on the vehicle;
+- the honest and the Byzantine stations in id order, on the population.
+
+Each lives as long as its object: every episode of a batch or sweep that
+runs on the same objects (the seeds of a spec, and the copies
+`apply_configuration` makes) reuses it, and a freshly built spec starts
+without any. Within a tick, fusion predicts each track once, and
+`planner.ttc_min` rolls out only the tracks that can come within reach of
+the ego's rollout box.
 
 Determinism contract: every stochastic draw goes through a named Philox
 stream, all log rows are formatted to nine significant digits in an order
 fixed by the loop itself, and episode metrics are computed from the
 formatted rows rather than from simulator internals. Rerunning a seed
-reproduces the log directory byte for byte, and `replay` recovers the exact
+reproduces the log directory byte for byte (`v2xloop replay --rerun` checks
+that from a run directory), and `replay` recovers the exact
 metrics from disk. Wall-clock planner timings are real measurements and go
 to a separate timing file outside the log directory.
 """
@@ -47,7 +63,7 @@ from .perception import sense, sensor_likelihood
 from .planner import (check_triggers, plan, route_deviation_field, ttc_min,
                       unexplained_tracks)
 from .rng import StreamSet
-from .scenarios import ScenarioSpec, apply_configuration, build_scenario
+from .scenarios import ScenarioSpec, applied_values, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import VehicleState, step
 from .world import (MapVersion, Polyline, WorldObject, planning_occupancy,
@@ -568,12 +584,23 @@ def run_batch(spec: ScenarioSpec, seeds, out_dir: str | Path | None = None
 
 
 def make_episode_runner(base_specs: dict[str, ScenarioSpec]):
-    """Adapter giving the sweep protocol its (config, scenario, seed) episode."""
+    """Adapter giving the sweep protocol its (config, scenario, seed) episode.
+
+    Each scenario, seed and applied spec is run once: a configuration that
+    applies as an earlier one did (a poll interval on a spec without an
+    update client) gets that episode's result again.
+    """
+    results: dict = {}
+
     def runner(config, scenario_id: str, seed: int):
-        spec = apply_configuration(base_specs[scenario_id], config)
-        result = run_episode(spec, seed)
-        vec = objective_vector(result.metrics, spec.metrics)
-        return vec, result.metrics.collisions > 0
+        base = base_specs[scenario_id]
+        key = (scenario_id, seed, applied_values(base, config))
+        if key not in results:
+            spec = apply_configuration(base, config)
+            result = run_episode(spec, seed)
+            results[key] = (objective_vector(result.metrics, spec.metrics),
+                            result.metrics.collisions > 0)
+        return results[key]
     return runner
 
 

@@ -146,21 +146,21 @@ class Measurement:
     source: str                       # "sensor" or "cam:<station_id>"
 
 
-def associate(measurements, tracks, d_gate: float, now: float):
+def associate(measurements, predicted: dict, d_gate: float):
     """Greedy nearest-neighbor assignment inside the gate.
 
-    Each measurement lands on at most one track; a track may collect several
-    (a detection and a CAM can both support it in the same tick). Returns
-    (assigned: track_id -> [measurement], births: [measurement]).
+    `predicted` maps each track id, in track order, to the track's position
+    predicted to the fusion time. Each measurement lands on at most one
+    track; a track may collect several (a detection and a CAM can both
+    support it in the same tick). Returns (assigned: track_id ->
+    [measurement], births: [measurement]).
     """
-    predicted = {tr.track_id: tr.predicted(now) for tr in tracks}
     pairs = []
     for mi, m in enumerate(measurements):
-        for tr in tracks:
-            px, py = predicted[tr.track_id]
+        for tid, (px, py) in predicted.items():
             d = math.hypot(m.position[0] - px, m.position[1] - py)
             if d <= d_gate:
-                pairs.append((d, mi, tr.track_id))
+                pairs.append((d, mi, tid))
     pairs.sort(key=lambda p: (p[0], p[1], p[2]))
 
     assigned: dict[str, list] = {}
@@ -261,19 +261,22 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
         elif msg.msg_kind == DENM:
             denms.append(msg)
 
-    assigned, births = associate(measurements, tracks, params.d_gate, now)
+    # each track's prediction to now, made once: association, the update
+    # and (for a track nothing updated) the coverage test all use it
+    predicted = {tr.track_id: tr.predicted(now) for tr in tracks}
+    assigned, births = associate(measurements, predicted, params.d_gate)
 
     kept: list[Track] = []
     for tr in tracks:
-        ms = assigned.get(tr.track_id, [])
-        sensor_hits = [m for m in ms if m.source == "sensor"]
-        cam_hits = [m for m in ms if m.source.startswith("cam:")]
+        ms = assigned.get(tr.track_id, ())
+        sources = {m.source for m in ms}
 
+        at = predicted[tr.track_id]
         if ms:
             mx = sum(m.position[0] for m in ms) / len(ms)
             my = sum(m.position[1] for m in ms) / len(ms)
             a = params.position_alpha
-            px, py = tr.predicted(now)
+            px, py = at
             tr.position = (px + a * (mx - px), py + a * (my - py))
             vx = sum(m.velocity[0] for m in ms) / len(ms)
             vy = sum(m.velocity[1] for m in ms) / len(ms)
@@ -281,15 +284,15 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
             tr.velocity = (tr.velocity[0] + av * (vx - tr.velocity[0]),
                            tr.velocity[1] + av * (vy - tr.velocity[1]))
             tr.last_update = now
+            at = tr.predicted(now)
 
-        covered = any(f.covers(tr.predicted(now)) for f in frames)
-        if sensor_hits:
+        if "sensor" in sources:
             lr_sensor = params.lr_detect
-        elif covered:
+        elif any(f.covers(at) for f in frames):
             lr_sensor = contradiction_ratio(params)
         else:
             lr_sensor = 1.0
-        v2x_support = [(1.0, params.lr_cam) for _ in {m.source for m in cam_hits}]
+        v2x_support = [(1.0, params.lr_cam) for s in sources if s.startswith("cam:")]
         tr.belief = update_belief(tr.belief, lr_sensor, v2x_support, params)
 
         if tr.belief < params.b_prune:

@@ -25,6 +25,7 @@ change each force exactly one replan.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import time
@@ -485,6 +486,15 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
 # risk and triggers
 
 
+@functools.lru_cache(maxsize=8)
+def _rollout_times(horizon: float, dt: float) -> np.ndarray:
+    """The rollout's sample times, 0 to horizon every dt; read-only, and
+    built once per (horizon, dt) rather than on every tick."""
+    taus = np.arange(0.0, horizon + dt * 0.5, dt)
+    taus.setflags(write=False)
+    return taus
+
+
 def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
             collision_radius: float, track_radius: float,
             b_obstacle: float, dt: float = 0.01) -> float:
@@ -492,23 +502,46 @@ def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
 
     The ego slides along the plan prefix at its current speed from `s_plan`,
     its arc length along `traj`; each track extrapolates linearly. Returns
-    inf when no pair closes within the horizon.
+    inf when no pair closes within the horizon. A track that cannot come
+    within reach of the ego's path is not rolled out: it could not hit.
     """
     obstacles = [t for t in tracks if t.belief >= b_obstacle]
     if not obstacles:
         return math.inf
     v = max(float(ego_state.speed), 0.0)
-    taus = np.arange(0.0, horizon + dt * 0.5, dt)
-    s_grid = np.minimum(s_plan + v * taus, traj.length)
-    ex = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 0])
-    ey = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 1])
+    taus = _rollout_times(horizon, dt)
+    reach = collision_radius + track_radius + 1e-9
+    cum, length, t_end = traj.path.cumlength, traj.length, float(taus[-1])
 
-    best = math.inf
+    # The ego's samples stay in the box of the poses around its arc lengths
+    # [s_plan, s_plan + v * t_end], and a track's on the segment from its
+    # first sample to its last. A track whose segment lies farther than
+    # `reach` from the box along x or y cannot hit (the slack is far above
+    # the rounding of np.interp and of the samples), so only the others
+    # are rolled out.
+    first, last = np.searchsorted(cum, (min(s_plan, length), min(s_plan + v * t_end, length)))
+    box = traj.poses[max(first - 2, 0):last + 2, :2]
+    (bx0, by0), (bx1, by1) = box.min(axis=0).tolist(), box.max(axis=0).tolist()
+    scale = 1.0 + max(abs(bx0), abs(by0), abs(bx1), abs(by1))
+    near = []
     for tr in obstacles:
+        (x0, y0), (vx, vy) = tr.position, tr.velocity
+        x1, y1 = x0 + vx * t_end, y0 + vy * t_end
+        gap = max(bx0 - max(x0, x1), min(x0, x1) - bx1, by0 - max(y0, y1), min(y0, y1) - by1)
+        if not gap > reach + 1e-9 * (scale + abs(x0) + abs(y0) + abs(x1) + abs(y1)):
+            near.append(tr)
+    if not near:
+        return math.inf
+
+    s_grid = np.minimum(s_plan + v * taus, length)
+    ex = np.interp(s_grid, cum, traj.poses[:, 0])
+    ey = np.interp(s_grid, cum, traj.poses[:, 1])
+    best = math.inf
+    for tr in near:
         px = tr.position[0] + tr.velocity[0] * taus
         py = tr.position[1] + tr.velocity[1] * taus
         dist = np.hypot(ex - px, ey - py)
-        hits = np.nonzero(dist < collision_radius + track_radius + 1e-9)[0]
+        hits = np.nonzero(dist < reach)[0]
         if hits.size:
             best = min(best, float(taus[hits[0]]))
     return best

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from types import SimpleNamespace, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -51,11 +51,18 @@ class ScriptedVehicle:
     speed: float
     radius: float = 1.0
     start_time: float = 0.0
+    # t -> state_at(t), filled by the first episode that asks and kept for
+    # the life of the vehicle, so every episode of a spec reuses it
+    _states: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "path", as_polyline(self.path))
 
     def state_at(self, t: float):
+        """((x, y), (vx, vy)) at time t, a pure function of t."""
+        state = self._states.get(t)
+        if state is not None:
+            return state
         total = self.path.length
         s = self.speed * max(0.0, t - self.start_time)
         pos = self.path.point_at(min(s, total))
@@ -67,7 +74,8 @@ class ScriptedVehicle:
                 else (0.0, 0.0)
         else:
             vel = (0.0, 0.0)
-        return (float(pos[0]), float(pos[1])), vel
+        state = self._states[t] = (float(pos[0]), float(pos[1])), vel
+        return state
 
 
 @dataclass(frozen=True)
@@ -177,6 +185,16 @@ def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSp
         client = replace(client, poll_interval=config.update_poll_interval)
     return replace(spec, controller=controller, triggers=triggers,
                    update_client=client)
+
+
+def applied_values(spec: ScenarioSpec, config: Configuration) -> tuple:
+    """The (field, value) pairs of `config` that apply_configuration puts
+    into `spec`: two configurations with equal pairs give equal specs."""
+    values = asdict(config)
+    del values["config_id"]
+    if spec.update_client is None:
+        del values["update_poll_interval"]
+    return tuple(values.items())
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ Cryptographic plumbing is out of scope: every message counts as authenticated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class StationPopulation:
     honest_report_noise_sigma: float = 0.5   # [m]
     cam_period: float = 0.1           # [s]
     denm_policy: DenmPolicy = DenmPolicy()
+    # the honest and the Byzantine stations in id order, the order they
+    # transmit in within a tick
+    _honest: tuple = field(init=False, repr=False, compare=False)
+    _byzantine: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a CAM period of 0 never emits
@@ -78,12 +82,19 @@ class StationPopulation:
         unknown = self.byzantine_ids - set(ids)
         if unknown:
             raise ValueError(f"byzantine ids not in population: {sorted(unknown)}")
+        by_id = sorted(self.stations, key=lambda s: s.station_id)
+        object.__setattr__(self, "_honest", tuple(
+            s for s in by_id if s.station_id not in self.byzantine_ids))
+        object.__setattr__(self, "_byzantine", tuple(
+            s for s in by_id if s.station_id in self.byzantine_ids))
 
-    def honest(self) -> list[Station]:
-        return [s for s in self.stations if s.station_id not in self.byzantine_ids]
+    def honest(self) -> tuple[Station, ...]:
+        """The honest stations, in id order."""
+        return self._honest
 
-    def byzantine(self) -> list[Station]:
-        return [s for s in self.stations if s.station_id in self.byzantine_ids]
+    def byzantine(self) -> tuple[Station, ...]:
+        """The Byzantine stations, in id order."""
+        return self._byzantine
 
 
 @dataclass(frozen=True)
@@ -156,13 +167,16 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
     sigma = population.honest_report_noise_sigma
     truth_by_id = {o.object_id: o for o in truth_objects}
     msgs: list[V2xMessage] = []
+    # the schedules are the same for every station
+    cam_due = _emits_this_tick(t, dt, population.cam_period)
+    denm_due = [_emits_this_tick(t, dt, population.denm_policy.period,
+                                 offset=hazard.spawn_time) for hazard in active_hazards]
 
-    for station in sorted(population.honest(), key=lambda s: s.station_id):
+    for station in population.honest():
         pos, vel = _station_state(station, truth_by_id)
         # CAMs are vehicle presence beacons; fixed roadside units only
         # relay hazard notifications, they are not objects to track
-        if station.bound_object is not None \
-                and _emits_this_tick(t, dt, population.cam_period):
+        if station.bound_object is not None and cam_due:
             noise = rng.normal(0.0, sigma, size=2)
             vnoise = rng.normal(0.0, sigma * 0.2, size=2)
             seq = seq_counters.get(station.station_id, 0)
@@ -174,7 +188,7 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
                     velocity=(vel[0] + vnoise[0], vel[1] + vnoise[1]))))
         if not population.denm_policy.enabled:
             continue
-        for hazard in active_hazards:
+        for hazard, periodic in zip(active_hazards, denm_due):
             dist = math.hypot(hazard.position[0] - pos[0], hazard.position[1] - pos[1])
             if dist > station.sensing_range:
                 continue
@@ -182,8 +196,6 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
             first = key not in denm_started
             if first:
                 denm_started.add(key)
-            periodic = _emits_this_tick(t, dt, population.denm_policy.period,
-                                        offset=hazard.spawn_time)
             if not (first or periodic):
                 continue
             noise = rng.normal(0.0, sigma, size=2)
@@ -226,7 +238,7 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
 
     shared = draw_position() if policy.colluding else None
     msgs: list[V2xMessage] = []
-    for station in sorted(attackers, key=lambda s: s.station_id):
+    for station in attackers:
         if rng.uniform() >= policy.p_attack:
             continue
         pos = shared if shared is not None else draw_position()
@@ -250,6 +262,9 @@ def transmit(messages, channel: ChannelModel, rng: np.random.Generator) -> list[
         if channel.latency_jitter > 0.0:
             latency += rng.normal(0.0, channel.latency_jitter)
         latency = max(0.0, latency)
-        delivered.append(replace(msg, recv_time=msg.gen_time + latency))
+        # built directly: dataclasses.replace costs several times as much
+        delivered.append(V2xMessage(msg_kind=msg.msg_kind, station_id=msg.station_id,
+                                    seq_no=msg.seq_no, gen_time=msg.gen_time,
+                                    payload=msg.payload, recv_time=msg.gen_time + latency))
     delivered.sort(key=lambda m: (m.recv_time, m.station_id, m.seq_no))
     return delivered

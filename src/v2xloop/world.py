@@ -8,6 +8,7 @@ east, y north, headings in radians counterclockwise from +x.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -63,13 +64,15 @@ class Polyline:
     points: np.ndarray                                    # (N, 2) [m]
     cumlength: np.ndarray = field(init=False, repr=False)  # (N,) [m]
     length: float = field(init=False, repr=False)          # [m]
-    # segment table, (N-1) rows: starts, directions, squared lengths, which
-    # segments have zero length, and the divisor used in their place
-    _starts: np.ndarray = field(init=False, repr=False)
-    _dirs: np.ndarray = field(init=False, repr=False)
-    _len2: np.ndarray = field(init=False, repr=False)
-    _zero: np.ndarray = field(init=False, repr=False)
-    _len2_safe: np.ndarray = field(init=False, repr=False)
+    # cumlength, and a segment table of (N-1) rows (start x, y, direction
+    # x, y, squared length), as Python floats for the scalar queries
+    _cum: list = field(init=False, repr=False)
+    _rows: list = field(init=False, repr=False)
+    # what project prunes with: segment midpoints as x + iy, half lengths,
+    # and the largest coordinate magnitude, which scales the rounding slack
+    _mid: np.ndarray = field(init=False, repr=False)
+    _half: np.ndarray = field(init=False, repr=False)
+    _extent: float = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -84,47 +87,73 @@ class Polyline:
         a = p[:-1]
         d = p[1:] - a
         len2 = (d * d).sum(axis=1)
-        zero = len2 < 1e-18
+        rows = list(zip(*a.T.tolist(), *d.T.tolist(), len2.tolist()))
+        mid = a + 0.5 * d
         for name, value in (("points", p), ("cumlength", cum),
-                            ("length", float(cum[-1])), ("_starts", a),
-                            ("_dirs", d), ("_len2", len2), ("_zero", zero),
-                            ("_len2_safe", np.where(zero, 1.0, len2))):
+                            ("length", float(cum[-1])), ("_cum", cum.tolist()),
+                            ("_rows", rows),
+                            ("_mid", mid[:, 0] + 1j * mid[:, 1]),
+                            ("_half", 0.5 * np.sqrt(len2)),
+                            ("_extent", float(np.abs(p).max()))):
             object.__setattr__(self, name, value)
 
     def project(self, point) -> tuple[float, float, int]:
-        """Project a point onto the path.
+        """Project a finite point onto the path.
 
-        Returns (arc_length, signed_lateral, segment_index). Lateral offset
+        Returns (arc_length, signed_lateral, segment_index) of the nearest
+        segment, the lowest index among equally near ones. Lateral offset
         is positive on the left of the local path direction.
+
+        Segment j lies at least |q - m_j| - h_j from q (midpoint m_j, half
+        length h_j) and at most |q - m_j|, so only segments whose lower
+        bound reaches the smallest upper bound, plus a slack far above the
+        rounding of either, are measured exactly. They are measured in the
+        order and with the operations of a scan of every segment, so the
+        result has that scan's bits.
         """
-        q = np.asarray(point, dtype=float)[:2]
-        a, d, len2 = self._starts, self._dirs, self._len2
-        # np.clip's bits: maximum(0.0, x) keeps the sign of an x of -0.0
-        t = np.minimum(np.maximum(0.0, ((q - a) * d).sum(axis=1) / self._len2_safe), 1.0)
-        t = np.where(self._zero, 0.0, t)
-        closest = a + t[:, None] * d
-        diff = q - closest
-        dist2 = (diff * diff).sum(axis=1)
-        i = int(np.argmin(dist2))
-        seg_len = math.sqrt(len2[i]) if len2[i] > 1e-18 else 0.0
-        s = float(self.cumlength[i] + t[i] * seg_len)
-        cross = d[i, 0] * diff[i, 1] - d[i, 1] * diff[i, 0]
-        lateral = math.sqrt(float(dist2[i]))
+        qx, qy = float(point[0]), float(point[1])
+        if not (math.isfinite(qx) and math.isfinite(qy)):
+            raise ValueError(f"expected a finite point, got {point!r}")
+        r = np.abs(self._mid - complex(qx, qy))
+        slack = 1e-9 * (1.0 + self._extent + abs(qx) + abs(qy))
+        near = (r - self._half <= r.min() + slack).nonzero()[0].tolist()
+        rows = self._rows
+        best = None
+        for j in near:
+            ax, ay, dx, dy, len2 = rows[j]
+            if len2 < 1e-18:
+                u = 0.0
+            else:
+                u = ((qx - ax) * dx + (qy - ay) * dy) / len2
+                # np.maximum(0.0, u) then np.minimum(u, 1.0): -0.0 stays
+                u = 0.0 if u < 0.0 else u
+                u = u if u < 1.0 else 1.0
+            ex = qx - (ax + u * dx)
+            ey = qy - (ay + u * dy)
+            dist2 = ex * ex + ey * ey
+            if best is None or dist2 < best:
+                best, i, t, diff = dist2, j, u, (ex, ey)
+        ax, ay, dx, dy, len2 = rows[i]
+        seg_len = math.sqrt(len2) if len2 > 1e-18 else 0.0
+        s = self._cum[i] + t * seg_len
+        cross = dx * diff[1] - dy * diff[0]
+        lateral = math.sqrt(best)
         if cross < 0.0:
             lateral = -lateral
         return s, lateral, i
 
     def _locate(self, s: float) -> tuple[int, float]:
         """(segment index, s clamped to [0, length]) of arc length s."""
-        cum = self.cumlength
+        cum = self._cum
         s = min(max(float(s), 0.0), self.length)
-        i = int(np.searchsorted(cum, s, side="right")) - 1
+        # np.searchsorted(cum, s, side="right") - 1
+        i = bisect.bisect_right(cum, s) - 1
         return min(max(i, 0), len(cum) - 2), s
 
     def point_at(self, s: float) -> np.ndarray:
         """Point at arc length s, clamped to the path's extent."""
         i, s = self._locate(s)
-        cum, p = self.cumlength, self.points
+        cum, p = self._cum, self.points
         seg = cum[i + 1] - cum[i]
         t = 0.0 if seg < 1e-12 else (s - cum[i]) / seg
         return p[i] + t * (p[i + 1] - p[i])
@@ -132,8 +161,8 @@ class Polyline:
     def heading_at(self, s: float) -> float:
         """Direction of the segment under arc length s."""
         i, _ = self._locate(s)
-        d = self.points[i + 1] - self.points[i]
-        return math.atan2(d[1], d[0])
+        _, _, dx, dy, _ = self._rows[i]
+        return math.atan2(dy, dx)
 
 
 def as_polyline(path) -> Polyline:

@@ -122,6 +122,38 @@ def test_replay_agreement_and_tamper_exit(tmp_path, capsys):
     assert "REPLAY MISMATCH" in capsys.readouterr().out
 
 
+def test_replay_rerun_matches_a_fresh_run_and_names_an_edit(tmp_path, capsys):
+    # s2 at seed 3 tells an exact scenario.json from one rounded to nine
+    # significant digits
+    out = tmp_path / "ep"
+    main(["run", "--scenario", "s2", "--seed", "3", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["replay", "--log", str(out), "--rerun"]) == 0
+    assert "rerun of s2 seed=3 matches" in capsys.readouterr().out
+    # one cell of one row edited
+    p = out / "logs" / "vehicle.csv"
+    lines = p.read_text().split("\n")
+    row = lines[7].split(",")
+    row[lines[0].split(",").index("speed")] = "99"
+    lines[7] = ",".join(row)
+    p.write_text("\n".join(lines))
+    assert main(["replay", "--log", str(out / "logs"), "--rerun"]) == 1
+    text = capsys.readouterr().out
+    assert "RERUN MISMATCH of s2 seed=3 at vehicle.csv line 8 column speed: " in text
+
+
+def test_replay_rerun_of_a_batch_episode_and_of_a_bare_log(tmp_path, capsys):
+    out = tmp_path / "batch"
+    main(["batch", "--scenario", "s1", "--seeds", "1,2", "--out", str(out)])
+    capsys.readouterr()
+    # the batch's scenario.json sits one level up
+    assert main(["replay", "--log", str(out / "seed-0002"), "--rerun"]) == 0
+    assert "rerun of s1 seed=2 matches" in capsys.readouterr().out
+    (out / "scenario.json").unlink()
+    with pytest.raises(SystemExit, match="v2xloop replay: .* scenario.json"):
+        main(["replay", "--log", str(out / "seed-0002"), "--rerun"])
+
+
 def test_replay_of_an_incomplete_log_directory_exits_with_one_line(tmp_path):
     out = tmp_path / "ep"
     main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])

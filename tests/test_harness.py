@@ -15,11 +15,12 @@ from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, SWEEP_COLS,
                              run_episode, run_sweep)
 from v2xloop.logio import read_csv, read_json, rows
 from v2xloop.metrics import MetricParams
-from v2xloop.pareto import Configuration
+from v2xloop.pareto import Configuration, config_grid
 from v2xloop.perception import SenseFrame
 from v2xloop.rng import StreamSet, stream
-from v2xloop.scenarios import (apply_configuration, build_s1, build_s2, build_s3,
-                               build_s4, spec_from_dict, spec_to_dict)
+from v2xloop.scenarios import (applied_values, apply_configuration, build_s1,
+                               build_s2, build_s3, build_s4, spec_from_dict,
+                               spec_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +152,32 @@ def test_same_seed_same_logs(tmp_path):
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
+def _assert_same_log_trees(a: Path, b: Path) -> None:
+    names = sorted(p.name for p in (a / "logs").iterdir())
+    assert names == sorted(p.name for p in (b / "logs").iterdir())
+    assert len(names) == len(LOG_NAMES) + 1           # the tables and meta.json
+    for name in names:
+        assert (a / "logs" / name).read_bytes() == (b / "logs" / name).read_bytes(), name
+
+
+def test_cold_and_warm_memos_give_the_same_logs(tmp_path):
+    # the first episode of a spec fills the memos it keeps (planning maps,
+    # scripted truth); the next one reads them
+    for build in (build_s1, build_s2, build_s3, build_s4):
+        spec = build()
+        assert not spec.vmap.initial().planning_memo
+        cold, warm = tmp_path / f"{spec.scenario_id}-cold", tmp_path / f"{spec.scenario_id}-warm"
+        run_episode(spec, 1, cold)
+        assert spec.vmap.initial().planning_memo
+        run_episode(spec, 1, warm)
+        _assert_same_log_trees(cold, warm)
+    # two specs built apart share no memo
+    run_episode(build_s2(), 1, tmp_path / "s2-a")
+    run_episode(build_s2(), 1, tmp_path / "s2-b")
+    _assert_same_log_trees(tmp_path / "s2-a", tmp_path / "s2-b")
+    _assert_same_log_trees(tmp_path / "s2-a", tmp_path / "s2-cold")
+
+
 def test_null_stations_document_runs_the_no_v2x_arm(tmp_path):
     # a section's presence is its switch: `stations: null` is the ablation
     d = spec_to_dict(build_s2())
@@ -254,6 +281,35 @@ def test_run_sweep_outputs(tmp_path):
     assert report["frontier"]
     assert res.frontier            # someone always survives a 2-point sweep
     assert sorted(p.config_id for p in res.frontier) == report["frontier"]
+
+
+def test_sweep_runs_each_applied_spec_once(tmp_path, monkeypatch):
+    grid = {"update_poll_interval": [1.0, 2.0, 4.0]}
+    original, seen = harness.run_episode, []
+
+    def counted(spec, seed, out_dir=None):
+        seen.append((spec.scenario_id, seed))
+        return original(spec, seed, out_dir)
+
+    monkeypatch.setattr(harness, "run_episode", counted)
+    run_sweep(grid, ["s1", "s2"], [1], tmp_path / "all")
+    # neither s1 nor s2 polls for map updates, so every interval gives
+    # the same applied spec
+    assert seen == [("s1", 1), ("s2", 1)]
+    # s3 polls, so there each interval is an episode of its own
+    assert len({applied_values(build_s3(), c) for c in config_grid(grid)}) == 3
+    monkeypatch.undo()
+
+    # every config keeps the row a sweep of it alone gives; which points are
+    # on the frontier and the knee depends on the other points
+    table = read_csv(tmp_path / "all" / "sweep.csv", SWEEP_COLS)
+    assert len(table["config_id"]) == 3
+    for i, interval in enumerate(grid["update_poll_interval"]):
+        out = tmp_path / f"one-{i}"
+        run_sweep({"update_poll_interval": [interval]}, ["s1", "s2"], [1], out)
+        alone = read_csv(out / "sweep.csv", SWEEP_COLS)
+        for column in set(SWEEP_COLS) - {"config_id", "on_frontier", "is_knee"}:
+            assert alone[column] == [table[column][i]], column
 
 
 def test_metrics_label_claims_against_meta_hazards():

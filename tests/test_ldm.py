@@ -119,10 +119,14 @@ def _meas(pos, source="sensor", conf=0.9, vel=(0.0, 0.0)):
     return Measurement(position=pos, velocity=vel, confidence=conf, source=source)
 
 
+def _predicted(tracks, now=1.0):
+    return {tr.track_id: tr.predicted(now) for tr in tracks}
+
+
 def test_associate_nearest_within_gate():
     tracks = [_track("T1", (10.0, 0.0)), _track("T2", (20.0, 0.0))]
     ms = [_meas((10.5, 0.0)), _meas((19.2, 0.0)), _meas((50.0, 0.0))]
-    assigned, births = associate(ms, tracks, d_gate=2.0, now=1.0)
+    assigned, births = associate(ms, _predicted(tracks), d_gate=2.0)
     assert [m.position for m in assigned["T1"]] == [(10.5, 0.0)]
     assert [m.position for m in assigned["T2"]] == [(19.2, 0.0)]
     assert [m.position for m in births] == [(50.0, 0.0)]
@@ -131,7 +135,7 @@ def test_associate_nearest_within_gate():
 def test_associate_track_collects_sensor_and_cam():
     tracks = [_track("T1", (10.0, 0.0))]
     ms = [_meas((10.3, 0.0)), _meas((9.8, 0.1), source="cam:obu-a")]
-    assigned, births = associate(ms, tracks, d_gate=2.0, now=1.0)
+    assigned, births = associate(ms, _predicted(tracks), d_gate=2.0)
     assert len(assigned["T1"]) == 2
     assert births == []
 
@@ -139,16 +143,19 @@ def test_associate_track_collects_sensor_and_cam():
 def test_associate_measurement_lands_once():
     # two tracks inside the gate: the measurement goes to the nearer one only
     tracks = [_track("T1", (10.0, 0.0)), _track("T2", (11.0, 0.0))]
-    assigned, births = associate([_meas((10.2, 0.0))], tracks, 2.0, 1.0)
+    assigned, births = associate([_meas((10.2, 0.0))], _predicted(tracks), 2.0)
     assert "T1" in assigned and "T2" not in assigned
     assert births == []
 
 
 def test_associate_uses_predicted_position():
-    moving = _track("T1", (10.0, 0.0), vel=(5.0, 0.0), t=0.0)
-    # at t=1 the track predicts to x=15; a hit there must associate
-    assigned, births = associate([_meas((15.1, 0.0))], [moving], 2.0, now=1.0)
-    assert "T1" in assigned
+    moving = _track("T1", (10.0, 10.0), vel=(5.0, 0.0), t=0.0)
+    state = LdmState(stamp=0.0, objects=[moving], events=[], active_map=MAP0)
+    # at t=1 the track predicts to x=15, 5 m from where it was last seen; a
+    # hit there must update it, not give birth to a second track
+    state = _tick(state, 1.0, frames=[_frame(1.0, [_det(15.1, 10.0, vel=(5.0, 0.0))])])
+    assert [tr.track_id for tr in state.objects] == ["T1"]
+    assert state.objects[0].position == pytest.approx((15.0 + P.position_alpha * 0.1, 10.0))
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,68 @@ def test_ttc_horizon_cutoff():
                    collision_radius=1.0, track_radius=1.0, b_obstacle=0.6) == math.inf
 
 
+def _old_ttc_min(ego_state, traj, s_plan, tracks, horizon, collision_radius,
+                 track_radius, b_obstacle, dt=0.01):
+    """ttc_min as it rolled out every track, kept as the oracle."""
+    obstacles = [t for t in tracks if t.belief >= b_obstacle]
+    if not obstacles:
+        return math.inf
+    v = max(float(ego_state.speed), 0.0)
+    taus = np.arange(0.0, horizon + dt * 0.5, dt)
+    s_grid = np.minimum(s_plan + v * taus, traj.length)
+    ex = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 0])
+    ey = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 1])
+    best = math.inf
+    for tr in obstacles:
+        px = tr.position[0] + tr.velocity[0] * taus
+        py = tr.position[1] + tr.velocity[1] * taus
+        dist = np.hypot(ex - px, ey - py)
+        hits = np.nonzero(dist < collision_radius + track_radius + 1e-9)[0]
+        if hits.size:
+            best = min(best, float(taus[hits[0]]))
+    return best
+
+
+@st.composite
+def _rollout_cases(draw):
+    """A plan with bends and repeated poses, the ego somewhere on it, and
+    tracks placed at the rollout's reach from a plan pose, give or take."""
+    n = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                          min_size=n, max_size=n))
+    xy = np.cumsum(np.array([(10.0, 10.0)] + steps), axis=0)
+    poses = np.column_stack([xy, np.zeros(len(xy))])
+    traj = Trajectory(poses=poses, target_speeds=np.full(len(xy), 5.0),
+                      planned_on_version=1, planned_at=0.0)
+    # the ego on a pose, or anywhere along the plan
+    k = draw(st.integers(0, n))
+    s_plan = draw(st.one_of(st.just(float(traj.path.cumlength[k])),
+                            st.floats(0.0, 1.0).map(lambda u: u * traj.length)))
+    speed = draw(st.sampled_from([0.0, 0.5, 3.0, 8.0]))
+    horizon = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    reach = CFG.track_radius + VP.collision_radius + 1e-9
+    tracks = []
+    for i in range(draw(st.integers(1, 3))):
+        ax, ay = xy[draw(st.one_of(st.just(k), st.integers(0, n)))]
+        # along an axis from the pose, the box's edge can be that pose
+        bearing = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
+                                 st.floats(0.0, 2.0 * math.pi)))
+        r = reach * draw(st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12, 2.0, 0.5, 4.0]))
+        pos = (ax + r * math.cos(bearing), ay + r * math.sin(bearing))
+        vel = draw(st.sampled_from([(0.0, 0.0), (2.0, 0.0), (-3.0, 1.0), (0.0, -4.0)]))
+        tracks.append(_track(f"T{i}", pos, vel=vel, belief=draw(st.sampled_from([0.9, 0.3]))))
+    return traj, s_plan, speed, horizon, tracks
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_rollout_cases())
+def test_ttc_min_matches_the_full_rollout(case):
+    traj, s_plan, speed, horizon, tracks = case
+    args = (_ego(speed=speed), traj, s_plan, tracks, horizon, VP.collision_radius,
+            CFG.track_radius, CFG.b_obstacle)
+    assert repr(ttc_min(*args)) == repr(_old_ttc_min(*args))
+
+
 # ---------------------------------------------------------------------------
 # triggers
 

@@ -158,6 +158,50 @@ def test_polyline_methods_match_the_free_functions_bit_for_bit(path, point, s):
         assert repr(line.project(q)) == repr(_old_project(q, path))
 
 
+_lattice = st.integers(-3, 3).map(float)
+_in_cell = st.floats(0.0, 0.5)
+
+
+@st.composite
+def _awkward_paths(draw):
+    """Paths that make the nearest segment hard to tell: integer lattices,
+    where equidistant segments tie, and paths doubling back inside one
+    0.5 m cell; some vertices repeat, so segments of zero length occur."""
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(_lattice, _lattice), min_size=2, max_size=12))
+    else:
+        x0, y0 = draw(_coord), draw(_coord)
+        steps = draw(st.lists(st.tuples(_in_cell, _in_cell), min_size=2, max_size=12))
+        pts = [(x0 + dx, y0 + dy) for dx, dy in steps]
+    repeats = draw(st.lists(st.integers(0, len(pts) - 1), max_size=4))
+    for i in sorted(repeats, reverse=True):
+        pts.insert(i, pts[i])
+    return np.array(pts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(path=_awkward_paths(), data=st.data())
+def test_pruned_projection_matches_the_global_scan_bit_for_bit(path, data):
+    line = Polyline(path)
+    on_path = [tuple(p) for p in path] + [tuple(m) for m in (path[:-1] + path[1:]) / 2.0]
+    point = data.draw(st.one_of(
+        st.sampled_from(on_path),                                   # vertices, midpoints
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),     # mostly far off
+        st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+        st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]))))
+    # repr tells -0.0 from 0.0, so this compares bit for bit
+    assert repr(line.project(point)) == repr(_old_project(point, path))
+
+
+def test_projection_rejects_a_point_that_is_not_finite():
+    line = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
+    for point in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite point"):
+            line.project(point)
+
+
+# ---------------------------------------------------------------------------
+# occupancy grids
 # ---------------------------------------------------------------------------
 # occupancy grids
 
