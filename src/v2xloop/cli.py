@@ -34,6 +34,8 @@ def parse_seeds(text: str) -> list[int]:
 
 def _load_spec(args):
     if args.config is not None:
+        if getattr(args, "ablation", False):
+            raise SystemExit("--ablation applies to a built-in --scenario, not to --config")
         spec = spec_from_dict(read_json(args.config))
         if args.scenario is not None and spec.scenario_id != args.scenario:
             raise SystemExit(f"--config is for {spec.scenario_id!r}, "
@@ -267,7 +269,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None,
                        help="JSON scenario document (overrides --scenario)")
         p.add_argument("--ablation", action="store_true",
-                       help="disable the scenario's subject capability "
+                       help="disable the built-in scenario's subject capability "
                             "(s2: V2X, s3: updates, s4: gate)")
 
     p_run = sub.add_parser("run", help="run one seeded episode")
@@ -306,8 +308,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        # bad input (seed list, grid, scenario document): message, not traceback
+    except (ValueError, OSError) as exc:
+        # bad input (seed list, grid, scenario document, a file that cannot
+        # be read): message, not traceback
         raise SystemExit(f"v2xloop {args.command}: {exc}") from None
 
 

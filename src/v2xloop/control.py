@@ -16,6 +16,8 @@ from .planner import Trajectory
 from .vehicle import VehicleParams
 from .world import check_range, wrap_angle
 
+SAFETY_STOP_RAMP = 0.5                # [s] from no brake to full brake in a safety stop
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -110,8 +112,7 @@ def follow_tick(ego_state, traj: Trajectory, s_plan: float, cfg: ControllerConfi
     return cmd, pid_next, target_speed
 
 
-def safety_stop_command(prev_brake: float, dt: float,
-                        ramp_time: float = 0.5) -> ControlCommand:
-    """Straight-line braking ramp to full brake within ramp_time."""
-    brake = min(1.0, prev_brake + dt / max(ramp_time, dt))
+def safety_stop_command(prev_brake: float, dt: float) -> ControlCommand:
+    """Straight-line braking ramp to full brake within SAFETY_STOP_RAMP."""
+    brake = min(1.0, prev_brake + dt / max(SAFETY_STOP_RAMP, dt))
     return ControlCommand(steering=0.0, throttle=0.0, brake=brake)

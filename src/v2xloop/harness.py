@@ -222,7 +222,6 @@ def run_episode(spec: ScenarioSpec, seed: int,
     in_flight: list = []
     seq_counters: dict[str, int] = {}
     denm_started: set = set()
-    next_ids = {"track": [1], "event": [1]}
     logged_status: dict[str, str] = {}
     # labels use the hazards as built, not the rounded copy in meta.json
     hazards = [(h.kind, h.position[0], h.position[1]) for h in spec.hazards]
@@ -324,7 +323,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                     logs["v2x"].append(k, t, m.station_id, m.msg_kind, m.seq_no,
                                        m.gen_time, m.recv_time, ek, ex, ey)
 
-        ldm = fuse_tick(ldm, t, due, active, [frame], spec.ldm, next_ids)
+        ldm = fuse_tick(ldm, t, due, active, [frame], spec.ldm)
 
         if client is not None and client.polls_at(k, dt):
             newest = active if pending_map is None else pending_map[0]
@@ -411,7 +410,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         "objectives": list(objective_vector(m, spec.metrics)),
         "counters": {"plans": len(timing.rows), "ticks": k,
                      "events": len(ldm.events),
-                     "tracks_born": next_ids["track"][0] - 1},
+                     "tracks_born": ldm.tracks_born},
     }
 
     out_path: Path | None = None
@@ -605,9 +604,7 @@ def make_episode_runner(base_specs: dict[str, ScenarioSpec]):
 
 
 def run_sweep(grid: dict, scenario_ids, seeds,
-              out_dir: str | Path | None = None,
-              base_specs: dict[str, ScenarioSpec] | None = None,
-              hv_reference=(1.1, 1.1, 1.1)) -> ParetoResult:
+              out_dir: str | Path | None = None) -> ParetoResult:
     """Grid-sweep operating points across scenarios; persist frontier artifacts."""
     scenario_ids = list(scenario_ids)
     seeds = [int(s) for s in seeds]
@@ -617,11 +614,10 @@ def run_sweep(grid: dict, scenario_ids, seeds,
         raise ValueError("seeds must not be empty")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    if base_specs is None:
-        base_specs = {sid: build_scenario(sid) for sid in scenario_ids}
     configs = config_grid(grid)
+    base_specs = {sid: build_scenario(sid) for sid in scenario_ids}
     result = pareto_sweep(configs, make_episode_runner(base_specs), seeds,
-                          scenario_ids, hv_reference=hv_reference)
+                          scenario_ids)
 
     if out_dir is not None:
         out_path = Path(out_dir)

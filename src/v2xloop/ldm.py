@@ -1,11 +1,11 @@
 """Local dynamic map: per-tick fusion of detections and V2X messages.
 
 Object tracks carry an existence belief updated in log-odds form; one update
-folds in the onboard sensor's likelihood ratio and a weighted likelihood
-ratio per corroborating V2X source. A covering sensor frame that sees
-nothing at a track is contradiction evidence, which is what lets the ego
-veto V2X claims about its own field of view. DENMs accumulate into event
-hypotheses that stay pending until the acceptance gate or expiry decides.
+folds in the onboard sensor's likelihood ratio and one `lr_cam` per
+corroborating V2X station. A covering sensor frame that sees nothing at a
+track is contradiction evidence, which is what lets the ego veto V2X claims
+about its own field of view. DENMs accumulate into event hypotheses that
+stay pending until the acceptance gate or expiry decides.
 Each tick fuses exactly the sensor frames and messages handed to it, so every
 input is fused once.
 """
@@ -124,6 +124,7 @@ class LdmState:
     objects: list      # list[Track]
     events: list       # list[EventHypothesis]
     active_map: MapVersion
+    tracks_born: int = 0     # track ids run T1..T<tracks_born>
 
     def accepted_events(self):
         return [e for e in self.events if e.status == ACCEPTED]
@@ -174,30 +175,28 @@ def associate(measurements, predicted: dict, d_gate: float):
     return assigned, births
 
 
-def update_belief(belief: float, lr_sensor: float, v2x_support,
+def update_belief(belief: float, lr_sensor: float, n_stations: int,
                   params: LdmParams) -> float:
-    """Log-odds fusion: logit(b') = logit(b) + ln LR_sensor + sum w ln LR_i."""
+    """Log-odds fusion over `n_stations` corroborating V2X stations:
+    logit(b') = logit(b) + ln LR_sensor + n_stations ln lr_cam."""
     if not math.isfinite(lr_sensor) or lr_sensor <= 0.0:
         raise ValueError("lr_sensor must be finite and positive")
     b = min(max(belief, params.belief_floor), params.belief_ceiling)
     logit = math.log(b / (1.0 - b)) + math.log(lr_sensor)
-    for weight, lr in v2x_support:
-        if not math.isfinite(lr) or lr <= 0.0:
-            raise ValueError("v2x likelihood ratios must be finite and positive")
-        logit += weight * math.log(lr)
+    for _ in range(n_stations):
+        logit += math.log(params.lr_cam)
     b_new = 1.0 / (1.0 + math.exp(-logit))
     return min(max(b_new, params.belief_floor), params.belief_ceiling)
 
 
-def ingest_denm(msg: V2xMessage, events: list, params: LdmParams,
-                next_event_no: list) -> EventHypothesis:
+def ingest_denm(msg: V2xMessage, events: list, params: LdmParams) -> EventHypothesis:
     """Fold one DENM into the hypothesis set.
 
     Merges into the nearest same-kind hypothesis within the merge radius
     whose latest report is recent enough, otherwise opens a new pending
-    hypothesis. Kinds never mix: a closure claim next to a stalled-vehicle
-    hypothesis is a different assertion about the world, not a corroboration.
-    Returns the touched hypothesis.
+    hypothesis, `E<n>` as the n-th of `events`. Kinds never mix: a closure
+    claim next to a stalled-vehicle hypothesis is a different assertion
+    about the world, not a corroboration. Returns the touched hypothesis.
     """
     if msg.msg_kind != DENM:
         raise ValueError("ingest_denm expects a DENM")
@@ -221,10 +220,9 @@ def ingest_denm(msg: V2xMessage, events: list, params: LdmParams,
             best, best_d = hyp, d
 
     if best is None:
-        event_id = f"E{next_event_no[0]}"
-        next_event_no[0] += 1
-        best = EventHypothesis(event_id=event_id, kind=msg.payload.event_kind,
-                               position=claim, first_seen=recv)
+        best = EventHypothesis(event_id=f"E{len(events) + 1}",
+                               kind=msg.payload.event_kind, position=claim,
+                               first_seen=recv)
         events.append(best)
     best.support[msg.station_id] = (recv, claim)
     if best.status == PENDING:
@@ -235,13 +233,12 @@ def ingest_denm(msg: V2xMessage, events: list, params: LdmParams,
 
 
 def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
-              frames, params: LdmParams, next_ids: dict) -> LdmState:
+              frames, params: LdmParams) -> LdmState:
     """One fusion step over this tick's sensor frames and V2X deliveries.
 
     Every detection of `frames` and every message of `delivered_v2x` is
     fused here and nowhere else; the frames' coverage is this tick's
-    contradiction evidence. `next_ids` ({"track": [n], "event": [n]})
-    carries the episode's id sequences between ticks.
+    contradiction evidence.
     """
     tracks: list[Track] = prev.objects
 
@@ -292,8 +289,8 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
             lr_sensor = contradiction_ratio(params)
         else:
             lr_sensor = 1.0
-        v2x_support = [(1.0, params.lr_cam) for s in sources if s.startswith("cam:")]
-        tr.belief = update_belief(tr.belief, lr_sensor, v2x_support, params)
+        n_stations = sum(s.startswith("cam:") for s in sources)
+        tr.belief = update_belief(tr.belief, lr_sensor, n_stations, params)
 
         if tr.belief < params.b_prune:
             continue
@@ -301,22 +298,23 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
             continue
         kept.append(tr)
 
+    born = prev.tracks_born
     for m in births:
         if m.confidence < params.conf_birth:
             continue
-        tid = f"T{next_ids['track'][0]}"
-        next_ids["track"][0] += 1
-        kept.append(Track(track_id=tid, position=m.position, velocity=m.velocity,
+        born += 1
+        kept.append(Track(track_id=f"T{born}", position=m.position, velocity=m.velocity,
                           belief=params.b_birth, last_update=now))
 
     events = prev.events
     for msg in denms:
-        ingest_denm(msg, events, params, next_ids["event"])
+        ingest_denm(msg, events, params)
     for hyp in events:
         if hyp.status == PENDING and now - hyp.first_seen > params.tau_event:
             hyp.status = EXPIRED
 
-    return LdmState(stamp=now, objects=kept, events=events, active_map=active_map)
+    return LdmState(stamp=now, objects=kept, events=events, active_map=active_map,
+                    tracks_born=born)
 
 
 def initial_state(active_map: MapVersion) -> LdmState:

@@ -9,6 +9,7 @@ not dominate each other, so duplicates coexist on the frontier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import product
 
@@ -198,11 +199,22 @@ def hypervolume(points, reference, method: str = "auto",
 
 
 def config_grid(grid: dict) -> list[Configuration]:
-    """Cartesian product of per-field value lists into Configuration objects."""
+    """Cartesian product of per-field value lists into Configuration objects.
+
+    `grid` maps Configuration fields to non-empty lists of finite numbers;
+    anything else is a ValueError naming `grid.<field>`.
+    """
+    if not isinstance(grid, dict):
+        raise ValueError(f"grid: must be an object of value lists, got {grid!r}")
     allowed = {f.name for f in fields(Configuration)} - {"config_id"}
-    unknown = set(grid) - allowed
-    if unknown:
-        raise ValueError(f"unknown grid fields: {sorted(unknown)}")
+    for name, values in grid.items():
+        if name not in allowed:
+            raise ValueError(f"grid.{name}: unknown field, expected one of {sorted(allowed)}")
+        if not (isinstance(values, list) and values and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and abs(v) <= sys.float_info.max for v in values)):
+            raise ValueError(f"grid.{name}: must be a non-empty list of finite "
+                             f"numbers, got {values!r}")
     names = sorted(grid)
     combos = list(product(*(grid[n] for n in names)))
     configs = []
@@ -234,15 +246,18 @@ def evaluate_grid(configs, episode_runner, seeds, scenario_ids) -> list[Evaluate
     return points
 
 
-def sweep(configs, episode_runner, seeds, scenario_ids,
-          hv_reference=(1.1, 1.1, 1.1),
-          hv_components: tuple[int, ...] = (0, 1, 3)) -> ParetoResult:
+# the hypervolume's objectives (tracking, safety, smoothness) and its
+# reference point, slightly worse than the worst normalized value of 1
+HV_COMPONENTS = (0, 1, 3)
+HV_REFERENCE = (1.1, 1.1, 1.1)
+
+
+def sweep(configs, episode_runner, seeds, scenario_ids) -> ParetoResult:
     """Full protocol: evaluate, discard collided, normalize, frontier, knee, HV.
 
-    The hypervolume is taken over the normalized subvector selected by
-    hv_components (tracking, safety, smoothness by default) against a
-    slightly-worse-than-worst reference, so it is well defined whenever the
-    frontier is nonempty.
+    The hypervolume is taken over the normalized objectives HV_COMPONENTS
+    against HV_REFERENCE, so it is well defined whenever the frontier is
+    nonempty.
     """
     raw = evaluate_grid(configs, episode_runner, seeds, scenario_ids)
     safe = [p for p in raw if not p.collided]
@@ -260,8 +275,8 @@ def sweep(configs, episode_runner, seeds, scenario_ids,
     frontier = tuple(evaluated[i] for i in idx)
     knee = knee_point(frontier)
 
-    sub = np.asarray([[p.normalized[c] for c in hv_components] for p in frontier])
-    ref = np.asarray(hv_reference, dtype=float)
+    sub = np.asarray([[p.normalized[c] for c in HV_COMPONENTS] for p in frontier])
+    ref = np.asarray(HV_REFERENCE, dtype=float)
     mask = np.all(sub < ref, axis=1)
     hv = float(hypervolume(sub[mask], ref)) if mask.any() else 0.0
     return ParetoResult(points=tuple(raw), frontier=frontier, knee=knee,

@@ -111,13 +111,17 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
                       max_range=model.max_range, field_of_view=model.field_of_view)
 
 
+# the likelihood of an event no frame in the window covered
+NEUTRAL_LIKELIHOOD = 0.5
+
+
 def sensor_likelihood(event_position, frames, support_radius: float,
-                      window: float, now: float, neutral: float = 0.5) -> float:
+                      window: float, now: float) -> float:
     """Fraction of recent covering frames that corroborate an event location.
 
     Only frames whose range/FOV wedge actually covered the location count;
-    with no covering frame in the window the result is `neutral`, so an
-    event outside sensor reach is neither vetoed nor endorsed.
+    with no covering frame in the window the result is NEUTRAL_LIKELIHOOD,
+    so an event outside sensor reach is neither vetoed nor endorsed.
     """
     covering = 0
     supporting = 0
@@ -134,5 +138,5 @@ def sensor_likelihood(event_position, frames, support_radius: float,
                 supporting += 1
                 break
     if covering == 0:
-        return float(neutral)
+        return NEUTRAL_LIKELIHOOD
     return supporting / covering

@@ -87,7 +87,7 @@ class PlannerConfig:
                            "heuristic_weight", "cruise_speed", "comfort_decel"),
                     strict=True)
         check_range(self, ("max_expansions",))
-        # the risk rollout samples every 10 ms, per track
+        # the risk rollout samples every ROLLOUT_DT, per track
         check_range(self, ("prefix_horizon",), hi=60.0)
 
 
@@ -140,11 +140,14 @@ class PlanAttempt:
     expansions: int
     cpu_ms: float                     # wall-clock, never written into replayable logs
     cause: str
-    path_length: float = 0.0
 
     @property
     def succeeded(self) -> bool:
         return self.trajectory is not None
+
+    @property
+    def path_length(self) -> float:
+        return 0.0 if self.trajectory is None else self.trajectory.length
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +194,7 @@ def obstacle_grid(ldm: LdmState, cfg: PlannerConfig, vparams: VehicleParams,
     an overlapping estimate is to keep driving the stop ramp, not to fail.
     """
     cells = base.cells.copy()
-    out = OccupancyGrid(cells=cells, cell_size=base.cell_size, origin=base.origin)
+    out = OccupancyGrid(cells=cells, cell_size=base.cell_size)
     half_prefix = cfg.prefix_horizon / 2.0
 
     def blocks_start(cx: float, cy: float, radius: float) -> bool:
@@ -224,9 +227,8 @@ def route_deviation_field(grid: OccupancyGrid,
     """
     ny, nx = grid.cells.shape
     res = grid.cell_size
-    ox, oy = grid.origin
-    cx = ox + (np.arange(nx) + 0.5) * res
-    cy = oy + (np.arange(ny) + 0.5) * res
+    cx = (np.arange(nx) + 0.5) * res
+    cy = (np.arange(ny) + 0.5) * res
     px, py = np.meshgrid(cx, cy)
     ref = np.asarray(reference_path, dtype=float)
     best = np.full((ny, nx), np.inf)
@@ -321,9 +323,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
                          f"planning grid shape {cells.shape}")
     if not np.isfinite(deviation_field).all():
         raise ValueError("deviation_field: must be finite everywhere")
-    res = grid.cell_size
-    ox, oy = grid.origin
-    inv_res = 1.0 / res
+    inv_res = 1.0 / grid.cell_size
     bin_size = TWO_PI / cfg.heading_bins
     n_bins = cfg.heading_bins
     hw = cfg.heuristic_weight
@@ -339,7 +339,6 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
                  * np.abs(steers[None, :] - steers[:, None])).tolist()
     lateral_arc = cfg.lateral_weight * arc
     end_dth = prim_dth[:, -1].tolist()
-    origin = np.array([ox, oy])
     # cost table: the deviation on free cells, inf on blocked cells and on
     # one border row and column past the far edges. A cell index clamped
     # into [-1, n] lands on that border: an index of n directly, one of -1
@@ -368,7 +367,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     while open_heap:
         ni = heappop(open_heap)[1]
         x, y, th = xs[ni], ys[ni], ths[ni]
-        key = (int((x - ox) * inv_res), int((y - oy) * inv_res),
+        key = (int(x * inv_res), int(y * inv_res),
                int(((th % TWO_PI) / bin_size)) % n_bins)
         if key in closed:
             continue
@@ -389,8 +388,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
         if rotated is None:
             rotated = rotations[hkey] = _rotate(prim_pts, th)
         world = _arcs_from(rotated, x, y)
-        idx = world - origin
-        idx *= inv_res
+        idx = world * inv_res
         floor(idx, out=idx)
         maximum(idx, -1.0, out=idx)
         minimum(idx, upper, out=idx)
@@ -405,7 +403,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
                 continue
             ex, ey = ends[si]
             th_new = th + end_dth[si]
-            if (int((ex - ox) * inv_res), int((ey - oy) * inv_res),
+            if (int(ex * inv_res), int(ey * inv_res),
                     int(((th_new % TWO_PI) / bin_size)) % n_bins) in closed:
                 continue
             g_new = g + (costs[si] + lateral_arc * (total / substep))
@@ -439,7 +437,7 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     traj = attach_speed_profile(traj, ldm, cfg, vparams, start_speed)
     cpu_ms = (time.perf_counter() - t0) * 1000.0
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=cpu_ms,
-                       cause=cause, path_length=traj.length)
+                       cause=cause)
 
 
 def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
@@ -486,18 +484,21 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
 # risk and triggers
 
 
+ROLLOUT_DT = 0.01                     # [s] the risk rollout's time step
+
+
 @functools.lru_cache(maxsize=8)
-def _rollout_times(horizon: float, dt: float) -> np.ndarray:
-    """The rollout's sample times, 0 to horizon every dt; read-only, and
-    built once per (horizon, dt) rather than on every tick."""
-    taus = np.arange(0.0, horizon + dt * 0.5, dt)
+def _rollout_times(horizon: float) -> np.ndarray:
+    """The rollout's sample times, 0 to horizon every ROLLOUT_DT; read-only,
+    and built once per horizon rather than on every tick."""
+    taus = np.arange(0.0, horizon + ROLLOUT_DT * 0.5, ROLLOUT_DT)
     taus.setflags(write=False)
     return taus
 
 
 def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
             collision_radius: float, track_radius: float,
-            b_obstacle: float, dt: float = 0.01) -> float:
+            b_obstacle: float) -> float:
     """Earliest collision time under a constant-velocity rollout.
 
     The ego slides along the plan prefix at its current speed from `s_plan`,
@@ -509,7 +510,7 @@ def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
     if not obstacles:
         return math.inf
     v = max(float(ego_state.speed), 0.0)
-    taus = _rollout_times(horizon, dt)
+    taus = _rollout_times(horizon)
     reach = collision_radius + track_radius + 1e-9
     cum, length, t_end = traj.path.cumlength, traj.length, float(taus[-1])
 

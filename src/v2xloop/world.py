@@ -187,37 +187,17 @@ class LaneSegment:
 
 @dataclass(frozen=True)
 class OccupancyGrid:
-    """Boolean grid, True = occupied. origin is the world corner of cell (0, 0)."""
+    """Boolean grid, True = occupied, anchored at the world origin: cell
+    (iy, ix) covers [ix, ix + 1) x [iy, iy + 1) times cell_size."""
 
     cells: np.ndarray             # (ny, nx) bool
     cell_size: float              # [m]
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         c = np.asarray(self.cells, dtype=bool)
         object.__setattr__(self, "cells", c)
         if self.cell_size <= 0.0:
             raise ValueError("cell_size must be positive")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.cells.shape
-
-    def index_of(self, x: float, y: float) -> tuple[int, int]:
-        ix = int(math.floor((x - self.origin[0]) / self.cell_size))
-        iy = int(math.floor((y - self.origin[1]) / self.cell_size))
-        return ix, iy
-
-    def in_bounds(self, ix: int, iy: int) -> bool:
-        ny, nx = self.cells.shape
-        return 0 <= ix < nx and 0 <= iy < ny
-
-    def occupied_at(self, x: float, y: float) -> bool:
-        """True if the cell under (x, y) is occupied or out of bounds."""
-        ix, iy = self.index_of(x, y)
-        if not self.in_bounds(ix, iy):
-            return True
-        return bool(self.cells[iy, ix])
 
 
 # a 1 km square at 0.5 m; the route deviation field alone takes several
@@ -236,19 +216,18 @@ def check_grid(size, cell_size: float) -> None:
 
 
 def empty_grid(size_x: float, size_y: float, cell_size: float = 0.5,
-               origin: tuple[float, float] = (0.0, 0.0),
                occupied: bool = False) -> OccupancyGrid:
     nx = int(round(size_x / cell_size))
     ny = int(round(size_y / cell_size))
     cells = np.full((ny, nx), occupied, dtype=bool)
-    return OccupancyGrid(cells=cells, cell_size=cell_size, origin=origin)
+    return OccupancyGrid(cells=cells, cell_size=cell_size)
 
 
 def _disk_cells(grid: OccupancyGrid, center, radius: float):
     """Index arrays (iy, ix) of all cells whose center lies within radius."""
     cs = grid.cell_size
-    cx = (center[0] - grid.origin[0]) / cs
-    cy = (center[1] - grid.origin[1]) / cs
+    cx = center[0] / cs
+    cy = center[1] / cs
     r = radius / cs
     ny, nx = grid.cells.shape
     x0 = max(0, int(math.floor(cx - r - 1)))
@@ -288,8 +267,8 @@ def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
     # only from inside the grid grown by radius and two cells; one more
     # cell is slack for rounding
     reach = radius + 3.0 * cs
-    lo = (grid.origin[0] - reach, grid.origin[1] - reach)
-    hi = (grid.origin[0] + nx * cs + reach, grid.origin[1] + ny * cs + reach)
+    lo = (-reach, -reach)
+    hi = (nx * cs + reach, ny * cs + reach)
     for i in range(len(p) - 1):
         a, b = p[i], p[i + 1]
         seg = math.hypot(b[0] - a[0], b[1] - a[1])
@@ -327,7 +306,7 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
     if r_cells >= math.hypot(ny, nx):
         # every cell lies within reach of every other
         return OccupancyGrid(cells=np.full_like(src, src.any()),
-                             cell_size=grid.cell_size, origin=grid.origin)
+                             cell_size=grid.cell_size)
     r = int(math.ceil(r_cells))
     # an offset past the grid's extent reaches no cell
     ry, rx = min(r, ny - 1), min(r, nx - 1)
@@ -343,7 +322,7 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
             xs = slice(max(0, dj), min(nx, nx + dj))
             xd = slice(max(0, -dj), min(nx, nx - dj))
             out[yd, xd] |= src[ys, xs]
-    return OccupancyGrid(cells=out, cell_size=grid.cell_size, origin=grid.origin)
+    return OccupancyGrid(cells=out, cell_size=grid.cell_size)
 
 
 @dataclass(frozen=True)
@@ -417,9 +396,8 @@ def planning_occupancy(version: MapVersion, vehicle_radius: float) -> OccupancyG
         if seg.closed:
             stamp_polyline(cells, version.occupancy, seg.polyline.points,
                            seg.half_width)
-    raw = OccupancyGrid(cells=cells, cell_size=version.occupancy.cell_size,
-                        origin=version.occupancy.origin)
-    return inflate(raw, vehicle_radius)
+    return inflate(OccupancyGrid(cells=cells, cell_size=version.occupancy.cell_size),
+                   vehicle_radius)
 
 
 def build_corridor_map(version_id: int, segments: list[LaneSegment],
@@ -432,9 +410,8 @@ def build_corridor_map(version_id: int, segments: list[LaneSegment],
         if not seg.closed:
             stamp_polyline(cells, grid, seg.polyline.points, seg.half_width,
                            value=False)
-    occ = OccupancyGrid(cells=cells, cell_size=cell_size, origin=grid.origin)
     return MapVersion(version_id=version_id, lane_graph=tuple(segments),
-                      occupancy=occ)
+                      occupancy=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from statistics import mean
 import numpy as np
 import pytest
 
+from grids import occupied_at
 from v2xloop.control import (ControlCommand, ControllerConfig, PidState,
                              follow_tick, pid_longitudinal, pure_pursuit)
 from v2xloop.gate import evaluate, support_weight
@@ -302,7 +303,7 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         # plan, as the episode loop does; no deviation field prices none
         base = planning_occupancy(ldm.active_map, VP.collision_radius)
         attempt = plan(start, 0.0, goal, ldm, cfg, VP, "initial", base, 0.0,
-                       np.zeros(base.shape))
+                       np.zeros(base.cells.shape))
         if not attempt.succeeded:
             failures += 1
             continue
@@ -318,7 +319,7 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         kappa = 2.0 * np.sin(dh[m] / 2.0) / chord[m]
         worst_ratio = max(worst_ratio, float(np.max(kappa) / k_max))
         grid = obstacle_grid(ldm, cfg, VP, base, start[:2])
-        if any(grid.occupied_at(x, y) for x, y, _ in poses):
+        if any(occupied_at(grid, x, y) for x, y, _ in poses):
             collisions += 1
     mean_ms = mean(times_ms) if times_ms else math.inf
     ok = (failures == 0 and collisions == 0

@@ -219,3 +219,37 @@ def test_sweep_rejects_unknown_scenario(tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", "--grid", str(grid), "--scenarios", "s9",
               "--seeds", "1"])
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"k_p": 0.5}, "grid.k_p: must be a non-empty list of finite numbers, got 0.5"),
+    ({"k_p": "ab"}, "grid.k_p: must be a non-empty list of finite numbers, got 'ab'"),
+    ({"k_p": []}, "grid.k_p: must be a non-empty list of finite numbers, got []"),
+], ids=["scalar", "string", "empty"])
+def test_sweep_rejects_a_bad_grid_with_one_line(tmp_path, grid, message):
+    # a scalar was a TypeError traceback, a string crashed mid-episode and
+    # an empty list swept nothing
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--grid", str(path), "--scenarios", "s1", "--seeds", "1"])
+    assert str(exc.value) == f"v2xloop sweep: {message}"
+
+
+def test_a_missing_input_file_exits_with_one_line(tmp_path):
+    missing = tmp_path / "nope.json"
+    for argv in (["sweep", "--grid", str(missing), "--scenarios", "s1", "--seeds", "1"],
+                 ["run", "--config", str(missing)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value)
+        assert message.startswith(f"v2xloop {argv[0]}: ") and str(missing) in message
+        assert "No such file" in message and "\n" not in message
+
+
+def test_ablation_is_refused_with_a_config_document(tmp_path):
+    # the document's spec ran with V2X on: --ablation was ignored
+    cfg = tmp_path / "scenario.json"
+    write_json(cfg, spec_to_dict(build_s1()))
+    with pytest.raises(SystemExit, match="^--ablation applies to a built-in --scenario"):
+        main(["run", "--config", str(cfg), "--ablation", "--seed", "1"])

@@ -153,10 +153,10 @@ def test_safety_stop_ramps_to_full_brake():
     brake = 0.0
     values = []
     for _ in range(8):
-        cmd = safety_stop_command(brake, dt=0.1, ramp_time=0.5)
+        cmd = safety_stop_command(brake, dt=0.1)
         assert cmd.throttle == 0.0 and cmd.steering == 0.0
         assert cmd.brake >= brake    # monotone ramp
         brake = cmd.brake
         values.append(brake)
-    assert values[4] == pytest.approx(1.0)   # full brake after ramp_time
+    assert values[4] == pytest.approx(1.0)   # full brake after SAFETY_STOP_RAMP
     assert values[-1] == 1.0

@@ -192,6 +192,21 @@ def test_null_stations_document_runs_the_no_v2x_arm(tmp_path):
     assert not read_csv(tmp_path / "doc" / "logs" / "v2x.csv", LOG_COLUMNS["v2x"])["tick"]
 
 
+def test_ids_derived_from_the_ldm_have_no_gap(tmp_path):
+    # s4 at seed 1, where forged claims expire: event ids are E1..En in
+    # order of first_seen, and every track born is logged under its id
+    run_episode(build_s4(), 1, tmp_path)
+    events = read_csv(tmp_path / "logs" / "events.csv", LOG_COLUMNS["events"])
+    assert "expired" in events["status"]
+    first_seen = dict(zip(events["event_id"], events["first_seen"]))
+    ids = sorted(first_seen, key=lambda eid: int(eid[1:]))
+    assert ids == [f"E{n}" for n in range(1, len(ids) + 1)]
+    assert [first_seen[eid] for eid in ids] == sorted(first_seen.values())
+    ldm = read_csv(tmp_path / "logs" / "ldm.csv", LOG_COLUMNS["ldm"])
+    tracks_born = read_json(tmp_path / "summary.json")["counters"]["tracks_born"]
+    assert tracks_born == len(set(ldm["track_id"])) > 0
+
+
 def test_different_seeds_differ(tmp_path):
     # sensing noise must actually vary with the seed
     ra = run_episode(build_s2(), 1)

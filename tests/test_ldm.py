@@ -42,14 +42,9 @@ def _det(wx, wy, conf=0.9, vel=(0.0, 0.0)):
     return Detection(confidence=conf, world_position=(wx, wy), world_velocity=vel)
 
 
-def _new_ids():
-    return {"track": [1], "event": [1]}
-
-
-def _tick(state, t, frames=(), v2x=(), params=P, next_ids=None):
-    """One fusion step; without `next_ids` the id sequences start afresh."""
-    return fuse_tick(state, t, list(v2x), MAP0, list(frames), params,
-                     next_ids if next_ids is not None else _new_ids())
+def _tick(state, t, frames=(), v2x=(), params=P):
+    """One fusion step on MAP0."""
+    return fuse_tick(state, t, list(v2x), MAP0, list(frames), params)
 
 
 # ---------------------------------------------------------------------------
@@ -58,43 +53,41 @@ def _tick(state, t, frames=(), v2x=(), params=P, next_ids=None):
 
 def test_update_belief_sensor_oracle():
     # odds 1 * 3 = 3 -> 3/4
-    assert update_belief(0.5, P.lr_detect, [], P) == pytest.approx(0.75)
+    assert update_belief(0.5, P.lr_detect, 0, P) == pytest.approx(0.75)
 
 
 def test_update_belief_sensor_plus_cam_oracle():
     # odds 1 * 3 * 2 = 6 -> 6/7
-    b = update_belief(0.5, P.lr_detect, [(1.0, P.lr_cam)], P)
+    b = update_belief(0.5, P.lr_detect, 1, P)
     assert b == pytest.approx(6.0 / 7.0)
 
 
-def test_update_belief_weighted_support():
-    # half-weight station applies sqrt of its ratio: odds = 3 * 2^0.5
-    b = update_belief(0.5, P.lr_detect, [(0.5, P.lr_cam)], P)
-    odds = 3.0 * math.sqrt(2.0)
-    assert b == pytest.approx(odds / (1.0 + odds))
+def test_update_belief_one_lr_cam_per_station():
+    # two stations: odds 1 * 3 * 2 * 2 = 12 -> 12/13
+    b = update_belief(0.5, P.lr_detect, 2, P)
+    assert b == pytest.approx(12.0 / 13.0)
 
 
 def test_update_belief_contradiction():
     ratio = contradiction_ratio(P)
     assert ratio == pytest.approx(0.2)   # capped below 0.15 / 0.7
-    b = update_belief(0.5, ratio, [], P)
+    b = update_belief(0.5, ratio, 0, P)
     assert b == pytest.approx(0.2 / 1.2)
 
 
 def test_update_belief_rejects_bad_ratios():
     with pytest.raises(ValueError):
-        update_belief(0.5, 0.0, [], P)
+        update_belief(0.5, 0.0, 0, P)
     with pytest.raises(ValueError):
-        update_belief(0.5, 3.0, [(1.0, -1.0)], P)
+        LdmParams(lr_cam=-1.0)      # the per-station ratio is checked at load
     with pytest.raises(ValueError):
-        update_belief(0.5, float("inf"), [], P)
+        update_belief(0.5, float("inf"), 0, P)
 
 
 @settings(max_examples=200, deadline=None)
 @given(b=st.floats(0.0, 1.0),
        lr=st.floats(0.01, 100.0),
-       cams=st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 10.0)),
-                     max_size=4))
+       cams=st.integers(0, 4))
 def test_update_belief_stays_clamped(b, lr, cams):
     out = update_belief(b, lr, cams, P)
     assert P.belief_floor <= out <= P.belief_ceiling
@@ -227,13 +220,16 @@ def test_cam_measurements_support_tracks():
 
 
 def test_track_ids_are_sequential():
-    ids = _new_ids()
     state = initial_state(MAP0)
     state = _tick(state, 0.05, frames=[
-        _frame(0.05, [_det(12.0, 10.0), _det(30.0, 10.0)])],
-        next_ids=ids)
+        _frame(0.05, [_det(12.0, 10.0), _det(30.0, 10.0)])])
     assert sorted(tr.track_id for tr in state.objects) == ["T1", "T2"]
-    assert ids["track"][0] == 3
+    assert state.tracks_born == 2
+    # the count carries over to the next tick's births
+    state = _tick(state, 0.10, frames=[
+        _frame(0.10, [_det(12.0, 10.0), _det(30.0, 10.0), _det(60.0, 10.0)])])
+    assert sorted(tr.track_id for tr in state.objects) == ["T1", "T2", "T3"]
+    assert state.tracks_born == 3
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +238,7 @@ def test_track_ids_are_sequential():
 
 def test_ingest_denm_opens_pending_hypothesis():
     events = []
-    out = ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P, [1])
+    out = ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P)
     assert out is not None
     assert out.status == PENDING
     assert out.event_id == "E1"
@@ -252,9 +248,8 @@ def test_ingest_denm_opens_pending_hypothesis():
 
 def test_ingest_denm_merges_same_kind_nearby():
     events = []
-    nums = [1]
-    ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P, nums)
-    ingest_denm(_denm("rsu-1", (52.0, 10.0), recv=1.5), events, P, nums)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P)
+    ingest_denm(_denm("rsu-1", (52.0, 10.0), recv=1.5), events, P)
     assert len(events) == 1
     assert sorted(events[0].support) == ["rsu-0", "rsu-1"]
     # pending refresh: position is the plain mean of the claims
@@ -263,29 +258,25 @@ def test_ingest_denm_merges_same_kind_nearby():
 
 def test_ingest_denm_kinds_never_mix():
     events = []
-    nums = [1]
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), kind="debris"), events, P, nums)
-    ingest_denm(_denm("rsu-1", (50.5, 10.0), kind="road_closure"), events,
-                P, nums)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), kind="debris"), events, P)
+    ingest_denm(_denm("rsu-1", (50.5, 10.0), kind="road_closure"), events, P)
     assert len(events) == 2
 
 
 def test_ingest_denm_merge_window_expires():
     events = []
-    nums = [1]
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, nums)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P)
     # next claim arrives past the merge window: separate hypothesis
     ingest_denm(_denm("rsu-1", (50.0, 10.0),
                       recv=1.0 + P.event_merge_window + 0.5),
-                events, P, nums)
+                events, P)
     assert len(events) == 2
 
 
 def test_ingest_denm_latest_claim_per_station_wins():
     events = []
-    nums = [1]
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, nums)
-    ingest_denm(_denm("rsu-0", (52.0, 10.0), recv=2.0, seq=1), events, P, nums)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P)
+    ingest_denm(_denm("rsu-0", (52.0, 10.0), recv=2.0, seq=1), events, P)
     assert len(events) == 1
     assert len(events[0].support) == 1
     assert events[0].support["rsu-0"][0] == 2.0
@@ -294,15 +285,14 @@ def test_ingest_denm_latest_claim_per_station_wins():
 
 def test_ingest_denm_rejects_cam():
     with pytest.raises(ValueError):
-        ingest_denm(_cam("obu-a", (0.0, 0.0)), [], P, [1])
+        ingest_denm(_cam("obu-a", (0.0, 0.0)), [], P)
 
 
 def test_accepted_event_position_eases_in():
     events = []
-    nums = [1]
-    hyp = ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P, nums)
+    hyp = ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P)
     hyp.status = ACCEPTED
-    ingest_denm(_denm("rsu-0", (54.0, 10.0), recv=2.0, seq=1), events, P, nums)
+    ingest_denm(_denm("rsu-0", (54.0, 10.0), recv=2.0, seq=1), events, P)
     # EMA with alpha: 50 + 0.25 * (54 - 50) = 51
     assert hyp.position[0] == pytest.approx(51.0)
 

@@ -204,6 +204,24 @@ def test_config_grid_rejects_unknown_fields():
         config_grid({"warp_factor": [9]})
 
 
+@pytest.mark.parametrize("grid, field", [
+    ([0.5], "grid"), ("k_p", "grid"),
+    ({"k_p": 0.5}, "grid.k_p"), ({"k_p": "ab"}, "grid.k_p"), ({"k_p": []}, "grid.k_p"),
+    ({"k_p": ["ab"]}, "grid.k_p"), ({"k_p": [True]}, "grid.k_p"),
+    ({"k_p": [0.5, None]}, "grid.k_p"), ({"tau_risk": [math.nan]}, "grid.tau_risk"),
+    ({"tau_risk": [math.inf]}, "grid.tau_risk"), ({"look_ahead": [10**400]}, "grid.look_ahead"),
+    ({"k_p": [0.5], "warp_factor": [9]}, "grid.warp_factor"),
+])
+def test_config_grid_rejects_what_is_not_a_list_of_finite_numbers(grid, field):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        config_grid(grid)
+
+
+def test_config_grid_accepts_ints_and_floats():
+    configs = config_grid({"update_poll_interval": [1, 2.5], "k_p": [0]})
+    assert [c.update_poll_interval for c in configs] == [1, 2.5]
+
+
 def test_configuration_as_dict_roundtrip():
     c = Configuration(config_id="cfg-000", look_ahead=5.0)
     d = asdict(c)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from v2xloop.perception import (Detection, SenseFrame, SensorModel, sense,
-                                sensor_likelihood)
+from v2xloop.perception import (NEUTRAL_LIKELIHOOD, Detection, SenseFrame,
+                                SensorModel, sense, sensor_likelihood)
 from v2xloop.rng import stream
 from v2xloop.world import WorldObject
 
@@ -140,8 +140,7 @@ def test_likelihood_neutral_when_uncovered():
     event = (100.0, 0.0)   # beyond max_range of every frame
     frames = [_frame(timestamp=0.0), _frame(timestamp=0.1)]
     assert sensor_likelihood(event, frames, 3.0, 1.0, now=0.1) == 0.5
-    assert sensor_likelihood(event, frames, 3.0, 1.0, now=0.1,
-                             neutral=0.7) == 0.7
+    assert NEUTRAL_LIKELIHOOD == 0.5
 
 
 def test_likelihood_window_excludes_stale_frames():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grids import occupied_at
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
                              PlannerConfig, PlanAttempt, RISK_THRESHOLD,
@@ -62,7 +63,7 @@ def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
     """`plan` on the ldm's static grid; no deviation field prices no deviation."""
     base = _base(ldm)
     if deviation_field is None:
-        deviation_field = np.zeros(base.shape)
+        deviation_field = np.zeros(base.cells.shape)
     return plan(start, 0.0, goal, ldm, cfg, VP, cause, base, start_steering,
                 deviation_field)
 
@@ -109,7 +110,7 @@ def test_plan_poses_collision_free():
     traj = _check_plan(attempt, (95.0, 10.0))
     grid = _grid(ldm, start_xy=(2.0, 10.0))
     for x, y, _ in traj.poses:
-        assert not grid.occupied_at(x, y)
+        assert not occupied_at(grid, x, y)
     # the path actually deviates around the stamped track
     d = np.hypot(traj.poses[:, 0] - 40.0, traj.poses[:, 1] - 10.0)
     assert float(d.min()) >= CFG.track_radius + VP.collision_radius - 0.5
@@ -152,9 +153,7 @@ def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
     grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
-    res = grid.cell_size
-    ox, oy = grid.origin
-    inv_res = 1.0 / res
+    inv_res = 1.0 / grid.cell_size
     bin_size = TWO_PI / cfg.heading_bins
     hw = cfg.heuristic_weight
 
@@ -180,7 +179,7 @@ def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
     while open_heap:
         f, _, ni = heapq.heappop(open_heap)
         x, y, th = xs[ni], ys[ni], ths[ni]
-        key = bin_key(x - ox, y - oy, th)
+        key = bin_key(x, y, th)
         if key in closed:
             continue
         closed.add(key)
@@ -198,8 +197,8 @@ def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
         world = prim_pts @ rot.T
         world[:, :, 0] += x
         world[:, :, 1] += y
-        ix = np.floor((world[:, :, 0] - ox) * inv_res).astype(np.int64)
-        iy = np.floor((world[:, :, 1] - oy) * inv_res).astype(np.int64)
+        ix = np.floor(world[:, :, 0] * inv_res).astype(np.int64)
+        iy = np.floor(world[:, :, 1] * inv_res).astype(np.int64)
         inb = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
 
         for si in range(n_steer):
@@ -214,8 +213,7 @@ def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
                 cost += cfg.lateral_weight * arc * \
                     float(deviation_field[iy[si], ix[si]].mean())
             g_new = gs[ni] + cost
-            kx, kyy = end[0] - ox, end[1] - oy
-            if bin_key(kx, kyy, th_new) in closed:
+            if bin_key(end[0], end[1], th_new) in closed:
                 continue
             xs.append(float(end[0])); ys.append(float(end[1]))
             ths.append(float(th_new)); gs.append(g_new)
@@ -249,7 +247,7 @@ def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
                       planned_at=ldm.stamp)
     traj = attach_speed_profile(traj, ldm, cfg, vparams, start_speed)
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=0.0,
-                       cause=cause, path_length=traj.length)
+                       cause=cause)
 
 
 def _random_corridor(rng, near_edge: bool):
@@ -310,7 +308,7 @@ def _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering=0.0,
     base = _base(ldm)
     field = None if line is None else route_deviation_field(base, line)
     got = plan(start, 0.0, goal, ldm, cfg, VP, "initial", base, start_steering,
-               np.zeros(base.shape) if field is None else field)
+               np.zeros(base.cells.shape) if field is None else field)
     want = _reference_plan(start, 0.0, goal, ldm, cfg, VP, "initial", base,
                            start_steering, deviation_field=field)
     assert got.expansions == want.expansions
@@ -334,30 +332,29 @@ def test_reference_oracle_covers_failure_edge_and_success():
     tight = PlannerConfig(max_expansions=20)
     assert not _plan(start, ldm, tight, goal=goal).succeeded
     grid = _grid(ldm, start_xy=start[:2])
-    assert not grid.occupied_at(0.1, start[1])      # free up to the map edge
+    assert not occupied_at(grid, 0.1, start[1])      # free up to the map edge
     ok = _plan(start, ldm, PlannerConfig(max_expansions=4000), goal=goal,
                deviation_field=route_deviation_field(grid, line))
     assert ok.succeeded
 
 
-# an open 30 x 20 m map whose origin is off zero, and its middle line
-OPEN_ORIGIN = (-3.0, 2.0)
-OPEN_MID = np.array([[-3.0, 12.0], [27.0, 12.0]])
+# an open 30 x 20 m map, and its middle line
+OPEN_MID = np.array([[0.0, 10.0], [30.0, 10.0]])
+OPEN_GOAL = (15.0, 10.0, 0.0)
 
 
 def _open_ldm(blocked=()):
-    """`initial_state` of the open map with `blocked` (x0, x1, y0, y1) boxes."""
-    grid = empty_grid(30.0, 20.0, 0.5, origin=OPEN_ORIGIN)
+    """`initial_state` of the open map with `blocked` (x0, x1, y0, y1) boxes,
+    their corners on the 0.5 m cell lattice."""
+    grid = empty_grid(30.0, 20.0, 0.5)
     for x0, x1, y0, y1 in blocked:
-        ix0, iy0 = grid.index_of(x0, y0)
-        ix1, iy1 = grid.index_of(x1, y1)
-        grid.cells[iy0:iy1, ix0:ix1] = True
+        grid.cells[int(y0 / 0.5):int(y1 / 0.5), int(x0 / 0.5):int(x1 / 0.5)] = True
     return initial_state(MapVersion(0, (), grid))
 
 
 # (x, y, outward heading) 0.4 m inside each side of the open map
-NEAR_SIDES = {"left": (-2.6, 12.0, math.pi), "right": (26.6, 8.0, 0.0),
-              "bottom": (10.0, 2.4, -math.pi / 2), "top": (16.0, 21.6, math.pi / 2)}
+NEAR_SIDES = {"left": (0.4, 10.0, math.pi), "right": (29.6, 6.0, 0.0),
+              "bottom": (13.0, 0.4, -math.pi / 2), "top": (19.0, 19.6, math.pi / 2)}
 
 
 @pytest.mark.parametrize("side", NEAR_SIDES)
@@ -367,7 +364,7 @@ def test_plan_matches_reference_leaving_every_side(side, turn):
     # side: arcs leave the grid through each of its four borders
     x, y, out = NEAR_SIDES[side]
     got = _assert_plan_matches_reference(
-        (x, y, out + turn), (12.0, 12.0, 0.0), _open_ldm(),
+        (x, y, out + turn), OPEN_GOAL, _open_ldm(),
         PlannerConfig(max_expansions=3000), line=OPEN_MID)
     # no cell is blocked, so straight out every arc leaves the grid at
     # once; turned, the straight arc leaves and the inward ones run on
@@ -376,8 +373,8 @@ def test_plan_matches_reference_leaving_every_side(side, turn):
 
 def test_plan_matches_reference_beside_blocked_cells_on_the_border():
     # a wall from each side inward, each touching the grid's edge cells
-    walls = [(-3.0, 3.0, 6.0, 7.0), (21.0, 27.0, 15.0, 16.0),
-             (8.0, 9.0, 2.0, 8.0), (15.0, 16.0, 16.0, 22.0)]
+    walls = [(0.0, 6.0, 4.0, 5.0), (24.0, 30.0, 13.0, 14.0),
+             (11.0, 12.0, 0.0, 6.0), (18.0, 19.0, 14.0, 20.0)]
     ldm = _open_ldm(walls)
     base = _base(ldm).cells
     assert base[:, 0].any() and base[:, -1].any()
@@ -385,7 +382,7 @@ def test_plan_matches_reference_beside_blocked_cells_on_the_border():
     for x, y, out in NEAR_SIDES.values():
         for turn in (0.5, -0.5):
             _assert_plan_matches_reference(
-                (x, y, out + turn), (12.0, 12.0, 0.0), ldm,
+                (x, y, out + turn), OPEN_GOAL, ldm,
                 PlannerConfig(max_expansions=300), line=OPEN_MID)
 
 
@@ -404,7 +401,7 @@ def test_plan_matches_reference_from_both_signed_zero_headings(steer):
 def test_plan_rejects_a_deviation_field_that_is_not_finite():
     # an arc is free iff its summed cost is finite, so the field must be
     ldm = _ldm()
-    field = np.zeros(_base(ldm).shape)
+    field = np.zeros(_base(ldm).cells.shape)
     field[3, 4] = math.inf
     with pytest.raises(ValueError, match="deviation_field"):
         _plan((2.0, 10.0, 0.0), ldm, deviation_field=field)
@@ -418,10 +415,9 @@ def test_route_deviation_field_measures_distance():
     grid = ROAD.occupancy
     fld = route_deviation_field(grid, ROUTE.reference_path.points)
     assert fld.shape == grid.cells.shape
-    ix, iy = grid.index_of(50.0, 10.0)
-    assert fld[iy, ix] < grid.cell_size
-    ix2, iy2 = grid.index_of(50.0, 14.0)
-    assert fld[iy2, ix2] == pytest.approx(4.0, abs=grid.cell_size)
+    assert grid.cell_size == 0.5
+    assert fld[20, 100] < grid.cell_size               # the cell of (50, 10)
+    assert fld[28, 100] == pytest.approx(4.0, abs=grid.cell_size)   # of (50, 14)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +429,10 @@ def test_obstacle_grid_stamps_confident_tracks():
                        _track("T2", (60.0, 10.0), belief=0.55)])
     grid = _grid(ldm)
     pad = CFG.track_radius + VP.collision_radius + CFG.obstacle_margin
-    assert grid.occupied_at(40.0, 10.0)
-    assert grid.occupied_at(40.0 + pad - 0.3, 10.0)
+    assert occupied_at(grid, 40.0, 10.0)
+    assert occupied_at(grid, 40.0 + pad - 0.3, 10.0)
     # below-threshold track leaves no stamp
-    assert not grid.occupied_at(60.0, 10.0)
+    assert not occupied_at(grid, 60.0, 10.0)
 
 
 def test_obstacle_grid_static_track_stamped_in_place():
@@ -446,25 +442,25 @@ def test_obstacle_grid_static_track_stamped_in_place():
     moving = _track("T2", (40.0, 10.0), vel=(4.0, 0.0))
     grid_m = _grid(_ldm(tracks=[moving]))
     ahead = 40.0 + 4.0 * CFG.prefix_horizon / 2.0
-    assert grid.occupied_at(40.0, 10.0)
-    assert not grid.occupied_at(ahead + 1.0, 10.0)
-    assert grid_m.occupied_at(ahead, 10.0)
+    assert occupied_at(grid, 40.0, 10.0)
+    assert not occupied_at(grid, ahead + 1.0, 10.0)
+    assert occupied_at(grid_m, ahead, 10.0)
 
 
 def test_obstacle_grid_event_radius_by_kind():
     for kind, r in EVENT_RADIUS.items():
         grid = _grid(_ldm(events=[_event((50.0, 10.0), kind=kind)]))
         pad = r + VP.collision_radius + CFG.event_margin
-        assert grid.occupied_at(50.0 + pad - 0.3, 10.0), kind
-        assert not grid.occupied_at(50.0 + pad + 1.0, 10.0), kind
+        assert occupied_at(grid, 50.0 + pad - 0.3, 10.0), kind
+        assert not occupied_at(grid, 50.0 + pad + 1.0, 10.0), kind
 
 
 def test_obstacle_grid_skips_disk_over_start():
     ldm = _ldm(tracks=[_track("T1", (2.5, 10.0))])
     trapped = _grid(ldm, start_xy=(95.0, 10.0))     # start far from the track
     freed = _grid(ldm, start_xy=(2.0, 10.0))
-    assert trapped.occupied_at(2.0, 10.0)
-    assert not freed.occupied_at(2.0, 10.0)
+    assert occupied_at(trapped, 2.0, 10.0)
+    assert not occupied_at(freed, 2.0, 10.0)
 
 
 def test_unexplained_tracks_suppressed_near_events():
@@ -478,8 +474,8 @@ def test_unexplained_tracks_suppressed_near_events():
     grid = _grid(ldm)
     track_pad = CFG.track_radius + VP.collision_radius + CFG.obstacle_margin
     event_pad = EVENT_RADIUS["stationary_vehicle"] + VP.collision_radius + CFG.event_margin
-    assert not grid.occupied_at(50.8 + track_pad - 0.2, 10.0)
-    assert grid.occupied_at(50.0 + event_pad - 0.2, 10.0)
+    assert not occupied_at(grid, 50.8 + track_pad - 0.2, 10.0)
+    assert occupied_at(grid, 50.0 + event_pad - 0.2, 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grids import occupied_at
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Polyline,
                            Route, VersionedMap, build_corridor_map, empty_grid,
                            inflate, mark_disk, planning_occupancy, poll_update,
@@ -207,16 +208,19 @@ def test_projection_rejects_a_point_that_is_not_finite():
 
 
 def test_grid_indexing_and_bounds():
+    # anchored at the world origin: cell (iy, ix) covers [ix, ix + 1) x
+    # [iy, iy + 1) half metres
     g = empty_grid(10.0, 5.0, cell_size=0.5)
-    assert g.shape == (10, 20)
-    assert g.index_of(0.0, 0.0) == (0, 0)
-    assert g.index_of(9.99, 4.99) == (19, 9)
-    assert g.in_bounds(19, 9)
-    assert not g.in_bounds(20, 0)
-    assert not g.occupied_at(5.0, 2.5)
+    assert g.cells.shape == (10, 20)
+    g.cells[0, 0] = g.cells[9, 19] = True
+    assert occupied_at(g, 0.0, 0.0) and occupied_at(g, 0.49, 0.49)
+    assert not occupied_at(g, 0.5, 0.0)
+    assert occupied_at(g, 9.99, 4.99)
+    assert not occupied_at(g, 9.49, 4.99)
+    assert not occupied_at(g, 5.0, 2.5)
     # out of bounds reads as wall
-    assert g.occupied_at(-1.0, 0.0)
-    assert g.occupied_at(10.5, 0.0)
+    assert occupied_at(g, -1.0, 0.0)
+    assert occupied_at(g, 10.5, 0.0)
 
 
 def test_grid_rejects_bad_cell_size():
@@ -227,11 +231,11 @@ def test_grid_rejects_bad_cell_size():
 def test_mark_disk_cells_within_radius():
     g = empty_grid(10.0, 10.0, cell_size=0.5)
     mark_disk(g.cells, g, (5.0, 5.0), 1.0)
-    assert g.occupied_at(5.0, 5.0)
-    assert g.occupied_at(5.7, 5.0)
-    assert not g.occupied_at(7.0, 5.0)
+    assert occupied_at(g, 5.0, 5.0)
+    assert occupied_at(g, 5.7, 5.0)
+    assert not occupied_at(g, 7.0, 5.0)
     # cell-center test: a cell whose center is just outside stays free
-    assert not g.occupied_at(5.0, 6.3)
+    assert not occupied_at(g, 5.0, 6.3)
 
 
 def test_stamp_polyline_covers_full_band():
@@ -239,9 +243,9 @@ def test_stamp_polyline_covers_full_band():
     line = np.array([[2.0, 5.0], [18.0, 5.0]])
     stamp_polyline(g.cells, g, line, radius=1.5)
     for x in np.arange(2.0, 18.0, 0.5):
-        assert g.occupied_at(x, 5.0)
-        assert g.occupied_at(x, 6.2)
-        assert not g.occupied_at(x, 7.5)
+        assert occupied_at(g, x, 5.0)
+        assert occupied_at(g, x, 6.2)
+        assert not occupied_at(g, x, 7.5)
 
 
 def _stamp_polyline_sampling_every_sample(cells, grid, polyline, radius,
@@ -258,8 +262,8 @@ def _stamp_polyline_sampling_every_sample(cells, grid, polyline, radius,
             mark_disk(cells, grid, a + t * (b - a), radius, value)
 
 
-# a 30 x 20 m grid whose origin is off zero and off the cell lattice
-STAMP_GRID = dict(size_x=30.0, size_y=20.0, cell_size=0.5, origin=(-7.3, 4.1))
+# a 30 x 20 m grid
+STAMP_GRID = dict(size_x=30.0, size_y=20.0, cell_size=0.5)
 
 
 def _stamp_coord(lo: float, hi: float):
@@ -269,12 +273,8 @@ def _stamp_coord(lo: float, hi: float):
                                st.sampled_from([lo, hi]), st.floats(-2.0, 2.0)))
 
 
-_X0, _Y0 = STAMP_GRID["origin"]
-
-
 @settings(max_examples=60, deadline=None)
-@given(line=st.lists(st.tuples(_stamp_coord(_X0, _X0 + 30.0),
-                               _stamp_coord(_Y0, _Y0 + 20.0)),
+@given(line=st.lists(st.tuples(_stamp_coord(0.0, 30.0), _stamp_coord(0.0, 20.0)),
                      min_size=2, max_size=4),
        radius=st.sampled_from([0.0, 0.3, 1.5, 5.0]),
        value=st.booleans())
@@ -288,13 +288,13 @@ def test_stamp_polyline_marks_the_cells_of_every_sample(line, radius, value):
 
 
 @pytest.mark.parametrize("line", [
-    [[-1000.0, 5.0], [1000.0, 5.0]],              # horizontal, through
-    [[3.0, -1000.0], [3.0, 1000.0]],              # vertical, through
-    [[-1000.0, -995.0], [1000.0, 1005.0]],        # diagonal, through
-    [[-1000.0, 40.0], [1000.0, 40.0]],            # parallel, misses
-    [[-7.3 - 1000.0, 4.1 - 3.0], [-7.3 - 1.0, 4.1 - 3.0]],  # ends short
-    [[10.0, 10.0], [10.0, 10.0]],                 # one point
-    [[-400.0, 10.0], [10.0, 10.0], [10.0, 900.0]],  # enters, turns, leaves
+    [[-992.7, 0.9], [1007.3, 0.9]],               # horizontal, through
+    [[10.3, -1004.1], [10.3, 995.9]],             # vertical, through
+    [[-992.7, -999.1], [1007.3, 1000.9]],         # diagonal, through
+    [[-992.7, 35.9], [1007.3, 35.9]],             # parallel, misses
+    [[-1000.0, -3.0], [-1.0, -3.0]],              # ends short
+    [[17.3, 5.9], [17.3, 5.9]],                   # one point
+    [[-392.7, 5.9], [17.3, 5.9], [17.3, 895.9]],  # enters, turns, leaves
 ], ids=["horizontal", "vertical", "diagonal", "parallel-miss", "ends-short",
         "point", "turning"])
 def test_stamp_polyline_edge_lanes_match_every_sample(line):
@@ -314,7 +314,7 @@ def test_a_lane_to_a_trillion_metres_builds_at_once():
     near = build_corridor_map(
         0, [LaneSegment("near", [[0.0, 10.0], [60.0, 10.0]], half_width=3.0)],
         40.0, 20.0)
-    assert not far.occupancy.occupied_at(39.9, 10.0)
+    assert not occupied_at(far.occupancy, 39.9, 10.0)
     assert np.array_equal(far.occupancy.cells, near.occupancy.cells)
 
 
@@ -322,8 +322,8 @@ def test_inflate_grows_by_metric_radius():
     g = empty_grid(20.0, 20.0, cell_size=0.5)
     mark_disk(g.cells, g, (10.0, 10.0), 0.4)   # single cell
     grown = inflate(g, 2.0)
-    assert grown.occupied_at(11.9, 10.0)
-    assert not grown.occupied_at(13.0, 10.0)
+    assert occupied_at(grown, 11.9, 10.0)
+    assert not occupied_at(grown, 13.0, 10.0)
     # inflation only adds cells
     assert np.all(grown.cells[g.cells])
 
@@ -361,15 +361,15 @@ def _cross_segments(closed_ids=()):
 def test_corridor_map_carves_open_segments():
     ver = build_corridor_map(0, _cross_segments(), 30.0, 30.0)
     occ = ver.occupancy
-    assert not occ.occupied_at(10.0, 15.0)
-    assert not occ.occupied_at(15.0, 25.0)
-    assert occ.occupied_at(5.0, 5.0)     # off-road stays wall
+    assert not occupied_at(occ, 10.0, 15.0)
+    assert not occupied_at(occ, 15.0, 25.0)
+    assert occupied_at(occ, 5.0, 5.0)     # off-road stays wall
 
 
 def test_corridor_map_skips_closed_segments():
     ver = build_corridor_map(1, _cross_segments(closed_ids=("ns",)), 30.0, 30.0)
-    assert ver.occupancy.occupied_at(15.0, 25.0)
-    assert not ver.occupancy.occupied_at(10.0, 15.0)
+    assert occupied_at(ver.occupancy, 15.0, 25.0)
+    assert not occupied_at(ver.occupancy, 10.0, 15.0)
 
 
 def test_planning_occupancy_stamps_closures_and_inflates():
@@ -382,10 +382,10 @@ def test_planning_occupancy_stamps_closures_and_inflates():
                      occupancy=open_ver.occupancy)
     planning = planning_occupancy(ver, vehicle_radius=1.0)
     # the closed corridor is wall again for the planner
-    assert planning.occupied_at(15.0, 25.0)
+    assert occupied_at(planning, 15.0, 25.0)
     # the open corridor narrows by the vehicle radius but stays passable
-    assert not planning.occupied_at(6.0, 15.0)
-    assert planning.occupied_at(6.0, 16.6)
+    assert not occupied_at(planning, 6.0, 15.0)
+    assert occupied_at(planning, 6.0, 16.6)
 
 
 def test_map_version_rejects_negative_id():
