@@ -63,7 +63,7 @@ from .perception import sense, sensor_likelihood
 from .planner import (check_triggers, plan, route_deviation_field, ttc_min,
                       unexplained_tracks)
 from .rng import StreamSet
-from .scenarios import ScenarioSpec, applied_values, apply_configuration, build_scenario
+from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import VehicleState, step
 from .world import (MapVersion, Polyline, WorldObject, planning_occupancy,
@@ -234,8 +234,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
         """Plan from the current ego state on the active map, log the attempt
         and return its trajectory, None when the search failed."""
         grid, deviation = _planning_maps(active, ref, spec.vehicle.collision_radius)
-        attempt = plan(ego.pose, ego.speed, goal, ldm, spec.planner, spec.vehicle,
-                       cause=cause, base_grid=grid, start_steering=ego.steering,
+        attempt = plan(ego.pose, goal, ldm, spec.planner, spec.vehicle, cause=cause,
+                       base_grid=grid, start_steering=ego.steering,
                        deviation_field=deviation)
         traj = attempt.trajectory
         logs["plans"].append(tick, t, attempt.cause, traj is not None,
@@ -313,6 +313,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             due = [m for m in in_flight if m.recv_time <= t + 1e-9]
             if due:
                 in_flight = [m for m in in_flight if m.recv_time > t + 1e-9]
+                # in_flight mixes ticks' deliveries: this sort alone orders them
                 due.sort(key=lambda m: (m.recv_time, m.station_id, m.seq_no))
                 for m in due:
                     if m.msg_kind == DENM:
@@ -336,8 +337,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         for ev in sorted((e for e in ldm.events if e.status == PENDING),
                          key=lambda e: e.event_id):
             lhood = sensor_likelihood(ev.position, frames_window,
-                                      spec.gate.sensor_support_radius,
-                                      spec.sensor_likelihood_window, t)
+                                      spec.gate.sensor_support_radius)
             decision = evaluate(ev, spec.gate, lhood, t)
             apply_decision(ev, decision)
             logs["gate"].append(k, t, ev.event_id, decision.accepted,
@@ -556,14 +556,19 @@ def replay(log_dir: str | Path) -> EpisodeMetrics:
 # batch and sweep fronts
 
 
+def _distinct(name: str, values: list) -> list:
+    """`values`, refused when empty or when one repeats."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} must be distinct")
+    return values
+
+
 def run_batch(spec: ScenarioSpec, seeds, out_dir: str | Path | None = None
               ) -> tuple[list[EpisodeResult], dict]:
     """Run one scenario over distinct seeds and aggregate the results."""
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("seeds must not be empty")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
+    seeds = _distinct("seeds", [int(s) for s in seeds])
     out_path = Path(out_dir) if out_dir is not None else None
     results = []
     for s in seeds:
@@ -585,17 +590,16 @@ def run_batch(spec: ScenarioSpec, seeds, out_dir: str | Path | None = None
 def make_episode_runner(base_specs: dict[str, ScenarioSpec]):
     """Adapter giving the sweep protocol its (config, scenario, seed) episode.
 
-    Each scenario, seed and applied spec is run once: a configuration that
-    applies as an earlier one did (a poll interval on a spec without an
-    update client) gets that episode's result again.
+    Each applied spec runs once per seed: a configuration whose applied spec
+    equals an earlier one's (a poll interval on a spec without an update
+    client) gets that episode's result again.
     """
     results: dict = {}
 
     def runner(config, scenario_id: str, seed: int):
-        base = base_specs[scenario_id]
-        key = (scenario_id, seed, applied_values(base, config))
+        spec = apply_configuration(base_specs[scenario_id], config)
+        key = (spec, seed)
         if key not in results:
-            spec = apply_configuration(base, config)
             result = run_episode(spec, seed)
             results[key] = (objective_vector(result.metrics, spec.metrics),
                             result.metrics.collisions > 0)
@@ -606,16 +610,18 @@ def make_episode_runner(base_specs: dict[str, ScenarioSpec]):
 def run_sweep(grid: dict, scenario_ids, seeds,
               out_dir: str | Path | None = None) -> ParetoResult:
     """Grid-sweep operating points across scenarios; persist frontier artifacts."""
-    scenario_ids = list(scenario_ids)
-    seeds = [int(s) for s in seeds]
-    if not scenario_ids:
-        raise ValueError("scenario_ids must not be empty")
-    if not seeds:
-        raise ValueError("seeds must not be empty")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
+    scenario_ids = _distinct("scenario_ids", list(scenario_ids))
+    seeds = _distinct("seeds", [int(s) for s in seeds])
     configs = config_grid(grid)
     base_specs = {sid: build_scenario(sid) for sid in scenario_ids}
+    # a value some spec refuses stops the sweep before its first episode
+    for name, values in grid.items():
+        for value in values:
+            for sid, base in base_specs.items():
+                try:
+                    apply_configuration(base, Configuration("", **{name: value}))
+                except ValueError as exc:
+                    raise ValueError(f"grid.{name}: {value} on {sid}: {exc}") from None
     result = pareto_sweep(configs, make_episode_runner(base_specs), seeds,
                           scenario_ids)
 

@@ -115,19 +115,16 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
 NEUTRAL_LIKELIHOOD = 0.5
 
 
-def sensor_likelihood(event_position, frames, support_radius: float,
-                      window: float, now: float) -> float:
-    """Fraction of recent covering frames that corroborate an event location.
-
-    Only frames whose range/FOV wedge actually covered the location count;
-    with no covering frame in the window the result is NEUTRAL_LIKELIHOOD,
-    so an event outside sensor reach is neither vetoed nor endorsed.
+def sensor_likelihood(event_position, frames, support_radius: float) -> float:
+    """Fraction of the `frames` covering an event location that corroborate
+    it. The caller picks the frames: the episode loop keeps those of the last
+    `sensor_likelihood_window` seconds. With no covering frame the result is
+    NEUTRAL_LIKELIHOOD, so an event outside sensor reach is neither vetoed
+    nor endorsed.
     """
     covering = 0
     supporting = 0
     for frame in frames:
-        if frame.timestamp < now - window or frame.timestamp > now:
-            continue
         if not frame.covers(event_position):
             continue
         covering += 1

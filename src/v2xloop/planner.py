@@ -286,10 +286,9 @@ def _arcs_from(rotated: np.ndarray, x: float, y: float) -> np.ndarray:
     return rotated + (x, y)
 
 
-def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
-         cfg: PlannerConfig, vparams: VehicleParams, cause: str,
-         base_grid: OccupancyGrid, start_steering: float,
-         deviation_field: np.ndarray) -> PlanAttempt:
+def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
+         vparams: VehicleParams, cause: str, base_grid: OccupancyGrid,
+         start_steering: float, deviation_field: np.ndarray) -> PlanAttempt:
     """Search a drivable path and attach its target speed profile.
 
     `base_grid` is the inflated static map (world.planning_occupancy) that
@@ -434,14 +433,14 @@ def plan(start_pose, start_speed: float, goal_pose, ldm: LdmState,
     traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), cfg.cruise_speed),
                       planned_on_version=ldm.active_map.version_id,
                       planned_at=ldm.stamp)
-    traj = attach_speed_profile(traj, ldm, cfg, vparams, start_speed)
+    traj = attach_speed_profile(traj, ldm, cfg, vparams)
     cpu_ms = (time.perf_counter() - t0) * 1000.0
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=cpu_ms,
                        cause=cause)
 
 
 def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
-                         vparams: VehicleParams, start_speed: float) -> Trajectory:
+                         vparams: VehicleParams) -> Trajectory:
     """Cruise profile with a goal ramp and slowdowns at accepted hazards.
 
     Near an accepted hazard the target dips to pass_speed across a slowdown

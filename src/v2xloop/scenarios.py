@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import SimpleNamespace, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -105,6 +105,10 @@ class UpdateClientConfig:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """Everything an episode needs. Equality and hash go by value, but by
+    identity for paths and grids: apply_configuration's copies share those,
+    so two separately built specs are never equal."""
+
     scenario_id: str
     vmap: VersionedMap
     route: Route
@@ -185,16 +189,6 @@ def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSp
         client = replace(client, poll_interval=config.update_poll_interval)
     return replace(spec, controller=controller, triggers=triggers,
                    update_client=client)
-
-
-def applied_values(spec: ScenarioSpec, config: Configuration) -> tuple:
-    """The (field, value) pairs of `config` that apply_configuration puts
-    into `spec`: two configurations with equal pairs give equal specs."""
-    values = asdict(config)
-    del values["config_id"]
-    if spec.update_client is None:
-        del values["update_poll_interval"]
-    return tuple(values.items())
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,8 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
 
 
 def transmit(messages, channel: ChannelModel, rng: np.random.Generator) -> list[V2xMessage]:
-    """Apply drops and latency; survivors come back sorted by receive time."""
+    """Apply drops and latency; the survivors come back in input order (the
+    episode loop orders each tick's deliveries)."""
     delivered: list[V2xMessage] = []
     for msg in messages:
         if rng.uniform() < channel.drop_prob:
@@ -266,5 +267,4 @@ def transmit(messages, channel: ChannelModel, rng: np.random.Generator) -> list[
         delivered.append(V2xMessage(msg_kind=msg.msg_kind, station_id=msg.station_id,
                                     seq_no=msg.seq_no, gen_time=msg.gen_time,
                                     payload=msg.payload, recv_time=msg.gen_time + latency))
-    delivered.sort(key=lambda m: (m.recv_time, m.station_id, m.seq_no))
     return delivered

@@ -185,10 +185,11 @@ class LaneSegment:
         object.__setattr__(self, "polyline", as_polyline(self.polyline))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupancyGrid:
     """Boolean grid, True = occupied, anchored at the world origin: cell
-    (iy, ix) covers [ix, ix + 1) x [iy, iy + 1) times cell_size."""
+    (iy, ix) covers [ix, ix + 1) x [iy, iy + 1) times cell_size. A grid
+    compares and hashes by identity, as a Polyline does."""
 
     cells: np.ndarray             # (ny, nx) bool
     cell_size: float              # [m]

@@ -302,7 +302,7 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         # the static planning grid is built once per map version outside the
         # plan, as the episode loop does; no deviation field prices none
         base = planning_occupancy(ldm.active_map, VP.collision_radius)
-        attempt = plan(start, 0.0, goal, ldm, cfg, VP, "initial", base, 0.0,
+        attempt = plan(start, goal, ldm, cfg, VP, "initial", base, 0.0,
                        np.zeros(base.cells.shape))
         if not attempt.succeeded:
             failures += 1

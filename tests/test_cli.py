@@ -225,15 +225,25 @@ def test_sweep_rejects_unknown_scenario(tmp_path):
     ({"k_p": 0.5}, "grid.k_p: must be a non-empty list of finite numbers, got 0.5"),
     ({"k_p": "ab"}, "grid.k_p: must be a non-empty list of finite numbers, got 'ab'"),
     ({"k_p": []}, "grid.k_p: must be a non-empty list of finite numbers, got []"),
-], ids=["scalar", "string", "empty"])
+    ({"look_ahead": [4.0, -1]},
+     "grid.look_ahead: -1 on s1: look_ahead_min: must be finite and > 0, got -0.5"),
+], ids=["scalar", "string", "empty", "refused-by-spec"])
 def test_sweep_rejects_a_bad_grid_with_one_line(tmp_path, grid, message):
-    # a scalar was a TypeError traceback, a string crashed mid-episode and
-    # an empty list swept nothing
+    # a scalar was a TypeError traceback, a string crashed mid-episode, an
+    # empty list swept nothing and a value the spec refuses ran episodes first
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--grid", str(path), "--scenarios", "s1", "--seeds", "1"])
     assert str(exc.value) == f"v2xloop sweep: {message}"
+
+
+def test_sweep_refuses_repeated_scenario_ids(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"k_p": [0.4]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--grid", str(path), "--scenarios", "s1,s1,s2", "--seeds", "1"])
+    assert str(exc.value) == "v2xloop sweep: scenario_ids must be distinct"
 
 
 def test_a_missing_input_file_exits_with_one_line(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import asdict, fields, replace
+from itertools import product
 from pathlib import Path
 from unittest.mock import patch
 
@@ -10,17 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2xloop import harness
-from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, SWEEP_COLS,
+from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, SWEEP_COLS, V2X_COLS,
                              compute_episode_metrics, replay, run_batch,
                              run_episode, run_sweep)
 from v2xloop.logio import read_csv, read_json, rows
 from v2xloop.metrics import MetricParams
-from v2xloop.pareto import Configuration, config_grid
+from v2xloop.pareto import Configuration
 from v2xloop.perception import SenseFrame
 from v2xloop.rng import StreamSet, stream
-from v2xloop.scenarios import (applied_values, apply_configuration, build_s1,
-                               build_s2, build_s3, build_s4, spec_from_dict,
-                               spec_to_dict)
+from v2xloop.scenarios import (apply_configuration, build_s1, build_s2,
+                               build_s3, build_s4, spec_from_dict, spec_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +267,25 @@ def test_batch_and_sweep_reject_empty_lists():
         run_sweep({"look_ahead": [4.0]}, [], [1])
 
 
+def test_sweep_rejects_repeated_ids():
+    # a repeated scenario would weigh twice in every objective mean
+    with pytest.raises(ValueError, match="scenario_ids must be distinct"):
+        run_sweep({"k_p": [0.4]}, ["s1", "s1", "s2"], [1])
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        run_sweep({"k_p": [0.4]}, ["s1"], [1, 1])
+
+
+def test_sweep_refuses_a_bad_grid_value_before_its_first_episode(monkeypatch):
+    def no_episode(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "run_episode", no_episode)
+    # -1 is a finite number, so config_grid takes it; the spec does not
+    with pytest.raises(ValueError, match=re.escape(
+            "grid.look_ahead: -1 on s1: look_ahead_min: ")):
+        run_sweep({"look_ahead": [4.0, -1]}, ["s1", "s2"], [1])
+
+
 def test_stream_independence_and_reproducibility():
     s = StreamSet(123)
     a = s.get("sense").uniform(size=4)
@@ -307,12 +326,10 @@ def test_sweep_runs_each_applied_spec_once(tmp_path, monkeypatch):
         return original(spec, seed, out_dir)
 
     monkeypatch.setattr(harness, "run_episode", counted)
-    run_sweep(grid, ["s1", "s2"], [1], tmp_path / "all")
-    # neither s1 nor s2 polls for map updates, so every interval gives
-    # the same applied spec
-    assert seen == [("s1", 1), ("s2", 1)]
-    # s3 polls, so there each interval is an episode of its own
-    assert len({applied_values(build_s3(), c) for c in config_grid(grid)}) == 3
+    run_sweep(grid, ["s1", "s3"], [1], tmp_path / "all")
+    # s1 does not poll for map updates, so every interval gives the same
+    # applied spec; s3 polls, so there each interval is an episode of its own
+    assert seen == [("s1", 1), ("s3", 1), ("s3", 1), ("s3", 1)]
     monkeypatch.undo()
 
     # every config keeps the row a sweep of it alone gives; which points are
@@ -321,7 +338,7 @@ def test_sweep_runs_each_applied_spec_once(tmp_path, monkeypatch):
     assert len(table["config_id"]) == 3
     for i, interval in enumerate(grid["update_poll_interval"]):
         out = tmp_path / f"one-{i}"
-        run_sweep({"update_poll_interval": [interval]}, ["s1", "s2"], [1], out)
+        run_sweep({"update_poll_interval": [interval]}, ["s1", "s3"], [1], out)
         alone = read_csv(out / "sweep.csv", SWEEP_COLS)
         for column in set(SWEEP_COLS) - {"config_id", "on_frontier", "is_knee"}:
             assert alone[column] == [table[column][i]], column
@@ -368,7 +385,43 @@ def test_metrics_label_claims_against_meta_hazards():
 
 
 harness_sense, harness_transmit = harness.sense, harness.transmit
-harness_fuse_tick = harness.fuse_tick
+harness_fuse_tick, harness_likelihood = harness.fuse_tick, harness.sensor_likelihood
+
+
+def test_each_ticks_deliveries_are_logged_in_receive_order(tmp_path):
+    # both channels jitter latency by 25 ms, so a tick's deliveries mix
+    # messages sent on several ticks; s2's CAMs, every 0.1 s, arrive out of
+    # send order, which no sort inside one transmit call could fix
+    for spec, seed in product((build_s2(), build_s4()), (1, 2, 3)):
+        out = tmp_path / f"{spec.scenario_id}-{seed}"
+        run_episode(spec, seed, out)
+        v2x = read_csv(out / "logs" / "v2x.csv", V2X_COLS)
+        keys = list(zip(v2x["tick"], v2x["recv_time"], v2x["station_id"],
+                        v2x["seq_no"]))
+        assert keys == sorted(keys)
+
+
+def test_the_veto_scores_exactly_the_frames_of_its_window(monkeypatch):
+    spec = build_s2()
+    window = spec.sensor_likelihood_window
+    sensed, scored_at = [], []
+
+    def sense(*args):
+        sensed.append(harness_sense(*args))
+        return sensed[-1]
+
+    def sensor_likelihood(position, frames, support_radius):
+        # this tick's frame is the last one sensed
+        t = sensed[-1].timestamp
+        scored_at.append(t)
+        assert frames == [f for f in sensed if t - window <= f.timestamp <= t]
+        return harness_likelihood(position, frames, support_radius)
+
+    monkeypatch.setattr(harness, "sense", sense)
+    monkeypatch.setattr(harness, "sensor_likelihood", sensor_likelihood)
+    run_episode(spec, 1)
+    # the window filled up before the gate first scored
+    assert scored_at and scored_at[0] > window
 
 
 class _WatchedFrame(SenseFrame):

@@ -131,33 +131,19 @@ def test_likelihood_counts_supporting_fraction():
         _frame(timestamp=0.2, detections=[_det(9.8, -0.2)]),
         _frame(timestamp=0.3, detections=[_det(50.0, 0.0)]),  # unrelated
     ]
-    lik = sensor_likelihood(event, frames, support_radius=3.0, window=1.0,
-                            now=0.3)
+    lik = sensor_likelihood(event, frames, support_radius=3.0)
     assert lik == pytest.approx(2.0 / 4.0)
 
 
 def test_likelihood_neutral_when_uncovered():
     event = (100.0, 0.0)   # beyond max_range of every frame
     frames = [_frame(timestamp=0.0), _frame(timestamp=0.1)]
-    assert sensor_likelihood(event, frames, 3.0, 1.0, now=0.1) == 0.5
+    assert sensor_likelihood(event, frames, 3.0) == 0.5
     assert NEUTRAL_LIKELIHOOD == 0.5
-
-
-def test_likelihood_window_excludes_stale_frames():
-    event = (10.0, 0.0)
-    frames = [
-        _frame(timestamp=0.0, detections=[_det(10.0, 0.0)]),   # stale support
-        _frame(timestamp=5.0, detections=[]),                  # fresh miss
-    ]
-    lik = sensor_likelihood(event, frames, 3.0, window=1.0, now=5.0)
-    assert lik == 0.0
-    # widening the window brings the supporting frame back in
-    lik = sensor_likelihood(event, frames, 3.0, window=6.0, now=5.0)
-    assert lik == 0.5
 
 
 def test_likelihood_full_support():
     event = (10.0, 0.0)
     frames = [_frame(timestamp=k * 0.1, detections=[_det(10.0, 0.5)])
               for k in range(5)]
-    assert sensor_likelihood(event, frames, 3.0, 1.0, now=0.4) == 1.0
+    assert sensor_likelihood(event, frames, 3.0) == 1.0

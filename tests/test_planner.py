@@ -64,7 +64,7 @@ def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
     base = _base(ldm)
     if deviation_field is None:
         deviation_field = np.zeros(base.cells.shape)
-    return plan(start, 0.0, goal, ldm, cfg, VP, cause, base, start_steering,
+    return plan(start, goal, ldm, cfg, VP, cause, base, start_steering,
                 deviation_field)
 
 
@@ -143,7 +143,7 @@ def test_plan_rejects_deviation_field_of_another_shape():
 # bit-identity against the per-steer search loop
 
 
-def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
+def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
                     cause, base_grid, start_steering, deviation_field=None):
     """The search as first written: one lookup per steering sample and one
     stored arc per pushed node. `plan` must reproduce it bit for bit; with
@@ -245,7 +245,7 @@ def _reference_plan(start_pose, start_speed, goal_pose, ldm, cfg, vparams,
     traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), cfg.cruise_speed),
                       planned_on_version=ldm.active_map.version_id,
                       planned_at=ldm.stamp)
-    traj = attach_speed_profile(traj, ldm, cfg, vparams, start_speed)
+    traj = attach_speed_profile(traj, ldm, cfg, vparams)
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=0.0,
                        cause=cause)
 
@@ -307,9 +307,9 @@ def _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering=0.0,
     deviation from it, no line prices none. Returns `plan`'s attempt."""
     base = _base(ldm)
     field = None if line is None else route_deviation_field(base, line)
-    got = plan(start, 0.0, goal, ldm, cfg, VP, "initial", base, start_steering,
+    got = plan(start, goal, ldm, cfg, VP, "initial", base, start_steering,
                np.zeros(base.cells.shape) if field is None else field)
-    want = _reference_plan(start, 0.0, goal, ldm, cfg, VP, "initial", base,
+    want = _reference_plan(start, goal, ldm, cfg, VP, "initial", base,
                            start_steering, deviation_field=field)
     assert got.expansions == want.expansions
     assert got.succeeded == want.succeeded
@@ -497,7 +497,7 @@ def test_speed_profile_cruise_and_goal_ramp():
 def test_speed_profile_dips_to_pass_speed_near_hazard():
     ev = _event((50.0, 12.5))    # beside the path, within the slow corridor
     ldm = _ldm(events=[ev])
-    traj = attach_speed_profile(_plain_traj(), ldm, CFG, VP, 8.0)
+    traj = attach_speed_profile(_plain_traj(), ldm, CFG, VP)
     s_h = traj.project((50.0, 10.0))
     assert traj.speed_at(s_h) == pytest.approx(CFG.pass_speed, abs=0.3)
     # comfort-decel envelope: monotone ramp down into the hazard
@@ -508,7 +508,7 @@ def test_speed_profile_dips_to_pass_speed_near_hazard():
 
 def test_speed_profile_zeroes_when_hazard_on_path():
     ev = _event((50.0, 10.0))    # dead on the path
-    traj = attach_speed_profile(_plain_traj(), _ldm(events=[ev]), CFG, VP, 8.0)
+    traj = attach_speed_profile(_plain_traj(), _ldm(events=[ev]), CFG, VP)
     s_h = traj.project((50.0, 10.0))
     assert traj.speed_at(s_h) == pytest.approx(0.0, abs=1e-6)
 

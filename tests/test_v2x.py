@@ -267,10 +267,11 @@ def test_transmit_latency_jitter_distribution():
     assert float(lat.min()) >= 0.0
 
 
-def test_transmit_sorted_and_deterministic():
+def test_transmit_keeps_input_order_and_is_deterministic():
     ch = ChannelModel(drop_prob=0.1, latency_mean=0.1, latency_jitter=0.02)
     out1 = transmit(_burst(200), ch, stream(11, "channel"))
     out2 = transmit(_burst(200), ch, stream(11, "channel"))
     assert out1 == out2
-    keys = [(m.recv_time, m.station_id, m.seq_no) for m in out1]
-    assert keys == sorted(keys)
+    # the input order minus the drops: ordering deliveries is the receiver's
+    seq = [m.seq_no for m in out1]
+    assert seq == sorted(seq) and len(seq) < 200
