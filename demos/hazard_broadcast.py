@@ -29,7 +29,7 @@ def describe(tag: str, out: Path) -> None:
         first = accepted[0]
         kind = kinds.get(first["event_id"], "?")
         print(f"  first accepted claim: {first['event_id']} ({kind}) "
-              f"at t={first['t']:.2f}s with support {first['support_weight']:.0f}")
+              f"at t={first['t']:.2f}s with support {first['support']}")
     else:
         print("  no claims accepted")
     for row in plans:

@@ -48,13 +48,13 @@ REASON_VETO = "veto_fail"
 @dataclass(frozen=True)
 class GateDecision:
     accepted: bool
-    support_weight: int               # distinct supporting stations
+    support: int                      # distinct supporting stations
     sensor_likelihood: float
     decided_at: float
     reason: str
 
 
-def support_weight(event: EventHypothesis, cfg: GateConfig, now: float) -> int:
+def support(event: EventHypothesis, cfg: GateConfig, now: float) -> int:
     """Number of distinct stations with a fresh, in-radius claim."""
     return sum(1 for recv_time, claim in event.support.values()
                if now - cfg.tau_bft <= recv_time <= now
@@ -65,21 +65,21 @@ def support_weight(event: EventHypothesis, cfg: GateConfig, now: float) -> int:
 def evaluate(event: EventHypothesis, cfg: GateConfig, sensor_likelihood: float,
              now: float) -> GateDecision:
     """Decide one pending hypothesis. Quorum is checked before the veto."""
-    weight = support_weight(event, cfg, now)
+    n_support = support(event, cfg, now)
 
     if not cfg.enabled:
         accepted = len(event.support) > 0
-        return GateDecision(accepted=accepted, support_weight=weight,
+        return GateDecision(accepted=accepted, support=n_support,
                             sensor_likelihood=sensor_likelihood, decided_at=now,
                             reason=REASON_ACCEPTED if accepted else REASON_QUORUM)
 
-    if weight < cfg.threshold():
+    if n_support < cfg.threshold():
         reason, accepted = REASON_QUORUM, False
     elif sensor_likelihood < cfg.eta:
         reason, accepted = REASON_VETO, False
     else:
         reason, accepted = REASON_ACCEPTED, True
-    return GateDecision(accepted=accepted, support_weight=weight,
+    return GateDecision(accepted=accepted, support=n_support,
                         sensor_likelihood=sensor_likelihood, decided_at=now,
                         reason=reason)
 

@@ -23,7 +23,8 @@ Work that does not depend on the seed is done once and kept on the object
 it derives from, never in `logs/` and never in the scenario document:
 
 - planning maps (inflated grid and route deviation field), per route and
-  collision radius, on the map version;
+  collision radius, and the planner's cost-to-goal field, per those plus
+  goal and lateral_weight, on the map version;
 - each scripted vehicle's state per time t, on the vehicle;
 - the honest and the Byzantine stations in id order, on the population.
 
@@ -47,6 +48,7 @@ to a separate timing file outside the log directory.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -60,8 +62,8 @@ from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
 from .pareto import Configuration, ParetoResult, config_grid
 from .pareto import sweep as pareto_sweep
 from .perception import sense, sensor_likelihood
-from .planner import (check_triggers, plan, route_deviation_field, ttc_min,
-                      unexplained_tracks)
+from .planner import (check_triggers, cost_to_goal_field, plan,
+                      route_deviation_field, ttc_min, unexplained_tracks)
 from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
@@ -89,7 +91,7 @@ V2X_COLS = {"tick": "int", "t": "float", "station_id": "str", "msg_kind": "str",
             "seq_no": "int", "gen_time": "float", "recv_time": "float",
             "event_kind": "str?", "event_x": "float?", "event_y": "float?"}
 GATE_COLS = {"tick": "int", "t": "float", "event_id": "str", "accepted": "bool",
-             "support_weight": "float", "sensor_likelihood": "float",
+             "support": "int", "sensor_likelihood": "float",
              "reason": "str"}
 EVENTS_COLS = {"t": "float", "event_id": "str", "kind": "str", "status": "str",
                "x": "float", "y": "float", "first_seen": "float",
@@ -103,7 +105,7 @@ UPDATES_COLS = {"tick": "int", "t": "float", "action": "str",
 EPISODE_COLS = {"termination": "str", "sim_time": "float", "ticks": "int",
                 "collision": "int"}
 TIMING_COLS = {"plan_index": "int", "tick": "int", "cause": "str",
-               "cpu_ms": "float", "expansions": "int"}
+               "cpu_ms": "float", "expansions": "int", "heuristic_ms": "float"}
 SWEEP_COLS = {**{f.name: "str" if f.name == "config_id" else "float"
                  for f in fields(Configuration)},
               **dict.fromkeys(("j_trk", "j_sfty", "j_resp", "j_smth", "j_eng"), "float"),
@@ -155,23 +157,35 @@ def _is_true_claim(kind: str, x: float, y: float, hazards, radius: float) -> boo
                for hk, hx, hy in hazards)
 
 
-def _planning_maps(version: MapVersion, route: Polyline,
-                   collision_radius: float) -> tuple:
-    """(inflated planning grid, route deviation field) of `version`.
+def _planning_maps(version: MapVersion, route: Polyline, collision_radius: float,
+                   goal_xy: tuple, lateral_weight: float) -> tuple:
+    """(inflated planning grid, route deviation field, cost-to-goal field,
+    ms spent building that field in this call) of `version`.
 
-    Built on first use and kept, read-only, in the version's planning_memo,
-    so every episode of a spec (and of specs sharing its map objects) reuses
-    them.
+    Each is built on first use and kept, read-only, in the version's
+    planning_memo, so every episode of a spec (and of specs sharing its map
+    objects) reuses them: the grid and deviation under (route, collision
+    radius), the field under those plus the goal and lateral_weight. A memo
+    hit spends 0 ms.
     """
+    memo = version.planning_memo
     key = (route, collision_radius)
-    maps = version.planning_memo.get(key)
+    maps = memo.get(key)
     if maps is None:
         grid = planning_occupancy(version, collision_radius)
         deviation = route_deviation_field(grid, route.points)
         grid.cells.setflags(write=False)
         deviation.setflags(write=False)
-        maps = version.planning_memo[key] = (grid, deviation)
-    return maps
+        maps = memo[key] = (grid, deviation)
+    field_key = (*key, goal_xy, lateral_weight)
+    to_goal, build_ms = memo.get(field_key), 0.0
+    if to_goal is None:
+        t0 = time.perf_counter()
+        to_goal = cost_to_goal_field(*maps, goal_xy, lateral_weight)
+        build_ms = (time.perf_counter() - t0) * 1000.0
+        to_goal.setflags(write=False)
+        memo[field_key] = to_goal
+    return (*maps, to_goal, build_ms)
 
 
 def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
@@ -233,17 +247,19 @@ def run_episode(spec: ScenarioSpec, seed: int,
     def replan(cause: str, tick: int, t: float):
         """Plan from the current ego state on the active map, log the attempt
         and return its trajectory, None when the search failed."""
-        grid, deviation = _planning_maps(active, ref, spec.vehicle.collision_radius)
+        grid, deviation, to_goal, heuristic_ms = _planning_maps(
+            active, ref, spec.vehicle.collision_radius, tuple(goal[:2]),
+            spec.planner.lateral_weight)
         attempt = plan(ego.pose, goal, ldm, spec.planner, spec.vehicle, cause=cause,
                        base_grid=grid, start_steering=ego.steering,
-                       deviation_field=deviation)
+                       deviation_field=deviation, cost_to_goal=to_goal)
         traj = attempt.trajectory
         logs["plans"].append(tick, t, attempt.cause, traj is not None,
                              attempt.expansions, attempt.path_length,
                              0 if traj is None else len(traj.poses),
                              active.version_id)
         timing.append(len(timing.rows), tick, attempt.cause, attempt.cpu_ms,
-                      attempt.expansions)
+                      attempt.expansions, heuristic_ms)
         return traj
 
     def log_event(t: float, ev, final: int) -> None:
@@ -341,7 +357,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             decision = evaluate(ev, spec.gate, lhood, t)
             apply_decision(ev, decision)
             logs["gate"].append(k, t, ev.event_id, decision.accepted,
-                                decision.support_weight,
+                                decision.support,
                                 decision.sensor_likelihood, decision.reason)
 
         for ev in sorted(ldm.events, key=lambda e: e.event_id):

@@ -38,7 +38,7 @@ import csv
 import json
 import math
 import re
-from itertools import zip_longest
+from itertools import compress, zip_longest
 from pathlib import Path
 
 CONVERSIONS = {"int": "%d", "bool": "%d", "float": "%.9g", "str": "%s"}
@@ -124,6 +124,27 @@ def _read_text(raw: str):
 READERS = {"int": _read_int, "bool": _read_int, "float": _read_float, "str": _read_text}
 
 
+def _read_column(kind: str, cells) -> list:
+    """A column's values, each cell as READERS[kind] reads it.
+
+    Only a column with an empty cell pays a Python call per cell. Otherwise
+    an int or bool column is int() of each cell, a str column its text, and
+    a float column float() of each cell, except that a cell of integral
+    value is read by `_read_float` (`2` reads as an int): such cells repeat
+    (0, a lane's y), so each distinct one is read once.
+    """
+    if "" in cells:
+        return list(map(READERS[kind], cells))
+    if kind == "str":
+        return list(cells)
+    if kind != "float":
+        return list(map(int, cells))
+    values = list(map(float, cells))
+    integral = {raw: _read_float(raw)
+                for raw in set(compress(cells, map(float.is_integer, values)))}
+    return list(map(integral.get, cells, values))
+
+
 def _line_num(lines, index: int) -> int:
     """The reader's line number once data row `index` of `lines` is read."""
     reader = csv.reader(lines)
@@ -156,10 +177,10 @@ def _parse_table(columns: dict[str, str], lines: list[str], where) -> dict[str, 
     table = {}
     for name, cells in zip(names, zip(*records) if records else [()] * len(names)):
         kind = columns[name].removesuffix("?")
-        parse = READERS[kind]
         try:
-            table[name] = list(map(parse, cells))
+            table[name] = _read_column(kind, cells)
         except ValueError:
+            parse = READERS[kind]
             for i, raw in enumerate(cells):
                 try:
                     parse(raw)

@@ -3,10 +3,27 @@
 The search expands forward constant-steer arcs from a continuous state and
 closes visited states in a discretized (x, y, heading-bin) table, so every
 returned path respects the bicycle curvature bound by construction. Cost is
-arc length plus steering-change and route-deviation penalties; the heuristic
-is the Euclidean distance to goal scaled by heuristic_weight, so solutions
-are within that factor of optimal and the search stays fast even though the
-deviation term makes straight-line cost exceed plain distance.
+arc length plus steering-change and route-deviation penalties.
+
+The heuristic is the second one of Dolgov, Thrun, Montemerlo & Diebel
+(2008), "Practical Search Techniques in Path Planning for Autonomous
+Driving": the larger of the Euclidean distance to the goal and a
+cost-to-goal field (`cost_to_goal_field`), an 8-connected Dijkstra from the
+goal's cell over the free cells of the static planning grid that prices
+route deviation as the search does. It sees walls and dead ends, so a
+replan round a closure no longer floods the cul-de-sac in front of it, and
+a node whose cell cannot reach the goal at all is never pushed.
+
+What bound holds: the field's steps are scaled by cos(pi/8), the least
+ratio of straight-line to octile length, so on open ground the field never
+exceeds the straight-line distance between the cell centres it joins. A
+node reads the field at its cell, and the goal region is goal_xy_tol wide,
+so the heuristic may overstate a node's remaining cost by about a cell
+diagonal plus goal_xy_tol. heuristic_weight then inflates it on purpose,
+and the closed set keeps only the first state to reach each bin. So the
+search returns a feasible path but no proven factor of optimal. Dynamic
+obstacles (tracks, accepted events) stay out of the field: they can only
+raise the true cost above it.
 
 Expanding a node costs one batched grid lookup. Each plan builds a cost
 table holding the route deviation on free cells and inf on blocked cells
@@ -244,6 +261,75 @@ def route_deviation_field(grid: OccupancyGrid,
     return best
 
 
+# the least ratio of straight-line to octile length; scaled by it, an
+# 8-connected step is never longer than the straight line it stands for
+OCTILE_SCALE = math.cos(math.pi / 8.0)
+
+
+def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
+                       goal_xy, lateral_weight: float) -> np.ndarray:
+    """Cost from every cell to the goal's cell, inf where no 8-connected
+    chain of free cells of `grid` reaches it.
+
+    A Dijkstra from the goal's cell (a source even when it is blocked) over
+    the free cells; a step between 8-neighbours costs its centre-to-centre
+    length times OCTILE_SCALE times (1 + lateral_weight * the mean of the
+    two cells' deviations), the search's own price of deviation. Where arc
+    samples lie closer than a cell (0.8 * xy_resolution: 0.4 m against
+    0.5 m cells by default), every path the search can drive passes through
+    such a chain, so a cell at inf cannot reach the goal.
+    """
+    cells = grid.cells
+    ny, nx = cells.shape
+    if deviation_field.shape != cells.shape:
+        raise ValueError(f"deviation_field shape {deviation_field.shape} != "
+                         f"planning grid shape {cells.shape}")
+    # the goal's cell as `plan` finds a node's
+    inv_res = 1.0 / grid.cell_size
+    ix, iy = math.floor(goal_xy[0] * inv_res), math.floor(goal_xy[1] * inv_res)
+    if not (0 <= ix < nx and 0 <= iy < ny):
+        raise ValueError(f"goal {tuple(goal_xy)} lies outside the planning grid")
+    # flat indices into the grid padded with one blocked cell all round, so a
+    # neighbour is one offset away and never out of bounds
+    width = nx + 2
+    free = np.zeros((ny + 2, width), dtype=bool)
+    free[1:-1, 1:-1] = ~cells
+    goal = (iy + 1) * width + ix + 1
+    free.flat[goal] = True
+    index = np.flatnonzero(free)
+    rows, cols = np.divmod(index, width)
+    # free cell -> 0.5 * lateral_weight * its deviation: a step between
+    # cells i and j costs length * (1 + half_dev[i] + half_dev[j])
+    halves = 0.5 * lateral_weight * deviation_field[rows - 1, cols - 1]
+    half_dev = dict(zip(index.tolist(), halves.tolist()))
+    axial = grid.cell_size * OCTILE_SCALE
+    diagonal = axial * math.sqrt(2.0)
+    steps = ([(off, axial) for off in (1, -1, width, -width)]
+             + [(off, diagonal) for off in (width + 1, width - 1, 1 - width, -1 - width)])
+
+    cost = {goal: 0.0}
+    heap = [(0.0, goal)]
+    heappush, heappop, inf = heapq.heappush, heapq.heappop, math.inf
+    while heap:
+        c, i = heappop(heap)
+        if c > cost[i]:
+            continue
+        weight = 1.0 + half_dev[i]
+        for off, length in steps:
+            j = i + off
+            dev_j = half_dev.get(j)
+            if dev_j is None:
+                continue
+            c_j = c + length * (weight + dev_j)
+            if c_j < cost.get(j, inf):
+                cost[j] = c_j
+                heappush(heap, (c_j, j))
+
+    out = np.full(free.size, inf)
+    out[np.fromiter(cost, dtype=np.intp, count=len(cost))] = list(cost.values())
+    return out.reshape(free.shape)[1:-1, 1:-1].copy()
+
+
 # ---------------------------------------------------------------------------
 # hybrid A*
 
@@ -288,7 +374,8 @@ def _arcs_from(rotated: np.ndarray, x: float, y: float) -> np.ndarray:
 
 def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
          vparams: VehicleParams, cause: str, base_grid: OccupancyGrid,
-         start_steering: float, deviation_field: np.ndarray) -> PlanAttempt:
+         start_steering: float, deviation_field: np.ndarray,
+         cost_to_goal: np.ndarray) -> PlanAttempt:
     """Search a drivable path and attach its target speed profile.
 
     `base_grid` is the inflated static map (world.planning_occupancy) that
@@ -296,7 +383,10 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     route_deviation_field) prices distance from the route reference so the
     optimum keeps the lane instead of cutting it; it must be finite and
     have the planning grid's shape, and an all-zero field prices no
-    deviation.
+    deviation. `cost_to_goal` is cost_to_goal_field of `base_grid`,
+    `deviation_field`, the goal and cfg.lateral_weight: a node is pushed
+    with heuristic_weight * max(its Euclidean distance to the goal, the
+    field at its cell), and a node whose cell reads inf is not pushed.
     Returns a failed attempt (trajectory None) when the goal is unreachable
     within the expansion budget; the caller is expected to fall back to a
     minimum-safety stop.
@@ -305,11 +395,11 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     free cells, inf on blocked ones and on a border row and column. An
     arc sample's cell index is clamped onto that border, so one lookup
     and one row sum per node give every arc's bounds, occupancy and
-    deviation sum, and an arc is free iff its sum is finite. The
-    primitives turned to a heading are memoized by that exact heading, so
-    placing them is one addition. A node stores its parent and steer
-    index, not its arc: arc samples are rebuilt only for the nodes of the
-    returned path.
+    deviation sum, and an arc is free iff its sum is finite; only a free
+    arc's end cell is then read in the field. The primitives turned to a
+    heading are memoized by that exact heading, so placing them is one
+    addition. A node stores its parent and steer index, not its arc: arc
+    samples are rebuilt only for the nodes of the returned path.
     """
     t0 = time.perf_counter()
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
@@ -317,11 +407,16 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
-    if deviation_field.shape != cells.shape:
-        raise ValueError(f"deviation_field shape {deviation_field.shape} != "
-                         f"planning grid shape {cells.shape}")
+    for name, array in (("deviation_field", deviation_field),
+                        ("cost_to_goal", cost_to_goal)):
+        if array.shape != cells.shape:
+            raise ValueError(f"{name} shape {array.shape} != "
+                             f"planning grid shape {cells.shape}")
     if not np.isfinite(deviation_field).all():
         raise ValueError("deviation_field: must be finite everywhere")
+    if not (cost_to_goal >= 0.0).all():
+        raise ValueError("cost_to_goal: must be >= 0 everywhere, inf where "
+                         "the goal is out of reach")
     inv_res = 1.0 / grid.cell_size
     bin_size = TWO_PI / cfg.heading_bins
     n_bins = cfg.heading_bins
@@ -349,6 +444,8 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     upper = np.array([float(nx), float(ny)])
     flat_stride = np.array([1, nx + 1])
     rotations: dict = {}            # heading -> _rotate(prim_pts, heading)
+    # a free arc ends inside the grid, so its end cell reads the field as is
+    to_goal_at = cost_to_goal.item
 
     # node storage: parallel lists, parent links by index. A node's index
     # is also its push order, so heap ties go to the first pushed
@@ -356,7 +453,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     steer_idx = [int(np.argmin(np.abs(steers - start_steering)))]
     parents = [-1]
 
-    open_heap = [(hw * math.hypot(gx - sx, gy - sy), 0)]
+    open_heap = [(0.0, 0)]          # the start pops first, whatever its priority
     closed: set = set()
     expansions = 0
     goal_node = -1
@@ -402,11 +499,15 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
                 continue
             ex, ey = ends[si]
             th_new = th + end_dth[si]
-            if (int(ex * inv_res), int(ey * inv_res),
-                    int(((th_new % TWO_PI) / bin_size)) % n_bins) in closed:
+            cx, cy = int(ex * inv_res), int(ey * inv_res)
+            if (cx, cy, int(((th_new % TWO_PI) / bin_size)) % n_bins) in closed:
+                continue
+            h = to_goal_at(cy, cx)
+            if h == inf:                # the end cannot reach the goal
                 continue
             g_new = g + (costs[si] + lateral_arc * (total / substep))
-            heappush(open_heap, (g_new + hw * hypot(gx - ex, gy - ey), len(xs)))
+            e = hypot(gx - ex, gy - ey)
+            heappush(open_heap, (g_new + hw * (h if h > e else e), len(xs)))
             xs.append(ex); ys.append(ey); ths.append(th_new); gs.append(g_new)
             steer_idx.append(si); parents.append(ni)
 

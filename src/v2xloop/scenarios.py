@@ -148,6 +148,13 @@ class ScenarioSpec:
             # outside the episode's, where the ego holds still until timeout
             raise ValueError(f"planner.goal_xy_tol: must not exceed goal_tolerance="
                              f"{self.goal_tolerance}, got {self.planner.goal_xy_tol}")
+        # the planner's cost-to-goal field is a Dijkstra from the goal's cell
+        grid = self.vmap.initial().occupancy
+        width, height = (n * grid.cell_size for n in grid.cells.shape[::-1])
+        gx, gy = self.route.goal_pose[:2]
+        if not (0.0 <= gx < width and 0.0 <= gy < height):
+            raise ValueError(f"route.goal_pose: must lie on the {width:g} x {height:g} m "
+                             f"map, got ({gx:g}, {gy:g})")
         # a longer motion primitive leaves the map from anywhere on it
         diagonal = math.hypot(*self.vmap.size)
         if self.planner.primitive_arc_length > diagonal:

@@ -333,7 +333,8 @@ class MapVersion:
     occupancy: OccupancyGrid
     # read-only planning views of this version, built by the first episode
     # that plans on it and reused for as long as the version lives:
-    # (route reference path, collision radius) -> (planning grid, deviation field)
+    # (route reference path, collision radius) -> (planning grid, deviation
+    # field), and those plus (goal x, y), lateral_weight -> cost-to-goal field
     planning_memo: dict = field(init=False, repr=False, compare=False,
                                 default_factory=dict)
 

@@ -6,7 +6,7 @@ spec's document), grouped under a key naming the run:
 - `episode/<scenario>/seed-<n>`: the log tree and summary of s1-s4 at seeds 1-2,
   and of the s1 curve variant (`s1-curve`) at seed 1;
 - `ablation/<arm>`: the s2 no-V2X, s3 no-update and s4 no-gate arms at seed 1;
-- `recovery/s2-no-v2x/seed-11`: s2 without V2X at seed 11, whose failed
+- `recovery/s2-no-v2x/seed-32`: s2 without V2X at seed 32, whose failed
   `risk_threshold` replan stops the ego until a `recovery` replan succeeds;
 - `sweep`, `sweep/seed-2`: `sweep.csv` and `pareto.json` of the perfbench
   sweep grid at seeds 1 and 2;
@@ -78,8 +78,8 @@ def compute(work: Path) -> dict[str, dict[str, str]]:
         key = f"ablation/{arm}"
         run_episode(_spec(arm), 1, work / key)
         out[key] = tree_fingerprints(work / key)
-    key = "recovery/s2-no-v2x/seed-11"
-    run_episode(_spec("s2-no-v2x"), 11, work / key)
+    key = "recovery/s2-no-v2x/seed-32"
+    run_episode(_spec("s2-no-v2x"), 32, work / key)
     out[key] = tree_fingerprints(work / key)
     run_sweep(SWEEP_GRID, ("s1", "s2"), [1], work / "sweep")
     out["sweep"] = tree_fingerprints(work / "sweep")

@@ -17,15 +17,15 @@ import pytest
 from grids import occupied_at
 from v2xloop.control import (ControlCommand, ControllerConfig, PidState,
                              follow_tick, pid_longitudinal, pure_pursuit)
-from v2xloop.gate import evaluate, support_weight
+from v2xloop.gate import evaluate, support
 from v2xloop.harness import LOG_COLUMNS, make_episode_runner, replay, run_episode
 from v2xloop.ldm import EventHypothesis, Track, initial_state
 from v2xloop.logio import read_csv, rows
 from v2xloop.metrics import clear_mot, command_variance, lateral_rmse
 from v2xloop.pareto import (config_grid, evaluate_grid, hypervolume,
                             nondominated_set, normalize)
-from v2xloop.planner import (PlannerConfig, Trajectory, obstacle_grid, plan,
-                             ttc_min)
+from v2xloop.planner import (PlannerConfig, Trajectory, cost_to_goal_field,
+                             obstacle_grid, plan, ttc_min)
 from v2xloop.scenarios import build_s2, build_s3, build_s4
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature, step
 from v2xloop.world import (LaneSegment, Route, build_corridor_map,
@@ -161,7 +161,7 @@ def test_03_gate_blocks_minority_attacks(pytestconfig, s4_bank):
                 event_id="forged", kind="road_closure", position=(60.0, 50.0),
                 first_seen=1.0,
                 support={sid: (1.0, (60.0, 50.0)) for sid in subset})
-            w = support_weight(hyp, spec.gate, now=1.05)
+            w = support(hyp, spec.gate, now=1.05)
             decision = evaluate(hyp, spec.gate, sensor_likelihood=1.0, now=1.05)
             tried += 1
             if decision.accepted or w >= spec.gate.threshold():
@@ -299,11 +299,14 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
     times_ms = []
     for _ in range(30):
         start, goal, route, ldm = _corridor_instance(rng)
-        # the static planning grid is built once per map version outside the
-        # plan, as the episode loop does; no deviation field prices none
+        # the static planning grid and the cost-to-goal field are built once
+        # per map version outside the plan, as the episode loop does; no
+        # deviation field prices none
         base = planning_occupancy(ldm.active_map, VP.collision_radius)
+        deviation = np.zeros(base.cells.shape)
+        to_goal = cost_to_goal_field(base, deviation, goal[:2], cfg.lateral_weight)
         attempt = plan(start, goal, ldm, cfg, VP, "initial", base, 0.0,
-                       np.zeros(base.cells.shape))
+                       deviation, to_goal)
         if not attempt.succeeded:
             failures += 1
             continue

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from v2xloop.gate import (GateConfig, REASON_ACCEPTED, REASON_QUORUM,
                           REASON_VETO, apply_decision, evaluate,
-                          support_weight)
+                          support)
 from v2xloop.ldm import ACCEPTED, PENDING, EventHypothesis
 
 CFG = GateConfig(f=3)
@@ -33,29 +33,29 @@ def test_threshold_default_is_2f_plus_1():
 
 def test_support_counts_distinct_fresh_stations():
     ev = _event(support=_support(5, t=5.0))
-    assert support_weight(ev, CFG, now=5.5) == 5.0
+    assert support(ev, CFG, now=5.5) == 5.0
 
 
 def test_support_excludes_stale_claims():
-    support = _support(4, t=5.0)
-    support["old"] = (1.0, (50.0, 10.0))    # older than tau_bft before now
-    ev = _event(support=support)
-    assert support_weight(ev, CFG, now=5.5) == 4.0
+    claims = _support(4, t=5.0)
+    claims["old"] = (1.0, (50.0, 10.0))     # older than tau_bft before now
+    ev = _event(support=claims)
+    assert support(ev, CFG, now=5.5) == 4.0
     # exactly at the window edge still counts
     edge = _event(support={"e": (2.5, (50.0, 10.0))})
-    assert support_weight(edge, CFG, now=5.5) == 1.0
+    assert support(edge, CFG, now=5.5) == 1.0
 
 
 def test_support_excludes_future_claims():
     ev = _event(support={"s0": (9.0, (50.0, 10.0))})
-    assert support_weight(ev, CFG, now=5.0) == 0.0
+    assert support(ev, CFG, now=5.0) == 0.0
 
 
 def test_support_excludes_far_claims():
-    support = {"near": (5.0, (52.0, 10.0)),
-               "far": (5.0, (80.0, 10.0))}   # 30 m from the hypothesis
-    ev = _event(support=support)
-    assert support_weight(ev, CFG, now=5.0) == 1.0
+    claims = {"near": (5.0, (52.0, 10.0)),
+              "far": (5.0, (80.0, 10.0))}    # 30 m from the hypothesis
+    ev = _event(support=claims)
+    assert support(ev, CFG, now=5.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_accepts_at_quorum_with_sensor_consent():
     d = evaluate(ev, CFG, sensor_likelihood=0.8, now=5.0)
     assert d.accepted
     assert d.reason == REASON_ACCEPTED
-    assert d.support_weight == 7.0
+    assert d.support == 7.0
 
 
 def test_rejects_below_quorum():
@@ -125,10 +125,10 @@ def test_colluding_coalition_never_reaches_a_valid_quorum(data):
     k = data.draw(st.integers(0, f), label="coalition")
     now = data.draw(st.floats(0.0, 100.0), label="now")
     edges = (now - cfg.tau_bft, now)
-    support = {f"byz-{i}": (data.draw(st.sampled_from(edges)), (50.0, 10.0))
-               for i in range(k)}
-    event = _event(support=support)
-    assert support_weight(event, cfg, now) == k
+    claims = {f"byz-{i}": (data.draw(st.sampled_from(edges)), (50.0, 10.0))
+              for i in range(k)}
+    event = _event(support=claims)
+    assert support(event, cfg, now) == k
     d = evaluate(event, cfg, sensor_likelihood=1.0, now=now)
     assert not d.accepted
     assert d.reason == REASON_QUORUM

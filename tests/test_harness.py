@@ -225,29 +225,48 @@ def test_run_batch_aggregates(tmp_path):
     assert [e["seed"] for e in payload["episodes"]] == [1, 2, 3]
 
 
-def test_planning_maps_are_built_once_per_map_version(monkeypatch):
-    from v2xloop import harness
-    original, calls = harness.route_deviation_field, []
+def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
+    calls = {"deviation": [], "to_goal": []}
 
-    def counted(grid, reference_path):
-        calls.append(reference_path)
-        return original(grid, reference_path)
+    def counted(name, original):
+        def call(*args):
+            calls[name].append(args)
+            return original(*args)
+        return call
 
-    monkeypatch.setattr(harness, "route_deviation_field", counted)
+    monkeypatch.setattr(harness, "route_deviation_field",
+                        counted("deviation", harness.route_deviation_field))
+    monkeypatch.setattr(harness, "cost_to_goal_field",
+                        counted("to_goal", harness.cost_to_goal_field))
     spec = build_s3()
-    results, _ = run_batch(spec, [1, 2, 3])
+    results, _ = run_batch(spec, [1, 2, 3], tmp_path / "batch")
     assert all(r.summary["counters"]["plans"] >= 2 for r in results)
-    # both map versions were planned on, each map built once for all seeds
-    assert len(calls) == len(spec.vmap.versions) == 2
+    # both map versions were planned on, each map and each cost-to-goal
+    # field built once for all seeds
+    assert len(calls["deviation"]) == len(calls["to_goal"]) == 2
+    maps_key = (spec.route.reference_path, spec.vehicle.collision_radius)
+    field_key = (*maps_key, spec.route.goal_pose[:2], spec.planner.lateral_weight)
     for version in spec.vmap.versions:
-        ((key, (grid, deviation)),) = version.planning_memo.items()
-        assert key == (spec.route.reference_path, spec.vehicle.collision_radius)
-        for array in (grid.cells, deviation):
+        memo = version.planning_memo
+        assert set(memo) == {maps_key, field_key}
+        grid, deviation = memo[maps_key]
+        for array in (grid.cells, deviation, memo[field_key]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = array[0, 0]
+    # the field's build time is on the plan that built it, 0 on a memo hit
+    spent = [read_csv(tmp_path / "batch" / f"seed-{seed:04d}" / "timing.csv",
+                      harness.TIMING_COLS)["heuristic_ms"] for seed in (1, 2, 3)]
+    assert all(ms > 0 for ms in spent[0]) and len(spent[0]) == 2
+    assert all(ms == 0 for ms in spent[1] + spent[2])
     # a configured copy shares the map objects, so it starts warm
     run_episode(apply_configuration(spec, Configuration(config_id="c")), 4)
-    assert len(calls) == 2
+    assert len(calls["deviation"]) == len(calls["to_goal"]) == 2
+    # another lateral_weight shares the maps but prices deviation otherwise,
+    # so it gets a field of its own on each version
+    other = replace(spec, planner=replace(spec.planner, lateral_weight=0.6))
+    run_episode(other, 1)
+    assert len(calls["deviation"]) == 2 and len(calls["to_goal"]) == 4
+    assert all(len(v.planning_memo) == 3 for v in spec.vmap.versions)
     # a freshly built spec starts cold, and its document carries no memo
     assert all(not v.planning_memo for v in build_s3().vmap.versions)
     assert "planning_memo" not in str(spec_to_dict(spec))

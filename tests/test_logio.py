@@ -259,6 +259,22 @@ def test_read_csv_refuses_a_cell_its_kind_cannot_parse(tmp_path):
                                     "label": ["a", None]}
 
 
+@pytest.mark.parametrize("empty", [False, True], ids=["whole", "with-empty"])
+def test_integral_float_cells_read_as_ints_and_empty_cells_as_none(tmp_path, empty):
+    # a column with an empty cell is read cell by cell, one without by a
+    # column-wide float(); both keep `2` and `-0` as ints
+    cells = ["2", "-0", "0.5", "2", "inf", "1e+09", "-7", "nan"] + ([""] if empty else [])
+    p = tmp_path / "t.csv"
+    p.write_text("x,n,label\n" + "".join(f"{c},{c and 3},{c and 'a'}\n" for c in cells))
+    table = read_csv(p, {"x": "float?", "n": "int?", "label": "str?"})
+    want = [2, 0, 0.5, 2, math.inf, 1e9, -7, math.nan] + ([None] if empty else [])
+    assert repr(table["x"]) == repr(want)
+    assert [type(v) for v in table["x"]] == [type(v) for v in want]
+    assert math.copysign(1.0, table["x"][1]) == 1.0       # -0 reads as int 0
+    assert table["n"] == [3] * 8 + ([None] if empty else [])
+    assert table["label"] == ["a"] * 8 + ([None] if empty else [])
+
+
 def test_text_and_large_integers_read_back_exactly():
     # where the typed readers deliberately differ from the sniffing parser:
     # a str column keeps text that looks like a number, and an int column

@@ -10,15 +10,17 @@ from hypothesis import given, settings, strategies as st
 from grids import occupied_at
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
-                             PlannerConfig, PlanAttempt, RISK_THRESHOLD,
-                             TWO_PI, Trajectory, TriggerConfig, _primitives,
+                             OCTILE_SCALE, PlannerConfig, PlanAttempt,
+                             RISK_THRESHOLD, TWO_PI, Trajectory, TriggerConfig,
+                             _primitives,
                              attach_speed_profile, check_triggers,
-                             obstacle_grid, plan, route_deviation_field,
-                             ttc_min, unexplained_tracks)
+                             cost_to_goal_field, obstacle_grid, plan,
+                             route_deviation_field, ttc_min, unexplained_tracks)
 from v2xloop.scenarios import build_s1, spec_from_dict, spec_to_dict
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature
-from v2xloop.world import (LaneSegment, MapVersion, Route, build_corridor_map,
-                           empty_grid, planning_occupancy, wrap_angle)
+from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Route,
+                           build_corridor_map, empty_grid, planning_occupancy,
+                           wrap_angle)
 
 CFG = PlannerConfig()
 TRIG = TriggerConfig()
@@ -59,13 +61,25 @@ def _base(ldm):
 
 
 def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
-          deviation_field=None, goal=ROUTE.goal_pose):
-    """`plan` on the ldm's static grid; no deviation field prices no deviation."""
+          deviation_field=None, goal=ROUTE.goal_pose, to_goal=None):
+    """`plan` on the ldm's static grid; no deviation field prices no
+    deviation, and no `to_goal` is the cost-to-goal field the episode loop
+    builds from the static grid and the deviation field."""
     base = _base(ldm)
     if deviation_field is None:
         deviation_field = np.zeros(base.cells.shape)
+    if to_goal is None:
+        to_goal = cost_to_goal_field(base, deviation_field, goal[:2],
+                                     cfg.lateral_weight)
     return plan(start, goal, ldm, cfg, VP, cause, base, start_steering,
-                deviation_field)
+                deviation_field, to_goal)
+
+
+def _open_to_goal(ldm, goal=ROUTE.goal_pose):
+    """The cost-to-goal field of the ldm's static grid pricing no deviation."""
+    base = _base(ldm)
+    return cost_to_goal_field(base, np.zeros(base.cells.shape), goal[:2],
+                              CFG.lateral_weight)
 
 
 def _grid(ldm, cfg=CFG, start_xy=ROUTE.reference_path.points[0]):
@@ -135,8 +149,33 @@ def test_plan_arc_lengths_monotone_and_consistent():
 
 
 def test_plan_rejects_deviation_field_of_another_shape():
+    ldm = _ldm()
     with pytest.raises(ValueError, match="deviation_field"):
-        _plan((2.0, 10.0, 0.0), _ldm(), deviation_field=np.zeros((3, 3)))
+        _plan((2.0, 10.0, 0.0), ldm, deviation_field=np.zeros((3, 3)),
+              to_goal=_open_to_goal(ldm))
+
+
+def test_plan_rejects_a_cost_to_goal_field_it_cannot_read():
+    ldm = _ldm()
+    with pytest.raises(ValueError, match="cost_to_goal shape"):
+        _plan((2.0, 10.0, 0.0), ldm, to_goal=np.zeros((3, 3)))
+    field = _open_to_goal(ldm).copy()
+    field[3, 4] = math.nan
+    with pytest.raises(ValueError, match="cost_to_goal: must be >= 0"):
+        _plan((2.0, 10.0, 0.0), ldm, to_goal=field)
+
+
+def test_plan_pushes_no_node_the_static_map_cuts_off_from_the_goal():
+    # a wall across the whole road: every free cell on the start's side
+    # reads inf, so the start's arcs are all dropped and the search ends
+    # after expanding the start alone
+    ldm = _open_ldm([(14.0, 16.0, 0.0, 20.0)])
+    goal = (25.0, 10.0, 0.0)
+    to_goal = _open_to_goal(ldm, goal)
+    assert math.isinf(to_goal[20, 10]) and to_goal[20, 50] == 0.0
+    attempt = _plan((5.0, 10.0, 0.0), ldm, goal=goal, to_goal=to_goal)
+    assert not attempt.succeeded
+    assert attempt.expansions == 1
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +183,12 @@ def test_plan_rejects_deviation_field_of_another_shape():
 
 
 def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
-                    cause, base_grid, start_steering, deviation_field=None):
+                    cause, base_grid, start_steering, cost_to_goal,
+                    deviation_field=None):
     """The search as first written: one lookup per steering sample and one
-    stored arc per pushed node. `plan` must reproduce it bit for bit; with
-    no deviation field it must equal `plan` given an all-zero one."""
+    stored arc per pushed node, with the heuristic read at each arc's end
+    cell. `plan` must reproduce it bit for bit; with no deviation field it
+    must equal `plan` given an all-zero one."""
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
     grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
@@ -215,11 +256,14 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
             g_new = gs[ni] + cost
             if bin_key(end[0], end[1], th_new) in closed:
                 continue
+            to_goal = float(cost_to_goal[iy[si, -1], ix[si, -1]])
+            if to_goal == math.inf:         # the end cannot reach the goal
+                continue
             xs.append(float(end[0])); ys.append(float(end[1]))
             ths.append(float(th_new)); gs.append(g_new)
             steer_idx.append(si); parents.append(ni)
             arcs.append((world[si].copy(), th + prim_dth[si]))
-            h = math.hypot(gx - end[0], gy - end[1])
+            h = max(math.hypot(gx - end[0], gy - end[1]), to_goal)
             heapq.heappush(open_heap, (g_new + hw * h, push_count, len(xs) - 1))
             push_count += 1
 
@@ -307,10 +351,12 @@ def _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering=0.0,
     deviation from it, no line prices none. Returns `plan`'s attempt."""
     base = _base(ldm)
     field = None if line is None else route_deviation_field(base, line)
+    deviation = np.zeros(base.cells.shape) if field is None else field
+    to_goal = cost_to_goal_field(base, deviation, goal[:2], cfg.lateral_weight)
     got = plan(start, goal, ldm, cfg, VP, "initial", base, start_steering,
-               np.zeros(base.cells.shape) if field is None else field)
+               deviation, to_goal)
     want = _reference_plan(start, goal, ldm, cfg, VP, "initial", base,
-                           start_steering, deviation_field=field)
+                           start_steering, to_goal, deviation_field=field)
     assert got.expansions == want.expansions
     assert got.succeeded == want.succeeded
     if want.succeeded:
@@ -404,7 +450,8 @@ def test_plan_rejects_a_deviation_field_that_is_not_finite():
     field = np.zeros(_base(ldm).cells.shape)
     field[3, 4] = math.inf
     with pytest.raises(ValueError, match="deviation_field"):
-        _plan((2.0, 10.0, 0.0), ldm, deviation_field=field)
+        _plan((2.0, 10.0, 0.0), ldm, deviation_field=field,
+              to_goal=_open_to_goal(ldm))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +465,84 @@ def test_route_deviation_field_measures_distance():
     assert grid.cell_size == 0.5
     assert fld[20, 100] < grid.cell_size               # the cell of (50, 10)
     assert fld[28, 100] == pytest.approx(4.0, abs=grid.cell_size)   # of (50, 14)
+
+
+# ---------------------------------------------------------------------------
+# cost-to-goal field
+
+
+def _bellman_ford_to_goal(cells, deviation, cell_size, goal, lateral_weight):
+    """The cost-to-goal fixpoint by whole-grid relaxation: every free cell
+    (and the goal's, blocked or not) takes the cheapest of its 8
+    neighbours' costs plus the step, until nothing changes."""
+    ny, nx = cells.shape
+    free = ~cells
+    free[goal] = True
+    cost = np.full((ny, nx), math.inf)
+    cost[goal] = 0.0
+    pad_cost = np.full((ny + 2, nx + 2), math.inf)
+    pad_dev = np.zeros((ny + 2, nx + 2))
+    pad_dev[1:-1, 1:-1] = deviation
+    while True:
+        pad_cost[1:-1, 1:-1] = cost
+        best = cost.copy()
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dx == dy == 0:
+                    continue
+                length = cell_size * math.hypot(dx, dy) * math.cos(math.pi / 8.0)
+                near = (slice(1 + dy, ny + 1 + dy), slice(1 + dx, nx + 1 + dx))
+                step = length * (1.0 + lateral_weight * (deviation + pad_dev[near]) / 2.0)
+                best = np.minimum(best, np.where(free, pad_cost[near] + step, math.inf))
+        best[goal] = 0.0
+        if np.array_equal(best, cost):
+            return cost
+        cost = best
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), ny=st.integers(1, 7), nx=st.integers(1, 7),
+       cell_size=st.sampled_from([0.5, 0.25, 1.0]),
+       lateral_weight=st.sampled_from([0.0, 0.3, 2.0]))
+def test_cost_to_goal_field_is_the_relaxation_fixpoint(data, ny, nx, cell_size,
+                                                       lateral_weight):
+    cells = np.array(data.draw(st.lists(st.booleans(), min_size=ny * nx,
+                                        max_size=ny * nx), label="blocked"),
+                     dtype=bool).reshape(ny, nx)
+    deviation = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=ny * nx,
+                                            max_size=ny * nx), label="deviation")
+                         ).reshape(ny, nx)
+    iy = data.draw(st.integers(0, ny - 1), label="goal row")
+    ix = data.draw(st.integers(0, nx - 1), label="goal column")
+    goal_xy = ((ix + 0.5) * cell_size, (iy + 0.5) * cell_size)
+    got = cost_to_goal_field(OccupancyGrid(cells=cells, cell_size=cell_size),
+                             deviation, goal_xy, lateral_weight)
+    want = _bellman_ford_to_goal(cells, deviation, cell_size, (iy, ix), lateral_weight)
+    assert got.shape == (ny, nx)
+    assert got[iy, ix] == 0.0
+    # inf exactly where no 8-connected chain of free cells reaches the goal
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-9)
+
+
+def test_cost_to_goal_field_never_exceeds_the_straight_line_on_open_ground():
+    # OCTILE_SCALE = cos(pi/8): on an open map with no deviation priced, the
+    # field stays at or below the distance between cell centres, and meets
+    # it along the axes and diagonals
+    grid = empty_grid(20.0, 20.0, 0.5)
+    field = cost_to_goal_field(grid, np.zeros(grid.cells.shape), (10.25, 10.25), 0.3)
+    iy, ix = np.indices(field.shape)
+    straight = 0.5 * np.hypot(iy - 20, ix - 20)
+    assert (field <= straight + 1e-9).all()
+    assert field[20, 0] == pytest.approx(straight[20, 0] * OCTILE_SCALE)
+    assert field[0, 0] == pytest.approx(straight[0, 0] * OCTILE_SCALE)
+
+
+def test_cost_to_goal_field_rejects_a_goal_off_the_grid():
+    grid = empty_grid(10.0, 10.0, 0.5)
+    with pytest.raises(ValueError, match="outside the planning grid"):
+        cost_to_goal_field(grid, np.zeros(grid.cells.shape), (10.0, 5.0), 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,17 @@ def test_attack_requires_stations():
         spec_from_dict(d)
 
 
+@pytest.mark.parametrize("goal", [[-1.0, 50.0], [92.0, 100.0]],
+                         ids=["left-of-map", "on-far-edge"])
+def test_spec_from_dict_rejects_a_goal_off_the_map(goal):
+    # the planner's cost-to-goal field starts from the goal's cell
+    d = spec_to_dict(build_s2())
+    d["route"]["goal_pose"][:2] = goal
+    with pytest.raises(ValueError, match=re.escape(
+            "scenario.route.goal_pose: must lie on the 100 x 100 m map")):
+        spec_from_dict(d)
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan], ids=["zero", "negative", "nan"])
 def test_spec_from_dict_rejects_bad_map_extent(bad):
     d = spec_to_dict(build_s2())
