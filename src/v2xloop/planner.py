@@ -9,7 +9,7 @@ The heuristic is the second one of Dolgov, Thrun, Montemerlo & Diebel
 (2008), "Practical Search Techniques in Path Planning for Autonomous
 Driving": the larger of the Euclidean distance to the goal and a
 cost-to-goal field (`cost_to_goal_field`), an 8-connected Dijkstra from the
-goal's cell over the free cells of the static planning grid that prices
+goal's cell over the free cells of the planning grid that prices
 route deviation as the search does. It sees walls and dead ends, so a
 replan round a closure no longer floods the cul-de-sac in front of it, and
 a node whose cell cannot reach the goal at all is never pushed.
@@ -21,9 +21,12 @@ node reads the field at its cell, and the goal region is goal_xy_tol wide,
 so the heuristic may overstate a node's remaining cost by about a cell
 diagonal plus goal_xy_tol. heuristic_weight then inflates it on purpose,
 and the closed set keeps only the first state to reach each bin. So the
-search returns a feasible path but no proven factor of optimal. Dynamic
-obstacles (tracks, accepted events) stay out of the field: they can only
-raise the true cost above it.
+search returns a feasible path but no proven factor of optimal. The bound
+holds with tracks and accepted events too, because the field prices the
+very grid the search checks: the static map's field, which the caller
+passes, when obstacle_grid stamps no cell beyond the static map, and
+otherwise a field built once per plan over the stamped grid. So a replan
+round an accepted hazard does not flood round its stamp either.
 
 Expanding a node costs one batched grid lookup. Each plan builds a cost
 table holding the route deviation on free cells and inf on blocked cells
@@ -157,6 +160,8 @@ class PlanAttempt:
     expansions: int
     cpu_ms: float                     # wall-clock, never written into replayable logs
     cause: str
+    heuristic_ms: float = 0.0         # the part of cpu_ms spent building the
+                                      # stamped grid's cost-to-goal field
 
     @property
     def succeeded(self) -> bool:
@@ -206,6 +211,12 @@ def obstacle_grid(ldm: LdmState, cfg: PlannerConfig, vparams: VehicleParams,
     so velocity noise cannot walk the stamp around. Stamps are padded with
     obstacle_margin beyond what the risk check uses, which keeps planned
     paths far enough out that estimate jitter cannot flip the risk trigger.
+    An accepted event blocks every cell its disk touches, not only the
+    cells whose centre it covers, so every arc sample of a plan keeps the
+    full stamped radius from the event: the cost-to-goal field of this
+    grid leads hazard replans along the stamp's edge, where a
+    centre-in-disk stamp would give up to half a cell diagonal of the
+    event_margin away.
     A disk that already contains start_xy is skipped: the search cannot
     escape a region its own start is buried in, and the right reaction to
     an overlapping estimate is to keep driving the stop ramp, not to fail.
@@ -230,7 +241,7 @@ def obstacle_grid(ldm: LdmState, cfg: PlannerConfig, vparams: VehicleParams,
         radius = EVENT_RADIUS[ev.kind] + vparams.collision_radius + cfg.event_margin
         if blocks_start(ev.position[0], ev.position[1], radius):
             continue
-        mark_disk(cells, out, ev.position, radius)
+        mark_disk(cells, out, ev.position, radius, touching=True)
     return out
 
 
@@ -384,9 +395,13 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     optimum keeps the lane instead of cutting it; it must be finite and
     have the planning grid's shape, and an all-zero field prices no
     deviation. `cost_to_goal` is cost_to_goal_field of `base_grid`,
-    `deviation_field`, the goal and cfg.lateral_weight: a node is pushed
-    with heuristic_weight * max(its Euclidean distance to the goal, the
-    field at its cell), and a node whose cell reads inf is not pushed.
+    `deviation_field`, the goal and cfg.lateral_weight. The search reads
+    it as is when obstacle_grid blocks no cell beyond `base_grid`; when
+    tracks or accepted events do block cells, it reads
+    cost_to_goal_field of that stamped grid instead, built once per plan
+    (its time is the attempt's heuristic_ms). A node is pushed with
+    heuristic_weight * max(its Euclidean distance to the goal, the field
+    at its cell), and a node whose cell reads inf is not pushed.
     Returns a failed attempt (trajectory None) when the goal is unreachable
     within the expansion budget; the caller is expected to fall back to a
     minimum-safety stop.
@@ -417,6 +432,12 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     if not (cost_to_goal >= 0.0).all():
         raise ValueError("cost_to_goal: must be >= 0 everywhere, inf where "
                          "the goal is out of reach")
+    heuristic_ms = 0.0
+    if not np.array_equal(cells, base_grid.cells):
+        t_field = time.perf_counter()
+        cost_to_goal = cost_to_goal_field(grid, deviation_field, (gx, gy),
+                                          cfg.lateral_weight)
+        heuristic_ms = (time.perf_counter() - t_field) * 1000.0
     inv_res = 1.0 / grid.cell_size
     bin_size = TWO_PI / cfg.heading_bins
     n_bins = cfg.heading_bins
@@ -514,7 +535,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     cpu_ms = (time.perf_counter() - t0) * 1000.0
     if goal_node < 0:
         return PlanAttempt(trajectory=None, expansions=expansions,
-                           cpu_ms=cpu_ms, cause=cause)
+                           cpu_ms=cpu_ms, cause=cause, heuristic_ms=heuristic_ms)
 
     chain = []
     ni = goal_node
@@ -537,7 +558,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     traj = attach_speed_profile(traj, ldm, cfg, vparams)
     cpu_ms = (time.perf_counter() - t0) * 1000.0
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=cpu_ms,
-                       cause=cause)
+                       cause=cause, heuristic_ms=heuristic_ms)
 
 
 def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,

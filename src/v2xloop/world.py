@@ -224,8 +224,10 @@ def empty_grid(size_x: float, size_y: float, cell_size: float = 0.5,
     return OccupancyGrid(cells=cells, cell_size=cell_size)
 
 
-def _disk_cells(grid: OccupancyGrid, center, radius: float):
-    """Index arrays (iy, ix) of all cells whose center lies within radius."""
+def _disk_cells(grid: OccupancyGrid, center, radius: float, touching: bool = False):
+    """Index arrays (iy, ix) of all cells whose center lies within radius;
+    with `touching`, of all cells that some point of the open disk lies in,
+    so every point of every other cell is at least `radius` away."""
     cs = grid.cell_size
     cx = center[0] / cs
     cy = center[1] / cs
@@ -240,13 +242,19 @@ def _disk_cells(grid: OccupancyGrid, center, radius: float):
     xs = np.arange(x0, x1 + 1)
     ys = np.arange(y0, y1 + 1)
     xx, yy = np.meshgrid(xs, ys)
-    mask = (xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2 <= r * r
+    if touching:
+        # the offset from the center to the nearest point of each cell
+        dx = np.maximum(np.abs(xx + 0.5 - cx) - 0.5, 0.0)
+        dy = np.maximum(np.abs(yy + 0.5 - cy) - 0.5, 0.0)
+        mask = dx * dx + dy * dy < r * r
+    else:
+        mask = (xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2 <= r * r
     return yy[mask], xx[mask]
 
 
 def mark_disk(cells: np.ndarray, grid: OccupancyGrid, center, radius: float,
-              value: bool = True) -> None:
-    hit = _disk_cells(grid, center, radius)
+              value: bool = True, touching: bool = False) -> None:
+    hit = _disk_cells(grid, center, radius, touching)
     if hit is not None:
         cells[hit] = value
 
@@ -277,10 +285,14 @@ def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
         # the parameter interval [t0, t1] inside the grown grid
         t0, t1 = 0.0, 1.0
         for axis in (0, 1):
+            # a segment inside the grown grid along this axis is not cut by
+            # it; skipping the divide also keeps a subnormal delta from
+            # overflowing it
+            if lo[axis] <= min(a[axis], b[axis]) and max(a[axis], b[axis]) <= hi[axis]:
+                continue
             d = b[axis] - a[axis]
-            if d == 0.0:
-                if not lo[axis] <= a[axis] <= hi[axis]:
-                    t0, t1 = 1.0, 0.0
+            if d == 0.0:            # standing still outside the grown grid
+                t0, t1 = 1.0, 0.0
                 continue
             u, v = sorted(((lo[axis] - a[axis]) / d, (hi[axis] - a[axis]) / d))
             t0, t1 = max(t0, u), min(t1, v)

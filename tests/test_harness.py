@@ -272,6 +272,15 @@ def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
     assert "planning_memo" not in str(spec_to_dict(spec))
 
 
+def test_timing_holds_each_plans_field_builds_inside_its_cpu_ms(tmp_path):
+    # a fresh spec builds the static field on its first plan, and the
+    # hazard replan builds the field of its own stamped grid
+    run_episode(build_s2(), 1, tmp_path)
+    timing = rows(read_csv(tmp_path / "timing.csv", harness.TIMING_COLS))
+    assert [r["cause"] for r in timing] == ["initial", "hazard_on_route"]
+    assert all(0.0 < r["heuristic_ms"] < r["cpu_ms"] for r in timing)
+
+
 def test_run_batch_rejects_duplicate_seeds():
     with pytest.raises(ValueError):
         run_batch(build_s1(), [1, 1])

@@ -2,12 +2,14 @@
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grids import occupied_at
+from v2xloop import planner
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
                              OCTILE_SCALE, PlannerConfig, PlanAttempt,
@@ -178,6 +180,71 @@ def test_plan_pushes_no_node_the_static_map_cuts_off_from_the_goal():
     assert attempt.expansions == 1
 
 
+def _counting_field_builds(monkeypatch):
+    """Rebind the `cost_to_goal_field` that `plan` calls so that each call
+    records the field it returns, and return that record."""
+    built = []
+
+    def counted(*args):
+        built.append(cost_to_goal_field(*args))
+        return built[-1]
+
+    monkeypatch.setattr(planner, "cost_to_goal_field", counted)
+    return built
+
+
+def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
+    static = _open_to_goal(_ldm())
+    built = _counting_field_builds(monkeypatch)
+    unstamped = _plan((2.0, 10.0, 0.0), _ldm(), to_goal=static)
+    assert unstamped.succeeded and not built
+    assert unstamped.heuristic_ms == 0.0
+    stamped = _plan((2.0, 10.0, 0.0), _ldm(events=[_event((40.0, 10.0))]),
+                    to_goal=static)
+    assert stamped.succeeded and len(built) == 1
+    assert 0.0 < stamped.heuristic_ms <= stamped.cpu_ms
+    # a stamp that blocks only cells the static map already blocks is no
+    # stamp: this track's disk lies wholly off the road, below y = 5
+    edge = _ldm(tracks=[_track("T1", (40.0, 1.0))])
+    assert occupied_at(_grid(edge), 40.0, 1.0)
+    assert np.array_equal(_grid(edge).cells, _base(edge).cells)
+    assert _plan((2.0, 10.0, 0.0), edge, to_goal=static).succeeded
+    assert len(built) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=st.lists(st.tuples(st.sampled_from(sorted(EVENT_RADIUS)),
+                                 st.floats(5.0, 95.0), st.floats(0.0, 20.0)),
+                       max_size=2),
+       tracks=st.lists(st.tuples(st.floats(5.0, 95.0), st.floats(0.0, 20.0),
+                                 st.floats(0.3, 0.9)), max_size=2),
+       start_x=st.floats(2.0, 60.0))
+def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
+                                                               start_x):
+    ldm = _ldm(tracks=[_track(f"T{i}", (x, y), belief=b)
+                       for i, (x, y, b) in enumerate(tracks)],
+               events=[replace(_event((x, y), kind), event_id=f"E{i}")
+                       for i, (kind, x, y) in enumerate(events)])
+    base = _base(ldm)
+    deviation = route_deviation_field(base, ROUTE.reference_path.points)
+    start = (start_x, 10.0, 0.0)
+    grid = obstacle_grid(ldm, CFG, VP, base, start[:2])
+    want = cost_to_goal_field(grid, deviation, ROUTE.goal_pose[:2], CFG.lateral_weight)
+    static = cost_to_goal_field(base, deviation, ROUTE.goal_pose[:2], CFG.lateral_weight)
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counting_field_builds(mp)
+        _plan(start, ldm, PlannerConfig(max_expansions=30),
+              deviation_field=deviation, to_goal=static)
+    if np.array_equal(grid.cells, base.cells):
+        assert not built                # the static field is the one searched
+        return
+    assert len(built) == 1
+    got = built[0]
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=0.0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # bit-identity against the per-steer search loop
 
@@ -187,8 +254,9 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
                     deviation_field=None):
     """The search as first written: one lookup per steering sample and one
     stored arc per pushed node, with the heuristic read at each arc's end
-    cell. `plan` must reproduce it bit for bit; with no deviation field it
-    must equal `plan` given an all-zero one."""
+    cell from `cost_to_goal`, the field of the grid obstacle_grid returns.
+    `plan` must reproduce it bit for bit; with no deviation field it must
+    equal `plan` given an all-zero one."""
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
     grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
@@ -348,15 +416,19 @@ def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
 def _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering=0.0,
                                    line=None):
     """`plan` and `_reference_plan` agree bit for bit; a `line` prices the
-    deviation from it, no line prices none. Returns `plan`'s attempt."""
+    deviation from it, no line prices none. `plan` gets the static grid's
+    field and the oracle the field of the stamped grid it searches.
+    Returns `plan`'s attempt."""
     base = _base(ldm)
     field = None if line is None else route_deviation_field(base, line)
     deviation = np.zeros(base.cells.shape) if field is None else field
     to_goal = cost_to_goal_field(base, deviation, goal[:2], cfg.lateral_weight)
     got = plan(start, goal, ldm, cfg, VP, "initial", base, start_steering,
                deviation, to_goal)
+    stamped = obstacle_grid(ldm, cfg, VP, base, start[:2])
+    searched = cost_to_goal_field(stamped, deviation, goal[:2], cfg.lateral_weight)
     want = _reference_plan(start, goal, ldm, cfg, VP, "initial", base,
-                           start_steering, to_goal, deviation_field=field)
+                           start_steering, searched, deviation_field=field)
     assert got.expansions == want.expansions
     assert got.succeeded == want.succeeded
     if want.succeeded:
@@ -578,6 +650,27 @@ def test_obstacle_grid_event_radius_by_kind():
         pad = r + VP.collision_radius + CFG.event_margin
         assert occupied_at(grid, 50.0 + pad - 0.3, 10.0), kind
         assert not occupied_at(grid, 50.0 + pad + 1.0, 10.0), kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=st.lists(st.tuples(st.sampled_from(sorted(EVENT_RADIUS)),
+                                 st.floats(10.0, 85.0), st.floats(4.0, 16.0)),
+                       min_size=1, max_size=2),
+       start_x=st.floats(2.0, 40.0))
+def test_a_plan_keeps_the_stamped_radius_from_every_accepted_event(events,
+                                                                   start_x):
+    ldm = _ldm(events=[replace(_event((x, y), kind), event_id=f"E{i}")
+                       for i, (kind, x, y) in enumerate(events)])
+    start = (start_x, 10.0, 0.0)
+    attempt = _plan(start, ldm)
+    if not attempt.succeeded:
+        return
+    poses = attempt.trajectory.poses[1:, :2]        # every arc sample
+    for ev in ldm.accepted_events():
+        radius = EVENT_RADIUS[ev.kind] + VP.collision_radius + CFG.event_margin
+        gap = np.hypot(poses[:, 0] - ev.position[0], poses[:, 1] - ev.position[1])
+        if math.hypot(start[0] - ev.position[0], start[1] - ev.position[1]) > radius:
+            assert gap.min() >= radius, ev
 
 
 def test_obstacle_grid_skips_disk_over_start():

@@ -1,6 +1,7 @@
 """Geometry, occupancy grids, versioned maps, and the update channel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,25 @@ def test_mark_disk_cells_within_radius():
     assert not occupied_at(g, 5.0, 6.3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(cx=st.floats(-2.0, 12.0), cy=st.floats(-2.0, 12.0),
+       radius=st.floats(0.05, 4.0))
+def test_mark_disk_touching_blocks_each_cell_the_disk_reaches(cx, cy, radius):
+    centred = empty_grid(10.0, 10.0, cell_size=0.5)
+    mark_disk(centred.cells, centred, (cx, cy), radius)
+    g = empty_grid(10.0, 10.0, cell_size=0.5)
+    mark_disk(g.cells, g, (cx, cy), radius, touching=True)
+    assert np.all(g.cells[centred.cells])
+    # each cell's nearest point to the center, as the center clamped
+    # into the cell's square
+    iy, ix = np.indices(g.cells.shape)
+    near_x = np.clip(cx, ix * 0.5, (ix + 1) * 0.5)
+    near_y = np.clip(cy, iy * 0.5, (iy + 1) * 0.5)
+    gap = np.hypot(near_x - cx, near_y - cy)
+    clear = np.abs(gap - radius) > 1e-9     # leave rounding at the rim out
+    assert np.array_equal(g.cells[clear], (gap < radius)[clear])
+
+
 def test_stamp_polyline_covers_full_band():
     g = empty_grid(20.0, 10.0, cell_size=0.5)
     line = np.array([[2.0, 5.0], [18.0, 5.0]])
@@ -304,6 +324,22 @@ def test_stamp_polyline_edge_lanes_match_every_sample(line):
         got = empty_grid(**STAMP_GRID)
         stamp_polyline(got.cells, got, line, radius)
         assert np.array_equal(got.cells, want.cells)
+
+
+def test_stamp_polyline_takes_a_subnormal_axis_delta_without_a_warning():
+    # x moves by 1e-320: dividing the grown grid's x bounds by that delta
+    # overflowed to inf. The stamp is the band along the left edge, y 4..10
+    line = np.array([[1e-320, 5.0], [2e-320, 9.0]])
+    want = empty_grid(10.0, 10.0, 0.5)
+    _stamp_polyline_sampling_every_sample(want.cells, want, line, 1.0)
+    got = empty_grid(10.0, 10.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stamp_polyline(got.cells, got, line, 1.0)
+    assert np.array_equal(got.cells, want.cells)
+    rows, cols = np.nonzero(got.cells)
+    assert set(zip(rows.tolist(), cols.tolist())) == \
+        {(r, 0) for r in range(8, 20)} | {(r, 1) for r in range(9, 19)}
 
 
 def test_a_lane_to_a_trillion_metres_builds_at_once():
