@@ -17,7 +17,8 @@ from .metrics import EpisodeMetrics, MetricParams, aggregate, objective_vector
 from .pareto import (Configuration, EvaluatedPoint, ParetoResult, config_grid,
                      hypervolume, knee_point, nondominated_set, sweep)
 from .perception import Detection, SenseFrame, SensorModel, sense
-from .planner import PlanAttempt, PlannerConfig, Trajectory, TriggerConfig, plan
+from .planner import (PlanAttempt, PlannerConfig, PlanningMaps, Trajectory,
+                      TriggerConfig, plan)
 from .rng import StreamSet, stream
 from .scenarios import (SCENARIO_IDS, ScenarioSpec, apply_configuration,
                         build_scenario, spec_from_dict, spec_to_dict)
@@ -34,7 +35,7 @@ __all__ = [
     "EvaluatedPoint", "EventHypothesis", "GateConfig", "GateDecision",
     "GroundTruthHazard", "LaneSegment", "LdmParams", "LdmState", "MapVersion",
     "MetricParams", "OccupancyGrid", "ParetoResult", "PlanAttempt",
-    "PlannerConfig", "PidState", "Route", "SCENARIO_IDS", "ScenarioSpec",
+    "PlannerConfig", "PlanningMaps", "PidState", "Route", "SCENARIO_IDS", "ScenarioSpec",
     "SenseFrame", "SensorModel", "Station", "StationPopulation", "StreamSet",
     "Track", "Trajectory", "TriggerConfig", "V2xMessage", "VehicleParams",
     "VehicleState", "WorldObject", "aggregate", "apply_configuration",

@@ -22,9 +22,10 @@ RECOVERY_TICKS ticks until a plan is found or the ego stands still.
 Work that does not depend on the seed is done once and kept on the object
 it derives from, never in `logs/` and never in the scenario document:
 
-- planning maps (inflated grid and route deviation field), per route and
-  collision radius, and the planner's cost-to-goal field, per those plus
-  goal and lateral_weight, on the map version;
+- the planning maps (`planner.PlanningMaps`: inflated grid, route
+  deviation field, and the cost-to-goal fields the planner stores in
+  them per goal and lateral_weight), per route and collision radius, on
+  the map version;
 - each scripted vehicle's state per time t, on the vehicle;
 - the honest and the Byzantine stations in id order, on the population.
 
@@ -48,7 +49,6 @@ to a separate timing file outside the log directory.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -62,8 +62,8 @@ from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
 from .pareto import Configuration, ParetoResult, config_grid
 from .pareto import sweep as pareto_sweep
 from .perception import sense, sensor_likelihood
-from .planner import (check_triggers, cost_to_goal_field, plan,
-                      route_deviation_field, ttc_min, unexplained_tracks)
+from .planner import (PlanningMaps, check_triggers, plan, route_deviation_field,
+                      ttc_min, unexplained_tracks)
 from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
@@ -157,35 +157,19 @@ def _is_true_claim(kind: str, x: float, y: float, hazards, radius: float) -> boo
                for hk, hx, hy in hazards)
 
 
-def _planning_maps(version: MapVersion, route: Polyline, collision_radius: float,
-                   goal_xy: tuple, lateral_weight: float) -> tuple:
-    """(inflated planning grid, route deviation field, cost-to-goal field,
-    ms spent building that field in this call) of `version`.
-
-    Each is built on first use and kept, read-only, in the version's
-    planning_memo, so every episode of a spec (and of specs sharing its map
-    objects) reuses them: the grid and deviation under (route, collision
-    radius), the field under those plus the goal and lateral_weight. A memo
-    hit spends 0 ms.
-    """
-    memo = version.planning_memo
+def _planning_maps(version: MapVersion, route: Polyline,
+                   collision_radius: float) -> PlanningMaps:
+    """The PlanningMaps of `version` for `route` and `collision_radius`,
+    built on first use and kept in the version's planning_memo, so every
+    episode of a spec (and of specs sharing its map objects) reuses them
+    and the cost-to-goal fields its plans store in them."""
     key = (route, collision_radius)
-    maps = memo.get(key)
+    maps = version.planning_memo.get(key)
     if maps is None:
         grid = planning_occupancy(version, collision_radius)
-        deviation = route_deviation_field(grid, route.points)
-        grid.cells.setflags(write=False)
-        deviation.setflags(write=False)
-        maps = memo[key] = (grid, deviation)
-    field_key = (*key, goal_xy, lateral_weight)
-    to_goal, build_ms = memo.get(field_key), 0.0
-    if to_goal is None:
-        t0 = time.perf_counter()
-        to_goal = cost_to_goal_field(*maps, goal_xy, lateral_weight)
-        build_ms = (time.perf_counter() - t0) * 1000.0
-        to_goal.setflags(write=False)
-        memo[field_key] = to_goal
-    return (*maps, to_goal, build_ms)
+        maps = version.planning_memo[key] = PlanningMaps(
+            grid, route_deviation_field(grid, route.points))
+    return maps
 
 
 def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
@@ -247,22 +231,16 @@ def run_episode(spec: ScenarioSpec, seed: int,
     def replan(cause: str, tick: int, t: float):
         """Plan from the current ego state on the active map, log the attempt
         and return its trajectory, None when the search failed."""
-        grid, deviation, to_goal, memo_ms = _planning_maps(
-            active, ref, spec.vehicle.collision_radius, tuple(goal[:2]),
-            spec.planner.lateral_weight)
+        maps = _planning_maps(active, ref, spec.vehicle.collision_radius)
         attempt = plan(ego.pose, goal, ldm, spec.planner, spec.vehicle, cause=cause,
-                       base_grid=grid, start_steering=ego.steering,
-                       deviation_field=deviation, cost_to_goal=to_goal)
+                       maps=maps, start_steering=ego.steering)
         traj = attempt.trajectory
         logs["plans"].append(tick, t, attempt.cause, traj is not None,
                              attempt.expansions, attempt.path_length,
                              0 if traj is None else len(traj.poses),
                              active.version_id)
-        # the row's cpu_ms holds every field build for this plan, and its
-        # heuristic_ms says how much of it that was
-        timing.append(len(timing.rows), tick, attempt.cause,
-                      memo_ms + attempt.cpu_ms, attempt.expansions,
-                      memo_ms + attempt.heuristic_ms)
+        timing.append(len(timing.rows), tick, attempt.cause, attempt.cpu_ms,
+                      attempt.expansions, attempt.heuristic_ms)
         return traj
 
     def log_event(t: float, ev, final: int) -> None:
@@ -377,7 +355,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                               unexplained_tracks(ldm, spec.planner),
                               spec.planner.prefix_horizon,
                               spec.vehicle.collision_radius,
-                              spec.planner.track_radius, spec.planner.b_obstacle)
+                              spec.planner.track_radius)
             cause = "+".join(check_triggers(ldm, spec.route, traj, s_route,
                                             spec.triggers, risk_ttc=ttc_now))
         elif k == stop_tick + RECOVERY_TICKS:

@@ -23,8 +23,8 @@ diagonal plus goal_xy_tol. heuristic_weight then inflates it on purpose,
 and the closed set keeps only the first state to reach each bin. So the
 search returns a feasible path but no proven factor of optimal. The bound
 holds with tracks and accepted events too, because the field prices the
-very grid the search checks: the static map's field, which the caller
-passes, when obstacle_grid stamps no cell beyond the static map, and
+very grid the search checks: the static map's field (kept in the map
+version's PlanningMaps) when obstacle_grid stamps no cell beyond it, and
 otherwise a field built once per plan over the stamped grid. So a replan
 round an accepted hazard does not flood round its stamp either.
 
@@ -106,7 +106,10 @@ class PlannerConfig:
         check_range(self, ("xy_resolution", "primitive_arc_length", "goal_xy_tol",
                            "heuristic_weight", "cruise_speed", "comfort_decel"),
                     strict=True)
-        check_range(self, ("max_expansions",))
+        # a negative weight makes a step cost negative, and the cost-to-goal
+        # Dijkstra would relax round a negative cycle without end
+        check_range(self, ("max_expansions", "steering_change_weight",
+                           "lateral_weight"))
         # the risk rollout samples every ROLLOUT_DT, per track
         check_range(self, ("prefix_horizon",), hi=60.0)
 
@@ -160,8 +163,8 @@ class PlanAttempt:
     expansions: int
     cpu_ms: float                     # wall-clock, never written into replayable logs
     cause: str
-    heuristic_ms: float = 0.0         # the part of cpu_ms spent building the
-                                      # stamped grid's cost-to-goal field
+    heuristic_ms: float = 0.0         # the part of cpu_ms spent building a
+                                      # cost-to-goal field
 
     @property
     def succeeded(self) -> bool:
@@ -280,7 +283,8 @@ OCTILE_SCALE = math.cos(math.pi / 8.0)
 def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
                        goal_xy, lateral_weight: float) -> np.ndarray:
     """Cost from every cell to the goal's cell, inf where no 8-connected
-    chain of free cells of `grid` reaches it.
+    chain of free cells of `grid` reaches it; `deviation_field` is shaped
+    like `grid`, as PlanningMaps checks.
 
     A Dijkstra from the goal's cell (a source even when it is blocked) over
     the free cells; a step between 8-neighbours costs its centre-to-centre
@@ -292,9 +296,6 @@ def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
     """
     cells = grid.cells
     ny, nx = cells.shape
-    if deviation_field.shape != cells.shape:
-        raise ValueError(f"deviation_field shape {deviation_field.shape} != "
-                         f"planning grid shape {cells.shape}")
     # the goal's cell as `plan` finds a node's
     inv_res = 1.0 / grid.cell_size
     ix, iy = math.floor(goal_xy[0] * inv_res), math.floor(goal_xy[1] * inv_res)
@@ -341,6 +342,31 @@ def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
     return out.reshape(free.shape)[1:-1, 1:-1].copy()
 
 
+@dataclass(frozen=True, eq=False)
+class PlanningMaps:
+    """The read-only maps every plan on one map version searches: the
+    inflated static grid (world.planning_occupancy), the route deviation
+    field (route_deviation_field) of the same shape, and in `fields` the
+    static grid's cost-to-goal field per (goal x, goal y, lateral_weight),
+    stored by the first plan that searches it. An all-zero deviation field
+    prices no deviation."""
+
+    grid: OccupancyGrid
+    deviation: np.ndarray
+    fields: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        if self.deviation.shape != self.grid.cells.shape:
+            raise ValueError(f"deviation: shape {self.deviation.shape} != "
+                             f"planning grid shape {self.grid.cells.shape}")
+        # an arc is free iff its summed cost is finite, and a negative
+        # deviation would give the cost-to-goal Dijkstra negative steps
+        if not (np.isfinite(self.deviation) & (self.deviation >= 0.0)).all():
+            raise ValueError("deviation: must be finite and >= 0 everywhere")
+        self.grid.cells.setflags(write=False)
+        self.deviation.setflags(write=False)
+
+
 # ---------------------------------------------------------------------------
 # hybrid A*
 
@@ -384,22 +410,19 @@ def _arcs_from(rotated: np.ndarray, x: float, y: float) -> np.ndarray:
 
 
 def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
-         vparams: VehicleParams, cause: str, base_grid: OccupancyGrid,
-         start_steering: float, deviation_field: np.ndarray,
-         cost_to_goal: np.ndarray) -> PlanAttempt:
+         vparams: VehicleParams, cause: str, maps: PlanningMaps,
+         start_steering: float) -> PlanAttempt:
     """Search a drivable path and attach its target speed profile.
 
-    `base_grid` is the inflated static map (world.planning_occupancy) that
-    obstacle_grid stamps the LDM into. `deviation_field` (from
-    route_deviation_field) prices distance from the route reference so the
-    optimum keeps the lane instead of cutting it; it must be finite and
-    have the planning grid's shape, and an all-zero field prices no
-    deviation. `cost_to_goal` is cost_to_goal_field of `base_grid`,
-    `deviation_field`, the goal and cfg.lateral_weight. The search reads
-    it as is when obstacle_grid blocks no cell beyond `base_grid`; when
-    tracks or accepted events do block cells, it reads
-    cost_to_goal_field of that stamped grid instead, built once per plan
-    (its time is the attempt's heuristic_ms). A node is pushed with
+    obstacle_grid stamps the LDM into `maps.grid`, and `maps.deviation`
+    prices distance from the route reference so the optimum keeps the lane
+    instead of cutting it. When the stamp blocks no cell beyond
+    `maps.grid`, the search reads the static grid's cost-to-goal field
+    for the goal and cfg.lateral_weight from `maps.fields`, building and
+    storing it on the first such plan; when tracks or accepted events do
+    block cells, it reads cost_to_goal_field of that stamped grid, built
+    for this plan only. The time of either build is the attempt's
+    heuristic_ms, inside its cpu_ms. A node is pushed with
     heuristic_weight * max(its Euclidean distance to the goal, the field
     at its cell), and a node whose cell reads inf is not pushed.
     Returns a failed attempt (trajectory None) when the goal is unreachable
@@ -419,25 +442,21 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     t0 = time.perf_counter()
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
-    grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
+    grid = obstacle_grid(ldm, cfg, vparams, base=maps.grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
-    for name, array in (("deviation_field", deviation_field),
-                        ("cost_to_goal", cost_to_goal)):
-        if array.shape != cells.shape:
-            raise ValueError(f"{name} shape {array.shape} != "
-                             f"planning grid shape {cells.shape}")
-    if not np.isfinite(deviation_field).all():
-        raise ValueError("deviation_field: must be finite everywhere")
-    if not (cost_to_goal >= 0.0).all():
-        raise ValueError("cost_to_goal: must be >= 0 everywhere, inf where "
-                         "the goal is out of reach")
+    stamped = not np.array_equal(cells, maps.grid.cells)
+    field_key = (gx, gy, cfg.lateral_weight)
+    cost_to_goal = None if stamped else maps.fields.get(field_key)
     heuristic_ms = 0.0
-    if not np.array_equal(cells, base_grid.cells):
+    if cost_to_goal is None:
         t_field = time.perf_counter()
-        cost_to_goal = cost_to_goal_field(grid, deviation_field, (gx, gy),
+        cost_to_goal = cost_to_goal_field(grid, maps.deviation, (gx, gy),
                                           cfg.lateral_weight)
         heuristic_ms = (time.perf_counter() - t_field) * 1000.0
+        if not stamped:
+            cost_to_goal.setflags(write=False)
+            maps.fields[field_key] = cost_to_goal
     inv_res = 1.0 / grid.cell_size
     bin_size = TWO_PI / cfg.heading_bins
     n_bins = cfg.heading_bins
@@ -460,7 +479,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     # by wrapping round, as negative indices do in `take`
     inf = math.inf
     table = np.full((ny + 1, nx + 1), inf)
-    table[:ny, :nx] = np.where(cells, inf, deviation_field)
+    table[:ny, :nx] = np.where(cells, inf, maps.deviation)
     flat_table = table.ravel()
     upper = np.array([float(nx), float(ny)])
     flat_stride = np.array([1, nx + 1])
@@ -618,17 +637,16 @@ def _rollout_times(horizon: float) -> np.ndarray:
 
 
 def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
-            collision_radius: float, track_radius: float,
-            b_obstacle: float) -> float:
+            collision_radius: float, track_radius: float) -> float:
     """Earliest collision time under a constant-velocity rollout.
 
     The ego slides along the plan prefix at its current speed from `s_plan`,
-    its arc length along `traj`; each track extrapolates linearly. Returns
+    its arc length along `traj`; each of `tracks` (the episode loop passes
+    unexplained_tracks, the confident ones) extrapolates linearly. Returns
     inf when no pair closes within the horizon. A track that cannot come
     within reach of the ego's path is not rolled out: it could not hit.
     """
-    obstacles = [t for t in tracks if t.belief >= b_obstacle]
-    if not obstacles:
+    if not tracks:
         return math.inf
     v = max(float(ego_state.speed), 0.0)
     taus = _rollout_times(horizon)
@@ -646,7 +664,7 @@ def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
     (bx0, by0), (bx1, by1) = box.min(axis=0).tolist(), box.max(axis=0).tolist()
     scale = 1.0 + max(abs(bx0), abs(by0), abs(bx1), abs(by1))
     near = []
-    for tr in obstacles:
+    for tr in tracks:
         (x0, y0), (vx, vy) = tr.position, tr.velocity
         x1, y1 = x0 + vx * t_end, y0 + vy * t_end
         gap = max(bx0 - max(x0, x1), min(x0, x1) - bx1, by0 - max(y0, y1), min(y0, y1) - by1)

@@ -343,10 +343,9 @@ class MapVersion:
     version_id: int
     lane_graph: tuple[LaneSegment, ...]
     occupancy: OccupancyGrid
-    # read-only planning views of this version, built by the first episode
-    # that plans on it and reused for as long as the version lives:
-    # (route reference path, collision radius) -> (planning grid, deviation
-    # field), and those plus (goal x, y), lateral_weight -> cost-to-goal field
+    # the planning views of this version, built by the first episode that
+    # plans on it and reused for as long as the version lives: (route
+    # reference path, collision radius) -> planner.PlanningMaps
     planning_memo: dict = field(init=False, repr=False, compare=False,
                                 default_factory=dict)
 

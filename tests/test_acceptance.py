@@ -24,7 +24,7 @@ from v2xloop.logio import read_csv, rows
 from v2xloop.metrics import clear_mot, command_variance, lateral_rmse
 from v2xloop.pareto import (config_grid, evaluate_grid, hypervolume,
                             nondominated_set, normalize)
-from v2xloop.planner import (PlannerConfig, Trajectory, cost_to_goal_field,
+from v2xloop.planner import (PlannerConfig, PlanningMaps, Trajectory,
                              obstacle_grid, plan, ttc_min)
 from v2xloop.scenarios import build_s2, build_s3, build_s4
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature, step
@@ -299,14 +299,12 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
     times_ms = []
     for _ in range(30):
         start, goal, route, ldm = _corridor_instance(rng)
-        # the static planning grid and the cost-to-goal field are built once
-        # per map version outside the plan, as the episode loop does; no
-        # deviation field prices none
+        # each instance is its own map version, so its first plan builds
+        # the static field inside its cpu_ms, as an episode's first plan
+        # does; no deviation field prices none
         base = planning_occupancy(ldm.active_map, VP.collision_radius)
-        deviation = np.zeros(base.cells.shape)
-        to_goal = cost_to_goal_field(base, deviation, goal[:2], cfg.lateral_weight)
-        attempt = plan(start, goal, ldm, cfg, VP, "initial", base, 0.0,
-                       deviation, to_goal)
+        maps = PlanningMaps(base, np.zeros(base.cells.shape))
+        attempt = plan(start, goal, ldm, cfg, VP, "initial", maps, 0.0)
         if not attempt.succeeded:
             failures += 1
             continue
@@ -465,7 +463,7 @@ def test_09_metric_hand_values(pytestconfig):
                belief=0.9, last_update=0.0)
     ego = VehicleState(x=0.0, y=0.0, heading=0.0, speed=4.0)
     ttc = ttc_min(ego, traj, traj.project(ego.position), [tr], horizon=8.0,
-                  collision_radius=2.0, track_radius=1.0, b_obstacle=0.6)
+                  collision_radius=2.0, track_radius=1.0)
     ttc_ok = ttc == 6.5
 
     # 10-tick tracking log: 8 truth ticks, one miss, one identity switch,

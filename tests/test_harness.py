@@ -10,7 +10,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2xloop import harness
+from v2xloop import harness, planner
 from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, SWEEP_COLS, V2X_COLS,
                              compute_episode_metrics, replay, run_batch,
                              run_episode, run_sweep)
@@ -236,8 +236,8 @@ def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "route_deviation_field",
                         counted("deviation", harness.route_deviation_field))
-    monkeypatch.setattr(harness, "cost_to_goal_field",
-                        counted("to_goal", harness.cost_to_goal_field))
+    monkeypatch.setattr(planner, "cost_to_goal_field",
+                        counted("to_goal", planner.cost_to_goal_field))
     spec = build_s3()
     results, _ = run_batch(spec, [1, 2, 3], tmp_path / "batch")
     assert all(r.summary["counters"]["plans"] >= 2 for r in results)
@@ -245,12 +245,12 @@ def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
     # field built once for all seeds
     assert len(calls["deviation"]) == len(calls["to_goal"]) == 2
     maps_key = (spec.route.reference_path, spec.vehicle.collision_radius)
-    field_key = (*maps_key, spec.route.goal_pose[:2], spec.planner.lateral_weight)
+    field_key = (*spec.route.goal_pose[:2], spec.planner.lateral_weight)
     for version in spec.vmap.versions:
-        memo = version.planning_memo
-        assert set(memo) == {maps_key, field_key}
-        grid, deviation = memo[maps_key]
-        for array in (grid.cells, deviation, memo[field_key]):
+        assert set(version.planning_memo) == {maps_key}
+        maps = version.planning_memo[maps_key]
+        assert set(maps.fields) == {field_key}
+        for array in (maps.grid.cells, maps.deviation, maps.fields[field_key]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = array[0, 0]
     # the field's build time is on the plan that built it, 0 on a memo hit
@@ -266,7 +266,7 @@ def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
     other = replace(spec, planner=replace(spec.planner, lateral_weight=0.6))
     run_episode(other, 1)
     assert len(calls["deviation"]) == 2 and len(calls["to_goal"]) == 4
-    assert all(len(v.planning_memo) == 3 for v in spec.vmap.versions)
+    assert all(len(v.planning_memo[maps_key].fields) == 2 for v in spec.vmap.versions)
     # a freshly built spec starts cold, and its document carries no memo
     assert all(not v.planning_memo for v in build_s3().vmap.versions)
     assert "planning_memo" not in str(spec_to_dict(spec))

@@ -13,6 +13,7 @@ from v2xloop import planner
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
                              OCTILE_SCALE, PlannerConfig, PlanAttempt,
+                             PlanningMaps,
                              RISK_THRESHOLD, TWO_PI, Trajectory, TriggerConfig,
                              _primitives,
                              attach_speed_profile, check_triggers,
@@ -62,26 +63,21 @@ def _base(ldm):
     return planning_occupancy(ldm.active_map, VP.collision_radius)
 
 
-def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
-          deviation_field=None, goal=ROUTE.goal_pose, to_goal=None):
-    """`plan` on the ldm's static grid; no deviation field prices no
-    deviation, and no `to_goal` is the cost-to-goal field the episode loop
-    builds from the static grid and the deviation field."""
+def _maps(ldm, deviation_field=None):
+    """Fresh PlanningMaps over the ldm's static grid; no deviation field
+    prices no deviation."""
     base = _base(ldm)
     if deviation_field is None:
         deviation_field = np.zeros(base.cells.shape)
-    if to_goal is None:
-        to_goal = cost_to_goal_field(base, deviation_field, goal[:2],
-                                     cfg.lateral_weight)
-    return plan(start, goal, ldm, cfg, VP, cause, base, start_steering,
-                deviation_field, to_goal)
+    return PlanningMaps(base, deviation_field)
 
 
-def _open_to_goal(ldm, goal=ROUTE.goal_pose):
-    """The cost-to-goal field of the ldm's static grid pricing no deviation."""
-    base = _base(ldm)
-    return cost_to_goal_field(base, np.zeros(base.cells.shape), goal[:2],
-                              CFG.lateral_weight)
+def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
+          deviation_field=None, goal=ROUTE.goal_pose, maps=None):
+    """`plan` with `maps`, or with fresh `_maps` of the ldm."""
+    if maps is None:
+        maps = _maps(ldm, deviation_field)
+    return plan(start, goal, ldm, cfg, VP, cause, maps, start_steering)
 
 
 def _grid(ldm, cfg=CFG, start_xy=ROUTE.reference_path.points[0]):
@@ -150,21 +146,20 @@ def test_plan_arc_lengths_monotone_and_consistent():
     assert attempt.path_length == pytest.approx(traj.length)
 
 
-def test_plan_rejects_deviation_field_of_another_shape():
-    ldm = _ldm()
-    with pytest.raises(ValueError, match="deviation_field"):
-        _plan((2.0, 10.0, 0.0), ldm, deviation_field=np.zeros((3, 3)),
-              to_goal=_open_to_goal(ldm))
+def test_planning_maps_reject_a_deviation_field_of_another_shape():
+    with pytest.raises(ValueError, match="^deviation: shape"):
+        PlanningMaps(_base(_ldm()), np.zeros((3, 3)))
 
 
-def test_plan_rejects_a_cost_to_goal_field_it_cannot_read():
-    ldm = _ldm()
-    with pytest.raises(ValueError, match="cost_to_goal shape"):
-        _plan((2.0, 10.0, 0.0), ldm, to_goal=np.zeros((3, 3)))
-    field = _open_to_goal(ldm).copy()
-    field[3, 4] = math.nan
-    with pytest.raises(ValueError, match="cost_to_goal: must be >= 0"):
-        _plan((2.0, 10.0, 0.0), ldm, to_goal=field)
+def test_planning_maps_reject_a_negative_or_non_finite_deviation_field():
+    # an arc is free iff its summed cost is finite, so the field must be;
+    # a negative deviation would give the cost-to-goal field negative steps
+    base = _base(_ldm())
+    for bad in (math.inf, math.nan, -1.0):
+        field = np.zeros(base.cells.shape)
+        field[3, 4] = bad
+        with pytest.raises(ValueError, match="^deviation: must be finite"):
+            PlanningMaps(base, field)
 
 
 def test_plan_pushes_no_node_the_static_map_cuts_off_from_the_goal():
@@ -173,9 +168,10 @@ def test_plan_pushes_no_node_the_static_map_cuts_off_from_the_goal():
     # after expanding the start alone
     ldm = _open_ldm([(14.0, 16.0, 0.0, 20.0)])
     goal = (25.0, 10.0, 0.0)
-    to_goal = _open_to_goal(ldm, goal)
+    maps = _maps(ldm)
+    attempt = _plan((5.0, 10.0, 0.0), ldm, goal=goal, maps=maps)
+    to_goal = maps.fields[(*goal[:2], CFG.lateral_weight)]
     assert math.isinf(to_goal[20, 10]) and to_goal[20, 50] == 0.0
-    attempt = _plan((5.0, 10.0, 0.0), ldm, goal=goal, to_goal=to_goal)
     assert not attempt.succeeded
     assert attempt.expansions == 1
 
@@ -194,22 +190,37 @@ def _counting_field_builds(monkeypatch):
 
 
 def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
-    static = _open_to_goal(_ldm())
+    maps = _maps(_ldm())
+    key = (*ROUTE.goal_pose[:2], CFG.lateral_weight)
     built = _counting_field_builds(monkeypatch)
-    unstamped = _plan((2.0, 10.0, 0.0), _ldm(), to_goal=static)
-    assert unstamped.succeeded and not built
-    assert unstamped.heuristic_ms == 0.0
+
+    def stored():
+        # the memo holds exactly the first unstamped plan's field
+        return list(maps.fields) == [key] and maps.fields[key] is built[0]
+
+    # the first unstamped plan builds the static field and stores it
+    first = _plan((2.0, 10.0, 0.0), _ldm(), maps=maps)
+    assert first.succeeded and len(built) == 1 and stored()
+    assert 0.0 < first.heuristic_ms <= first.cpu_ms
+    with pytest.raises(ValueError, match="read-only"):
+        built[0][0, 0] = 0.0
+    # the next one reads it
+    second = _plan((2.0, 10.0, 0.0), _ldm(), maps=maps)
+    assert len(built) == 1 and second.heuristic_ms == 0.0
+    assert second.trajectory.poses.tobytes() == first.trajectory.poses.tobytes()
+    # a stamped plan builds a field of its own and does not store it
     stamped = _plan((2.0, 10.0, 0.0), _ldm(events=[_event((40.0, 10.0))]),
-                    to_goal=static)
-    assert stamped.succeeded and len(built) == 1
+                    maps=maps)
+    assert stamped.succeeded and len(built) == 2 and stored()
     assert 0.0 < stamped.heuristic_ms <= stamped.cpu_ms
     # a stamp that blocks only cells the static map already blocks is no
     # stamp: this track's disk lies wholly off the road, below y = 5
     edge = _ldm(tracks=[_track("T1", (40.0, 1.0))])
     assert occupied_at(_grid(edge), 40.0, 1.0)
     assert np.array_equal(_grid(edge).cells, _base(edge).cells)
-    assert _plan((2.0, 10.0, 0.0), edge, to_goal=static).succeeded
-    assert len(built) == 1
+    on_edge = _plan((2.0, 10.0, 0.0), edge, maps=maps)
+    assert on_edge.succeeded and on_edge.heuristic_ms == 0.0
+    assert len(built) == 2 and stored()
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,15 +241,13 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
     start = (start_x, 10.0, 0.0)
     grid = obstacle_grid(ldm, CFG, VP, base, start[:2])
     want = cost_to_goal_field(grid, deviation, ROUTE.goal_pose[:2], CFG.lateral_weight)
-    static = cost_to_goal_field(base, deviation, ROUTE.goal_pose[:2], CFG.lateral_weight)
+    maps = PlanningMaps(base, deviation)
     with pytest.MonkeyPatch.context() as mp:
         built = _counting_field_builds(mp)
-        _plan(start, ldm, PlannerConfig(max_expansions=30),
-              deviation_field=deviation, to_goal=static)
-    if np.array_equal(grid.cells, base.cells):
-        assert not built                # the static field is the one searched
-        return
+        _plan(start, ldm, PlannerConfig(max_expansions=30), maps=maps)
+    # one field, stored only when it is the static grid's
     assert len(built) == 1
+    assert bool(maps.fields) == np.array_equal(grid.cells, base.cells)
     got = built[0]
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(want)
@@ -416,15 +425,14 @@ def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
 def _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering=0.0,
                                    line=None):
     """`plan` and `_reference_plan` agree bit for bit; a `line` prices the
-    deviation from it, no line prices none. `plan` gets the static grid's
-    field and the oracle the field of the stamped grid it searches.
+    deviation from it, no line prices none. `plan` gets fresh planning maps
+    and the oracle the field of the stamped grid it searches.
     Returns `plan`'s attempt."""
     base = _base(ldm)
     field = None if line is None else route_deviation_field(base, line)
     deviation = np.zeros(base.cells.shape) if field is None else field
-    to_goal = cost_to_goal_field(base, deviation, goal[:2], cfg.lateral_weight)
-    got = plan(start, goal, ldm, cfg, VP, "initial", base, start_steering,
-               deviation, to_goal)
+    got = plan(start, goal, ldm, cfg, VP, "initial", PlanningMaps(base, deviation),
+               start_steering)
     stamped = obstacle_grid(ldm, cfg, VP, base, start[:2])
     searched = cost_to_goal_field(stamped, deviation, goal[:2], cfg.lateral_weight)
     want = _reference_plan(start, goal, ldm, cfg, VP, "initial", base,
@@ -514,16 +522,6 @@ def test_plan_matches_reference_from_both_signed_zero_headings(steer):
         assert got.succeeded
         assert math.copysign(1.0, got.trajectory.poses[0, 2]) == \
             math.copysign(1.0, heading)
-
-
-def test_plan_rejects_a_deviation_field_that_is_not_finite():
-    # an arc is free iff its summed cost is finite, so the field must be
-    ldm = _ldm()
-    field = np.zeros(_base(ldm).cells.shape)
-    field[3, 4] = math.inf
-    with pytest.raises(ValueError, match="deviation_field"):
-        _plan((2.0, 10.0, 0.0), ldm, deviation_field=field,
-              to_goal=_open_to_goal(ldm))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +683,8 @@ def test_unexplained_tracks_suppressed_near_events():
     ev = _event((50.0, 10.0), kind="stationary_vehicle")
     explained = _track("T1", (50.8, 10.0))          # inside radius + track_radius
     separate = _track("T2", (70.0, 10.0))
-    ldm = _ldm(tracks=[explained, separate], events=[ev])
+    weak = _track("T3", (20.0, 10.0), belief=0.3)
+    ldm = _ldm(tracks=[explained, separate, weak], events=[ev])
     kept = unexplained_tracks(ldm, CFG)
     assert [t.track_id for t in kept] == ["T2"]
     # and the grid contains no double stamp around the event
@@ -742,7 +741,7 @@ def test_ttc_exact_head_on_oracle():
     tracks = [_track("T1", (29.0, 10.0))]
     t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
                 collision_radius=VP.collision_radius,
-                track_radius=CFG.track_radius, b_obstacle=CFG.b_obstacle)
+                track_radius=CFG.track_radius)
     assert t == pytest.approx(5.0, abs=0.02)
 
 
@@ -753,19 +752,18 @@ def test_ttc_converging_track():
     tracks = [_track("T1", (52.0, 10.0), vel=(-5.0, 0.0))]
     t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
                 collision_radius=VP.collision_radius,
-                track_radius=CFG.track_radius, b_obstacle=CFG.b_obstacle)
+                track_radius=CFG.track_radius)
     assert t == pytest.approx(4.8, abs=0.02)
 
 
 def test_ttc_ignores_weak_and_clear_tracks():
+    # a weak track never reaches ttc_min: unexplained_tracks drops it
     traj = _plain_traj()
     ego = _ego(x=2.0, speed=5.0)
     s_plan = traj.project(ego.position)
-    assert ttc_min(ego, traj, s_plan, [], 10.0, 1.0, 1.0, 0.6) == math.inf
-    weak = [_track("T1", (20.0, 10.0), belief=0.3)]
-    assert ttc_min(ego, traj, s_plan, weak, 10.0, 1.0, 1.0, 0.6) == math.inf
+    assert ttc_min(ego, traj, s_plan, [], 10.0, 1.0, 1.0) == math.inf
     offside = [_track("T1", (20.0, 16.0))]
-    assert ttc_min(ego, traj, s_plan, offside, 10.0, 1.0, 1.0, 0.6) == math.inf
+    assert ttc_min(ego, traj, s_plan, offside, 10.0, 1.0, 1.0) == math.inf
 
 
 def test_ttc_horizon_cutoff():
@@ -773,14 +771,13 @@ def test_ttc_horizon_cutoff():
     ego = _ego(x=2.0, speed=5.0)
     tracks = [_track("T1", (80.0, 10.0))]    # collision at ~15.2 s
     assert ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=3.0,
-                   collision_radius=1.0, track_radius=1.0, b_obstacle=0.6) == math.inf
+                   collision_radius=1.0, track_radius=1.0) == math.inf
 
 
 def _old_ttc_min(ego_state, traj, s_plan, tracks, horizon, collision_radius,
-                 track_radius, b_obstacle, dt=0.01):
+                 track_radius, dt=0.01):
     """ttc_min as it rolled out every track, kept as the oracle."""
-    obstacles = [t for t in tracks if t.belief >= b_obstacle]
-    if not obstacles:
+    if not tracks:
         return math.inf
     v = max(float(ego_state.speed), 0.0)
     taus = np.arange(0.0, horizon + dt * 0.5, dt)
@@ -788,7 +785,7 @@ def _old_ttc_min(ego_state, traj, s_plan, tracks, horizon, collision_radius,
     ex = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 0])
     ey = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 1])
     best = math.inf
-    for tr in obstacles:
+    for tr in tracks:
         px = tr.position[0] + tr.velocity[0] * taus
         py = tr.position[1] + tr.velocity[1] * taus
         dist = np.hypot(ex - px, ey - py)
@@ -834,7 +831,7 @@ def _rollout_cases(draw):
 def test_ttc_min_matches_the_full_rollout(case):
     traj, s_plan, speed, horizon, tracks = case
     args = (_ego(speed=speed), traj, s_plan, tracks, horizon, VP.collision_radius,
-            CFG.track_radius, CFG.b_obstacle)
+            CFG.track_radius)
     assert repr(ttc_min(*args)) == repr(_old_ttc_min(*args))
 
 
@@ -906,6 +903,8 @@ def test_trigger_knowledge_change():
     ("heuristic_weight", 0.0),
     ("heuristic_weight", math.inf),
     ("max_expansions", -1),
+    ("lateral_weight", -1.0),
+    ("steering_change_weight", -0.5),
 ])
 def test_planner_config_rejects_unrunnable_values(field_name, bad):
     with pytest.raises(ValueError, match=f"^{field_name}: "):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fingerprints import BUILT_IN_SPECS
 from v2xloop.harness import run_episode
@@ -548,6 +548,9 @@ NUMERIC_LEAVES = [(name, path) for name, doc in BUILT_IN_DOCS.items()
 @settings(max_examples=100, deadline=None)
 @given(leaf=st.sampled_from(NUMERIC_LEAVES),
        value=st.sampled_from([0, -1, math.nan, math.inf, 1e12, "1"]))
+# a negative route-deviation price once loaded, and the cost-to-goal
+# Dijkstra then relaxed round a negative cycle without end
+@example(leaf=("s1", ("planner", "lateral_weight")), value=-1)
 def test_a_document_with_one_bad_number_is_rejected_at_load_or_runs(leaf, value):
     # a document that cannot run is refused at load, naming its dotted path;
     # one that loads runs to a termination
