@@ -1,13 +1,13 @@
 """Acceptance gate for V2X event claims: station quorum plus sensor veto.
 
-An event hypothesis is accepted only when enough distinct authenticated
-stations corroborate it inside a recency window AND the onboard sensor does
-not contradict it. The default threshold 2f + 1 tolerates f Byzantine
-reporters out of n >= 3f + 1 stations, which `ScenarioSpec` checks. An
-explicit quorum must exceed f: a forged event has no honest support, so f
-colluders alone must never reach it (Malkhi & Reiter 1998, "Byzantine
-Quorum Systems"); `ScenarioSpec` also rejects one above the population. Disabling the gate reproduces the naive consumer: the
-first authenticated DENM is believed outright.
+An event hypothesis is accepted only when at least 2f + 1 distinct
+authenticated stations corroborate it inside a recency window AND the
+onboard sensor does not contradict it. 2f + 1 tolerates f Byzantine
+reporters out of n >= 3f + 1 stations, which `ScenarioSpec` checks (Castro
+& Liskov 1999; Malkhi & Reiter 1998, "Byzantine Quorum Systems"). The naive
+consumer that believes the first authenticated DENM is the same rule at
+f = 0 and eta = 0: one fresh claim reaches the quorum, and no likelihood
+lies below 0.
 """
 
 from __future__ import annotations
@@ -22,22 +22,17 @@ from .world import check_range
 @dataclass(frozen=True)
 class GateConfig:
     f: int = 3                        # tolerated Byzantine stations
-    quorum: float | None = None       # stations needed; defaults to 2f + 1
     eta: float = 0.5                  # sensor-likelihood floor
     support_radius: float = 15.0      # [m] claims farther than this do not count
     sensor_support_radius: float = 3.0  # [m] detection-to-event match for the veto
     tau_bft: float = 3.0              # [s] recency window for support
-    enabled: bool = True
 
     def __post_init__(self):
         check_range(self, ("eta",), hi=1.0)
-        check_range(self, ("support_radius", "sensor_support_radius", "tau_bft"))
-        if self.quorum is not None and not self.quorum > self.f:
-            raise ValueError(f"quorum: must exceed f={self.f}, or f colluding "
-                             f"stations reach it alone, got {self.quorum}")
+        check_range(self, ("f", "support_radius", "sensor_support_radius", "tau_bft"))
 
     def threshold(self) -> float:
-        return float(2 * self.f + 1) if self.quorum is None else float(self.quorum)
+        return float(2 * self.f + 1)
 
 
 REASON_ACCEPTED = "accepted"
@@ -66,13 +61,6 @@ def evaluate(event: EventHypothesis, cfg: GateConfig, sensor_likelihood: float,
              now: float) -> GateDecision:
     """Decide one pending hypothesis. Quorum is checked before the veto."""
     n_support = support(event, cfg, now)
-
-    if not cfg.enabled:
-        accepted = len(event.support) > 0
-        return GateDecision(accepted=accepted, support=n_support,
-                            sensor_likelihood=sensor_likelihood, decided_at=now,
-                            reason=REASON_ACCEPTED if accepted else REASON_QUORUM)
-
     if n_support < cfg.threshold():
         reason, accepted = REASON_QUORUM, False
     elif sensor_likelihood < cfg.eta:

@@ -70,7 +70,10 @@ EVENT_RADIUS = {
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    xy_resolution: float = 0.5            # [m] closed-set bin size
+    """Search settings. The planning grid's cell_size sets the spatial
+    resolution: the closed set bins states by grid cell and heading bin,
+    and a primitive is sampled at most 0.8 cell apart along its arc."""
+
     heading_bins: int = 36
     steering_samples: int = 5             # includes 0 and both extremes
     primitive_arc_length: float = 2.0     # [m]
@@ -103,7 +106,7 @@ class PlannerConfig:
         if self.steering_samples < 3 or self.steering_samples % 2 == 0:
             raise ValueError("steering_samples: must be odd and >= 3 (straight "
                              f"plus both locks), got {self.steering_samples}")
-        check_range(self, ("xy_resolution", "primitive_arc_length", "goal_xy_tol",
+        check_range(self, ("primitive_arc_length", "goal_xy_tol",
                            "heuristic_weight", "cruise_speed", "comfort_decel"),
                     strict=True)
         # a negative weight makes a step cost negative, and the cost-to-goal
@@ -119,6 +122,10 @@ class TriggerConfig:
     hazard_lookahead: float = 50.0        # [m]
     hazard_corridor: float = 2.0          # [m]
     tau_risk: float = 2.5                 # [s]
+
+    def __post_init__(self):
+        # 0 already switches a trigger off; a negative value would too, quietly
+        check_range(self, ("hazard_lookahead", "hazard_corridor", "tau_risk"))
 
 
 HAZARD_ON_ROUTE = "hazard_on_route"
@@ -289,10 +296,10 @@ def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
     A Dijkstra from the goal's cell (a source even when it is blocked) over
     the free cells; a step between 8-neighbours costs its centre-to-centre
     length times OCTILE_SCALE times (1 + lateral_weight * the mean of the
-    two cells' deviations), the search's own price of deviation. Where arc
-    samples lie closer than a cell (0.8 * xy_resolution: 0.4 m against
-    0.5 m cells by default), every path the search can drive passes through
-    such a chain, so a cell at inf cannot reach the goal.
+    two cells' deviations), the search's own price of deviation. Arc
+    samples lie at most 0.8 * cell size apart (`_primitives`), closer than a
+    cell, so every path the search can drive passes through such a chain,
+    and a cell at inf cannot reach the goal.
     """
     cells = grid.cells
     ny, nx = cells.shape
@@ -371,11 +378,12 @@ class PlanningMaps:
 # hybrid A*
 
 
-def _primitives(cfg: PlannerConfig, vparams: VehicleParams):
-    """Body-frame arc samples per steering value; reused across expansions."""
+def _primitives(cfg: PlannerConfig, vparams: VehicleParams, cell_size: float):
+    """Body-frame arc samples per steering value; reused across expansions.
+    Samples lie at most 0.8 * cell_size apart, closer than one grid cell."""
     steers = np.linspace(-vparams.max_steer, vparams.max_steer, cfg.steering_samples)
     arc = cfg.primitive_arc_length
-    substep = max(2, int(math.ceil(arc / (cfg.xy_resolution * 0.8))))
+    substep = max(2, int(math.ceil(arc / (0.8 * cell_size))))
     s = np.linspace(arc / substep, arc, substep)
     pts = np.zeros((len(steers), substep, 2))
     dthetas = np.zeros((len(steers), substep))
@@ -464,7 +472,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     goal_xy_tol, goal_heading_tol = cfg.goal_xy_tol, cfg.goal_heading_tol
     max_expansions = cfg.max_expansions
 
-    steers, prim_pts, prim_dth = _primitives(cfg, vparams)
+    steers, prim_pts, prim_dth = _primitives(cfg, vparams, grid.cell_size)
     substep = prim_pts.shape[1]
     arc = cfg.primitive_arc_length
     # per-plan constants, each evaluated in the order the per-push cost is

@@ -44,7 +44,6 @@ class V2xMessage:
 @dataclass(frozen=True)
 class DenmPolicy:
     period: float = 1.0               # [s] repeat interval while the hazard persists
-    enabled: bool = True
 
     def __post_init__(self):
         # a period of 0 sends the event-triggered first DENM and no repeats
@@ -120,7 +119,6 @@ class AttackPolicy:
     start_time: float = 0.0
     ahead_min: float = 10.0           # [m] placement window along the route
     ahead_max: float = 40.0
-    colluding: bool = True            # all attackers corroborate one location
 
     def __post_init__(self):
         check_range(self, ("p_attack",), hi=1.0)
@@ -186,8 +184,6 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
                 gen_time=t, payload=CamPayload(
                     position=(pos[0] + noise[0], pos[1] + noise[1]),
                     velocity=(vel[0] + vnoise[0], vel[1] + vnoise[1]))))
-        if not population.denm_policy.enabled:
-            continue
         for hazard, periodic in zip(active_hazards, denm_due):
             dist = math.hypot(hazard.position[0] - pos[0], hazard.position[1] - pos[1])
             if dist > station.sensing_range:
@@ -218,9 +214,10 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
                             ) -> list[V2xMessage]:
     """Authenticated false DENMs from the Byzantine subset.
 
-    With `colluding` the attackers agree on one fabricated location per
-    emission window, which is the strongest play against a quorum: support
-    concentrates on a single hypothesis instead of spreading across several.
+    The attackers collude: they share one fabricated location per emission
+    window, drawn before any attacker's p_attack draw. That is the strongest
+    play against a quorum: support concentrates on a single hypothesis
+    instead of spreading across several.
     """
     attackers = population.byzantine()
     if not attackers or t < policy.start_time:
@@ -228,20 +225,17 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
     if not _emits_this_tick(t, dt, policy.emission_period, offset=policy.start_time):
         return []
 
-    def draw_position():
-        if policy.placement == "on_route_ahead":
-            s = ego_progress + rng.uniform(policy.ahead_min, policy.ahead_max)
-            p = route.reference_path.point_at(s)
-            return (float(p[0]), float(p[1]))
-        x0, y0, x1, y1 = map_bounds      # uniform_in_map
-        return (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
-
-    shared = draw_position() if policy.colluding else None
+    if policy.placement == "on_route_ahead":
+        s = ego_progress + rng.uniform(policy.ahead_min, policy.ahead_max)
+        p = route.reference_path.point_at(s)
+        pos = (float(p[0]), float(p[1]))
+    else:                                # uniform_in_map
+        x0, y0, x1, y1 = map_bounds
+        pos = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
     msgs: list[V2xMessage] = []
     for station in attackers:
         if rng.uniform() >= policy.p_attack:
             continue
-        pos = shared if shared is not None else draw_position()
         seq = seq_counters.get(station.station_id, 0)
         seq_counters[station.station_id] = seq + 1
         msgs.append(V2xMessage(

@@ -1,7 +1,6 @@
 """Quorum-with-veto acceptance gate for V2X event claims."""
 
-import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from v2xloop.gate import (GateConfig, REASON_ACCEPTED, REASON_QUORUM,
                           REASON_VETO, apply_decision, evaluate,
@@ -24,7 +23,7 @@ def _support(k, t=5.0, pos=(50.0, 10.0)):
 def test_threshold_default_is_2f_plus_1():
     assert GateConfig(f=3).threshold() == 7.0
     assert GateConfig(f=1).threshold() == 3.0
-    assert GateConfig(f=1, quorum=4.0).threshold() == 4.0
+    assert GateConfig(f=0).threshold() == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -101,27 +100,18 @@ def test_attacker_minority_never_reaches_quorum():
         assert not d.accepted
 
 
-def test_explicit_quorum_must_exceed_f():
-    with pytest.raises(ValueError, match=r"^quorum: must exceed f=2"):
-        GateConfig(f=2, quorum=2.0)
-    assert GateConfig(f=2, quorum=2.5).threshold() == 2.5
-    assert GateConfig(f=0, quorum=1.0).threshold() == 1.0
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_colluding_coalition_never_reaches_a_valid_quorum(data):
-    # any n, f and quorum the gate admits, and at most f colluders agreeing
-    # on one forged location with claims at both edges of the tau_bft window:
-    # a forged event has no honest support, so it stays below quorum
+    # any f, n >= 3f + 1 and tau_bft, and at most f colluders agreeing on
+    # one forged location with claims at both edges of the tau_bft window:
+    # a forged event has no honest support, so it stays below 2f + 1, which
+    # the n - f honest stations still reach on their own
     f = data.draw(st.integers(0, 12), label="f")
     n = data.draw(st.integers(3 * f + 1, 3 * f + 12), label="n")
-    quorum = data.draw(st.none() | st.floats(0.0, n), label="quorum")
     tau_bft = data.draw(st.floats(0.1, 10.0), label="tau_bft")
-    try:
-        cfg = GateConfig(f=f, quorum=quorum, tau_bft=tau_bft)
-    except ValueError:
-        assume(False)
+    cfg = GateConfig(f=f, tau_bft=tau_bft)
+    assert cfg.threshold() <= n - f
     k = data.draw(st.integers(0, f), label="coalition")
     now = data.draw(st.floats(0.0, 100.0), label="now")
     edges = (now - cfg.tau_bft, now)
@@ -135,12 +125,16 @@ def test_colluding_coalition_never_reaches_a_valid_quorum(data):
 
 
 def test_disabled_gate_believes_first_claim():
-    cfg = GateConfig(f=3, enabled=False)
+    # the naive consumer: one fresh claim is a quorum of 2 * 0 + 1, and no
+    # likelihood lies below eta = 0
+    cfg = GateConfig(f=0, eta=0.0)
     ev = _event(support=_support(1))
     d = evaluate(ev, cfg, sensor_likelihood=0.0, now=5.0)
     assert d.accepted
-    empty = _event(support={})
-    assert not evaluate(empty, cfg, sensor_likelihood=1.0, now=5.0).accepted
+    assert d.reason == REASON_ACCEPTED
+    empty = evaluate(_event(support={}), cfg, sensor_likelihood=1.0, now=5.0)
+    assert not empty.accepted
+    assert empty.reason == REASON_QUORUM
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,10 @@ def test_sweep_refuses_a_bad_grid_value_before_its_first_episode(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             "grid.look_ahead: -1 on s1: look_ahead_min: ")):
         run_sweep({"look_ahead": [4.0, -1]}, ["s1", "s2"], [1])
+    # a negative tau_risk used to run, its risk trigger quietly off
+    with pytest.raises(ValueError, match=re.escape(
+            "grid.tau_risk: -1 on s1: tau_risk: ")):
+        run_sweep({"tau_risk": [2.0, -1]}, ["s1"], [1])
 
 
 def test_stream_independence_and_reproducibility():

@@ -275,7 +275,7 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
     bin_size = TWO_PI / cfg.heading_bins
     hw = cfg.heuristic_weight
 
-    steers, prim_pts, prim_dth = _primitives(cfg, vparams)
+    steers, prim_pts, prim_dth = _primitives(cfg, vparams, grid.cell_size)
     n_steer = len(steers)
     arc = cfg.primitive_arc_length
 
@@ -407,17 +407,14 @@ def _random_corridor(rng, near_edge: bool):
 @given(seed=st.integers(0, 2**32 - 1), with_field=st.booleans(),
        near_edge=st.booleans(),
        budget=st.sampled_from([20, 300, 4000]),
-       xy_resolution=st.sampled_from([0.5, 0.3, 0.2]),
-       arc=st.sampled_from([2.0, 1.7]),
+       arc=st.sampled_from([1.7, 2.0, 3.3, 5.0]),
        start_steering=st.sampled_from([0.0, -0.6, 0.3]))
 def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
-                                                    budget, xy_resolution, arc,
-                                                    start_steering):
+                                                    budget, arc, start_steering):
     start, goal, line, ldm = _random_corridor(np.random.default_rng(seed), near_edge)
-    # xy_resolution and arc give 5 to 13 samples per arc, on both sides of
-    # the 8-element block where numpy's pairwise summation changes form
-    cfg = PlannerConfig(max_expansions=budget, xy_resolution=xy_resolution,
-                        primitive_arc_length=arc)
+    # on 0.5 m cells these arcs take 5, 5, 9 and 13 samples, on both sides
+    # of the 8-element block where numpy's pairwise summation changes form
+    cfg = PlannerConfig(max_expansions=budget, primitive_arc_length=arc)
     _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering,
                                    line if with_field else None)
 
@@ -895,8 +892,6 @@ def test_trigger_knowledge_change():
     ("heading_bins", 0),
     ("steering_samples", 1),
     ("steering_samples", 4),
-    ("xy_resolution", 0.0),
-    ("xy_resolution", math.nan),
     ("primitive_arc_length", -2.0),
     ("primitive_arc_length", math.inf),
     ("goal_xy_tol", 0.0),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fingerprints import BUILT_IN_SPECS
+from v2xloop.gate import GateConfig
 from v2xloop.harness import run_episode
 from v2xloop.pareto import Configuration
 from v2xloop.perception import FULL_CIRCLE
@@ -89,15 +90,15 @@ def test_s3_arms():
 def test_s4_arms():
     gated = build_s4(gate_enabled=True)
     naive = build_s4(gate_enabled=False)
-    assert gated.gate.enabled and not naive.gate.enabled
+    # the ablation is the naive consumer, in the gate's own parameters
+    assert naive.gate == GateConfig(f=0, eta=0.0)
+    assert gated.gate == GateConfig(f=3, eta=0.5)
     assert gated.attack is not None and naive.attack is not None
     assert gated.stations is not None
     byz = gated.stations.byzantine()
     assert len(byz) == gated.gate.f
     # Byzantine coalition alone cannot reach the quorum
     assert len(byz) < gated.gate.threshold()
-    assert gated.attack is not None
-    assert gated.attack.colluding
 
 
 def test_scripted_vehicle_motion():
@@ -176,16 +177,31 @@ def test_spec_from_dict_rejects_unknown_keys():
         (lambda d: d, "v2x_enabled", "scenario.v2x_enabled: unknown key"),
         (lambda d: d, "attack_enabled", "scenario.attack_enabled: unknown key"),
         (lambda d: d, "updates_enabled", "scenario.updates_enabled: unknown key"),
-        # deleted settable values are unknown keys like any other
-        (lambda d: d["ldm"], "tau_sync", "scenario.ldm.tau_sync: unknown key"),
-        (lambda d: d["gate"], "weights", "scenario.gate.weights: unknown key"),
-        (lambda d: d["vmap"]["versions"][0], "created_at",
-         "scenario.vmap.versions[0].created_at: unknown key"),
     ]
     for section, key, path in cases:
         d = spec_to_dict(build_s2())
         section(d)[key] = 11
         with pytest.raises(ValueError, match=re.escape(path)):
+            spec_from_dict(d)
+    # deleted settable values are unknown keys like any other, so a
+    # scenario.json that still holds one is refused; s4 has every section
+    deleted = [
+        (lambda d: d["ldm"], "tau_sync", "scenario.ldm.tau_sync: unknown key"),
+        (lambda d: d["gate"], "weights", "scenario.gate.weights: unknown key"),
+        (lambda d: d["vmap"]["versions"][0], "created_at",
+         "scenario.vmap.versions[0].created_at: unknown key"),
+        (lambda d: d["gate"], "enabled", "scenario.gate.enabled: unknown key"),
+        (lambda d: d["gate"], "quorum", "scenario.gate.quorum: unknown key"),
+        (lambda d: d["stations"]["denm_policy"], "enabled",
+         "scenario.stations.denm_policy.enabled: unknown key"),
+        (lambda d: d["attack"], "colluding", "scenario.attack.colluding: unknown key"),
+        (lambda d: d["planner"], "xy_resolution",
+         "scenario.planner.xy_resolution: unknown key"),
+    ]
+    for section, key, path in deleted:
+        d = spec_to_dict(build_s4())
+        section(d)[key] = True
+        with pytest.raises(ValueError, match="^" + re.escape(path)):
             spec_from_dict(d)
 
 
@@ -281,9 +297,6 @@ def test_gate_population_check():
     s4 = build_s4()
     with pytest.raises(ValueError, match="gate.f"):
         replace(s4, gate=replace(s4.gate, f=4))     # 13 > 10 stations
-    # an explicit quorum or a disabled gate is the experimenter's call
-    replace(s4, gate=replace(s4.gate, f=4, quorum=9.0))
-    replace(s4, gate=replace(s4.gate, f=4, enabled=False))
     d = spec_to_dict(s4)
     d["gate"]["f"] = 4
     with pytest.raises(ValueError, match=re.escape("scenario: gate.f")):
@@ -406,13 +419,15 @@ def test_attack_policy_ranges():
 
 
 def test_gate_quorum_must_exceed_f():
-    # f colluders alone must not reach an explicit quorum
-    d = spec_to_dict(build_s4())           # f = 3
-    d["gate"]["quorum"] = 3
-    with pytest.raises(ValueError, match=r"^scenario\.gate\.quorum: must exceed f=3"):
+    # 2f + 1 exceeds f only for f >= 0: s4 with f = -1 used to load with a
+    # quorum of -1, accept every forged closure and end in safety_stop
+    d = spec_to_dict(build_s4())
+    d["gate"]["f"] = -1
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "scenario.gate.f: must be finite and >= 0, got -1")):
         spec_from_dict(d)
-    d["gate"]["quorum"] = 3.5
-    assert spec_from_dict(d).gate.threshold() == 3.5
+    d["gate"]["f"] = 0
+    assert spec_from_dict(d).gate.threshold() == 1.0
 
 
 def test_sensor_reach_ranges():
@@ -462,6 +477,12 @@ def test_gate_config_ranges():
                                             "tau_bft"])
 
 
+def test_trigger_config_ranges():
+    # a negative value used to load and quietly switch its trigger off
+    _rejects_out_of_range("triggers", [], ["hazard_lookahead", "hazard_corridor",
+                                           "tau_risk"])
+
+
 def test_scenario_window_and_label_radius_ranges():
     _rejects_out_of_range("", [], ["sensor_likelihood_window", "event_label_radius"])
 
@@ -503,24 +524,6 @@ def test_ldm_params_ranges():
                                          r"belief_ceiling=0\.99, got 0\.99"):
         spec_from_dict(_document_with("ldm", "belief_floor", 0.99))
     spec_from_dict(_document_with("ldm", "belief_floor", 0.98))
-
-
-def test_gate_quorum_must_not_exceed_the_population():
-    # s2 with quorum 20 used to run to goal_reached with the gate accepting
-    # nothing (false_negative_rate 1.0)
-    d = spec_to_dict(build_s2())            # 9 stations
-    d["gate"]["quorum"] = 20
-    with pytest.raises(ValueError, match=r"^scenario\.gate\.quorum: must not exceed "
-                                         r"the 9 stations of the population, got 20"):
-        spec_from_dict(d)
-    d["gate"]["quorum"] = 9.5
-    with pytest.raises(ValueError, match=r"^scenario\.gate\.quorum"):
-        spec_from_dict(d)
-    d["gate"]["quorum"] = 9
-    assert spec_from_dict(d).gate.threshold() == 9.0
-    d["gate"]["quorum"] = 20
-    d["gate"]["enabled"] = False              # a disabled gate counts nothing
-    spec_from_dict(d)
 
 
 # ---------------------------------------------------------------------------

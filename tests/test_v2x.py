@@ -8,7 +8,7 @@ import pytest
 
 from v2xloop.rng import stream
 from v2xloop.scenarios import build_s4, spec_from_dict, spec_to_dict
-from v2xloop.v2x import (CAM, DENM, AttackPolicy, ChannelModel, DenmPolicy,
+from v2xloop.v2x import (CAM, DENM, AttackPolicy, ChannelModel,
                          Station, StationPopulation, V2xMessage,
                          generate_attack_traffic, generate_honest_traffic,
                          transmit)
@@ -116,13 +116,6 @@ def test_denm_requires_sensing_range():
     assert not [m for m in msgs if m.msg_kind == DENM]
 
 
-def test_denm_disabled_policy():
-    pop = StationPopulation(stations=_population().stations,
-                            denm_policy=DenmPolicy(enabled=False))
-    msgs = _gen(pop, 1.0, hazards=[_hazard()])
-    assert not [m for m in msgs if m.msg_kind == DENM]
-
-
 def test_seq_numbers_increment_per_station():
     pop = _population()
     seq = {}
@@ -173,7 +166,7 @@ def test_attack_emits_only_from_byzantine_stations():
 
 def test_colluding_attackers_share_one_location():
     pop = _population(byz=frozenset({"rsu-0", "rsu-1"}))
-    msgs = generate_attack_traffic(AttackPolicy(colluding=True), pop, _route(),
+    msgs = generate_attack_traffic(AttackPolicy(), pop, _route(),
                                    5.0, 0.0, DT, {}, stream(3, "attack"), BOUNDS)
     positions = {m.payload.event_position for m in msgs}
     assert len(positions) == 1
@@ -204,7 +197,7 @@ def test_attack_no_byzantine_no_messages():
 
 def test_attack_uniform_placement_in_bounds():
     pop = _population(byz=frozenset({"rsu-0"}))
-    policy = AttackPolicy(placement="uniform_in_map", colluding=False)
+    policy = AttackPolicy(placement="uniform_in_map")
     rng = stream(6, "attack")
     for t in range(30):
         for m in generate_attack_traffic(policy, pop, _route(), 0.0, float(t),
