@@ -562,10 +562,19 @@ def _distinct(name: str, values: list) -> list:
     return values
 
 
+def _seeds(seeds) -> list[int]:
+    """`seeds` as distinct non-negative ints, checked before the first
+    episode runs or writes anything."""
+    seeds = _distinct("seeds", [int(s) for s in seeds])
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
+    return seeds
+
+
 def run_batch(spec: ScenarioSpec, seeds, out_dir: str | Path | None = None
               ) -> tuple[list[EpisodeResult], dict]:
     """Run one scenario over distinct seeds and aggregate the results."""
-    seeds = _distinct("seeds", [int(s) for s in seeds])
+    seeds = _seeds(seeds)
     out_path = Path(out_dir) if out_dir is not None else None
     results = []
     for s in seeds:
@@ -608,7 +617,7 @@ def run_sweep(grid: dict, scenario_ids, seeds,
               out_dir: str | Path | None = None) -> ParetoResult:
     """Grid-sweep operating points across scenarios; persist frontier artifacts."""
     scenario_ids = _distinct("scenario_ids", list(scenario_ids))
-    seeds = _distinct("seeds", [int(s) for s in seeds])
+    seeds = _seeds(seeds)
     configs = config_grid(grid)
     base_specs = {sid: build_scenario(sid) for sid in scenario_ids}
     # a value some spec refuses stops the sweep before its first episode

@@ -2,10 +2,12 @@
 
 Object tracks carry an existence belief updated in log-odds form; one update
 folds in the onboard sensor's likelihood ratio and one `lr_cam` per
-corroborating V2X station. A covering sensor frame that sees nothing at a
-track is contradiction evidence, which is what lets the ego veto V2X claims
-about its own field of view. DENMs accumulate into event hypotheses that
-stay pending until the acceptance gate or expiry decides.
+corroborating V2X station. The sensor's ratio is `lr_detect` when a
+detection lands on the track, `lr_absent` when a frame covered the track
+and saw nothing there, and 1 when no frame covered it. That absence
+evidence is what lets the ego veto V2X claims about its own surroundings.
+DENMs accumulate into event hypotheses that stay pending until the
+acceptance gate or expiry decides.
 Each tick fuses exactly the sensor frames and messages handed to it, so every
 input is fused once.
 """
@@ -32,9 +34,7 @@ class LdmParams:
     event_position_alpha: float = 0.25  # post-acceptance claim blending rate
     lr_detect: float = 3.0            # sensor likelihood ratio, supported
     lr_cam: float = 2.0               # per-station V2X likelihood ratio
-    lr_absent_cap: float = 0.2        # ceiling on the contradiction ratio
-    p_miss_assumed: float = 0.15      # miss rate used to derive the contradiction ratio
-    clutter_term: float = 0.3         # false-alarm term in the contradiction ratio
+    lr_absent: float = 0.2            # sensor likelihood ratio, covered but unseen
     belief_floor: float = 0.01
     belief_ceiling: float = 0.99
     position_alpha: float = 0.35      # EMA gain for track position updates
@@ -45,23 +45,16 @@ class LdmParams:
     def __post_init__(self):
         check_range(self, ("d_gate", "tau_stale", "tau_event", "event_merge_radius",
                            "event_merge_window"))
-        check_range(self, ("b_prune", "b_birth", "conf_birth", "clutter_term",
+        check_range(self, ("b_prune", "b_birth", "conf_birth",
                            "event_position_alpha", "position_alpha",
                            "velocity_alpha"), hi=1.0)
-        # log-odds fusion takes the log of every ratio, the contradiction
-        # ratio included, and of the clamped belief's odds
-        check_range(self, ("lr_detect", "lr_cam", "lr_absent_cap", "p_miss_assumed"),
-                    strict=True)
+        # log-odds fusion takes the log of every ratio and of the clamped
+        # belief's odds
+        check_range(self, ("lr_detect", "lr_cam", "lr_absent"), strict=True)
         check_range(self, ("belief_floor", "belief_ceiling"), hi=1.0, strict=True)
         if self.belief_floor >= self.belief_ceiling:
             raise ValueError(f"belief_floor: must be below belief_ceiling="
                              f"{self.belief_ceiling}, got {self.belief_floor}")
-
-
-def contradiction_ratio(params: LdmParams) -> float:
-    """Likelihood ratio for a covering frame that reported nothing."""
-    denom = max(1e-6, 1.0 - min(params.clutter_term, 0.95))
-    return min(params.lr_absent_cap, params.p_miss_assumed / denom)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +231,7 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
 
     Every detection of `frames` and every message of `delivered_v2x` is
     fused here and nowhere else; the frames' coverage is this tick's
-    contradiction evidence.
+    absence evidence.
     """
     tracks: list[Track] = prev.objects
 
@@ -286,7 +279,7 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
         if "sensor" in sources:
             lr_sensor = params.lr_detect
         elif any(f.covers(at) for f in frames):
-            lr_sensor = contradiction_ratio(params)
+            lr_sensor = params.lr_absent
         else:
             lr_sensor = 1.0
         n_stations = sum(s.startswith("cam:") for s in sources)

@@ -12,9 +12,8 @@ the way out and one parser on the way back in:
   int    %d      int()       counters, ids, ticks
   bool   %d      int()       flags, written 1/0 and read back as 1/0
   float  %.9g    float()     nine significant digits; inf, -inf and nan
-                             spelled so. A cell with no fraction, exponent,
-                             inf or nan (an integral value below 1e9, e.g.
-                             2 or -0) reads back as an int
+                             spelled so. Every cell reads back as a float,
+                             an integral one (2, -0) included
   str    %s      the text    quoted the way csv.writer quotes (a comma,
                              quote or line break inside), so any text reads
                              back unchanged, even text that looks like a
@@ -38,7 +37,7 @@ import csv
 import json
 import math
 import re
-from itertools import compress, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 CONVERSIONS = {"int": "%d", "bool": "%d", "float": "%.9g", "str": "%s"}
@@ -107,13 +106,6 @@ def _read_int(raw: str):
 
 
 def _read_float(raw: str):
-    if "." in raw:
-        return float(raw)
-    # %.9g prints an integral value below 1e9 with neither a point nor an
-    # exponent ("2", "-0"), and such a cell has always read back as an int:
-    # summary.json's ttc_min can be exactly 2.0 and its bytes say 2
-    if raw.lstrip("-").isdecimal():
-        return int(raw)
     return float(raw) if raw else None
 
 
@@ -128,21 +120,14 @@ def _read_column(kind: str, cells) -> list:
     """A column's values, each cell as READERS[kind] reads it.
 
     Only a column with an empty cell pays a Python call per cell. Otherwise
-    an int or bool column is int() of each cell, a str column its text, and
-    a float column float() of each cell, except that a cell of integral
-    value is read by `_read_float` (`2` reads as an int): such cells repeat
-    (0, a lane's y), so each distinct one is read once.
+    an int or bool column is int() of each cell, a float column float() of
+    each cell and a str column its text.
     """
     if "" in cells:
         return list(map(READERS[kind], cells))
     if kind == "str":
         return list(cells)
-    if kind != "float":
-        return list(map(int, cells))
-    values = list(map(float, cells))
-    integral = {raw: _read_float(raw)
-                for raw in set(compress(cells, map(float.is_integer, values)))}
-    return list(map(integral.get, cells, values))
+    return list(map(float if kind == "float" else int, cells))
 
 
 def _line_num(lines, index: int) -> int:

@@ -112,9 +112,8 @@ def knee_point(frontier) -> EvaluatedPoint | None:
         return None
 
     def sort_key(p: EvaluatedPoint):
-        vec = p.normalized if p.normalized is not None else p.objectives
-        norm = math.sqrt(sum(v * v for v in vec))
-        return (norm, tuple(vec), p.config_id)
+        norm = math.sqrt(sum(v * v for v in p.normalized))
+        return (norm, p.normalized, p.config_id)
 
     return min(safe, key=sort_key)
 
@@ -275,9 +274,8 @@ def sweep(configs, episode_runner, seeds, scenario_ids) -> ParetoResult:
     frontier = tuple(evaluated[i] for i in idx)
     knee = knee_point(frontier)
 
-    sub = np.asarray([[p.normalized[c] for c in HV_COMPONENTS] for p in frontier])
-    ref = np.asarray(HV_REFERENCE, dtype=float)
-    mask = np.all(sub < ref, axis=1)
-    hv = float(hypervolume(sub[mask], ref)) if mask.any() else 0.0
+    # normalized components lie in [0, 1], so every point dominates HV_REFERENCE
+    sub = [[p.normalized[c] for c in HV_COMPONENTS] for p in frontier]
+    hv = hypervolume(sub, HV_REFERENCE)
     return ParetoResult(points=tuple(raw), frontier=frontier, knee=knee,
                         hypervolume=hv, discarded_collided=discarded)

@@ -1,8 +1,9 @@
-"""Abstract onboard sensor: range/FOV gated detections with misses and clutter.
+"""Abstract onboard sensor: range-gated detections with misses and clutter.
 
-There is no ray casting; an object inside the coverage wedge is detected
-unless a miss is drawn. Detections are in world coordinates, resolved with
-the ego pose at sensing time, which is what fusion and the veto consume.
+There is no ray casting; the sensor sees all round, so an object within
+`max_range` of the ego is detected unless a miss is drawn. Detections are in
+world coordinates, resolved with the ego pose at sensing time, which is what
+fusion and the veto consume.
 """
 
 from __future__ import annotations
@@ -12,18 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import check_range, wrap_angle
-
-
-# the widest field of view: 2π as a document written at nine significant
-# digits spells it, a hair above 2π itself
-FULL_CIRCLE = float("%.9g" % (2.0 * math.pi))
+from .world import check_range
 
 
 @dataclass(frozen=True)
 class SensorModel:
-    max_range: float = 25.0           # [m]
-    field_of_view: float = 2.0 * math.pi  # [rad], centered on the heading
+    max_range: float = 25.0           # [m] the radius of the covered disc
     pos_noise_sigma: float = 0.5      # [m]
     vel_noise_sigma: float = 0.3      # [m/s]
     p_miss: float = 0.15              # per object per frame
@@ -35,8 +30,6 @@ class SensorModel:
                            "clutter_rate"))
         # every false detection is drawn, fused and may seed a track
         check_range(self, ("clutter_rate",), hi=100.0)
-        # a value in degrees (say 120) would otherwise see all round
-        check_range(self, ("field_of_view",), hi=FULL_CIRCLE)
 
 
 @dataclass(frozen=True)
@@ -54,22 +47,11 @@ class SenseFrame:
     ego_pose: tuple[float, float, float]
     detections: tuple[Detection, ...]
     max_range: float
-    field_of_view: float
 
     def covers(self, point) -> bool:
-        return in_wedge(self.ego_pose, self.max_range, self.field_of_view, point)
-
-
-def in_wedge(ego_pose, max_range: float, field_of_view: float, point) -> bool:
-    """Whether `point` lies within `max_range` of the pose and within half
-    the field of view of its heading: the sensor's coverage wedge."""
-    ex, ey, eh = ego_pose
-    dx = point[0] - ex
-    dy = point[1] - ey
-    if math.hypot(dx, dy) > max_range:
-        return False
-    bearing = wrap_angle(math.atan2(dy, dx) - eh)
-    return abs(bearing) <= field_of_view / 2.0 + 1e-12
+        """Whether `point` lies within `max_range` of the ego."""
+        return math.hypot(point[0] - self.ego_pose[0],
+                          point[1] - self.ego_pose[1]) <= self.max_range
 
 
 def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
@@ -82,8 +64,7 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
     detections: list[Detection] = []
 
     for obj in sorted(truth_objects, key=lambda o: o.object_id):
-        if not in_wedge(ego_pose, model.max_range, model.field_of_view,
-                        obj.position):
+        if math.hypot(obj.position[0] - ex, obj.position[1] - ey) > model.max_range:
             continue
         if rng.uniform() < model.p_miss:
             continue
@@ -97,9 +78,9 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
 
     n_clutter = int(rng.poisson(model.clutter_rate)) if model.clutter_rate > 0 else 0
     for _ in range(n_clutter):
-        # uniform over the coverage wedge
+        # uniform over the covered disc
         r = model.max_range * math.sqrt(rng.uniform())
-        b = rng.uniform(-model.field_of_view / 2.0, model.field_of_view / 2.0)
+        b = rng.uniform(-math.pi, math.pi)
         wx = ex + r * math.cos(eh + b)
         wy = ey + r * math.sin(eh + b)
         conf = rng.uniform(0.1, 0.6)
@@ -108,7 +89,7 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
 
     return SenseFrame(timestamp=timestamp, ego_pose=tuple(ego_pose),
                       detections=tuple(detections),
-                      max_range=model.max_range, field_of_view=model.field_of_view)
+                      max_range=model.max_range)
 
 
 # the likelihood of an event no frame in the window covered

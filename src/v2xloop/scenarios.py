@@ -32,7 +32,7 @@ from .metrics import MetricParams
 from .pareto import Configuration
 from .perception import SensorModel
 from .planner import PlannerConfig, TriggerConfig
-from .v2x import AttackPolicy, ChannelModel, DenmPolicy, Station, StationPopulation
+from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation
 from .vehicle import VehicleParams
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
@@ -57,6 +57,7 @@ class ScriptedVehicle:
 
     def __post_init__(self):
         object.__setattr__(self, "path", as_polyline(self.path))
+        check_range(self, ("speed", "radius"))
 
     def state_at(self, t: float):
         """((x, y), (vx, vy)) at time t, a pure function of t."""
@@ -264,7 +265,7 @@ def build_s2(v2x_enabled: bool = True) -> ScenarioSpec:
                                 bound_object="veh-b")]
     population = StationPopulation(stations=tuple(rsus + vehicle_stations),
                                    honest_report_noise_sigma=0.5,
-                                   cam_period=0.1, denm_policy=DenmPolicy(period=1.0))
+                                   cam_period=0.1, denm_period=1.0)
     return ScenarioSpec(
         scenario_id="s2", vmap=vmap, route=route,
         ego_start=(8.0, 50.0, 0.0, 0.0),
@@ -322,7 +323,7 @@ def build_s4(gate_enabled: bool = True) -> ScenarioSpec:
     population = StationPopulation(stations=tuple(rsus + byz),
                                    byzantine_ids=frozenset(s.station_id for s in byz),
                                    honest_report_noise_sigma=0.5,
-                                   cam_period=0.1, denm_policy=DenmPolicy(period=1.0))
+                                   cam_period=0.1, denm_period=1.0)
     return ScenarioSpec(
         scenario_id="s4", vmap=vmap, route=route,
         ego_start=(8.0, 50.0, 0.0, 0.0),

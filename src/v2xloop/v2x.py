@@ -42,20 +42,14 @@ class V2xMessage:
 
 
 @dataclass(frozen=True)
-class DenmPolicy:
-    period: float = 1.0               # [s] repeat interval while the hazard persists
-
-    def __post_init__(self):
-        # a period of 0 sends the event-triggered first DENM and no repeats
-        check_range(self, ("period",))
-
-
-@dataclass(frozen=True)
 class Station:
     station_id: str
     position: tuple[float, float]
     sensing_range: float = 60.0       # [m] hazards inside emit DENMs
     bound_object: str | None = None   # track a scripted vehicle if set
+
+    def __post_init__(self):
+        check_range(self, ("sensing_range",))
 
 
 @dataclass(frozen=True)
@@ -64,15 +58,16 @@ class StationPopulation:
     byzantine_ids: frozenset[str] = frozenset()
     honest_report_noise_sigma: float = 0.5   # [m]
     cam_period: float = 0.1           # [s]
-    denm_policy: DenmPolicy = DenmPolicy()
+    denm_period: float = 1.0          # [s] DENM repeat interval while a hazard persists
     # the honest and the Byzantine stations in id order, the order they
     # transmit in within a tick
     _honest: tuple = field(init=False, repr=False, compare=False)
     _byzantine: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a CAM period of 0 never emits
-        check_range(self, ("honest_report_noise_sigma", "cam_period"))
+        # a CAM period of 0 never emits; a DENM period of 0 sends only the
+        # event-triggered first DENM
+        check_range(self, ("honest_report_noise_sigma", "cam_period", "denm_period"))
         object.__setattr__(self, "stations", tuple(self.stations))
         object.__setattr__(self, "byzantine_ids", frozenset(self.byzantine_ids))
         ids = [s.station_id for s in self.stations]
@@ -167,7 +162,7 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
     msgs: list[V2xMessage] = []
     # the schedules are the same for every station
     cam_due = _emits_this_tick(t, dt, population.cam_period)
-    denm_due = [_emits_this_tick(t, dt, population.denm_policy.period,
+    denm_due = [_emits_this_tick(t, dt, population.denm_period,
                                  offset=hazard.spawn_time) for hazard in active_hazards]
 
     for station in population.honest():

@@ -27,6 +27,7 @@ class VehicleParams:
         # the tightest curvature's numerator
         check_range(self, ("wheelbase",), strict=True)
         check_range(self, ("max_steer",), hi=math.pi / 2.0, strict=True)
+        check_range(self, ("max_accel", "max_decel", "collision_radius", "v_max"))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,7 @@ class LaneSegment:
 
     def __post_init__(self):
         object.__setattr__(self, "polyline", as_polyline(self.polyline))
+        check_range(self, ("half_width",))
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,6 +469,7 @@ class GroundTruthHazard:
     def __post_init__(self):
         if self.kind not in HAZARD_KINDS:
             raise ValueError(f"unknown hazard kind {self.kind!r}")
+        check_range(self, ("radius",))
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,15 @@ def test_batch_and_sweep_reject_empty_lists():
         run_sweep({"look_ahead": [4.0]}, [], [1])
 
 
+def test_batch_and_sweep_refuse_a_negative_seed_before_the_first_episode(tmp_path):
+    # batch used to run and write seed 1, then stop at seed -2 with no batch.json
+    with pytest.raises(ValueError, match="^seeds must be non-negative, got -2$"):
+        run_batch(build_s1(), [1, -2], tmp_path / "batch")
+    with pytest.raises(ValueError, match="^seeds must be non-negative, got -2$"):
+        run_sweep({"k_p": [0.4]}, ["s1"], [1, -2], tmp_path / "sweep")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_repeated_ids():
     # a repeated scenario would weigh twice in every objective mean
     with pytest.raises(ValueError, match="scenario_ids must be distinct"):

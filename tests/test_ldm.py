@@ -1,14 +1,11 @@
 """Local dynamic map: fusion, association, hypotheses, lifecycle rules."""
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2xloop.ldm import (ACCEPTED, EXPIRED, PENDING, EventHypothesis,
                          LdmParams, LdmState, Measurement, Track, associate,
-                         contradiction_ratio, fuse_tick, ingest_denm,
-                         initial_state, update_belief)
+                         fuse_tick, ingest_denm, initial_state, update_belief)
 from v2xloop.perception import Detection, SenseFrame
 from v2xloop.v2x import CamPayload, DenmPayload, V2xMessage
 from v2xloop.world import LaneSegment, build_corridor_map
@@ -35,7 +32,7 @@ def _cam(station, pos, vel=(0.0, 0.0), recv=1.0):
 
 def _frame(t, detections=(), ego=(0.0, 10.0, 0.0), max_range=25.0):
     return SenseFrame(timestamp=t, ego_pose=ego, detections=tuple(detections),
-                      max_range=max_range, field_of_view=2.0 * math.pi)
+                      max_range=max_range)
 
 
 def _det(wx, wy, conf=0.9, vel=(0.0, 0.0)):
@@ -69,9 +66,8 @@ def test_update_belief_one_lr_cam_per_station():
 
 
 def test_update_belief_contradiction():
-    ratio = contradiction_ratio(P)
-    assert ratio == pytest.approx(0.2)   # capped below 0.15 / 0.7
-    b = update_belief(0.5, ratio, 0, P)
+    assert P.lr_absent == 0.2
+    b = update_belief(0.5, P.lr_absent, 0, P)
     assert b == pytest.approx(0.2 / 1.2)
 
 
@@ -184,11 +180,11 @@ def test_covered_silence_erodes_belief():
     state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
     state = _tick(state, 0.10, frames=[_frame(0.10, [_det(12.0, 10.0)])])
     b_confirmed = state.objects[0].belief
-    # covering frame, no detection: contradiction at the capped ratio
+    # covering frame, no detection: absence evidence at lr_absent
     state = _tick(state, 0.15, frames=[_frame(0.15)])
     assert len(state.objects) == 1
     b_after = state.objects[0].belief
-    odds = b_confirmed / (1.0 - b_confirmed) * contradiction_ratio(P)
+    odds = b_confirmed / (1.0 - b_confirmed) * P.lr_absent
     assert b_after == pytest.approx(odds / (1.0 + odds))
 
 

@@ -260,17 +260,17 @@ def test_read_csv_refuses_a_cell_its_kind_cannot_parse(tmp_path):
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["whole", "with-empty"])
-def test_integral_float_cells_read_as_ints_and_empty_cells_as_none(tmp_path, empty):
+def test_float_cells_read_as_floats_and_empty_cells_as_none(tmp_path, empty):
     # a column with an empty cell is read cell by cell, one without by a
-    # column-wide float(); both keep `2` and `-0` as ints
+    # column-wide float(); both read `2` and `-0` as floats
     cells = ["2", "-0", "0.5", "2", "inf", "1e+09", "-7", "nan"] + ([""] if empty else [])
     p = tmp_path / "t.csv"
     p.write_text("x,n,label\n" + "".join(f"{c},{c and 3},{c and 'a'}\n" for c in cells))
     table = read_csv(p, {"x": "float?", "n": "int?", "label": "str?"})
-    want = [2, 0, 0.5, 2, math.inf, 1e9, -7, math.nan] + ([None] if empty else [])
+    want = [2.0, -0.0, 0.5, 2.0, math.inf, 1e9, -7.0, math.nan] + ([None] if empty else [])
     assert repr(table["x"]) == repr(want)
     assert [type(v) for v in table["x"]] == [type(v) for v in want]
-    assert math.copysign(1.0, table["x"][1]) == 1.0       # -0 reads as int 0
+    assert math.copysign(1.0, table["x"][1]) == -1.0      # -0 keeps its sign
     assert table["n"] == [3] * 8 + ([None] if empty else [])
     assert table["label"] == ["a"] * 8 + ([None] if empty else [])
 
@@ -302,12 +302,19 @@ READ_VALUES = {"int": st.one_of(_INTS, st.booleans()),
 
 def _reference_table(columns: dict, lines: list[str]) -> dict:
     """{column: values} by parse_cell on each cell, except that a str column
-    keeps its text (parse_cell would read a station named "7" as 7)."""
+    keeps its text (parse_cell would read a station named "7" as 7) and a
+    float column reads every cell as a float (parse_cell would read "2" as 2)."""
     table = {name: [] for name in columns}
     for row in csv.reader(lines):
         for (name, kind), raw in zip(columns.items(), row):
-            text = kind.removesuffix("?") == "str"
-            table[name].append((raw or None) if text else parse_cell(raw))
+            kind = kind.removesuffix("?")
+            if kind == "str":
+                value = raw or None
+            elif kind == "float":
+                value = float(raw) if raw else None
+            else:
+                value = parse_cell(raw)
+            table[name].append(value)
     return table
 
 

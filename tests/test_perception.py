@@ -1,4 +1,4 @@
-"""Sensing: noisy detections, coverage wedges, and the corroboration score."""
+"""Sensing: noisy detections, coverage discs, and the corroboration score."""
 
 import math
 
@@ -11,11 +11,9 @@ from v2xloop.rng import stream
 from v2xloop.world import WorldObject
 
 
-def _frame(timestamp=0.0, ego=(0.0, 0.0, 0.0), detections=(),
-           max_range=25.0, fov=2.0 * math.pi):
+def _frame(timestamp=0.0, ego=(0.0, 0.0, 0.0), detections=(), max_range=25.0):
     return SenseFrame(timestamp=timestamp, ego_pose=ego,
-                      detections=tuple(detections), max_range=max_range,
-                      field_of_view=fov)
+                      detections=tuple(detections), max_range=max_range)
 
 
 def _det(wx, wy):
@@ -31,17 +29,11 @@ def test_covers_range_limit():
     f = _frame(max_range=10.0)
     assert f.covers((9.9, 0.0))
     assert not f.covers((10.1, 0.0))
-
-
-def test_covers_fov_wedge():
-    f = _frame(ego=(0.0, 0.0, 0.0), fov=math.pi / 2)   # +/- 45 degrees
-    assert f.covers((5.0, 4.9))
-    assert not f.covers((5.0, 5.2))
-    assert not f.covers((-5.0, 0.0))   # behind
-    # wedge rotates with heading
-    f = _frame(ego=(0.0, 0.0, math.pi), fov=math.pi / 2)
-    assert f.covers((-5.0, 0.0))
-    assert not f.covers((5.0, 0.0))
+    # the covered disc does not turn with the heading: behind is covered too
+    for heading in (0.0, math.pi / 2, math.pi):
+        f = _frame(ego=(1.0, 2.0, heading), max_range=10.0)
+        assert f.covers((-8.9, 2.0)) and f.covers((1.0, 11.9))
+        assert not f.covers((-9.1, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +99,17 @@ def test_sense_clutter_rate_and_bounds():
 
 def test_sense_ego_frame_conversion():
     objs = [WorldObject("a", (0.0, 10.0), (0.0, 0.0))]
-    model = SensorModel(field_of_view=math.pi / 2, pos_noise_sigma=0.0,
-                        vel_noise_sigma=0.0, p_miss=0.0, clutter_rate=0.0)
+    model = SensorModel(pos_noise_sigma=0.0, vel_noise_sigma=0.0, p_miss=0.0,
+                        clutter_rate=0.0)
     # ego facing +y: the object sits straight ahead in the body frame and is
     # detected at its world position
     frame = sense((0.0, 0.0, math.pi / 2), objs, model, stream(6, "sense"), 0.0)
     (d,) = frame.detections
     assert d.world_position == (0.0, 10.0)
-    # facing -y, the same object is behind the wedge
+    # facing -y, the same object is behind the ego, still in range, and is
+    # detected at the same world position
     behind = sense((0.0, 0.0, -math.pi / 2), objs, model, stream(6, "sense"), 0.0)
-    assert behind.detections == ()
+    assert behind.detections == frame.detections
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from fingerprints import BUILT_IN_SPECS
 from v2xloop.gate import GateConfig
 from v2xloop.harness import run_episode
 from v2xloop.pareto import Configuration
-from v2xloop.perception import FULL_CIRCLE
 from v2xloop.scenarios import (ScriptedVehicle, UpdateClientConfig, apply_configuration,
                                build_s1, build_s2, build_s3, build_s4,
                                build_scenario, spec_from_dict, spec_to_dict)
@@ -192,11 +191,16 @@ def test_spec_from_dict_rejects_unknown_keys():
          "scenario.vmap.versions[0].created_at: unknown key"),
         (lambda d: d["gate"], "enabled", "scenario.gate.enabled: unknown key"),
         (lambda d: d["gate"], "quorum", "scenario.gate.quorum: unknown key"),
-        (lambda d: d["stations"]["denm_policy"], "enabled",
-         "scenario.stations.denm_policy.enabled: unknown key"),
+        (lambda d: d["stations"], "denm_policy",
+         "scenario.stations.denm_policy: unknown key"),
         (lambda d: d["attack"], "colluding", "scenario.attack.colluding: unknown key"),
         (lambda d: d["planner"], "xy_resolution",
          "scenario.planner.xy_resolution: unknown key"),
+        (lambda d: d["sensor"], "field_of_view",
+         "scenario.sensor.field_of_view: unknown key"),
+        (lambda d: d["ldm"], "lr_absent_cap", "scenario.ldm.lr_absent_cap: unknown key"),
+        (lambda d: d["ldm"], "p_miss_assumed", "scenario.ldm.p_miss_assumed: unknown key"),
+        (lambda d: d["ldm"], "clutter_term", "scenario.ldm.clutter_term: unknown key"),
     ]
     for section, key, path in deleted:
         d = spec_to_dict(build_s4())
@@ -351,8 +355,8 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.ego_start: must be finite, got (nan, 50.0, 0.0, 0.0)"),
     (lambda d: d["route"]["reference_path"][3].__setitem__(1, math.inf),
      "scenario.route.reference_path: expected finite points"),
-    (lambda d: d["vehicle"].update(max_accel=math.inf),
-     "scenario.vehicle.max_accel: must be finite, got inf"),
+    (lambda d: d["attack"].update(start_time=math.inf),
+     "scenario.attack.start_time: must be finite, got inf"),
 ], ids=["grid-without-cells", "grid-too-large", "lane-off-map", "primitive-past-map",
         "risk-horizon", "no-deceleration", "clutter-flood", "empty-attack-window",
         "ego-nan", "route-inf", "unchecked-inf"])
@@ -375,11 +379,14 @@ NOT_FINITE = (float("nan"), float("inf"), -float("inf"))
 
 def _document_with(section, name, value, build=build_s4):
     """`build`'s document with field `name` of `section` (dotted, "" for the
-    top level) set to `value`."""
+    top level, a list item as `key[i]`) set to `value`."""
     d = spec_to_dict(build())
     fields_of = d
     for key in filter(None, section.split(".")):
+        key, _, index = key.partition("[")
         fields_of = fields_of[key]
+        if index:
+            fields_of = fields_of[int(index.removesuffix("]"))]
     fields_of[name] = value
     return d
 
@@ -431,22 +438,27 @@ def test_gate_quorum_must_exceed_f():
 
 
 def test_sensor_reach_ranges():
-    # the bound admits 2π as write_json rounds it, so run --out's
-    # scenario.json loads again
-    assert math.pi * 2.0 < FULL_CIRCLE == float("%.9g" % (2.0 * math.pi))
-    _rejects_out_of_range("sensor", ["field_of_view"], ["max_range"], upper=FULL_CIRCLE)
-    d = spec_to_dict(build_s4())
-    d["sensor"]["field_of_view"] = 2.0 * math.pi
-    spec_from_dict(d)
+    _rejects_out_of_range("sensor", [], ["max_range"])
 
 
 def test_station_population_ranges():
     # -1 used to load and crash mid-episode in numpy's normal(scale < 0)
-    _rejects_out_of_range("stations", [], ["honest_report_noise_sigma", "cam_period"])
+    _rejects_out_of_range("stations", [], ["honest_report_noise_sigma", "cam_period",
+                                           "denm_period"])
 
 
-def test_denm_policy_ranges():
-    _rejects_out_of_range("stations.denm_policy", [], ["period"])
+def test_world_record_ranges():
+    # on s2 without V2X at seed 1 each of these used to load: a traffic car
+    # at speed -6 drove into the ego, a lane of half width -4 walled the whole
+    # map and a hazard of radius -1 could never be hit
+    _rejects_out_of_range("traffic[0]", [], ["speed", "radius"], build=build_s2)
+    _rejects_out_of_range("hazards[0]", [], ["radius"], build=build_s2)
+    _rejects_out_of_range("vmap.versions[0].lane_graph[0]", [], ["half_width"],
+                          build=build_s2)
+    _rejects_out_of_range("stations.stations[0]", [], ["sensing_range"], build=build_s2)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "scenario.traffic[0].speed: must be finite and >= 0, got -6.0")):
+        spec_from_dict(_document_with("traffic[0]", "speed", -6, build_s2))
 
 
 def test_update_client_ranges():
@@ -488,8 +500,10 @@ def test_scenario_window_and_label_radius_ranges():
 
 
 def test_vehicle_params_ranges():
-    # wheelbase 0 used to load and raise ZeroDivisionError at the first plan
-    _rejects_out_of_range("vehicle", [], [], positive=["wheelbase"])
+    # wheelbase 0 used to load and raise ZeroDivisionError at the first plan;
+    # a collision radius of -1 used to load and plan on an uninflated grid
+    _rejects_out_of_range("vehicle", [], ["max_accel", "max_decel", "collision_radius",
+                                          "v_max"], positive=["wheelbase"])
     for bad in (0.0, math.pi / 2.0, -0.1, *NOT_FINITE):
         with pytest.raises(ValueError, match=r"^scenario\.vehicle\.max_steer: must be "
                                              r"finite and in \(0, 1\.5708\), got "):
@@ -511,10 +525,10 @@ def test_controller_config_ranges():
 
 def test_ldm_params_ranges():
     _rejects_out_of_range(
-        "ldm", ["b_prune", "b_birth", "conf_birth", "clutter_term",
-                "event_position_alpha", "position_alpha", "velocity_alpha"],
+        "ldm", ["b_prune", "b_birth", "conf_birth", "event_position_alpha",
+                "position_alpha", "velocity_alpha"],
         ["d_gate", "tau_stale", "tau_event", "event_merge_radius", "event_merge_window"],
-        positive=["lr_detect", "lr_cam", "lr_absent_cap", "p_miss_assumed"])
+        positive=["lr_detect", "lr_cam", "lr_absent"])
     for name in ("belief_floor", "belief_ceiling"):
         for bad in (0.0, 1.0, *NOT_FINITE):
             with pytest.raises(ValueError, match=f"^scenario\\.ldm\\.{name}: must be "
