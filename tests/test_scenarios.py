@@ -443,8 +443,12 @@ def test_sensor_reach_ranges():
 
 def test_station_population_ranges():
     # -1 used to load and crash mid-episode in numpy's normal(scale < 0)
-    _rejects_out_of_range("stations", [], ["honest_report_noise_sigma", "cam_period",
-                                           "denm_period"])
+    _rejects_out_of_range("stations", [], ["honest_report_noise_sigma", "cam_period"])
+
+
+def test_denm_policy_ranges():
+    # the DENM emission period lives on the station population as denm_period
+    _rejects_out_of_range("stations", [], ["denm_period"])
 
 
 def test_world_record_ranges():
