@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -191,13 +190,11 @@ def _first_difference(stored: Path, rerun: Path) -> str | None:
             itertools.zip_longest(old_lines, new_lines), 1) if a != b)
         where = f"{name} line {line}"
         if name.endswith(".csv") and a is not None and b is not None:
-            header, a_cells, b_cells = (next(csv.reader([text]))
-                                        for text in (old_lines[0], a, b))
-            # None when only the quoting differs
-            col = next((i for i in range(max(len(a_cells), len(b_cells)))
-                        if a_cells[i:i + 1] != b_cells[i:i + 1]), None)
-            if col is not None:
-                where += f" column {header[col] if col < len(header) else col + 1}"
+            # no cell is quoted, so two different lines differ in a cell
+            header, a_cells, b_cells = (text.split(",") for text in (old_lines[0], a, b))
+            col = next(i for i in range(max(len(a_cells), len(b_cells)))
+                       if a_cells[i:i + 1] != b_cells[i:i + 1])
+            where += f" column {header[col] if col < len(header) else col + 1}"
         return f"{where}: stored {a!r}, rerun {b!r}"
     return None
 

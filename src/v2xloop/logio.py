@@ -14,14 +14,17 @@ the way out and one parser on the way back in:
   float  %.9g    float()     nine significant digits; inf, -inf and nan
                              spelled so. Every cell reads back as a float,
                              an integral one (2, -0) included
-  str    %s      the text    quoted the way csv.writer quotes (a comma,
-                             quote or line break inside), so any text reads
-                             back unchanged, even text that looks like a
-                             number
+  str    %s      the text    never quoted: a comma, quote, CR or LF in
+                             a text cell is a ValueError naming the column
+                             (and in a document's ids, refused at load by
+                             world.check_id). Any other text reads back
+                             unchanged, even text that looks like a number
 
 A kind ending in "?" is nullable: a None there is written as an empty cell,
 and a None anywhere else is an error. A row is formatted in one %-operation
 on the table's row format. An empty cell reads back as None in every kind.
+Since no cell is quoted, a line is a row and a comma ends a cell, so a
+table reads back with str.split alone.
 
 A table reads back as columns, {column: [value per row]}: `read_csv(path,
 columns)` for a file and `roundtrip_rows(log)` for a table still in memory.
@@ -33,7 +36,6 @@ turns a table back into one dict per row for callers that loop over rows.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -41,13 +43,9 @@ from itertools import zip_longest
 from pathlib import Path
 
 CONVERSIONS = {"int": "%d", "bool": "%d", "float": "%.9g", "str": "%s"}
-_NEEDS_QUOTES = re.compile('[,"\r\n]').search
-
-
-def _csv_text(text: str) -> str:
-    if _NEEDS_QUOTES(text) is None:
-        return text
-    return '"' + text.replace('"', '""') + '"'
+# text that would need quoting, which no cell gets: a text cell may not hold
+# it, nor may an id that becomes one (a search on a non-str is a TypeError)
+NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 class CsvLog:
@@ -71,28 +69,21 @@ class CsvLog:
         self._formats = {(): ",".join(self._conversions)}
         self.rows: list[str] = []
 
-    def _null_format(self, nulls: tuple[int, ...]) -> str:
-        form = self._formats.get(nulls)
-        if form is None:
-            form = self._formats[nulls] = ",".join(
-                "%.0s" if i in nulls else conv for i, conv in enumerate(self._conversions))
-        return form
-
     def append(self, *values) -> None:
         if len(values) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
         nulls = ()
         if self._nullable:
             nulls = tuple(i for i in self._nullable if values[i] is None)
-        if self._text:
-            values = list(values)
-            for i in self._text:
-                if i not in nulls:
-                    values[i] = _csv_text(values[i])
-            values = tuple(values)
-        form = self._null_format(nulls) if nulls else self._formats[()]
-        # csv.writer writes a row of one empty cell as "", not as a blank line
-        self.rows.append(form % values or '""')
+        for i in self._text:
+            if i not in nulls and NEEDS_QUOTES(values[i]):
+                raise ValueError(f"column {list(self.columns)[i]}: must hold no comma, "
+                                 f"quote, CR or LF, got {values[i]!r}")
+        form = self._formats.get(nulls)
+        if form is None:
+            form = self._formats[nulls] = ",".join(
+                "%.0s" if i in nulls else conv for i, conv in enumerate(self._conversions))
+        self.rows.append(form % values)
 
     def write(self, path) -> None:
         path = Path(path)
@@ -101,63 +92,37 @@ class CsvLog:
             fh.write("\n".join([",".join(self.columns), *self.rows]) + "\n")
 
 
-def _read_int(raw: str):
-    return int(raw) if raw else None
-
-
-def _read_float(raw: str):
-    return float(raw) if raw else None
-
-
-def _read_text(raw: str):
-    return raw or None
-
-
-READERS = {"int": _read_int, "bool": _read_int, "float": _read_float, "str": _read_text}
+PARSERS = {"int": int, "bool": int, "float": float, "str": str}
 
 
 def _read_column(kind: str, cells) -> list:
-    """A column's values, each cell as READERS[kind] reads it.
-
-    Only a column with an empty cell pays a Python call per cell. Otherwise
-    an int or bool column is int() of each cell, a float column float() of
-    each cell and a str column its text.
-    """
+    """A column's values: PARSERS[kind] of each cell, None for an empty one.
+    Only a column with an empty cell tests each cell in Python."""
+    parse = PARSERS[kind]
     if "" in cells:
-        return list(map(READERS[kind], cells))
-    if kind == "str":
-        return list(cells)
-    return list(map(float if kind == "float" else int, cells))
+        return [parse(raw) if raw else None for raw in cells]
+    return list(cells) if kind == "str" else list(map(parse, cells))
 
 
-def _line_num(lines, index: int) -> int:
-    """The reader's line number once data row `index` of `lines` is read."""
-    reader = csv.reader(lines)
-    for _ in range(index + 2):      # the header, then rows 0..index
-        next(reader)
-    return reader.line_num
-
-
-def _parse_table(columns: dict[str, str], lines: list[str], where) -> dict[str, list]:
-    """The CSV `lines` (header first) as {column: values}, each column parsed
-    by its kind in `columns`; anything other than such a table is a
-    ValueError naming `where`, the line and the column."""
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{where}: expected a header line, the file is empty")
+def _parse_table(columns: dict[str, str], header: str, lines: list[str],
+                 where) -> dict[str, list]:
+    """The table of `header` and data `lines` (neither ending in a line
+    break) as {column: values}, each column parsed by its kind in `columns`;
+    anything other than such a table is a ValueError naming `where`, the
+    line and the column."""
     names = list(columns)
-    if header != names:
-        i = next(i for i, pair in enumerate(zip_longest(header, names))
+    cells = header.split(",")
+    if cells != names:
+        i = next(i for i, pair in enumerate(zip_longest(cells, names))
                  if pair[0] != pair[1])
-        got = repr(header[i]) if i < len(header) else "nothing"
+        got = repr(cells[i]) if i < len(cells) else "nothing"
         want = repr(names[i]) if i < len(names) else "no further column"
         raise ValueError(f"{where}, line 1: header column {i + 1} is {got}, "
                          f"expected {want}")
-    records = list(reader)
+    records = [line.split(",") for line in lines]
     if set(map(len, records)) - {len(names)}:
         i = next(i for i, row in enumerate(records) if len(row) != len(names))
-        raise ValueError(f"{where}, line {_line_num(lines, i)}: expected "
+        raise ValueError(f"{where}, line {i + 2}: expected "
                          f"{len(names)} cells, got {len(records[i])}")
     table = {}
     for name, cells in zip(names, zip(*records) if records else [()] * len(names)):
@@ -165,28 +130,31 @@ def _parse_table(columns: dict[str, str], lines: list[str], where) -> dict[str, 
         try:
             table[name] = _read_column(kind, cells)
         except ValueError:
-            parse = READERS[kind]
             for i, raw in enumerate(cells):
                 try:
-                    parse(raw)
+                    _read_column(kind, (raw,))
                 except ValueError:
-                    raise ValueError(f"{where}, line {_line_num(lines, i)}, column "
-                                     f"{name}: cannot read {raw!r} as {kind}") from None
+                    raise ValueError(f"{where}, line {i + 2}, column {name}: "
+                                     f"cannot read {raw!r} as {kind}") from None
     return table
 
 
 def read_csv(path, columns: dict[str, str]) -> dict[str, list]:
     """The table at `path` as {column: values}, parsed by the kinds in
     `columns` (for a log table, harness.LOG_COLUMNS[name])."""
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
-    return _parse_table(columns, lines, path)
+    with open(path) as fh:
+        header, *lines = fh.read().split("\n")
+    if not header and not lines:
+        raise ValueError(f"{path}: expected a header line, the file is empty")
+    if lines and not lines[-1]:     # after the line break that ends the file
+        lines.pop()
+    return _parse_table(columns, header, lines, path)
 
 
 def roundtrip_rows(log: CsvLog) -> dict[str, list]:
     """Parse a CsvLog's formatted rows exactly as read_csv would after a
     write, so in-run metrics match metrics recomputed from the files."""
-    return _parse_table(log.columns, [",".join(log.columns), *log.rows], "log rows")
+    return _parse_table(log.columns, ",".join(log.columns), log.rows, "log rows")
 
 
 def rows(table: dict[str, list]) -> list[dict]:

@@ -37,7 +37,7 @@ from .vehicle import VehicleParams
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
                     VersionedMap, as_polyline, build_corridor_map, check_grid,
-                    check_range, polyline_cumlength)
+                    check_id, check_range, polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
 
@@ -57,6 +57,7 @@ class ScriptedVehicle:
 
     def __post_init__(self):
         object.__setattr__(self, "path", as_polyline(self.path))
+        check_id(self, "vehicle_id")
         check_range(self, ("speed", "radius"))
 
     def state_at(self, t: float):
@@ -170,6 +171,18 @@ class ScenarioSpec:
         if stations is not None and 3 * f + 1 > len(stations.stations):
             raise ValueError(f"gate.f={f} needs at least 3f+1={3 * f + 1} "
                              f"stations, the population has {len(stations.stations)}")
+        # traffic and hazard ids both key truth.csv rows and MOT scoring
+        vehicles = [v.vehicle_id for v in self.traffic]
+        ids = vehicles + [h.hazard_id for h in self.hazards]
+        for i, oid in enumerate(ids):
+            if oid in ids[:i]:
+                where = (f"traffic[{i}].vehicle_id" if i < len(vehicles)
+                         else f"hazards[{i - len(vehicles)}].hazard_id")
+                raise ValueError(f"{where}: repeats the id {oid!r}")
+        for i, station in enumerate(stations.stations if stations is not None else ()):
+            if station.bound_object not in (None, *vehicles):
+                raise ValueError(f"stations.stations[{i}].bound_object: names no "
+                                 f"traffic vehicle, got {station.bound_object!r}")
 
 
 def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSpec:
@@ -433,8 +446,8 @@ def _decode_map(d, path: str) -> VersionedMap:
         raise _located(exc, path, VersionedMap) from None
 
 
-# "name: ..." or "name.sub: ...", a message naming the field at fault
-_FIELD_FIRST = re.compile(r"([A-Za-z_]\w*)(\.\w+)*: ")
+# "name: ..." or "name.sub[i].x: ...", a message naming the field at fault
+_FIELD_FIRST = re.compile(r"([A-Za-z_]\w*)(\.\w+|\[\d+\])*: ")
 
 
 def _located(exc: ValueError, path: str, cls) -> ValueError:

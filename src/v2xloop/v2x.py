@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .world import HAZARD_KINDS, Route, check_range
+from .world import HAZARD_KINDS, Route, check_id, check_range
 
 CAM = "CAM"
 DENM = "DENM"
@@ -49,6 +49,7 @@ class Station:
     bound_object: str | None = None   # track a scripted vehicle if set
 
     def __post_init__(self):
+        check_id(self, "station_id")
         check_range(self, ("sensing_range",))
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .logio import NEEDS_QUOTES
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -40,6 +42,15 @@ def check_range(obj, names, lo: float = 0.0, hi: float = math.inf,
             inside = lo < v < hi if strict else lo <= v <= hi
             if not (math.isfinite(v) and inside):
                 raise ValueError(f"{name}: must be finite and {bound}, got {value}")
+
+
+def check_id(obj, name: str) -> None:
+    """Reject an id field of `obj` that is empty or that a log cell cannot
+    hold (logio.NEEDS_QUOTES); the message starts with the field."""
+    value = getattr(obj, name)
+    if not value or NEEDS_QUOTES(value):
+        raise ValueError(f"{name}: must be non-empty and hold no comma, quote, "
+                         f"CR or LF, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +480,7 @@ class GroundTruthHazard:
     def __post_init__(self):
         if self.kind not in HAZARD_KINDS:
             raise ValueError(f"unknown hazard kind {self.kind!r}")
+        check_id(self, "hazard_id")
         check_range(self, ("radius",))
 
 

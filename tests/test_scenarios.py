@@ -465,6 +465,44 @@ def test_world_record_ranges():
         spec_from_dict(_document_with("traffic[0]", "speed", -6, build_s2))
 
 
+ID_FIELDS = [("stations.stations[0]", "station_id"), ("traffic[0]", "vehicle_id"),
+             ("hazards[0]", "hazard_id")]
+
+
+@pytest.mark.parametrize("text", ["", "a,b", 'say "hi"', "two\nlines", "cr\rhere"],
+                         ids=["empty", "comma", "quote", "lf", "cr"])
+@pytest.mark.parametrize("section, name", ID_FIELDS, ids=[name for _, name in ID_FIELDS])
+def test_ids_a_log_cell_cannot_hold_are_refused(section, name, text):
+    # each id is written as a log cell and no log cell is quoted; each of
+    # these used to load and be written quoted (or, empty, read back as None)
+    message = (f"scenario.{section}.{name}: must be non-empty and hold no comma, "
+               f"quote, CR or LF, got {text!r}")
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        spec_from_dict(_document_with(section, name, text, build_s2))
+
+
+@pytest.mark.parametrize("build, section, name, repeat", [
+    (build_s2, "traffic[1]", "vehicle_id", "veh-a"),
+    (build_s2, "hazards[0]", "hazard_id", "veh-b"),
+    (build_s3, "hazards[3]", "hazard_id", "bar-1"),
+], ids=["vehicle-vehicle", "hazard-vehicle", "hazard-hazard"])
+def test_repeated_object_ids_are_refused(build, section, name, repeat):
+    # traffic and hazard ids both key truth.csv rows and MOT scoring
+    message = f"scenario.{section}.{name}: repeats the id {repeat!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        spec_from_dict(_document_with(section, name, repeat, build))
+
+
+@pytest.mark.parametrize("target", ["veh-z", "hz-0"])
+def test_a_station_bound_to_no_traffic_vehicle_is_refused(target):
+    # s2's station obu-a bound to veh-z used to load and send CAMs from (0, 0)
+    message = (f"scenario.stations.stations[7].bound_object: names no traffic "
+               f"vehicle, got {target!r}")
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        spec_from_dict(_document_with("stations.stations[7]", "bound_object", target,
+                                      build_s2))
+
+
 def test_update_client_ranges():
     _rejects_out_of_range("update_client", [], ["poll_interval", "download_latency_mean",
                                                 "download_latency_jitter"], build=build_s3)
