@@ -22,19 +22,25 @@ RECOVERY_TICKS ticks until a plan is found or the ego stands still.
 Work that does not depend on the seed is done once and kept on the object
 it derives from, never in `logs/` and never in the scenario document:
 
+- the spec itself: `scenarios.build_scenario` builds each scenario id
+  and builder arguments once per process;
 - the planning maps (`planner.PlanningMaps`: inflated grid, route
   deviation field, and the cost-to-goal fields the planner stores in
   them per goal and lateral_weight), per route and collision radius, on
   the map version;
+- the tick-0 plan, searched on an empty LDM and so the same for every
+  seed, per start, goal, planner and vehicle settings, on the planning
+  maps (`_initial_plan`);
 - each scripted vehicle's state per time t, on the vehicle;
 - the honest and the Byzantine stations in id order, on the population.
 
 Each lives as long as its object: every episode of a batch or sweep that
-runs on the same objects (the seeds of a spec, and the copies
-`apply_configuration` makes) reuses it, and a freshly built spec starts
-without any. Within a tick, fusion predicts each track once, and
-`planner.ttc_min` rolls out only the tracks that can come within reach of
-the ego's rollout box.
+runs on the same objects (the seeds of a spec, the copies
+`apply_configuration` makes, and every run that names a scenario by id)
+reuses it, and a spec freshly built by `build_s1`..`build_s4` or
+`spec_from_dict` starts without any. Within a tick, fusion predicts each
+track once, and `planner.ttc_min` rolls out only the tracks that can come
+within reach of the ego's rollout box.
 
 Determinism contract: every stochastic draw goes through a named Philox
 stream, all log rows are formatted to nine significant digits in an order
@@ -49,12 +55,14 @@ to a separate timing file outside the log directory.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+import struct
+import time
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .control import PidState, follow_tick, safety_stop_command
 from .gate import apply_decision, evaluate
-from .ldm import PENDING, fuse_tick, initial_state
+from .ldm import PENDING, LdmState, fuse_tick, initial_state
 from .logio import CsvLog, _round_floats, read_csv, read_json, roundtrip_rows, write_json
 from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
                       clear_mot, command_variance, gate_rates, heading_stats,
@@ -62,8 +70,8 @@ from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
 from .pareto import Configuration, ParetoResult, config_grid
 from .pareto import sweep as pareto_sweep
 from .perception import sense, sensor_likelihood
-from .planner import (PlanningMaps, check_triggers, plan, route_deviation_field,
-                      ttc_min, unexplained_tracks)
+from .planner import (PlanAttempt, PlanningMaps, check_triggers, plan,
+                      route_deviation_field, ttc_min, unexplained_tracks)
 from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
@@ -172,6 +180,26 @@ def _planning_maps(version: MapVersion, route: Polyline,
     return maps
 
 
+def _initial_plan(maps: PlanningMaps, ego: VehicleState, goal, ldm: LdmState,
+                  spec: ScenarioSpec) -> PlanAttempt:
+    """The tick-0 plan from `ego` on `maps`. The LDM is still empty then,
+    so the search reads no seeded draw: it runs once per start and goal
+    pose, start steering, planner and vehicle settings, and is kept in
+    `maps.initial_plans`. A hit returns the kept attempt with the lookup's
+    wall time as cpu_ms and no field build."""
+    t0 = time.perf_counter()
+    # the bits of each coordinate, so 0.0 and -0.0 stay apart
+    key = (struct.pack("7d", *ego.pose, ego.steering, *goal), spec.planner, spec.vehicle)
+    attempt = maps.initial_plans.get(key)
+    if attempt is None:
+        attempt = maps.initial_plans[key] = plan(
+            ego.pose, goal, ldm, spec.planner, spec.vehicle, cause="initial",
+            maps=maps, start_steering=ego.steering)
+        return attempt
+    return replace(attempt, cpu_ms=(time.perf_counter() - t0) * 1000.0,
+                   heuristic_ms=0.0)
+
+
 def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
     meta = {
         "scenario_id": spec.scenario_id,
@@ -232,8 +260,11 @@ def run_episode(spec: ScenarioSpec, seed: int,
         """Plan from the current ego state on the active map, log the attempt
         and return its trajectory, None when the search failed."""
         maps = _planning_maps(active, ref, spec.vehicle.collision_radius)
-        attempt = plan(ego.pose, goal, ldm, spec.planner, spec.vehicle, cause=cause,
-                       maps=maps, start_steering=ego.steering)
+        if cause == "initial":
+            attempt = _initial_plan(maps, ego, goal, ldm, spec)
+        else:
+            attempt = plan(ego.pose, goal, ldm, spec.planner, spec.vehicle,
+                           cause=cause, maps=maps, start_steering=ego.steering)
         traj = attempt.trajectory
         logs["plans"].append(tick, t, attempt.cause, traj is not None,
                              attempt.expansions, attempt.path_length,

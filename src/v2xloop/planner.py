@@ -355,12 +355,15 @@ class PlanningMaps:
     inflated static grid (world.planning_occupancy), the route deviation
     field (route_deviation_field) of the same shape, and in `fields` the
     static grid's cost-to-goal field per (goal x, goal y, lateral_weight),
-    stored by the first plan that searches it. An all-zero deviation field
-    prices no deviation."""
+    stored by the first plan that searches it. `initial_plans` keeps the
+    PlanAttempt of an episode's tick-0 plan, which reads no LDM content,
+    per (start and goal bits, PlannerConfig, VehicleParams); the harness
+    fills and reads it. An all-zero deviation field prices no deviation."""
 
     grid: OccupancyGrid
     deviation: np.ndarray
     fields: dict = field(init=False, repr=False, default_factory=dict)
+    initial_plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.deviation.shape != self.grid.cells.shape:

@@ -72,8 +72,9 @@ class StationPopulation:
         object.__setattr__(self, "stations", tuple(self.stations))
         object.__setattr__(self, "byzantine_ids", frozenset(self.byzantine_ids))
         ids = [s.station_id for s in self.stations]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate station ids")
+        for i, sid in enumerate(ids):
+            if sid in ids[:i]:
+                raise ValueError(f"stations[{i}].station_id: repeats the id {sid!r}")
         unknown = self.byzantine_ids - set(ids)
         if unknown:
             raise ValueError(f"byzantine ids not in population: {sorted(unknown)}")

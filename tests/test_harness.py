@@ -162,15 +162,32 @@ def _assert_same_log_trees(a: Path, b: Path) -> None:
 
 def test_cold_and_warm_memos_give_the_same_logs(tmp_path):
     # the first episode of a spec fills the memos it keeps (planning maps,
-    # scripted truth); the next one reads them
+    # the tick-0 plan, scripted truth); the next one reads them
     for build in (build_s1, build_s2, build_s3, build_s4):
         spec = build()
         assert not spec.vmap.initial().planning_memo
         cold, warm = tmp_path / f"{spec.scenario_id}-cold", tmp_path / f"{spec.scenario_id}-warm"
         run_episode(spec, 1, cold)
-        assert spec.vmap.initial().planning_memo
+        (maps,) = spec.vmap.initial().planning_memo.values()
+        assert len(maps.initial_plans) == 1
         run_episode(spec, 1, warm)
         _assert_same_log_trees(cold, warm)
+        # the warm initial plan is the kept search: no field build, the
+        # same expansions, and no second entry
+        assert len(maps.initial_plans) == 1
+        first_cold, first_warm = (
+            rows(read_csv(d / "timing.csv", harness.TIMING_COLS))[0] for d in (cold, warm))
+        assert first_cold["cause"] == first_warm["cause"] == "initial"
+        assert first_cold["heuristic_ms"] > 0.0 and first_warm["heuristic_ms"] == 0.0
+        assert first_warm["expansions"] == first_cold["expansions"] > 0
+    # the memo keys a start by its bits: a heading of -0.0 turns the
+    # primitives otherwise than 0.0, so it is searched and kept apart
+    spec = build_s2()
+    negative = replace(spec, ego_start=(8.0, 50.0, -0.0, 0.0))
+    run_episode(spec, 1)
+    run_episode(negative, 1)
+    (maps,) = spec.vmap.initial().planning_memo.values()
+    assert len(maps.initial_plans) == 2
     # two specs built apart share no memo
     run_episode(build_s2(), 1, tmp_path / "s2-a")
     run_episode(build_s2(), 1, tmp_path / "s2-b")

@@ -23,6 +23,16 @@ def test_build_scenario_dispatch():
     assert build_scenario("s2", v2x_enabled=False).stations is None
     with pytest.raises(ValueError):
         build_scenario("s9")
+    # one spec per id and builder arguments for the life of the process, so
+    # every run that names a scenario shares its memos
+    assert build_scenario("s2") is build_scenario("s2")
+    assert build_scenario("s2", v2x_enabled=False) is build_scenario("s2", v2x_enabled=False)
+    assert build_scenario("s2", v2x_enabled=False) is not build_scenario("s2")
+    assert build_scenario("s1", route_shape="curve") is not build_scenario("s1")
+    # a builder called directly builds afresh and starts cold
+    fresh = build_s2()
+    assert fresh is not build_scenario("s2")
+    assert not fresh.vmap.initial().planning_memo
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +495,11 @@ def test_ids_a_log_cell_cannot_hold_are_refused(section, name, text):
     (build_s2, "traffic[1]", "vehicle_id", "veh-a"),
     (build_s2, "hazards[0]", "hazard_id", "veh-b"),
     (build_s3, "hazards[3]", "hazard_id", "bar-1"),
-], ids=["vehicle-vehicle", "hazard-vehicle", "hazard-hazard"])
+    (build_s4, "stations.stations[1]", "station_id", "rsu-1"),
+], ids=["vehicle-vehicle", "hazard-vehicle", "hazard-hazard", "station-station"])
 def test_repeated_object_ids_are_refused(build, section, name, repeat):
-    # traffic and hazard ids both key truth.csv rows and MOT scoring
+    # traffic and hazard ids both key truth.csv rows and MOT scoring, and a
+    # station id keys its v2x.csv rows and its vote at the gate
     message = f"scenario.{section}.{name}: repeats the id {repeat!r}"
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         spec_from_dict(_document_with(section, name, repeat, build))

@@ -307,6 +307,37 @@ def test_stamp_polyline_marks_the_cells_of_every_sample(line, radius, value):
     assert np.array_equal(got.cells, want.cells)
 
 
+@settings(max_examples=200, deadline=None)
+@given(cell_size=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.2, 2.0)),
+       shape=st.tuples(st.integers(1, 50), st.integers(1, 50)), value=st.booleans(),
+       fill=st.integers(0, 2**32 - 1), data=st.data())
+def test_stamp_polyline_matches_one_mark_disk_per_sample(cell_size, shape, value, fill,
+                                                         data):
+    # stamp_polyline tests all of a segment's samples at once; mark_disk
+    # called per sample is the oracle. Any cell size, a grid of either value
+    # already partly marked, and lanes that cross, graze and miss it. Cell
+    # centres and radii of whole half cells put cells exactly on a disk's rim
+    nx, ny = shape
+    width, height = nx * cell_size, ny * cell_size
+    radius = data.draw(st.one_of(st.floats(0.0, 6.0),
+                                 st.integers(0, 12).map(lambda k: k * cell_size / 2)))
+
+    def coord(hi, n):
+        return st.one_of(st.floats(-40.0, hi + 40.0),
+                         st.builds(lambda edge, d: edge + d, st.sampled_from([0.0, hi]),
+                                   st.floats(-radius - 2.0, radius + 2.0)),
+                         st.integers(-4, n + 4).map(lambda k: (k + 0.5) * cell_size))
+
+    line = data.draw(st.lists(st.tuples(coord(width, nx), coord(height, ny)),
+                              min_size=2, max_size=4))
+    cells = np.random.default_rng(fill).random((ny, nx)) < 0.5
+    want = OccupancyGrid(cells.copy(), cell_size)
+    _stamp_polyline_sampling_every_sample(want.cells, want, line, radius, value)
+    got = OccupancyGrid(cells.copy(), cell_size)
+    stamp_polyline(got.cells, got, line, radius, value)
+    assert np.array_equal(got.cells, want.cells)
+
+
 @pytest.mark.parametrize("line", [
     [[-992.7, 0.9], [1007.3, 0.9]],               # horizontal, through
     [[10.3, -1004.1], [10.3, 995.9]],             # vertical, through
