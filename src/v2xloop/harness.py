@@ -22,8 +22,6 @@ RECOVERY_TICKS ticks until a plan is found or the ego stands still.
 Work that does not depend on the seed is done once and kept on the object
 it derives from, never in `logs/` and never in the scenario document:
 
-- the spec itself: `scenarios.build_scenario` builds each scenario id
-  and builder arguments once per process;
 - the planning maps (`planner.PlanningMaps`: inflated grid, route
   deviation field, and the cost-to-goal fields the planner stores in
   them per goal and lateral_weight), per route and collision radius, on
@@ -35,12 +33,11 @@ it derives from, never in `logs/` and never in the scenario document:
 - the honest and the Byzantine stations in id order, on the population.
 
 Each lives as long as its object: every episode of a batch or sweep that
-runs on the same objects (the seeds of a spec, the copies
-`apply_configuration` makes, and every run that names a scenario by id)
-reuses it, and a spec freshly built by `build_s1`..`build_s4` or
-`spec_from_dict` starts without any. Within a tick, fusion predicts each
-track once, and `planner.ttc_min` rolls out only the tracks that can come
-within reach of the ego's rollout box.
+runs on the same objects (the seeds of a spec, and the copies
+`apply_configuration` makes) reuses it, and a freshly built spec starts
+without any. Within a tick, fusion predicts each track once, and
+`planner.ttc_min` rolls out only the tracks that can come within reach of
+the ego's rollout box.
 
 Determinism contract: every stochastic draw goes through a named Philox
 stream, all log rows are formatted to nine significant digits in an order

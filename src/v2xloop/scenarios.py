@@ -354,24 +354,11 @@ def build_s4(gate_enabled: bool = True) -> ScenarioSpec:
         hazards=(hazard,), time_limit=40.0)
 
 
-# (scenario id, sorted builder arguments) -> the spec build_scenario made
-_BUILT: dict = {}
-
-
 def build_scenario(scenario_id: str, **kwargs) -> ScenarioSpec:
-    """The built-in spec `scenario_id` with builder arguments `kwargs`, built
-    once per process: every later call with the same id and arguments
-    returns the same object, so its runs share the memos it keeps (planning
-    maps, scripted truth, station order). build_s1..build_s4 always build
-    afresh."""
     builders = {"s1": build_s1, "s2": build_s2, "s3": build_s3, "s4": build_s4}
     if scenario_id not in builders:
         raise ValueError(f"unknown scenario {scenario_id!r}; expected one of {SCENARIO_IDS}")
-    key = (scenario_id, tuple(sorted(kwargs.items())))
-    spec = _BUILT.get(key)
-    if spec is None:
-        spec = _BUILT[key] = builders[scenario_id](**kwargs)
-    return spec
+    return builders[scenario_id](**kwargs)
 
 
 # ---------------------------------------------------------------------------

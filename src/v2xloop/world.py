@@ -236,39 +236,13 @@ def empty_grid(size_x: float, size_y: float, cell_size: float = 0.5,
     return OccupancyGrid(cells=cells, cell_size=cell_size)
 
 
-def _disk_cells(grid: OccupancyGrid, center, radius: float, touching: bool = False):
-    """Index arrays (iy, ix) of all cells whose center lies within radius;
-    with `touching`, of all cells that some point of the open disk lies in,
-    so every point of every other cell is at least `radius` away."""
-    cs = grid.cell_size
-    cx = center[0] / cs
-    cy = center[1] / cs
-    r = radius / cs
-    ny, nx = grid.cells.shape
-    x0 = max(0, int(math.floor(cx - r - 1)))
-    x1 = min(nx - 1, int(math.ceil(cx + r + 1)))
-    y0 = max(0, int(math.floor(cy - r - 1)))
-    y1 = min(ny - 1, int(math.ceil(cy + r + 1)))
-    if x1 < x0 or y1 < y0:
-        return None
-    xs = np.arange(x0, x1 + 1)
-    ys = np.arange(y0, y1 + 1)
-    xx, yy = np.meshgrid(xs, ys)
-    if touching:
-        # the offset from the center to the nearest point of each cell
-        dx = np.maximum(np.abs(xx + 0.5 - cx) - 0.5, 0.0)
-        dy = np.maximum(np.abs(yy + 0.5 - cy) - 0.5, 0.0)
-        mask = dx * dx + dy * dy < r * r
-    else:
-        mask = (xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2 <= r * r
-    return yy[mask], xx[mask]
-
-
 def mark_disk(cells: np.ndarray, grid: OccupancyGrid, center, radius: float,
               value: bool = True, touching: bool = False) -> None:
-    hit = _disk_cells(grid, center, radius, touching)
-    if hit is not None:
-        cells[hit] = value
+    """Mark all cells whose center lies within radius; with `touching`, all
+    cells that some point of the open disk lies in, so every point of every
+    other cell is at least `radius` away."""
+    cs = grid.cell_size
+    _mark_disks(cells, np.array([center], dtype=float) / cs, radius / cs, value, touching)
 
 
 def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
@@ -278,14 +252,13 @@ def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
     Each segment is sampled every half cell at the parameters
     np.linspace(0, 1, n) gives, but only the samples whose disk can reach
     the grid are made, so the work is bounded by the grid and not by the
-    length of the lane. A segment's samples mark the cells mark_disk would
-    mark at each of them, all in one pass.
+    length of the lane. A segment's samples are marked together.
     """
     p = np.asarray(polyline, dtype=float)
     cs = grid.cell_size
     step = cs * 0.5
     ny, nx = grid.cells.shape
-    # `_disk_cells` pads a disk's box by a cell, so a disk reaches the grid
+    # `_mark_disks` pads a disk's box by a cell, so a disk reaches the grid
     # only from inside the grid grown by radius and two cells; one more
     # cell is slack for rounding
     reach = radius + 3.0 * cs
@@ -318,32 +291,50 @@ def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
         t = np.arange(k0, k1 + 1).astype(float) * (1.0 / (n - 1))
         if k1 == n - 1:
             t[-1] = 1.0
-        _mark_sample_disks(cells, (a + t[:, None] * (b - a)) / cs, radius / cs, value)
+        _mark_disks(cells, (a + t[:, None] * (b - a)) / cs, radius / cs, value)
 
 
-def _mark_sample_disks(cells: np.ndarray, centers: np.ndarray, r: float,
-                       value: bool) -> None:
-    """mark_disk at every row of `centers` (in cells), with `r` in cells.
+# box cells `_mark_disks` tests in one pass: as many disks as fit, and at
+# least one, so its temporaries stay near this size or one disk's box
+# however many disks it is given
+_DISK_BATCH_CELLS = 1 << 12
 
-    Each sample keeps `_disk_cells`'s box, clip and centre-in-disk test,
-    with the same arithmetic; the samples are tested together, one row of
-    their boxes at a time, so temporaries hold samples x box width.
+
+def _mark_disks(cells: np.ndarray, centers: np.ndarray, r: float, value: bool,
+                touching: bool = False) -> None:
+    """mark_disk at every row of `centers`, with centers and `r` in cells.
+
+    Each disk's box is padded by a cell and clipped to the grid. The disks
+    are tested in batches of about _DISK_BATCH_CELLS box cells.
     """
     ny, nx = cells.shape
     cx, cy = centers[:, 0], centers[:, 1]
-    x0 = np.maximum(0, np.floor(cx - r - 1)).astype(np.intp)
-    x1 = np.minimum(nx - 1, np.ceil(cx + r + 1)).astype(np.intp)
-    y0 = np.maximum(0, np.floor(cy - r - 1)).astype(np.intp)
-    y1 = np.minimum(ny - 1, np.ceil(cy + r + 1)).astype(np.intp)
-    cols = x0[:, None] + np.arange(int((x1 - x0).max()) + 1)
-    in_box = cols <= x1[:, None]
-    dx2 = (cols + 0.5 - cx[:, None]) ** 2
+    # clipped before the cast, so a centre far off the grid gets an empty box
+    x0 = np.clip(np.floor(cx - r - 1), 0, nx).astype(np.intp)
+    x1 = np.clip(np.ceil(cx + r + 1), -1, nx - 1).astype(np.intp)
+    y0 = np.clip(np.floor(cy - r - 1), 0, ny).astype(np.intp)
+    y1 = np.clip(np.ceil(cy + r + 1), -1, ny - 1).astype(np.intp)
+    w, h = int((x1 - x0).max()) + 1, int((y1 - y0).max()) + 1
+    if w <= 0 or h <= 0:
+        return
+    cols = x0[:, None] + np.arange(w)
+    rows = y0[:, None] + np.arange(h)
+    dx = cols + 0.5 - cx[:, None]
+    dy = rows + 0.5 - cy[:, None]
+    if touching:
+        # the offset from the center to the nearest point of each cell
+        dx = np.maximum(np.abs(dx) - 0.5, 0.0)
+        dy = np.maximum(np.abs(dy) - 0.5, 0.0)
+    dx2, dy2 = dx * dx, dy * dy
+    in_x, in_y = cols <= x1[:, None], rows <= y1[:, None]
     r2 = r * r
-    for dy in range(int((y1 - y0).max()) + 1):
-        rows = y0 + dy
-        hit = in_box & (rows <= y1)[:, None] & (dx2 + ((rows + 0.5 - cy) ** 2)[:, None] <= r2)
-        k, j = np.nonzero(hit)
-        cells[rows[k], cols[k, j]] = value
+    step = max(1, _DISK_BATCH_CELLS // (w * h))
+    for s in range(0, len(centers), step):
+        d2 = dx2[s:s + step, None, :] + dy2[s:s + step, :, None]
+        hit = (d2 < r2) if touching else (d2 <= r2)
+        hit &= in_x[s:s + step, None, :] & in_y[s:s + step, :, None]
+        i, yk, xk = np.nonzero(hit)
+        cells[rows[s + i, yk], cols[s + i, xk]] = value
 
 
 def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:

@@ -23,16 +23,6 @@ def test_build_scenario_dispatch():
     assert build_scenario("s2", v2x_enabled=False).stations is None
     with pytest.raises(ValueError):
         build_scenario("s9")
-    # one spec per id and builder arguments for the life of the process, so
-    # every run that names a scenario shares its memos
-    assert build_scenario("s2") is build_scenario("s2")
-    assert build_scenario("s2", v2x_enabled=False) is build_scenario("s2", v2x_enabled=False)
-    assert build_scenario("s2", v2x_enabled=False) is not build_scenario("s2")
-    assert build_scenario("s1", route_shape="curve") is not build_scenario("s1")
-    # a builder called directly builds afresh and starts cold
-    fresh = build_s2()
-    assert fresh is not build_scenario("s2")
-    assert not fresh.vmap.initial().planning_memo
 
 
 # ---------------------------------------------------------------------------

@@ -268,67 +268,59 @@ def test_stamp_polyline_covers_full_band():
         assert not occupied_at(g, x, 7.5)
 
 
+def _mark_disk_on_every_cell(cells, grid, center, radius, value):
+    """mark_disk without its box: every cell of the grid whose center lies
+    within radius, tested with the same arithmetic."""
+    cs = grid.cell_size
+    cx, cy, r = center[0] / cs, center[1] / cs, radius / cs
+    iy, ix = np.indices(cells.shape)
+    cells[(ix + 0.5 - cx) ** 2 + (iy + 0.5 - cy) ** 2 <= r * r] = value
+
+
 def _stamp_polyline_sampling_every_sample(cells, grid, polyline, radius,
                                           value=True):
-    """stamp_polyline as first written: every sample of every segment, on
-    the grid or not. The bounded version must mark exactly its cells."""
+    """stamp_polyline as first written: a disk at every sample of every
+    segment, on the grid or not. The bounded version must mark exactly its
+    cells."""
     p = np.asarray(polyline, dtype=float)
+    ny, nx = cells.shape
     step = grid.cell_size * 0.5
+    far = radius + grid.cell_size
     for i in range(len(p) - 1):
         a, b = p[i], p[i + 1]
         seg = math.hypot(b[0] - a[0], b[1] - a[1])
         n = max(2, int(math.ceil(seg / step)) + 1)
         for t in np.linspace(0.0, 1.0, n):
-            mark_disk(cells, grid, a + t * (b - a), radius, value)
+            x, y = a + t * (b - a)
+            # a disk this far off the grid holds no cell center
+            if -far < x < nx * grid.cell_size + far and -far < y < ny * grid.cell_size + far:
+                _mark_disk_on_every_cell(cells, grid, (x, y), radius, value)
 
 
-# a 30 x 20 m grid
-STAMP_GRID = dict(size_x=30.0, size_y=20.0, cell_size=0.5)
+def _stamp_coord(hi: float, n: int, cell_size: float, radius: float):
+    """Up to 1 km off either side of [0, hi], within radius + 2 m of an
+    edge, or a cell center near the grid."""
+    return st.one_of(st.floats(-1000.0, hi + 1000.0),
+                     st.builds(lambda edge, d: edge + d, st.sampled_from([0.0, hi]),
+                               st.floats(-radius - 2.0, radius + 2.0)),
+                     st.integers(-4, n + 4).map(lambda k: (k + 0.5) * cell_size))
 
 
-def _stamp_coord(lo: float, hi: float):
-    """Up to 1 km off either side of [lo, hi], or within 2 m of an edge."""
-    return st.one_of(st.floats(lo - 1000.0, hi + 1000.0),
-                     st.builds(lambda edge, d: edge + d,
-                               st.sampled_from([lo, hi]), st.floats(-2.0, 2.0)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(line=st.lists(st.tuples(_stamp_coord(0.0, 30.0), _stamp_coord(0.0, 20.0)),
-                     min_size=2, max_size=4),
-       radius=st.sampled_from([0.0, 0.3, 1.5, 5.0]),
-       value=st.booleans())
-def test_stamp_polyline_marks_the_cells_of_every_sample(line, radius, value):
-    # lanes that cross, graze and miss the grid on every side
-    want = empty_grid(**STAMP_GRID, occupied=not value)
-    _stamp_polyline_sampling_every_sample(want.cells, want, line, radius, value)
-    got = empty_grid(**STAMP_GRID, occupied=not value)
-    stamp_polyline(got.cells, got, line, radius, value)
-    assert np.array_equal(got.cells, want.cells)
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(cell_size=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.2, 2.0)),
        shape=st.tuples(st.integers(1, 50), st.integers(1, 50)), value=st.booleans(),
        fill=st.integers(0, 2**32 - 1), data=st.data())
-def test_stamp_polyline_matches_one_mark_disk_per_sample(cell_size, shape, value, fill,
-                                                         data):
-    # stamp_polyline tests all of a segment's samples at once; mark_disk
-    # called per sample is the oracle. Any cell size, a grid of either value
-    # already partly marked, and lanes that cross, graze and miss it. Cell
-    # centres and radii of whole half cells put cells exactly on a disk's rim
+def test_stamp_polyline_marks_the_cells_of_every_sample(cell_size, shape, value, fill,
+                                                        data):
+    # lanes that cross, graze and miss the grid on every side, at any cell
+    # size, on a grid already partly marked; cell centers and radii of whole
+    # half cells put cells exactly on a disk's rim
     nx, ny = shape
-    width, height = nx * cell_size, ny * cell_size
-    radius = data.draw(st.one_of(st.floats(0.0, 6.0),
+    radius = data.draw(st.one_of(st.sampled_from([0.0, 0.3, 1.5, 5.0]),
+                                 st.floats(0.0, 6.0),
                                  st.integers(0, 12).map(lambda k: k * cell_size / 2)))
-
-    def coord(hi, n):
-        return st.one_of(st.floats(-40.0, hi + 40.0),
-                         st.builds(lambda edge, d: edge + d, st.sampled_from([0.0, hi]),
-                                   st.floats(-radius - 2.0, radius + 2.0)),
-                         st.integers(-4, n + 4).map(lambda k: (k + 0.5) * cell_size))
-
-    line = data.draw(st.lists(st.tuples(coord(width, nx), coord(height, ny)),
+    line = data.draw(st.lists(st.tuples(_stamp_coord(nx * cell_size, nx, cell_size, radius),
+                                        _stamp_coord(ny * cell_size, ny, cell_size, radius)),
                               min_size=2, max_size=4))
     cells = np.random.default_rng(fill).random((ny, nx)) < 0.5
     want = OccupancyGrid(cells.copy(), cell_size)
@@ -336,6 +328,10 @@ def test_stamp_polyline_matches_one_mark_disk_per_sample(cell_size, shape, value
     got = OccupancyGrid(cells.copy(), cell_size)
     stamp_polyline(got.cells, got, line, radius, value)
     assert np.array_equal(got.cells, want.cells)
+
+
+# a 30 x 20 m grid
+STAMP_GRID = dict(size_x=30.0, size_y=20.0, cell_size=0.5)
 
 
 @pytest.mark.parametrize("line", [
