@@ -8,12 +8,7 @@ exchange V2X traffic, fuse, poll the map server, gate pending event
 hypotheses, project the ego onto the plan, evaluate replan triggers,
 compute the command, log, step the vehicle. The ego is projected
 once onto the route and once onto the plan per tick (again onto a plan a
-replan just made), and every stage reuses those arc lengths. A projection
-(`world.Polyline.project`) bounds every segment's distance from its
-midpoint and half length in one vectorised pass, then measures exactly
-only the segments that bound cannot rule out, with the arithmetic of a scan
-of every segment: the same (arc length, lateral, index) bits, ties to the
-lowest index.
+replan just made), and every stage reuses those arc lengths.
 
 The ego follows its plan and replans when a trigger fires. No plan means a
 safety stop: the brake ramps to full, and planning is retried every
@@ -73,8 +68,8 @@ from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import VehicleState, step
-from .world import (MapVersion, Polyline, WorldObject, planning_occupancy,
-                    poll_update, wrap_angle)
+from .world import (MapVersion, Polyline, VersionedMap, WorldObject,
+                    planning_occupancy, poll_update, wrap_angle)
 
 RECOVERY_TICKS = 10               # replan retry cadence during a stop ramp
 
@@ -162,16 +157,16 @@ def _is_true_claim(kind: str, x: float, y: float, hazards, radius: float) -> boo
                for hk, hx, hy in hazards)
 
 
-def _planning_maps(version: MapVersion, route: Polyline,
+def _planning_maps(vmap: VersionedMap, version: MapVersion, route: Polyline,
                    collision_radius: float) -> PlanningMaps:
-    """The PlanningMaps of `version` for `route` and `collision_radius`,
-    built on first use and kept in the version's planning_memo, so every
-    episode of a spec (and of specs sharing its map objects) reuses them
-    and the cost-to-goal fields its plans store in them."""
+    """The PlanningMaps of `version`, on `vmap`, for `route` and
+    `collision_radius`, built on first use and kept in the version's
+    planning_memo, so every episode of a spec (and of specs sharing its map
+    objects) reuses them and the cost-to-goal fields its plans store in them."""
     key = (route, collision_radius)
     maps = version.planning_memo.get(key)
     if maps is None:
-        grid = planning_occupancy(version, collision_radius)
+        grid = planning_occupancy(vmap, version, collision_radius)
         maps = version.planning_memo[key] = PlanningMaps(
             grid, route_deviation_field(grid, route.points))
     return maps
@@ -256,7 +251,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
     def replan(cause: str, tick: int, t: float):
         """Plan from the current ego state on the active map, log the attempt
         and return its trajectory, None when the search failed."""
-        maps = _planning_maps(active, ref, spec.vehicle.collision_radius)
+        maps = _planning_maps(spec.vmap, active, ref, spec.vehicle.collision_radius)
         if cause == "initial":
             attempt = _initial_plan(maps, ego, goal, ldm, spec)
         else:

@@ -77,7 +77,6 @@ class Track:
 
 PENDING = "pending"
 ACCEPTED = "accepted"
-REJECTED = "rejected"
 EXPIRED = "expired"
 
 
@@ -199,7 +198,7 @@ def ingest_denm(msg: V2xMessage, events: list, params: LdmParams) -> EventHypoth
     best = None
     best_d = None
     for hyp in events:
-        if hyp.status in (EXPIRED, REJECTED):
+        if hyp.status == EXPIRED:
             continue
         if hyp.kind != msg.payload.event_kind:
             continue

@@ -55,10 +55,8 @@ import numpy as np
 
 from .ldm import LdmState
 from .vehicle import VehicleParams
-from .world import (OccupancyGrid, Polyline, Route, check_range, is_on_route,
+from .world import (TWO_PI, OccupancyGrid, Polyline, Route, check_range, is_on_route,
                     mark_disk, wrap_angle)
-
-TWO_PI = 2.0 * math.pi
 
 # collision footprint of an event by kind, before vehicle-radius inflation
 EVENT_RADIUS = {

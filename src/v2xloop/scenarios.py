@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from types import SimpleNamespace, UnionType
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -36,8 +36,8 @@ from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation
 from .vehicle import VehicleParams
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
-                    VersionedMap, as_polyline, build_corridor_map, check_grid,
-                    check_id, check_range, polyline_cumlength)
+                    VersionedMap, as_polyline, check_id, check_range,
+                    polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
 
@@ -108,8 +108,8 @@ class UpdateClientConfig:
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Everything an episode needs. Equality and hash go by value, but by
-    identity for paths and grids: apply_configuration's copies share those,
-    so two separately built specs are never equal."""
+    identity for paths: apply_configuration's copies share those, so two
+    separately built specs are never equal."""
 
     scenario_id: str
     vmap: VersionedMap
@@ -150,9 +150,10 @@ class ScenarioSpec:
             # outside the episode's, where the ego holds still until timeout
             raise ValueError(f"planner.goal_xy_tol: must not exceed goal_tolerance="
                              f"{self.goal_tolerance}, got {self.planner.goal_xy_tol}")
-        # the planner's cost-to-goal field is a Dijkstra from the goal's cell
-        grid = self.vmap.initial().occupancy
-        width, height = (n * grid.cell_size for n in grid.cells.shape[::-1])
+        # the planner's cost-to-goal field is a Dijkstra from the goal's cell,
+        # on a grid of whole cells
+        cs = self.vmap.cell_size
+        width, height = (round(side / cs) * cs for side in self.vmap.size)
         gx, gy = self.route.goal_pose[:2]
         if not (0.0 <= gx < width and 0.0 <= gy < height):
             raise ValueError(f"route.goal_pose: must lie on the {width:g} x {height:g} m "
@@ -226,6 +227,15 @@ def _rsu_row(count: int, x0: float, dx: float, y: float,
                     sensing_range=sensing_range) for i in range(count)]
 
 
+def _map(*lane_graphs, publish_times=(None,)) -> VersionedMap:
+    """The 100 m square map at 0.5 m cells of every built-in scenario, with
+    one version per lane graph, ids from 1."""
+    return VersionedMap(size=(100.0, 100.0), cell_size=0.5,
+                        versions=tuple(MapVersion(i + 1, lanes)
+                                       for i, lanes in enumerate(lane_graphs)),
+                        publish_times=publish_times)
+
+
 def build_s1(route_shape: str = "straight") -> ScenarioSpec:
     if route_shape == "straight":
         center = _straight((4.0, 50.0), (96.0, 50.0))
@@ -238,10 +248,7 @@ def build_s1(route_shape: str = "straight") -> ScenarioSpec:
         heading = math.atan2(d[1], d[0])
     else:
         raise ValueError("route_shape must be 'straight' or 'curve'")
-    seg = LaneSegment("main", center, half_width=4.0)
-    vmap = VersionedMap(size=(100.0, 100.0), cell_size=0.5,
-                        versions=(build_corridor_map(1, [seg], 100.0, 100.0, 0.5),),
-                        publish_times=(None,))
+    vmap = _map([LaneSegment("main", center, half_width=4.0)])
     goal = (float(ref[-1, 0]), float(ref[-1, 1]), 0.0)
     return ScenarioSpec(
         scenario_id="s1", vmap=vmap,
@@ -252,10 +259,7 @@ def build_s1(route_shape: str = "straight") -> ScenarioSpec:
 
 
 def _s2_layout():
-    seg = LaneSegment("main", _straight((4.0, 50.0), (96.0, 50.0)), half_width=4.0)
-    vmap = VersionedMap(size=(100.0, 100.0), cell_size=0.5,
-                        versions=(build_corridor_map(1, [seg], 100.0, 100.0, 0.5),),
-                        publish_times=(None,))
+    vmap = _map([LaneSegment("main", _straight((4.0, 50.0), (96.0, 50.0)), half_width=4.0)])
     ref = _straight((8.0, 50.0), (92.0, 50.0), n=24)
     route = Route(reference_path=ref, goal_pose=(92.0, 50.0, 0.0))
     # off-center stall: blocks the reference line but leaves a gap below it
@@ -309,10 +313,7 @@ def build_s3(updates_enabled: bool = True) -> ScenarioSpec:
         LaneSegment("det_b", _straight((56.0, 62.0), (80.0, 62.0)), hw),
         LaneSegment("det_c", _straight((80.0, 62.0), (80.0, 30.0)), hw),
     ]
-    v1 = build_corridor_map(1, segs_v1, 100.0, 100.0, 0.5)
-    v2 = build_corridor_map(2, segs_v2, 100.0, 100.0, 0.5)
-    vmap = VersionedMap(size=(100.0, 100.0), cell_size=0.5,
-                        versions=(v1, v2), publish_times=(None, 4.0))
+    vmap = _map(segs_v1, segs_v2, publish_times=(None, 4.0))
     ref = _straight((8.0, 30.0), (92.0, 30.0), n=24)
     route = Route(reference_path=ref, goal_pose=(92.0, 30.0, 0.0))
     posts = tuple(
@@ -379,25 +380,20 @@ def _encode(value):
     if isinstance(value, Polyline):
         return value.points.tolist()
     if is_dataclass(value):
-        # occupancy grids are derived from the lane graph and non-init fields
-        # from the others: neither is serialized
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)
-                if f.init and not (isinstance(value, MapVersion) and f.name == "occupancy")}
+        # non-init fields are derived from the others and not serialized
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value) if f.init}
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
     return value
 
 
-def _decode_fields(cls, d, path: str, exclude=(), raw=()) -> dict:
-    """Constructor arguments for cls: fields named in `raw` come back as
-    found, `exclude` fields are not part of the document."""
+def _decode_fields(cls, d, path: str) -> dict:
+    """Constructor arguments for cls from the document object `d`."""
     if not isinstance(d, dict):
         raise ValueError(f"{path}: expected an object, got {type(d).__name__}")
-    known = [f for f in fields(cls) if f.init and f.name not in exclude]
+    known = [f for f in fields(cls) if f.init]
     unknown = sorted(set(d) - {f.name for f in known})
     if unknown:
         raise ValueError(f"{path}.{unknown[0]}: unknown key")
@@ -407,43 +403,9 @@ def _decode_fields(cls, d, path: str, exclude=(), raw=()) -> dict:
         if f.name not in d:
             if f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"{path}.{f.name}: missing required field")
-        elif f.name in raw:
-            kwargs[f.name] = d[f.name]
         else:
             kwargs[f.name] = _decode(hints[f.name], d[f.name], f"{path}.{f.name}")
     return kwargs
-
-
-def _decode_map(d, path: str) -> VersionedMap:
-    kwargs = _decode_fields(VersionedMap, d, path, raw=("versions",))
-    # checked before any grid is built: a grid's shape is size / cell_size
-    try:
-        check_range(SimpleNamespace(**kwargs), ("size", "cell_size"), strict=True)
-        check_grid(kwargs["size"], kwargs["cell_size"])
-    except ValueError as exc:
-        raise _located(exc, path, VersionedMap) from None
-    size_x, size_y = kwargs["size"]
-    versions = []
-    for i, vd in enumerate(_decode(tuple[dict, ...], kwargs["versions"],
-                                   f"{path}.versions")):
-        where = f"{path}.versions[{i}]"
-        v = _decode_fields(MapVersion, vd, where, exclude=("occupancy",))
-        # stamping samples every centerline at half a cell, so a lane far off
-        # the map would take unbounded memory
-        for seg in v["lane_graph"]:
-            p = seg.polyline.points
-            if p.min() < 0.0 or p[:, 0].max() > size_x or p[:, 1].max() > size_y:
-                raise ValueError(f"{where}.lane_graph: segment {seg.segment_id!r} leaves "
-                                 f"the {size_x:g} x {size_y:g} m map")
-        try:
-            versions.append(build_corridor_map(
-                v["version_id"], v["lane_graph"], size_x, size_y, kwargs["cell_size"]))
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    try:
-        return VersionedMap(**{**kwargs, "versions": tuple(versions)})
-    except ValueError as exc:
-        raise _located(exc, path, VersionedMap) from None
 
 
 # "name: ..." or "name.sub[i].x: ...", a message naming the field at fault
@@ -466,8 +428,6 @@ def _decode(tp, value, path: str):
             return None
         (tp,) = [a for a in args if a is not type(None)]
         return _decode(tp, value, path)
-    if tp is VersionedMap:
-        return _decode_map(value, path)
     if tp is Polyline:
         try:
             return Polyline(value)
@@ -495,7 +455,7 @@ def _decode(tp, value, path: str):
             args = (args[0],) * len(value)
         return origin(_decode(a, v, f"{path}[{i}]")
                       for i, (a, v) in enumerate(zip(args, value)))
-    if tp in (float, int, bool, str, dict):
+    if tp in (float, int, bool, str):
         if tp is float and type(value) is int:
             value = float(value)
         if not isinstance(value, tp) or (tp is int and isinstance(value, bool)):

@@ -77,7 +77,7 @@ class StationPopulation:
                 raise ValueError(f"stations[{i}].station_id: repeats the id {sid!r}")
         unknown = self.byzantine_ids - set(ids)
         if unknown:
-            raise ValueError(f"byzantine ids not in population: {sorted(unknown)}")
+            raise ValueError(f"byzantine_ids: names no station, got {sorted(unknown)}")
         by_id = sorted(self.stations, key=lambda s: s.station_id)
         object.__setattr__(self, "_honest", tuple(
             s for s in by_id if s.station_id not in self.byzantine_ids))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .world import check_range
+from .world import check_range, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,7 @@ def step(state: VehicleState, cmd, params: VehicleParams, dt: float) -> VehicleS
     v = state.speed
     x = state.x + v * math.cos(state.heading) * dt
     y = state.y + v * math.sin(state.heading) * dt
-    heading = state.heading + (v / params.wheelbase) * math.tan(steering) * dt
-    heading = (heading + math.pi) % (2.0 * math.pi) - math.pi
+    heading = wrap_angle(state.heading + (v / params.wheelbase) * math.tan(steering) * dt)
 
     accel = throttle * params.max_accel - brake * params.max_decel
     v_next = min(max(v + accel * dt, 0.0), params.v_max)

@@ -249,48 +249,18 @@ def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
                    radius: float, value: bool = True) -> None:
     """Mark every cell within `radius` of the polyline.
 
-    Each segment is sampled every half cell at the parameters
-    np.linspace(0, 1, n) gives, but only the samples whose disk can reach
-    the grid are made, so the work is bounded by the grid and not by the
-    length of the lane. A segment's samples are marked together.
+    Each segment is sampled every half cell at np.linspace(0, 1, n), and a
+    segment's samples are marked together. The work grows with the length
+    of the lane, so a lane must lie on the grid (VersionedMap checks that).
     """
     p = np.asarray(polyline, dtype=float)
     cs = grid.cell_size
     step = cs * 0.5
-    ny, nx = grid.cells.shape
-    # `_mark_disks` pads a disk's box by a cell, so a disk reaches the grid
-    # only from inside the grid grown by radius and two cells; one more
-    # cell is slack for rounding
-    reach = radius + 3.0 * cs
-    lo = (-reach, -reach)
-    hi = (nx * cs + reach, ny * cs + reach)
     for i in range(len(p) - 1):
         a, b = p[i], p[i + 1]
         seg = math.hypot(b[0] - a[0], b[1] - a[1])
         n = max(2, int(math.ceil(seg / step)) + 1)
-        # the parameter interval [t0, t1] inside the grown grid
-        t0, t1 = 0.0, 1.0
-        for axis in (0, 1):
-            # a segment inside the grown grid along this axis is not cut by
-            # it; skipping the divide also keeps a subnormal delta from
-            # overflowing it
-            if lo[axis] <= min(a[axis], b[axis]) and max(a[axis], b[axis]) <= hi[axis]:
-                continue
-            d = b[axis] - a[axis]
-            if d == 0.0:            # standing still outside the grown grid
-                t0, t1 = 1.0, 0.0
-                continue
-            u, v = sorted(((lo[axis] - a[axis]) / d, (hi[axis] - a[axis]) / d))
-            t0, t1 = max(t0, u), min(t1, v)
-        if t0 > t1:
-            continue
-        # samples k0..k1, one of slack on each side, with t computed as
-        # np.linspace(0, 1, n) does: k * (1 / (n - 1)), the last one 1.0
-        k0 = max(0, int(math.floor(t0 * (n - 1))) - 1)
-        k1 = min(n - 1, int(math.ceil(t1 * (n - 1))) + 1)
-        t = np.arange(k0, k1 + 1).astype(float) * (1.0 / (n - 1))
-        if k1 == n - 1:
-            t[-1] = 1.0
+        t = np.linspace(0.0, 1.0, n)
         _mark_disks(cells, (a + t[:, None] * (b - a)) / cs, radius / cs, value)
 
 
@@ -368,9 +338,11 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
 
 @dataclass(frozen=True)
 class MapVersion:
+    """One published lane graph; its grids are derived on the map that
+    holds it (planning_occupancy)."""
+
     version_id: int
     lane_graph: tuple[LaneSegment, ...]
-    occupancy: OccupancyGrid
     # the planning views of this version, built by the first episode that
     # plans on it and reused for as long as the version lives: (route
     # reference path, collision radius) -> planner.PlanningMaps
@@ -385,16 +357,18 @@ class MapVersion:
 
 @dataclass(frozen=True)
 class VersionedMap:
-    """The map server: the initial map, then later versions with their
-    publish times, in publish order. A rejected schedule's message starts
-    with the field at fault."""
+    """The map server: the extent every version's grid is rasterized on,
+    the initial map, then later versions with their publish times, in
+    publish order. A rejected map's message starts with the field at fault."""
 
-    size: tuple[float, float]
-    cell_size: float
+    size: tuple[float, float]     # [m] width, height
+    cell_size: float              # [m]
     versions: tuple[MapVersion, ...]
     publish_times: tuple[float | None, ...]   # None for the initial version
 
     def __post_init__(self):
+        check_range(self, ("size", "cell_size"), strict=True)
+        check_grid(self.size, self.cell_size)
         times, ids = self.publish_times, [v.version_id for v in self.versions]
         if len(times) != len(ids):
             raise ValueError(f"publish_times: expected one per version, got {len(times)} "
@@ -407,6 +381,15 @@ class VersionedMap:
                              f"finite non-decreasing times, got {list(times)}")
         if any(b <= a for a, b in zip(ids, ids[1:])):
             raise ValueError(f"versions: ids must strictly increase, got {ids}")
+        # stamping samples every centerline at half a cell, so a lane far off
+        # the map would take unbounded memory
+        w, h = self.size
+        for i, version in enumerate(self.versions):
+            for seg in version.lane_graph:
+                p = seg.polyline.points
+                if p.min() < 0.0 or p[:, 0].max() > w or p[:, 1].max() > h:
+                    raise ValueError(f"versions[{i}].lane_graph: segment "
+                                     f"{seg.segment_id!r} leaves the {w:g} x {h:g} m map")
 
     def initial(self) -> MapVersion:
         return self.versions[0]
@@ -430,29 +413,20 @@ def poll_update(client_time: float, last_seen_version: int, vmap: VersionedMap,
     return best, client_time + float(download_latency)
 
 
-def planning_occupancy(version: MapVersion, vehicle_radius: float) -> OccupancyGrid:
-    """Planner-facing view: base grid, closed segments stamped in, inflated."""
-    cells = version.occupancy.cells.copy()
+def planning_occupancy(vmap: VersionedMap, version: MapVersion,
+                       vehicle_radius: float) -> OccupancyGrid:
+    """Planner-facing view of `version` on `vmap`'s extent: everything is
+    wall but the open lanes, the closed lanes are stamped back in, and the
+    result is inflated by the vehicle radius."""
+    grid = empty_grid(*vmap.size, vmap.cell_size, occupied=True)
+    for seg in version.lane_graph:
+        if not seg.closed:
+            stamp_polyline(grid.cells, grid, seg.polyline.points, seg.half_width,
+                           value=False)
     for seg in version.lane_graph:
         if seg.closed:
-            stamp_polyline(cells, version.occupancy, seg.polyline.points,
-                           seg.half_width)
-    return inflate(OccupancyGrid(cells=cells, cell_size=version.occupancy.cell_size),
-                   vehicle_radius)
-
-
-def build_corridor_map(version_id: int, segments: list[LaneSegment],
-                       size_x: float, size_y: float, cell_size: float = 0.5
-                       ) -> MapVersion:
-    """Occupancy from a lane graph: everything is wall except open corridors."""
-    grid = empty_grid(size_x, size_y, cell_size, occupied=True)
-    cells = grid.cells
-    for seg in segments:
-        if not seg.closed:
-            stamp_polyline(cells, grid, seg.polyline.points, seg.half_width,
-                           value=False)
-    return MapVersion(version_id=version_id, lane_graph=tuple(segments),
-                      occupancy=grid)
+            stamp_polyline(grid.cells, grid, seg.polyline.points, seg.half_width)
+    return inflate(grid, vehicle_radius)
 
 
 # ---------------------------------------------------------------------------

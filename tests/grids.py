@@ -1,6 +1,15 @@
-"""Reading an occupancy grid at a world point, for the tests."""
+"""Occupancy grids for the tests: a one-version corridor map, and reading
+a grid at a world point."""
 
 import math
+
+from v2xloop.world import MapVersion, VersionedMap
+
+
+def corridor_map(segments, w: float, h: float) -> VersionedMap:
+    """A w x h m map at 0.5 m cells whose one version, id 0, holds `segments`."""
+    return VersionedMap(size=(w, h), cell_size=0.5,
+                        versions=(MapVersion(0, segments),), publish_times=(None,))
 
 
 def occupied_at(grid, x: float, y: float) -> bool:

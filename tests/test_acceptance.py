@@ -14,7 +14,7 @@ from statistics import mean
 import numpy as np
 import pytest
 
-from grids import occupied_at
+from grids import corridor_map, occupied_at
 from v2xloop.control import (ControlCommand, ControllerConfig, PidState,
                              follow_tick, pid_longitudinal, pure_pursuit)
 from v2xloop.gate import evaluate, support
@@ -28,8 +28,7 @@ from v2xloop.planner import (PlannerConfig, PlanningMaps, Trajectory,
                              obstacle_grid, plan, ttc_min)
 from v2xloop.scenarios import build_s2, build_s3, build_s4
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature, step
-from v2xloop.world import (LaneSegment, Route, build_corridor_map,
-                           planning_occupancy)
+from v2xloop.world import LaneSegment, Route, planning_occupancy
 
 SEEDS = tuple(range(1, 31))
 VP = VehicleParams()
@@ -264,8 +263,7 @@ def _corridor_instance(rng):
     xs = np.arange(4.0, 96.0 + 1e-9, 2.0)
     ys = y0 + amp * np.sin(2.0 * math.pi * (xs - 4.0) / 92.0)
     line = np.column_stack([xs, ys])
-    mapv = build_corridor_map(
-        0, [LaneSegment("lane", line.tolist(), half_width=5.0)], 100.0, 100.0)
+    vmap = corridor_map([LaneSegment("lane", line.tolist(), half_width=5.0)], 100.0, 100.0)
 
     def pose_at(i):
         dx, dy = line[i + 1] - line[i]
@@ -284,9 +282,9 @@ def _corridor_instance(rng):
         tracks.append(Track(track_id=f"T{j}", position=(ox, oy),
                             velocity=(0.0, 0.0), belief=0.9,
                             last_update=0.0))
-    ldm = initial_state(mapv)
+    ldm = initial_state(vmap.initial())
     ldm.objects.extend(tracks)
-    return start, goal, route, ldm
+    return start, goal, route, vmap, ldm
 
 
 def test_06_planner_success_rate_and_bounds(pytestconfig):
@@ -298,11 +296,11 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
     collisions = 0
     times_ms = []
     for _ in range(30):
-        start, goal, route, ldm = _corridor_instance(rng)
+        start, goal, route, vmap, ldm = _corridor_instance(rng)
         # each instance is its own map version, so its first plan builds
         # the static field inside its cpu_ms, as an episode's first plan
         # does; no deviation field prices none
-        base = planning_occupancy(ldm.active_map, VP.collision_radius)
+        base = planning_occupancy(vmap, ldm.active_map, VP.collision_radius)
         maps = PlanningMaps(base, np.zeros(base.cells.shape))
         attempt = plan(start, goal, ldm, cfg, VP, "initial", maps, 0.0)
         if not attempt.succeeded:

@@ -8,12 +8,10 @@ from v2xloop.ldm import (ACCEPTED, EXPIRED, PENDING, EventHypothesis,
                          fuse_tick, ingest_denm, initial_state, update_belief)
 from v2xloop.perception import Detection, SenseFrame
 from v2xloop.v2x import CamPayload, DenmPayload, V2xMessage
-from v2xloop.world import LaneSegment, build_corridor_map
+from v2xloop.world import LaneSegment, MapVersion
 
 P = LdmParams()
-MAP0 = build_corridor_map(
-    0, [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)],
-    100.0, 20.0)
+MAP0 = MapVersion(0, [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)])
 
 
 def _denm(station, pos, kind="stationary_vehicle", recv=1.0, gen=None, seq=0):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grids import occupied_at
+from grids import corridor_map, occupied_at
 from v2xloop import planner
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
@@ -22,16 +22,17 @@ from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
 from v2xloop.scenarios import build_s1, spec_from_dict, spec_to_dict
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Route,
-                           build_corridor_map, empty_grid, planning_occupancy,
-                           wrap_angle)
+                           empty_grid, inflate, planning_occupancy, wrap_angle)
 
 CFG = PlannerConfig()
 TRIG = TriggerConfig()
 VP = VehicleParams()
 
-ROAD = build_corridor_map(
-    0, [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)],
-    100.0, 20.0)
+ROAD_MAP = corridor_map(
+    [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)], 100.0, 20.0)
+ROAD = ROAD_MAP.initial()
+# the static planning grid the episode loop passes to `plan` on ROAD
+ROAD_BASE = planning_occupancy(ROAD_MAP, ROAD, VP.collision_radius)
 ROUTE = Route(reference_path=np.array([[2.0, 10.0], [95.0, 10.0]]),
               goal_pose=(95.0, 10.0, 0.0))
 
@@ -58,15 +59,9 @@ def _ego(x=2.0, y=10.0, heading=0.0, speed=8.0):
     return VehicleState(x=x, y=y, heading=heading, speed=speed)
 
 
-def _base(ldm):
-    """The static planning grid the episode loop passes to `plan`."""
-    return planning_occupancy(ldm.active_map, VP.collision_radius)
-
-
-def _maps(ldm, deviation_field=None):
-    """Fresh PlanningMaps over the ldm's static grid; no deviation field
+def _maps(base=ROAD_BASE, deviation_field=None):
+    """Fresh PlanningMaps over the static grid `base`; no deviation field
     prices no deviation."""
-    base = _base(ldm)
     if deviation_field is None:
         deviation_field = np.zeros(base.cells.shape)
     return PlanningMaps(base, deviation_field)
@@ -74,14 +69,14 @@ def _maps(ldm, deviation_field=None):
 
 def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
           deviation_field=None, goal=ROUTE.goal_pose, maps=None):
-    """`plan` with `maps`, or with fresh `_maps` of the ldm."""
+    """`plan` with `maps`, or with fresh `_maps` of ROAD."""
     if maps is None:
-        maps = _maps(ldm, deviation_field)
+        maps = _maps(ROAD_BASE, deviation_field)
     return plan(start, goal, ldm, cfg, VP, cause, maps, start_steering)
 
 
-def _grid(ldm, cfg=CFG, start_xy=ROUTE.reference_path.points[0]):
-    return obstacle_grid(ldm, cfg, VP, _base(ldm), start_xy)
+def _grid(ldm, cfg=CFG, start_xy=ROUTE.reference_path.points[0], base=ROAD_BASE):
+    return obstacle_grid(ldm, cfg, VP, base, start_xy)
 
 
 def _check_plan(attempt, goal):
@@ -148,13 +143,13 @@ def test_plan_arc_lengths_monotone_and_consistent():
 
 def test_planning_maps_reject_a_deviation_field_of_another_shape():
     with pytest.raises(ValueError, match="^deviation: shape"):
-        PlanningMaps(_base(_ldm()), np.zeros((3, 3)))
+        PlanningMaps(ROAD_BASE, np.zeros((3, 3)))
 
 
 def test_planning_maps_reject_a_negative_or_non_finite_deviation_field():
     # an arc is free iff its summed cost is finite, so the field must be;
     # a negative deviation would give the cost-to-goal field negative steps
-    base = _base(_ldm())
+    base = ROAD_BASE
     for bad in (math.inf, math.nan, -1.0):
         field = np.zeros(base.cells.shape)
         field[3, 4] = bad
@@ -166,9 +161,9 @@ def test_plan_pushes_no_node_the_static_map_cuts_off_from_the_goal():
     # a wall across the whole road: every free cell on the start's side
     # reads inf, so the start's arcs are all dropped and the search ends
     # after expanding the start alone
-    ldm = _open_ldm([(14.0, 16.0, 0.0, 20.0)])
+    ldm, base = _open_ldm([(14.0, 16.0, 0.0, 20.0)])
     goal = (25.0, 10.0, 0.0)
-    maps = _maps(ldm)
+    maps = _maps(base)
     attempt = _plan((5.0, 10.0, 0.0), ldm, goal=goal, maps=maps)
     to_goal = maps.fields[(*goal[:2], CFG.lateral_weight)]
     assert math.isinf(to_goal[20, 10]) and to_goal[20, 50] == 0.0
@@ -190,7 +185,7 @@ def _counting_field_builds(monkeypatch):
 
 
 def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
-    maps = _maps(_ldm())
+    maps = _maps()
     key = (*ROUTE.goal_pose[:2], CFG.lateral_weight)
     built = _counting_field_builds(monkeypatch)
 
@@ -217,7 +212,7 @@ def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
     # stamp: this track's disk lies wholly off the road, below y = 5
     edge = _ldm(tracks=[_track("T1", (40.0, 1.0))])
     assert occupied_at(_grid(edge), 40.0, 1.0)
-    assert np.array_equal(_grid(edge).cells, _base(edge).cells)
+    assert np.array_equal(_grid(edge).cells, ROAD_BASE.cells)
     on_edge = _plan((2.0, 10.0, 0.0), edge, maps=maps)
     assert on_edge.succeeded and on_edge.heuristic_ms == 0.0
     assert len(built) == 2 and stored()
@@ -236,7 +231,7 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
                        for i, (x, y, b) in enumerate(tracks)],
                events=[replace(_event((x, y), kind), event_id=f"E{i}")
                        for i, (kind, x, y) in enumerate(events)])
-    base = _base(ldm)
+    base = ROAD_BASE
     deviation = route_deviation_field(base, ROUTE.reference_path.points)
     start = (start_x, 10.0, 0.0)
     grid = obstacle_grid(ldm, CFG, VP, base, start[:2])
@@ -373,16 +368,16 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
 
 def _random_corridor(rng, near_edge: bool):
     """Random S-bend on a 100 x 100 m map with up to two parked tracks, built
-    like the acceptance planner instances. With `near_edge` the lane runs off
-    the map's left edge and the start sits within 2 m of it, so some arcs
-    leave the grid through free cells."""
+    like the acceptance planner instances, and its static planning grid.
+    With `near_edge` the lane starts on the map's left edge, whose cells it
+    leaves free, and the start sits within 2 m of it, so some arcs leave the
+    grid through free cells."""
     y0 = float(rng.uniform(20.0, 80.0))
     amp = float(rng.uniform(0.0, 6.0))
-    xs = np.arange(-4.0 if near_edge else 4.0, 96.0 + 1e-9, 2.0)
+    xs = np.arange(0.0 if near_edge else 4.0, 96.0 + 1e-9, 2.0)
     ys = y0 + amp * np.sin(2.0 * math.pi * (xs - 4.0) / 92.0)
     line = np.column_stack([xs, ys])
-    mapv = build_corridor_map(
-        0, [LaneSegment("lane", line.tolist(), half_width=5.0)], 100.0, 100.0)
+    vmap = corridor_map([LaneSegment("lane", line.tolist(), half_width=5.0)], 100.0, 100.0)
 
     def pose_at(i):
         dx, dy = line[i + 1] - line[i]
@@ -394,13 +389,14 @@ def _random_corridor(rng, near_edge: bool):
     else:
         start = pose_at(1)
     goal = pose_at(len(xs) - 2)
-    ldm = initial_state(mapv)
+    ldm = initial_state(vmap.initial())
     slots = [(25.0, 45.0), (57.0, 77.0)]
     for j in range(int(rng.integers(0, 3))):
         tx = float(rng.uniform(*slots[j]))
         ty = float(np.interp(tx, xs, ys)) + (2.0 if j % 2 == 0 else -2.0)
         ldm.objects.append(_track(f"T{j}", (tx, ty), belief=0.9))
-    return start, goal, line, ldm
+    base = planning_occupancy(vmap, vmap.initial(), VP.collision_radius)
+    return start, goal, line, ldm, base
 
 
 @settings(max_examples=200, deadline=None)
@@ -411,21 +407,20 @@ def _random_corridor(rng, near_edge: bool):
        start_steering=st.sampled_from([0.0, -0.6, 0.3]))
 def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
                                                     budget, arc, start_steering):
-    start, goal, line, ldm = _random_corridor(np.random.default_rng(seed), near_edge)
+    start, goal, line, ldm, base = _random_corridor(np.random.default_rng(seed), near_edge)
     # on 0.5 m cells these arcs take 5, 5, 9 and 13 samples, on both sides
     # of the 8-element block where numpy's pairwise summation changes form
     cfg = PlannerConfig(max_expansions=budget, primitive_arc_length=arc)
-    _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering,
+    _assert_plan_matches_reference(start, goal, ldm, base, cfg, start_steering,
                                    line if with_field else None)
 
 
-def _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering=0.0,
+def _assert_plan_matches_reference(start, goal, ldm, base, cfg, start_steering=0.0,
                                    line=None):
-    """`plan` and `_reference_plan` agree bit for bit; a `line` prices the
-    deviation from it, no line prices none. `plan` gets fresh planning maps
-    and the oracle the field of the stamped grid it searches.
-    Returns `plan`'s attempt."""
-    base = _base(ldm)
+    """`plan` and `_reference_plan` agree bit for bit on the static grid
+    `base`; a `line` prices the deviation from it, no line prices none.
+    `plan` gets fresh planning maps and the oracle the field of the stamped
+    grid it searches. Returns `plan`'s attempt."""
     field = None if line is None else route_deviation_field(base, line)
     deviation = np.zeros(base.cells.shape) if field is None else field
     got = plan(start, goal, ldm, cfg, VP, "initial", PlanningMaps(base, deviation),
@@ -451,13 +446,13 @@ def _assert_plan_matches_reference(start, goal, ldm, cfg, start_steering=0.0,
 def test_reference_oracle_covers_failure_edge_and_success():
     """The random instances reach every branch the oracle test relies on."""
     rng = np.random.default_rng(7)
-    start, goal, line, ldm = _random_corridor(rng, near_edge=True)
+    start, goal, line, ldm, base = _random_corridor(rng, near_edge=True)
     tight = PlannerConfig(max_expansions=20)
-    assert not _plan(start, ldm, tight, goal=goal).succeeded
-    grid = _grid(ldm, start_xy=start[:2])
+    assert not _plan(start, ldm, tight, goal=goal, maps=_maps(base)).succeeded
+    grid = _grid(ldm, start_xy=start[:2], base=base)
     assert not occupied_at(grid, 0.1, start[1])      # free up to the map edge
     ok = _plan(start, ldm, PlannerConfig(max_expansions=4000), goal=goal,
-               deviation_field=route_deviation_field(grid, line))
+               maps=_maps(base, route_deviation_field(grid, line)))
     assert ok.succeeded
 
 
@@ -467,12 +462,13 @@ OPEN_GOAL = (15.0, 10.0, 0.0)
 
 
 def _open_ldm(blocked=()):
-    """`initial_state` of the open map with `blocked` (x0, x1, y0, y1) boxes,
-    their corners on the 0.5 m cell lattice."""
+    """`initial_state` of a lane-less version, and the open map with
+    `blocked` (x0, x1, y0, y1) boxes, their corners on the 0.5 m cell
+    lattice, inflated as its static planning grid."""
     grid = empty_grid(30.0, 20.0, 0.5)
     for x0, x1, y0, y1 in blocked:
         grid.cells[int(y0 / 0.5):int(y1 / 0.5), int(x0 / 0.5):int(x1 / 0.5)] = True
-    return initial_state(MapVersion(0, (), grid))
+    return initial_state(MapVersion(0, ())), inflate(grid, VP.collision_radius)
 
 
 # (x, y, outward heading) 0.4 m inside each side of the open map
@@ -487,7 +483,7 @@ def test_plan_matches_reference_leaving_every_side(side, turn):
     # side: arcs leave the grid through each of its four borders
     x, y, out = NEAR_SIDES[side]
     got = _assert_plan_matches_reference(
-        (x, y, out + turn), OPEN_GOAL, _open_ldm(),
+        (x, y, out + turn), OPEN_GOAL, *_open_ldm(),
         PlannerConfig(max_expansions=3000), line=OPEN_MID)
     # no cell is blocked, so straight out every arc leaves the grid at
     # once; turned, the straight arc leaves and the inward ones run on
@@ -498,14 +494,14 @@ def test_plan_matches_reference_beside_blocked_cells_on_the_border():
     # a wall from each side inward, each touching the grid's edge cells
     walls = [(0.0, 6.0, 4.0, 5.0), (24.0, 30.0, 13.0, 14.0),
              (11.0, 12.0, 0.0, 6.0), (18.0, 19.0, 14.0, 20.0)]
-    ldm = _open_ldm(walls)
-    base = _base(ldm).cells
-    assert base[:, 0].any() and base[:, -1].any()
-    assert base[0].any() and base[-1].any()
+    ldm, base = _open_ldm(walls)
+    cells = base.cells
+    assert cells[:, 0].any() and cells[:, -1].any()
+    assert cells[0].any() and cells[-1].any()
     for x, y, out in NEAR_SIDES.values():
         for turn in (0.5, -0.5):
             _assert_plan_matches_reference(
-                (x, y, out + turn), OPEN_GOAL, ldm,
+                (x, y, out + turn), OPEN_GOAL, ldm, base,
                 PlannerConfig(max_expansions=300), line=OPEN_MID)
 
 
@@ -513,7 +509,7 @@ def test_plan_matches_reference_beside_blocked_cells_on_the_border():
 def test_plan_matches_reference_from_both_signed_zero_headings(steer):
     for heading in (0.0, -0.0):
         got = _assert_plan_matches_reference(
-            (2.0, 10.0, heading), ROUTE.goal_pose, _ldm(),
+            (2.0, 10.0, heading), ROUTE.goal_pose, _ldm(), ROAD_BASE,
             PlannerConfig(max_expansions=300), steer,
             ROUTE.reference_path.points)
         assert got.succeeded
@@ -526,7 +522,7 @@ def test_plan_matches_reference_from_both_signed_zero_headings(steer):
 
 
 def test_route_deviation_field_measures_distance():
-    grid = ROAD.occupancy
+    grid = planning_occupancy(ROAD_MAP, ROAD, 0.0)     # the corridor
     fld = route_deviation_field(grid, ROUTE.reference_path.points)
     assert fld.shape == grid.cells.shape
     assert grid.cell_size == 0.5
@@ -876,10 +872,7 @@ def test_trigger_risk_threshold():
 
 def test_trigger_knowledge_change():
     traj = _plain_traj()   # planned on version 0
-    new_map = build_corridor_map(
-        1, [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)],
-        100.0, 20.0)
-    ldm = initial_state(new_map)
+    ldm = initial_state(MapVersion(1, ROAD.lane_graph))
     fired = check_triggers(ldm, ROUTE, traj, 0.0, TRIG, risk_ttc=math.inf)
     assert fired == [KNOWLEDGE_CHANGE]
 

@@ -16,6 +16,7 @@ from v2xloop.pareto import Configuration
 from v2xloop.scenarios import (ScriptedVehicle, UpdateClientConfig, apply_configuration,
                                build_s1, build_s2, build_s3, build_s4,
                                build_scenario, spec_from_dict, spec_to_dict)
+from v2xloop.world import planning_occupancy
 
 
 def test_build_scenario_dispatch():
@@ -158,9 +159,10 @@ def test_spec_roundtrip(spec):
         assert (getattr(back, section) is None) == (getattr(spec, section) is None)
     assert len(back.vmap.versions) == len(spec.vmap.versions)
     assert back.route.reference_path.length == pytest.approx(spec.route.reference_path.length)
-    # occupancy grids are rebuilt identically from the lane graph
+    # the planning grids derived from the lane graphs are identical
     for a, b in zip(back.vmap.versions, spec.vmap.versions):
-        assert np.array_equal(a.occupancy.cells, b.occupancy.cells)
+        assert np.array_equal(planning_occupancy(back.vmap, a, 1.0).cells,
+                              planning_occupancy(spec.vmap, b, 1.0).cells)
 
 
 def test_spec_from_dict_rejects_unknown_keys():
@@ -220,11 +222,16 @@ def test_attack_requires_stations():
         spec_from_dict(d)
 
 
-@pytest.mark.parametrize("goal", [[-1.0, 50.0], [92.0, 100.0]],
-                         ids=["left-of-map", "on-far-edge"])
-def test_spec_from_dict_rejects_a_goal_off_the_map(goal):
+@pytest.mark.parametrize("size, goal", [
+    ([100.0, 100.0], [-1.0, 50.0]),
+    ([100.0, 100.0], [92.0, 100.0]),
+    # 100.2 m holds 200 whole 0.5 m cells, so the grid ends at 100 m
+    ([100.2, 100.0], [100.1, 50.0]),
+], ids=["left-of-map", "on-far-edge", "past-the-last-whole-cell"])
+def test_spec_from_dict_rejects_a_goal_off_the_map(size, goal):
     # the planner's cost-to-goal field starts from the goal's cell
     d = spec_to_dict(build_s2())
+    d["vmap"]["size"] = size
     d["route"]["goal_pose"][:2] = goal
     with pytest.raises(ValueError, match=re.escape(
             "scenario.route.goal_pose: must lie on the 100 x 100 m map")):
@@ -357,9 +364,11 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.route.reference_path: expected finite points"),
     (lambda d: d["attack"].update(start_time=math.inf),
      "scenario.attack.start_time: must be finite, got inf"),
+    (lambda d: d["stations"]["byzantine_ids"].append("byz-9"),
+     "scenario.stations.byzantine_ids: names no station, got ['byz-9']"),
 ], ids=["grid-without-cells", "grid-too-large", "lane-off-map", "primitive-past-map",
         "risk-horizon", "no-deceleration", "clutter-flood", "empty-attack-window",
-        "ego-nan", "route-inf", "unchecked-inf"])
+        "ego-nan", "route-inf", "unchecked-inf", "byzantine-id-of-no-station"])
 def test_spec_from_dict_rejects_values_that_cannot_run(damage, message):
     # each of these used to load, then crash, exhaust memory or never end
     d = spec_to_dict(build_s4())

@@ -55,7 +55,7 @@ def test_population_rejects_duplicate_ids():
 
 
 def test_population_rejects_unknown_byzantine():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^byzantine_ids: "):
         StationPopulation(stations=(Station("a", (0, 0)),),
                           byzantine_ids=frozenset({"ghost"}))
 

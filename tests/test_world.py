@@ -1,15 +1,16 @@
 """Geometry, occupancy grids, versioned maps, and the update channel."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grids import occupied_at
+from grids import corridor_map, occupied_at
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Polyline,
-                           Route, VersionedMap, build_corridor_map, empty_grid,
+                           Route, VersionedMap, empty_grid,
                            inflate, mark_disk, planning_occupancy, poll_update,
                            polyline_cumlength, stamp_polyline, wrap_angle)
 
@@ -279,31 +280,27 @@ def _mark_disk_on_every_cell(cells, grid, center, radius, value):
 
 def _stamp_polyline_sampling_every_sample(cells, grid, polyline, radius,
                                           value=True):
-    """stamp_polyline as first written: a disk at every sample of every
-    segment, on the grid or not. The bounded version must mark exactly its
+    """stamp_polyline without its batching: a disk at every sample of every
+    segment, each marked on its own. stamp_polyline must mark exactly its
     cells."""
     p = np.asarray(polyline, dtype=float)
-    ny, nx = cells.shape
     step = grid.cell_size * 0.5
-    far = radius + grid.cell_size
     for i in range(len(p) - 1):
         a, b = p[i], p[i + 1]
         seg = math.hypot(b[0] - a[0], b[1] - a[1])
         n = max(2, int(math.ceil(seg / step)) + 1)
         for t in np.linspace(0.0, 1.0, n):
-            x, y = a + t * (b - a)
-            # a disk this far off the grid holds no cell center
-            if -far < x < nx * grid.cell_size + far and -far < y < ny * grid.cell_size + far:
-                _mark_disk_on_every_cell(cells, grid, (x, y), radius, value)
+            _mark_disk_on_every_cell(cells, grid, a + t * (b - a), radius, value)
 
 
 def _stamp_coord(hi: float, n: int, cell_size: float, radius: float):
-    """Up to 1 km off either side of [0, hi], within radius + 2 m of an
-    edge, or a cell center near the grid."""
-    return st.one_of(st.floats(-1000.0, hi + 1000.0),
-                     st.builds(lambda edge, d: edge + d, st.sampled_from([0.0, hi]),
+    """A point of [0, hi]: anywhere, within radius + 2 m of an edge, or a
+    cell center."""
+    return st.one_of(st.floats(0.0, hi),
+                     st.builds(lambda edge, d: min(max(edge + d, 0.0), hi),
+                               st.sampled_from([0.0, hi]),
                                st.floats(-radius - 2.0, radius + 2.0)),
-                     st.integers(-4, n + 4).map(lambda k: (k + 0.5) * cell_size))
+                     st.integers(0, n - 1).map(lambda k: (k + 0.5) * cell_size))
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,9 +309,9 @@ def _stamp_coord(hi: float, n: int, cell_size: float, radius: float):
        fill=st.integers(0, 2**32 - 1), data=st.data())
 def test_stamp_polyline_marks_the_cells_of_every_sample(cell_size, shape, value, fill,
                                                         data):
-    # lanes that cross, graze and miss the grid on every side, at any cell
-    # size, on a grid already partly marked; cell centers and radii of whole
-    # half cells put cells exactly on a disk's rim
+    # lanes on the grid that run along and into its sides, at any cell size,
+    # on a grid already partly marked; cell centers and radii of whole half
+    # cells put cells exactly on a disk's rim
     nx, ny = shape
     radius = data.draw(st.one_of(st.sampled_from([0.0, 0.3, 1.5, 5.0]),
                                  st.floats(0.0, 6.0),
@@ -335,16 +332,17 @@ STAMP_GRID = dict(size_x=30.0, size_y=20.0, cell_size=0.5)
 
 
 @pytest.mark.parametrize("line", [
-    [[-992.7, 0.9], [1007.3, 0.9]],               # horizontal, through
-    [[10.3, -1004.1], [10.3, 995.9]],             # vertical, through
-    [[-992.7, -999.1], [1007.3, 1000.9]],         # diagonal, through
-    [[-992.7, 35.9], [1007.3, 35.9]],             # parallel, misses
-    [[-1000.0, -3.0], [-1.0, -3.0]],              # ends short
+    [[0.0, 0.9], [30.0, 0.9]],                    # horizontal, side to side
+    [[10.3, 0.0], [10.3, 20.0]],                  # vertical, side to side
+    [[0.0, 0.0], [30.0, 20.0]],                   # diagonal, corner to corner
+    [[0.0, 20.0], [30.0, 20.0]],                  # on the top edge, no centre
+    [[0.0, 0.0], [0.2, 0.0]],                     # ends short of a centre
     [[17.3, 5.9], [17.3, 5.9]],                   # one point
-    [[-392.7, 5.9], [17.3, 5.9], [17.3, 895.9]],  # enters, turns, leaves
+    [[0.0, 5.9], [17.3, 5.9], [17.3, 20.0]],      # enters, turns, leaves
 ], ids=["horizontal", "vertical", "diagonal", "parallel-miss", "ends-short",
         "point", "turning"])
 def test_stamp_polyline_edge_lanes_match_every_sample(line):
+    # lanes on the map's edges, whose disks reach past the grid
     for radius in (0.0, 1.5, 5.0):
         want = empty_grid(**STAMP_GRID)
         _stamp_polyline_sampling_every_sample(want.cells, want, line, radius)
@@ -354,8 +352,8 @@ def test_stamp_polyline_edge_lanes_match_every_sample(line):
 
 
 def test_stamp_polyline_takes_a_subnormal_axis_delta_without_a_warning():
-    # x moves by 1e-320: dividing the grown grid's x bounds by that delta
-    # overflowed to inf. The stamp is the band along the left edge, y 4..10
+    # x moves by 1e-320, a delta no step of the stamp may divide by. The
+    # stamp is the band along the left edge, y 4..10
     line = np.array([[1e-320, 5.0], [2e-320, 9.0]])
     want = empty_grid(10.0, 10.0, 0.5)
     _stamp_polyline_sampling_every_sample(want.cells, want, line, 1.0)
@@ -369,16 +367,19 @@ def test_stamp_polyline_takes_a_subnormal_axis_delta_without_a_warning():
         {(r, 0) for r in range(8, 20)} | {(r, 1) for r in range(9, 19)}
 
 
-def test_a_lane_to_a_trillion_metres_builds_at_once():
-    # sampled along its whole length this lane asked numpy for 29 TiB
-    far = build_corridor_map(
-        0, [LaneSegment("far", [[0.0, 10.0], [1e12, 10.0]], half_width=3.0)],
-        40.0, 20.0)
-    near = build_corridor_map(
-        0, [LaneSegment("near", [[0.0, 10.0], [60.0, 10.0]], half_width=3.0)],
-        40.0, 20.0)
-    assert not occupied_at(far.occupancy, 39.9, 10.0)
-    assert np.array_equal(far.occupancy.cells, near.occupancy.cells)
+@pytest.mark.parametrize("end", [[1e12, 10.0], [40.0, -1e-9], [40.1, 10.0],
+                                 [20.0, 20.5]],
+                         ids=["trillion-metres", "below", "right", "above"])
+def test_a_map_refuses_a_lane_that_leaves_it(end):
+    # sampled along its whole length a lane to 1e12 m would ask numpy for
+    # 29 TiB, so a map built in code is checked as a loaded document is
+    lanes = [LaneSegment("near", [[0.0, 10.0], [40.0, 10.0]], half_width=3.0),
+             LaneSegment("far", [[20.0, 10.0], end], half_width=3.0)]
+    with pytest.raises(ValueError, match=re.escape(
+            "versions[1].lane_graph: segment 'far' leaves the 40 x 20 m map")):
+        VersionedMap(size=(40.0, 20.0), cell_size=0.5,
+                     versions=(MapVersion(0, lanes[:1]), MapVersion(1, lanes)),
+                     publish_times=(None, 4.0))
 
 
 def test_inflate_grows_by_metric_radius():
@@ -422,39 +423,35 @@ def _cross_segments(closed_ids=()):
 
 
 def test_corridor_map_carves_open_segments():
-    ver = build_corridor_map(0, _cross_segments(), 30.0, 30.0)
-    occ = ver.occupancy
+    vmap = corridor_map(_cross_segments(), 30.0, 30.0)
+    occ = planning_occupancy(vmap, vmap.initial(), 0.0)
     assert not occupied_at(occ, 10.0, 15.0)
     assert not occupied_at(occ, 15.0, 25.0)
     assert occupied_at(occ, 5.0, 5.0)     # off-road stays wall
 
 
 def test_corridor_map_skips_closed_segments():
-    ver = build_corridor_map(1, _cross_segments(closed_ids=("ns",)), 30.0, 30.0)
-    assert occupied_at(ver.occupancy, 15.0, 25.0)
-    assert not occupied_at(ver.occupancy, 10.0, 15.0)
+    vmap = corridor_map(_cross_segments(closed_ids=("ns",)), 30.0, 30.0)
+    occ = planning_occupancy(vmap, vmap.initial(), 0.0)
+    assert occupied_at(occ, 15.0, 25.0)
+    assert not occupied_at(occ, 10.0, 15.0)
 
 
 def test_planning_occupancy_stamps_closures_and_inflates():
-    # build with both open, then close ns in the lane graph only
-    open_ver = build_corridor_map(0, _cross_segments(), 30.0, 30.0)
-    closed_graph = tuple(
-        LaneSegment(s.segment_id, s.polyline, s.half_width, closed=(s.segment_id == "ns"))
-        for s in open_ver.lane_graph)
-    ver = MapVersion(version_id=1, lane_graph=closed_graph,
-                     occupancy=open_ver.occupancy)
-    planning = planning_occupancy(ver, vehicle_radius=1.0)
-    # the closed corridor is wall again for the planner
+    # ns is closed where it crosses the open ew: carved, then stamped back
+    vmap = corridor_map(_cross_segments(closed_ids=("ns",)), 30.0, 30.0)
+    planning = planning_occupancy(vmap, vmap.initial(), vehicle_radius=1.0)
+    # the closed corridor is wall again for the planner, the crossing too
     assert occupied_at(planning, 15.0, 25.0)
+    assert occupied_at(planning, 15.0, 15.0)
     # the open corridor narrows by the vehicle radius but stays passable
     assert not occupied_at(planning, 6.0, 15.0)
     assert occupied_at(planning, 6.0, 16.6)
 
 
 def test_map_version_rejects_negative_id():
-    g = empty_grid(5.0, 5.0)
     with pytest.raises(ValueError):
-        MapVersion(version_id=-1, lane_graph=(), occupancy=g)
+        MapVersion(version_id=-1, lane_graph=())
 
 
 def test_route_validates_shape():
@@ -473,7 +470,7 @@ def test_route_validates_shape():
 
 
 def _version(vid):
-    return build_corridor_map(vid, _cross_segments(), 30.0, 30.0)
+    return MapVersion(vid, _cross_segments())
 
 
 def _vmap(ids, times):
