@@ -106,7 +106,8 @@ EPISODE_COLS = {"termination": "str", "sim_time": "float", "ticks": "int",
                 "collision": "int"}
 TIMING_COLS = {"plan_index": "int", "tick": "int", "cause": "str",
                "cpu_ms": "float", "expansions": "int", "heuristic_ms": "float"}
-SWEEP_COLS = {**{f.name: "str" if f.name == "config_id" else "float"
+# a knob the grid leaves out keeps each scenario's own setting: an empty cell
+SWEEP_COLS = {**{f.name: "str" if f.name == "config_id" else "float?"
                  for f in fields(Configuration)},
               **dict.fromkeys(("j_trk", "j_sfty", "j_resp", "j_smth", "j_eng"), "float"),
               **dict.fromkeys(("collided", "on_frontier", "is_knee"), "bool")}
@@ -308,10 +309,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
             frames_window.pop(0)
 
         for obj, sensable in truth:
-            in_range = (sensable and
-                        math.hypot(ego.x - obj.position[0],
-                                   ego.y - obj.position[1]) <= spec.sensor.max_range)
-            scored = in_range or obj.object_id in cam_bound
+            scored = (sensable and frame.covers(obj.position)) \
+                or obj.object_id in cam_bound
             logs["truth"].append(k, t, obj.object_id, obj.position[0],
                                  obj.position[1], obj.velocity[0],
                                  obj.velocity[1], obj.radius, scored)
@@ -460,9 +459,9 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
     vehicle = tables["vehicle"]
     control = tables["control"]
     ep = tables["episode"]
-    termination = str(ep["termination"][0])
-    sim_time = float(ep["sim_time"][0])
-    collisions = int(ep["collision"][0])
+    termination = ep["termination"][0]
+    sim_time = ep["sim_time"][0]
+    collisions = ep["collision"][0]
 
     h_rmse, h_mabs = heading_stats(vehicle["heading_err"])
 
@@ -494,18 +493,16 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
     updates = tables["updates"]
     for action, vid, t in zip(updates["action"], updates["version_id"], updates["t"]):
         if action == "poll":
-            poll_t.setdefault(int(vid), float(t))
-        elif action == "activate" and activation is None:
-            vid = int(vid)
-            if vid in poll_t:
-                activation = float(t) - poll_t[vid]
+            poll_t.setdefault(vid, t)
+        elif action == "activate" and activation is None and vid in poll_t:
+            activation = t - poll_t[vid]
 
     events = tables["events"]
     # each event's last row is its final state
     final = list({eid: i for i, eid in enumerate(events["event_id"])}.values())
     status, is_true = events["status"], events["is_true"]
     accepted_at, first_seen = events["accepted_at"], events["first_seen"]
-    latencies = [(float(accepted_at[i]) - float(first_seen[i])) * 1000.0
+    latencies = [(accepted_at[i] - first_seen[i]) * 1000.0
                  for i in final
                  if status[i] == "accepted" and is_true[i] == 1
                  and accepted_at[i] is not None]
@@ -519,14 +516,14 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
     for tick, oid, x, y, scored in zip(truth["tick"], truth["object_id"],
                                        truth["x"], truth["y"], truth["scored"]):
         if scored == 1:
-            gt_by_tick.setdefault(int(tick), []).append((oid, x, y))
+            gt_by_tick.setdefault(tick, []).append((oid, x, y))
     tracks_by_tick: dict[int, list] = {}
     belief_min = float(meta["mot_belief_min"])
     ldm = tables["ldm"]
     for tick, tid, x, y, belief in zip(ldm["tick"], ldm["track_id"], ldm["x"],
                                        ldm["y"], ldm["belief"]):
         if belief >= belief_min:
-            tracks_by_tick.setdefault(int(tick), []).append((tid, x, y))
+            tracks_by_tick.setdefault(tick, []).append((tid, x, y))
     mota, motp, idsw = clear_mot(gt_by_tick, tracks_by_tick, params.match_radius)
 
     return EpisodeMetrics(

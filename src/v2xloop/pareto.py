@@ -21,17 +21,18 @@ class Configuration:
     """One operating point theta of the control/replanning stack.
 
     Its fields after `config_id` are the swept knobs: the grid keys
-    `config_grid` accepts and the `sweep.csv` columns, in this order.
+    `config_grid` accepts and the `sweep.csv` columns, in this order. A knob
+    left None keeps the scenario's own setting.
     """
 
     config_id: str
-    look_ahead: float = 4.0
-    k_p: float = 0.6
-    k_i: float = 0.1
-    k_d: float = 0.05
-    tau_risk: float = 2.5
-    hazard_lookahead: float = 50.0
-    update_poll_interval: float = 2.0
+    look_ahead: float | None = None
+    k_p: float | None = None
+    k_i: float | None = None
+    k_d: float | None = None
+    tau_risk: float | None = None
+    hazard_lookahead: float | None = None
+    update_poll_interval: float | None = None
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,8 @@ def config_grid(grid: dict) -> list[Configuration]:
     """Cartesian product of per-field value lists into Configuration objects.
 
     `grid` maps Configuration fields to non-empty lists of finite numbers;
-    anything else is a ValueError naming `grid.<field>`.
+    anything else is a ValueError naming `grid.<field>`. The knobs it does
+    not name stay None.
     """
     if not isinstance(grid, dict):
         raise ValueError(f"grid: must be an object of value lists, got {grid!r}")

@@ -150,14 +150,22 @@ class ScenarioSpec:
             # outside the episode's, where the ego holds still until timeout
             raise ValueError(f"planner.goal_xy_tol: must not exceed goal_tolerance="
                              f"{self.goal_tolerance}, got {self.planner.goal_xy_tol}")
+        if not all(map(math.isfinite, self.ego_start)):
+            raise ValueError(f"ego_start: must be finite, got {self.ego_start}")
         # the planner's cost-to-goal field is a Dijkstra from the goal's cell,
-        # on a grid of whole cells
+        # on a grid of whole cells; an ego off that grid stops at once
         cs = self.vmap.cell_size
         width, height = (round(side / cs) * cs for side in self.vmap.size)
-        gx, gy = self.route.goal_pose[:2]
-        if not (0.0 <= gx < width and 0.0 <= gy < height):
-            raise ValueError(f"route.goal_pose: must lie on the {width:g} x {height:g} m "
-                             f"map, got ({gx:g}, {gy:g})")
+        for name, (x, y) in (("route.goal_pose", self.route.goal_pose[:2]),
+                             ("ego_start", self.ego_start[:2])):
+            if not (0.0 <= x < width and 0.0 <= y < height):
+                raise ValueError(f"{name}: must lie on the {width:g} x {height:g} m "
+                                 f"map, got ({x:g}, {y:g})")
+        # vehicle.step moves at the start speed before it clamps it to [0, v_max]
+        speed, v_max = self.ego_start[3], self.vehicle.v_max
+        if not 0.0 <= speed <= v_max:
+            raise ValueError(f"ego_start: speed must be in [0, {v_max:g}] m/s, "
+                             f"got {speed:g}")
         # a longer motion primitive leaves the map from anywhere on it
         diagonal = math.hypot(*self.vmap.size)
         if self.planner.primitive_arc_length > diagonal:
@@ -187,22 +195,27 @@ class ScenarioSpec:
 
 
 def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSpec:
-    """Overlay one swept operating point onto a scenario.
+    """Overlay one swept operating point onto a scenario: only the knobs
+    `config` sets, so `Configuration(id)` leaves the spec as it is.
 
     The swept look_ahead is the carrot distance at cruise speed; the
     speed-scaled bounds stretch around it proportionally. The poll interval
     only acts on a spec that polls, i.e. has an update_client.
     """
-    controller = replace(spec.controller,
-                         look_ahead_gain=config.look_ahead / spec.planner.cruise_speed,
-                         look_ahead_min=config.look_ahead / 2.0,
-                         look_ahead_max=1.5 * config.look_ahead,
-                         k_p=config.k_p, k_i=config.k_i, k_d=config.k_d)
-    triggers = replace(spec.triggers, tau_risk=config.tau_risk,
-                       hazard_lookahead=config.hazard_lookahead)
+    def knobs(**values):
+        return {name: v for name, v in values.items() if v is not None}
+
+    controller = replace(spec.controller, **knobs(k_p=config.k_p, k_i=config.k_i,
+                                                  k_d=config.k_d))
+    la = config.look_ahead
+    if la is not None:
+        controller = replace(controller, look_ahead_gain=la / spec.planner.cruise_speed,
+                             look_ahead_min=la / 2.0, look_ahead_max=1.5 * la)
+    triggers = replace(spec.triggers, **knobs(tau_risk=config.tau_risk,
+                                              hazard_lookahead=config.hazard_lookahead))
     client = spec.update_client
     if client is not None:
-        client = replace(client, poll_interval=config.update_poll_interval)
+        client = replace(client, **knobs(poll_interval=config.update_poll_interval))
     return replace(spec, controller=controller, triggers=triggers,
                    update_client=client)
 

@@ -15,12 +15,13 @@ from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, SWEEP_COLS, V2X_COLS,
                              compute_episode_metrics, replay, run_batch,
                              run_episode, run_sweep)
 from v2xloop.logio import read_csv, read_json, rows
-from v2xloop.metrics import MetricParams
+from v2xloop.metrics import MetricParams, objective_vector
 from v2xloop.pareto import Configuration
 from v2xloop.perception import SenseFrame
 from v2xloop.rng import StreamSet, stream
 from v2xloop.scenarios import (apply_configuration, build_s1, build_s2,
-                               build_s3, build_s4, spec_from_dict, spec_to_dict)
+                               build_s3, build_s4, build_scenario, spec_from_dict,
+                               spec_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +361,10 @@ def test_stream_independence_and_reproducibility():
 def test_run_sweep_outputs(tmp_path):
     out = tmp_path / "sweep"
     res = run_sweep({"look_ahead": [4.0, 6.0]}, ["s2"], [1], out)
-    assert len(read_csv(out / "sweep.csv", SWEEP_COLS)["config_id"]) == 2
+    table = read_csv(out / "sweep.csv", SWEEP_COLS)
+    assert table["look_ahead"] == [4.0, 6.0]
+    # an unswept knob keeps the scenario's setting and leaves its cell empty
+    assert table["k_p"] == [None, None]
     header = (out / "sweep.csv").read_text().splitlines()[0].split(",")
     # config_id and the swept knobs are Configuration's fields, in order
     assert header[:8] == [f.name for f in fields(Configuration)]
@@ -373,6 +377,17 @@ def test_run_sweep_outputs(tmp_path):
     assert report["frontier"]
     assert res.frontier            # someone always survives a 2-point sweep
     assert sorted(p.config_id for p in res.frontier) == report["frontier"]
+
+
+@pytest.mark.parametrize("sid", ["s2", "s3"])
+def test_sweep_point_at_the_scenarios_own_knob_is_its_run(sid):
+    # k_p 0.6 is the built-in controller's own; every knob the grid leaves
+    # out keeps the scenario's setting, so the point is `run`'s episode
+    spec = build_scenario(sid)
+    assert spec.controller.k_p == 0.6
+    (point,) = run_sweep({"k_p": [0.6]}, [sid], [1]).points
+    assert point.objectives == objective_vector(run_episode(spec, 1).metrics,
+                                                spec.metrics)
 
 
 def test_sweep_runs_each_applied_spec_once(tmp_path, monkeypatch):

@@ -195,8 +195,10 @@ def test_config_grid_product_and_ids():
     assert configs[0].k_p == 0.4 and configs[0].look_ahead == 3.0
     assert configs[1].k_p == 0.4 and configs[1].look_ahead == 4.0
     assert configs[2].k_p == 0.6
-    # untouched fields keep defaults
-    assert configs[0].tau_risk == 2.5
+    # the knobs the grid leaves out stay None: each scenario keeps its own
+    assert all(getattr(c, name) is None for c in configs
+               for name in ("k_i", "k_d", "tau_risk", "hazard_lookahead",
+                            "update_poll_interval"))
 
 
 def test_config_grid_rejects_unknown_fields():

@@ -3,7 +3,7 @@
 import copy
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -138,6 +138,38 @@ def test_apply_configuration_maps_fields():
     # everything else untouched
     assert out.hazards == spec.hazards
     assert out.planner == spec.planner
+
+
+@pytest.mark.parametrize("name", BUILT_IN_SPECS)
+def test_a_configuration_without_knobs_leaves_the_spec_as_built(name):
+    scenario_id, kwargs = BUILT_IN_SPECS[name]
+    spec = build_scenario(scenario_id, **kwargs)
+    assert apply_configuration(spec, Configuration("x")) == spec
+
+
+# knob -> (a value other than s3's own, the spec section it sets, the
+# fields of that section it sets)
+KNOB_FIELDS = {
+    "look_ahead": (7.0, "controller", {"look_ahead_gain", "look_ahead_min",
+                                       "look_ahead_max"}),
+    "k_p": (0.9, "controller", {"k_p"}),
+    "k_i": (0.3, "controller", {"k_i"}),
+    "k_d": (0.2, "controller", {"k_d"}),
+    "tau_risk": (3.5, "triggers", {"tau_risk"}),
+    "hazard_lookahead": (40.0, "triggers", {"hazard_lookahead"}),
+    "update_poll_interval": (1.0, "update_client", {"poll_interval"}),
+}
+
+
+@pytest.mark.parametrize("knob", KNOB_FIELDS)
+def test_each_knob_alone_sets_only_its_fields(knob):
+    spec = build_s3()             # polls for map updates, so every knob acts
+    value, section, names = KNOB_FIELDS[knob]
+    out = apply_configuration(spec, Configuration("x", **{knob: value}))
+    before, after = getattr(spec, section), getattr(out, section)
+    assert {f.name for f in fields(before)
+            if getattr(after, f.name) != getattr(before, f.name)} == names
+    assert replace(out, **{section: before}) == spec
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +392,14 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.attack.ahead_min: must not exceed ahead_max=0.0, got 10.0"),
     (lambda d: d["ego_start"].__setitem__(0, math.nan),
      "scenario.ego_start: must be finite, got (nan, 50.0, 0.0, 0.0)"),
+    (lambda d: d["ego_start"].__setitem__(0, -3.0),
+     "scenario.ego_start: must lie on the 100 x 100 m map, got (-3, 50)"),
+    (lambda d: d["ego_start"].__setitem__(1, 130.0),
+     "scenario.ego_start: must lie on the 100 x 100 m map, got (8, 130)"),
+    (lambda d: d["ego_start"].__setitem__(3, -3.0),
+     "scenario.ego_start: speed must be in [0, 15] m/s, got -3"),
+    (lambda d: d["ego_start"].__setitem__(3, 40.0),
+     "scenario.ego_start: speed must be in [0, 15] m/s, got 40"),
     (lambda d: d["route"]["reference_path"][3].__setitem__(1, math.inf),
      "scenario.route.reference_path: expected finite points"),
     (lambda d: d["attack"].update(start_time=math.inf),
@@ -368,7 +408,8 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.stations.byzantine_ids: names no station, got ['byz-9']"),
 ], ids=["grid-without-cells", "grid-too-large", "lane-off-map", "primitive-past-map",
         "risk-horizon", "no-deceleration", "clutter-flood", "empty-attack-window",
-        "ego-nan", "route-inf", "unchecked-inf", "byzantine-id-of-no-station"])
+        "ego-nan", "ego-off-map-x", "ego-off-map-y", "ego-reversing",
+        "ego-over-v-max", "route-inf", "unchecked-inf", "byzantine-id-of-no-station"])
 def test_spec_from_dict_rejects_values_that_cannot_run(damage, message):
     # each of these used to load, then crash, exhaust memory or never end
     d = spec_to_dict(build_s4())
