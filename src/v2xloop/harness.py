@@ -378,8 +378,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
                               spec.planner.prefix_horizon,
                               spec.vehicle.collision_radius,
                               spec.planner.track_radius)
-            cause = "+".join(check_triggers(ldm, spec.route, traj, s_route,
-                                            spec.triggers, risk_ttc=ttc_now))
+            cause = "+".join(check_triggers(ldm, traj, s_plan, spec.triggers,
+                                            risk_ttc=ttc_now))
         elif k == stop_tick + RECOVERY_TICKS:
             # retry while the stop ramp still has speed: a stop forced by a
             # transient phantom track should not latch for the whole episode

@@ -148,13 +148,11 @@ def _hv_3d(pts: np.ndarray, ref) -> float:
     return hv
 
 
-def hypervolume(points, reference, method: str = "auto",
-                mc_samples: int = 200_000, mc_seed: int = 0) -> float:
+def hypervolume(points, reference) -> float:
     """Dominated hypervolume against `reference` (minimization).
 
-    Exact sweep in 2D, slicing in 3D; Monte Carlo estimation otherwise or
-    when forced with method="mc". Every point must strictly dominate the
-    reference.
+    Exact: a sweep in 2D, slices of 2D sweeps in 3D; any other dimension is
+    a ValueError. Every point must strictly dominate the reference.
     """
     pts = np.asarray(points, dtype=float)
     ref = np.asarray(reference, dtype=float)
@@ -164,34 +162,12 @@ def hypervolume(points, reference, method: str = "auto",
         raise ValueError("dimension mismatch between points and reference")
     if not np.all(pts < ref):
         raise ValueError("every point must strictly dominate the reference")
-
     d = pts.shape[1]
-    if method == "auto":
-        method = "exact" if d in (2, 3) else "mc"
-    if method == "exact":
-        if d == 2:
-            return float(_hv_2d(pts, ref))
-        if d == 3:
-            return float(_hv_3d(pts, ref))
-        raise ValueError("exact hypervolume implemented for 2 or 3 objectives")
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-
-    lo = pts.min(axis=0)
-    box = np.prod(ref - lo)
-    rng = np.random.Generator(np.random.Philox(mc_seed))
-    hits = 0
-    chunk = 50_000
-    remaining = mc_samples
-    while remaining > 0:
-        k = min(chunk, remaining)
-        sample = rng.uniform(lo, ref, size=(k, d))
-        dominated = np.zeros(k, dtype=bool)
-        for p in pts:
-            dominated |= np.all(sample >= p, axis=1)
-        hits += int(dominated.sum())
-        remaining -= k
-    return float(box * hits / mc_samples)
+    if d == 2:
+        return float(_hv_2d(pts, ref))
+    if d == 3:
+        return float(_hv_3d(pts, ref))
+    raise ValueError(f"hypervolume is exact for 2 or 3 objectives, got {d}")
 
 
 # ---------------------------------------------------------------------------

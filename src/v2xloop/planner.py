@@ -38,9 +38,10 @@ placing them at a node is one addition, and only the surviving arcs pay
 per-arc Python work. Nodes keep their parent and steer index instead of
 their arc samples; arcs are materialized only for the returned chain.
 
-Replanning is event driven, not periodic: a validated hazard on the route
-ahead, a time-to-collision dip on the current plan prefix, or a map version
-change each force exactly one replan.
+Replanning is event driven, not periodic, and every trigger reads the plan
+being driven: a validated hazard on the plan ahead, a time-to-collision dip
+on the plan prefix, or a map version newer than the plan's each force
+exactly one replan.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ import numpy as np
 
 from .ldm import LdmState
 from .vehicle import VehicleParams
-from .world import (TWO_PI, OccupancyGrid, Polyline, Route, check_range, is_on_route,
-                    mark_disk, wrap_angle)
+from .world import TWO_PI, OccupancyGrid, Polyline, check_range, mark_disk, wrap_angle
 
 # collision footprint of an event by kind, before vehicle-radius inflation
 EVENT_RADIUS = {
@@ -117,8 +117,12 @@ class PlannerConfig:
 
 @dataclass(frozen=True)
 class TriggerConfig:
-    hazard_lookahead: float = 50.0        # [m]
-    hazard_corridor: float = 2.0          # [m]
+    """When to replan. An accepted hazard fires if it lies within
+    hazard_lookahead ahead of the ego along the plan and within
+    hazard_corridor of the plan laterally."""
+
+    hazard_lookahead: float = 50.0        # [m] along the plan
+    hazard_corridor: float = 2.0          # [m] off the plan
     tau_risk: float = 2.5                 # [s]
 
     def __post_init__(self):
@@ -696,22 +700,25 @@ def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
     return best
 
 
-def check_triggers(ldm: LdmState, route: Route, traj: Trajectory,
-                   ego_progress: float, trig: TriggerConfig,
-                   risk_ttc: float) -> list[str]:
-    """Evaluate the three replan conditions; pure, no side effects.
+def check_triggers(ldm: LdmState, traj: Trajectory, s_plan: float,
+                   trig: TriggerConfig, risk_ttc: float) -> list[str]:
+    """Evaluate the three replan conditions on the plan being driven; pure,
+    no side effects.
 
-    hazard_on_route fires only for events accepted after the current plan
-    was made, so one acceptance causes one replan rather than one per tick.
-    `risk_ttc` is the tick's rollout TTC (ttc_min over the unexplained
-    tracks), which the caller also logs.
+    hazard_on_route fires for an event that projects onto `traj` within
+    [s_plan, s_plan + hazard_lookahead] of arc length and hazard_corridor
+    of it laterally, `s_plan` being the ego's arc length along `traj`. It
+    fires only for events accepted after the plan was made, so one
+    acceptance causes one replan rather than one per tick. `risk_ttc` is
+    the tick's rollout TTC (ttc_min over the unexplained tracks), which the
+    caller also logs.
     """
     fired: list[str] = []
     for ev in ldm.accepted_events():
         if ev.accepted_at is None or ev.accepted_at <= traj.planned_at:
             continue
-        if is_on_route(ev.position, route, ego_progress,
-                       trig.hazard_corridor, trig.hazard_lookahead):
+        s, lateral, _ = traj.path.project(ev.position)
+        if s_plan <= s <= s_plan + trig.hazard_lookahead and abs(lateral) <= trig.hazard_corridor:
             fired.append(HAZARD_ON_ROUTE)
             break
     if risk_ttc < trig.tau_risk:

@@ -200,7 +200,8 @@ def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSp
 
     The swept look_ahead is the carrot distance at cruise speed; the
     speed-scaled bounds stretch around it proportionally. The poll interval
-    only acts on a spec that polls, i.e. has an update_client.
+    only acts on a spec that polls, i.e. has an update_client, but a value
+    no client could take is refused on any spec.
     """
     def knobs(**values):
         return {name: v for name, v in values.items() if v is not None}
@@ -214,8 +215,10 @@ def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSp
     triggers = replace(spec.triggers, **knobs(tau_risk=config.tau_risk,
                                               hazard_lookahead=config.hazard_lookahead))
     client = spec.update_client
-    if client is not None:
-        client = replace(client, **knobs(poll_interval=config.update_poll_interval))
+    if config.update_poll_interval is not None:
+        polling = replace(client or UpdateClientConfig(),
+                          poll_interval=config.update_poll_interval)
+        client = polling if client is not None else None
     return replace(spec, controller=controller, triggers=triggers,
                    update_client=client)
 

@@ -442,19 +442,6 @@ class Route:
         object.__setattr__(self, "reference_path", as_polyline(self.reference_path))
 
 
-def is_on_route(position, route: Route, ego_progress: float,
-                lateral_corridor: float, lookahead: float) -> bool:
-    """True iff the point projects inside the ahead-window corridor.
-
-    The window is [ego_progress, ego_progress + lookahead] in arc length and
-    |lateral| <= lateral_corridor. Points behind the ego are never on route.
-    """
-    s, lateral, _ = route.reference_path.project(position)
-    if s < ego_progress or s > ego_progress + lookahead:
-        return False
-    return abs(lateral) <= lateral_corridor
-
-
 HAZARD_KINDS = ("stationary_vehicle", "debris", "road_closure")
 
 

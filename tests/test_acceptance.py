@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from grids import corridor_map, occupied_at
+from oracles import mc_hypervolume
 from v2xloop.control import (ControlCommand, ControllerConfig, PidState,
                              follow_tick, pid_longitudinal, pure_pursuit)
 from v2xloop.gate import evaluate, support
@@ -128,13 +129,13 @@ def test_02_hypervolume_exact_vs_monte_carlo(pytestconfig):
         pts = 0.05 + 0.9 * rng.random((m, d))
         pts = pts[nondominated_set(pts)]
         ref = np.ones(d)
-        exact = hypervolume(pts, ref, method="exact")
-        est = hypervolume(pts, ref, method="mc", mc_samples=1_000_000,
-                          mc_seed=int(rng.integers(1 << 31)))
+        exact = hypervolume(pts, ref)
+        est = mc_hypervolume(pts, ref, samples=1_000_000,
+                             seed=int(rng.integers(1 << 31)))
         worst = max(worst, abs(exact - est))
     x = rng.random(2) * 0.9
     ref2 = x + 0.1 + rng.random(2)
-    rect_exact = hypervolume([x], ref2, method="exact") == \
+    rect_exact = hypervolume([x], ref2) == \
         (ref2[0] - x[0]) * (ref2[1] - x[1])
     ok = worst <= 0.01 and rect_exact
     _verdict(pytestconfig, 2, "hypervolume exact vs 1e6-sample MC", ok,

@@ -227,10 +227,14 @@ def test_sweep_rejects_unknown_scenario(tmp_path):
     ({"k_p": []}, "grid.k_p: must be a non-empty list of finite numbers, got []"),
     ({"look_ahead": [4.0, -1]},
      "grid.look_ahead: -1 on s1: look_ahead_min: must be finite and > 0, got -0.5"),
-], ids=["scalar", "string", "empty", "refused-by-spec"])
+    ({"update_poll_interval": [-1.0]},
+     "grid.update_poll_interval: -1.0 on s1: poll_interval: must be finite and >= 0, "
+     "got -1.0"),
+], ids=["scalar", "string", "empty", "refused-by-spec", "unused-by-spec"])
 def test_sweep_rejects_a_bad_grid_with_one_line(tmp_path, grid, message):
     # a scalar was a TypeError traceback, a string crashed mid-episode, an
-    # empty list swept nothing and a value the spec refuses ran episodes first
+    # empty list swept nothing, a value the spec refuses ran episodes first
+    # and a poll interval on a spec that does not poll went into sweep.csv
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
     with pytest.raises(SystemExit) as exc:

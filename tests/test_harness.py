@@ -22,6 +22,8 @@ from v2xloop.rng import StreamSet, stream
 from v2xloop.scenarios import (apply_configuration, build_s1, build_s2,
                                build_s3, build_s4, build_scenario, spec_from_dict,
                                spec_to_dict)
+from v2xloop.v2x import Station, StationPopulation
+from v2xloop.world import GroundTruthHazard
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +299,28 @@ def test_timing_holds_each_plans_field_builds_inside_its_cpu_ms(tmp_path):
     timing = rows(read_csv(tmp_path / "timing.csv", harness.TIMING_COLS))
     assert [r["cause"] for r in timing] == ["initial", "hazard_on_route"]
     assert all(0.0 < r["heuristic_ms"] < r["cpu_ms"] for r in timing)
+
+
+def test_a_hazard_on_the_detour_is_replanned_round_on_its_acceptance_tick(tmp_path):
+    # s3 plus seven honest RSUs over the detour lane det_b (y = 62) and a
+    # vehicle stalled on it from 7 s: the reference route runs at y = 30,
+    # 30 m from the stall, while the plan after the map update runs past it
+    base = build_s3()
+    stations = tuple(Station(station_id=f"rsu-{i}", position=(50.0 + 6.0 * i, 68.0),
+                             sensing_range=20.0) for i in range(7))
+    stall = GroundTruthHazard(hazard_id="stall", position=(68.0, 59.5),
+                              kind="stationary_vehicle", spawn_time=7.0)
+    spec = replace(base, stations=StationPopulation(stations=stations),
+                   gate=replace(base.gate, f=1), hazards=base.hazards + (stall,))
+    for seed in range(1, 31):
+        out = tmp_path / f"seed-{seed}"
+        result = run_episode(spec, seed, out)
+        assert result.metrics.collisions == 0, seed
+        gate = read_csv(out / "logs" / "gate.csv", LOG_COLUMNS["gate"])
+        accepted_tick = gate["tick"][gate["accepted"].index(True)]
+        plans = read_csv(out / "logs" / "plans.csv", LOG_COLUMNS["plans"])
+        assert any(tick == accepted_tick and "hazard_on_route" in cause.split("+")
+                   for tick, cause in zip(plans["tick"], plans["cause"])), seed
 
 
 def test_run_batch_rejects_duplicate_seeds():

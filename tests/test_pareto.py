@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import mc_hypervolume
 from v2xloop.pareto import (Configuration, EvaluatedPoint, config_grid,
                             dominates, evaluate_grid, hypervolume, knee_point,
                             nondominated_set, normalize, sweep)
@@ -147,17 +148,14 @@ def test_hv_exact_matches_mc():
     for d in (2, 3):
         pts = rng.uniform(0.0, 0.9, size=(12, d))
         exact = hypervolume(pts, [1.0] * d)
-        mc = hypervolume(pts, [1.0] * d, method="mc", mc_samples=400_000)
+        mc = mc_hypervolume(pts, [1.0] * d, samples=400_000)
         assert mc == pytest.approx(exact, abs=0.01)
 
 
-def test_hv_mc_only_above_3d():
-    pts = [(0.2, 0.2, 0.2, 0.2)]
-    with pytest.raises(ValueError):
-        hypervolume(pts, (1.0,) * 4, method="exact")
-    # auto falls back to MC; single box is estimated tightly
-    hv = hypervolume(pts, (1.0,) * 4, mc_samples=400_000)
-    assert hv == pytest.approx(0.8 ** 4, abs=0.01)
+def test_hv_is_exact_in_2d_and_3d_only():
+    for d in (1, 4):
+        with pytest.raises(ValueError, match=f"2 or 3 objectives, got {d}$"):
+            hypervolume([(0.2,) * d], (1.0,) * d)
 
 
 def test_hv_validates_inputs():
@@ -167,8 +165,6 @@ def test_hv_validates_inputs():
         hypervolume([(0.5, 0.5)], (1.0,))
     with pytest.raises(ValueError):
         hypervolume([(1.5, 0.5)], (1.0, 1.0))    # does not dominate ref
-    with pytest.raises(ValueError):
-        hypervolume([(0.5, 0.5)], (1.0, 1.0), method="quantum")
 
 
 @settings(max_examples=40, deadline=None)

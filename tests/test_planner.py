@@ -836,44 +836,71 @@ def test_trigger_hazard_on_route_only_after_plan():
     traj = _plain_traj()   # planned_at 0.0
     before = _event((40.0, 10.0), accepted_at=-1.0)
     ldm = _ldm(events=[before])
-    fired = check_triggers(ldm, ROUTE, traj, 0.0, TRIG, risk_ttc=math.inf)
+    fired = check_triggers(ldm, traj, 0.0, TRIG, risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
     after = _event((40.0, 10.0), accepted_at=1.0)
-    fired = check_triggers(_ldm(events=[after]), ROUTE, traj, 0.0, TRIG,
-                           risk_ttc=math.inf)
+    fired = check_triggers(_ldm(events=[after]), traj, 0.0, TRIG, risk_ttc=math.inf)
     assert fired == [HAZARD_ON_ROUTE]
 
 
 def test_trigger_hazard_respects_corridor_and_window():
     traj = _plain_traj()
     wide = _event((40.0, 10.0 + TRIG.hazard_corridor + 0.5), accepted_at=1.0)
-    fired = check_triggers(_ldm(events=[wide]), ROUTE, traj, 0.0, TRIG,
-                           risk_ttc=math.inf)
+    fired = check_triggers(_ldm(events=[wide]), traj, 0.0, TRIG, risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
-    behind = _event((10.0, 10.0), accepted_at=1.0)    # ego at s = 28
-    fired = check_triggers(_ldm(events=[behind]), ROUTE, traj, 28.0, TRIG,
-                           risk_ttc=math.inf)
+    behind = _event((10.0, 10.0), accepted_at=1.0)
+    s_plan = traj.project((30.0, 10.0))
+    assert s_plan == pytest.approx(28.0, abs=0.1)
+    fired = check_triggers(_ldm(events=[behind]), traj, s_plan, TRIG, risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
     past_window = _event((95.0, 10.0), accepted_at=1.0)
-    fired = check_triggers(_ldm(events=[past_window]), ROUTE, traj, 0.0, TRIG,
+    fired = check_triggers(_ldm(events=[past_window]), traj, 0.0, TRIG,
                            risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
+
+
+def _detour_traj():
+    """A plan that leaves ROUTE (y = 10) at x = 20, runs along y = 40 and
+    rejoins it at x = 80."""
+    xy = np.array([[2.0, 10.0], [20.0, 10.0], [20.0, 40.0], [80.0, 40.0],
+                   [80.0, 10.0], [95.0, 10.0]])
+    step = np.diff(xy, axis=0)
+    heading = np.append(np.arctan2(step[:, 1], step[:, 0]), 0.0)
+    return Trajectory(np.column_stack([xy, heading]), np.full(len(xy), 8.0),
+                      planned_on_version=0, planned_at=0.0)
+
+
+def test_trigger_hazard_reads_the_plan_not_the_route():
+    traj = _detour_traj()
+    s_plan = traj.project((20.0, 40.0))       # the ego has turned onto y = 40
+    assert s_plan == 48.0
+    on_plan = _event((50.0, 40.0), accepted_at=1.0)
+    assert abs(ROUTE.reference_path.project(on_plan.position)[1]) == 30.0
+    fired = check_triggers(_ldm(events=[on_plan]), traj, s_plan, TRIG, risk_ttc=math.inf)
+    assert fired == [HAZARD_ON_ROUTE]
+
+
+def test_trigger_hazard_on_the_route_but_off_the_plan_stays_silent():
+    traj = _detour_traj()
+    s_plan = traj.project((20.0, 40.0))
+    on_route = _event((50.0, 10.0), accepted_at=1.0)
+    assert ROUTE.reference_path.project(on_route.position)[1] == 0.0
+    fired = check_triggers(_ldm(events=[on_route]), traj, s_plan, TRIG, risk_ttc=math.inf)
+    assert fired == []
 
 
 def test_trigger_risk_threshold():
     traj = _plain_traj()
-    fired = check_triggers(_ldm(), ROUTE, traj, 0.0, TRIG,
-                           risk_ttc=TRIG.tau_risk - 0.1)
+    fired = check_triggers(_ldm(), traj, 0.0, TRIG, risk_ttc=TRIG.tau_risk - 0.1)
     assert fired == [RISK_THRESHOLD]
-    fired = check_triggers(_ldm(), ROUTE, traj, 0.0, TRIG,
-                           risk_ttc=TRIG.tau_risk + 0.1)
+    fired = check_triggers(_ldm(), traj, 0.0, TRIG, risk_ttc=TRIG.tau_risk + 0.1)
     assert fired == []
 
 
 def test_trigger_knowledge_change():
     traj = _plain_traj()   # planned on version 0
     ldm = initial_state(MapVersion(1, ROAD.lane_graph))
-    fired = check_triggers(ldm, ROUTE, traj, 0.0, TRIG, risk_ttc=math.inf)
+    fired = check_triggers(ldm, traj, 0.0, TRIG, risk_ttc=math.inf)
     assert fired == [KNOWLEDGE_CHANGE]
 
 
