@@ -12,7 +12,7 @@ from .control import ControlCommand, ControllerConfig, PidState, follow_tick
 from .gate import GateConfig, GateDecision, evaluate
 from .harness import (EpisodeResult, compute_episode_metrics, replay,
                       run_batch, run_episode, run_sweep)
-from .ldm import EventHypothesis, LdmParams, LdmState, Track, fuse_tick
+from .ldm import EventHypothesis, LdmState, Track, fuse_tick
 from .metrics import EpisodeMetrics, MetricParams, aggregate, objective_vector
 from .pareto import (Configuration, EvaluatedPoint, ParetoResult, config_grid,
                      hypervolume, knee_point, nondominated_set, sweep)
@@ -33,7 +33,7 @@ __all__ = [
     "AttackPolicy", "ChannelModel", "Configuration", "ControlCommand",
     "ControllerConfig", "Detection", "EpisodeMetrics", "EpisodeResult",
     "EvaluatedPoint", "EventHypothesis", "GateConfig", "GateDecision",
-    "GroundTruthHazard", "LaneSegment", "LdmParams", "LdmState", "MapVersion",
+    "GroundTruthHazard", "LaneSegment", "LdmState", "MapVersion",
     "MetricParams", "OccupancyGrid", "ParetoResult", "PlanAttempt",
     "PlannerConfig", "PlanningMaps", "PidState", "Route", "SCENARIO_IDS", "ScenarioSpec",
     "SenseFrame", "SensorModel", "Station", "StationPopulation", "StreamSet",

@@ -8,10 +8,12 @@ import json
 import math
 import sys
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .harness import replay, run_batch, run_episode, run_sweep
-from .logio import read_json
+from .logio import _round_floats, read_json
+from .metrics import EpisodeMetrics
 from .scenarios import (SCENARIO_IDS, build_scenario, spec_from_dict,
                         spec_to_dict)
 
@@ -63,12 +65,8 @@ def _fmt_value(v) -> str:
 
 
 def _print_metrics(metrics: dict) -> None:
-    order = ["termination", "sim_time", "completion", "progress_fraction",
-             "lateral_rmse", "heading_rmse_deg", "ttc_min", "collisions",
-             "v2x_reaction_ms", "update_activation_s", "trigger_latency_ms",
-             "mota", "motp", "id_switches", "false_positive_rate",
-             "false_negative_rate", "steer_variance", "throttle_variance",
-             "brake_energy"]
+    """One line per EpisodeMetrics field, in declaration order."""
+    order = [f.name for f in fields(EpisodeMetrics)]
     width = max(len(k) for k in order)
     for key in order:
         if key in metrics:
@@ -227,10 +225,6 @@ def _rerun(root: Path) -> int:
 
 
 def cmd_replay(args) -> int:
-    from dataclasses import asdict
-
-    from .logio import _round_floats
-
     root = Path(args.log)
     if args.rerun:
         return _rerun(root)

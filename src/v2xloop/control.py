@@ -17,6 +17,7 @@ from .vehicle import VehicleParams
 from .world import check_range, wrap_angle
 
 SAFETY_STOP_RAMP = 0.5                # [s] from no brake to full brake in a safety stop
+INTEGRAL_CLAMP = 2.0                  # |integral| bound [m/s * s]
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,6 @@ class ControllerConfig:
     k_p: float = 0.6
     k_i: float = 0.1
     k_d: float = 0.05
-    integral_clamp: float = 2.0       # |integral| bound [m/s * s]
 
     def __post_init__(self):
         # pure pursuit divides by the look-ahead
@@ -86,8 +86,7 @@ def pid_longitudinal(error: float, state: PidState, cfg: ControllerConfig,
     saturated_up = u_tentative >= 1.0 and error > 0.0
     saturated_down = u_tentative <= -1.0 and error < 0.0
     if not (saturated_up or saturated_down):
-        integral = min(max(integral + error * dt, -cfg.integral_clamp),
-                       cfg.integral_clamp)
+        integral = min(max(integral + error * dt, -INTEGRAL_CLAMP), INTEGRAL_CLAMP)
 
     u = cfg.k_p * error + cfg.k_i * integral + cfg.k_d * derivative
     u = min(max(u, -1.0), 1.0)

@@ -18,18 +18,19 @@ from dataclasses import dataclass
 from .ldm import ACCEPTED, PENDING, EventHypothesis
 from .world import check_range
 
+SUPPORT_RADIUS = 15.0                 # [m] claims farther than this do not count
+SENSOR_SUPPORT_RADIUS = 3.0           # [m] detection-to-event match for the veto
+
 
 @dataclass(frozen=True)
 class GateConfig:
     f: int = 3                        # tolerated Byzantine stations
     eta: float = 0.5                  # sensor-likelihood floor
-    support_radius: float = 15.0      # [m] claims farther than this do not count
-    sensor_support_radius: float = 3.0  # [m] detection-to-event match for the veto
     tau_bft: float = 3.0              # [s] recency window for support
 
     def __post_init__(self):
         check_range(self, ("eta",), hi=1.0)
-        check_range(self, ("f", "support_radius", "sensor_support_radius", "tau_bft"))
+        check_range(self, ("f", "tau_bft"))
 
     def threshold(self) -> float:
         return float(2 * self.f + 1)
@@ -54,7 +55,7 @@ def support(event: EventHypothesis, cfg: GateConfig, now: float) -> int:
     return sum(1 for recv_time, claim in event.support.values()
                if now - cfg.tau_bft <= recv_time <= now
                and math.hypot(claim[0] - event.position[0],
-                              claim[1] - event.position[1]) <= cfg.support_radius)
+                              claim[1] - event.position[1]) <= SUPPORT_RADIUS)
 
 
 def evaluate(event: EventHypothesis, cfg: GateConfig, sensor_likelihood: float,

@@ -53,7 +53,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .control import PidState, follow_tick, safety_stop_command
-from .gate import apply_decision, evaluate
+from .gate import SENSOR_SUPPORT_RADIUS, apply_decision, evaluate
 from .ldm import PENDING, LdmState, fuse_tick, initial_state
 from .logio import CsvLog, _round_floats, read_csv, read_json, roundtrip_rows, write_json
 from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
@@ -62,8 +62,9 @@ from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
 from .pareto import Configuration, ParetoResult, config_grid
 from .pareto import sweep as pareto_sweep
 from .perception import sense, sensor_likelihood
-from .planner import (PlanAttempt, PlanningMaps, check_triggers, plan,
-                      route_deviation_field, ttc_min, unexplained_tracks)
+from .planner import (B_OBSTACLE, PREFIX_HORIZON, TRACK_RADIUS, PlanAttempt,
+                      PlanningMaps, check_triggers, plan, route_deviation_field,
+                      ttc_min, unexplained_tracks)
 from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
@@ -72,6 +73,8 @@ from .world import (MapVersion, Polyline, VersionedMap, WorldObject,
                     planning_occupancy, poll_update, wrap_angle)
 
 RECOVERY_TICKS = 10               # replan retry cadence during a stop ramp
+SENSOR_LIKELIHOOD_WINDOW = 1.0    # [s] of frames the gate's veto reads
+EVENT_LABEL_RADIUS = 16.0         # [m] a claim this near a same-kind hazard is true
 
 # column name -> kind (logio: int, bool, float, str; "?" allows None)
 VEHICLE_COLS = {"tick": "int", "t": "float", "x": "float", "y": "float",
@@ -203,8 +206,8 @@ def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
         "goal": list(spec.route.goal_pose),
         "goal_tolerance": spec.goal_tolerance,
         "collision_radius": spec.vehicle.collision_radius,
-        "event_label_radius": spec.event_label_radius,
-        "mot_belief_min": spec.planner.b_obstacle,
+        "event_label_radius": EVENT_LABEL_RADIUS,
+        "mot_belief_min": B_OBSTACLE,
         "metrics": asdict(spec.metrics),
         "hazards": [{"id": h.hazard_id, "x": h.position[0], "y": h.position[1],
                      "kind": h.kind, "spawn_time": h.spawn_time,
@@ -272,7 +275,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                               ev.position[1], ev.first_seen, ev.accepted_at,
                               len(ev.support),
                               _is_true_claim(ev.kind, *ev.position, hazards,
-                                             spec.event_label_radius), final)
+                                             EVENT_LABEL_RADIUS), final)
 
     # stop_tick: the last failed plan attempt, which the retries count from
     traj = replan("initial", 0, 0.0)
@@ -305,7 +308,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         frame = sense(ego.pose, [o for o, sensable in truth if sensable],
                       spec.sensor, streams.get("sense"), t)
         frames_window.append(frame)
-        while frames_window[0].timestamp < t - spec.sensor_likelihood_window:
+        while frames_window[0].timestamp < t - SENSOR_LIKELIHOOD_WINDOW:
             frames_window.pop(0)
 
         for obj, sensable in truth:
@@ -343,7 +346,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                     logs["v2x"].append(k, t, m.station_id, m.msg_kind, m.seq_no,
                                        m.gen_time, m.recv_time, ek, ex, ey)
 
-        ldm = fuse_tick(ldm, t, due, active, [frame], spec.ldm)
+        ldm = fuse_tick(ldm, t, due, active, [frame])
 
         if client is not None and client.polls_at(k, dt):
             newest = active if pending_map is None else pending_map[0]
@@ -355,8 +358,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
         for ev in sorted((e for e in ldm.events if e.status == PENDING),
                          key=lambda e: e.event_id):
-            lhood = sensor_likelihood(ev.position, frames_window,
-                                      spec.gate.sensor_support_radius)
+            lhood = sensor_likelihood(ev.position, frames_window, SENSOR_SUPPORT_RADIUS)
             decision = evaluate(ev, spec.gate, lhood, t)
             apply_decision(ev, decision)
             logs["gate"].append(k, t, ev.event_id, decision.accepted,
@@ -373,11 +375,9 @@ def run_episode(spec: ScenarioSpec, seed: int,
         cause = ""
         if traj is not None:
             s_plan = traj.project(ego.position)
-            ttc_now = ttc_min(ego, traj, s_plan,
-                              unexplained_tracks(ldm, spec.planner),
-                              spec.planner.prefix_horizon,
-                              spec.vehicle.collision_radius,
-                              spec.planner.track_radius)
+            ttc_now = ttc_min(ego, traj, s_plan, unexplained_tracks(ldm),
+                              PREFIX_HORIZON, spec.vehicle.collision_radius,
+                              TRACK_RADIUS)
             cause = "+".join(check_triggers(ldm, traj, s_plan, spec.triggers,
                                             risk_ttc=ttc_now))
         elif k == stop_tick + RECOVERY_TICKS:
@@ -545,11 +545,33 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
         termination=termination, sim_time=sim_time)
 
 
+def _check_meta(meta: dict, where: Path) -> None:
+    """Refuse a meta.json compute_episode_metrics cannot read as written,
+    naming the file and the key: a missing key, a `metrics` block that is
+    not an object of exactly MetricParams' fields, or a hazard without the
+    kind and position a claim is labelled by."""
+    missing = [key for key in METRIC_META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{where}: missing key {missing[0]!r}")
+    block = meta["metrics"]
+    if not isinstance(block, dict):
+        raise ValueError(f"{where}: metrics: expected an object, got {type(block).__name__}")
+    names = {f.name for f in fields(MetricParams)}
+    odd = sorted(set(block) ^ names)
+    if odd:
+        kind = "unknown" if odd[0] in block else "missing"
+        raise ValueError(f"{where}: metrics: {kind} key {odd[0]!r}")
+    for i, hz in enumerate(meta["hazards"]):
+        missing = [key for key in ("kind", "x", "y") if key not in hz]
+        if missing:
+            raise ValueError(f"{where}: hazards[{i}]: missing key {missing[0]!r}")
+
+
 def replay(log_dir: str | Path) -> EpisodeMetrics:
     """Recompute metrics from a written log directory. A missing file, a
     table whose header or cells are not its declared columns', an
-    episode.csv without its row or a meta.json without a key the metrics
-    read is a ValueError naming it."""
+    episode.csv without its row or a meta.json block the metrics cannot
+    read (`_check_meta`) is a ValueError naming it."""
     log_dir = Path(log_dir)
     if (log_dir / "logs").is_dir():
         log_dir = log_dir / "logs"
@@ -559,9 +581,7 @@ def replay(log_dir: str | Path) -> EpisodeMetrics:
         raise ValueError(f"{log_dir} is not a complete log directory: "
                          f"missing {', '.join(missing)}")
     meta = read_json(log_dir / "meta.json")
-    missing = [key for key in METRIC_META_KEYS if key not in meta]
-    if missing:
-        raise ValueError(f"{log_dir / 'meta.json'}: missing key {missing[0]!r}")
+    _check_meta(meta, log_dir / "meta.json")
     tables = {name: read_csv(log_dir / f"{name}.csv", columns)
               for name, columns in LOG_COLUMNS.items()}
     if not tables["episode"]["termination"]:

@@ -1,9 +1,9 @@
 """Local dynamic map: per-tick fusion of detections and V2X messages.
 
 Object tracks carry an existence belief updated in log-odds form; one update
-folds in the onboard sensor's likelihood ratio and one `lr_cam` per
-corroborating V2X station. The sensor's ratio is `lr_detect` when a
-detection lands on the track, `lr_absent` when a frame covered the track
+folds in the onboard sensor's likelihood ratio and one `LR_CAM` per
+corroborating V2X station. The sensor's ratio is `LR_DETECT` when a
+detection lands on the track, `LR_ABSENT` when a frame covered the track
 and saw nothing there, and 1 when no frame covered it. That absence
 evidence is what lets the ego veto V2X claims about its own surroundings.
 DENMs accumulate into event hypotheses that stay pending until the
@@ -18,43 +18,26 @@ import math
 from dataclasses import dataclass, field
 
 from .v2x import CAM, DENM, V2xMessage
-from .world import MapVersion, check_range
+from .world import MapVersion
 
-
-@dataclass(frozen=True)
-class LdmParams:
-    d_gate: float = 2.0               # [m] association gate
-    b_prune: float = 0.05             # drop tracks below this belief
-    tau_stale: float = 1.0            # [s] drop tracks unsupported this long
-    tau_event: float = 5.0            # [s] pending hypotheses expire after this
-    b_birth: float = 0.5              # initial belief: below the planner's
-                                      # obstacle threshold, so one clutter hit
-                                      # never conjures a confident obstacle
-    conf_birth: float = 0.5           # min confidence for an item to seed a track
-    event_position_alpha: float = 0.25  # post-acceptance claim blending rate
-    lr_detect: float = 3.0            # sensor likelihood ratio, supported
-    lr_cam: float = 2.0               # per-station V2X likelihood ratio
-    lr_absent: float = 0.2            # sensor likelihood ratio, covered but unseen
-    belief_floor: float = 0.01
-    belief_ceiling: float = 0.99
-    position_alpha: float = 0.35      # EMA gain for track position updates
-    velocity_alpha: float = 0.3
-    event_merge_radius: float = 15.0  # [m] DENM-to-hypothesis merge distance
-    event_merge_window: float = 3.0   # [s] max report age gap when merging
-
-    def __post_init__(self):
-        check_range(self, ("d_gate", "tau_stale", "tau_event", "event_merge_radius",
-                           "event_merge_window"))
-        check_range(self, ("b_prune", "b_birth", "conf_birth",
-                           "event_position_alpha", "position_alpha",
-                           "velocity_alpha"), hi=1.0)
-        # log-odds fusion takes the log of every ratio and of the clamped
-        # belief's odds
-        check_range(self, ("lr_detect", "lr_cam", "lr_absent"), strict=True)
-        check_range(self, ("belief_floor", "belief_ceiling"), hi=1.0, strict=True)
-        if self.belief_floor >= self.belief_ceiling:
-            raise ValueError(f"belief_floor: must be below belief_ceiling="
-                             f"{self.belief_ceiling}, got {self.belief_floor}")
+D_GATE = 2.0                  # [m] association gate
+B_PRUNE = 0.05                # drop tracks below this belief
+TAU_STALE = 1.0               # [s] drop tracks unsupported this long
+TAU_EVENT = 5.0               # [s] pending hypotheses expire after this
+B_BIRTH = 0.5                 # initial belief: below the planner's obstacle
+                              # threshold, so one clutter hit never conjures
+                              # a confident obstacle
+CONF_BIRTH = 0.5              # min confidence for an item to seed a track
+EVENT_POSITION_ALPHA = 0.25   # post-acceptance claim blending rate
+LR_DETECT = 3.0               # sensor likelihood ratio, supported
+LR_CAM = 2.0                  # per-station V2X likelihood ratio
+LR_ABSENT = 0.2               # sensor likelihood ratio, covered but unseen
+BELIEF_FLOOR = 0.01
+BELIEF_CEILING = 0.99
+POSITION_ALPHA = 0.35         # EMA gain for track position updates
+VELOCITY_ALPHA = 0.3
+EVENT_MERGE_RADIUS = 15.0     # [m] DENM-to-hypothesis merge distance
+EVENT_MERGE_WINDOW = 3.0      # [s] max report age gap when merging
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +150,20 @@ def associate(measurements, predicted: dict, d_gate: float):
     return assigned, births
 
 
-def update_belief(belief: float, lr_sensor: float, n_stations: int,
-                  params: LdmParams) -> float:
+def update_belief(belief: float, lr_sensor: float, n_stations: int) -> float:
     """Log-odds fusion over `n_stations` corroborating V2X stations:
-    logit(b') = logit(b) + ln LR_sensor + n_stations ln lr_cam."""
+    logit(b') = logit(b) + ln LR_sensor + n_stations ln LR_CAM."""
     if not math.isfinite(lr_sensor) or lr_sensor <= 0.0:
         raise ValueError("lr_sensor must be finite and positive")
-    b = min(max(belief, params.belief_floor), params.belief_ceiling)
+    b = min(max(belief, BELIEF_FLOOR), BELIEF_CEILING)
     logit = math.log(b / (1.0 - b)) + math.log(lr_sensor)
     for _ in range(n_stations):
-        logit += math.log(params.lr_cam)
+        logit += math.log(LR_CAM)
     b_new = 1.0 / (1.0 + math.exp(-logit))
-    return min(max(b_new, params.belief_floor), params.belief_ceiling)
+    return min(max(b_new, BELIEF_FLOOR), BELIEF_CEILING)
 
 
-def ingest_denm(msg: V2xMessage, events: list, params: LdmParams) -> EventHypothesis:
+def ingest_denm(msg: V2xMessage, events: list) -> EventHypothesis:
     """Fold one DENM into the hypothesis set.
 
     Merges into the nearest same-kind hypothesis within the merge radius
@@ -203,10 +185,10 @@ def ingest_denm(msg: V2xMessage, events: list, params: LdmParams) -> EventHypoth
         if hyp.kind != msg.payload.event_kind:
             continue
         d = math.hypot(claim[0] - hyp.position[0], claim[1] - hyp.position[1])
-        if d > params.event_merge_radius:
+        if d > EVENT_MERGE_RADIUS:
             continue
         last_report = max((rt for rt, _ in hyp.support.values()), default=hyp.first_seen)
-        if recv - last_report > params.event_merge_window:
+        if recv - last_report > EVENT_MERGE_WINDOW:
             continue
         if best is None or d < best_d:
             best, best_d = hyp, d
@@ -220,12 +202,12 @@ def ingest_denm(msg: V2xMessage, events: list, params: LdmParams) -> EventHypoth
     if best.status == PENDING:
         best.refresh_position()
     elif best.status == ACCEPTED:
-        best.refresh_position(alpha=params.event_position_alpha)
+        best.refresh_position(alpha=EVENT_POSITION_ALPHA)
     return best
 
 
 def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
-              frames, params: LdmParams) -> LdmState:
+              frames) -> LdmState:
     """One fusion step over this tick's sensor frames and V2X deliveries.
 
     Every detection of `frames` and every message of `delivered_v2x` is
@@ -253,7 +235,7 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
     # each track's prediction to now, made once: association, the update
     # and (for a track nothing updated) the coverage test all use it
     predicted = {tr.track_id: tr.predicted(now) for tr in tracks}
-    assigned, births = associate(measurements, predicted, params.d_gate)
+    assigned, births = associate(measurements, predicted, D_GATE)
 
     kept: list[Track] = []
     for tr in tracks:
@@ -264,45 +246,43 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
         if ms:
             mx = sum(m.position[0] for m in ms) / len(ms)
             my = sum(m.position[1] for m in ms) / len(ms)
-            a = params.position_alpha
             px, py = at
-            tr.position = (px + a * (mx - px), py + a * (my - py))
+            tr.position = (px + POSITION_ALPHA * (mx - px), py + POSITION_ALPHA * (my - py))
             vx = sum(m.velocity[0] for m in ms) / len(ms)
             vy = sum(m.velocity[1] for m in ms) / len(ms)
-            av = params.velocity_alpha
-            tr.velocity = (tr.velocity[0] + av * (vx - tr.velocity[0]),
-                           tr.velocity[1] + av * (vy - tr.velocity[1]))
+            tr.velocity = (tr.velocity[0] + VELOCITY_ALPHA * (vx - tr.velocity[0]),
+                           tr.velocity[1] + VELOCITY_ALPHA * (vy - tr.velocity[1]))
             tr.last_update = now
             at = tr.predicted(now)
 
         if "sensor" in sources:
-            lr_sensor = params.lr_detect
+            lr_sensor = LR_DETECT
         elif any(f.covers(at) for f in frames):
-            lr_sensor = params.lr_absent
+            lr_sensor = LR_ABSENT
         else:
             lr_sensor = 1.0
         n_stations = sum(s.startswith("cam:") for s in sources)
-        tr.belief = update_belief(tr.belief, lr_sensor, n_stations, params)
+        tr.belief = update_belief(tr.belief, lr_sensor, n_stations)
 
-        if tr.belief < params.b_prune:
+        if tr.belief < B_PRUNE:
             continue
-        if now - tr.last_update > params.tau_stale:
+        if now - tr.last_update > TAU_STALE:
             continue
         kept.append(tr)
 
     born = prev.tracks_born
     for m in births:
-        if m.confidence < params.conf_birth:
+        if m.confidence < CONF_BIRTH:
             continue
         born += 1
         kept.append(Track(track_id=f"T{born}", position=m.position, velocity=m.velocity,
-                          belief=params.b_birth, last_update=now))
+                          belief=B_BIRTH, last_update=now))
 
     events = prev.events
     for msg in denms:
-        ingest_denm(msg, events, params)
+        ingest_denm(msg, events)
     for hyp in events:
-        if hyp.status == PENDING and now - hyp.first_seen > params.tau_event:
+        if hyp.status == PENDING and now - hyp.first_seen > TAU_EVENT:
             hyp.status = EXPIRED
 
     return LdmState(stamp=now, objects=kept, events=events, active_map=active_map,

@@ -99,7 +99,7 @@ NEUTRAL_LIKELIHOOD = 0.5
 def sensor_likelihood(event_position, frames, support_radius: float) -> float:
     """Fraction of the `frames` covering an event location that corroborate
     it. The caller picks the frames: the episode loop keeps those of the last
-    `sensor_likelihood_window` seconds. With no covering frame the result is
+    `harness.SENSOR_LIKELIHOOD_WINDOW` seconds. With no covering frame the result is
     NEUTRAL_LIKELIHOOD, so an event outside sensor reach is neither vetoed
     nor endorsed.
     """

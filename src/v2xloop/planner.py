@@ -66,9 +66,34 @@ EVENT_RADIUS = {
 }
 
 
+# obstacle layer: which tracks block cells, and how wide each stamp is
+B_OBSTACLE = 0.6                      # tracks at or above this belief block cells
+TRACK_RADIUS = 1.0                    # [m] assumed footprint of a track
+OBSTACLE_MARGIN = 0.75                # [m] planning clearance beyond the
+                                      # risk-check clearance, so track
+                                      # jitter cannot retrigger replans
+EVENT_MARGIN = 0.5                    # [m] accepted-event padding; fused
+                                      # multi-source positions are steadier
+                                      # than single-sensor tracks
+STATIC_SPEED_FLOOR = 0.75             # [m/s] below this a track is stamped
+                                      # in place, not velocity-extrapolated
+PREFIX_HORIZON = 3.0                  # [s] plan prefix checked for risk
+# search: a node ends it within goal_xy_tol of the goal and this of its heading
+GOAL_HEADING_TOL = math.radians(10.0)
+# speed profile
+CRUISE_SPEED = 8.0                    # [m/s]
+PASS_SPEED = 3.0                      # [m/s] target alongside a hazard
+COMFORT_DECEL = 1.0                   # [m/s^2] sets the slowdown envelope
+SLOWDOWN_MARGIN = 1.5                 # envelope = margin * v^2 / (2 * decel)
+GOAL_RAMP_DISTANCE = 10.0             # [m]
+# trigger: an accepted hazard counts within this lateral distance of the plan
+HAZARD_CORRIDOR = 2.0                 # [m]
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
-    """Search settings. The planning grid's cell_size sets the spatial
+    """Search settings; the obstacle layer and speed profile are the module
+    constants above. The planning grid's cell_size sets the spatial
     resolution: the closed set bins states by grid cell and heading bin,
     and a primitive is sampled at most 0.8 cell apart along its arc."""
 
@@ -76,27 +101,10 @@ class PlannerConfig:
     steering_samples: int = 5             # includes 0 and both extremes
     primitive_arc_length: float = 2.0     # [m]
     goal_xy_tol: float = 1.0              # [m]
-    goal_heading_tol: float = math.radians(10.0)
     steering_change_weight: float = 0.5
     lateral_weight: float = 0.3           # [1/m] route-deviation cost per meter
     heuristic_weight: float = 1.2         # >1 trades optimality for speed
-    obstacle_margin: float = 0.75         # [m] planning clearance beyond the
-                                          # risk-check clearance, so track
-                                          # jitter cannot retrigger replans
-    event_margin: float = 0.5             # [m] accepted-event padding; fused
-                                          # multi-source positions are steadier
-                                          # than single-sensor tracks
     max_expansions: int = 200_000
-    b_obstacle: float = 0.6               # tracks at or above this block cells
-    track_radius: float = 1.0             # [m] assumed footprint of a track
-    static_speed_floor: float = 0.75      # [m/s] below this a track is stamped
-                                          # in place, not velocity-extrapolated
-    cruise_speed: float = 8.0             # [m/s]
-    pass_speed: float = 3.0               # [m/s] target alongside a hazard
-    comfort_decel: float = 1.0            # [m/s^2] sets the slowdown envelope
-    slowdown_margin: float = 1.5          # envelope = margin * v^2 / (2 * decel)
-    goal_ramp_distance: float = 10.0      # [m]
-    prefix_horizon: float = 3.0           # [s] plan prefix checked for risk
 
     def __post_init__(self):
         """Reject settings the search cannot run with, naming the field."""
@@ -105,29 +113,26 @@ class PlannerConfig:
             raise ValueError("steering_samples: must be odd and >= 3 (straight "
                              f"plus both locks), got {self.steering_samples}")
         check_range(self, ("primitive_arc_length", "goal_xy_tol",
-                           "heuristic_weight", "cruise_speed", "comfort_decel"),
-                    strict=True)
+                           "heuristic_weight"), strict=True)
         # a negative weight makes a step cost negative, and the cost-to-goal
         # Dijkstra would relax round a negative cycle without end
         check_range(self, ("max_expansions", "steering_change_weight",
                            "lateral_weight"))
-        # the risk rollout samples every ROLLOUT_DT, per track
-        check_range(self, ("prefix_horizon",), hi=60.0)
 
 
 @dataclass(frozen=True)
 class TriggerConfig:
     """When to replan. An accepted hazard fires if it lies within
     hazard_lookahead ahead of the ego along the plan and within
-    hazard_corridor of the plan laterally."""
+    HAZARD_CORRIDOR of the plan laterally; a rollout TTC below tau_risk
+    fires too."""
 
     hazard_lookahead: float = 50.0        # [m] along the plan
-    hazard_corridor: float = 2.0          # [m] off the plan
     tau_risk: float = 2.5                 # [s]
 
     def __post_init__(self):
         # 0 already switches a trigger off; a negative value would too, quietly
-        check_range(self, ("hazard_lookahead", "hazard_corridor", "tau_risk"))
+        check_range(self, ("hazard_lookahead", "tau_risk"))
 
 
 HAZARD_ON_ROUTE = "hazard_on_route"
@@ -188,7 +193,7 @@ class PlanAttempt:
 # obstacle layer
 
 
-def unexplained_tracks(ldm: LdmState, cfg: PlannerConfig) -> list:
+def unexplained_tracks(ldm: LdmState) -> list:
     """Confident tracks not already covered by an accepted event.
 
     An accepted event is the fused, multi-source estimate of a hazard; the
@@ -200,10 +205,10 @@ def unexplained_tracks(ldm: LdmState, cfg: PlannerConfig) -> list:
     """
     events = ldm.accepted_events()
     out = []
-    for tr in ldm.obstacles(cfg.b_obstacle):
+    for tr in ldm.obstacles(B_OBSTACLE):
         covered = False
         for ev in events:
-            reach = EVENT_RADIUS[ev.kind] + cfg.track_radius
+            reach = EVENT_RADIUS[ev.kind] + TRACK_RADIUS
             if math.hypot(tr.position[0] - ev.position[0],
                           tr.position[1] - ev.position[1]) <= reach:
                 covered = True
@@ -213,44 +218,44 @@ def unexplained_tracks(ldm: LdmState, cfg: PlannerConfig) -> list:
     return out
 
 
-def obstacle_grid(ldm: LdmState, cfg: PlannerConfig, vparams: VehicleParams,
-                  base: OccupancyGrid, start_xy) -> OccupancyGrid:
+def obstacle_grid(ldm: LdmState, vparams: VehicleParams, base: OccupancyGrid,
+                  start_xy) -> OccupancyGrid:
     """Planning grid = `base` (the inflated static map, from
     world.planning_occupancy) + confident tracks + accepted events.
 
     Moving tracks are stamped at their prefix-mean predicted position so a
     mover is blocked where it will be; near-static ones are stamped in place
     so velocity noise cannot walk the stamp around. Stamps are padded with
-    obstacle_margin beyond what the risk check uses, which keeps planned
+    OBSTACLE_MARGIN beyond what the risk check uses, which keeps planned
     paths far enough out that estimate jitter cannot flip the risk trigger.
     An accepted event blocks every cell its disk touches, not only the
     cells whose centre it covers, so every arc sample of a plan keeps the
     full stamped radius from the event: the cost-to-goal field of this
     grid leads hazard replans along the stamp's edge, where a
     centre-in-disk stamp would give up to half a cell diagonal of the
-    event_margin away.
+    EVENT_MARGIN away.
     A disk that already contains start_xy is skipped: the search cannot
     escape a region its own start is buried in, and the right reaction to
     an overlapping estimate is to keep driving the stop ramp, not to fail.
     """
     cells = base.cells.copy()
     out = OccupancyGrid(cells=cells, cell_size=base.cell_size)
-    half_prefix = cfg.prefix_horizon / 2.0
+    half_prefix = PREFIX_HORIZON / 2.0
 
     def blocks_start(cx: float, cy: float, radius: float) -> bool:
         return math.hypot(cx - start_xy[0], cy - start_xy[1]) <= radius
 
-    for tr in unexplained_tracks(ldm, cfg):
+    for tr in unexplained_tracks(ldm):
         px, py = tr.position
-        if math.hypot(tr.velocity[0], tr.velocity[1]) >= cfg.static_speed_floor:
+        if math.hypot(tr.velocity[0], tr.velocity[1]) >= STATIC_SPEED_FLOOR:
             px += tr.velocity[0] * half_prefix
             py += tr.velocity[1] * half_prefix
-        radius = cfg.track_radius + vparams.collision_radius + cfg.obstacle_margin
+        radius = TRACK_RADIUS + vparams.collision_radius + OBSTACLE_MARGIN
         if blocks_start(px, py, radius):
             continue
         mark_disk(cells, out, (px, py), radius)
     for ev in ldm.accepted_events():
-        radius = EVENT_RADIUS[ev.kind] + vparams.collision_radius + cfg.event_margin
+        radius = EVENT_RADIUS[ev.kind] + vparams.collision_radius + EVENT_MARGIN
         if blocks_start(ev.position[0], ev.position[1], radius):
             continue
         mark_disk(cells, out, ev.position, radius, touching=True)
@@ -455,7 +460,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     t0 = time.perf_counter()
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
-    grid = obstacle_grid(ldm, cfg, vparams, base=maps.grid, start_xy=(sx, sy))
+    grid = obstacle_grid(ldm, vparams, base=maps.grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
     stamped = not np.array_equal(cells, maps.grid.cells)
@@ -474,7 +479,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     bin_size = TWO_PI / cfg.heading_bins
     n_bins = cfg.heading_bins
     hw = cfg.heuristic_weight
-    goal_xy_tol, goal_heading_tol = cfg.goal_xy_tol, cfg.goal_heading_tol
+    goal_xy_tol, goal_heading_tol = cfg.goal_xy_tol, GOAL_HEADING_TOL
     max_expansions = cfg.max_expansions
 
     steers, prim_pts, prim_dth = _primitives(cfg, vparams, grid.cell_size)
@@ -584,48 +589,48 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
         pts = _arcs_from(_rotate(prim_pts, ths[pi]), xs[pi], ys[pi])[si]
         blocks.append(np.column_stack([pts, ths[pi] + prim_dth[si]]))
     poses = np.concatenate(blocks)
-    traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), cfg.cruise_speed),
+    traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), CRUISE_SPEED),
                       planned_on_version=ldm.active_map.version_id,
                       planned_at=ldm.stamp)
-    traj = attach_speed_profile(traj, ldm, cfg, vparams)
+    traj = attach_speed_profile(traj, ldm, vparams)
     cpu_ms = (time.perf_counter() - t0) * 1000.0
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=cpu_ms,
                        cause=cause, heuristic_ms=heuristic_ms)
 
 
-def attach_speed_profile(traj: Trajectory, ldm: LdmState, cfg: PlannerConfig,
+def attach_speed_profile(traj: Trajectory, ldm: LdmState,
                          vparams: VehicleParams) -> Trajectory:
     """Cruise profile with a goal ramp and slowdowns at accepted hazards.
 
-    Near an accepted hazard the target dips to pass_speed across a slowdown
+    Near an accepted hazard the target dips to PASS_SPEED across a slowdown
     envelope; if the hazard actually sits on the path (closer than the
     summed radii) the target goes to zero instead, since there is nothing
     to pass it by.
     """
     s_axis = traj.path.cumlength
-    speeds = np.full(len(s_axis), cfg.cruise_speed)
+    speeds = np.full(len(s_axis), CRUISE_SPEED)
 
     total = traj.length
-    ramp = np.clip((total - s_axis) / max(cfg.goal_ramp_distance, 1e-6), 0.0, 1.0)
-    speeds = np.minimum(speeds, cfg.cruise_speed * ramp)
+    ramp = np.clip((total - s_axis) / GOAL_RAMP_DISTANCE, 0.0, 1.0)
+    speeds = np.minimum(speeds, CRUISE_SPEED * ramp)
 
-    envelope = cfg.slowdown_margin * cfg.cruise_speed ** 2 / (2.0 * cfg.comfort_decel)
+    envelope = SLOWDOWN_MARGIN * CRUISE_SPEED ** 2 / (2.0 * COMFORT_DECEL)
     xy = traj.poses[:, :2]
     for ev in ldm.accepted_events():
         d = np.hypot(xy[:, 0] - ev.position[0], xy[:, 1] - ev.position[1])
         i_min = int(np.argmin(d))
         d_min = float(d[i_min])
         radius = EVENT_RADIUS[ev.kind]
-        corridor = radius + cfg.track_radius + vparams.collision_radius + 2.0
+        corridor = radius + TRACK_RADIUS + vparams.collision_radius + 2.0
         if d_min > corridor:
             continue
         blocked = d_min < radius + vparams.collision_radius
-        floor = 0.0 if blocked else cfg.pass_speed
+        floor = 0.0 if blocked else PASS_SPEED
         s_h = float(s_axis[i_min])
-        local = np.full(len(s_axis), cfg.cruise_speed)
+        local = np.full(len(s_axis), CRUISE_SPEED)
         before = s_axis <= s_h
-        frac = np.clip((s_h - s_axis[before]) / max(envelope, 1e-6), 0.0, 1.0)
-        local[before] = floor + (cfg.cruise_speed - floor) * frac
+        frac = np.clip((s_h - s_axis[before]) / envelope, 0.0, 1.0)
+        local[before] = floor + (CRUISE_SPEED - floor) * frac
         holding = (s_axis > s_h) & (s_axis <= s_h + 2.0 * radius + 4.0)
         local[holding] = floor
         speeds = np.minimum(speeds, local)
@@ -706,7 +711,7 @@ def check_triggers(ldm: LdmState, traj: Trajectory, s_plan: float,
     no side effects.
 
     hazard_on_route fires for an event that projects onto `traj` within
-    [s_plan, s_plan + hazard_lookahead] of arc length and hazard_corridor
+    [s_plan, s_plan + hazard_lookahead] of arc length and HAZARD_CORRIDOR
     of it laterally, `s_plan` being the ego's arc length along `traj`. It
     fires only for events accepted after the plan was made, so one
     acceptance causes one replan rather than one per tick. `risk_ttc` is
@@ -718,7 +723,7 @@ def check_triggers(ldm: LdmState, traj: Trajectory, s_plan: float,
         if ev.accepted_at is None or ev.accepted_at <= traj.planned_at:
             continue
         s, lateral, _ = traj.path.project(ev.position)
-        if s_plan <= s <= s_plan + trig.hazard_lookahead and abs(lateral) <= trig.hazard_corridor:
+        if s_plan <= s <= s_plan + trig.hazard_lookahead and abs(lateral) <= HAZARD_CORRIDOR:
             fired.append(HAZARD_ON_ROUTE)
             break
     if risk_ttc < trig.tau_risk:

@@ -7,8 +7,9 @@ Four built-in scenarios exercise the stack:
   s3  the map server publishes a topology change that closes the route
   s4  s2 plus Byzantine stations flooding fabricated closure reports
 
-A scenario is a value object; everything an episode needs, including every
-tunable, serializes to JSON and back. Unknown keys anywhere in the document
+A scenario is a value object; everything an episode needs that some run
+varies serializes to JSON and back, and the settings no run varies are
+constants of the modules that read them. Unknown keys anywhere in the document
 are errors, never silently ignored, so a typo in a config cannot run with
 defaults behind the experimenter's back. The optional sections switch their
 capability by being present: `stations` (V2X), `attack` (forged DENMs from
@@ -27,11 +28,10 @@ import numpy as np
 
 from .control import ControllerConfig
 from .gate import GateConfig
-from .ldm import LdmParams
 from .metrics import MetricParams
 from .pareto import Configuration
 from .perception import SensorModel
-from .planner import PlannerConfig, TriggerConfig
+from .planner import CRUISE_SPEED, PlannerConfig, TriggerConfig
 from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation
 from .vehicle import VehicleParams
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
@@ -123,7 +123,6 @@ class ScenarioSpec:
     channel: ChannelModel = ChannelModel()
     stations: StationPopulation | None = None
     attack: AttackPolicy | None = None
-    ldm: LdmParams = LdmParams()
     gate: GateConfig = GateConfig()
     triggers: TriggerConfig = TriggerConfig()
     planner: PlannerConfig = PlannerConfig()
@@ -132,8 +131,6 @@ class ScenarioSpec:
     update_client: UpdateClientConfig | None = None
     hazards: tuple[GroundTruthHazard, ...] = ()
     traffic: tuple[ScriptedVehicle, ...] = ()
-    sensor_likelihood_window: float = 1.0  # [s] veto evidence horizon
-    event_label_radius: float = 16.0       # [m] hypothesis-to-truth labeling
 
     def __post_init__(self):
         if self.scenario_id not in SCENARIO_IDS:
@@ -143,8 +140,7 @@ class ScenarioSpec:
         # a message that starts with the field at fault extends the dotted
         # path spec_from_dict reports
         check_range(self, ("dt",), strict=True)
-        check_range(self, ("time_limit", "sensor_likelihood_window",
-                           "event_label_radius"))
+        check_range(self, ("time_limit",))
         if self.planner.goal_xy_tol > self.goal_tolerance:
             # the plan could then end inside the planner's goal region but
             # outside the episode's, where the ego holds still until timeout
@@ -210,7 +206,7 @@ def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSp
                                                   k_d=config.k_d))
     la = config.look_ahead
     if la is not None:
-        controller = replace(controller, look_ahead_gain=la / spec.planner.cruise_speed,
+        controller = replace(controller, look_ahead_gain=la / CRUISE_SPEED,
                              look_ahead_min=la / 2.0, look_ahead_max=1.5 * la)
     triggers = replace(spec.triggers, **knobs(tau_risk=config.tau_risk,
                                               hazard_lookahead=config.hazard_lookahead))

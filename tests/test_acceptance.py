@@ -16,8 +16,8 @@ import pytest
 
 from grids import corridor_map, occupied_at
 from oracles import mc_hypervolume
-from v2xloop.control import (ControlCommand, ControllerConfig, PidState,
-                             follow_tick, pid_longitudinal, pure_pursuit)
+from v2xloop.control import (INTEGRAL_CLAMP, ControlCommand, ControllerConfig,
+                             PidState, follow_tick, pid_longitudinal, pure_pursuit)
 from v2xloop.gate import evaluate, support
 from v2xloop.harness import LOG_COLUMNS, make_episode_runner, replay, run_episode
 from v2xloop.ldm import EventHypothesis, Track, initial_state
@@ -25,8 +25,8 @@ from v2xloop.logio import read_csv, rows
 from v2xloop.metrics import clear_mot, command_variance, lateral_rmse
 from v2xloop.pareto import (config_grid, evaluate_grid, hypervolume,
                             nondominated_set, normalize)
-from v2xloop.planner import (PlannerConfig, PlanningMaps, Trajectory,
-                             obstacle_grid, plan, ttc_min)
+from v2xloop.planner import (PREFIX_HORIZON, PlannerConfig, PlanningMaps,
+                             Trajectory, obstacle_grid, plan, ttc_min)
 from v2xloop.scenarios import build_s2, build_s3, build_s4
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature, step
 from v2xloop.world import LaneSegment, Route, planning_occupancy
@@ -187,7 +187,7 @@ def test_03_gate_blocks_minority_attacks(pytestconfig, s4_bank):
 def test_04_v2x_hazard_response(pytestconfig, s2_bank):
     on, off = s2_bank
     spec = build_s2(True)
-    cap = spec.planner.prefix_horizon  # rollout window; inf means "never closed in"
+    cap = PREFIX_HORIZON  # rollout window; inf means "never closed in"
     coll_on = sum(1 for m in on if m.collisions > 0)
     coll_off = sum(1 for m in off if m.collisions > 0)
     ttc_on = mean(min(m.ttc_min, cap) for m in on)
@@ -318,7 +318,7 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         # instead of dividing by the chord, which overstates k by (k ds)^2/24
         kappa = 2.0 * np.sin(dh[m] / 2.0) / chord[m]
         worst_ratio = max(worst_ratio, float(np.max(kappa) / k_max))
-        grid = obstacle_grid(ldm, cfg, VP, base, start[:2])
+        grid = obstacle_grid(ldm, VP, base, start[:2])
         if any(occupied_at(grid, x, y) for x, y, _ in poses):
             collisions += 1
     mean_ms = mean(times_ms) if times_ms else math.inf
@@ -421,7 +421,7 @@ def test_08_controller_and_dynamics_oracles(pytestconfig):
             err = float(rng.normal(0.0, 2.0))
         _, pid = pid_longitudinal(err, pid, ccfg, 0.05)
         worst_integral = max(worst_integral, abs(pid.integral))
-    clamp_ok = worst_integral <= ccfg.integral_clamp + 1e-12
+    clamp_ok = worst_integral <= INTEGRAL_CLAMP + 1e-12
 
     # closed-loop straight tracking from a small offset
     straight = _traj_from_path([[0.0, 0.0], [120.0, 0.0]], 8.0)
@@ -443,7 +443,7 @@ def test_08_controller_and_dynamics_oracles(pytestconfig):
     _verdict(pytestconfig, 8, "controller and dynamics oracles", ok,
              f"circle steer err {100*steer_err:.1f}% <= 5%, radius err "
              f"{100*radius_err:.2f}% <= 1%, max |integral| {worst_integral:.3f}"
-             f" <= {ccfg.integral_clamp}, straight RMSE {rmse:.3f}m < 0.05m")
+             f" <= {INTEGRAL_CLAMP}, straight RMSE {rmse:.3f}m < 0.05m")
     assert ok
 
 

@@ -1,12 +1,14 @@
 """End-to-end command-line coverage driving main() in process."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from v2xloop.cli import main, parse_seeds
 from v2xloop.harness import SWEEP_COLS
 from v2xloop.logio import read_csv, read_json, write_json
+from v2xloop.metrics import EpisodeMetrics
 from v2xloop.scenarios import build_s1, spec_to_dict
 
 
@@ -28,6 +30,13 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert (out / "summary.json").is_file()
     assert (out / "scenario.json").is_file()
     assert (out / "logs" / "vehicle.csv").is_file()
+
+
+def test_run_prints_every_metric(capsys):
+    assert main(["run", "--scenario", "s1", "--seed", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a head line, then one line per metric
+    assert [line.split()[0] for line in lines[1:]] == [f.name for f in fields(EpisodeMetrics)]
 
 
 def test_run_accepts_config_document(tmp_path, capsys):
@@ -193,6 +202,30 @@ def test_replay_of_a_foreign_or_damaged_table_exits_with_one_line(tmp_path, name
     lines = p.read_text().splitlines()
     damage(lines)
     p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--log", str(out)])
+    text = str(exc.value)
+    assert text.startswith("v2xloop replay: ") and text.endswith(message)
+    assert "\n" not in text
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda meta: meta["metrics"].update(paranoia=1.0),
+     "meta.json: metrics: unknown key 'paranoia'"),
+    (lambda meta: meta.update(metrics=3), "meta.json: metrics: expected an object, got int"),
+    (lambda meta: meta["metrics"].pop("tau_safety"),
+     "meta.json: metrics: missing key 'tau_safety'"),
+    (lambda meta: meta["hazards"].append({"id": "hz-0", "x": 62.0, "y": 50.4}),
+     "meta.json: hazards[0]: missing key 'kind'"),
+], ids=["metrics-unknown-key", "metrics-not-object", "metrics-key-missing",
+        "hazard-without-kind"])
+def test_replay_of_a_damaged_meta_block_exits_with_one_line(tmp_path, damage, message):
+    out = tmp_path / "ep"
+    main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])
+    path = out / "logs" / "meta.json"
+    meta = read_json(path)
+    damage(meta)
+    write_json(path, meta)
     with pytest.raises(SystemExit) as exc:
         main(["replay", "--log", str(out)])
     text = str(exc.value)

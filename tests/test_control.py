@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2xloop.control import (ControlCommand, ControllerConfig, PidState,
-                             follow_tick, pid_longitudinal, pure_pursuit,
+from v2xloop.control import (INTEGRAL_CLAMP, ControlCommand, ControllerConfig,
+                             PidState, follow_tick, pid_longitudinal, pure_pursuit,
                              safety_stop_command)
 from v2xloop.planner import Trajectory
 from v2xloop.vehicle import VehicleParams, VehicleState, step
@@ -105,7 +105,7 @@ def test_pid_output_clamped_and_antiwindup():
         u, state = pid_longitudinal(10.0, state, CFG, dt=0.05)
     # conditional integration freezes the integral while saturated
     assert state.integral == pytest.approx(first_integral)
-    assert abs(state.integral) <= CFG.integral_clamp
+    assert abs(state.integral) <= INTEGRAL_CLAMP
 
 
 @settings(max_examples=150, deadline=None)
@@ -115,7 +115,7 @@ def test_pid_integral_never_exceeds_clamp(errors):
     for e in errors:
         u, state = pid_longitudinal(e, state, CFG, dt=0.05)
         assert -1.0 <= u <= 1.0
-        assert abs(state.integral) <= CFG.integral_clamp + 1e-12
+        assert abs(state.integral) <= INTEGRAL_CLAMP + 1e-12
 
 
 def test_closed_loop_straight_tracking_rmse():

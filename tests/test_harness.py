@@ -500,7 +500,7 @@ def test_each_ticks_deliveries_are_logged_in_receive_order(tmp_path):
 
 def test_the_veto_scores_exactly_the_frames_of_its_window(monkeypatch):
     spec = build_s2()
-    window = spec.sensor_likelihood_window
+    window = harness.SENSOR_LIKELIHOOD_WINDOW
     sensed, scored_at = [], []
 
     def sense(*args):

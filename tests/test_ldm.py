@@ -3,14 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2xloop.ldm import (ACCEPTED, EXPIRED, PENDING, EventHypothesis,
-                         LdmParams, LdmState, Measurement, Track, associate,
-                         fuse_tick, ingest_denm, initial_state, update_belief)
+from v2xloop import ldm
+from v2xloop.ldm import (ACCEPTED, EXPIRED, PENDING, EventHypothesis, LdmState,
+                         Measurement, Track, associate, fuse_tick, ingest_denm,
+                         initial_state, update_belief)
 from v2xloop.perception import Detection, SenseFrame
 from v2xloop.v2x import CamPayload, DenmPayload, V2xMessage
 from v2xloop.world import LaneSegment, MapVersion
 
-P = LdmParams()
 MAP0 = MapVersion(0, [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)])
 
 
@@ -37,9 +37,9 @@ def _det(wx, wy, conf=0.9, vel=(0.0, 0.0)):
     return Detection(confidence=conf, world_position=(wx, wy), world_velocity=vel)
 
 
-def _tick(state, t, frames=(), v2x=(), params=P):
+def _tick(state, t, frames=(), v2x=()):
     """One fusion step on MAP0."""
-    return fuse_tick(state, t, list(v2x), MAP0, list(frames), params)
+    return fuse_tick(state, t, list(v2x), MAP0, list(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -48,34 +48,32 @@ def _tick(state, t, frames=(), v2x=(), params=P):
 
 def test_update_belief_sensor_oracle():
     # odds 1 * 3 = 3 -> 3/4
-    assert update_belief(0.5, P.lr_detect, 0, P) == pytest.approx(0.75)
+    assert update_belief(0.5, ldm.LR_DETECT, 0) == pytest.approx(0.75)
 
 
 def test_update_belief_sensor_plus_cam_oracle():
     # odds 1 * 3 * 2 = 6 -> 6/7
-    b = update_belief(0.5, P.lr_detect, 1, P)
+    b = update_belief(0.5, ldm.LR_DETECT, 1)
     assert b == pytest.approx(6.0 / 7.0)
 
 
 def test_update_belief_one_lr_cam_per_station():
     # two stations: odds 1 * 3 * 2 * 2 = 12 -> 12/13
-    b = update_belief(0.5, P.lr_detect, 2, P)
+    b = update_belief(0.5, ldm.LR_DETECT, 2)
     assert b == pytest.approx(12.0 / 13.0)
 
 
 def test_update_belief_contradiction():
-    assert P.lr_absent == 0.2
-    b = update_belief(0.5, P.lr_absent, 0, P)
+    assert ldm.LR_ABSENT == 0.2
+    b = update_belief(0.5, ldm.LR_ABSENT, 0)
     assert b == pytest.approx(0.2 / 1.2)
 
 
 def test_update_belief_rejects_bad_ratios():
     with pytest.raises(ValueError):
-        update_belief(0.5, 0.0, 0, P)
+        update_belief(0.5, 0.0, 0)
     with pytest.raises(ValueError):
-        LdmParams(lr_cam=-1.0)      # the per-station ratio is checked at load
-    with pytest.raises(ValueError):
-        update_belief(0.5, float("inf"), 0, P)
+        update_belief(0.5, float("inf"), 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -83,10 +81,10 @@ def test_update_belief_rejects_bad_ratios():
        lr=st.floats(0.01, 100.0),
        cams=st.integers(0, 4))
 def test_update_belief_stays_clamped(b, lr, cams):
-    out = update_belief(b, lr, cams, P)
-    assert P.belief_floor <= out <= P.belief_ceiling
+    out = update_belief(b, lr, cams)
+    assert ldm.BELIEF_FLOOR <= out <= ldm.BELIEF_CEILING
     # evidence direction is monotone when unsupported by V2X
-    if not cams and P.belief_floor < b < P.belief_ceiling:
+    if not cams and ldm.BELIEF_FLOOR < b < ldm.BELIEF_CEILING:
         if lr > 1.0:
             assert out >= b - 1e-12
         elif lr < 1.0:
@@ -142,7 +140,7 @@ def test_associate_uses_predicted_position():
     # hit there must update it, not give birth to a second track
     state = _tick(state, 1.0, frames=[_frame(1.0, [_det(15.1, 10.0, vel=(5.0, 0.0))])])
     assert [tr.track_id for tr in state.objects] == ["T1"]
-    assert state.objects[0].position == pytest.approx((15.0 + P.position_alpha * 0.1, 10.0))
+    assert state.objects[0].position == pytest.approx((15.0 + ldm.POSITION_ALPHA * 0.1, 10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +151,7 @@ def test_birth_starts_below_obstacle_threshold():
     state = initial_state(MAP0)
     state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
     assert len(state.objects) == 1
-    assert state.objects[0].belief == P.b_birth
+    assert state.objects[0].belief == ldm.B_BIRTH
     assert state.obstacles(0.6) == []    # one hit is not yet an obstacle
 
 
@@ -182,7 +180,7 @@ def test_covered_silence_erodes_belief():
     state = _tick(state, 0.15, frames=[_frame(0.15)])
     assert len(state.objects) == 1
     b_after = state.objects[0].belief
-    odds = b_confirmed / (1.0 - b_confirmed) * P.lr_absent
+    odds = b_confirmed / (1.0 - b_confirmed) * ldm.LR_ABSENT
     assert b_after == pytest.approx(odds / (1.0 + odds))
 
 
@@ -200,7 +198,7 @@ def test_stale_track_dropped():
     state = initial_state(MAP0)
     state = _tick(state, 0.05, frames=[_frame(0.05, [_det(12.0, 10.0)])])
     # no frames at all for longer than tau_stale
-    state = _tick(state, 0.05 + P.tau_stale + 0.05)
+    state = _tick(state, 0.05 + ldm.TAU_STALE + 0.05)
     assert state.objects == []
 
 
@@ -232,7 +230,7 @@ def test_track_ids_are_sequential():
 
 def test_ingest_denm_opens_pending_hypothesis():
     events = []
-    out = ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P)
+    out = ingest_denm(_denm("rsu-0", (50.0, 10.0)), events)
     assert out is not None
     assert out.status == PENDING
     assert out.event_id == "E1"
@@ -242,8 +240,8 @@ def test_ingest_denm_opens_pending_hypothesis():
 
 def test_ingest_denm_merges_same_kind_nearby():
     events = []
-    ingest_denm(_denm("rsu-0", (50.0, 10.0)), events, P)
-    ingest_denm(_denm("rsu-1", (52.0, 10.0), recv=1.5), events, P)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0)), events)
+    ingest_denm(_denm("rsu-1", (52.0, 10.0), recv=1.5), events)
     assert len(events) == 1
     assert sorted(events[0].support) == ["rsu-0", "rsu-1"]
     # pending refresh: position is the plain mean of the claims
@@ -252,25 +250,25 @@ def test_ingest_denm_merges_same_kind_nearby():
 
 def test_ingest_denm_kinds_never_mix():
     events = []
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), kind="debris"), events, P)
-    ingest_denm(_denm("rsu-1", (50.5, 10.0), kind="road_closure"), events, P)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), kind="debris"), events)
+    ingest_denm(_denm("rsu-1", (50.5, 10.0), kind="road_closure"), events)
     assert len(events) == 2
 
 
 def test_ingest_denm_merge_window_expires():
     events = []
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events)
     # next claim arrives past the merge window: separate hypothesis
     ingest_denm(_denm("rsu-1", (50.0, 10.0),
-                      recv=1.0 + P.event_merge_window + 0.5),
-                events, P)
+                      recv=1.0 + ldm.EVENT_MERGE_WINDOW + 0.5),
+                events)
     assert len(events) == 2
 
 
 def test_ingest_denm_latest_claim_per_station_wins():
     events = []
-    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P)
-    ingest_denm(_denm("rsu-0", (52.0, 10.0), recv=2.0, seq=1), events, P)
+    ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events)
+    ingest_denm(_denm("rsu-0", (52.0, 10.0), recv=2.0, seq=1), events)
     assert len(events) == 1
     assert len(events[0].support) == 1
     assert events[0].support["rsu-0"][0] == 2.0
@@ -279,14 +277,14 @@ def test_ingest_denm_latest_claim_per_station_wins():
 
 def test_ingest_denm_rejects_cam():
     with pytest.raises(ValueError):
-        ingest_denm(_cam("obu-a", (0.0, 0.0)), [], P)
+        ingest_denm(_cam("obu-a", (0.0, 0.0)), [])
 
 
 def test_accepted_event_position_eases_in():
     events = []
-    hyp = ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events, P)
+    hyp = ingest_denm(_denm("rsu-0", (50.0, 10.0), recv=1.0), events)
     hyp.status = ACCEPTED
-    ingest_denm(_denm("rsu-0", (54.0, 10.0), recv=2.0, seq=1), events, P)
+    ingest_denm(_denm("rsu-0", (54.0, 10.0), recv=2.0, seq=1), events)
     # EMA with alpha: 50 + 0.25 * (54 - 50) = 51
     assert hyp.position[0] == pytest.approx(51.0)
 
@@ -302,7 +300,7 @@ def test_pending_hypothesis_expires():
     state = initial_state(MAP0)
     state = _tick(state, 1.0, v2x=[_denm("rsu-0", (50.0, 10.0), recv=1.0)])
     assert state.events[0].status == PENDING
-    state = _tick(state, 1.0 + P.tau_event + 0.1)
+    state = _tick(state, 1.0 + ldm.TAU_EVENT + 0.1)
     assert state.events[0].status == EXPIRED
     assert state.accepted_events() == []
 

@@ -75,8 +75,8 @@ def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
     return plan(start, goal, ldm, cfg, VP, cause, maps, start_steering)
 
 
-def _grid(ldm, cfg=CFG, start_xy=ROUTE.reference_path.points[0], base=ROAD_BASE):
-    return obstacle_grid(ldm, cfg, VP, base, start_xy)
+def _grid(ldm, start_xy=ROUTE.reference_path.points[0], base=ROAD_BASE):
+    return obstacle_grid(ldm, VP, base, start_xy)
 
 
 def _check_plan(attempt, goal):
@@ -120,7 +120,7 @@ def test_plan_poses_collision_free():
         assert not occupied_at(grid, x, y)
     # the path actually deviates around the stamped track
     d = np.hypot(traj.poses[:, 0] - 40.0, traj.poses[:, 1] - 10.0)
-    assert float(d.min()) >= CFG.track_radius + VP.collision_radius - 0.5
+    assert float(d.min()) >= planner.TRACK_RADIUS + VP.collision_radius - 0.5
 
 
 def test_plan_reports_failure_when_goal_unreachable():
@@ -234,7 +234,7 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
     base = ROAD_BASE
     deviation = route_deviation_field(base, ROUTE.reference_path.points)
     start = (start_x, 10.0, 0.0)
-    grid = obstacle_grid(ldm, CFG, VP, base, start[:2])
+    grid = obstacle_grid(ldm, VP, base, start[:2])
     want = cost_to_goal_field(grid, deviation, ROUTE.goal_pose[:2], CFG.lateral_weight)
     maps = PlanningMaps(base, deviation)
     with pytest.MonkeyPatch.context() as mp:
@@ -263,7 +263,7 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
     equal `plan` given an all-zero one."""
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
-    grid = obstacle_grid(ldm, cfg, vparams, base=base_grid, start_xy=(sx, sy))
+    grid = obstacle_grid(ldm, vparams, base=base_grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
     inv_res = 1.0 / grid.cell_size
@@ -298,7 +298,7 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
         closed.add(key)
 
         if (math.hypot(gx - x, gy - y) <= cfg.goal_xy_tol
-                and abs(wrap_angle(th - gth)) <= cfg.goal_heading_tol):
+                and abs(wrap_angle(th - gth)) <= planner.GOAL_HEADING_TOL):
             goal_node = ni
             break
         expansions += 1
@@ -358,10 +358,10 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
     if len(pose_rows) == 1:    # the start meets the goal
         pose_rows *= 2
     poses = np.array(pose_rows)
-    traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), cfg.cruise_speed),
+    traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), planner.CRUISE_SPEED),
                       planned_on_version=ldm.active_map.version_id,
                       planned_at=ldm.stamp)
-    traj = attach_speed_profile(traj, ldm, cfg, vparams)
+    traj = attach_speed_profile(traj, ldm, vparams)
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=0.0,
                        cause=cause)
 
@@ -425,7 +425,7 @@ def _assert_plan_matches_reference(start, goal, ldm, base, cfg, start_steering=0
     deviation = np.zeros(base.cells.shape) if field is None else field
     got = plan(start, goal, ldm, cfg, VP, "initial", PlanningMaps(base, deviation),
                start_steering)
-    stamped = obstacle_grid(ldm, cfg, VP, base, start[:2])
+    stamped = obstacle_grid(ldm, VP, base, start[:2])
     searched = cost_to_goal_field(stamped, deviation, goal[:2], cfg.lateral_weight)
     want = _reference_plan(start, goal, ldm, cfg, VP, "initial", base,
                            start_steering, searched, deviation_field=field)
@@ -616,7 +616,7 @@ def test_obstacle_grid_stamps_confident_tracks():
     ldm = _ldm(tracks=[_track("T1", (40.0, 10.0), belief=0.8),
                        _track("T2", (60.0, 10.0), belief=0.55)])
     grid = _grid(ldm)
-    pad = CFG.track_radius + VP.collision_radius + CFG.obstacle_margin
+    pad = planner.TRACK_RADIUS + VP.collision_radius + planner.OBSTACLE_MARGIN
     assert occupied_at(grid, 40.0, 10.0)
     assert occupied_at(grid, 40.0 + pad - 0.3, 10.0)
     # below-threshold track leaves no stamp
@@ -629,7 +629,7 @@ def test_obstacle_grid_static_track_stamped_in_place():
     grid = _grid(_ldm(tracks=[crawling]))
     moving = _track("T2", (40.0, 10.0), vel=(4.0, 0.0))
     grid_m = _grid(_ldm(tracks=[moving]))
-    ahead = 40.0 + 4.0 * CFG.prefix_horizon / 2.0
+    ahead = 40.0 + 4.0 * planner.PREFIX_HORIZON / 2.0
     assert occupied_at(grid, 40.0, 10.0)
     assert not occupied_at(grid, ahead + 1.0, 10.0)
     assert occupied_at(grid_m, ahead, 10.0)
@@ -638,7 +638,7 @@ def test_obstacle_grid_static_track_stamped_in_place():
 def test_obstacle_grid_event_radius_by_kind():
     for kind, r in EVENT_RADIUS.items():
         grid = _grid(_ldm(events=[_event((50.0, 10.0), kind=kind)]))
-        pad = r + VP.collision_radius + CFG.event_margin
+        pad = r + VP.collision_radius + planner.EVENT_MARGIN
         assert occupied_at(grid, 50.0 + pad - 0.3, 10.0), kind
         assert not occupied_at(grid, 50.0 + pad + 1.0, 10.0), kind
 
@@ -658,7 +658,7 @@ def test_a_plan_keeps_the_stamped_radius_from_every_accepted_event(events,
         return
     poses = attempt.trajectory.poses[1:, :2]        # every arc sample
     for ev in ldm.accepted_events():
-        radius = EVENT_RADIUS[ev.kind] + VP.collision_radius + CFG.event_margin
+        radius = EVENT_RADIUS[ev.kind] + VP.collision_radius + planner.EVENT_MARGIN
         gap = np.hypot(poses[:, 0] - ev.position[0], poses[:, 1] - ev.position[1])
         if math.hypot(start[0] - ev.position[0], start[1] - ev.position[1]) > radius:
             assert gap.min() >= radius, ev
@@ -678,12 +678,12 @@ def test_unexplained_tracks_suppressed_near_events():
     separate = _track("T2", (70.0, 10.0))
     weak = _track("T3", (20.0, 10.0), belief=0.3)
     ldm = _ldm(tracks=[explained, separate, weak], events=[ev])
-    kept = unexplained_tracks(ldm, CFG)
+    kept = unexplained_tracks(ldm)
     assert [t.track_id for t in kept] == ["T2"]
     # and the grid contains no double stamp around the event
     grid = _grid(ldm)
-    track_pad = CFG.track_radius + VP.collision_radius + CFG.obstacle_margin
-    event_pad = EVENT_RADIUS["stationary_vehicle"] + VP.collision_radius + CFG.event_margin
+    track_pad = planner.TRACK_RADIUS + VP.collision_radius + planner.OBSTACLE_MARGIN
+    event_pad = EVENT_RADIUS["stationary_vehicle"] + VP.collision_radius + planner.EVENT_MARGIN
     assert not occupied_at(grid, 50.8 + track_pad - 0.2, 10.0)
     assert occupied_at(grid, 50.0 + event_pad - 0.2, 10.0)
 
@@ -698,27 +698,27 @@ def _plain_traj():
 
 def test_speed_profile_cruise_and_goal_ramp():
     traj = _plain_traj()
-    assert float(traj.target_speeds.max()) == CFG.cruise_speed
+    assert float(traj.target_speeds.max()) == planner.CRUISE_SPEED
     assert traj.speed_at(traj.length) == pytest.approx(0.0, abs=0.3)
     mid = traj.speed_at(traj.length / 2.0)
-    assert mid == CFG.cruise_speed
+    assert mid == planner.CRUISE_SPEED
 
 
 def test_speed_profile_dips_to_pass_speed_near_hazard():
     ev = _event((50.0, 12.5))    # beside the path, within the slow corridor
     ldm = _ldm(events=[ev])
-    traj = attach_speed_profile(_plain_traj(), ldm, CFG, VP)
+    traj = attach_speed_profile(_plain_traj(), ldm, VP)
     s_h = traj.project((50.0, 10.0))
-    assert traj.speed_at(s_h) == pytest.approx(CFG.pass_speed, abs=0.3)
+    assert traj.speed_at(s_h) == pytest.approx(planner.PASS_SPEED, abs=0.3)
     # comfort-decel envelope: monotone ramp down into the hazard
     ramp = traj.target_speeds[traj.path.cumlength <= s_h]
     assert np.all(np.diff(ramp) <= 1e-9)
-    assert ramp[0] == CFG.cruise_speed
+    assert ramp[0] == planner.CRUISE_SPEED
 
 
 def test_speed_profile_zeroes_when_hazard_on_path():
     ev = _event((50.0, 10.0))    # dead on the path
-    traj = attach_speed_profile(_plain_traj(), _ldm(events=[ev]), CFG, VP)
+    traj = attach_speed_profile(_plain_traj(), _ldm(events=[ev]), VP)
     s_h = traj.project((50.0, 10.0))
     assert traj.speed_at(s_h) == pytest.approx(0.0, abs=1e-6)
 
@@ -734,7 +734,7 @@ def test_ttc_exact_head_on_oracle():
     tracks = [_track("T1", (29.0, 10.0))]
     t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
                 collision_radius=VP.collision_radius,
-                track_radius=CFG.track_radius)
+                track_radius=planner.TRACK_RADIUS)
     assert t == pytest.approx(5.0, abs=0.02)
 
 
@@ -745,7 +745,7 @@ def test_ttc_converging_track():
     tracks = [_track("T1", (52.0, 10.0), vel=(-5.0, 0.0))]
     t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
                 collision_radius=VP.collision_radius,
-                track_radius=CFG.track_radius)
+                track_radius=planner.TRACK_RADIUS)
     assert t == pytest.approx(4.8, abs=0.02)
 
 
@@ -805,7 +805,7 @@ def _rollout_cases(draw):
                             st.floats(0.0, 1.0).map(lambda u: u * traj.length)))
     speed = draw(st.sampled_from([0.0, 0.5, 3.0, 8.0]))
     horizon = draw(st.sampled_from([0.5, 1.0, 3.0]))
-    reach = CFG.track_radius + VP.collision_radius + 1e-9
+    reach = planner.TRACK_RADIUS + VP.collision_radius + 1e-9
     tracks = []
     for i in range(draw(st.integers(1, 3))):
         ax, ay = xy[draw(st.one_of(st.just(k), st.integers(0, n)))]
@@ -824,7 +824,7 @@ def _rollout_cases(draw):
 def test_ttc_min_matches_the_full_rollout(case):
     traj, s_plan, speed, horizon, tracks = case
     args = (_ego(speed=speed), traj, s_plan, tracks, horizon, VP.collision_radius,
-            CFG.track_radius)
+            planner.TRACK_RADIUS)
     assert repr(ttc_min(*args)) == repr(_old_ttc_min(*args))
 
 
@@ -845,7 +845,7 @@ def test_trigger_hazard_on_route_only_after_plan():
 
 def test_trigger_hazard_respects_corridor_and_window():
     traj = _plain_traj()
-    wide = _event((40.0, 10.0 + TRIG.hazard_corridor + 0.5), accepted_at=1.0)
+    wide = _event((40.0, 10.0 + planner.HAZARD_CORRIDOR + 0.5), accepted_at=1.0)
     fired = check_triggers(_ldm(events=[wide]), traj, 0.0, TRIG, risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
     behind = _event((10.0, 10.0), accepted_at=1.0)

@@ -13,6 +13,7 @@ from fingerprints import BUILT_IN_SPECS
 from v2xloop.gate import GateConfig
 from v2xloop.harness import run_episode
 from v2xloop.pareto import Configuration
+from v2xloop.planner import CRUISE_SPEED
 from v2xloop.scenarios import (ScriptedVehicle, UpdateClientConfig, apply_configuration,
                                build_s1, build_s2, build_s3, build_s4,
                                build_scenario, spec_from_dict, spec_to_dict)
@@ -128,8 +129,7 @@ def test_apply_configuration_maps_fields():
     assert out.controller.look_ahead_min == 3.0
     assert out.controller.look_ahead_max == 9.0
     # carrot distance at cruise speed equals the swept look_ahead
-    assert out.controller.look_ahead(out.planner.cruise_speed) == \
-        pytest.approx(6.0)
+    assert out.controller.look_ahead(CRUISE_SPEED) == pytest.approx(6.0)
     assert out.triggers.tau_risk == 3.0
     assert out.triggers.hazard_lookahead == 40.0
     # the poll interval acts only on a spec that polls
@@ -217,9 +217,10 @@ def test_spec_from_dict_rejects_unknown_keys():
         with pytest.raises(ValueError, match=re.escape(path)):
             spec_from_dict(d)
     # deleted settable values are unknown keys like any other, so a
-    # scenario.json that still holds one is refused; s4 has every section
+    # scenario.json that still holds one is refused; s4 has every section.
+    # The whole ldm section is deleted, so any key in it is refused with it
     deleted = [
-        (lambda d: d["ldm"], "tau_sync", "scenario.ldm.tau_sync: unknown key"),
+        (lambda d: d.setdefault("ldm", {}), "tau_sync", "scenario.ldm: unknown key"),
         (lambda d: d["gate"], "weights", "scenario.gate.weights: unknown key"),
         (lambda d: d["vmap"]["versions"][0], "created_at",
          "scenario.vmap.versions[0].created_at: unknown key"),
@@ -232,9 +233,23 @@ def test_spec_from_dict_rejects_unknown_keys():
          "scenario.planner.xy_resolution: unknown key"),
         (lambda d: d["sensor"], "field_of_view",
          "scenario.sensor.field_of_view: unknown key"),
-        (lambda d: d["ldm"], "lr_absent_cap", "scenario.ldm.lr_absent_cap: unknown key"),
-        (lambda d: d["ldm"], "p_miss_assumed", "scenario.ldm.p_miss_assumed: unknown key"),
-        (lambda d: d["ldm"], "clutter_term", "scenario.ldm.clutter_term: unknown key"),
+        (lambda d: d.setdefault("ldm", {}), "lr_absent_cap", "scenario.ldm: unknown key"),
+        (lambda d: d.setdefault("ldm", {}), "p_miss_assumed", "scenario.ldm: unknown key"),
+        (lambda d: d.setdefault("ldm", {}), "clutter_term", "scenario.ldm: unknown key"),
+        *[(lambda d: d, name, f"scenario.{name}: unknown key")
+          for name in ("ldm", "sensor_likelihood_window", "event_label_radius")],
+        *[(lambda d: d["planner"], name, f"scenario.planner.{name}: unknown key")
+          for name in ("goal_heading_tol", "obstacle_margin", "event_margin",
+                       "b_obstacle", "track_radius", "static_speed_floor",
+                       "cruise_speed", "pass_speed", "comfort_decel",
+                       "slowdown_margin", "goal_ramp_distance", "prefix_horizon")],
+        (lambda d: d["triggers"], "hazard_corridor",
+         "scenario.triggers.hazard_corridor: unknown key"),
+        (lambda d: d["gate"], "support_radius", "scenario.gate.support_radius: unknown key"),
+        (lambda d: d["gate"], "sensor_support_radius",
+         "scenario.gate.sensor_support_radius: unknown key"),
+        (lambda d: d["controller"], "integral_clamp",
+         "scenario.controller.integral_clamp: unknown key"),
     ]
     for section, key, path in deleted:
         d = spec_to_dict(build_s4())
@@ -382,10 +397,6 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.vmap.versions[0].lane_graph: segment 'main' leaves the 100 x 100 m map"),
     (lambda d: d["planner"].update(primitive_arc_length=1e12),
      "scenario.planner.primitive_arc_length: must not exceed the map diagonal 141.421"),
-    (lambda d: d["planner"].update(prefix_horizon=1e12),
-     "scenario.planner.prefix_horizon: must be finite and in [0, 60]"),
-    (lambda d: d["planner"].update(comfort_decel=0.0),
-     "scenario.planner.comfort_decel: must be finite and > 0"),
     (lambda d: d["sensor"].update(clutter_rate=1e12),
      "scenario.sensor.clutter_rate: must be finite and in [0, 100]"),
     (lambda d: d["attack"].update(ahead_max=0.0),
@@ -407,7 +418,7 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
     (lambda d: d["stations"]["byzantine_ids"].append("byz-9"),
      "scenario.stations.byzantine_ids: names no station, got ['byz-9']"),
 ], ids=["grid-without-cells", "grid-too-large", "lane-off-map", "primitive-past-map",
-        "risk-horizon", "no-deceleration", "clutter-flood", "empty-attack-window",
+        "clutter-flood", "empty-attack-window",
         "ego-nan", "ego-off-map-x", "ego-off-map-y", "ego-reversing",
         "ego-over-v-max", "route-inf", "unchecked-inf", "byzantine-id-of-no-station"])
 def test_spec_from_dict_rejects_values_that_cannot_run(damage, message):
@@ -579,18 +590,12 @@ def test_update_client_schedule_and_latency():
 
 
 def test_gate_config_ranges():
-    _rejects_out_of_range("gate", ["eta"], ["support_radius", "sensor_support_radius",
-                                            "tau_bft"])
+    _rejects_out_of_range("gate", ["eta"], ["tau_bft"])
 
 
 def test_trigger_config_ranges():
     # a negative value used to load and quietly switch its trigger off
-    _rejects_out_of_range("triggers", [], ["hazard_lookahead", "hazard_corridor",
-                                           "tau_risk"])
-
-
-def test_scenario_window_and_label_radius_ranges():
-    _rejects_out_of_range("", [], ["sensor_likelihood_window", "event_label_radius"])
+    _rejects_out_of_range("triggers", [], ["hazard_lookahead", "tau_risk"])
 
 
 def test_vehicle_params_ranges():
@@ -615,23 +620,6 @@ def test_controller_config_ranges():
                                          r"not exceed look_ahead_max=6\.0, got 6\.5"):
         spec_from_dict(_document_with("controller", "look_ahead_min", 6.5))
     spec_from_dict(_document_with("controller", "look_ahead_min", 6.0))
-
-
-def test_ldm_params_ranges():
-    _rejects_out_of_range(
-        "ldm", ["b_prune", "b_birth", "conf_birth", "event_position_alpha",
-                "position_alpha", "velocity_alpha"],
-        ["d_gate", "tau_stale", "tau_event", "event_merge_radius", "event_merge_window"],
-        positive=["lr_detect", "lr_cam", "lr_absent"])
-    for name in ("belief_floor", "belief_ceiling"):
-        for bad in (0.0, 1.0, *NOT_FINITE):
-            with pytest.raises(ValueError, match=f"^scenario\\.ldm\\.{name}: must be "
-                                                 r"finite and in \(0, 1\), got "):
-                spec_from_dict(_document_with("ldm", name, bad))
-    with pytest.raises(ValueError, match=r"^scenario\.ldm\.belief_floor: must be below "
-                                         r"belief_ceiling=0\.99, got 0\.99"):
-        spec_from_dict(_document_with("ldm", "belief_floor", 0.99))
-    spec_from_dict(_document_with("ldm", "belief_floor", 0.98))
 
 
 # ---------------------------------------------------------------------------
