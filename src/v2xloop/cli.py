@@ -11,7 +11,7 @@ import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .harness import replay, run_batch, run_episode, run_sweep
+from .harness import read_meta, replay, run_batch, run_episode, run_sweep
 from .logio import _round_floats, read_json
 from .metrics import EpisodeMetrics
 from .scenarios import (SCENARIO_IDS, build_scenario, spec_from_dict,
@@ -210,10 +210,14 @@ def _rerun(root: Path) -> int:
         raise ValueError(f"{root} is not an episode directory with logs/meta.json "
                          "and a scenario.json beside it or one level up")
     spec = spec_from_dict(read_json(doc))
-    meta = read_json(root / "logs" / "meta.json")
+    where = root / "logs" / "meta.json"
+    meta = read_meta(where)
     if "seed" not in meta:
-        raise ValueError(f"{root / 'logs' / 'meta.json'}: missing key 'seed'")
+        raise ValueError(f"{where}: missing key 'seed'")
     seed = meta["seed"]
+    # a float or a bool would run some other seed
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"{where}: seed: expected a non-negative integer, got {seed!r}")
     with tempfile.TemporaryDirectory() as tmp:
         run_episode(spec, seed, tmp)
         diff = _first_difference(root / "logs", Path(tmp) / "logs")

@@ -34,6 +34,17 @@ without any. Within a tick, fusion predicts each track once, and
 `planner.ttc_min` rolls out only the tracks that can come within reach of
 the ego's rollout box.
 
+A value the tick loop keeps, fuses or logs is a Python float; numpy works
+only over arrays (grids, risk rollouts, search batches, polyline scans).
+A numpy scalar in a detection, a payload or a track would make every later
+scalar operation on it several times dearer. So the per-tick draws use the
+exact cheaper forms, which take the same draws from the same stream with
+the same bits: `gen.random()` for `gen.uniform()`,
+`rng.uniform(gen, low, high)` (numpy's own `low + (high - low) *
+next_double`) for `gen.uniform(low, high)`, and
+`gen.normal(0.0, s, size=2).tolist()`. `Trajectory.point_at` and
+`speed_at` do np.interp's scalar arithmetic over Python lists.
+
 Determinism contract: every stochastic draw goes through a named Philox
 stream, all log rows are formatted to nine significant digits in an order
 fixed by the loop itself, and episode metrics are computed from the
@@ -545,11 +556,20 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
         termination=termination, sim_time=sim_time)
 
 
+def read_meta(path: Path) -> dict:
+    """The object a meta.json holds; any other document is a ValueError
+    naming the file."""
+    meta = read_json(path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected an object, got {type(meta).__name__}")
+    return meta
+
+
 def _check_meta(meta: dict, where: Path) -> None:
     """Refuse a meta.json compute_episode_metrics cannot read as written,
     naming the file and the key: a missing key, a `metrics` block that is
-    not an object of exactly MetricParams' fields, or a hazard without the
-    kind and position a claim is labelled by."""
+    not an object of exactly MetricParams' fields, or `hazards` that is not
+    a list of objects with the kind and position a claim is labelled by."""
     missing = [key for key in METRIC_META_KEYS if key not in meta]
     if missing:
         raise ValueError(f"{where}: missing key {missing[0]!r}")
@@ -561,7 +581,13 @@ def _check_meta(meta: dict, where: Path) -> None:
     if odd:
         kind = "unknown" if odd[0] in block else "missing"
         raise ValueError(f"{where}: metrics: {kind} key {odd[0]!r}")
-    for i, hz in enumerate(meta["hazards"]):
+    hazards = meta["hazards"]
+    if not isinstance(hazards, list):
+        raise ValueError(f"{where}: hazards: expected a list, got {type(hazards).__name__}")
+    for i, hz in enumerate(hazards):
+        if not isinstance(hz, dict):
+            raise ValueError(f"{where}: hazards[{i}]: expected an object, "
+                             f"got {type(hz).__name__}")
         missing = [key for key in ("kind", "x", "y") if key not in hz]
         if missing:
             raise ValueError(f"{where}: hazards[{i}]: missing key {missing[0]!r}")
@@ -580,7 +606,7 @@ def replay(log_dir: str | Path) -> EpisodeMetrics:
     if missing:
         raise ValueError(f"{log_dir} is not a complete log directory: "
                          f"missing {', '.join(missing)}")
-    meta = read_json(log_dir / "meta.json")
+    meta = read_meta(log_dir / "meta.json")
     _check_meta(meta, log_dir / "meta.json")
     tables = {name: read_csv(log_dir / f"{name}.csv", columns)
               for name, columns in LOG_COLUMNS.items()}

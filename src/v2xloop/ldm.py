@@ -31,6 +31,7 @@ CONF_BIRTH = 0.5              # min confidence for an item to seed a track
 EVENT_POSITION_ALPHA = 0.25   # post-acceptance claim blending rate
 LR_DETECT = 3.0               # sensor likelihood ratio, supported
 LR_CAM = 2.0                  # per-station V2X likelihood ratio
+LOG_LR_CAM = math.log(LR_CAM)
 LR_ABSENT = 0.2               # sensor likelihood ratio, covered but unseen
 BELIEF_FLOOR = 0.01
 BELIEF_CEILING = 0.99
@@ -158,7 +159,7 @@ def update_belief(belief: float, lr_sensor: float, n_stations: int) -> float:
     b = min(max(belief, BELIEF_FLOOR), BELIEF_CEILING)
     logit = math.log(b / (1.0 - b)) + math.log(lr_sensor)
     for _ in range(n_stations):
-        logit += math.log(LR_CAM)
+        logit += LOG_LR_CAM
     b_new = 1.0 / (1.0 + math.exp(-logit))
     return min(max(b_new, BELIEF_FLOOR), BELIEF_CEILING)
 

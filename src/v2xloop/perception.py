@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import uniform
 from .world import check_range
 
 
@@ -66,24 +67,24 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
     for obj in sorted(truth_objects, key=lambda o: o.object_id):
         if math.hypot(obj.position[0] - ex, obj.position[1] - ey) > model.max_range:
             continue
-        if rng.uniform() < model.p_miss:
+        if rng.random() < model.p_miss:
             continue
-        nx, ny = rng.normal(0.0, model.pos_noise_sigma, size=2)
-        nvx, nvy = rng.normal(0.0, model.vel_noise_sigma, size=2)
+        nx, ny = rng.normal(0.0, model.pos_noise_sigma, size=2).tolist()
+        nvx, nvy = rng.normal(0.0, model.vel_noise_sigma, size=2).tolist()
         wx, wy = obj.position[0] + nx, obj.position[1] + ny
         wvx, wvy = obj.velocity[0] + nvx, obj.velocity[1] + nvy
-        conf = rng.uniform(0.6, 1.0)
+        conf = uniform(rng, 0.6, 1.0)
         detections.append(Detection(confidence=conf, world_position=(wx, wy),
                                     world_velocity=(wvx, wvy)))
 
     n_clutter = int(rng.poisson(model.clutter_rate)) if model.clutter_rate > 0 else 0
     for _ in range(n_clutter):
         # uniform over the covered disc
-        r = model.max_range * math.sqrt(rng.uniform())
-        b = rng.uniform(-math.pi, math.pi)
+        r = model.max_range * math.sqrt(rng.random())
+        b = uniform(rng, -math.pi, math.pi)
         wx = ex + r * math.cos(eh + b)
         wy = ey + r * math.sin(eh + b)
-        conf = rng.uniform(0.1, 0.6)
+        conf = uniform(rng, 0.1, 0.6)
         detections.append(Detection(confidence=conf, world_position=(wx, wy),
                                     world_velocity=(0.0, 0.0)))
 

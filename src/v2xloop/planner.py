@@ -46,6 +46,7 @@ exactly one replan.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -140,6 +141,19 @@ RISK_THRESHOLD = "risk_threshold"
 KNOWLEDGE_CHANGE = "knowledge_change"
 
 
+def _interp(x: float, xp: list, fp: list) -> float:
+    """`np.interp(x, xp, fp)` for one finite x over non-decreasing knots,
+    with its arithmetic and so its bits: fp[0] below the first knot, fp[j]
+    on knot j (the last of equal knots) and at or past the last one, and
+    `slope * (x - xp[j]) + fp[j]` between knots j and j + 1."""
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
 @dataclass(frozen=True)
 class Trajectory:
     poses: np.ndarray                 # (N, 3) x, y, heading; N >= 2
@@ -147,12 +161,20 @@ class Trajectory:
     planned_on_version: int
     planned_at: float
     path: Polyline = field(init=False, repr=False)   # the poses' x, y
+    # the poses' x and y and the target speeds as Python floats, for the
+    # per-tick scalar queries
+    _xs: list = field(init=False, repr=False)
+    _ys: list = field(init=False, repr=False)
+    _speeds: list = field(init=False, repr=False)
 
     def __post_init__(self):
         poses = np.asarray(self.poses, dtype=float)
-        object.__setattr__(self, "poses", poses)
-        object.__setattr__(self, "target_speeds", np.asarray(self.target_speeds, dtype=float))
-        object.__setattr__(self, "path", Polyline(poses[:, :2]))
+        speeds = np.asarray(self.target_speeds, dtype=float)
+        for name, value in (("poses", poses), ("target_speeds", speeds),
+                            ("path", Polyline(poses[:, :2])),
+                            ("_xs", poses[:, 0].tolist()), ("_ys", poses[:, 1].tolist()),
+                            ("_speeds", speeds.tolist())):
+            object.__setattr__(self, name, value)
 
     @property
     def length(self) -> float:
@@ -161,14 +183,14 @@ class Trajectory:
     def project(self, position) -> float:
         return self.path.project(position)[0]
 
-    def point_at(self, s: float) -> np.ndarray:
+    def point_at(self, s: float) -> tuple[float, float]:
+        """(x, y) at arc length s, clamped to the plan's extent."""
         s = min(max(float(s), 0.0), self.length)
-        x = np.interp(s, self.path.cumlength, self.poses[:, 0])
-        y = np.interp(s, self.path.cumlength, self.poses[:, 1])
-        return np.array([x, y])
+        cum = self.path._cum
+        return _interp(s, cum, self._xs), _interp(s, cum, self._ys)
 
     def speed_at(self, s: float) -> float:
-        return float(np.interp(s, self.path.cumlength, self.target_speeds))
+        return _interp(float(s), self.path._cum, self._speeds)
 
 
 @dataclass(frozen=True)
@@ -677,7 +699,10 @@ def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
     # `reach` from the box along x or y cannot hit (the slack is far above
     # the rounding of np.interp and of the samples), so only the others
     # are rolled out.
-    first, last = np.searchsorted(cum, (min(s_plan, length), min(s_plan + v * t_end, length)))
+    # np.searchsorted(cum, ...) over the Python copy of cum
+    knots = traj.path._cum
+    first = bisect.bisect_left(knots, min(s_plan, length))
+    last = bisect.bisect_left(knots, min(s_plan + v * t_end, length))
     box = traj.poses[max(first - 2, 0):last + 2, :2]
     (bx0, by0), (bx1, by1) = box.min(axis=0).tolist(), box.max(axis=0).tolist()
     scale = 1.0 + max(abs(bx0), abs(by0), abs(bx1), abs(by1))

@@ -4,6 +4,10 @@ Every stochastic subsystem (sensing, channel, attack, ...) draws from its
 own counter-based stream derived from one master seed. Toggling a
 subsystem on or off therefore never perturbs the draws seen by another,
 which is what makes ablations comparable tick for tick.
+
+A draw the tick loop keeps is a Python float. `uniform` gives
+`Generator.uniform(low, high)`'s draw and bits at a fraction of its call
+cost, and `Generator.random()` is `uniform()` itself.
 """
 
 from __future__ import annotations
@@ -34,3 +38,9 @@ class StreamSet:
         if name not in self._streams:
             self._streams[name] = stream(self.master_seed, name)
         return self._streams[name]
+
+
+def uniform(gen: np.random.Generator, low: float, high: float) -> float:
+    """`gen.uniform(low, high)`: the same draw from the same stream, with the
+    same bits, since numpy computes `low + (high - low) * next_double`."""
+    return low + (high - low) * gen.random()

@@ -67,16 +67,16 @@ class ScriptedVehicle:
             return state
         total = self.path.length
         s = self.speed * max(0.0, t - self.start_time)
-        pos = self.path.point_at(min(s, total))
+        x, y = self.path.point_at(min(s, total)).tolist()
         if t >= self.start_time and s < total:
-            ahead = self.path.point_at(min(s + 0.5, total))
-            d = ahead - pos
-            norm = math.hypot(d[0], d[1])
-            vel = (self.speed * d[0] / norm, self.speed * d[1] / norm) if norm > 1e-9 \
+            ax, ay = self.path.point_at(min(s + 0.5, total)).tolist()
+            dx, dy = ax - x, ay - y
+            norm = math.hypot(dx, dy)
+            vel = (self.speed * dx / norm, self.speed * dy / norm) if norm > 1e-9 \
                 else (0.0, 0.0)
         else:
             vel = (0.0, 0.0)
-        state = self._states[t] = (float(pos[0]), float(pos[1])), vel
+        state = self._states[t] = (x, y), vel
         return state
 
 

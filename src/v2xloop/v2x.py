@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import uniform
 from .world import HAZARD_KINDS, Route, check_id, check_range
 
 CAM = "CAM"
@@ -172,8 +173,8 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
         # CAMs are vehicle presence beacons; fixed roadside units only
         # relay hazard notifications, they are not objects to track
         if station.bound_object is not None and cam_due:
-            noise = rng.normal(0.0, sigma, size=2)
-            vnoise = rng.normal(0.0, sigma * 0.2, size=2)
+            noise = rng.normal(0.0, sigma, size=2).tolist()
+            vnoise = rng.normal(0.0, sigma * 0.2, size=2).tolist()
             seq = seq_counters.get(station.station_id, 0)
             seq_counters[station.station_id] = seq + 1
             msgs.append(V2xMessage(
@@ -191,7 +192,7 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
                 denm_started.add(key)
             if not (first or periodic):
                 continue
-            noise = rng.normal(0.0, sigma, size=2)
+            noise = rng.normal(0.0, sigma, size=2).tolist()
             seq = seq_counters.get(station.station_id, 0)
             seq_counters[station.station_id] = seq + 1
             msgs.append(V2xMessage(
@@ -223,15 +224,15 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
         return []
 
     if policy.placement == "on_route_ahead":
-        s = ego_progress + rng.uniform(policy.ahead_min, policy.ahead_max)
+        s = ego_progress + uniform(rng, policy.ahead_min, policy.ahead_max)
         p = route.reference_path.point_at(s)
         pos = (float(p[0]), float(p[1]))
     else:                                # uniform_in_map
         x0, y0, x1, y1 = map_bounds
-        pos = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
+        pos = (uniform(rng, x0, x1), uniform(rng, y0, y1))
     msgs: list[V2xMessage] = []
     for station in attackers:
-        if rng.uniform() >= policy.p_attack:
+        if rng.random() >= policy.p_attack:
             continue
         seq = seq_counters.get(station.station_id, 0)
         seq_counters[station.station_id] = seq + 1
@@ -248,7 +249,7 @@ def transmit(messages, channel: ChannelModel, rng: np.random.Generator) -> list[
     episode loop orders each tick's deliveries)."""
     delivered: list[V2xMessage] = []
     for msg in messages:
-        if rng.uniform() < channel.drop_prob:
+        if rng.random() < channel.drop_prob:
             continue
         latency = channel.latency_mean
         if channel.latency_jitter > 0.0:

@@ -233,6 +233,35 @@ def test_replay_of_a_damaged_meta_block_exits_with_one_line(tmp_path, damage, me
     assert "\n" not in text
 
 
+@pytest.mark.parametrize("rerun, document, message", [
+    (False, 3, "meta.json: expected an object, got int"),
+    (True, 3, "meta.json: expected an object, got int"),
+    (False, {"hazards": 5}, "meta.json: hazards: expected a list, got int"),
+    (False, {"hazards": [5]}, "meta.json: hazards[0]: expected an object, got int"),
+    (True, {"seed": "abc"}, "meta.json: seed: expected a non-negative integer, got 'abc'"),
+    (True, {"seed": 1.7}, "meta.json: seed: expected a non-negative integer, got 1.7"),
+    (True, {"seed": True}, "meta.json: seed: expected a non-negative integer, got True"),
+    (True, {"seed": -1}, "meta.json: seed: expected a non-negative integer, got -1"),
+], ids=["not-object", "not-object-rerun", "hazards-not-list", "hazard-not-object",
+        "seed-text", "seed-float", "seed-bool", "seed-negative"])
+def test_replay_of_a_malformed_meta_json_exits_with_one_line(tmp_path, capsys, rerun,
+                                                             document, message):
+    out = tmp_path / "ep"
+    main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])
+    capsys.readouterr()
+    path = out / "logs" / "meta.json"
+    if isinstance(document, dict):
+        document = {**read_json(path), **document}
+    write_json(path, document)
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--log", str(out)] + ["--rerun"] * rerun)
+    text = str(exc.value)
+    assert text.startswith("v2xloop replay: ") and text.endswith(message)
+    assert "\n" not in text
+    # refused before any episode ran
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_cli(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"look_ahead": [4.0, 6.0]}))

@@ -1,5 +1,6 @@
 """Episode loop plumbing: outputs, determinism, replay, batch aggregation."""
 
+import json
 import math
 import re
 from dataclasses import asdict, fields, replace
@@ -122,6 +123,26 @@ def test_replay_refuses_an_episode_csv_without_its_row(s1_result, tmp_path):
     episode = copy / "logs" / "episode.csv"
     episode.write_text(episode.read_text().splitlines()[0] + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{episode} holds no episode row")):
+        replay(copy)
+
+
+@pytest.mark.parametrize("document, message", [
+    (3, "expected an object, got int"),
+    ([], "expected an object, got list"),
+    ({"hazards": 5}, "hazards: expected a list, got int"),
+    ({"hazards": {"kind": "debris"}}, "hazards: expected a list, got dict"),
+    ({"hazards": ["hz-0"]}, "hazards[0]: expected an object, got str"),
+], ids=["int", "list", "hazards-int", "hazards-object", "hazard-text"])
+def test_replay_refuses_a_malformed_meta_json(s1_result, tmp_path, document, message):
+    _, out = s1_result
+    import shutil
+    copy = tmp_path / "meta"
+    shutil.copytree(out, copy)
+    path = copy / "logs" / "meta.json"
+    if isinstance(document, dict):
+        document = {**read_json(path), **document}
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}") + "$"):
         replay(copy)
 
 
@@ -583,3 +604,54 @@ def test_every_frame_and_message_is_fused_exactly_once(dt, seed):
         assert len(fused) == len(set(fused))
         assert set(fused) == due
         assert fused, f"{spec.scenario_id}: no message delivered"
+
+
+def _all_floats(*values) -> bool:
+    return all(type(v) is float for v in values)
+
+
+def test_the_tick_loop_keeps_python_floats():
+    """Sensed truth and detections, delivered CAM/DENM payloads, and LDM
+    tracks and events hold Python floats, never numpy scalars."""
+    for spec in (build_s2(), build_s3(), build_s4()):
+        seen = {"truth": 0, "detections": 0, "payloads": 0, "tracks": 0, "events": 0}
+
+        def sense(ego_pose, truth_objects, *args):
+            frame = harness_sense(ego_pose, truth_objects, *args)
+            for obj in truth_objects:
+                assert _all_floats(*obj.position, *obj.velocity), obj
+                seen["truth"] += 1
+            for det in frame.detections:
+                assert _all_floats(det.confidence, *det.world_position,
+                                   *det.world_velocity), det
+                seen["detections"] += 1
+            return frame
+
+        def transmit(*args):
+            delivered = harness_transmit(*args)
+            for m in delivered:
+                p = m.payload
+                coords = p.event_position if m.msg_kind == "DENM" \
+                    else (*p.position, *p.velocity)
+                assert _all_floats(m.gen_time, m.recv_time, *coords), m
+                seen["payloads"] += 1
+            return delivered
+
+        def fuse_tick(*args):
+            ldm = harness_fuse_tick(*args)
+            for tr in ldm.objects:
+                assert _all_floats(tr.belief, *tr.position, *tr.velocity), tr
+                seen["tracks"] += 1
+            for ev in ldm.events:
+                assert _all_floats(*ev.position), ev
+                seen["events"] += 1
+            return ldm
+
+        with patch.object(harness, "sense", sense), \
+                patch.object(harness, "transmit", transmit), \
+                patch.object(harness, "fuse_tick", fuse_tick):
+            run_episode(spec, 1)
+        # s3 has no V2X, so it sends nothing and opens no event
+        v2x = spec.stations is not None
+        assert all(n > 0 for key, n in seen.items()
+                   if v2x or key not in ("payloads", "events")), (spec.scenario_id, seen)

@@ -932,3 +932,43 @@ def test_planner_config_rejects_unrunnable_values(field_name, bad):
 
 def test_planner_config_accepts_edge_values():
     PlannerConfig(heading_bins=1, steering_samples=3, max_expansions=0)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+_coord = st.floats(-200.0, 200.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), knots=st.lists(_coord, min_size=2, max_size=10))
+def test_interp_equals_np_interp_bit_for_bit(data, knots):
+    # non-decreasing knots, some repeated
+    xp = sorted(knots + data.draw(st.lists(st.sampled_from(knots), max_size=4)))
+    fp = data.draw(st.lists(st.floats(-1e4, 1e4, allow_nan=False),
+                            min_size=len(xp), max_size=len(xp)))
+    queries = xp + [xp[0] - 1.0, xp[-1] + 1.0, data.draw(_coord)]
+    for x in queries:
+        assert _bits(planner._interp(x, xp, fp)) == _bits(np.interp(x, xp, fp)), x
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), points=st.lists(st.tuples(_coord, _coord), min_size=2, max_size=8))
+def test_trajectory_point_and_speed_equal_np_interp_bit_for_bit(data, points):
+    # repeated points are zero-length segments: repeated arc-length knots
+    repeats = data.draw(st.lists(st.integers(0, 2), min_size=len(points),
+                                 max_size=len(points)))
+    xy = np.array([p for p, n in zip(points, repeats) for _ in range(n + 1)])
+    speeds = data.draw(st.lists(st.floats(0.0, 20.0), min_size=len(xy), max_size=len(xy)))
+    traj = Trajectory(np.column_stack([xy, np.zeros(len(xy))]), speeds, 0, 0.0)
+    cum = traj.path.cumlength
+    queries = cum.tolist() + [-1.0, traj.length + 1.0,
+                              data.draw(st.floats(-10.0, traj.length + 10.0))]
+    for s in queries:
+        clamped = min(max(s, 0.0), traj.length)
+        x, y = traj.point_at(s)
+        assert _bits(x) == _bits(np.interp(clamped, cum, xy[:, 0])), s
+        assert _bits(y) == _bits(np.interp(clamped, cum, xy[:, 1])), s
+        assert _bits(traj.speed_at(s)) == _bits(np.interp(s, cum, speeds)), s
+        assert type(x) is float and type(traj.speed_at(s)) is float
