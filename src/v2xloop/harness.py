@@ -21,6 +21,10 @@ it derives from, never in `logs/` and never in the scenario document:
   deviation field, and the cost-to-goal fields the planner stores in
   them per goal and lateral_weight), per route and collision radius, on
   the map version;
+- in those maps, one slot for the last stamped grid's cost-to-goal field,
+  which the next plan that stamps the same cells toward the same goal
+  reuses, as the sweep's points at one seed do round their hazard
+  (`pareto.evaluate_grid` runs them back to back);
 - the tick-0 plan, searched on an empty LDM and so the same for every
   seed, per start, goal, planner and vehicle settings, on the planning
   maps (`_initial_plan`);
@@ -567,12 +571,16 @@ def read_meta(path: Path) -> dict:
 
 def _check_meta(meta: dict, where: Path) -> None:
     """Refuse a meta.json compute_episode_metrics cannot read as written,
-    naming the file and the key: a missing key, a `metrics` block that is
-    not an object of exactly MetricParams' fields, or `hazards` that is not
-    a list of objects with the kind and position a claim is labelled by."""
+    naming the file and the key: a missing key, a `dt`, `route_length`,
+    `event_label_radius` or `mot_belief_min` that is not a number, a
+    `metrics` block that is not an object of exactly MetricParams' fields,
+    or `hazards` that is not a list of objects with the kind and numeric
+    position a claim is labelled by."""
     missing = [key for key in METRIC_META_KEYS if key not in meta]
     if missing:
         raise ValueError(f"{where}: missing key {missing[0]!r}")
+    for key in ("dt", "route_length", "event_label_radius", "mot_belief_min"):
+        _check_number(meta[key], where, key)
     block = meta["metrics"]
     if not isinstance(block, dict):
         raise ValueError(f"{where}: metrics: expected an object, got {type(block).__name__}")
@@ -591,6 +599,14 @@ def _check_meta(meta: dict, where: Path) -> None:
         missing = [key for key in ("kind", "x", "y") if key not in hz]
         if missing:
             raise ValueError(f"{where}: hazards[{i}]: missing key {missing[0]!r}")
+        for key in ("x", "y"):
+            _check_number(hz[key], where, f"hazards[{i}].{key}")
+
+
+def _check_number(value, where: Path, key: str) -> None:
+    """Refuse a meta.json value that is not a JSON number (a bool is not)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{where}: {key}: expected a number, got {value!r}")
 
 
 def replay(log_dir: str | Path) -> EpisodeMetrics:

@@ -183,5 +183,10 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
+    """The document `path` holds; a JSON syntax error is a ValueError that
+    starts with the path."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None

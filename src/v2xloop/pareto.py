@@ -207,19 +207,25 @@ def evaluate_grid(configs, episode_runner, seeds, scenario_ids) -> list[Evaluate
 
     episode_runner(config, scenario_id, seed) -> (objective tuple, collided).
     A config is marked collided if any of its episodes collided.
+    The episodes run seed by seed: every scenario and config at one seed,
+    then the next seed, so the points of one seed run back to back and
+    share what their episodes keep per map (a hazard replan's stamped
+    cost-to-goal field). Each config's vectors are still averaged in
+    scenario-then-seed order, so the means keep their bits.
     """
-    points: list[EvaluatedPoint] = []
-    for config in configs:
-        vectors = []
-        collided = False
+    results = {}
+    for seed in seeds:
         for scenario_id in scenario_ids:
-            for seed in seeds:
-                vec, hit = episode_runner(config, scenario_id, seed)
-                vectors.append(vec)
-                collided = collided or hit
-        mean_vec = tuple(float(v) for v in np.mean(np.asarray(vectors), axis=0))
-        points.append(EvaluatedPoint(config_id=config.config_id,
-                                     objectives=mean_vec, collided=collided))
+            for i, config in enumerate(configs):
+                results[i, scenario_id, seed] = episode_runner(config, scenario_id, seed)
+    points: list[EvaluatedPoint] = []
+    for i, config in enumerate(configs):
+        block = [results[i, scenario_id, seed]
+                 for scenario_id in scenario_ids for seed in seeds]
+        vectors = np.asarray([vec for vec, _ in block])
+        mean_vec = tuple(float(v) for v in np.mean(vectors, axis=0))
+        points.append(EvaluatedPoint(config_id=config.config_id, objectives=mean_vec,
+                                     collided=any(hit for _, hit in block)))
     return points
 
 

@@ -25,8 +25,10 @@ search returns a feasible path but no proven factor of optimal. The bound
 holds with tracks and accepted events too, because the field prices the
 very grid the search checks: the static map's field (kept in the map
 version's PlanningMaps) when obstacle_grid stamps no cell beyond it, and
-otherwise a field built once per plan over the stamped grid. So a replan
-round an accepted hazard does not flood round its stamp either.
+otherwise the stamped grid's field, kept in the one stamped slot of the
+PlanningMaps until a plan stamps other cells. So a replan round an accepted
+hazard does not flood round its stamp either, and the sweep's operating
+points at one seed, which stamp the same hazard, build its field once.
 
 Expanding a node costs one batched grid lookup. Each plan builds a cost
 table holding the route deviation on free cells and inf on blocked cells
@@ -286,19 +288,31 @@ def obstacle_grid(ldm: LdmState, vparams: VehicleParams, base: OccupancyGrid,
 
 def route_deviation_field(grid: OccupancyGrid,
                           reference_path: np.ndarray) -> np.ndarray:
-    """Distance from every cell center to the route reference polyline.
+    """Distance from each readable cell center to the route reference
+    polyline, and 0 on every other cell.
 
     Shaped like the planning grid so the search can price lateral deviation
     with a plain array lookup; without it the shortest corridor path cuts
-    curves instead of lane keeping.
+    curves instead of lane keeping. The readable cells are the free cells
+    of `grid` and their 8-neighbours: `plan`'s cost table reads the free
+    cells of a grid that stamps only more cells blocked, and
+    cost_to_goal_field reads those and the goal's cell, whose value counts
+    only when a free cell lies next to it. Only those cells are computed,
+    each with the arithmetic of the whole-grid formula, so they hold its
+    exact bits.
     """
     ny, nx = grid.cells.shape
     res = grid.cell_size
-    cx = (np.arange(nx) + 0.5) * res
-    cy = (np.arange(ny) + 0.5) * res
-    px, py = np.meshgrid(cx, cy)
+    near = np.zeros((ny + 2, nx + 2), dtype=bool)
+    free = ~grid.cells
+    for oy in range(3):
+        for ox in range(3):
+            near[oy:oy + ny, ox:ox + nx] |= free
+    iy, ix = np.nonzero(near[1:-1, 1:-1])
+    px = (ix + 0.5) * res
+    py = (iy + 0.5) * res
     ref = np.asarray(reference_path, dtype=float)
-    best = np.full((ny, nx), np.inf)
+    best = np.full(px.shape, np.inf)
     for a, b in zip(ref[:-1], ref[1:]):
         dx, dy = b[0] - a[0], b[1] - a[1]
         seg_len2 = dx * dx + dy * dy
@@ -308,7 +322,9 @@ def route_deviation_field(grid: OccupancyGrid,
             tt = np.clip(((px - a[0]) * dx + (py - a[1]) * dy) / seg_len2, 0.0, 1.0)
             d = np.hypot(px - (a[0] + tt * dx), py - (a[1] + tt * dy))
         np.minimum(best, d, out=best)
-    return best
+    out = np.zeros((ny, nx))
+    out[iy, ix] = best
+    return out
 
 
 # the least ratio of straight-line to octile length; scaled by it, an
@@ -384,14 +400,21 @@ class PlanningMaps:
     inflated static grid (world.planning_occupancy), the route deviation
     field (route_deviation_field) of the same shape, and in `fields` the
     static grid's cost-to-goal field per (goal x, goal y, lateral_weight),
-    stored by the first plan that searches it. `initial_plans` keeps the
-    PlanAttempt of an episode's tick-0 plan, which reads no LDM content,
-    per (start and goal bits, PlannerConfig, VehicleParams); the harness
-    fills and reads it. An all-zero deviation field prices no deviation."""
+    stored by the first plan that searches it. `stamped` holds at most one
+    entry: the cost-to-goal field of the last stamped grid a plan searched,
+    under (goal x, goal y, lateral_weight, the bytes of the flat indices
+    where that grid differs from `grid`), the inputs it is a pure function
+    of. A plan that stamps other cells replaces it, so the maps hold one
+    stamped field however many seeds stamp their own. `initial_plans`
+    keeps the PlanAttempt of an episode's tick-0 plan, which reads no LDM
+    content, per (start and goal bits, PlannerConfig, VehicleParams); the
+    harness fills and reads it. An all-zero deviation field prices no
+    deviation."""
 
     grid: OccupancyGrid
     deviation: np.ndarray
     fields: dict = field(init=False, repr=False, default_factory=dict)
+    stamped: dict = field(init=False, repr=False, default_factory=dict)
     initial_plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -460,11 +483,13 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     `maps.grid`, the search reads the static grid's cost-to-goal field
     for the goal and cfg.lateral_weight from `maps.fields`, building and
     storing it on the first such plan; when tracks or accepted events do
-    block cells, it reads cost_to_goal_field of that stamped grid, built
-    for this plan only. The time of either build is the attempt's
-    heuristic_ms, inside its cpu_ms. A node is pushed with
-    heuristic_weight * max(its Euclidean distance to the goal, the field
-    at its cell), and a node whose cell reads inf is not pushed.
+    block cells, it reads cost_to_goal_field of that stamped grid from
+    `maps.stamped` if the last stamped plan toward this goal and weight
+    blocked the same cells, and otherwise builds it there in place of the
+    kept one. Either field is read-only. The time of a build is the
+    attempt's heuristic_ms, inside its cpu_ms; a hit reads 0. A node is
+    pushed with heuristic_weight * max(its Euclidean distance to the goal,
+    the field at its cell), and a node whose cell reads inf is not pushed.
     Returns a failed attempt (trajectory None) when the goal is unreachable
     within the expansion budget; the caller is expected to fall back to a
     minimum-safety stop.
@@ -485,18 +510,23 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     grid = obstacle_grid(ldm, vparams, base=maps.grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
-    stamped = not np.array_equal(cells, maps.grid.cells)
+    stamp = np.flatnonzero(cells != maps.grid.cells)
     field_key = (gx, gy, cfg.lateral_weight)
-    cost_to_goal = None if stamped else maps.fields.get(field_key)
+    kept = maps.fields
+    if stamp.size:
+        field_key += (stamp.tobytes(),)
+        kept = maps.stamped
+    cost_to_goal = kept.get(field_key)
     heuristic_ms = 0.0
     if cost_to_goal is None:
         t_field = time.perf_counter()
         cost_to_goal = cost_to_goal_field(grid, maps.deviation, (gx, gy),
                                           cfg.lateral_weight)
         heuristic_ms = (time.perf_counter() - t_field) * 1000.0
-        if not stamped:
-            cost_to_goal.setflags(write=False)
-            maps.fields[field_key] = cost_to_goal
+        cost_to_goal.setflags(write=False)
+        if stamp.size:
+            kept.clear()            # one stamped field per PlanningMaps
+        kept[field_key] = cost_to_goal
     inv_res = 1.0 / grid.cell_size
     bin_size = TWO_PI / cfg.heading_bins
     n_bins = cfg.heading_bins

@@ -1,5 +1,7 @@
-"""A Monte Carlo hypervolume estimate, the oracle the exact sweeps of
-`v2xloop.pareto.hypervolume` are checked against."""
+"""Slow, plain references the fast paths are checked against: a Monte
+Carlo hypervolume estimate for the exact sweeps of
+`v2xloop.pareto.hypervolume`, and the whole-grid route deviation for
+`v2xloop.planner.route_deviation_field`."""
 
 import numpy as np
 
@@ -24,3 +26,26 @@ def mc_hypervolume(points, reference, samples: int = 200_000, seed: int = 0) -> 
         hits += int(dominated.sum())
         remaining -= k
     return float(box * hits / samples)
+
+
+def route_deviation_everywhere(grid, reference_path) -> np.ndarray:
+    """Distance from every cell center of `grid` to the reference polyline:
+    the all-cells formula `route_deviation_field` computed before it kept
+    to the cells a plan reads."""
+    ny, nx = grid.cells.shape
+    res = grid.cell_size
+    cx = (np.arange(nx) + 0.5) * res
+    cy = (np.arange(ny) + 0.5) * res
+    px, py = np.meshgrid(cx, cy)
+    ref = np.asarray(reference_path, dtype=float)
+    best = np.full((ny, nx), np.inf)
+    for a, b in zip(ref[:-1], ref[1:]):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        seg_len2 = dx * dx + dy * dy
+        if seg_len2 < 1e-18:
+            d = np.hypot(px - a[0], py - a[1])
+        else:
+            tt = np.clip(((px - a[0]) * dx + (py - a[1]) * dy) / seg_len2, 0.0, 1.0)
+            d = np.hypot(px - (a[0] + tt * dx), py - (a[1] + tt * dy))
+        np.minimum(best, d, out=best)
+    return best

@@ -242,8 +242,12 @@ def test_replay_of_a_damaged_meta_block_exits_with_one_line(tmp_path, damage, me
     (True, {"seed": 1.7}, "meta.json: seed: expected a non-negative integer, got 1.7"),
     (True, {"seed": True}, "meta.json: seed: expected a non-negative integer, got True"),
     (True, {"seed": -1}, "meta.json: seed: expected a non-negative integer, got -1"),
+    (False, {"dt": "x"}, "meta.json: dt: expected a number, got 'x'"),
+    (False, {"hazards": [{"kind": "debris", "x": "abc", "y": 50.0}]},
+     "meta.json: hazards[0].x: expected a number, got 'abc'"),
 ], ids=["not-object", "not-object-rerun", "hazards-not-list", "hazard-not-object",
-        "seed-text", "seed-float", "seed-bool", "seed-negative"])
+        "seed-text", "seed-float", "seed-bool", "seed-negative", "dt-text",
+        "hazard-x-text"])
 def test_replay_of_a_malformed_meta_json_exits_with_one_line(tmp_path, capsys, rerun,
                                                              document, message):
     out = tmp_path / "ep"
@@ -259,6 +263,27 @@ def test_replay_of_a_malformed_meta_json_exits_with_one_line(tmp_path, capsys, r
     assert text.startswith("v2xloop replay: ") and text.endswith(message)
     assert "\n" not in text
     # refused before any episode ran
+    assert capsys.readouterr().out == ""
+
+
+def test_a_json_syntax_error_exits_with_one_line_naming_the_file(tmp_path, capsys):
+    out = tmp_path / "ep"
+    main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])
+    capsys.readouterr()
+    broken = tmp_path / "broken.json"
+    broken.write_text("{\n")
+    meta = out / "logs" / "meta.json"
+    meta.write_text("{\n")
+    for argv, path in (
+            (["replay", "--log", str(out)], meta),
+            (["replay", "--log", str(out), "--rerun"], meta),
+            (["run", "--config", str(broken), "--seed", "1"], broken),
+            (["sweep", "--grid", str(broken), "--scenarios", "s1", "--seeds", "1"], broken)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        text = str(exc.value)
+        assert text.startswith(f"v2xloop {argv[0]}: {path}: Expecting property name"), text
+        assert "\n" not in text
     assert capsys.readouterr().out == ""
 
 

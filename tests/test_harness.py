@@ -8,6 +8,7 @@ from itertools import product
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,7 +133,17 @@ def test_replay_refuses_an_episode_csv_without_its_row(s1_result, tmp_path):
     ({"hazards": 5}, "hazards: expected a list, got int"),
     ({"hazards": {"kind": "debris"}}, "hazards: expected a list, got dict"),
     ({"hazards": ["hz-0"]}, "hazards[0]: expected an object, got str"),
-], ids=["int", "list", "hazards-int", "hazards-object", "hazard-text"])
+    ({"dt": "x"}, "dt: expected a number, got 'x'"),
+    ({"route_length": "84.0"}, "route_length: expected a number, got '84.0'"),
+    ({"event_label_radius": None}, "event_label_radius: expected a number, got None"),
+    ({"mot_belief_min": True}, "mot_belief_min: expected a number, got True"),
+    ({"hazards": [{"kind": "debris", "x": "abc", "y": 50.0}]},
+     "hazards[0].x: expected a number, got 'abc'"),
+    ({"hazards": [{"kind": "debris", "x": 62.0, "y": [50.0]}]},
+     "hazards[0].y: expected a number, got [50.0]"),
+], ids=["int", "list", "hazards-int", "hazards-object", "hazard-text", "dt-text",
+        "route-length-text", "label-radius-null", "belief-min-bool", "hazard-x-text",
+        "hazard-y-list"])
 def test_replay_refuses_a_malformed_meta_json(s1_result, tmp_path, document, message):
     _, out = s1_result
     import shutil
@@ -422,6 +433,33 @@ def test_run_sweep_outputs(tmp_path):
     assert report["frontier"]
     assert res.frontier            # someone always survives a 2-point sweep
     assert sorted(p.config_id for p in res.frontier) == report["frontier"]
+
+
+def test_sweep_points_at_one_seed_share_their_stamped_field(monkeypatch):
+    # both k_p points of a seed accept the same hazard and stamp the same
+    # cells, and they run back to back: the second reuses the first's field
+    builds = []
+    seed_now = []
+    build_field, episode = planner.cost_to_goal_field, harness.run_episode
+
+    def counted_build(grid, *args):
+        builds.append((seed_now[-1], grid.cells))
+        return build_field(grid, *args)
+
+    def counted_episode(spec, seed, *args):
+        seed_now.append(seed)
+        return episode(spec, seed, *args)
+
+    monkeypatch.setattr(planner, "cost_to_goal_field", counted_build)
+    monkeypatch.setattr(harness, "run_episode", counted_episode)
+    result = run_sweep({"k_p": [0.4, 0.6]}, ["s2"], [1, 2])
+    assert seed_now == [1, 1, 2, 2] and len(result.points) == 2
+    static = builds[0][1]                  # the first tick-0 plan's grid
+    stamped = [(seed, cells) for seed, cells in builds[1:]
+               if not np.array_equal(cells, static)]
+    assert [seed for seed, _ in builds] == [1, 1, 2]
+    assert [seed for seed, _ in stamped] == [1, 2]
+    assert not np.array_equal(stamped[0][1], stamped[1][1])
 
 
 @pytest.mark.parametrize("sid", ["s2", "s3"])

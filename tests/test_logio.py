@@ -341,3 +341,12 @@ def test_typed_columns_read_as_parse_cell_reads_each_cell(data, tmp_path_factory
         assert repr(roundtrip_rows(log)) == expected, name
         log.write(path)
         assert repr(read_csv(path, columns)) == expected, name
+
+
+def test_read_json_names_the_file_on_a_syntax_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": 1,\n')
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: Expecting property name")):
+        read_json(path)
+    path.write_text('{"a": [1, 2]}\n')
+    assert read_json(path) == {"a": [1, 2]}

@@ -251,6 +251,48 @@ def test_evaluate_grid_averages_over_block():
     assert pts[0].collided           # any collision marks the config
 
 
+def _config_major_points(configs, runner, seeds, scenario_ids):
+    """evaluate_grid as first written: each config over its whole block in
+    turn, its vectors averaged in scenario-then-seed order."""
+    points = []
+    for config in configs:
+        vectors = []
+        collided = False
+        for scenario_id in scenario_ids:
+            for seed in seeds:
+                vec, hit = runner(config, scenario_id, seed)
+                vectors.append(vec)
+                collided = collided or hit
+        mean_vec = tuple(float(v) for v in np.mean(np.asarray(vectors), axis=0))
+        points.append(EvaluatedPoint(config_id=config.config_id,
+                                     objectives=mean_vec, collided=collided))
+    return points
+
+
+def test_evaluate_grid_runs_seed_by_seed_and_averages_as_config_major():
+    configs = config_grid({"k_p": [0.4, 0.6, 0.8], "tau_risk": [2.0, 3.0]})
+    seeds, scenario_ids = [7, 3, 11], ["s2", "s1"]
+    calls = []
+
+    def runner(config, scenario_id, seed):
+        # vectors whose mean depends on the order it is summed in
+        calls.append((config.config_id, scenario_id, seed))
+        rng = np.random.default_rng([seed, len(scenario_id), int(config.config_id[4:])])
+        vec = rng.uniform(0.0, 1.0, 5) * 10.0 ** rng.integers(-8, 8, 5)
+        return tuple(vec.tolist()), (seed, scenario_id, config.config_id) == (3, "s1", "cfg-004")
+
+    got = evaluate_grid(configs, runner, seeds, scenario_ids)
+    order = list(calls)
+    calls.clear()
+    want = _config_major_points(configs, runner, seeds, scenario_ids)
+    assert got == want
+    assert [p.collided for p in got] == [i == 4 for i in range(6)]
+    # every episode ran once, and each seed's episodes back to back
+    assert sorted(order) == sorted(calls)
+    block = len(configs) * len(scenario_ids)
+    assert [seed for _, _, seed in order] == [s for s in seeds for _ in range(block)]
+
+
 def test_sweep_full_protocol():
     table = {
         "cfg-a": ((0.1, 0.5, 0.0, 0.2, 0.0), False),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grids import corridor_map, occupied_at
+from oracles import route_deviation_everywhere
 from v2xloop import planner
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
@@ -19,7 +20,8 @@ from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
                              attach_speed_profile, check_triggers,
                              cost_to_goal_field, obstacle_grid, plan,
                              route_deviation_field, ttc_min, unexplained_tracks)
-from v2xloop.scenarios import build_s1, spec_from_dict, spec_to_dict
+from v2xloop.scenarios import (SCENARIO_IDS, build_s1, build_scenario, spec_from_dict,
+                                spec_to_dict)
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Route,
                            empty_grid, inflate, planning_occupancy, wrap_angle)
@@ -203,11 +205,13 @@ def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
     second = _plan((2.0, 10.0, 0.0), _ldm(), maps=maps)
     assert len(built) == 1 and second.heuristic_ms == 0.0
     assert second.trajectory.poses.tobytes() == first.trajectory.poses.tobytes()
-    # a stamped plan builds a field of its own and does not store it
+    # a stamped plan builds a field of its own and keeps it in the stamped
+    # slot only, never among the static fields
     stamped = _plan((2.0, 10.0, 0.0), _ldm(events=[_event((40.0, 10.0))]),
                     maps=maps)
     assert stamped.succeeded and len(built) == 2 and stored()
     assert 0.0 < stamped.heuristic_ms <= stamped.cpu_ms
+    assert list(maps.stamped.values()) == [built[1]]
     # a stamp that blocks only cells the static map already blocks is no
     # stamp: this track's disk lies wholly off the road, below y = 5
     edge = _ldm(tracks=[_track("T1", (40.0, 1.0))])
@@ -216,6 +220,58 @@ def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
     on_edge = _plan((2.0, 10.0, 0.0), edge, maps=maps)
     assert on_edge.succeeded and on_edge.heuristic_ms == 0.0
     assert len(built) == 2 and stored()
+    assert list(maps.stamped.values()) == [built[1]]
+
+
+def _stamp_key(ldm, start_xy=(2.0, 10.0), goal=ROUTE.goal_pose, cfg=CFG):
+    """The key a stamped plan on `_maps()` keeps its field under."""
+    stamp = np.flatnonzero(_grid(ldm, start_xy).cells != ROAD_BASE.cells)
+    return (*goal[:2], cfg.lateral_weight, stamp.tobytes())
+
+
+def test_plans_that_stamp_the_same_cells_share_one_field(monkeypatch):
+    maps = _maps()
+    built = _counting_field_builds(monkeypatch)
+    hazard = _ldm(events=[_event((40.0, 10.0))])
+    first = _plan((2.0, 10.0, 0.0), hazard, maps=maps)
+    assert first.succeeded and first.heuristic_ms > 0.0
+    assert len(built) == 1 and not maps.fields      # no static field is built
+    assert set(maps.stamped) == {_stamp_key(hazard)}
+    # the same stamp from another start and another LDM object: one build
+    again = _plan((6.0, 10.4, 0.05), _ldm(events=[_event((40.0, 10.0))]), maps=maps)
+    assert len(built) == 1 and again.heuristic_ms == 0.0
+    assert maps.stamped[_stamp_key(hazard)] is built[0]
+    with pytest.raises(ValueError, match="read-only"):
+        built[0][0, 0] = 0.0
+    # a hit searches exactly as a rebuild would
+    cold = _plan((6.0, 10.4, 0.05), hazard)
+    assert cold.heuristic_ms > 0.0
+    assert again.trajectory.poses.tobytes() == cold.trajectory.poses.tobytes()
+    assert again.trajectory.target_speeds.tobytes() == \
+        cold.trajectory.target_speeds.tobytes()
+    assert again.expansions == cold.expansions
+
+
+def test_another_stamp_replaces_the_kept_field(monkeypatch):
+    maps = _maps()
+    assert _plan((2.0, 10.0, 0.0), _ldm(), maps=maps).succeeded
+    static = dict(maps.fields)
+    built = _counting_field_builds(monkeypatch)
+    for x in (40.0, 60.0, 40.0):
+        ldm = _ldm(events=[_event((x, 10.0))])
+        attempt = _plan((2.0, 10.0, 0.0), ldm, maps=maps)
+        # each stamp differs from the one kept before it, so each builds,
+        # and the slot holds only the newest field
+        assert attempt.heuristic_ms > 0.0
+        assert maps.stamped == {_stamp_key(ldm): built[-1]}
+    # another goal or lateral_weight over the same stamp is another field
+    for goal, cfg in (((90.0, 10.0, 0.0), CFG),
+                      (ROUTE.goal_pose, replace(CFG, lateral_weight=0.6))):
+        _plan((2.0, 10.0, 0.0), ldm, cfg=cfg, goal=goal, maps=maps)
+        assert maps.stamped == {_stamp_key(ldm, goal=goal, cfg=cfg): built[-1]}
+    assert len(built) == 5
+    # the static fields are untouched throughout
+    assert maps.fields == static and all(maps.fields[k] is v for k, v in static.items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,9 +296,11 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
     with pytest.MonkeyPatch.context() as mp:
         built = _counting_field_builds(mp)
         _plan(start, ldm, PlannerConfig(max_expansions=30), maps=maps)
-    # one field, stored only when it is the static grid's
+    # one field, stored among the static fields when it is the static
+    # grid's and in the stamped slot otherwise
     assert len(built) == 1
     assert bool(maps.fields) == np.array_equal(grid.cells, base.cells)
+    assert bool(maps.stamped) != bool(maps.fields)
     got = built[0]
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(want)
@@ -528,6 +586,58 @@ def test_route_deviation_field_measures_distance():
     assert grid.cell_size == 0.5
     assert fld[20, 100] < grid.cell_size               # the cell of (50, 10)
     assert fld[28, 100] == pytest.approx(4.0, abs=grid.cell_size)   # of (50, 14)
+
+
+def _readable(cells):
+    """The cells a plan may read the deviation of: the free cells and
+    their 8-neighbours."""
+    ny, nx = cells.shape
+    padded = np.pad(~cells, 1)
+    return np.logical_or.reduce([padded[dy:dy + ny, dx:dx + nx]
+                                 for dy in range(3) for dx in range(3)])
+
+
+def _assert_deviation_matches_the_oracle(grid, line):
+    got = route_deviation_field(grid, line)
+    want = route_deviation_everywhere(grid, line)
+    readable = _readable(grid.cells)
+    assert got.shape == want.shape
+    assert got[readable].tobytes() == want[readable].tobytes()
+    assert not got[~readable].any()
+    return got, want
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_route_deviation_field_matches_the_whole_grid_formula_where_read(scenario_id):
+    spec = build_scenario(scenario_id)
+    for version in spec.vmap.versions:
+        grid = planning_occupancy(spec.vmap, version, spec.vehicle.collision_radius)
+        _assert_deviation_matches_the_oracle(grid, spec.route.reference_path.points)
+
+
+def test_a_blocked_goal_reads_the_deviation_the_whole_grid_formula_gives():
+    # the goal's cell is blocked and free cells lie next to it: the Dijkstra
+    # reads its deviation for the first steps out of it
+    _, base = _open_ldm([(14.0, 15.0, 9.5, 10.5)])
+    iy = 20
+    ix = int(np.argmax(base.cells[iy]))         # the first blocked cell of its row
+    assert base.cells[iy, ix] and not base.cells[iy, ix - 1]
+    goal = ((ix + 0.5) * base.cell_size, (iy + 0.5) * base.cell_size)
+    line = np.array([[0.0, 12.0], [30.0, 8.0]])
+    got, want = _assert_deviation_matches_the_oracle(base, line)
+    assert got[iy, ix] > 0.0
+    for weight in (0.3, 1.0):
+        assert cost_to_goal_field(base, got, goal, weight).tobytes() == \
+            cost_to_goal_field(base, want, goal, weight).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocked=st.lists(st.booleans(), min_size=48, max_size=48),
+       line=st.lists(st.tuples(st.floats(-2.0, 8.0), st.floats(-2.0, 8.0)),
+                     min_size=2, max_size=5))
+def test_route_deviation_field_matches_the_whole_grid_formula_on_any_grid(blocked, line):
+    grid = OccupancyGrid(cells=np.array(blocked).reshape(6, 8), cell_size=0.75)
+    _assert_deviation_matches_the_oracle(grid, np.array(line))
 
 
 # ---------------------------------------------------------------------------
