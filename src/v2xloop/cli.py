@@ -22,15 +22,19 @@ _ABLATIONS = {"s2": "v2x_enabled", "s3": "updates_enabled", "s4": "gate_enabled"
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1..30' inclusive range, or comma-separated values, or one seed."""
+    """'1..30' inclusive range, or comma-separated values, or one seed; any
+    other text is a ValueError naming --seeds and the text."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    lo, dots, hi = text.partition("..")
+    try:
+        seeds = (list(range(int(lo), int(hi) + 1)) if dots
+                 else [int(v) for v in text.split(",") if v.strip() != ""])
+    except ValueError:
+        raise ValueError(f"--seeds: expected a range like 1..30 or seeds like 1,2,5, "
+                         f"got {text!r}") from None
+    if dots and not seeds:
+        raise ValueError(f"--seeds: empty seed range {text!r}")
+    return seeds
 
 
 def _load_spec(args):

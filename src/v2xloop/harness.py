@@ -50,13 +50,16 @@ next_double`) for `gen.uniform(low, high)`, and
 `speed_at` do np.interp's scalar arithmetic over Python lists.
 
 Determinism contract: every stochastic draw goes through a named Philox
-stream, all log rows are formatted to nine significant digits in an order
-fixed by the loop itself, and episode metrics are computed from the
-formatted rows rather than from simulator internals. Rerunning a seed
-reproduces the log directory byte for byte (`v2xloop replay --rerun` checks
-that from a run directory), and `replay` recovers the exact
-metrics from disk. Wall-clock planner timings are real measurements and go
-to a separate timing file outside the log directory.
+stream, log rows are kept in an order fixed by the loop itself, and their
+cells are formatted to nine significant digits once, at episode end, a
+column at a time. Episode metrics are computed from the formatted cells
+rather than from simulator internals: an episode parses only the columns
+they read (METRIC_COLUMNS), from the cells it wrote when it writes its logs.
+Rerunning a seed reproduces the log directory byte for byte (`v2xloop
+replay --rerun` checks that from a run directory), and `replay` recovers
+the exact metrics from disk, parsing and checking every cell. Wall-clock
+planner timings are real measurements and go to a separate timing file
+outside the log directory.
 """
 
 from __future__ import annotations
@@ -136,6 +139,20 @@ LOG_COLUMNS = {"vehicle": VEHICLE_COLS, "control": CONTROL_COLS,
                "gate": GATE_COLS, "events": EVENTS_COLS, "plans": PLANS_COLS,
                "updates": UPDATES_COLS, "episode": EPISODE_COLS}
 LOG_NAMES = tuple(LOG_COLUMNS)
+# the columns of each table compute_episode_metrics reads; an episode formats
+# and parses only these to score itself
+METRIC_COLUMNS = {
+    "vehicle": ("heading_err", "ttc", "s_route", "cross_track"),
+    "control": ("t", "steering", "throttle", "brake", "speed"),
+    "truth": ("tick", "object_id", "x", "y", "scored"),
+    "ldm": ("tick", "track_id", "x", "y", "belief"),
+    "v2x": ("gen_time", "msg_kind", "event_kind", "event_x", "event_y"),
+    "gate": (),
+    "events": ("event_id", "status", "is_true", "accepted_at", "first_seen"),
+    "plans": (),
+    "updates": ("action", "version_id", "t"),
+    "episode": ("termination", "sim_time", "collision"),
+}
 # the meta.json keys compute_episode_metrics reads
 METRIC_META_KEYS = ("metrics", "dt", "route_length", "hazards", "event_label_radius",
                     "mot_belief_min")
@@ -433,7 +450,19 @@ def run_episode(spec: ScenarioSpec, seed: int,
         log_event(sim_time, ev, 1)
     logs["episode"].append(termination, sim_time, k, int(termination == "collision"))
 
-    tables = {name: roundtrip_rows(log) for name, log in logs.items()}
+    # each table's cells are formatted once, and only one table's at a time:
+    # written, and its metric columns parsed from the written cells, or with
+    # no out_dir only its metric columns formatted and parsed
+    out_path = None if out_dir is None else Path(out_dir)
+    if out_path is None:
+        tables = {name: roundtrip_rows(log, METRIC_COLUMNS[name])
+                  for name, log in logs.items()}
+    else:
+        logs_dir = out_path / "logs"
+        tables = {name: roundtrip_rows(log, METRIC_COLUMNS[name],
+                                       log.write(logs_dir / f"{name}.csv"))
+                  for name, log in logs.items()}
+        write_json(logs_dir / "meta.json", meta)
     m = compute_episode_metrics(tables, meta)
     summary = {
         "scenario_id": spec.scenario_id,
@@ -447,13 +476,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                      "tracks_born": ldm.tracks_born},
     }
 
-    out_path: Path | None = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        logs_dir = out_path / "logs"
-        for name, log in logs.items():
-            log.write(logs_dir / f"{name}.csv")
-        write_json(logs_dir / "meta.json", meta)
+    if out_path is not None:
         write_json(out_path / "summary.json", summary)
         timing.write(out_path / "timing.csv")
 
@@ -498,10 +521,10 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
                            v2x["event_x"], v2x["event_y"])
                        if kind == "DENM" and ex is not None
                        and _is_true_claim(ek, ex, ey, hazards, label_radius)]
-    if true_denm_times:
-        rows = zip(control["t"], control["steering"], control["throttle"],
+    commands = zip(control["t"], control["steering"], control["throttle"],
                    control["brake"])
-        reaction = v2x_reaction_ms(min(true_denm_times), rows, params)
+    if true_denm_times:
+        reaction = v2x_reaction_ms(min(true_denm_times), commands, params)
 
     activation = None
     poll_t: dict[int, float] = {}

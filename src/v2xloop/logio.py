@@ -21,17 +21,26 @@ the way out and one parser on the way back in:
                              unchanged, even text that looks like a number
 
 A kind ending in "?" is nullable: a None there is written as an empty cell,
-and a None anywhere else is an error. A row is formatted in one %-operation
-on the table's row format. An empty cell reads back as None in every kind.
-Since no cell is quoted, a line is a row and a comma ends a cell, so a
-table reads back with str.split alone.
+and a None anywhere else is an error. An empty cell reads back as None in
+every kind. Since no cell is quoted, a line is a row and a comma ends a
+cell, so a table reads back with str.split alone.
+
+`CsvLog.append` keeps a row's values as they are. A text cell is checked
+there, so a bad id is refused at the row that logs it, naming the column.
+Every other cell is formatted only when the table is written or read back
+in memory: a column at a time, each at most once, by its kind, and a
+value its kind cannot format (a None in a column that is not nullable, text
+in a number column) is refused then, naming the column and the row, before
+any byte of the table is written.
 
 A table reads back as columns, {column: [value per row]}: `read_csv(path,
-columns)` for a file and `roundtrip_rows(log)` for a table still in memory.
-Each column is parsed in one pass by its declared kind, and a header that is
-not the declared one, a row of another width or a cell its kind cannot
-parse is a ValueError naming the file, the line and the column. `rows`
-turns a table back into one dict per row for callers that loop over rows.
+columns)` for a file, every column of it, and `roundtrip_rows(log, names)`
+for the named columns of a table still in memory, which formats and parses
+only those. Each column is parsed in one pass by its declared kind, and a
+header that is not the declared one, a row of another width or a cell its
+kind cannot parse is a ValueError naming the file, the line and the column.
+`rows` turns a table back into one dict per row for callers that loop over
+rows.
 """
 
 from __future__ import annotations
@@ -52,7 +61,8 @@ class CsvLog:
     """Append-only table of typed columns, flushed to disk once at episode end.
 
     `columns` maps each column name to its kind (see the module docstring).
-    `rows` holds the formatted lines.
+    `rows` holds each appended row's values as a tuple; no cell is formatted
+    until the table is written or read back (`cells`).
     """
 
     def __init__(self, columns: dict[str, str]):
@@ -62,34 +72,54 @@ class CsvLog:
         if unknown:
             raise ValueError(f"unknown column kind {unknown[0]!r}; expected one of "
                              f"{sorted(CONVERSIONS)}, optionally ending in '?'")
-        self._conversions = [CONVERSIONS[k.removesuffix("?")] for k in kinds]
         self._text = [i for i, k in enumerate(kinds) if k.removesuffix("?") == "str"]
-        self._nullable = [i for i, k in enumerate(kinds) if k.endswith("?")]
-        # row format per set of None cells; a None cell formats as %.0s, empty
-        self._formats = {(): ",".join(self._conversions)}
-        self.rows: list[str] = []
+        self._nullable = {i for i, k in enumerate(kinds) if k.endswith("?")}
+        self._index = {name: i for i, name in enumerate(columns)}
+        self.rows: list[tuple] = []
 
     def append(self, *values) -> None:
         if len(values) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
-        nulls = ()
-        if self._nullable:
-            nulls = tuple(i for i in self._nullable if values[i] is None)
         for i in self._text:
-            if i not in nulls and NEEDS_QUOTES(values[i]):
+            value = values[i]
+            if (value is not None or i not in self._nullable) and NEEDS_QUOTES(value):
                 raise ValueError(f"column {list(self.columns)[i]}: must hold no comma, "
-                                 f"quote, CR or LF, got {values[i]!r}")
-        form = self._formats.get(nulls)
-        if form is None:
-            form = self._formats[nulls] = ",".join(
-                "%.0s" if i in nulls else conv for i, conv in enumerate(self._conversions))
-        self.rows.append(form % values)
+                                 f"quote, CR or LF, got {value!r}")
+        self.rows.append(values)
 
-    def write(self, path) -> None:
+    def cells(self, name: str) -> list[str]:
+        """Column `name`'s cells: each value %-formatted by the column's kind,
+        a None in a nullable column as an empty cell. A value its kind cannot
+        format (a None elsewhere, text in a number column) is an error of the
+        formatter's type naming the column and the row."""
+        i, kind = self._index[name], self.columns[name]
+        conv = CONVERSIONS[kind.removesuffix("?")]
+        try:
+            if kind.endswith("?"):
+                return ["" if row[i] is None else conv % row[i] for row in self.rows]
+            return [conv % row[i] for row in self.rows]
+        except (TypeError, ValueError, OverflowError):
+            for n, row in enumerate(self.rows, 1):
+                try:
+                    if row[i] is not None or not kind.endswith("?"):
+                        conv % row[i]
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise type(exc)(f"column {name}, row {n}: cannot write "
+                                    f"{row[i]!r} as {kind}") from None
+            raise
+
+    def write(self, path) -> dict[str, list[str]]:
+        """Write the table to `path`, formatting every column first, so a
+        value its kind cannot format leaves no file; returns {column:
+        cells}, which `roundtrip_rows` reads back without formatting them
+        again."""
+        cells = {name: self.cells(name) for name in self.columns}
+        text = "\n".join([",".join(self.columns), *map(",".join, zip(*cells.values()))])
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join([",".join(self.columns), *self.rows]) + "\n")
+            fh.write(text + "\n")
+        return cells
 
 
 PARSERS = {"int": int, "bool": int, "float": float, "str": str}
@@ -151,10 +181,15 @@ def read_csv(path, columns: dict[str, str]) -> dict[str, list]:
     return _parse_table(columns, header, lines, path)
 
 
-def roundtrip_rows(log: CsvLog) -> dict[str, list]:
-    """Parse a CsvLog's formatted rows exactly as read_csv would after a
-    write, so in-run metrics match metrics recomputed from the files."""
-    return _parse_table(log.columns, ",".join(log.columns), log.rows, "log rows")
+def roundtrip_rows(log: CsvLog, names=None, cells=None) -> dict[str, list]:
+    """The columns in `names` (every column when None) of a CsvLog as
+    read_csv would read them after a write, so in-run metrics match metrics
+    recomputed from the files. Only those columns are formatted, one at a
+    time, and parsed; given `cells`, as `CsvLog.write` returned them, none is
+    formatted again."""
+    return {name: _read_column(log.columns[name].removesuffix("?"),
+                               log.cells(name) if cells is None else cells[name])
+            for name in (log.columns if names is None else names)}
 
 
 def rows(table: dict[str, list]) -> list[dict]:

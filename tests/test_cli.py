@@ -21,6 +21,18 @@ def test_parse_seeds_forms():
         parse_seeds("5..1")
 
 
+@pytest.mark.parametrize("seeds", ["1..x", "a,b", "1.5"])
+def test_bad_seeds_exit_with_one_line_naming_the_flag(tmp_path, seeds):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"k_p": [0.6]}))
+    for argv in (["batch", "--scenario", "s1", "--seeds", seeds],
+                 ["sweep", "--grid", str(grid), "--scenarios", "s1", "--seeds", seeds]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == (f"v2xloop {argv[0]}: --seeds: expected a range like "
+                                  f"1..30 or seeds like 1,2,5, got {seeds!r}")
+
+
 def test_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "ep"
     rc = main(["run", "--scenario", "s1", "--seed", "2", "--out", str(out)])

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v2xloop import harness, planner
-from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, SWEEP_COLS, V2X_COLS,
-                             compute_episode_metrics, replay, run_batch,
-                             run_episode, run_sweep)
+from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, METRIC_COLUMNS, SWEEP_COLS,
+                             V2X_COLS, compute_episode_metrics, read_meta, replay,
+                             run_batch, run_episode, run_sweep)
 from v2xloop.logio import read_csv, read_json, rows
 from v2xloop.metrics import MetricParams, objective_vector
 from v2xloop.pareto import Configuration
@@ -538,6 +538,34 @@ def test_metrics_label_claims_against_meta_hazards():
     assert m.trigger_latency_ms == pytest.approx(350.0)  # true events only
     assert m.false_positive_rate == 1.0
     assert m.false_negative_rate == 0.0
+
+
+@pytest.mark.parametrize("sid, kwargs", [("s1", {}), ("s2", {}), ("s3", {}), ("s4", {}),
+                                         ("s4", {"gate_enabled": False})],
+                         ids=["s1", "s2", "s3", "s4", "s4-no-gate"])
+def test_metric_columns_are_exactly_what_the_metrics_read(tmp_path, sid, kwargs):
+    spec = build_scenario(sid, **kwargs)
+    in_memory = run_episode(spec, 1)
+    written = run_episode(spec, 1, tmp_path)
+    replayed = replay(tmp_path)
+    # scored in memory from the metric columns alone, from the cells a write
+    # returned, and from every column of the files
+    assert repr(asdict(in_memory.metrics)) == repr(asdict(written.metrics)) \
+        == repr(asdict(replayed))
+    assert in_memory.summary == written.summary
+    meta = read_meta(tmp_path / "logs" / "meta.json")
+    full = {name: read_csv(tmp_path / "logs" / f"{name}.csv", columns)
+            for name, columns in LOG_COLUMNS.items()}
+    declared = {name: {column: full[name][column] for column in names}
+                for name, names in METRIC_COLUMNS.items()}
+    assert repr(compute_episode_metrics(declared, meta)) == repr(replayed)
+    # and every declared column is read
+    for name, names in METRIC_COLUMNS.items():
+        for column in names:
+            short = {**declared, name: {c: v for c, v in declared[name].items()
+                                        if c != column}}
+            with pytest.raises(KeyError):
+                compute_episode_metrics(short, meta)
 
 
 harness_sense, harness_transmit = harness.sense, harness.transmit

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,11 +31,23 @@ def parse_cell(raw):
     return num
 
 
+def _written_lines(log: CsvLog) -> list[str]:
+    """The data lines of the file `log.write` writes, header checked."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        log.write(path)
+        with open(path, newline="") as fh:
+            header, *lines = fh.read().split("\n")
+    assert header == ",".join(log.columns) and lines.pop() == ""
+    return lines
+
+
 def _cell(value, kind: str) -> str:
     """One cell as a table column of `kind` writes it."""
     log = CsvLog({"cell": kind, "end": "int"})
     log.append(value, 0)
-    return log.rows[0].removesuffix(",0")
+    (line,) = _written_lines(log)
+    return line.removesuffix(",0")
 
 
 def test_fmt_floats_nine_significant_digits():
@@ -185,7 +199,29 @@ def test_every_table_row_format_gives_the_per_cell_strings(data):
         values = data.draw(_rows(columns), label=name)
         log = CsvLog(columns)
         log.append(*values)
-        assert log.rows == [_reference_line(values)], name
+        assert _written_lines(log) == [_reference_line(values)], name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_written_lines_and_column_reads_match_the_reference(data, tmp_path_factory):
+    # each table's written lines are the per-cell reference's, and any set of
+    # its columns reads back in memory as read_csv reads it from the file,
+    # whether formatted on their own or from the cells the write returned
+    path = tmp_path_factory.mktemp("columns") / "table.csv"
+    for name, columns in TABLES.items():
+        values = data.draw(st.lists(_rows(columns), max_size=4), label=name)
+        names = data.draw(st.lists(st.sampled_from(list(columns)), unique=True),
+                           label=f"{name} columns")
+        log = CsvLog(columns)
+        for row in values:
+            log.append(*row)
+        assert _written_lines(log) == [_reference_line(row) for row in values], name
+        cells = log.write(path)
+        on_disk = read_csv(path, columns)
+        expected = repr({column: on_disk[column] for column in names})
+        assert repr(roundtrip_rows(log, names)) == expected, name
+        assert repr(roundtrip_rows(log, names, cells)) == expected, name
 
 
 def test_text_needing_quotes_is_refused(tmp_path):
@@ -202,21 +238,50 @@ def test_text_needing_quotes_is_refused(tmp_path):
     one = CsvLog({"only": "str?"})
     one.append(None)
     one.append("x")
-    assert one.rows == ["", "x"]
+    assert _written_lines(one) == ["", "x"]
     for table in (log, one):
         table.write(tmp_path / "t.csv")
         assert read_csv(tmp_path / "t.csv", table.columns) == roundtrip_rows(table)
     assert roundtrip_rows(one) == {"only": [None, "x"]}
 
 
-def test_declared_kinds_are_enforced():
+def test_declared_kinds_are_enforced(tmp_path):
     with pytest.raises(ValueError, match="unknown column kind 'double'"):
         CsvLog({"x": "double"})
-    log = CsvLog({"x": "float", "id": "str", "n": "int"})
-    for row in [(None, "a", 1), (1.0, None, 1), (1.0, "a", None), (1.0, 2.0, 1)]:
+    columns = {"x": "float", "id": "str", "n": "int"}
+    # a text cell is checked as it is appended
+    log = CsvLog(columns)
+    for row in [(1.0, None, 1), (1.0, 2.0, 1)]:
         with pytest.raises(TypeError):
             log.append(*row)
     assert log.rows == []
+    # any other cell at its first formatting, naming the column and the
+    # row, before a byte of the table is written
+    path = tmp_path / "t.csv"
+    for row, column, bad in [((None, "a", 1), "x", None), ((1.0, "a", None), "n", None),
+                             (("1.5", "a", 1), "x", "1.5"), ((1.0, "a", "7"), "n", "7")]:
+        log = CsvLog(columns)
+        log.append(1.0, "a", 1)
+        log.append(*row)
+        message = "^" + re.escape(f"column {column}, row 2: cannot write {bad!r} "
+                                  f"as {columns[column]}")
+        with pytest.raises(TypeError, match=message):
+            roundtrip_rows(log)
+        with pytest.raises(TypeError, match=message):
+            roundtrip_rows(log, [column])
+        with pytest.raises(TypeError, match=message):
+            log.write(path)
+        assert not path.exists()
+        # a column that is not formatted is not checked
+        assert roundtrip_rows(log, ["id"]) == {"id": ["a", "a"]}
+    # a float an int column cannot hold is refused the same way
+    for value, error in [(math.nan, ValueError), (math.inf, OverflowError)]:
+        log = CsvLog(columns)
+        log.append(1.0, "a", value)
+        with pytest.raises(error, match="^" + re.escape(f"column n, row 1: cannot write "
+                                                        f"{value!r} as int")):
+            log.write(path)
+        assert not path.exists()
 
 
 AB = {"a": "int", "b": "int"}
@@ -337,7 +402,7 @@ def test_typed_columns_read_as_parse_cell_reads_each_cell(data, tmp_path_factory
         log = CsvLog(columns)
         for row in values:
             log.append(*row)
-        expected = repr(_reference_table(columns, log.rows))
+        expected = repr(_reference_table(columns, _written_lines(log)))
         assert repr(roundtrip_rows(log)) == expected, name
         log.write(path)
         assert repr(read_csv(path, columns)) == expected, name
