@@ -17,8 +17,7 @@ from .metrics import EpisodeMetrics, MetricParams, aggregate, objective_vector
 from .pareto import (Configuration, EvaluatedPoint, ParetoResult, config_grid,
                      hypervolume, knee_point, nondominated_set, sweep)
 from .perception import Detection, SenseFrame, SensorModel, sense
-from .planner import (PlanAttempt, PlannerConfig, PlanningMaps, Trajectory,
-                      TriggerConfig, plan)
+from .planner import PlanAttempt, PlanningMaps, Trajectory, TriggerConfig, plan
 from .rng import StreamSet, stream
 from .scenarios import (SCENARIO_IDS, ScenarioSpec, apply_configuration,
                         build_scenario, spec_from_dict, spec_to_dict)
@@ -35,7 +34,7 @@ __all__ = [
     "EvaluatedPoint", "EventHypothesis", "GateConfig", "GateDecision",
     "GroundTruthHazard", "LaneSegment", "LdmState", "MapVersion",
     "MetricParams", "OccupancyGrid", "ParetoResult", "PlanAttempt",
-    "PlannerConfig", "PlanningMaps", "PidState", "Route", "SCENARIO_IDS", "ScenarioSpec",
+    "PlanningMaps", "PidState", "Route", "SCENARIO_IDS", "ScenarioSpec",
     "SenseFrame", "SensorModel", "Station", "StationPopulation", "StreamSet",
     "Track", "Trajectory", "TriggerConfig", "V2xMessage", "VehicleParams",
     "VehicleState", "WorldObject", "aggregate", "apply_configuration",

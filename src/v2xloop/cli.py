@@ -11,8 +11,8 @@ import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .harness import read_meta, replay, run_batch, run_episode, run_sweep
-from .logio import _round_floats, read_json
+from .harness import replay, run_batch, run_episode, run_sweep
+from .logio import ANY, NUMBER, _round_floats, check_keys, read_json
 from .metrics import EpisodeMetrics
 from .scenarios import (SCENARIO_IDS, build_scenario, spec_from_dict,
                         spec_to_dict)
@@ -32,9 +32,23 @@ def parse_seeds(text: str) -> list[int]:
     except ValueError:
         raise ValueError(f"--seeds: expected a range like 1..30 or seeds like 1,2,5, "
                          f"got {text!r}") from None
-    if dots and not seeds:
-        raise ValueError(f"--seeds: empty seed range {text!r}")
+    if not seeds:
+        raise ValueError(f"--seeds: must name at least one seed, got {text!r}")
     return seeds
+
+
+# what report and replay read of the results files
+SUMMARY_KEYS = {"scenario_id": ANY, "seed": ANY, "termination": ANY,
+                "sim_time": NUMBER, "metrics": {}}
+BATCH_KEYS = {"scenario_id": ANY,
+              "aggregate": {"episodes": ANY, "completion_rate": NUMBER,
+                            "collision_episodes": ANY},
+              "episodes": [{"seed": ANY, "metrics": {
+                  "termination": (str,), "lateral_rmse": ANY, "ttc_min": ANY,
+                  "false_positive_rate": ANY, "false_negative_rate": ANY}}]}
+PARETO_KEYS = {"scenario_ids": ANY, "seeds": ANY, "frontier": [(str,)],
+               "knee": (dict, type(None)), "discarded_collided": ANY}
+KNEE_KEYS = {"config_id": ANY, "objectives": [NUMBER]}
 
 
 def _load_spec(args):
@@ -142,13 +156,13 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     root = Path(args.in_dir)
     if (root / "summary.json").exists():
-        summary = read_json(root / "summary.json")
+        summary = read_json(root / "summary.json", SUMMARY_KEYS)
         print(f"episode {summary['scenario_id']} seed={summary['seed']}: "
               f"{summary['termination']} at t={summary['sim_time']:.2f}s")
         _print_metrics(summary["metrics"])
         return 0
     if (root / "batch.json").exists():
-        payload = read_json(root / "batch.json")
+        payload = read_json(root / "batch.json", BATCH_KEYS)
         agg = payload["aggregate"]
         print(f"batch {payload['scenario_id']}: {agg['episodes']} episodes, "
               f"completion_rate={agg['completion_rate']:.3f}, "
@@ -164,12 +178,15 @@ def cmd_report(args) -> int:
                   f"{_fmt_value(m['false_negative_rate']):>6}")
         return 0
     if (root / "pareto.json").exists():
-        payload = read_json(root / "pareto.json")
+        payload = read_json(root / "pareto.json", PARETO_KEYS)
+        knee = payload["knee"]
+        if knee is not None:
+            check_keys(knee, KNEE_KEYS, root / "pareto.json", "knee")
         print(f"sweep over {payload['scenario_ids']} seeds={payload['seeds']}")
         print(f"  frontier: {', '.join(payload['frontier'])}")
-        if payload.get("knee"):
-            print(f"  knee: {payload['knee']['config_id']} "
-                  f"J={[round(v, 4) for v in payload['knee']['objectives']]}")
+        if knee is not None:
+            print(f"  knee: {knee['config_id']} "
+                  f"J={[round(v, 4) for v in knee['objectives']]}")
         print(f"  hypervolume: {_fmt_value(payload.get('hypervolume'))}")
         print(f"  discarded_collided: {payload['discarded_collided']}")
         return 0
@@ -215,10 +232,7 @@ def _rerun(root: Path) -> int:
                          "and a scenario.json beside it or one level up")
     spec = spec_from_dict(read_json(doc))
     where = root / "logs" / "meta.json"
-    meta = read_meta(where)
-    if "seed" not in meta:
-        raise ValueError(f"{where}: missing key 'seed'")
-    seed = meta["seed"]
+    seed = read_json(where, {"seed": ANY})["seed"]
     # a float or a bool would run some other seed
     if type(seed) is not int or seed < 0:
         raise ValueError(f"{where}: seed: expected a non-negative integer, got {seed!r}")
@@ -243,7 +257,7 @@ def cmd_replay(args) -> int:
     if not summary_path.exists() and root.name == "logs":
         summary_path = root.parent / "summary.json"
     if summary_path.exists():
-        stored = read_json(summary_path)["metrics"]
+        stored = read_json(summary_path, SUMMARY_KEYS)["metrics"]
         recomputed = json.loads(json.dumps(_round_floats(asdict(metrics))))
         if recomputed == stored:
             print("replay matches stored summary")

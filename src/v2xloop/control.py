@@ -18,6 +18,8 @@ from .world import check_range, wrap_angle
 
 SAFETY_STOP_RAMP = 0.5                # [s] from no brake to full brake in a safety stop
 INTEGRAL_CLAMP = 2.0                  # |integral| bound [m/s * s]
+K_I = 0.1                             # speed loop's integral gain
+K_D = 0.05                            # and its derivative gain
 
 
 @dataclass(frozen=True)
@@ -25,9 +27,7 @@ class ControllerConfig:
     look_ahead_gain: float = 0.6      # [s] carrot distance per unit speed
     look_ahead_min: float = 2.0       # [m] keeps slow passes from corner cutting
     look_ahead_max: float = 6.0       # [m] keeps fast tracking from oscillating
-    k_p: float = 0.6
-    k_i: float = 0.1
-    k_d: float = 0.05
+    k_p: float = 0.6                  # speed loop's proportional gain
 
     def __post_init__(self):
         # pure pursuit divides by the look-ahead
@@ -80,7 +80,7 @@ def pid_longitudinal(error: float, state: PidState, cfg: ControllerConfig,
     saturated in the error's direction.
     """
     derivative = 0.0 if not state.initialized else (error - state.prev_error) / dt
-    u_tentative = cfg.k_p * error + cfg.k_i * state.integral + cfg.k_d * derivative
+    u_tentative = cfg.k_p * error + K_I * state.integral + K_D * derivative
 
     integral = state.integral
     saturated_up = u_tentative >= 1.0 and error > 0.0
@@ -88,7 +88,7 @@ def pid_longitudinal(error: float, state: PidState, cfg: ControllerConfig,
     if not (saturated_up or saturated_down):
         integral = min(max(integral + error * dt, -INTEGRAL_CLAMP), INTEGRAL_CLAMP)
 
-    u = cfg.k_p * error + cfg.k_i * integral + cfg.k_d * derivative
+    u = cfg.k_p * error + K_I * integral + K_D * derivative
     u = min(max(u, -1.0), 1.0)
     return u, PidState(integral=integral, prev_error=error, initialized=True)
 

@@ -19,15 +19,14 @@ it derives from, never in `logs/` and never in the scenario document:
 
 - the planning maps (`planner.PlanningMaps`: inflated grid, route
   deviation field, and the cost-to-goal fields the planner stores in
-  them per goal and lateral_weight), per route and collision radius, on
-  the map version;
-- in those maps, one slot for the last stamped grid's cost-to-goal field,
-  which the next plan that stamps the same cells toward the same goal
-  reuses, as the sweep's points at one seed do round their hazard
-  (`pareto.evaluate_grid` runs them back to back);
+  them per goal), per route and collision radius, on the map version;
+- in those maps, beside the static grid's fields, the last stamped grid's
+  cost-to-goal field, which the next plan that stamps the same cells
+  toward the same goal reuses, as the sweep's points at one seed do round
+  their hazard (`pareto.evaluate_grid` runs them back to back);
 - the tick-0 plan, searched on an empty LDM and so the same for every
-  seed, per start, goal, planner and vehicle settings, on the planning
-  maps (`_initial_plan`);
+  seed, per start pose, start steering, goal and vehicle settings, on the
+  planning maps (`_initial_plan`);
 - each scripted vehicle's state per time t, on the vehicle;
 - the honest and the Byzantine stations in id order, on the population.
 
@@ -73,7 +72,8 @@ from pathlib import Path
 from .control import PidState, follow_tick, safety_stop_command
 from .gate import SENSOR_SUPPORT_RADIUS, apply_decision, evaluate
 from .ldm import PENDING, LdmState, fuse_tick, initial_state
-from .logio import CsvLog, _round_floats, read_csv, read_json, roundtrip_rows, write_json
+from .logio import (ANY, NUMBER, CsvLog, _round_floats, read_csv, read_json,
+                    roundtrip_rows, write_json)
 from .metrics import (EpisodeMetrics, MetricParams, aggregate, brake_energy,
                       clear_mot, command_variance, gate_rates, heading_stats,
                       lateral_rmse, objective_vector, v2x_reaction_ms)
@@ -153,9 +153,11 @@ METRIC_COLUMNS = {
     "updates": ("action", "version_id", "t"),
     "episode": ("termination", "sim_time", "collision"),
 }
-# the meta.json keys compute_episode_metrics reads
-METRIC_META_KEYS = ("metrics", "dt", "route_length", "hazards", "event_label_radius",
-                    "mot_belief_min")
+# the meta.json keys compute_episode_metrics reads, and their shape
+# (logio.check_keys); `metrics` holds exactly MetricParams' fields
+METRIC_META_KEYS = {"metrics": {}, "dt": NUMBER, "route_length": NUMBER,
+                    "hazards": [{"kind": ANY, "x": NUMBER, "y": NUMBER}],
+                    "event_label_radius": NUMBER, "mot_belief_min": NUMBER}
 
 
 @dataclass(frozen=True)
@@ -212,17 +214,17 @@ def _initial_plan(maps: PlanningMaps, ego: VehicleState, goal, ldm: LdmState,
                   spec: ScenarioSpec) -> PlanAttempt:
     """The tick-0 plan from `ego` on `maps`. The LDM is still empty then,
     so the search reads no seeded draw: it runs once per start and goal
-    pose, start steering, planner and vehicle settings, and is kept in
+    pose, start steering and vehicle settings, and is kept in
     `maps.initial_plans`. A hit returns the kept attempt with the lookup's
     wall time as cpu_ms and no field build."""
     t0 = time.perf_counter()
     # the bits of each coordinate, so 0.0 and -0.0 stay apart
-    key = (struct.pack("7d", *ego.pose, ego.steering, *goal), spec.planner, spec.vehicle)
+    key = (struct.pack("7d", *ego.pose, ego.steering, *goal), spec.vehicle)
     attempt = maps.initial_plans.get(key)
     if attempt is None:
         attempt = maps.initial_plans[key] = plan(
-            ego.pose, goal, ldm, spec.planner, spec.vehicle, cause="initial",
-            maps=maps, start_steering=ego.steering)
+            ego.pose, goal, ldm, spec.vehicle, cause="initial", maps=maps,
+            start_steering=ego.steering)
         return attempt
     return replace(attempt, cpu_ms=(time.perf_counter() - t0) * 1000.0,
                    heuristic_ms=0.0)
@@ -291,8 +293,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
         if cause == "initial":
             attempt = _initial_plan(maps, ego, goal, ldm, spec)
         else:
-            attempt = plan(ego.pose, goal, ldm, spec.planner, spec.vehicle,
-                           cause=cause, maps=maps, start_steering=ego.steering)
+            attempt = plan(ego.pose, goal, ldm, spec.vehicle, cause=cause,
+                           maps=maps, start_steering=ego.steering)
         traj = attempt.trajectory
         logs["plans"].append(tick, t, attempt.cause, traj is not None,
                              attempt.expansions, attempt.path_length,
@@ -584,59 +586,24 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
 
 
 def read_meta(path: Path) -> dict:
-    """The object a meta.json holds; any other document is a ValueError
-    naming the file."""
-    meta = read_json(path)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: expected an object, got {type(meta).__name__}")
-    return meta
-
-
-def _check_meta(meta: dict, where: Path) -> None:
-    """Refuse a meta.json compute_episode_metrics cannot read as written,
-    naming the file and the key: a missing key, a `dt`, `route_length`,
-    `event_label_radius` or `mot_belief_min` that is not a number, a
-    `metrics` block that is not an object of exactly MetricParams' fields,
-    or `hazards` that is not a list of objects with the kind and numeric
-    position a claim is labelled by."""
-    missing = [key for key in METRIC_META_KEYS if key not in meta]
-    if missing:
-        raise ValueError(f"{where}: missing key {missing[0]!r}")
-    for key in ("dt", "route_length", "event_label_radius", "mot_belief_min"):
-        _check_number(meta[key], where, key)
+    """The meta.json at `path`, refused naming the file and the key when
+    compute_episode_metrics cannot read it as written: a missing key, a
+    value that is not of its METRIC_META_KEYS shape, or a `metrics` block
+    that is not exactly MetricParams' fields."""
+    meta = read_json(path, METRIC_META_KEYS)
     block = meta["metrics"]
-    if not isinstance(block, dict):
-        raise ValueError(f"{where}: metrics: expected an object, got {type(block).__name__}")
-    names = {f.name for f in fields(MetricParams)}
-    odd = sorted(set(block) ^ names)
+    odd = sorted(set(block) ^ {f.name for f in fields(MetricParams)})
     if odd:
         kind = "unknown" if odd[0] in block else "missing"
-        raise ValueError(f"{where}: metrics: {kind} key {odd[0]!r}")
-    hazards = meta["hazards"]
-    if not isinstance(hazards, list):
-        raise ValueError(f"{where}: hazards: expected a list, got {type(hazards).__name__}")
-    for i, hz in enumerate(hazards):
-        if not isinstance(hz, dict):
-            raise ValueError(f"{where}: hazards[{i}]: expected an object, "
-                             f"got {type(hz).__name__}")
-        missing = [key for key in ("kind", "x", "y") if key not in hz]
-        if missing:
-            raise ValueError(f"{where}: hazards[{i}]: missing key {missing[0]!r}")
-        for key in ("x", "y"):
-            _check_number(hz[key], where, f"hazards[{i}].{key}")
-
-
-def _check_number(value, where: Path, key: str) -> None:
-    """Refuse a meta.json value that is not a JSON number (a bool is not)."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{where}: {key}: expected a number, got {value!r}")
+        raise ValueError(f"{path}: metrics: {kind} key {odd[0]!r}")
+    return meta
 
 
 def replay(log_dir: str | Path) -> EpisodeMetrics:
     """Recompute metrics from a written log directory. A missing file, a
     table whose header or cells are not its declared columns', an
     episode.csv without its row or a meta.json block the metrics cannot
-    read (`_check_meta`) is a ValueError naming it."""
+    read (`read_meta`) is a ValueError naming it."""
     log_dir = Path(log_dir)
     if (log_dir / "logs").is_dir():
         log_dir = log_dir / "logs"
@@ -646,7 +613,6 @@ def replay(log_dir: str | Path) -> EpisodeMetrics:
         raise ValueError(f"{log_dir} is not a complete log directory: "
                          f"missing {', '.join(missing)}")
     meta = read_meta(log_dir / "meta.json")
-    _check_meta(meta, log_dir / "meta.json")
     tables = {name: read_csv(log_dir / f"{name}.csv", columns)
               for name, columns in LOG_COLUMNS.items()}
     if not tables["episode"]["termination"]:
@@ -699,22 +665,16 @@ def run_batch(spec: ScenarioSpec, seeds, out_dir: str | Path | None = None
 
 
 def make_episode_runner(base_specs: dict[str, ScenarioSpec]):
-    """Adapter giving the sweep protocol its (config, scenario, seed) episode.
-
-    Each applied spec runs once per seed: a configuration whose applied spec
-    equals an earlier one's (a poll interval on a spec without an update
-    client) gets that episode's result again.
+    """Adapter giving the sweep protocol its (config, scenario, seed) episode:
+    each call runs one episode of the scenario with `config` applied. The
+    configurations of one grid apply to distinct specs (config_grid refuses
+    a repeated value), so no episode of a sweep runs twice.
     """
-    results: dict = {}
-
     def runner(config, scenario_id: str, seed: int):
         spec = apply_configuration(base_specs[scenario_id], config)
-        key = (spec, seed)
-        if key not in results:
-            result = run_episode(spec, seed)
-            results[key] = (objective_vector(result.metrics, spec.metrics),
-                            result.metrics.collisions > 0)
-        return results[key]
+        result = run_episode(spec, seed)
+        return (objective_vector(result.metrics, spec.metrics),
+                result.metrics.collisions > 0)
     return runner
 
 

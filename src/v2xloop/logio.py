@@ -217,11 +217,42 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_json(path) -> dict:
-    """The document `path` holds; a JSON syntax error is a ValueError that
-    starts with the path."""
+# in a document shape (check_keys): a key that may hold any value, and a number
+ANY = ()
+NUMBER = (int, float)
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", type(None): "null"}
+
+
+def read_json(path, shape=None):
+    """The document `path` holds; a JSON syntax error, or a document without
+    `shape` (check_keys), is a ValueError that starts with the path."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+    return doc if shape is None else check_keys(doc, shape, path)
+
+
+def check_keys(value, shape, where, key: str = ""):
+    """`value`, refused with a ValueError naming `where` and the key unless it
+    has `shape`: {key: shape} for an object holding at least those keys,
+    [shape] for a list of such items, or a tuple of the types a value may
+    have (ANY: any type). A bool is not a number."""
+    at = f"{where}: {key}: " if key else f"{where}: "
+    if isinstance(shape, dict):
+        check_keys(value, (dict,), where, key)
+        for name, sub in shape.items():
+            if name not in value:
+                raise ValueError(f"{at}missing key {name!r}")
+            check_keys(value[name], sub, where, f"{key}.{name}" if key else name)
+    elif isinstance(shape, list):
+        check_keys(value, (list,), where, key)
+        for i, item in enumerate(value):
+            check_keys(item, shape[0], where, f"{key}[{i}]")
+    elif shape and type(value) not in shape:
+        names = " or ".join(dict.fromkeys(_JSON_NAMES[t] for t in shape))
+        got = type(value).__name__ if shape in ((dict,), (list,)) else repr(value)
+        raise ValueError(f"{at}expected {names}, got {got}")
+    return value

@@ -28,11 +28,7 @@ class Configuration:
     config_id: str
     look_ahead: float | None = None
     k_p: float | None = None
-    k_i: float | None = None
-    k_d: float | None = None
     tau_risk: float | None = None
-    hazard_lookahead: float | None = None
-    update_poll_interval: float | None = None
 
 
 @dataclass(frozen=True)
@@ -177,9 +173,10 @@ def hypervolume(points, reference) -> float:
 def config_grid(grid: dict) -> list[Configuration]:
     """Cartesian product of per-field value lists into Configuration objects.
 
-    `grid` maps Configuration fields to non-empty lists of finite numbers;
-    anything else is a ValueError naming `grid.<field>`. The knobs it does
-    not name stay None.
+    `grid` maps Configuration fields to non-empty lists of distinct finite
+    numbers; anything else is a ValueError naming `grid.<field>`. Values
+    that compare equal (1 and 1.0, 0.0 and -0.0) set the same operating
+    point, so they count as a repeat. The knobs it does not name stay None.
     """
     if not isinstance(grid, dict):
         raise ValueError(f"grid: must be an object of value lists, got {grid!r}")
@@ -192,6 +189,9 @@ def config_grid(grid: dict) -> list[Configuration]:
                 and abs(v) <= sys.float_info.max for v in values)):
             raise ValueError(f"grid.{name}: must be a non-empty list of finite "
                              f"numbers, got {values!r}")
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"grid.{name}: repeats the value {v!r}")
     names = sorted(grid)
     combos = list(product(*(grid[n] for n in names)))
     configs = []

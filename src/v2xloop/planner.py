@@ -17,16 +17,16 @@ a node whose cell cannot reach the goal at all is never pushed.
 What bound holds: the field's steps are scaled by cos(pi/8), the least
 ratio of straight-line to octile length, so on open ground the field never
 exceeds the straight-line distance between the cell centres it joins. A
-node reads the field at its cell, and the goal region is goal_xy_tol wide,
+node reads the field at its cell, and the goal region is GOAL_XY_TOL wide,
 so the heuristic may overstate a node's remaining cost by about a cell
-diagonal plus goal_xy_tol. heuristic_weight then inflates it on purpose,
+diagonal plus GOAL_XY_TOL. HEURISTIC_WEIGHT then inflates it on purpose,
 and the closed set keeps only the first state to reach each bin. So the
 search returns a feasible path but no proven factor of optimal. The bound
 holds with tracks and accepted events too, because the field prices the
 very grid the search checks: the static map's field (kept in the map
 version's PlanningMaps) when obstacle_grid stamps no cell beyond it, and
-otherwise the stamped grid's field, kept in the one stamped slot of the
-PlanningMaps until a plan stamps other cells. So a replan round an accepted
+otherwise the stamped grid's field, kept beside it in the PlanningMaps
+until a plan stamps other cells. So a replan round an accepted
 hazard does not flood round its stamp either, and the sweep's operating
 points at one seed, which stamp the same hazard, build its field once.
 
@@ -81,7 +81,18 @@ EVENT_MARGIN = 0.5                    # [m] accepted-event padding; fused
 STATIC_SPEED_FLOOR = 0.75             # [m/s] below this a track is stamped
                                       # in place, not velocity-extrapolated
 PREFIX_HORIZON = 3.0                  # [s] plan prefix checked for risk
-# search: a node ends it within goal_xy_tol of the goal and this of its heading
+# search. The planning grid's cell_size sets the spatial resolution: the
+# closed set bins states by grid cell and heading bin, and a primitive is
+# sampled at most 0.8 cell apart along its arc
+HEADING_BINS = 36
+STEERING_SAMPLES = 5                  # odd: straight plus both locks
+PRIMITIVE_ARC_LENGTH = 2.0            # [m]
+STEERING_CHANGE_WEIGHT = 0.5
+LATERAL_WEIGHT = 0.3                  # [1/m] route-deviation cost per meter
+HEURISTIC_WEIGHT = 1.2                # >1 trades optimality for speed
+MAX_EXPANSIONS = 200_000
+# a node ends the search within these of the goal's position and heading
+GOAL_XY_TOL = 1.0                     # [m]
 GOAL_HEADING_TOL = math.radians(10.0)
 # speed profile
 CRUISE_SPEED = 8.0                    # [m/s]
@@ -89,53 +100,24 @@ PASS_SPEED = 3.0                      # [m/s] target alongside a hazard
 COMFORT_DECEL = 1.0                   # [m/s^2] sets the slowdown envelope
 SLOWDOWN_MARGIN = 1.5                 # envelope = margin * v^2 / (2 * decel)
 GOAL_RAMP_DISTANCE = 10.0             # [m]
-# trigger: an accepted hazard counts within this lateral distance of the plan
+# trigger: an accepted hazard counts within this distance ahead along the
+# plan and this lateral distance of it
+HAZARD_LOOKAHEAD = 50.0               # [m]
 HAZARD_CORRIDOR = 2.0                 # [m]
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Search settings; the obstacle layer and speed profile are the module
-    constants above. The planning grid's cell_size sets the spatial
-    resolution: the closed set bins states by grid cell and heading bin,
-    and a primitive is sampled at most 0.8 cell apart along its arc."""
-
-    heading_bins: int = 36
-    steering_samples: int = 5             # includes 0 and both extremes
-    primitive_arc_length: float = 2.0     # [m]
-    goal_xy_tol: float = 1.0              # [m]
-    steering_change_weight: float = 0.5
-    lateral_weight: float = 0.3           # [1/m] route-deviation cost per meter
-    heuristic_weight: float = 1.2         # >1 trades optimality for speed
-    max_expansions: int = 200_000
-
-    def __post_init__(self):
-        """Reject settings the search cannot run with, naming the field."""
-        check_range(self, ("heading_bins",), lo=1)
-        if self.steering_samples < 3 or self.steering_samples % 2 == 0:
-            raise ValueError("steering_samples: must be odd and >= 3 (straight "
-                             f"plus both locks), got {self.steering_samples}")
-        check_range(self, ("primitive_arc_length", "goal_xy_tol",
-                           "heuristic_weight"), strict=True)
-        # a negative weight makes a step cost negative, and the cost-to-goal
-        # Dijkstra would relax round a negative cycle without end
-        check_range(self, ("max_expansions", "steering_change_weight",
-                           "lateral_weight"))
 
 
 @dataclass(frozen=True)
 class TriggerConfig:
     """When to replan. An accepted hazard fires if it lies within
-    hazard_lookahead ahead of the ego along the plan and within
+    HAZARD_LOOKAHEAD ahead of the ego along the plan and within
     HAZARD_CORRIDOR of the plan laterally; a rollout TTC below tau_risk
     fires too."""
 
-    hazard_lookahead: float = 50.0        # [m] along the plan
     tau_risk: float = 2.5                 # [s]
 
     def __post_init__(self):
-        # 0 already switches a trigger off; a negative value would too, quietly
-        check_range(self, ("hazard_lookahead", "tau_risk"))
+        # 0 already switches the trigger off; a negative value would too, quietly
+        check_range(self, ("tau_risk",))
 
 
 HAZARD_ON_ROUTE = "hazard_on_route"
@@ -399,22 +381,20 @@ class PlanningMaps:
     """The read-only maps every plan on one map version searches: the
     inflated static grid (world.planning_occupancy), the route deviation
     field (route_deviation_field) of the same shape, and in `fields` the
-    static grid's cost-to-goal field per (goal x, goal y, lateral_weight),
-    stored by the first plan that searches it. `stamped` holds at most one
-    entry: the cost-to-goal field of the last stamped grid a plan searched,
-    under (goal x, goal y, lateral_weight, the bytes of the flat indices
-    where that grid differs from `grid`), the inputs it is a pure function
-    of. A plan that stamps other cells replaces it, so the maps hold one
-    stamped field however many seeds stamp their own. `initial_plans`
-    keeps the PlanAttempt of an episode's tick-0 plan, which reads no LDM
-    content, per (start and goal bits, PlannerConfig, VehicleParams); the
-    harness fills and reads it. An all-zero deviation field prices no
-    deviation."""
+    cost-to-goal fields plans searched: the static grid's per (goal x,
+    goal y), stored by the first plan that searches it, and at most one
+    stamped grid's, the last a plan searched, under (goal x, goal y, the
+    bytes of the flat indices where that grid differs from `grid`), the
+    inputs it is a pure function of. A plan that stamps other cells
+    replaces that entry, so the maps hold one stamped field however many
+    seeds stamp their own. `initial_plans` keeps the PlanAttempt of an
+    episode's tick-0 plan, which reads no LDM content, per (start and goal
+    bits, VehicleParams); the harness fills and reads it. An all-zero
+    deviation field prices no deviation."""
 
     grid: OccupancyGrid
     deviation: np.ndarray
     fields: dict = field(init=False, repr=False, default_factory=dict)
-    stamped: dict = field(init=False, repr=False, default_factory=dict)
     initial_plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -433,11 +413,11 @@ class PlanningMaps:
 # hybrid A*
 
 
-def _primitives(cfg: PlannerConfig, vparams: VehicleParams, cell_size: float):
+def _primitives(vparams: VehicleParams, cell_size: float):
     """Body-frame arc samples per steering value; reused across expansions.
     Samples lie at most 0.8 * cell_size apart, closer than one grid cell."""
-    steers = np.linspace(-vparams.max_steer, vparams.max_steer, cfg.steering_samples)
-    arc = cfg.primitive_arc_length
+    steers = np.linspace(-vparams.max_steer, vparams.max_steer, STEERING_SAMPLES)
+    arc = PRIMITIVE_ARC_LENGTH
     substep = max(2, int(math.ceil(arc / (0.8 * cell_size))))
     s = np.linspace(arc / substep, arc, substep)
     pts = np.zeros((len(steers), substep, 2))
@@ -472,23 +452,22 @@ def _arcs_from(rotated: np.ndarray, x: float, y: float) -> np.ndarray:
     return rotated + (x, y)
 
 
-def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
-         vparams: VehicleParams, cause: str, maps: PlanningMaps,
-         start_steering: float) -> PlanAttempt:
+def plan(start_pose, goal_pose, ldm: LdmState, vparams: VehicleParams,
+         cause: str, maps: PlanningMaps, start_steering: float) -> PlanAttempt:
     """Search a drivable path and attach its target speed profile.
 
     obstacle_grid stamps the LDM into `maps.grid`, and `maps.deviation`
     prices distance from the route reference so the optimum keeps the lane
     instead of cutting it. When the stamp blocks no cell beyond
     `maps.grid`, the search reads the static grid's cost-to-goal field
-    for the goal and cfg.lateral_weight from `maps.fields`, building and
-    storing it on the first such plan; when tracks or accepted events do
-    block cells, it reads cost_to_goal_field of that stamped grid from
-    `maps.stamped` if the last stamped plan toward this goal and weight
-    blocked the same cells, and otherwise builds it there in place of the
-    kept one. Either field is read-only. The time of a build is the
-    attempt's heuristic_ms, inside its cpu_ms; a hit reads 0. A node is
-    pushed with heuristic_weight * max(its Euclidean distance to the goal,
+    for the goal from `maps.fields`, building and storing it on the first
+    such plan; when tracks or accepted events do block cells, it reads
+    cost_to_goal_field of that stamped grid from `maps.fields` if the last
+    stamped plan toward this goal blocked the same cells, and otherwise
+    builds it there in place of the kept stamped one. Either field is
+    read-only. The time of a build is the attempt's heuristic_ms, inside
+    its cpu_ms; a hit reads 0. A node is
+    pushed with HEURISTIC_WEIGHT * max(its Euclidean distance to the goal,
     the field at its cell), and a node whose cell reads inf is not pushed.
     Returns a failed attempt (trajectory None) when the goal is unreachable
     within the expansion budget; the caller is expected to fall back to a
@@ -511,37 +490,37 @@ def plan(start_pose, goal_pose, ldm: LdmState, cfg: PlannerConfig,
     cells = grid.cells
     ny, nx = cells.shape
     stamp = np.flatnonzero(cells != maps.grid.cells)
-    field_key = (gx, gy, cfg.lateral_weight)
-    kept = maps.fields
+    field_key = (gx, gy)
     if stamp.size:
         field_key += (stamp.tobytes(),)
-        kept = maps.stamped
+    kept = maps.fields
     cost_to_goal = kept.get(field_key)
     heuristic_ms = 0.0
     if cost_to_goal is None:
         t_field = time.perf_counter()
         cost_to_goal = cost_to_goal_field(grid, maps.deviation, (gx, gy),
-                                          cfg.lateral_weight)
+                                          LATERAL_WEIGHT)
         heuristic_ms = (time.perf_counter() - t_field) * 1000.0
         cost_to_goal.setflags(write=False)
-        if stamp.size:
-            kept.clear()            # one stamped field per PlanningMaps
+        if stamp.size:              # one stamped field per PlanningMaps
+            for key in [key for key in kept if len(key) == 3]:
+                del kept[key]
         kept[field_key] = cost_to_goal
     inv_res = 1.0 / grid.cell_size
-    bin_size = TWO_PI / cfg.heading_bins
-    n_bins = cfg.heading_bins
-    hw = cfg.heuristic_weight
-    goal_xy_tol, goal_heading_tol = cfg.goal_xy_tol, GOAL_HEADING_TOL
-    max_expansions = cfg.max_expansions
+    bin_size = TWO_PI / HEADING_BINS
+    n_bins = HEADING_BINS
+    hw = HEURISTIC_WEIGHT
+    goal_xy_tol, goal_heading_tol = GOAL_XY_TOL, GOAL_HEADING_TOL
+    max_expansions = MAX_EXPANSIONS
 
-    steers, prim_pts, prim_dth = _primitives(cfg, vparams, grid.cell_size)
+    steers, prim_pts, prim_dth = _primitives(vparams, grid.cell_size)
     substep = prim_pts.shape[1]
-    arc = cfg.primitive_arc_length
+    arc = PRIMITIVE_ARC_LENGTH
     # per-plan constants, each evaluated in the order the per-push cost is
-    # summed: arc + steering change, then + (lateral_weight * arc) * deviation
-    step_cost = (arc + cfg.steering_change_weight
+    # summed: arc + steering change, then + (LATERAL_WEIGHT * arc) * deviation
+    step_cost = (arc + STEERING_CHANGE_WEIGHT
                  * np.abs(steers[None, :] - steers[:, None])).tolist()
-    lateral_arc = cfg.lateral_weight * arc
+    lateral_arc = LATERAL_WEIGHT * arc
     end_dth = prim_dth[:, -1].tolist()
     # cost table: the deviation on free cells, inf on blocked cells and on
     # one border row and column past the far edges. A cell index clamped
@@ -766,7 +745,7 @@ def check_triggers(ldm: LdmState, traj: Trajectory, s_plan: float,
     no side effects.
 
     hazard_on_route fires for an event that projects onto `traj` within
-    [s_plan, s_plan + hazard_lookahead] of arc length and HAZARD_CORRIDOR
+    [s_plan, s_plan + HAZARD_LOOKAHEAD] of arc length and HAZARD_CORRIDOR
     of it laterally, `s_plan` being the ego's arc length along `traj`. It
     fires only for events accepted after the plan was made, so one
     acceptance causes one replan rather than one per tick. `risk_ttc` is
@@ -778,7 +757,7 @@ def check_triggers(ldm: LdmState, traj: Trajectory, s_plan: float,
         if ev.accepted_at is None or ev.accepted_at <= traj.planned_at:
             continue
         s, lateral, _ = traj.path.project(ev.position)
-        if s_plan <= s <= s_plan + trig.hazard_lookahead and abs(lateral) <= HAZARD_CORRIDOR:
+        if s_plan <= s <= s_plan + HAZARD_LOOKAHEAD and abs(lateral) <= HAZARD_CORRIDOR:
             fired.append(HAZARD_ON_ROUTE)
             break
     if risk_ttc < trig.tau_risk:

@@ -31,7 +31,7 @@ from .gate import GateConfig
 from .metrics import MetricParams
 from .pareto import Configuration
 from .perception import SensorModel
-from .planner import CRUISE_SPEED, PlannerConfig, TriggerConfig
+from .planner import CRUISE_SPEED, GOAL_XY_TOL, PRIMITIVE_ARC_LENGTH, TriggerConfig
 from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation
 from .vehicle import VehicleParams
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
@@ -40,6 +40,11 @@ from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
                     polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
+
+# map polling, when a scenario has an update_client
+POLL_INTERVAL = 2.0                   # [s]
+DOWNLOAD_LATENCY_MEAN = 1.1           # [s]
+DOWNLOAD_LATENCY_JITTER = 0.2         # [s] Gaussian sigma
 
 
 @dataclass(frozen=True)
@@ -82,27 +87,17 @@ class ScriptedVehicle:
 
 @dataclass(frozen=True)
 class UpdateClientConfig:
-    poll_interval: float = 2.0            # [s]
-    download_latency_mean: float = 1.1    # [s]
-    download_latency_jitter: float = 0.2  # [s] Gaussian sigma
-
-    def __post_init__(self):
-        # an interval shorter than a tick polls every tick
-        check_range(self, ("poll_interval", "download_latency_mean",
-                           "download_latency_jitter"))
+    """The map-update client; a scenario that has one polls the map server."""
 
     def polls_at(self, tick: int, dt: float) -> bool:
-        """Whether the client polls on `tick`: every poll_interval, rounded
+        """Whether the client polls on `tick`: every POLL_INTERVAL, rounded
         to whole ticks (at least one), from the first tick after 0."""
-        return tick > 0 and tick % max(1, int(round(self.poll_interval / dt))) == 0
+        return tick > 0 and tick % max(1, int(round(POLL_INTERVAL / dt))) == 0
 
     def download_latency(self, rng) -> float:
-        """One poll's download time: mean + jitter * N(0, 1), at least 0.05 s.
-        `rng` is drawn from only when the jitter is positive."""
-        latency = self.download_latency_mean
-        if self.download_latency_jitter > 0.0:
-            latency += self.download_latency_jitter * float(rng.normal())
-        return max(0.05, latency)
+        """One poll's download time: DOWNLOAD_LATENCY_MEAN +
+        DOWNLOAD_LATENCY_JITTER * N(0, 1), at least 0.05 s."""
+        return max(0.05, DOWNLOAD_LATENCY_MEAN + DOWNLOAD_LATENCY_JITTER * float(rng.normal()))
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,6 @@ class ScenarioSpec:
     attack: AttackPolicy | None = None
     gate: GateConfig = GateConfig()
     triggers: TriggerConfig = TriggerConfig()
-    planner: PlannerConfig = PlannerConfig()
     controller: ControllerConfig = ControllerConfig()
     metrics: MetricParams = MetricParams()
     update_client: UpdateClientConfig | None = None
@@ -141,11 +135,11 @@ class ScenarioSpec:
         # path spec_from_dict reports
         check_range(self, ("dt",), strict=True)
         check_range(self, ("time_limit",))
-        if self.planner.goal_xy_tol > self.goal_tolerance:
+        if self.goal_tolerance < GOAL_XY_TOL:
             # the plan could then end inside the planner's goal region but
             # outside the episode's, where the ego holds still until timeout
-            raise ValueError(f"planner.goal_xy_tol: must not exceed goal_tolerance="
-                             f"{self.goal_tolerance}, got {self.planner.goal_xy_tol}")
+            raise ValueError(f"goal_tolerance: must be at least the planner's "
+                             f"GOAL_XY_TOL={GOAL_XY_TOL}, got {self.goal_tolerance}")
         if not all(map(math.isfinite, self.ego_start)):
             raise ValueError(f"ego_start: must be finite, got {self.ego_start}")
         # the planner's cost-to-goal field is a Dijkstra from the goal's cell,
@@ -162,11 +156,13 @@ class ScenarioSpec:
         if not 0.0 <= speed <= v_max:
             raise ValueError(f"ego_start: speed must be in [0, {v_max:g}] m/s, "
                              f"got {speed:g}")
-        # a longer motion primitive leaves the map from anywhere on it
+        # a motion primitive longer than the diagonal leaves the map from
+        # anywhere on it
         diagonal = math.hypot(*self.vmap.size)
-        if self.planner.primitive_arc_length > diagonal:
-            raise ValueError(f"planner.primitive_arc_length: must not exceed the map "
-                             f"diagonal {diagonal:g}, got {self.planner.primitive_arc_length}")
+        if diagonal < PRIMITIVE_ARC_LENGTH:
+            raise ValueError(f"vmap.size: the map diagonal must be at least the "
+                             f"planner's PRIMITIVE_ARC_LENGTH={PRIMITIVE_ARC_LENGTH}, "
+                             f"got {diagonal:g}")
         if self.attack is not None and self.stations is None:
             raise ValueError("scenario.attack needs scenario.stations: "
                              "the attackers are stations")
@@ -191,32 +187,23 @@ class ScenarioSpec:
 
 
 def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSpec:
-    """Overlay one swept operating point onto a scenario: only the knobs
-    `config` sets, so `Configuration(id)` leaves the spec as it is.
+    """Overlay one swept operating point onto a scenario's controller and
+    triggers: only the knobs `config` sets, so `Configuration(id)` leaves
+    the spec as it is.
 
     The swept look_ahead is the carrot distance at cruise speed; the
-    speed-scaled bounds stretch around it proportionally. The poll interval
-    only acts on a spec that polls, i.e. has an update_client, but a value
-    no client could take is refused on any spec.
+    speed-scaled bounds stretch around it proportionally.
     """
-    def knobs(**values):
-        return {name: v for name, v in values.items() if v is not None}
-
-    controller = replace(spec.controller, **knobs(k_p=config.k_p, k_i=config.k_i,
-                                                  k_d=config.k_d))
+    controller, triggers = spec.controller, spec.triggers
+    if config.k_p is not None:
+        controller = replace(controller, k_p=config.k_p)
     la = config.look_ahead
     if la is not None:
         controller = replace(controller, look_ahead_gain=la / CRUISE_SPEED,
                              look_ahead_min=la / 2.0, look_ahead_max=1.5 * la)
-    triggers = replace(spec.triggers, **knobs(tau_risk=config.tau_risk,
-                                              hazard_lookahead=config.hazard_lookahead))
-    client = spec.update_client
-    if config.update_poll_interval is not None:
-        polling = replace(client or UpdateClientConfig(),
-                          poll_interval=config.update_poll_interval)
-        client = polling if client is not None else None
-    return replace(spec, controller=controller, triggers=triggers,
-                   update_client=client)
+    if config.tau_risk is not None:
+        triggers = replace(triggers, tau_risk=config.tau_risk)
+    return replace(spec, controller=controller, triggers=triggers)
 
 
 # ---------------------------------------------------------------------------

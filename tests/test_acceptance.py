@@ -25,7 +25,7 @@ from v2xloop.logio import read_csv, rows
 from v2xloop.metrics import clear_mot, command_variance, lateral_rmse
 from v2xloop.pareto import (config_grid, evaluate_grid, hypervolume,
                             nondominated_set, normalize)
-from v2xloop.planner import (PREFIX_HORIZON, PlannerConfig, PlanningMaps,
+from v2xloop.planner import (PREFIX_HORIZON, PlanningMaps,
                              Trajectory, obstacle_grid, plan, ttc_min)
 from v2xloop.scenarios import build_s2, build_s3, build_s4
 from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature, step
@@ -289,7 +289,6 @@ def _corridor_instance(rng):
 
 
 def test_06_planner_success_rate_and_bounds(pytestconfig):
-    cfg = PlannerConfig()
     rng = np.random.default_rng(606)
     k_max = max_curvature(VP)
     failures = 0
@@ -303,7 +302,7 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         # does; no deviation field prices none
         base = planning_occupancy(vmap, ldm.active_map, VP.collision_radius)
         maps = PlanningMaps(base, np.zeros(base.cells.shape))
-        attempt = plan(start, goal, ldm, cfg, VP, "initial", maps, 0.0)
+        attempt = plan(start, goal, ldm, VP, "initial", maps, 0.0)
         if not attempt.succeeded:
             failures += 1
             continue

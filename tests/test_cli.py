@@ -1,6 +1,7 @@
 """End-to-end command-line coverage driving main() in process."""
 
 import json
+import shutil
 from dataclasses import fields
 
 import pytest
@@ -102,12 +103,15 @@ def test_batch_and_report(tmp_path, capsys):
 
 
 def test_empty_seed_list_exits_with_message(tmp_path):
-    with pytest.raises(SystemExit, match="seeds must not be empty"):
-        main(["batch", "--scenario", "s1", "--seeds", ""])
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"look_ahead": [4.0]}))
-    with pytest.raises(SystemExit, match="seeds must not be empty"):
-        main(["sweep", "--grid", str(grid), "--scenarios", "s1", "--seeds", ""])
+    for argv in (["batch", "--scenario", "s1"],
+                 ["sweep", "--grid", str(grid), "--scenarios", "s1"]):
+        for seeds in ("", " , ", "3..1"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seeds", seeds])
+            assert str(exc.value) == (f"v2xloop {argv[0]}: --seeds: must name at "
+                                      f"least one seed, got {seeds.strip()!r}")
     with pytest.raises(SystemExit, match="scenario_ids must not be empty"):
         main(["sweep", "--grid", str(grid), "--scenarios", "", "--seeds", "1"])
 
@@ -278,6 +282,59 @@ def test_replay_of_a_malformed_meta_json_exits_with_one_line(tmp_path, capsys, r
     assert capsys.readouterr().out == ""
 
 
+@pytest.fixture(scope="module")
+def written_runs(tmp_path_factory):
+    """An s1 episode, batch and sweep directory, written once for the
+    damaged-results cases, which each damage a copy."""
+    root = tmp_path_factory.mktemp("runs")
+    (root / "grid.json").write_text(json.dumps({"k_p": [0.4, 0.6]}))
+    main(["run", "--scenario", "s1", "--seed", "5", "--out", str(root / "ep")])
+    main(["batch", "--scenario", "s1", "--seeds", "1,2", "--out", str(root / "batch")])
+    main(["sweep", "--grid", str(root / "grid.json"), "--scenarios", "s1",
+          "--seeds", "1", "--out", str(root / "sweep")])
+    return root
+
+
+@pytest.mark.parametrize("command, run, name, damage, message", [
+    ("replay", "ep", "summary.json", lambda d: {"scenario_id": "s1", "seed": 1},
+     "missing key 'termination'"),
+    ("replay", "ep", "summary.json", lambda d: [1], "expected an object, got list"),
+    ("replay", "ep", "summary.json", lambda d: {**d, "metrics": 3},
+     "metrics: expected an object, got int"),
+    ("report", "ep", "summary.json", lambda d: {"scenario_id": "s1", "seed": 1},
+     "missing key 'termination'"),
+    ("report", "ep", "summary.json", lambda d: {**d, "sim_time": "1.0"},
+     "sim_time: expected a number, got '1.0'"),
+    ("report", "batch", "batch.json", lambda d: {k: v for k, v in d.items() if k != "aggregate"},
+     "missing key 'aggregate'"),
+    ("report", "batch", "batch.json",
+     lambda d: {**d, "episodes": [{"seed": 1, "metrics": {}}]},
+     "episodes[0].metrics: missing key 'termination'"),
+    ("report", "sweep", "pareto.json", lambda d: {k: v for k, v in d.items() if k != "seeds"},
+     "missing key 'seeds'"),
+    ("report", "sweep", "pareto.json",
+     lambda d: {**d, "knee": {**d["knee"], "objectives": ["x"]}},
+     "knee.objectives[0]: expected a number, got 'x'"),
+], ids=["replay-summary-key-missing", "replay-summary-not-object",
+        "replay-summary-metrics-not-object", "report-summary-key-missing",
+        "report-summary-sim-time-text", "batch-aggregate-missing",
+        "batch-episode-termination-missing", "pareto-seeds-missing",
+        "pareto-knee-objective-text"])
+def test_a_damaged_results_file_exits_with_one_line(tmp_path, capsys, written_runs,
+                                                    command, run, name, damage, message):
+    # each of these exited with a KeyError or TypeError traceback
+    out = tmp_path / run
+    shutil.copytree(written_runs / run, out)
+    write_json(out / name, damage(read_json(out / name)))
+    capsys.readouterr()
+    flag = "--log" if command == "replay" else "--in"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(out)])
+    assert str(exc.value) == f"v2xloop {command}: {out / name}: {message}"
+    # replay reports its metrics first; report prints nothing
+    assert command == "replay" or capsys.readouterr().out == ""
+
+
 def test_a_json_syntax_error_exits_with_one_line_naming_the_file(tmp_path, capsys):
     out = tmp_path / "ep"
     main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])
@@ -326,14 +383,17 @@ def test_sweep_rejects_unknown_scenario(tmp_path):
     ({"k_p": []}, "grid.k_p: must be a non-empty list of finite numbers, got []"),
     ({"look_ahead": [4.0, -1]},
      "grid.look_ahead: -1 on s1: look_ahead_min: must be finite and > 0, got -0.5"),
-    ({"update_poll_interval": [-1.0]},
-     "grid.update_poll_interval: -1.0 on s1: poll_interval: must be finite and >= 0, "
-     "got -1.0"),
-], ids=["scalar", "string", "empty", "refused-by-spec", "unused-by-spec"])
+    ({"k_i": [0.1]},
+     "grid.k_i: unknown field, expected one of ['k_p', 'look_ahead', 'tau_risk']"),
+    ({"k_p": [0.4, 0.4]}, "grid.k_p: repeats the value 0.4"),
+], ids=["scalar", "string", "empty", "refused-by-spec", "unused-by-spec", "repeated"])
 def test_sweep_rejects_a_bad_grid_with_one_line(tmp_path, grid, message):
     # a scalar was a TypeError traceback, a string crashed mid-episode, an
-    # empty list swept nothing, a value the spec refuses ran episodes first
-    # and a poll interval on a spec that does not poll went into sweep.csv
+    # empty list swept nothing, a value the spec refuses ran episodes first,
+    # a poll interval on a spec that does not poll went into sweep.csv (the
+    # integral gain, like the poll interval, is no knob now: no spec varies
+    # it) and a repeated value wrote two rows of one point, both on the
+    # frontier
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
     with pytest.raises(SystemExit) as exc:

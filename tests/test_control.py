@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2xloop.control import (INTEGRAL_CLAMP, ControlCommand, ControllerConfig,
+from v2xloop.control import (INTEGRAL_CLAMP, K_I, ControlCommand, ControllerConfig,
                              PidState, follow_tick, pid_longitudinal, pure_pursuit,
                              safety_stop_command)
 from v2xloop.planner import Trajectory
@@ -88,7 +88,7 @@ def test_pure_pursuit_chases_final_pose_past_end():
 def test_pid_proportional_only_first_step():
     u, st1 = pid_longitudinal(1.0, PidState(), CFG, dt=0.05)
     # first step: no derivative kick, integral contributes one dt
-    expected = CFG.k_p * 1.0 + CFG.k_i * (1.0 * 0.05)
+    expected = CFG.k_p * 1.0 + K_I * (1.0 * 0.05)
     assert u == pytest.approx(expected)
     assert st1.initialized
     assert st1.prev_error == 1.0

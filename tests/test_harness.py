@@ -297,7 +297,7 @@ def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
     # field built once for all seeds
     assert len(calls["deviation"]) == len(calls["to_goal"]) == 2
     maps_key = (spec.route.reference_path, spec.vehicle.collision_radius)
-    field_key = (*spec.route.goal_pose[:2], spec.planner.lateral_weight)
+    field_key = spec.route.goal_pose[:2]
     for version in spec.vmap.versions:
         assert set(version.planning_memo) == {maps_key}
         maps = version.planning_memo[maps_key]
@@ -313,12 +313,6 @@ def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
     # a configured copy shares the map objects, so it starts warm
     run_episode(apply_configuration(spec, Configuration(config_id="c")), 4)
     assert len(calls["deviation"]) == len(calls["to_goal"]) == 2
-    # another lateral_weight shares the maps but prices deviation otherwise,
-    # so it gets a field of its own on each version
-    other = replace(spec, planner=replace(spec.planner, lateral_weight=0.6))
-    run_episode(other, 1)
-    assert len(calls["deviation"]) == 2 and len(calls["to_goal"]) == 4
-    assert all(len(v.planning_memo[maps_key].fields) == 2 for v in spec.vmap.versions)
     # a freshly built spec starts cold, and its document carries no memo
     assert all(not v.planning_memo for v in build_s3().vmap.versions)
     assert "planning_memo" not in str(spec_to_dict(spec))
@@ -423,9 +417,8 @@ def test_run_sweep_outputs(tmp_path):
     assert table["k_p"] == [None, None]
     header = (out / "sweep.csv").read_text().splitlines()[0].split(",")
     # config_id and the swept knobs are Configuration's fields, in order
-    assert header[:8] == [f.name for f in fields(Configuration)]
-    assert header == ["config_id", "look_ahead", "k_p", "k_i", "k_d", "tau_risk",
-                      "hazard_lookahead", "update_poll_interval", "j_trk",
+    assert header[:4] == [f.name for f in fields(Configuration)]
+    assert header == ["config_id", "look_ahead", "k_p", "tau_risk", "j_trk",
                       "j_sfty", "j_resp", "j_smth", "j_eng", "collided",
                       "on_frontier", "is_knee"]
     report = read_json(out / "pareto.json")
@@ -474,27 +467,26 @@ def test_sweep_point_at_the_scenarios_own_knob_is_its_run(sid):
 
 
 def test_sweep_runs_each_applied_spec_once(tmp_path, monkeypatch):
-    grid = {"update_poll_interval": [1.0, 2.0, 4.0]}
+    grid = {"tau_risk": [1.0, 2.0, 4.0]}
     original, seen = harness.run_episode, []
 
     def counted(spec, seed, out_dir=None):
-        seen.append((spec.scenario_id, seed))
+        seen.append((spec.scenario_id, spec.triggers.tau_risk, seed))
         return original(spec, seed, out_dir)
 
     monkeypatch.setattr(harness, "run_episode", counted)
     run_sweep(grid, ["s1", "s3"], [1], tmp_path / "all")
-    # s1 does not poll for map updates, so every interval gives the same
-    # applied spec; s3 polls, so there each interval is an episode of its own
-    assert seen == [("s1", 1), ("s3", 1), ("s3", 1), ("s3", 1)]
+    # each configuration runs once on each scenario, and no two alike
+    assert seen == [(sid, tau, 1) for sid in ("s1", "s3") for tau in grid["tau_risk"]]
     monkeypatch.undo()
 
     # every config keeps the row a sweep of it alone gives; which points are
     # on the frontier and the knee depends on the other points
     table = read_csv(tmp_path / "all" / "sweep.csv", SWEEP_COLS)
     assert len(table["config_id"]) == 3
-    for i, interval in enumerate(grid["update_poll_interval"]):
+    for i, tau in enumerate(grid["tau_risk"]):
         out = tmp_path / f"one-{i}"
-        run_sweep({"update_poll_interval": [interval]}, ["s1", "s3"], [1], out)
+        run_sweep({"tau_risk": [tau]}, ["s1", "s3"], [1], out)
         alone = read_csv(out / "sweep.csv", SWEEP_COLS)
         for column in set(SWEEP_COLS) - {"config_id", "on_frontier", "is_knee"}:
             assert alone[column] == [table[column][i]], column

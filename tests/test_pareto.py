@@ -191,10 +191,8 @@ def test_config_grid_product_and_ids():
     assert configs[0].k_p == 0.4 and configs[0].look_ahead == 3.0
     assert configs[1].k_p == 0.4 and configs[1].look_ahead == 4.0
     assert configs[2].k_p == 0.6
-    # the knobs the grid leaves out stay None: each scenario keeps its own
-    assert all(getattr(c, name) is None for c in configs
-               for name in ("k_i", "k_d", "tau_risk", "hazard_lookahead",
-                            "update_poll_interval"))
+    # the knob the grid leaves out stays None: each scenario keeps its own
+    assert all(c.tau_risk is None for c in configs)
 
 
 def test_config_grid_rejects_unknown_fields():
@@ -215,9 +213,20 @@ def test_config_grid_rejects_what_is_not_a_list_of_finite_numbers(grid, field):
         config_grid(grid)
 
 
+@pytest.mark.parametrize("values, repeat", [
+    ([0.4, 0.4], "0.4"), ([0.4, 0.6, 0.4], "0.4"), ([1, 1.0], "1.0"),
+    ([0.0, -0.0], "-0.0"),
+], ids=["twice", "apart", "int-and-float", "signed-zeros"])
+def test_config_grid_refuses_a_repeated_value(values, repeat):
+    # two equal values would be two rows of one operating point, both on the
+    # frontier, each a run of the same episodes
+    with pytest.raises(ValueError, match=f"^grid\\.k_p: repeats the value {repeat}$"):
+        config_grid({"look_ahead": [4.0], "k_p": values})
+
+
 def test_config_grid_accepts_ints_and_floats():
-    configs = config_grid({"update_poll_interval": [1, 2.5], "k_p": [0]})
-    assert [c.update_poll_interval for c in configs] == [1, 2.5]
+    configs = config_grid({"tau_risk": [1, 2.5], "k_p": [0]})
+    assert [c.tau_risk for c in configs] == [1, 2.5]
 
 
 def test_configuration_as_dict_roundtrip():

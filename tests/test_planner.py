@@ -13,7 +13,7 @@ from oracles import route_deviation_everywhere
 from v2xloop import planner
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
-                             OCTILE_SCALE, PlannerConfig, PlanAttempt,
+                             OCTILE_SCALE, PlanAttempt,
                              PlanningMaps,
                              RISK_THRESHOLD, TWO_PI, Trajectory, TriggerConfig,
                              _primitives,
@@ -26,7 +26,6 @@ from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Route,
                            empty_grid, inflate, planning_occupancy, wrap_angle)
 
-CFG = PlannerConfig()
 TRIG = TriggerConfig()
 VP = VehicleParams()
 
@@ -69,12 +68,22 @@ def _maps(base=ROAD_BASE, deviation_field=None):
     return PlanningMaps(base, deviation_field)
 
 
-def _plan(start, ldm, cfg=CFG, cause="initial", start_steering=0.0,
+def _plan(start, ldm, cause="initial", start_steering=0.0,
           deviation_field=None, goal=ROUTE.goal_pose, maps=None):
     """`plan` with `maps`, or with fresh `_maps` of ROAD."""
     if maps is None:
         maps = _maps(ROAD_BASE, deviation_field)
-    return plan(start, goal, ldm, cfg, VP, cause, maps, start_steering)
+    return plan(start, goal, ldm, VP, cause, maps, start_steering)
+
+
+def _static(maps):
+    """The static grid's cost-to-goal fields among `maps.fields`."""
+    return {key: f for key, f in maps.fields.items() if len(key) == 2}
+
+
+def _stamped(maps):
+    """The stamped grids' cost-to-goal fields among `maps.fields`."""
+    return {key: f for key, f in maps.fields.items() if len(key) == 3}
 
 
 def _grid(ldm, start_xy=ROUTE.reference_path.points[0], base=ROAD_BASE):
@@ -85,7 +94,7 @@ def _check_plan(attempt, goal):
     assert attempt.succeeded
     traj = attempt.trajectory
     end = traj.poses[-1]
-    assert math.hypot(end[0] - goal[0], end[1] - goal[1]) <= CFG.goal_xy_tol + 1e-9
+    assert math.hypot(end[0] - goal[0], end[1] - goal[1]) <= planner.GOAL_XY_TOL + 1e-9
     return traj
 
 
@@ -167,7 +176,7 @@ def test_plan_pushes_no_node_the_static_map_cuts_off_from_the_goal():
     goal = (25.0, 10.0, 0.0)
     maps = _maps(base)
     attempt = _plan((5.0, 10.0, 0.0), ldm, goal=goal, maps=maps)
-    to_goal = maps.fields[(*goal[:2], CFG.lateral_weight)]
+    to_goal = maps.fields[goal[:2]]
     assert math.isinf(to_goal[20, 10]) and to_goal[20, 50] == 0.0
     assert not attempt.succeeded
     assert attempt.expansions == 1
@@ -188,12 +197,12 @@ def _counting_field_builds(monkeypatch):
 
 def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
     maps = _maps()
-    key = (*ROUTE.goal_pose[:2], CFG.lateral_weight)
+    key = ROUTE.goal_pose[:2]
     built = _counting_field_builds(monkeypatch)
 
     def stored():
-        # the memo holds exactly the first unstamped plan's field
-        return list(maps.fields) == [key] and maps.fields[key] is built[0]
+        # the memo holds exactly the first unstamped plan's static field
+        return list(_static(maps)) == [key] and maps.fields[key] is built[0]
 
     # the first unstamped plan builds the static field and stores it
     first = _plan((2.0, 10.0, 0.0), _ldm(), maps=maps)
@@ -205,13 +214,13 @@ def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
     second = _plan((2.0, 10.0, 0.0), _ldm(), maps=maps)
     assert len(built) == 1 and second.heuristic_ms == 0.0
     assert second.trajectory.poses.tobytes() == first.trajectory.poses.tobytes()
-    # a stamped plan builds a field of its own and keeps it in the stamped
-    # slot only, never among the static fields
+    # a stamped plan builds a field of its own and keeps it under its
+    # stamp, never under a static field's key
     stamped = _plan((2.0, 10.0, 0.0), _ldm(events=[_event((40.0, 10.0))]),
                     maps=maps)
     assert stamped.succeeded and len(built) == 2 and stored()
     assert 0.0 < stamped.heuristic_ms <= stamped.cpu_ms
-    assert list(maps.stamped.values()) == [built[1]]
+    assert list(_stamped(maps).values()) == [built[1]]
     # a stamp that blocks only cells the static map already blocks is no
     # stamp: this track's disk lies wholly off the road, below y = 5
     edge = _ldm(tracks=[_track("T1", (40.0, 1.0))])
@@ -220,13 +229,13 @@ def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
     on_edge = _plan((2.0, 10.0, 0.0), edge, maps=maps)
     assert on_edge.succeeded and on_edge.heuristic_ms == 0.0
     assert len(built) == 2 and stored()
-    assert list(maps.stamped.values()) == [built[1]]
+    assert list(_stamped(maps).values()) == [built[1]]
 
 
-def _stamp_key(ldm, start_xy=(2.0, 10.0), goal=ROUTE.goal_pose, cfg=CFG):
+def _stamp_key(ldm, start_xy=(2.0, 10.0), goal=ROUTE.goal_pose):
     """The key a stamped plan on `_maps()` keeps its field under."""
     stamp = np.flatnonzero(_grid(ldm, start_xy).cells != ROAD_BASE.cells)
-    return (*goal[:2], cfg.lateral_weight, stamp.tobytes())
+    return (*goal[:2], stamp.tobytes())
 
 
 def test_plans_that_stamp_the_same_cells_share_one_field(monkeypatch):
@@ -235,12 +244,12 @@ def test_plans_that_stamp_the_same_cells_share_one_field(monkeypatch):
     hazard = _ldm(events=[_event((40.0, 10.0))])
     first = _plan((2.0, 10.0, 0.0), hazard, maps=maps)
     assert first.succeeded and first.heuristic_ms > 0.0
-    assert len(built) == 1 and not maps.fields      # no static field is built
-    assert set(maps.stamped) == {_stamp_key(hazard)}
+    assert len(built) == 1 and not _static(maps)    # no static field is built
+    assert set(maps.fields) == {_stamp_key(hazard)}
     # the same stamp from another start and another LDM object: one build
     again = _plan((6.0, 10.4, 0.05), _ldm(events=[_event((40.0, 10.0))]), maps=maps)
     assert len(built) == 1 and again.heuristic_ms == 0.0
-    assert maps.stamped[_stamp_key(hazard)] is built[0]
+    assert maps.fields[_stamp_key(hazard)] is built[0]
     with pytest.raises(ValueError, match="read-only"):
         built[0][0, 0] = 0.0
     # a hit searches exactly as a rebuild would
@@ -255,23 +264,22 @@ def test_plans_that_stamp_the_same_cells_share_one_field(monkeypatch):
 def test_another_stamp_replaces_the_kept_field(monkeypatch):
     maps = _maps()
     assert _plan((2.0, 10.0, 0.0), _ldm(), maps=maps).succeeded
-    static = dict(maps.fields)
+    static = _static(maps)
     built = _counting_field_builds(monkeypatch)
     for x in (40.0, 60.0, 40.0):
         ldm = _ldm(events=[_event((x, 10.0))])
         attempt = _plan((2.0, 10.0, 0.0), ldm, maps=maps)
         # each stamp differs from the one kept before it, so each builds,
-        # and the slot holds only the newest field
+        # and the maps hold only the newest stamped field
         assert attempt.heuristic_ms > 0.0
-        assert maps.stamped == {_stamp_key(ldm): built[-1]}
-    # another goal or lateral_weight over the same stamp is another field
-    for goal, cfg in (((90.0, 10.0, 0.0), CFG),
-                      (ROUTE.goal_pose, replace(CFG, lateral_weight=0.6))):
-        _plan((2.0, 10.0, 0.0), ldm, cfg=cfg, goal=goal, maps=maps)
-        assert maps.stamped == {_stamp_key(ldm, goal=goal, cfg=cfg): built[-1]}
-    assert len(built) == 5
+        assert _stamped(maps) == {_stamp_key(ldm): built[-1]}
+    # another goal over the same stamp is another field
+    goal = (90.0, 10.0, 0.0)
+    _plan((2.0, 10.0, 0.0), ldm, goal=goal, maps=maps)
+    assert _stamped(maps) == {_stamp_key(ldm, goal=goal): built[-1]}
+    assert len(built) == 4
     # the static fields are untouched throughout
-    assert maps.fields == static and all(maps.fields[k] is v for k, v in static.items())
+    assert _static(maps) == static and all(maps.fields[k] is v for k, v in static.items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,16 +299,17 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
     deviation = route_deviation_field(base, ROUTE.reference_path.points)
     start = (start_x, 10.0, 0.0)
     grid = obstacle_grid(ldm, VP, base, start[:2])
-    want = cost_to_goal_field(grid, deviation, ROUTE.goal_pose[:2], CFG.lateral_weight)
+    want = cost_to_goal_field(grid, deviation, ROUTE.goal_pose[:2], planner.LATERAL_WEIGHT)
     maps = PlanningMaps(base, deviation)
     with pytest.MonkeyPatch.context() as mp:
         built = _counting_field_builds(mp)
-        _plan(start, ldm, PlannerConfig(max_expansions=30), maps=maps)
-    # one field, stored among the static fields when it is the static
-    # grid's and in the stamped slot otherwise
+        mp.setattr(planner, "MAX_EXPANSIONS", 30)
+        _plan(start, ldm, maps=maps)
+    # one field, stored under the goal when it is the static grid's and
+    # under the goal and the stamp otherwise
     assert len(built) == 1
-    assert bool(maps.fields) == np.array_equal(grid.cells, base.cells)
-    assert bool(maps.stamped) != bool(maps.fields)
+    assert bool(_static(maps)) == np.array_equal(grid.cells, base.cells)
+    assert bool(_stamped(maps)) != bool(_static(maps))
     got = built[0]
     assert np.array_equal(np.isinf(got), np.isinf(want))
     finite = np.isfinite(want)
@@ -311,12 +320,13 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
 # bit-identity against the per-steer search loop
 
 
-def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
+def _reference_plan(start_pose, goal_pose, ldm, vparams,
                     cause, base_grid, start_steering, cost_to_goal,
                     deviation_field=None):
     """The search as first written: one lookup per steering sample and one
     stored arc per pushed node, with the heuristic read at each arc's end
     cell from `cost_to_goal`, the field of the grid obstacle_grid returns.
+    It reads the planner's search settings when it runs, as `plan` does.
     `plan` must reproduce it bit for bit; with no deviation field it must
     equal `plan` given an all-zero one."""
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
@@ -325,12 +335,12 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
     cells = grid.cells
     ny, nx = cells.shape
     inv_res = 1.0 / grid.cell_size
-    bin_size = TWO_PI / cfg.heading_bins
-    hw = cfg.heuristic_weight
+    bin_size = TWO_PI / planner.HEADING_BINS
+    hw = planner.HEURISTIC_WEIGHT
 
-    steers, prim_pts, prim_dth = _primitives(cfg, vparams, grid.cell_size)
+    steers, prim_pts, prim_dth = _primitives(vparams, grid.cell_size)
     n_steer = len(steers)
-    arc = cfg.primitive_arc_length
+    arc = planner.PRIMITIVE_ARC_LENGTH
 
     xs = [sx]; ys = [sy]; ths = [sth]; gs = [0.0]
     steer_idx = [int(np.argmin(np.abs(steers - start_steering)))]
@@ -345,7 +355,7 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
 
     def bin_key(x, y, th):
         return (int(x * inv_res), int(y * inv_res),
-                int(((th % TWO_PI) / bin_size)) % cfg.heading_bins)
+                int(((th % TWO_PI) / bin_size)) % planner.HEADING_BINS)
 
     while open_heap:
         f, _, ni = heapq.heappop(open_heap)
@@ -355,12 +365,12 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
             continue
         closed.add(key)
 
-        if (math.hypot(gx - x, gy - y) <= cfg.goal_xy_tol
+        if (math.hypot(gx - x, gy - y) <= planner.GOAL_XY_TOL
                 and abs(wrap_angle(th - gth)) <= planner.GOAL_HEADING_TOL):
             goal_node = ni
             break
         expansions += 1
-        if expansions > cfg.max_expansions:
+        if expansions > planner.MAX_EXPANSIONS:
             break
 
         c, s = math.cos(th), math.sin(th)
@@ -379,9 +389,9 @@ def _reference_plan(start_pose, goal_pose, ldm, cfg, vparams,
                 continue
             end = world[si, -1]
             th_new = th + prim_dth[si, -1]
-            cost = arc + cfg.steering_change_weight * abs(steers[si] - steers[steer_idx[ni]])
+            cost = arc + planner.STEERING_CHANGE_WEIGHT * abs(steers[si] - steers[steer_idx[ni]])
             if deviation_field is not None:
-                cost += cfg.lateral_weight * arc * \
+                cost += planner.LATERAL_WEIGHT * arc * \
                     float(deviation_field[iy[si], ix[si]].mean())
             g_new = gs[ni] + cost
             if bin_key(end[0], end[1], th_new) in closed:
@@ -468,25 +478,29 @@ def test_plan_matches_reference_search_bit_for_bit(seed, with_field, near_edge,
     start, goal, line, ldm, base = _random_corridor(np.random.default_rng(seed), near_edge)
     # on 0.5 m cells these arcs take 5, 5, 9 and 13 samples, on both sides
     # of the 8-element block where numpy's pairwise summation changes form
-    cfg = PlannerConfig(max_expansions=budget, primitive_arc_length=arc)
-    _assert_plan_matches_reference(start, goal, ldm, base, cfg, start_steering,
-                                   line if with_field else None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "PRIMITIVE_ARC_LENGTH", arc)
+        _assert_plan_matches_reference(start, goal, ldm, base, budget, start_steering,
+                                       line if with_field else None)
 
 
-def _assert_plan_matches_reference(start, goal, ldm, base, cfg, start_steering=0.0,
+def _assert_plan_matches_reference(start, goal, ldm, base, budget, start_steering=0.0,
                                    line=None):
     """`plan` and `_reference_plan` agree bit for bit on the static grid
-    `base`; a `line` prices the deviation from it, no line prices none.
-    `plan` gets fresh planning maps and the oracle the field of the stamped
-    grid it searches. Returns `plan`'s attempt."""
+    `base`, each with `budget` expansions; a `line` prices the deviation
+    from it, no line prices none. `plan` gets fresh planning maps and the
+    oracle the field of the stamped grid it searches. Returns `plan`'s
+    attempt."""
     field = None if line is None else route_deviation_field(base, line)
     deviation = np.zeros(base.cells.shape) if field is None else field
-    got = plan(start, goal, ldm, cfg, VP, "initial", PlanningMaps(base, deviation),
-               start_steering)
     stamped = obstacle_grid(ldm, VP, base, start[:2])
-    searched = cost_to_goal_field(stamped, deviation, goal[:2], cfg.lateral_weight)
-    want = _reference_plan(start, goal, ldm, cfg, VP, "initial", base,
-                           start_steering, searched, deviation_field=field)
+    searched = cost_to_goal_field(stamped, deviation, goal[:2], planner.LATERAL_WEIGHT)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "MAX_EXPANSIONS", budget)
+        got = plan(start, goal, ldm, VP, "initial", PlanningMaps(base, deviation),
+                   start_steering)
+        want = _reference_plan(start, goal, ldm, VP, "initial", base,
+                               start_steering, searched, deviation_field=field)
     assert got.expansions == want.expansions
     assert got.succeeded == want.succeeded
     if want.succeeded:
@@ -501,15 +515,16 @@ def _assert_plan_matches_reference(start, goal, ldm, base, cfg, start_steering=0
     return got
 
 
-def test_reference_oracle_covers_failure_edge_and_success():
+def test_reference_oracle_covers_failure_edge_and_success(monkeypatch):
     """The random instances reach every branch the oracle test relies on."""
     rng = np.random.default_rng(7)
     start, goal, line, ldm, base = _random_corridor(rng, near_edge=True)
-    tight = PlannerConfig(max_expansions=20)
-    assert not _plan(start, ldm, tight, goal=goal, maps=_maps(base)).succeeded
+    monkeypatch.setattr(planner, "MAX_EXPANSIONS", 20)
+    assert not _plan(start, ldm, goal=goal, maps=_maps(base)).succeeded
     grid = _grid(ldm, start_xy=start[:2], base=base)
     assert not occupied_at(grid, 0.1, start[1])      # free up to the map edge
-    ok = _plan(start, ldm, PlannerConfig(max_expansions=4000), goal=goal,
+    monkeypatch.setattr(planner, "MAX_EXPANSIONS", 4000)
+    ok = _plan(start, ldm, goal=goal,
                maps=_maps(base, route_deviation_field(grid, line)))
     assert ok.succeeded
 
@@ -541,8 +556,7 @@ def test_plan_matches_reference_leaving_every_side(side, turn):
     # side: arcs leave the grid through each of its four borders
     x, y, out = NEAR_SIDES[side]
     got = _assert_plan_matches_reference(
-        (x, y, out + turn), OPEN_GOAL, *_open_ldm(),
-        PlannerConfig(max_expansions=3000), line=OPEN_MID)
+        (x, y, out + turn), OPEN_GOAL, *_open_ldm(), 3000, line=OPEN_MID)
     # no cell is blocked, so straight out every arc leaves the grid at
     # once; turned, the straight arc leaves and the inward ones run on
     assert (got.expansions == 1) == (turn == 0.0)
@@ -559,16 +573,14 @@ def test_plan_matches_reference_beside_blocked_cells_on_the_border():
     for x, y, out in NEAR_SIDES.values():
         for turn in (0.5, -0.5):
             _assert_plan_matches_reference(
-                (x, y, out + turn), OPEN_GOAL, ldm, base,
-                PlannerConfig(max_expansions=300), line=OPEN_MID)
+                (x, y, out + turn), OPEN_GOAL, ldm, base, 300, line=OPEN_MID)
 
 
 @pytest.mark.parametrize("steer", [0.0, 0.3])
 def test_plan_matches_reference_from_both_signed_zero_headings(steer):
     for heading in (0.0, -0.0):
         got = _assert_plan_matches_reference(
-            (2.0, 10.0, heading), ROUTE.goal_pose, _ldm(), ROAD_BASE,
-            PlannerConfig(max_expansions=300), steer,
+            (2.0, 10.0, heading), ROUTE.goal_pose, _ldm(), ROAD_BASE, 300, steer,
             ROUTE.reference_path.points)
         assert got.succeeded
         assert math.copysign(1.0, got.trajectory.poses[0, 2]) == \
@@ -1015,7 +1027,24 @@ def test_trigger_knowledge_change():
 
 
 # ---------------------------------------------------------------------------
-# configuration validation
+# search settings
+
+
+# the values the search can run with, per search setting; each setting is
+# the planner constant of its name in capitals
+RUNNABLE = {
+    "heading_bins": lambda v: v >= 1,
+    # straight plus both locks
+    "steering_samples": lambda v: v >= 3 and v % 2 == 1,
+    "primitive_arc_length": lambda v: 0.0 < v < math.inf,
+    "goal_xy_tol": lambda v: 0.0 < v < math.inf,
+    "heuristic_weight": lambda v: 0.0 < v < math.inf,
+    "max_expansions": lambda v: v >= 0,
+    # a negative weight makes a step cost negative, and the cost-to-goal
+    # Dijkstra would relax round a negative cycle without end
+    "lateral_weight": lambda v: 0.0 <= v < math.inf,
+    "steering_change_weight": lambda v: 0.0 <= v < math.inf,
+}
 
 
 @pytest.mark.parametrize("field_name, bad", [
@@ -1032,16 +1061,25 @@ def test_trigger_knowledge_change():
     ("steering_change_weight", -0.5),
 ])
 def test_planner_config_rejects_unrunnable_values(field_name, bad):
-    with pytest.raises(ValueError, match=f"^{field_name}: "):
-        PlannerConfig(**{field_name: bad})
+    # the setting is a constant the search can run with, and a document that
+    # still sets it, to this value or any other, is refused at load
+    assert RUNNABLE[field_name](getattr(planner, field_name.upper()))
+    assert not RUNNABLE[field_name](bad)
     d = spec_to_dict(build_s1())
-    d["planner"][field_name] = bad
-    with pytest.raises(ValueError, match=f"^scenario\\.planner\\.{field_name}: "):
+    d["planner"] = {field_name: bad}
+    with pytest.raises(ValueError, match="^scenario\\.planner: unknown key"):
         spec_from_dict(d)
 
 
-def test_planner_config_accepts_edge_values():
-    PlannerConfig(heading_bins=1, steering_samples=3, max_expansions=0)
+def test_planner_config_accepts_edge_values(monkeypatch):
+    # the least settings the search runs with: one heading bin, straight
+    # plus both locks, and no expansion past the start
+    edges = {"heading_bins": 1, "steering_samples": 3, "max_expansions": 0}
+    for name, edge in edges.items():
+        assert RUNNABLE[name](edge)
+        monkeypatch.setattr(planner, name.upper(), edge)
+    attempt = _plan((2.0, 10.0, 0.0), _ldm())
+    assert not attempt.succeeded and attempt.expansions == 1
 
 
 def _bits(x) -> str:

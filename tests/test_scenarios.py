@@ -7,13 +7,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fingerprints import BUILT_IN_SPECS
+from v2xloop import scenarios
 from v2xloop.gate import GateConfig
 from v2xloop.harness import run_episode
-from v2xloop.pareto import Configuration
-from v2xloop.planner import CRUISE_SPEED
+from v2xloop.pareto import Configuration, config_grid
+from v2xloop.planner import CRUISE_SPEED, GOAL_XY_TOL
 from v2xloop.scenarios import (ScriptedVehicle, UpdateClientConfig, apply_configuration,
                                build_s1, build_s2, build_s3, build_s4,
                                build_scenario, spec_from_dict, spec_to_dict)
@@ -121,9 +122,7 @@ def test_scripted_vehicle_motion():
 
 def test_apply_configuration_maps_fields():
     spec = build_s2()
-    cfg = Configuration(config_id="cfg-000", look_ahead=6.0, k_p=0.8,
-                        tau_risk=3.0, hazard_lookahead=40.0,
-                        update_poll_interval=1.0)
+    cfg = Configuration(config_id="cfg-000", look_ahead=6.0, k_p=0.8, tau_risk=3.0)
     out = apply_configuration(spec, cfg)
     assert out.controller.k_p == 0.8
     assert out.controller.look_ahead_min == 3.0
@@ -131,13 +130,11 @@ def test_apply_configuration_maps_fields():
     # carrot distance at cruise speed equals the swept look_ahead
     assert out.controller.look_ahead(CRUISE_SPEED) == pytest.approx(6.0)
     assert out.triggers.tau_risk == 3.0
-    assert out.triggers.hazard_lookahead == 40.0
-    # the poll interval acts only on a spec that polls
-    assert out.update_client is None
-    assert apply_configuration(build_s3(), cfg).update_client.poll_interval == 1.0
     # everything else untouched
     assert out.hazards == spec.hazards
-    assert out.planner == spec.planner
+    assert replace(out, controller=spec.controller, triggers=spec.triggers) == spec
+    polling = build_s3()
+    assert apply_configuration(polling, cfg).update_client == polling.update_client
 
 
 @pytest.mark.parametrize("name", BUILT_IN_SPECS)
@@ -153,23 +150,42 @@ KNOB_FIELDS = {
     "look_ahead": (7.0, "controller", {"look_ahead_gain", "look_ahead_min",
                                        "look_ahead_max"}),
     "k_p": (0.9, "controller", {"k_p"}),
-    "k_i": (0.3, "controller", {"k_i"}),
-    "k_d": (0.2, "controller", {"k_d"}),
     "tau_risk": (3.5, "triggers", {"tau_risk"}),
-    "hazard_lookahead": (40.0, "triggers", {"hazard_lookahead"}),
-    "update_poll_interval": (1.0, "update_client", {"poll_interval"}),
 }
 
 
 @pytest.mark.parametrize("knob", KNOB_FIELDS)
 def test_each_knob_alone_sets_only_its_fields(knob):
-    spec = build_s3()             # polls for map updates, so every knob acts
+    spec = build_s3()
     value, section, names = KNOB_FIELDS[knob]
     out = apply_configuration(spec, Configuration("x", **{knob: value}))
     before, after = getattr(spec, section), getattr(out, section)
     assert {f.name for f in fields(before)
             if getattr(after, f.name) != getattr(before, f.name)} == names
     assert replace(out, **{section: before}) == spec
+
+
+# a knob's values as a sweep grid may list them: finite numbers, no two equal
+_KNOB_VALUES = st.lists(st.one_of(st.integers(-10**6, 10**6),
+                                  st.floats(allow_nan=False, allow_infinity=False)),
+                        min_size=1, max_size=3, unique=True)
+_BASE_SPECS = {sid: build_scenario(sid) for sid in ("s1", "s2", "s3", "s4")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=st.dictionaries(st.sampled_from(sorted(KNOB_FIELDS)), _KNOB_VALUES,
+                            min_size=1))
+def test_the_configurations_of_a_grid_apply_to_distinct_specs(grid):
+    # a sweep runs each (configuration, scenario, seed) once, so two
+    # configurations of one grid must never apply to equal specs; a value a
+    # spec refuses stops the sweep before its first episode
+    configs = config_grid(grid)
+    for sid, base in _BASE_SPECS.items():
+        try:
+            specs = [apply_configuration(base, c) for c in configs]
+        except ValueError:
+            continue
+        assert len(set(specs)) == len(configs), sid
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +245,8 @@ def test_spec_from_dict_rejects_unknown_keys():
         (lambda d: d["stations"], "denm_policy",
          "scenario.stations.denm_policy: unknown key"),
         (lambda d: d["attack"], "colluding", "scenario.attack.colluding: unknown key"),
-        (lambda d: d["planner"], "xy_resolution",
-         "scenario.planner.xy_resolution: unknown key"),
+        (lambda d: d.setdefault("planner", {}), "xy_resolution",
+         "scenario.planner: unknown key"),
         (lambda d: d["sensor"], "field_of_view",
          "scenario.sensor.field_of_view: unknown key"),
         (lambda d: d.setdefault("ldm", {}), "lr_absent_cap", "scenario.ldm: unknown key"),
@@ -238,13 +254,20 @@ def test_spec_from_dict_rejects_unknown_keys():
         (lambda d: d.setdefault("ldm", {}), "clutter_term", "scenario.ldm: unknown key"),
         *[(lambda d: d, name, f"scenario.{name}: unknown key")
           for name in ("ldm", "sensor_likelihood_window", "event_label_radius")],
-        *[(lambda d: d["planner"], name, f"scenario.planner.{name}: unknown key")
+        # the whole planner section is deleted: its search settings are
+        # constants of the planner module
+        *[(lambda d: d.setdefault("planner", {}), name, "scenario.planner: unknown key")
           for name in ("goal_heading_tol", "obstacle_margin", "event_margin",
                        "b_obstacle", "track_radius", "static_speed_floor",
                        "cruise_speed", "pass_speed", "comfort_decel",
-                       "slowdown_margin", "goal_ramp_distance", "prefix_horizon")],
-        (lambda d: d["triggers"], "hazard_corridor",
-         "scenario.triggers.hazard_corridor: unknown key"),
+                       "slowdown_margin", "goal_ramp_distance", "prefix_horizon",
+                       "heading_bins", "steering_samples", "primitive_arc_length",
+                       "goal_xy_tol", "steering_change_weight", "lateral_weight",
+                       "heuristic_weight", "max_expansions")],
+        *[(lambda d: d["triggers"], name, f"scenario.triggers.{name}: unknown key")
+          for name in ("hazard_corridor", "hazard_lookahead")],
+        *[(lambda d: d["controller"], name, f"scenario.controller.{name}: unknown key")
+          for name in ("k_i", "k_d")],
         (lambda d: d["gate"], "support_radius", "scenario.gate.support_radius: unknown key"),
         (lambda d: d["gate"], "sensor_support_radius",
          "scenario.gate.sensor_support_radius: unknown key"),
@@ -374,10 +397,11 @@ def test_spec_dict_is_json_ready():
     (lambda d: d.update(dt=float("nan")), "scenario.dt: must be finite and > 0"),
     (lambda d: d.update(time_limit=-1.0), "scenario.time_limit: must be finite and >= 0"),
     (lambda d: d.update(time_limit=float("inf")), "scenario.time_limit: must be finite"),
-    (lambda d: d["planner"].update(goal_xy_tol=2.5),
-     "scenario.planner.goal_xy_tol: must not exceed goal_tolerance=2.0, got 2.5"),
+    # the planner's goal region, GOAL_XY_TOL = 1 m wide, wider than the episode's
+    (lambda d: d.update(goal_tolerance=0.99),
+     "scenario.goal_tolerance: must be at least the planner's GOAL_XY_TOL=1.0, got 0.99"),
     (lambda d: d.update(goal_tolerance=0.5),
-     "scenario.planner.goal_xy_tol: must not exceed goal_tolerance=0.5, got 1.0"),
+     "scenario.goal_tolerance: must be at least the planner's GOAL_XY_TOL=1.0, got 0.5"),
 ], ids=["dt-zero", "dt-negative", "dt-inf", "dt-nan", "time-limit-negative",
         "time-limit-inf", "goal-xy-tol-too-wide", "goal-tolerance-too-tight"])
 def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message):
@@ -395,8 +419,9 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.vmap.cell_size: must divide the 1e+12 x 100 m map"),
     (lambda d: d["vmap"]["versions"][0]["lane_graph"][0]["polyline"][0].__setitem__(0, 1e12),
      "scenario.vmap.versions[0].lane_graph: segment 'main' leaves the 100 x 100 m map"),
-    (lambda d: d["planner"].update(primitive_arc_length=1e12),
-     "scenario.planner.primitive_arc_length: must not exceed the map diagonal 141.421"),
+    (lambda d: _shrink_map(d, 1.4),
+     "scenario.vmap.size: the map diagonal must be at least the planner's "
+     "PRIMITIVE_ARC_LENGTH=2.0, got 1.9799"),
     (lambda d: d["sensor"].update(clutter_rate=1e12),
      "scenario.sensor.clutter_rate: must be finite and in [0, 100]"),
     (lambda d: d["attack"].update(ahead_max=0.0),
@@ -432,10 +457,26 @@ def test_spec_from_dict_rejects_values_that_cannot_run(damage, message):
 def test_spec_limits_admit_the_edges():
     s2 = build_s2()
     replace(s2, time_limit=0.0)
-    replace(s2, planner=replace(s2.planner, goal_xy_tol=s2.goal_tolerance))
+    replace(s2, goal_tolerance=GOAL_XY_TOL)
+    # a map whose diagonal is the planner's primitive arc length
+    spec_from_dict(_shrink_map(spec_to_dict(s2), math.sqrt(2.0)))
 
 
 NOT_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+def _shrink_map(d, side):
+    """Document `d` on a `side` x `side` m map: one lane, the route, the ego
+    start and the goal along its middle, and the stations and hazards
+    where they were."""
+    mid, end = side / 2.0, side - 0.2
+    d["vmap"]["size"] = [side, side]
+    for version in d["vmap"]["versions"]:
+        version["lane_graph"] = [{**version["lane_graph"][0],
+                                  "polyline": [[0.1, mid], [side - 0.1, mid]]}]
+    d["route"] = {"reference_path": [[0.2, mid], [end, mid]], "goal_pose": [end, mid, 0.0]}
+    d["ego_start"] = [0.2, mid, 0.0, 0.0]
+    return d
 
 
 def _document_with(section, name, value, build=build_s4):
@@ -567,26 +608,36 @@ def test_a_station_bound_to_no_traffic_vehicle_is_refused(target):
 
 
 def test_update_client_ranges():
-    _rejects_out_of_range("update_client", [], ["poll_interval", "download_latency_mean",
-                                                "download_latency_jitter"], build=build_s3)
+    # the client's settings are constants of the scenarios module: s3's
+    # section is empty, and a document that still sets one, to any value,
+    # is refused at load naming it
+    assert spec_to_dict(build_s3())["update_client"] == {}
+    for name in ("poll_interval", "download_latency_mean", "download_latency_jitter"):
+        for value in (-0.1, 0.0, 2.0, *NOT_FINITE):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"scenario.update_client.{name}: unknown key")):
+                spec_from_dict(_document_with("update_client", name, value, build_s3))
 
 
-def test_update_client_schedule_and_latency():
-    client = UpdateClientConfig(poll_interval=0.12, download_latency_mean=0.01,
-                                download_latency_jitter=0.0)
-    # 0.12 s is two 0.05 s ticks; tick 0 never polls
+def test_update_client_schedule_and_latency(monkeypatch):
+    client = UpdateClientConfig()
+    # every 2 s, 40 ticks of 0.05 s; tick 0 never polls
+    assert scenarios.POLL_INTERVAL == 2.0
+    assert [k for k in range(121) if client.polls_at(k, 0.05)] == [40, 80, 120]
+    # 0.12 s is two 0.05 s ticks, and an interval under a tick polls every tick
+    monkeypatch.setattr(scenarios, "POLL_INTERVAL", 0.12)
     assert [k for k in range(7) if client.polls_at(k, 0.05)] == [2, 4, 6]
-    every_tick = replace(client, poll_interval=0.0)
-    assert [k for k in range(4) if every_tick.polls_at(k, 0.05)] == [1, 2, 3]
+    monkeypatch.setattr(scenarios, "POLL_INTERVAL", 0.0)
+    assert [k for k in range(4) if client.polls_at(k, 0.05)] == [1, 2, 3]
 
-    class NoDraws:
-        def normal(self):
-            raise AssertionError("a jitter of 0 draws nothing")
-
-    assert client.download_latency(NoDraws()) == 0.05         # clamped
-    jittered = replace(client, download_latency_mean=1.1, download_latency_jitter=0.2)
     draw = float(np.random.default_rng(3).normal())
-    assert jittered.download_latency(np.random.default_rng(3)) == max(0.05, 1.1 + 0.2 * draw)
+    assert client.download_latency(np.random.default_rng(3)) == max(0.05, 1.1 + 0.2 * draw)
+
+    class LowDraw:
+        def normal(self):
+            return -10.0
+
+    assert client.download_latency(LowDraw()) == 0.05         # clamped
 
 
 def test_gate_config_ranges():
@@ -595,7 +646,7 @@ def test_gate_config_ranges():
 
 def test_trigger_config_ranges():
     # a negative value used to load and quietly switch its trigger off
-    _rejects_out_of_range("triggers", [], ["hazard_lookahead", "tau_risk"])
+    _rejects_out_of_range("triggers", [], ["tau_risk"])
 
 
 def test_vehicle_params_ranges():
@@ -647,9 +698,6 @@ NUMERIC_LEAVES = [(name, path) for name, doc in BUILT_IN_DOCS.items()
 @settings(max_examples=100, deadline=None)
 @given(leaf=st.sampled_from(NUMERIC_LEAVES),
        value=st.sampled_from([0, -1, math.nan, math.inf, 1e12, "1"]))
-# a negative route-deviation price once loaded, and the cost-to-goal
-# Dijkstra then relaxed round a negative cycle without end
-@example(leaf=("s1", ("planner", "lateral_weight")), value=-1)
 def test_a_document_with_one_bad_number_is_rejected_at_load_or_runs(leaf, value):
     # a document that cannot run is refused at load, naming its dotted path;
     # one that loads runs to a termination
