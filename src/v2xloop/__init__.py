@@ -22,7 +22,7 @@ from .rng import StreamSet, stream
 from .scenarios import (SCENARIO_IDS, ScenarioSpec, apply_configuration,
                         build_scenario, spec_from_dict, spec_to_dict)
 from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation, V2xMessage
-from .vehicle import VehicleParams, VehicleState, max_curvature, step
+from .vehicle import VehicleState, step
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, OccupancyGrid,
                     Route, WorldObject)
 
@@ -36,11 +36,11 @@ __all__ = [
     "MetricParams", "OccupancyGrid", "ParetoResult", "PlanAttempt",
     "PlanningMaps", "PidState", "Route", "SCENARIO_IDS", "ScenarioSpec",
     "SenseFrame", "SensorModel", "Station", "StationPopulation", "StreamSet",
-    "Track", "Trajectory", "TriggerConfig", "V2xMessage", "VehicleParams",
-    "VehicleState", "WorldObject", "aggregate", "apply_configuration",
-    "build_scenario", "compute_episode_metrics", "config_grid", "evaluate",
-    "follow_tick", "fuse_tick", "hypervolume", "knee_point", "max_curvature",
-    "nondominated_set", "objective_vector", "plan", "replay", "run_batch",
-    "run_episode", "run_sweep", "sense", "spec_from_dict", "spec_to_dict",
-    "step", "stream", "sweep",
+    "Track", "Trajectory", "TriggerConfig", "V2xMessage", "VehicleState",
+    "WorldObject", "aggregate", "apply_configuration", "build_scenario",
+    "compute_episode_metrics", "config_grid", "evaluate", "follow_tick",
+    "fuse_tick", "hypervolume", "knee_point", "nondominated_set",
+    "objective_vector", "plan", "replay", "run_batch", "run_episode",
+    "run_sweep", "sense", "spec_from_dict", "spec_to_dict", "step", "stream",
+    "sweep",
 ]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .planner import Trajectory
-from .vehicle import VehicleParams
+from .vehicle import MAX_STEER, WHEELBASE
 from .world import check_range, wrap_angle
 
 SAFETY_STOP_RAMP = 0.5                # [s] from no brake to full brake in a safety stop
@@ -55,8 +55,7 @@ class PidState:
     initialized: bool = False
 
 
-def pure_pursuit(pose, traj: Trajectory, look_ahead: float,
-                 vparams: VehicleParams, s_ego: float) -> float:
+def pure_pursuit(pose, traj: Trajectory, look_ahead: float, s_ego: float) -> float:
     """Steering toward the point look_ahead meters down the trajectory.
 
     Curvature command is 2 sin(alpha) / L_a with alpha the bearing of the
@@ -67,8 +66,8 @@ def pure_pursuit(pose, traj: Trajectory, look_ahead: float,
     target = traj.point_at(min(s_ego + look_ahead, traj.length))
     alpha = wrap_angle(math.atan2(target[1] - y, target[0] - x) - heading)
     kappa = 2.0 * math.sin(alpha) / look_ahead
-    steer = math.atan(kappa * vparams.wheelbase)
-    return min(max(steer, -vparams.max_steer), vparams.max_steer)
+    steer = math.atan(kappa * WHEELBASE)
+    return min(max(steer, -MAX_STEER), MAX_STEER)
 
 
 def pid_longitudinal(error: float, state: PidState, cfg: ControllerConfig,
@@ -94,14 +93,12 @@ def pid_longitudinal(error: float, state: PidState, cfg: ControllerConfig,
 
 
 def follow_tick(ego_state, traj: Trajectory, s_plan: float, cfg: ControllerConfig,
-                pid_state: PidState, vparams: VehicleParams,
-                dt: float) -> tuple[ControlCommand, PidState, float]:
+                pid_state: PidState, dt: float) -> tuple[ControlCommand, PidState, float]:
     """Compute the tick's command from `s_plan`, the ego's arc length along
     `traj`; returns (command, pid_state, target_speed)."""
     target_speed = traj.speed_at(s_plan)
     steering = pure_pursuit(ego_state.pose, traj,
-                            cfg.look_ahead(ego_state.speed), vparams,
-                            s_ego=s_plan)
+                            cfg.look_ahead(ego_state.speed), s_ego=s_plan)
     u, pid_next = pid_longitudinal(target_speed - ego_state.speed, pid_state,
                                    cfg, dt)
     if u >= 0.0:

@@ -19,14 +19,14 @@ it derives from, never in `logs/` and never in the scenario document:
 
 - the planning maps (`planner.PlanningMaps`: inflated grid, route
   deviation field, and the cost-to-goal fields the planner stores in
-  them per goal), per route and collision radius, on the map version;
+  them per goal), per route, on the map version;
 - in those maps, beside the static grid's fields, the last stamped grid's
   cost-to-goal field, which the next plan that stamps the same cells
   toward the same goal reuses, as the sweep's points at one seed do round
   their hazard (`pareto.evaluate_grid` runs them back to back);
 - the tick-0 plan, searched on an empty LDM and so the same for every
-  seed, per start pose, start steering, goal and vehicle settings, on the
-  planning maps (`_initial_plan`);
+  seed, per start pose, start steering and goal, on the planning maps
+  (`_initial_plan`);
 - each scripted vehicle's state per time t, on the vehicle;
 - the honest and the Byzantine stations in id order, on the population.
 
@@ -86,7 +86,7 @@ from .planner import (B_OBSTACLE, PREFIX_HORIZON, TRACK_RADIUS, PlanAttempt,
 from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
-from .vehicle import VehicleState, step
+from .vehicle import COLLISION_RADIUS, VehicleState, step
 from .world import (MapVersion, Polyline, VersionedMap, WorldObject,
                     planning_occupancy, poll_update, wrap_angle)
 
@@ -173,18 +173,17 @@ def _new_logs() -> dict[str, CsvLog]:
     return {name: CsvLog(columns) for name, columns in LOG_COLUMNS.items()}
 
 
-def _truth_at(spec: ScenarioSpec, t: float) -> list[tuple[WorldObject, bool]]:
-    """(object, sensable) pairs for everything physically present at t."""
-    out: list[tuple[WorldObject, bool]] = []
+def _truth_at(spec: ScenarioSpec, t: float) -> list[WorldObject]:
+    """Everything physically present at t."""
+    out: list[WorldObject] = []
     for sv in spec.traffic:
         pos, vel = sv.state_at(t)
-        out.append((WorldObject(object_id=sv.vehicle_id, position=pos,
-                                velocity=vel, radius=sv.radius), True))
+        out.append(WorldObject(object_id=sv.vehicle_id, position=pos,
+                               velocity=vel, radius=sv.radius))
     for hz in spec.hazards:
         if hz.spawn_time <= t:
-            out.append((WorldObject(object_id=hz.hazard_id, position=hz.position,
-                                    velocity=(0.0, 0.0), radius=hz.radius),
-                        hz.observable_by_sensing))
+            out.append(WorldObject(object_id=hz.hazard_id, position=hz.position,
+                                   velocity=(0.0, 0.0), radius=hz.radius))
     return out
 
 
@@ -195,35 +194,34 @@ def _is_true_claim(kind: str, x: float, y: float, hazards, radius: float) -> boo
                for hk, hx, hy in hazards)
 
 
-def _planning_maps(vmap: VersionedMap, version: MapVersion, route: Polyline,
-                   collision_radius: float) -> PlanningMaps:
-    """The PlanningMaps of `version`, on `vmap`, for `route` and
-    `collision_radius`, built on first use and kept in the version's
-    planning_memo, so every episode of a spec (and of specs sharing its map
-    objects) reuses them and the cost-to-goal fields its plans store in them."""
-    key = (route, collision_radius)
-    maps = version.planning_memo.get(key)
+def _planning_maps(vmap: VersionedMap, version: MapVersion,
+                   route: Polyline) -> PlanningMaps:
+    """The PlanningMaps of `version`, on `vmap`, for `route`, built on
+    first use and kept in the version's planning_memo, so every episode of
+    a spec (and of specs sharing its map objects) reuses them and the
+    cost-to-goal fields its plans store in them."""
+    maps = version.planning_memo.get(route)
     if maps is None:
-        grid = planning_occupancy(vmap, version, collision_radius)
-        maps = version.planning_memo[key] = PlanningMaps(
+        grid = planning_occupancy(vmap, version, COLLISION_RADIUS)
+        maps = version.planning_memo[route] = PlanningMaps(
             grid, route_deviation_field(grid, route.points))
     return maps
 
 
-def _initial_plan(maps: PlanningMaps, ego: VehicleState, goal, ldm: LdmState,
-                  spec: ScenarioSpec) -> PlanAttempt:
+def _initial_plan(maps: PlanningMaps, ego: VehicleState, goal,
+                  ldm: LdmState) -> PlanAttempt:
     """The tick-0 plan from `ego` on `maps`. The LDM is still empty then,
     so the search reads no seeded draw: it runs once per start and goal
-    pose, start steering and vehicle settings, and is kept in
-    `maps.initial_plans`. A hit returns the kept attempt with the lookup's
-    wall time as cpu_ms and no field build."""
+    pose and start steering, and is kept in `maps.initial_plans`. A hit
+    returns the kept attempt with the lookup's wall time as cpu_ms and no
+    field build."""
     t0 = time.perf_counter()
     # the bits of each coordinate, so 0.0 and -0.0 stay apart
-    key = (struct.pack("7d", *ego.pose, ego.steering, *goal), spec.vehicle)
+    key = struct.pack("7d", *ego.pose, ego.steering, *goal)
     attempt = maps.initial_plans.get(key)
     if attempt is None:
         attempt = maps.initial_plans[key] = plan(
-            ego.pose, goal, ldm, spec.vehicle, cause="initial", maps=maps,
+            ego.pose, goal, ldm, cause="initial", maps=maps,
             start_steering=ego.steering)
         return attempt
     return replace(attempt, cpu_ms=(time.perf_counter() - t0) * 1000.0,
@@ -239,10 +237,10 @@ def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
         "route_length": spec.route.reference_path.length,
         "goal": list(spec.route.goal_pose),
         "goal_tolerance": spec.goal_tolerance,
-        "collision_radius": spec.vehicle.collision_radius,
+        "collision_radius": COLLISION_RADIUS,
         "event_label_radius": EVENT_LABEL_RADIUS,
         "mot_belief_min": B_OBSTACLE,
-        "metrics": asdict(spec.metrics),
+        "metrics": asdict(MetricParams()),
         "hazards": [{"id": h.hazard_id, "x": h.position[0], "y": h.position[1],
                      "kind": h.kind, "spawn_time": h.spawn_time,
                      "radius": h.radius} for h in spec.hazards],
@@ -289,12 +287,12 @@ def run_episode(spec: ScenarioSpec, seed: int,
     def replan(cause: str, tick: int, t: float):
         """Plan from the current ego state on the active map, log the attempt
         and return its trajectory, None when the search failed."""
-        maps = _planning_maps(spec.vmap, active, ref, spec.vehicle.collision_radius)
+        maps = _planning_maps(spec.vmap, active, ref)
         if cause == "initial":
-            attempt = _initial_plan(maps, ego, goal, ldm, spec)
+            attempt = _initial_plan(maps, ego, goal, ldm)
         else:
-            attempt = plan(ego.pose, goal, ldm, spec.vehicle, cause=cause,
-                           maps=maps, start_steering=ego.steering)
+            attempt = plan(ego.pose, goal, ldm, cause=cause, maps=maps,
+                           start_steering=ego.steering)
         traj = attempt.trajectory
         logs["plans"].append(tick, t, attempt.cause, traj is not None,
                              attempt.expansions, attempt.path_length,
@@ -325,11 +323,10 @@ def run_episode(spec: ScenarioSpec, seed: int,
             pending_map = None
 
         truth = _truth_at(spec, t)
-        objs = [o for o, _ in truth]
 
         termination = None
         if any(math.hypot(ego.x - o.position[0], ego.y - o.position[1])
-               < spec.vehicle.collision_radius + o.radius for o in objs):
+               < COLLISION_RADIUS + o.radius for o in truth):
             termination = "collision"
         elif math.hypot(ego.x - goal[0], ego.y - goal[1]) <= spec.goal_tolerance:
             termination = "goal_reached"
@@ -339,15 +336,13 @@ def run_episode(spec: ScenarioSpec, seed: int,
             break
         s_route, cross_track, _ = ref.project(ego.position)
 
-        frame = sense(ego.pose, [o for o, sensable in truth if sensable],
-                      spec.sensor, streams.get("sense"), t)
+        frame = sense(ego.pose, truth, spec.sensor, streams.get("sense"), t)
         frames_window.append(frame)
         while frames_window[0].timestamp < t - SENSOR_LIKELIHOOD_WINDOW:
             frames_window.pop(0)
 
-        for obj, sensable in truth:
-            scored = (sensable and frame.covers(obj.position)) \
-                or obj.object_id in cam_bound
+        for obj in truth:
+            scored = frame.covers(obj.position) or obj.object_id in cam_bound
             logs["truth"].append(k, t, obj.object_id, obj.position[0],
                                  obj.position[1], obj.velocity[0],
                                  obj.velocity[1], obj.radius, scored)
@@ -356,7 +351,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         if spec.stations is not None:
             active_hazards = [h for h in spec.hazards if h.spawn_time <= t]
             outgoing = generate_honest_traffic(
-                spec.stations, objs, active_hazards, t, dt, seq_counters,
+                spec.stations, truth, active_hazards, t, dt, seq_counters,
                 streams.get("v2x_honest"), denm_started)
             if spec.attack is not None:
                 outgoing += generate_attack_traffic(
@@ -410,8 +405,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         if traj is not None:
             s_plan = traj.project(ego.position)
             ttc_now = ttc_min(ego, traj, s_plan, unexplained_tracks(ldm),
-                              PREFIX_HORIZON, spec.vehicle.collision_radius,
-                              TRACK_RADIUS)
+                              PREFIX_HORIZON, COLLISION_RADIUS, TRACK_RADIUS)
             cause = "+".join(check_triggers(ldm, traj, s_plan, spec.triggers,
                                             risk_ttc=ttc_now))
         elif k == stop_tick + RECOVERY_TICKS:
@@ -429,7 +423,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             cmd, target_speed = safety_stop_command(ego.brake, dt), 0.0
         else:
             cmd, pid, target_speed = follow_tick(ego, traj, s_plan, spec.controller,
-                                                 pid, spec.vehicle, dt)
+                                                 pid, dt)
 
         heading_ref = ref.heading_at(s_route)
         logs["vehicle"].append(k, t, ego.x, ego.y, ego.heading, ego.speed,
@@ -442,7 +436,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             logs["ldm"].append(k, t, tr.track_id, tr.position[0], tr.position[1],
                                tr.velocity[0], tr.velocity[1], tr.belief)
 
-        ego = step(ego, cmd, spec.vehicle, dt)
+        ego = step(ego, cmd, dt)
     else:
         termination, k = "timeout", n_ticks
     # k ticks ran to completion
@@ -472,7 +466,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         "termination": termination,
         "sim_time": sim_time,
         "metrics": asdict(m),
-        "objectives": list(objective_vector(m, spec.metrics)),
+        "objectives": list(objective_vector(m, MetricParams())),
         "counters": {"plans": len(timing.rows), "ticks": k,
                      "events": len(ldm.events),
                      "tracks_born": ldm.tracks_born},
@@ -673,7 +667,7 @@ def make_episode_runner(base_specs: dict[str, ScenarioSpec]):
     def runner(config, scenario_id: str, seed: int):
         spec = apply_configuration(base_specs[scenario_id], config)
         result = run_episode(spec, seed)
-        return (objective_vector(result.metrics, spec.metrics),
+        return (objective_vector(result.metrics, MetricParams()),
                 result.metrics.collisions > 0)
     return runner
 

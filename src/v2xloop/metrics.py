@@ -15,6 +15,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MetricParams:
+    """Scoring weights and thresholds: every run scores with the defaults
+    and records them as meta.json's `metrics` block, which a replay reads."""
+
     tau_safety: float = 2.0           # [s] TTC hinge threshold
     alpha_resp: float = 1.0           # weight on V2X reaction time
     beta_resp: float = 1.0            # weight on update activation time

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ldm import LdmState
-from .vehicle import VehicleParams
+from .vehicle import COLLISION_RADIUS, MAX_STEER, WHEELBASE
 from .world import TWO_PI, OccupancyGrid, Polyline, check_range, mark_disk, wrap_angle
 
 # collision footprint of an event by kind, before vehicle-radius inflation
@@ -224,8 +224,7 @@ def unexplained_tracks(ldm: LdmState) -> list:
     return out
 
 
-def obstacle_grid(ldm: LdmState, vparams: VehicleParams, base: OccupancyGrid,
-                  start_xy) -> OccupancyGrid:
+def obstacle_grid(ldm: LdmState, base: OccupancyGrid, start_xy) -> OccupancyGrid:
     """Planning grid = `base` (the inflated static map, from
     world.planning_occupancy) + confident tracks + accepted events.
 
@@ -256,12 +255,12 @@ def obstacle_grid(ldm: LdmState, vparams: VehicleParams, base: OccupancyGrid,
         if math.hypot(tr.velocity[0], tr.velocity[1]) >= STATIC_SPEED_FLOOR:
             px += tr.velocity[0] * half_prefix
             py += tr.velocity[1] * half_prefix
-        radius = TRACK_RADIUS + vparams.collision_radius + OBSTACLE_MARGIN
+        radius = TRACK_RADIUS + COLLISION_RADIUS + OBSTACLE_MARGIN
         if blocks_start(px, py, radius):
             continue
         mark_disk(cells, out, (px, py), radius)
     for ev in ldm.accepted_events():
-        radius = EVENT_RADIUS[ev.kind] + vparams.collision_radius + EVENT_MARGIN
+        radius = EVENT_RADIUS[ev.kind] + COLLISION_RADIUS + EVENT_MARGIN
         if blocks_start(ev.position[0], ev.position[1], radius):
             continue
         mark_disk(cells, out, ev.position, radius, touching=True)
@@ -388,9 +387,9 @@ class PlanningMaps:
     inputs it is a pure function of. A plan that stamps other cells
     replaces that entry, so the maps hold one stamped field however many
     seeds stamp their own. `initial_plans` keeps the PlanAttempt of an
-    episode's tick-0 plan, which reads no LDM content, per (start and goal
-    bits, VehicleParams); the harness fills and reads it. An all-zero
-    deviation field prices no deviation."""
+    episode's tick-0 plan, which reads no LDM content, per the bits of its
+    start pose, start steering and goal; the harness fills and reads it. An
+    all-zero deviation field prices no deviation."""
 
     grid: OccupancyGrid
     deviation: np.ndarray
@@ -413,17 +412,17 @@ class PlanningMaps:
 # hybrid A*
 
 
-def _primitives(vparams: VehicleParams, cell_size: float):
+def _primitives(cell_size: float):
     """Body-frame arc samples per steering value; reused across expansions.
     Samples lie at most 0.8 * cell_size apart, closer than one grid cell."""
-    steers = np.linspace(-vparams.max_steer, vparams.max_steer, STEERING_SAMPLES)
+    steers = np.linspace(-MAX_STEER, MAX_STEER, STEERING_SAMPLES)
     arc = PRIMITIVE_ARC_LENGTH
     substep = max(2, int(math.ceil(arc / (0.8 * cell_size))))
     s = np.linspace(arc / substep, arc, substep)
     pts = np.zeros((len(steers), substep, 2))
     dthetas = np.zeros((len(steers), substep))
     for i, steer in enumerate(steers):
-        kappa = math.tan(steer) / vparams.wheelbase
+        kappa = math.tan(steer) / WHEELBASE
         if abs(kappa) < 1e-12:
             pts[i, :, 0] = s
         else:
@@ -452,8 +451,8 @@ def _arcs_from(rotated: np.ndarray, x: float, y: float) -> np.ndarray:
     return rotated + (x, y)
 
 
-def plan(start_pose, goal_pose, ldm: LdmState, vparams: VehicleParams,
-         cause: str, maps: PlanningMaps, start_steering: float) -> PlanAttempt:
+def plan(start_pose, goal_pose, ldm: LdmState, cause: str, maps: PlanningMaps,
+         start_steering: float) -> PlanAttempt:
     """Search a drivable path and attach its target speed profile.
 
     obstacle_grid stamps the LDM into `maps.grid`, and `maps.deviation`
@@ -470,8 +469,8 @@ def plan(start_pose, goal_pose, ldm: LdmState, vparams: VehicleParams,
     pushed with HEURISTIC_WEIGHT * max(its Euclidean distance to the goal,
     the field at its cell), and a node whose cell reads inf is not pushed.
     Returns a failed attempt (trajectory None) when the goal is unreachable
-    within the expansion budget; the caller is expected to fall back to a
-    minimum-safety stop.
+    within MAX_EXPANSIONS expansions, never counting more than it made; the
+    caller is expected to fall back to a minimum-safety stop.
 
     The grid is read through one cost table per plan: the deviation on
     free cells, inf on blocked ones and on a border row and column. An
@@ -486,7 +485,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, vparams: VehicleParams,
     t0 = time.perf_counter()
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
-    grid = obstacle_grid(ldm, vparams, base=maps.grid, start_xy=(sx, sy))
+    grid = obstacle_grid(ldm, base=maps.grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
     stamp = np.flatnonzero(cells != maps.grid.cells)
@@ -513,7 +512,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, vparams: VehicleParams,
     goal_xy_tol, goal_heading_tol = GOAL_XY_TOL, GOAL_HEADING_TOL
     max_expansions = MAX_EXPANSIONS
 
-    steers, prim_pts, prim_dth = _primitives(vparams, grid.cell_size)
+    steers, prim_pts, prim_dth = _primitives(grid.cell_size)
     substep = prim_pts.shape[1]
     arc = PRIMITIVE_ARC_LENGTH
     # per-plan constants, each evaluated in the order the per-push cost is
@@ -562,9 +561,9 @@ def plan(start_pose, goal_pose, ldm: LdmState, vparams: VehicleParams,
                 and abs(wrap_angle(th - gth)) <= goal_heading_tol):
             goal_node = ni
             break
-        expansions += 1
-        if expansions > max_expansions:
+        if expansions >= max_expansions:
             break
+        expansions += 1
 
         # 0.0 and -0.0 are one dict key but turn the primitives to
         # different zero signs, so -0.0 gets a key of its own
@@ -623,14 +622,13 @@ def plan(start_pose, goal_pose, ldm: LdmState, vparams: VehicleParams,
     traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), CRUISE_SPEED),
                       planned_on_version=ldm.active_map.version_id,
                       planned_at=ldm.stamp)
-    traj = attach_speed_profile(traj, ldm, vparams)
+    traj = attach_speed_profile(traj, ldm)
     cpu_ms = (time.perf_counter() - t0) * 1000.0
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=cpu_ms,
                        cause=cause, heuristic_ms=heuristic_ms)
 
 
-def attach_speed_profile(traj: Trajectory, ldm: LdmState,
-                         vparams: VehicleParams) -> Trajectory:
+def attach_speed_profile(traj: Trajectory, ldm: LdmState) -> Trajectory:
     """Cruise profile with a goal ramp and slowdowns at accepted hazards.
 
     Near an accepted hazard the target dips to PASS_SPEED across a slowdown
@@ -652,10 +650,10 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState,
         i_min = int(np.argmin(d))
         d_min = float(d[i_min])
         radius = EVENT_RADIUS[ev.kind]
-        corridor = radius + TRACK_RADIUS + vparams.collision_radius + 2.0
+        corridor = radius + TRACK_RADIUS + COLLISION_RADIUS + 2.0
         if d_min > corridor:
             continue
-        blocked = d_min < radius + vparams.collision_radius
+        blocked = d_min < radius + COLLISION_RADIUS
         floor = 0.0 if blocked else PASS_SPEED
         s_h = float(s_axis[i_min])
         local = np.full(len(s_axis), CRUISE_SPEED)

@@ -9,7 +9,10 @@ Four built-in scenarios exercise the stack:
 
 A scenario is a value object; everything an episode needs that some run
 varies serializes to JSON and back, and the settings no run varies are
-constants of the modules that read them. Unknown keys anywhere in the document
+constants of the modules that read them: among them the ego's bicycle model
+(`vehicle`), the stations' CAM and DENM schedule and report noise (`v2x`) and
+the scoring weights (`metrics.MetricParams`' defaults, which every run
+records in its meta.json). Unknown keys anywhere in the document
 are errors, never silently ignored, so a typo in a config cannot run with
 defaults behind the experimenter's back. The optional sections switch their
 capability by being present: `stations` (V2X), `attack` (forged DENMs from
@@ -28,12 +31,11 @@ import numpy as np
 
 from .control import ControllerConfig
 from .gate import GateConfig
-from .metrics import MetricParams
 from .pareto import Configuration
 from .perception import SensorModel
 from .planner import CRUISE_SPEED, GOAL_XY_TOL, PRIMITIVE_ARC_LENGTH, TriggerConfig
 from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation
-from .vehicle import VehicleParams
+from .vehicle import V_MAX
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
                     VersionedMap, as_polyline, check_id, check_range,
@@ -113,7 +115,6 @@ class ScenarioSpec:
     dt: float = 0.05
     time_limit: float = 40.0
     goal_tolerance: float = 2.0           # [m]
-    vehicle: VehicleParams = VehicleParams()
     sensor: SensorModel = SensorModel()
     channel: ChannelModel = ChannelModel()
     stations: StationPopulation | None = None
@@ -121,7 +122,6 @@ class ScenarioSpec:
     gate: GateConfig = GateConfig()
     triggers: TriggerConfig = TriggerConfig()
     controller: ControllerConfig = ControllerConfig()
-    metrics: MetricParams = MetricParams()
     update_client: UpdateClientConfig | None = None
     hazards: tuple[GroundTruthHazard, ...] = ()
     traffic: tuple[ScriptedVehicle, ...] = ()
@@ -151,10 +151,10 @@ class ScenarioSpec:
             if not (0.0 <= x < width and 0.0 <= y < height):
                 raise ValueError(f"{name}: must lie on the {width:g} x {height:g} m "
                                  f"map, got ({x:g}, {y:g})")
-        # vehicle.step moves at the start speed before it clamps it to [0, v_max]
-        speed, v_max = self.ego_start[3], self.vehicle.v_max
-        if not 0.0 <= speed <= v_max:
-            raise ValueError(f"ego_start: speed must be in [0, {v_max:g}] m/s, "
+        # vehicle.step moves at the start speed before it clamps it to [0, V_MAX]
+        speed = self.ego_start[3]
+        if not 0.0 <= speed <= V_MAX:
+            raise ValueError(f"ego_start: speed must be in [0, {V_MAX:g}] m/s, "
                              f"got {speed:g}")
         # a motion primitive longer than the diagonal leaves the map from
         # anywhere on it
@@ -263,8 +263,7 @@ def _s2_layout():
     route = Route(reference_path=ref, goal_pose=(92.0, 50.0, 0.0))
     # off-center stall: blocks the reference line but leaves a gap below it
     hazard = GroundTruthHazard(hazard_id="hz-0", position=(62.0, 50.4),
-                               kind="stationary_vehicle", spawn_time=3.5,
-                               observable_by_sensing=True, radius=1.0)
+                               kind="stationary_vehicle", spawn_time=3.5, radius=1.0)
     traffic = (
         ScriptedVehicle("veh-a", _straight((90.0, 58.0), (10.0, 58.0)), speed=6.0),
         ScriptedVehicle("veh-b", _straight((10.0, 42.0), (90.0, 42.0)), speed=5.0),
@@ -279,9 +278,7 @@ def build_s2(v2x_enabled: bool = True) -> ScenarioSpec:
                                 bound_object="veh-a"),
                         Station("obu-b", (0.0, 0.0), sensing_range=40.0,
                                 bound_object="veh-b")]
-    population = StationPopulation(stations=tuple(rsus + vehicle_stations),
-                                   honest_report_noise_sigma=0.5,
-                                   cam_period=0.1, denm_period=1.0)
+    population = StationPopulation(stations=tuple(rsus + vehicle_stations))
     return ScenarioSpec(
         scenario_id="s2", vmap=vmap, route=route,
         ego_start=(8.0, 50.0, 0.0, 0.0),
@@ -317,8 +314,7 @@ def build_s3(updates_enabled: bool = True) -> ScenarioSpec:
     route = Route(reference_path=ref, goal_pose=(92.0, 30.0, 0.0))
     posts = tuple(
         GroundTruthHazard(hazard_id=f"bar-{i}", position=(70.0, 26.8 + 1.6 * i),
-                          kind="road_closure", spawn_time=4.0,
-                          observable_by_sensing=True, radius=1.0)
+                          kind="road_closure", spawn_time=4.0, radius=1.0)
         for i in range(5))
     return ScenarioSpec(
         scenario_id="s3", vmap=vmap, route=route,
@@ -334,9 +330,7 @@ def build_s4(gate_enabled: bool = True) -> ScenarioSpec:
     rsus = _rsu_row(7, 20.0, 10.0, 56.0)
     byz = _rsu_row(3, 30.0, 15.0, 44.0, prefix="byz")
     population = StationPopulation(stations=tuple(rsus + byz),
-                                   byzantine_ids=frozenset(s.station_id for s in byz),
-                                   honest_report_noise_sigma=0.5,
-                                   cam_period=0.1, denm_period=1.0)
+                                   byzantine_ids=frozenset(s.station_id for s in byz))
     return ScenarioSpec(
         scenario_id="s4", vmap=vmap, route=route,
         ego_start=(8.0, 50.0, 0.0, 0.0),

@@ -18,6 +18,10 @@ from .world import HAZARD_KINDS, Route, check_id, check_range
 
 CAM = "CAM"
 DENM = "DENM"
+# honest stations' schedules and report noise
+HONEST_REPORT_NOISE_SIGMA = 0.5       # [m]
+CAM_PERIOD = 0.1                      # [s]
+DENM_PERIOD = 1.0                     # [s] DENM repeat interval while a hazard persists
 
 
 @dataclass(frozen=True)
@@ -58,18 +62,12 @@ class Station:
 class StationPopulation:
     stations: tuple[Station, ...]
     byzantine_ids: frozenset[str] = frozenset()
-    honest_report_noise_sigma: float = 0.5   # [m]
-    cam_period: float = 0.1           # [s]
-    denm_period: float = 1.0          # [s] DENM repeat interval while a hazard persists
     # the honest and the Byzantine stations in id order, the order they
     # transmit in within a tick
     _honest: tuple = field(init=False, repr=False, compare=False)
     _byzantine: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a CAM period of 0 never emits; a DENM period of 0 sends only the
-        # event-triggered first DENM
-        check_range(self, ("honest_report_noise_sigma", "cam_period", "denm_period"))
         object.__setattr__(self, "stations", tuple(self.stations))
         object.__setattr__(self, "byzantine_ids", frozenset(self.byzantine_ids))
         ids = [s.station_id for s in self.stations]
@@ -160,12 +158,11 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
     (event-triggered), then repeats on the DENM period. `denm_started`
     carries that first-seen bookkeeping between ticks.
     """
-    sigma = population.honest_report_noise_sigma
     truth_by_id = {o.object_id: o for o in truth_objects}
     msgs: list[V2xMessage] = []
     # the schedules are the same for every station
-    cam_due = _emits_this_tick(t, dt, population.cam_period)
-    denm_due = [_emits_this_tick(t, dt, population.denm_period,
+    cam_due = _emits_this_tick(t, dt, CAM_PERIOD)
+    denm_due = [_emits_this_tick(t, dt, DENM_PERIOD,
                                  offset=hazard.spawn_time) for hazard in active_hazards]
 
     for station in population.honest():
@@ -173,8 +170,8 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
         # CAMs are vehicle presence beacons; fixed roadside units only
         # relay hazard notifications, they are not objects to track
         if station.bound_object is not None and cam_due:
-            noise = rng.normal(0.0, sigma, size=2).tolist()
-            vnoise = rng.normal(0.0, sigma * 0.2, size=2).tolist()
+            noise = rng.normal(0.0, HONEST_REPORT_NOISE_SIGMA, size=2).tolist()
+            vnoise = rng.normal(0.0, HONEST_REPORT_NOISE_SIGMA * 0.2, size=2).tolist()
             seq = seq_counters.get(station.station_id, 0)
             seq_counters[station.station_id] = seq + 1
             msgs.append(V2xMessage(
@@ -192,7 +189,7 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
                 denm_started.add(key)
             if not (first or periodic):
                 continue
-            noise = rng.normal(0.0, sigma, size=2).tolist()
+            noise = rng.normal(0.0, HONEST_REPORT_NOISE_SIGMA, size=2).tolist()
             seq = seq_counters.get(station.station_id, 0)
             seq_counters[station.station_id] = seq + 1
             msgs.append(V2xMessage(

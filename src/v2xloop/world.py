@@ -451,7 +451,6 @@ class GroundTruthHazard:
     position: tuple[float, float]
     kind: str
     spawn_time: float = 0.0
-    observable_by_sensing: bool = True
     radius: float = 1.0           # [m] collision body
 
     def __post_init__(self):

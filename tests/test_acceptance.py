@@ -28,11 +28,11 @@ from v2xloop.pareto import (config_grid, evaluate_grid, hypervolume,
 from v2xloop.planner import (PREFIX_HORIZON, PlanningMaps,
                              Trajectory, obstacle_grid, plan, ttc_min)
 from v2xloop.scenarios import build_s2, build_s3, build_s4
-from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature, step
+from v2xloop.vehicle import (COLLISION_RADIUS, MAX_CURVATURE, WHEELBASE, VehicleState,
+                             step)
 from v2xloop.world import LaneSegment, Route, planning_occupancy
 
 SEEDS = tuple(range(1, 31))
-VP = VehicleParams()
 
 
 def _verdict(config, num, label, ok, detail):
@@ -290,7 +290,6 @@ def _corridor_instance(rng):
 
 def test_06_planner_success_rate_and_bounds(pytestconfig):
     rng = np.random.default_rng(606)
-    k_max = max_curvature(VP)
     failures = 0
     worst_ratio = 0.0
     collisions = 0
@@ -300,9 +299,9 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         # each instance is its own map version, so its first plan builds
         # the static field inside its cpu_ms, as an episode's first plan
         # does; no deviation field prices none
-        base = planning_occupancy(vmap, ldm.active_map, VP.collision_radius)
+        base = planning_occupancy(vmap, ldm.active_map, COLLISION_RADIUS)
         maps = PlanningMaps(base, np.zeros(base.cells.shape))
-        attempt = plan(start, goal, ldm, VP, "initial", maps, 0.0)
+        attempt = plan(start, goal, ldm, "initial", maps, 0.0)
         if not attempt.succeeded:
             failures += 1
             continue
@@ -316,8 +315,8 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         # curvature from heading change and chord (chord = 2 sin(dh/2) / k)
         # instead of dividing by the chord, which overstates k by (k ds)^2/24
         kappa = 2.0 * np.sin(dh[m] / 2.0) / chord[m]
-        worst_ratio = max(worst_ratio, float(np.max(kappa) / k_max))
-        grid = obstacle_grid(ldm, VP, base, start[:2])
+        worst_ratio = max(worst_ratio, float(np.max(kappa) / MAX_CURVATURE))
+        grid = obstacle_grid(ldm, base, start[:2])
         if any(occupied_at(grid, x, y) for x, y, _ in poses):
             collisions += 1
     mean_ms = mean(times_ms) if times_ms else math.inf
@@ -378,26 +377,24 @@ def test_08_controller_and_dynamics_oracles(pytestconfig):
     ang = np.linspace(0.0, 2.0 * math.pi, 200)
     circle = _traj_from_path(np.column_stack([radius * np.cos(ang),
                                               radius * np.sin(ang)]), 5.0)
-    expected = math.atan(VP.wheelbase / radius)
+    expected = math.atan(WHEELBASE / radius)
     s = VehicleState(x=radius, y=0.0, heading=math.pi / 2, speed=5.0)
     last = 0.0
     for _ in range(400):
-        last = pure_pursuit(s.pose, circle, 3.0, VP, circle.project(s.position))
-        s = step(s, ControlCommand(steering=last, throttle=0.0, brake=0.0),
-                 VP, 0.02)
+        last = pure_pursuit(s.pose, circle, 3.0, circle.project(s.position))
+        s = step(s, ControlCommand(steering=last, throttle=0.0, brake=0.0), 0.02)
         s = VehicleState(x=s.x, y=s.y, heading=s.heading, speed=5.0,
                          steering=s.steering)
     steer_err = abs(last - expected) / expected
 
     # fixed-steer circle radius against L/tan(delta)
     delta = math.radians(20.0)
-    expected_r = VP.wheelbase / math.tan(delta)
+    expected_r = WHEELBASE / math.tan(delta)
     s = VehicleState(x=0.0, y=0.0, heading=0.0, speed=5.0)
     xs, ys = [], []
     n = int(2.0 * math.pi * expected_r / 5.0 / 0.01) + 10
     for _ in range(n):
-        s = step(s, ControlCommand(steering=delta, throttle=0.0, brake=0.0),
-                 VP, 0.01)
+        s = step(s, ControlCommand(steering=delta, throttle=0.0, brake=0.0), 0.01)
         s = VehicleState(x=s.x, y=s.y, heading=s.heading, speed=5.0,
                          steering=s.steering)
         xs.append(s.x)
@@ -429,8 +426,8 @@ def test_08_controller_and_dynamics_oracles(pytestconfig):
     lateral = []
     for _ in range(250):
         cmd, pid, _ = follow_tick(s, straight, straight.project(s.position), ccfg,
-                                  pid, VP, 0.05)
-        s = step(s, cmd, VP, 0.05)
+                                  pid, 0.05)
+        s = step(s, cmd, 0.05)
         if s.x > 20.0:  # settle the initial transient first
             lateral.append(s.y)
         if s.x > 110.0:

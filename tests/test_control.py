@@ -10,10 +10,9 @@ from v2xloop.control import (INTEGRAL_CLAMP, K_I, ControlCommand, ControllerConf
                              PidState, follow_tick, pid_longitudinal, pure_pursuit,
                              safety_stop_command)
 from v2xloop.planner import Trajectory
-from v2xloop.vehicle import VehicleParams, VehicleState, step
+from v2xloop.vehicle import MAX_STEER, WHEELBASE, VehicleState, step
 
 CFG = ControllerConfig()
-VP = VehicleParams()
 
 
 def _traj_from_path(path, speed=8.0):
@@ -28,7 +27,7 @@ def _traj_from_path(path, speed=8.0):
 
 def _steer(pose, traj, look_ahead):
     """Pure Pursuit from the pose's projection, as follow_tick calls it."""
-    return pure_pursuit(pose, traj, look_ahead, VP, traj.project(pose[:2]))
+    return pure_pursuit(pose, traj, look_ahead, traj.project(pose[:2]))
 
 
 def _circle_traj(radius, n=200):
@@ -60,15 +59,14 @@ def test_pure_pursuit_circle_matches_geometry():
     """On a circle the converged steering must be near atan(L/R) (within 5%)."""
     radius = 20.0
     traj = _circle_traj(radius)
-    expected = math.atan(VP.wheelbase / radius)
+    expected = math.atan(WHEELBASE / radius)
     # place the ego on the circle, tangent heading, and read the command
     s = VehicleState(x=radius, y=0.0, heading=math.pi / 2, speed=5.0)
     dt = 0.02
     last = 0.0
     for _ in range(400):
         steer = _steer(s.pose, traj, 3.0)
-        s = step(s, ControlCommand(steering=steer, throttle=0.0, brake=0.0),
-                 VP, dt)
+        s = step(s, ControlCommand(steering=steer, throttle=0.0, brake=0.0), dt)
         s = VehicleState(x=s.x, y=s.y, heading=s.heading, speed=5.0,
                          steering=s.steering)
         last = steer
@@ -81,7 +79,7 @@ def test_pure_pursuit_chases_final_pose_past_end():
     traj = _traj_from_path([[0.0, 0.0], [10.0, 0.0]])
     # ego beyond the goal, pointing away: command saturates back toward it
     steer = _steer((12.0, 1.0, 0.0), traj, 4.0)
-    assert abs(steer) <= VP.max_steer
+    assert abs(steer) <= MAX_STEER
     assert steer != 0.0
 
 
@@ -126,8 +124,8 @@ def test_closed_loop_straight_tracking_rmse():
     dt = 0.05
     lateral = []
     for _ in range(250):
-        cmd, pid, _ = follow_tick(s, traj, traj.project(s.position), CFG, pid, VP, dt)
-        s = step(s, cmd, VP, dt)
+        cmd, pid, _ = follow_tick(s, traj, traj.project(s.position), CFG, pid, dt)
+        s = step(s, cmd, dt)
         if s.x > 20.0:   # skip the initial transient
             lateral.append(s.y)
         if s.x > 110.0:
@@ -140,12 +138,12 @@ def test_follow_tick_splits_throttle_and_brake():
     traj = _traj_from_path([[0.0, 0.0], [50.0, 0.0]], speed=8.0)
     slow = VehicleState(x=1.0, y=0.0, heading=0.0, speed=2.0)
     cmd, _, target = follow_tick(slow, traj, traj.project(slow.position), CFG,
-                                 PidState(), VP, 0.05)
+                                 PidState(), 0.05)
     assert target == 8.0
     assert cmd.throttle > 0.0 and cmd.brake == 0.0
     fast = VehicleState(x=1.0, y=0.0, heading=0.0, speed=14.0)
     cmd, _, _ = follow_tick(fast, traj, traj.project(fast.position), CFG,
-                            PidState(), VP, 0.05)
+                            PidState(), 0.05)
     assert cmd.brake > 0.0 and cmd.throttle == 0.0
 
 

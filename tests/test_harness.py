@@ -296,7 +296,7 @@ def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
     # both map versions were planned on, each map and each cost-to-goal
     # field built once for all seeds
     assert len(calls["deviation"]) == len(calls["to_goal"]) == 2
-    maps_key = (spec.route.reference_path, spec.vehicle.collision_radius)
+    maps_key = spec.route.reference_path
     field_key = spec.route.goal_pose[:2]
     for version in spec.vmap.versions:
         assert set(version.planning_memo) == {maps_key}
@@ -463,7 +463,7 @@ def test_sweep_point_at_the_scenarios_own_knob_is_its_run(sid):
     assert spec.controller.k_p == 0.6
     (point,) = run_sweep({"k_p": [0.6]}, [sid], [1]).points
     assert point.objectives == objective_vector(run_episode(spec, 1).metrics,
-                                                spec.metrics)
+                                                MetricParams())
 
 
 def test_sweep_runs_each_applied_spec_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every name the package exports exists."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,9 @@ def test_modules_import_no_unused_names():
             if (path.stem, name) not in EXEMPT:
                 found.append(f"{path.stem}: {name}")
     assert found == []
+
+
+def test_package_exports_resolve():
+    # a name deleted from its module must leave __all__ too, or
+    # `from v2xloop import *` fails
+    assert [name for name in v2xloop.__all__ if not hasattr(v2xloop, name)] == []

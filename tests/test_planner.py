@@ -22,18 +22,17 @@ from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
                              route_deviation_field, ttc_min, unexplained_tracks)
 from v2xloop.scenarios import (SCENARIO_IDS, build_s1, build_scenario, spec_from_dict,
                                 spec_to_dict)
-from v2xloop.vehicle import VehicleParams, VehicleState, max_curvature
+from v2xloop.vehicle import COLLISION_RADIUS, MAX_CURVATURE, VehicleState
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Route,
                            empty_grid, inflate, planning_occupancy, wrap_angle)
 
 TRIG = TriggerConfig()
-VP = VehicleParams()
 
 ROAD_MAP = corridor_map(
     [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)], 100.0, 20.0)
 ROAD = ROAD_MAP.initial()
 # the static planning grid the episode loop passes to `plan` on ROAD
-ROAD_BASE = planning_occupancy(ROAD_MAP, ROAD, VP.collision_radius)
+ROAD_BASE = planning_occupancy(ROAD_MAP, ROAD, COLLISION_RADIUS)
 ROUTE = Route(reference_path=np.array([[2.0, 10.0], [95.0, 10.0]]),
               goal_pose=(95.0, 10.0, 0.0))
 
@@ -73,7 +72,7 @@ def _plan(start, ldm, cause="initial", start_steering=0.0,
     """`plan` with `maps`, or with fresh `_maps` of ROAD."""
     if maps is None:
         maps = _maps(ROAD_BASE, deviation_field)
-    return plan(start, goal, ldm, VP, cause, maps, start_steering)
+    return plan(start, goal, ldm, cause, maps, start_steering)
 
 
 def _static(maps):
@@ -87,7 +86,7 @@ def _stamped(maps):
 
 
 def _grid(ldm, start_xy=ROUTE.reference_path.points[0], base=ROAD_BASE):
-    return obstacle_grid(ldm, VP, base, start_xy)
+    return obstacle_grid(ldm, base, start_xy)
 
 
 def _check_plan(attempt, goal):
@@ -114,12 +113,11 @@ def test_plan_straight_corridor():
 def test_plan_respects_curvature_bound():
     attempt = _plan((2.0, 10.0, 0.0), _ldm())
     poses = attempt.trajectory.poses
-    k_max = max_curvature(VP)
     d = np.diff(poses[:, :2], axis=0)
     ds = np.hypot(d[:, 0], d[:, 1])
     dh = np.abs(np.diff(np.unwrap(poses[:, 2])))
     mask = ds > 1e-9
-    assert np.all(dh[mask] / ds[mask] <= k_max * (1.0 + 1e-6))
+    assert np.all(dh[mask] / ds[mask] <= MAX_CURVATURE * (1.0 + 1e-6))
 
 
 def test_plan_poses_collision_free():
@@ -131,7 +129,7 @@ def test_plan_poses_collision_free():
         assert not occupied_at(grid, x, y)
     # the path actually deviates around the stamped track
     d = np.hypot(traj.poses[:, 0] - 40.0, traj.poses[:, 1] - 10.0)
-    assert float(d.min()) >= planner.TRACK_RADIUS + VP.collision_radius - 0.5
+    assert float(d.min()) >= planner.TRACK_RADIUS + COLLISION_RADIUS - 0.5
 
 
 def test_plan_reports_failure_when_goal_unreachable():
@@ -298,7 +296,7 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
     base = ROAD_BASE
     deviation = route_deviation_field(base, ROUTE.reference_path.points)
     start = (start_x, 10.0, 0.0)
-    grid = obstacle_grid(ldm, VP, base, start[:2])
+    grid = obstacle_grid(ldm, base, start[:2])
     want = cost_to_goal_field(grid, deviation, ROUTE.goal_pose[:2], planner.LATERAL_WEIGHT)
     maps = PlanningMaps(base, deviation)
     with pytest.MonkeyPatch.context() as mp:
@@ -320,9 +318,8 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
 # bit-identity against the per-steer search loop
 
 
-def _reference_plan(start_pose, goal_pose, ldm, vparams,
-                    cause, base_grid, start_steering, cost_to_goal,
-                    deviation_field=None):
+def _reference_plan(start_pose, goal_pose, ldm, cause, base_grid, start_steering,
+                    cost_to_goal, deviation_field=None):
     """The search as first written: one lookup per steering sample and one
     stored arc per pushed node, with the heuristic read at each arc's end
     cell from `cost_to_goal`, the field of the grid obstacle_grid returns.
@@ -331,14 +328,14 @@ def _reference_plan(start_pose, goal_pose, ldm, vparams,
     equal `plan` given an all-zero one."""
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
-    grid = obstacle_grid(ldm, vparams, base=base_grid, start_xy=(sx, sy))
+    grid = obstacle_grid(ldm, base=base_grid, start_xy=(sx, sy))
     cells = grid.cells
     ny, nx = cells.shape
     inv_res = 1.0 / grid.cell_size
     bin_size = TWO_PI / planner.HEADING_BINS
     hw = planner.HEURISTIC_WEIGHT
 
-    steers, prim_pts, prim_dth = _primitives(vparams, grid.cell_size)
+    steers, prim_pts, prim_dth = _primitives(grid.cell_size)
     n_steer = len(steers)
     arc = planner.PRIMITIVE_ARC_LENGTH
 
@@ -369,9 +366,9 @@ def _reference_plan(start_pose, goal_pose, ldm, vparams,
                 and abs(wrap_angle(th - gth)) <= planner.GOAL_HEADING_TOL):
             goal_node = ni
             break
-        expansions += 1
-        if expansions > planner.MAX_EXPANSIONS:
+        if expansions >= planner.MAX_EXPANSIONS:
             break
+        expansions += 1
 
         c, s = math.cos(th), math.sin(th)
         rot = np.array([[c, -s], [s, c]])
@@ -429,7 +426,7 @@ def _reference_plan(start_pose, goal_pose, ldm, vparams,
     traj = Trajectory(poses=poses, target_speeds=np.full(len(poses), planner.CRUISE_SPEED),
                       planned_on_version=ldm.active_map.version_id,
                       planned_at=ldm.stamp)
-    traj = attach_speed_profile(traj, ldm, vparams)
+    traj = attach_speed_profile(traj, ldm)
     return PlanAttempt(trajectory=traj, expansions=expansions, cpu_ms=0.0,
                        cause=cause)
 
@@ -463,7 +460,7 @@ def _random_corridor(rng, near_edge: bool):
         tx = float(rng.uniform(*slots[j]))
         ty = float(np.interp(tx, xs, ys)) + (2.0 if j % 2 == 0 else -2.0)
         ldm.objects.append(_track(f"T{j}", (tx, ty), belief=0.9))
-    base = planning_occupancy(vmap, vmap.initial(), VP.collision_radius)
+    base = planning_occupancy(vmap, vmap.initial(), COLLISION_RADIUS)
     return start, goal, line, ldm, base
 
 
@@ -493,14 +490,14 @@ def _assert_plan_matches_reference(start, goal, ldm, base, budget, start_steerin
     attempt."""
     field = None if line is None else route_deviation_field(base, line)
     deviation = np.zeros(base.cells.shape) if field is None else field
-    stamped = obstacle_grid(ldm, VP, base, start[:2])
+    stamped = obstacle_grid(ldm, base, start[:2])
     searched = cost_to_goal_field(stamped, deviation, goal[:2], planner.LATERAL_WEIGHT)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "MAX_EXPANSIONS", budget)
-        got = plan(start, goal, ldm, VP, "initial", PlanningMaps(base, deviation),
+        got = plan(start, goal, ldm, "initial", PlanningMaps(base, deviation),
                    start_steering)
-        want = _reference_plan(start, goal, ldm, VP, "initial", base,
-                               start_steering, searched, deviation_field=field)
+        want = _reference_plan(start, goal, ldm, "initial", base, start_steering,
+                               searched, deviation_field=field)
     assert got.expansions == want.expansions
     assert got.succeeded == want.succeeded
     if want.succeeded:
@@ -541,7 +538,7 @@ def _open_ldm(blocked=()):
     grid = empty_grid(30.0, 20.0, 0.5)
     for x0, x1, y0, y1 in blocked:
         grid.cells[int(y0 / 0.5):int(y1 / 0.5), int(x0 / 0.5):int(x1 / 0.5)] = True
-    return initial_state(MapVersion(0, ())), inflate(grid, VP.collision_radius)
+    return initial_state(MapVersion(0, ())), inflate(grid, COLLISION_RADIUS)
 
 
 # (x, y, outward heading) 0.4 m inside each side of the open map
@@ -623,7 +620,7 @@ def _assert_deviation_matches_the_oracle(grid, line):
 def test_route_deviation_field_matches_the_whole_grid_formula_where_read(scenario_id):
     spec = build_scenario(scenario_id)
     for version in spec.vmap.versions:
-        grid = planning_occupancy(spec.vmap, version, spec.vehicle.collision_radius)
+        grid = planning_occupancy(spec.vmap, version, COLLISION_RADIUS)
         _assert_deviation_matches_the_oracle(grid, spec.route.reference_path.points)
 
 
@@ -738,7 +735,7 @@ def test_obstacle_grid_stamps_confident_tracks():
     ldm = _ldm(tracks=[_track("T1", (40.0, 10.0), belief=0.8),
                        _track("T2", (60.0, 10.0), belief=0.55)])
     grid = _grid(ldm)
-    pad = planner.TRACK_RADIUS + VP.collision_radius + planner.OBSTACLE_MARGIN
+    pad = planner.TRACK_RADIUS + COLLISION_RADIUS + planner.OBSTACLE_MARGIN
     assert occupied_at(grid, 40.0, 10.0)
     assert occupied_at(grid, 40.0 + pad - 0.3, 10.0)
     # below-threshold track leaves no stamp
@@ -760,7 +757,7 @@ def test_obstacle_grid_static_track_stamped_in_place():
 def test_obstacle_grid_event_radius_by_kind():
     for kind, r in EVENT_RADIUS.items():
         grid = _grid(_ldm(events=[_event((50.0, 10.0), kind=kind)]))
-        pad = r + VP.collision_radius + planner.EVENT_MARGIN
+        pad = r + COLLISION_RADIUS + planner.EVENT_MARGIN
         assert occupied_at(grid, 50.0 + pad - 0.3, 10.0), kind
         assert not occupied_at(grid, 50.0 + pad + 1.0, 10.0), kind
 
@@ -780,7 +777,7 @@ def test_a_plan_keeps_the_stamped_radius_from_every_accepted_event(events,
         return
     poses = attempt.trajectory.poses[1:, :2]        # every arc sample
     for ev in ldm.accepted_events():
-        radius = EVENT_RADIUS[ev.kind] + VP.collision_radius + planner.EVENT_MARGIN
+        radius = EVENT_RADIUS[ev.kind] + COLLISION_RADIUS + planner.EVENT_MARGIN
         gap = np.hypot(poses[:, 0] - ev.position[0], poses[:, 1] - ev.position[1])
         if math.hypot(start[0] - ev.position[0], start[1] - ev.position[1]) > radius:
             assert gap.min() >= radius, ev
@@ -804,8 +801,8 @@ def test_unexplained_tracks_suppressed_near_events():
     assert [t.track_id for t in kept] == ["T2"]
     # and the grid contains no double stamp around the event
     grid = _grid(ldm)
-    track_pad = planner.TRACK_RADIUS + VP.collision_radius + planner.OBSTACLE_MARGIN
-    event_pad = EVENT_RADIUS["stationary_vehicle"] + VP.collision_radius + planner.EVENT_MARGIN
+    track_pad = planner.TRACK_RADIUS + COLLISION_RADIUS + planner.OBSTACLE_MARGIN
+    event_pad = EVENT_RADIUS["stationary_vehicle"] + COLLISION_RADIUS + planner.EVENT_MARGIN
     assert not occupied_at(grid, 50.8 + track_pad - 0.2, 10.0)
     assert occupied_at(grid, 50.0 + event_pad - 0.2, 10.0)
 
@@ -829,7 +826,7 @@ def test_speed_profile_cruise_and_goal_ramp():
 def test_speed_profile_dips_to_pass_speed_near_hazard():
     ev = _event((50.0, 12.5))    # beside the path, within the slow corridor
     ldm = _ldm(events=[ev])
-    traj = attach_speed_profile(_plain_traj(), ldm, VP)
+    traj = attach_speed_profile(_plain_traj(), ldm)
     s_h = traj.project((50.0, 10.0))
     assert traj.speed_at(s_h) == pytest.approx(planner.PASS_SPEED, abs=0.3)
     # comfort-decel envelope: monotone ramp down into the hazard
@@ -840,7 +837,7 @@ def test_speed_profile_dips_to_pass_speed_near_hazard():
 
 def test_speed_profile_zeroes_when_hazard_on_path():
     ev = _event((50.0, 10.0))    # dead on the path
-    traj = attach_speed_profile(_plain_traj(), _ldm(events=[ev]), VP)
+    traj = attach_speed_profile(_plain_traj(), _ldm(events=[ev]))
     s_h = traj.project((50.0, 10.0))
     assert traj.speed_at(s_h) == pytest.approx(0.0, abs=1e-6)
 
@@ -855,7 +852,7 @@ def test_ttc_exact_head_on_oracle():
     # closing distance 27 - (1 + 1) = 25 m at 5 m/s -> 5.0 s
     tracks = [_track("T1", (29.0, 10.0))]
     t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
-                collision_radius=VP.collision_radius,
+                collision_radius=COLLISION_RADIUS,
                 track_radius=planner.TRACK_RADIUS)
     assert t == pytest.approx(5.0, abs=0.02)
 
@@ -866,7 +863,7 @@ def test_ttc_converging_track():
     # obstacle drives toward the ego at 5 m/s: closing speed 10 m/s
     tracks = [_track("T1", (52.0, 10.0), vel=(-5.0, 0.0))]
     t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
-                collision_radius=VP.collision_radius,
+                collision_radius=COLLISION_RADIUS,
                 track_radius=planner.TRACK_RADIUS)
     assert t == pytest.approx(4.8, abs=0.02)
 
@@ -927,7 +924,7 @@ def _rollout_cases(draw):
                             st.floats(0.0, 1.0).map(lambda u: u * traj.length)))
     speed = draw(st.sampled_from([0.0, 0.5, 3.0, 8.0]))
     horizon = draw(st.sampled_from([0.5, 1.0, 3.0]))
-    reach = planner.TRACK_RADIUS + VP.collision_radius + 1e-9
+    reach = planner.TRACK_RADIUS + COLLISION_RADIUS + 1e-9
     tracks = []
     for i in range(draw(st.integers(1, 3))):
         ax, ay = xy[draw(st.one_of(st.just(k), st.integers(0, n)))]
@@ -945,7 +942,7 @@ def _rollout_cases(draw):
 @given(case=_rollout_cases())
 def test_ttc_min_matches_the_full_rollout(case):
     traj, s_plan, speed, horizon, tracks = case
-    args = (_ego(speed=speed), traj, s_plan, tracks, horizon, VP.collision_radius,
+    args = (_ego(speed=speed), traj, s_plan, tracks, horizon, COLLISION_RADIUS,
             planner.TRACK_RADIUS)
     assert repr(ttc_min(*args)) == repr(_old_ttc_min(*args))
 
@@ -1079,7 +1076,20 @@ def test_planner_config_accepts_edge_values(monkeypatch):
         assert RUNNABLE[name](edge)
         monkeypatch.setattr(planner, name.upper(), edge)
     attempt = _plan((2.0, 10.0, 0.0), _ldm())
-    assert not attempt.succeeded and attempt.expansions == 1
+    assert not attempt.succeeded and attempt.expansions == 0
+
+
+def test_a_plan_counts_no_expansion_past_its_budget(monkeypatch):
+    """A search that runs out of MAX_EXPANSIONS reports the expansions it
+    made, never one more; a budget that just suffices finds the plan the
+    default budget does."""
+    needed = _plan((2.0, 10.0, 0.0), _ldm()).expansions
+    assert needed > 2
+    for budget in (0, 1, needed // 2, needed - 1, needed):
+        monkeypatch.setattr(planner, "MAX_EXPANSIONS", budget)
+        attempt = _plan((2.0, 10.0, 0.0), _ldm())
+        assert attempt.expansions == budget
+        assert attempt.succeeded == (budget == needed)
 
 
 def _bits(x) -> str:

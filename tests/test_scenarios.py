@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingerprints import BUILT_IN_SPECS
-from v2xloop import scenarios
+from v2xloop import scenarios, v2x, vehicle
 from v2xloop.gate import GateConfig
 from v2xloop.harness import run_episode
 from v2xloop.pareto import Configuration, config_grid
@@ -84,9 +84,8 @@ def test_s3_arms():
     assert closed_v1 and closed_v2
     assert closed_v1 != closed_v2          # the closure moves
     assert updates.vmap.publish_times[1] > 0.0
-    # closure hazards are marked not directly sensable
-    assert all(not h.observable_by_sensing for h in updates.hazards) is False \
-        or any(h.kind == "road_closure" for h in updates.hazards)
+    # the closure stands on the road as posts the sensor can see
+    assert updates.hazards and all(h.kind == "road_closure" for h in updates.hazards)
 
 
 def test_s4_arms():
@@ -543,16 +542,6 @@ def test_sensor_reach_ranges():
     _rejects_out_of_range("sensor", [], ["max_range"])
 
 
-def test_station_population_ranges():
-    # -1 used to load and crash mid-episode in numpy's normal(scale < 0)
-    _rejects_out_of_range("stations", [], ["honest_report_noise_sigma", "cam_period"])
-
-
-def test_denm_policy_ranges():
-    # the DENM emission period lives on the station population as denm_period
-    _rejects_out_of_range("stations", [], ["denm_period"])
-
-
 def test_world_record_ranges():
     # on s2 without V2X at seed 1 each of these used to load: a traffic car
     # at speed -6 drove into the ego, a lane of half width -4 walled the whole
@@ -649,17 +638,52 @@ def test_trigger_config_ranges():
     _rejects_out_of_range("triggers", [], ["tau_risk"])
 
 
-def test_vehicle_params_ranges():
-    # wheelbase 0 used to load and raise ZeroDivisionError at the first plan;
-    # a collision radius of -1 used to load and plan on an uninflated grid
-    _rejects_out_of_range("vehicle", [], ["max_accel", "max_decel", "collision_radius",
-                                          "v_max"], positive=["wheelbase"])
-    for bad in (0.0, math.pi / 2.0, -0.1, *NOT_FINITE):
-        with pytest.raises(ValueError, match=r"^scenario\.vehicle\.max_steer: must be "
-                                             r"finite and in \(0, 1\.5708\), got "):
-            spec_from_dict(_document_with("vehicle", "max_steer", bad))
-    spec_from_dict(_document_with("vehicle", "max_steer", 1.57))
-    spec_from_dict(_document_with("vehicle", "wheelbase", 1e-3))
+# the constants that replaced range-checked document fields, each with the
+# rule its field checked: (module, name, low, high, whether low is excluded)
+RANGED_CONSTANTS = [
+    # wheelbase 0 would raise ZeroDivisionError at the first plan, and a
+    # collision radius of -1 would plan on an uninflated grid
+    (vehicle, "WHEELBASE", 0.0, math.inf, True),
+    (vehicle, "MAX_STEER", 0.0, math.pi / 2.0, True),
+    (vehicle, "MAX_ACCEL", 0.0, math.inf, False),
+    (vehicle, "MAX_DECEL", 0.0, math.inf, False),
+    (vehicle, "COLLISION_RADIUS", 0.0, math.inf, False),
+    (vehicle, "V_MAX", 0.0, math.inf, False),
+    # a noise sigma of -1 would crash mid-episode in numpy's normal(scale < 0)
+    (v2x, "HONEST_REPORT_NOISE_SIGMA", 0.0, math.inf, False),
+    (v2x, "CAM_PERIOD", 0.0, math.inf, False),
+    (v2x, "DENM_PERIOD", 0.0, math.inf, False),
+]
+
+
+@pytest.mark.parametrize("module, name, low, high, strict", RANGED_CONSTANTS,
+                         ids=[case[1] for case in RANGED_CONSTANTS])
+def test_vehicle_and_station_constants_meet_their_range_rules(module, name, low, high,
+                                                              strict):
+    """Each constant that replaced a range-checked document field holds a
+    value that field's rule accepted: finite, above `low` (strictly when
+    `strict`) and below `high`."""
+    value = getattr(module, name)
+    assert math.isfinite(value)
+    assert (value > low if strict else value >= low) and value < high
+
+
+@pytest.mark.parametrize("section, name, value", [
+    ("", "vehicle", {"wheelbase": 2.7}),
+    ("", "metrics", {"tau_safety": 2.0}),
+    ("stations", "honest_report_noise_sigma", 0.5),
+    ("stations", "cam_period", 0.1),
+    ("stations", "denm_period", 1.0),
+    ("hazards[0]", "observable_by_sensing", True),
+], ids=["vehicle", "metrics", "stations.honest_report_noise_sigma",
+        "stations.cam_period", "stations.denm_period",
+        "hazards[0].observable_by_sensing"])
+def test_a_document_holding_a_constant_is_refused(section, name, value):
+    """A key whose setting became a constant is refused at load as an
+    unknown key, at any value (today's default included), naming its path."""
+    prefix = f"scenario.{section}." if section else "scenario."
+    with pytest.raises(ValueError, match="^" + re.escape(f"{prefix}{name}: unknown key")):
+        spec_from_dict(_document_with(section, name, value, build_s2))
 
 
 def test_controller_config_ranges():

@@ -8,8 +8,8 @@ import pytest
 
 from v2xloop.rng import stream
 from v2xloop.scenarios import build_s4, spec_from_dict, spec_to_dict
-from v2xloop.v2x import (CAM, DENM, AttackPolicy, ChannelModel,
-                         Station, StationPopulation, V2xMessage,
+from v2xloop.v2x import (CAM, CAM_PERIOD, DENM, HONEST_REPORT_NOISE_SIGMA, AttackPolicy,
+                         ChannelModel, Station, StationPopulation, V2xMessage,
                          generate_attack_traffic, generate_honest_traffic,
                          transmit)
 from v2xloop.world import GroundTruthHazard, Route, WorldObject
@@ -18,14 +18,13 @@ DT = 0.05
 BOUNDS = (0.0, 0.0, 100.0, 100.0)     # map extent for uniform_in_map placement
 
 
-def _population(byz=frozenset(), cam_period=0.1):
+def _population(byz=frozenset()):
     stations = (
         Station("rsu-0", (10.0, 5.0), sensing_range=50.0),
         Station("rsu-1", (40.0, 5.0), sensing_range=50.0),
         Station("obu-a", (0.0, 0.0), sensing_range=40.0, bound_object="veh-a"),
     )
-    return StationPopulation(stations=stations, byzantine_ids=byz,
-                             cam_period=cam_period)
+    return StationPopulation(stations=stations, byzantine_ids=byz)
 
 
 def _hazard(x=20.0, y=0.0, spawn=1.0):
@@ -84,9 +83,9 @@ def test_cams_only_from_vehicle_bound_stations():
 
 def test_cam_beacon_schedule():
     truth = [WorldObject("veh-a", (3.0, 1.0), (5.0, 0.0))]
-    pop = _population(cam_period=0.1)
-    on_mark = _gen(pop, 0.1, truth=truth)
-    off_mark = _gen(pop, 0.15, truth=truth)
+    pop = _population()
+    on_mark = _gen(pop, CAM_PERIOD, truth=truth)
+    off_mark = _gen(pop, 1.5 * CAM_PERIOD, truth=truth)
     assert any(m.msg_kind == CAM for m in on_mark)
     assert not any(m.msg_kind == CAM for m in off_mark)
 
@@ -135,8 +134,7 @@ def test_seq_numbers_increment_per_station():
 
 
 def test_honest_report_noise_sigma():
-    pop = StationPopulation(stations=_population().stations,
-                            honest_report_noise_sigma=0.5)
+    pop = _population()
     rng = stream(11, "v2x_honest")
     errs = []
     for k in range(1500):
@@ -146,7 +144,7 @@ def test_honest_report_noise_sigma():
         for m in msgs:
             if m.msg_kind == DENM:
                 errs.append(m.payload.event_position[0] - 20.0)
-    assert float(np.std(errs)) == pytest.approx(0.5, rel=0.1)
+    assert float(np.std(errs)) == pytest.approx(HONEST_REPORT_NOISE_SIGMA, rel=0.1)
 
 
 # ---------------------------------------------------------------------------
