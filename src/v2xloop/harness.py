@@ -28,12 +28,19 @@ it derives from, never in `logs/` and never in the scenario document:
   seed, per start pose, start steering and goal, on the planning maps
   (`_initial_plan`);
 - each scripted vehicle's state per time t, on the vehicle;
-- the honest and the Byzantine stations in id order, on the population.
+- the honest and the Byzantine stations in id order, on the population;
+- the last full projection scan, on each path (`world.Polyline.project`):
+  the route's carries over from one episode to the next. A query answers
+  from it only when the triangle inequality proves that no segment the
+  scan left out can be as near, so every answer has the bits of a scan
+  of every segment, and an episode's logs do not depend on the queries
+  before it.
 
 Each lives as long as its object: every episode of a batch or sweep that
 runs on the same objects (the seeds of a spec, and the copies
 `apply_configuration` makes) reuses it, and a freshly built spec starts
-without any. Within a tick, fusion predicts each track once, and
+without any. Within a tick, fusion predicts each track once and reads
+its measurements in one pass (`ldm.fuse_tick`), and
 `planner.ttc_min` rolls out only the tracks that can come within reach of
 the ego's rollout box.
 
@@ -154,8 +161,9 @@ METRIC_COLUMNS = {
     "episode": ("termination", "sim_time", "collision"),
 }
 # the meta.json keys compute_episode_metrics reads, and their shape
-# (logio.check_keys); `metrics` holds exactly MetricParams' fields
-METRIC_META_KEYS = {"metrics": {}, "dt": NUMBER, "route_length": NUMBER,
+# (logio.check_keys); `metrics` holds exactly MetricParams' fields, numbers
+METRIC_META_KEYS = {"metrics": {f.name: NUMBER for f in fields(MetricParams)},
+                    "dt": NUMBER, "route_length": NUMBER,
                     "hazards": [{"kind": ANY, "x": NUMBER, "y": NUMBER}],
                     "event_label_radius": NUMBER, "mot_belief_min": NUMBER}
 
@@ -582,14 +590,13 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
 def read_meta(path: Path) -> dict:
     """The meta.json at `path`, refused naming the file and the key when
     compute_episode_metrics cannot read it as written: a missing key, a
-    value that is not of its METRIC_META_KEYS shape, or a `metrics` block
-    that is not exactly MetricParams' fields."""
+    value that is not of its METRIC_META_KEYS shape (a `metrics` value
+    that is not a number among them), or a `metrics` key that is not a
+    MetricParams field."""
     meta = read_json(path, METRIC_META_KEYS)
-    block = meta["metrics"]
-    odd = sorted(set(block) ^ {f.name for f in fields(MetricParams)})
-    if odd:
-        kind = "unknown" if odd[0] in block else "missing"
-        raise ValueError(f"{path}: metrics: {kind} key {odd[0]!r}")
+    unknown = sorted(set(meta["metrics"]) - set(METRIC_META_KEYS["metrics"]))
+    if unknown:
+        raise ValueError(f"{path}: metrics: unknown key {unknown[0]!r}")
     return meta
 
 

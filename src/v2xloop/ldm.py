@@ -113,42 +113,34 @@ class LdmState:
 # operators
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Association input: one detection or one CAM, in world coordinates."""
-
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-    confidence: float
-    source: str                       # "sensor" or "cam:<station_id>"
-
-
-def associate(measurements, predicted: dict, d_gate: float):
+def associate(points, predicted, ids, d_gate: float):
     """Greedy nearest-neighbor assignment inside the gate.
 
-    `predicted` maps each track id, in track order, to the track's position
-    predicted to the fusion time. Each measurement lands on at most one
-    track; a track may collect several (a detection and a CAM can both
-    support it in the same tick). Returns (assigned: track_id ->
-    [measurement], births: [measurement]).
+    `points` holds each measurement's (x, y); `predicted` each track's
+    position predicted to the fusion time and `ids` its id, by track index.
+    Pairs inside the gate are taken nearest first, ties going to the lower
+    measurement index, then to the lower track id. Each measurement lands
+    on at most one track; a track may collect several (a detection and a
+    CAM can both support it in the same tick). Returns (assigned: per
+    track index, the indices of its measurements in the order they were
+    taken; births: the indices of the measurements no track took, in
+    order).
     """
     pairs = []
-    for mi, m in enumerate(measurements):
-        for tid, (px, py) in predicted.items():
-            d = math.hypot(m.position[0] - px, m.position[1] - py)
+    for mi, (mx, my) in enumerate(points):
+        for ti, (px, py) in enumerate(predicted):
+            d = math.hypot(mx - px, my - py)
             if d <= d_gate:
-                pairs.append((d, mi, tid))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+                pairs.append((d, mi, ids[ti], ti))
+    pairs.sort()
 
-    assigned: dict[str, list] = {}
-    taken: set[int] = set()
-    for d, mi, tid in pairs:
-        if mi in taken:
-            continue
-        taken.add(mi)
-        assigned.setdefault(tid, []).append(measurements[mi])
-    births = [m for i, m in enumerate(measurements) if i not in taken]
-    return assigned, births
+    assigned: list[list[int]] = [[] for _ in predicted]
+    taken = [False] * len(points)
+    for _, mi, _, ti in pairs:
+        if not taken[mi]:
+            taken[mi] = True
+            assigned[ti].append(mi)
+    return assigned, [mi for mi, hit in enumerate(taken) if not hit]
 
 
 def update_belief(belief: float, lr_sensor: float, n_stations: int) -> float:
@@ -214,55 +206,73 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
     Every detection of `frames` and every message of `delivered_v2x` is
     fused here and nowhere else; the frames' coverage is this tick's
     absence evidence.
+
+    The measurements are the detections in frame order, then the CAMs in
+    delivery order, each kept as a plain (position, velocity, confidence,
+    station) tuple, station None for a detection. An updated track takes
+    the mean of its measurements, each coordinate added from 0.0 in the
+    order association took them: the operations, in their order, of
+    `sum()` on Python 3.11, so the bits of a sum over measurement records.
+    One pass over a track's measurements also finds whether a detection
+    supports it and how many distinct CAM stations do.
     """
     tracks: list[Track] = prev.objects
 
-    measurements: list[Measurement] = []
+    meas = []
+    points = []
     for frame in frames:
         for det in frame.detections:
-            measurements.append(Measurement(
-                position=det.world_position, velocity=det.world_velocity,
-                confidence=det.confidence, source="sensor"))
+            meas.append((det.world_position, det.world_velocity, det.confidence, None))
+            points.append(det.world_position)
     denms = []
     for msg in delivered_v2x:
         if msg.msg_kind == CAM:
-            measurements.append(Measurement(
-                position=tuple(msg.payload.position),
-                velocity=tuple(msg.payload.velocity),
-                confidence=1.0, source=f"cam:{msg.station_id}"))
+            position = tuple(msg.payload.position)
+            meas.append((position, tuple(msg.payload.velocity), 1.0, msg.station_id))
+            points.append(position)
         elif msg.msg_kind == DENM:
             denms.append(msg)
 
     # each track's prediction to now, made once: association, the update
     # and (for a track nothing updated) the coverage test all use it
-    predicted = {tr.track_id: tr.predicted(now) for tr in tracks}
-    assigned, births = associate(measurements, predicted, D_GATE)
+    predicted = [tr.predicted(now) for tr in tracks]
+    assigned, births = associate(points, predicted, [tr.track_id for tr in tracks],
+                                 D_GATE)
 
     kept: list[Track] = []
-    for tr in tracks:
-        ms = assigned.get(tr.track_id, ())
-        sources = {m.source for m in ms}
-
-        at = predicted[tr.track_id]
-        if ms:
-            mx = sum(m.position[0] for m in ms) / len(ms)
-            my = sum(m.position[1] for m in ms) / len(ms)
+    for tr, at, taken in zip(tracks, predicted, assigned):
+        sensed = False
+        n_stations = 0
+        if taken:
+            stations = set()
+            sx = sy = svx = svy = 0.0
+            for mi in taken:
+                (x, y), (vx, vy), _, station = meas[mi]
+                sx += x
+                sy += y
+                svx += vx
+                svy += vy
+                if station is None:
+                    sensed = True
+                else:
+                    stations.add(station)
+            n_stations = len(stations)
+            n = len(taken)
             px, py = at
-            tr.position = (px + POSITION_ALPHA * (mx - px), py + POSITION_ALPHA * (my - py))
-            vx = sum(m.velocity[0] for m in ms) / len(ms)
-            vy = sum(m.velocity[1] for m in ms) / len(ms)
-            tr.velocity = (tr.velocity[0] + VELOCITY_ALPHA * (vx - tr.velocity[0]),
-                           tr.velocity[1] + VELOCITY_ALPHA * (vy - tr.velocity[1]))
+            tr.position = (px + POSITION_ALPHA * (sx / n - px),
+                           py + POSITION_ALPHA * (sy / n - py))
+            vx, vy = tr.velocity
+            tr.velocity = (vx + VELOCITY_ALPHA * (svx / n - vx),
+                           vy + VELOCITY_ALPHA * (svy / n - vy))
             tr.last_update = now
             at = tr.predicted(now)
 
-        if "sensor" in sources:
+        if sensed:
             lr_sensor = LR_DETECT
         elif any(f.covers(at) for f in frames):
             lr_sensor = LR_ABSENT
         else:
             lr_sensor = 1.0
-        n_stations = sum(s.startswith("cam:") for s in sources)
         tr.belief = update_belief(tr.belief, lr_sensor, n_stations)
 
         if tr.belief < B_PRUNE:
@@ -272,11 +282,12 @@ def fuse_tick(prev: LdmState, now: float, delivered_v2x, active_map: MapVersion,
         kept.append(tr)
 
     born = prev.tracks_born
-    for m in births:
-        if m.confidence < CONF_BIRTH:
+    for mi in births:
+        position, velocity, confidence, _ = meas[mi]
+        if confidence < CONF_BIRTH:
             continue
         born += 1
-        kept.append(Track(track_id=f"T{born}", position=m.position, velocity=m.velocity,
+        kept.append(Track(track_id=f"T{born}", position=position, velocity=velocity,
                           belief=B_BIRTH, last_update=now))
 
     events = prev.events

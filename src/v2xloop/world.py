@@ -63,6 +63,12 @@ def polyline_cumlength(path: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
+# how far, in metres, beyond the bound of a full scan a segment's lower
+# bound may lie for `Polyline.project` to keep it as a candidate for the
+# queries that follow
+PROJECT_REACH = 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class Polyline:
     """A path of N >= 2 points, parameterised by arc length.
@@ -70,6 +76,12 @@ class Polyline:
     The shape is checked, and the segment table and cumulative arc length
     computed, once, here; every query reuses them. Segments may have zero
     length.
+
+    `project` also keeps what its last full scan found (`_warm`), so that a
+    query near the last one measures a handful of segments. Like
+    `MapVersion.planning_memo`, that state is a cache: it never changes an
+    answer, so a Polyline shared by every episode of a spec (a route) gives
+    each episode the bits a fresh one would.
     """
 
     points: np.ndarray                                    # (N, 2) [m]
@@ -84,6 +96,9 @@ class Polyline:
     _mid: np.ndarray = field(init=False, repr=False)
     _half: np.ndarray = field(init=False, repr=False)
     _extent: float = field(init=False, repr=False)
+    # the last full scan: (its query x, y, its slack, the candidate segment
+    # indices in index order, the least lower bound of every other segment)
+    _warm: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         try:
@@ -116,18 +131,42 @@ class Polyline:
         is positive on the left of the local path direction.
 
         Segment j lies at least |q - m_j| - h_j from q (midpoint m_j, half
-        length h_j) and at most |q - m_j|, so only segments whose lower
-        bound reaches the smallest upper bound, plus a slack far above the
-        rounding of either, are measured exactly. They are measured in the
-        order and with the operations of a scan of every segment, so the
-        result has that scan's bits.
+        length h_j) and at most |q - m_j|. A full scan takes the smallest
+        upper bound, plus a slack far above the rounding of either, as its
+        bound. It keeps as candidates the segments whose lower bound lies
+        within PROJECT_REACH of that bound, which include every segment the
+        bound cannot rule out, and `gap`, the least lower bound of the
+        others; it measures the candidates. A later query q first measures
+        only the last scan's candidates. Every other segment lies at least
+        gap - |q - q0| from q (q0 the scan's query), so if the nearest
+        candidate is nearer than that by more than the rounding, it is
+        nearest of all and the scan is skipped; otherwise a full scan runs.
+        Segments are measured in index order with the operations of a scan
+        of every segment, so the result has that scan's bits.
         """
         qx, qy = float(point[0]), float(point[1])
         if not (math.isfinite(qx) and math.isfinite(qy)):
             raise ValueError(f"expected a finite point, got {point!r}")
-        r = np.abs(self._mid - complex(qx, qy))
         slack = 1e-9 * (1.0 + self._extent + abs(qx) + abs(qy))
-        near = (r - self._half <= r.min() + slack).nonzero()[0].tolist()
+        warm = self._warm
+        if warm is not None:
+            x0, y0, slack0, near, gap = warm
+            found = self._nearest(qx, qy, near)
+            if (math.sqrt(found[0]) + math.hypot(qx - x0, qy - y0)
+                    + 4.0 * (slack + slack0) < gap):
+                return self._answer(*found)
+        r = np.abs(self._mid - complex(qx, qy))
+        lower = r - self._half
+        kept = lower <= r.min() + slack + PROJECT_REACH
+        near = kept.nonzero()[0].tolist()
+        gap = float(lower[~kept].min()) if len(near) < len(lower) else math.inf
+        object.__setattr__(self, "_warm", (qx, qy, slack, near, gap))
+        return self._answer(*self._nearest(qx, qy, near))
+
+    def _nearest(self, qx: float, qy: float, near: list):
+        """(squared distance, index, segment parameter, offset x, y) of the
+        nearest of the segments `near`, in index order, the first of equally
+        near ones."""
         rows = self._rows
         best = None
         for j in near:
@@ -143,13 +182,16 @@ class Polyline:
             ey = qy - (ay + u * dy)
             dist2 = ex * ex + ey * ey
             if best is None or dist2 < best:
-                best, i, t, diff = dist2, j, u, (ex, ey)
-        ax, ay, dx, dy, len2 = rows[i]
+                best, i, t, bx, by = dist2, j, u, ex, ey
+        return best, i, t, bx, by
+
+    def _answer(self, best: float, i: int, t: float, ex: float, ey: float):
+        """project's result for segment i at parameter t, offset (ex, ey)."""
+        _, _, dx, dy, len2 = self._rows[i]
         seg_len = math.sqrt(len2) if len2 > 1e-18 else 0.0
         s = self._cum[i] + t * seg_len
-        cross = dx * diff[1] - dy * diff[0]
         lateral = math.sqrt(best)
-        if cross < 0.0:
+        if dx * ey - dy * ex < 0.0:
             lateral = -lateral
         return s, lateral, i
 

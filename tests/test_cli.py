@@ -233,8 +233,10 @@ def test_replay_of_a_foreign_or_damaged_table_exits_with_one_line(tmp_path, name
      "meta.json: metrics: missing key 'tau_safety'"),
     (lambda meta: meta["hazards"].append({"id": "hz-0", "x": 62.0, "y": 50.4}),
      "meta.json: hazards[0]: missing key 'kind'"),
+    (lambda meta: meta["metrics"].update(match_radius="x"),
+     "meta.json: metrics.match_radius: expected a number, got 'x'"),
 ], ids=["metrics-unknown-key", "metrics-not-object", "metrics-key-missing",
-        "hazard-without-kind"])
+        "hazard-without-kind", "metrics-value-text"])
 def test_replay_of_a_damaged_meta_block_exits_with_one_line(tmp_path, damage, message):
     out = tmp_path / "ep"
     main(["run", "--scenario", "s1", "--seed", "5", "--out", str(out)])

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from v2xloop import ldm
 from v2xloop.ldm import (ACCEPTED, EXPIRED, PENDING, EventHypothesis, LdmState,
-                         Measurement, Track, associate, fuse_tick, ingest_denm,
-                         initial_state, update_belief)
+                         Track, associate, fuse_tick, ingest_denm, initial_state,
+                         update_belief)
 from v2xloop.perception import Detection, SenseFrame
 from v2xloop.v2x import CamPayload, DenmPayload, V2xMessage
-from v2xloop.world import LaneSegment, MapVersion
+from v2xloop.world import HAZARD_KINDS, LaneSegment, MapVersion
+
+from oracles import fuse_tick as old_fuse_tick
 
 MAP0 = MapVersion(0, [LaneSegment("r", [[0.0, 10.0], [100.0, 10.0]], half_width=5.0)])
 
@@ -100,36 +102,42 @@ def _track(tid, pos, vel=(0.0, 0.0), belief=0.6, t=0.0):
                  last_update=t)
 
 
-def _meas(pos, source="sensor", conf=0.9, vel=(0.0, 0.0)):
-    return Measurement(position=pos, velocity=vel, confidence=conf, source=source)
-
-
 def _predicted(tracks, now=1.0):
-    return {tr.track_id: tr.predicted(now) for tr in tracks}
+    """associate's track arguments: predictions and ids, by track index."""
+    return [tr.predicted(now) for tr in tracks], [tr.track_id for tr in tracks]
 
 
 def test_associate_nearest_within_gate():
     tracks = [_track("T1", (10.0, 0.0)), _track("T2", (20.0, 0.0))]
-    ms = [_meas((10.5, 0.0)), _meas((19.2, 0.0)), _meas((50.0, 0.0))]
-    assigned, births = associate(ms, _predicted(tracks), d_gate=2.0)
-    assert [m.position for m in assigned["T1"]] == [(10.5, 0.0)]
-    assert [m.position for m in assigned["T2"]] == [(19.2, 0.0)]
-    assert [m.position for m in births] == [(50.0, 0.0)]
+    points = [(10.5, 0.0), (19.2, 0.0), (50.0, 0.0)]
+    assigned, births = associate(points, *_predicted(tracks), d_gate=2.0)
+    assert assigned == [[0], [1]]
+    assert births == [2]
 
 
 def test_associate_track_collects_sensor_and_cam():
+    # a detection 0.3 m off and a CAM 0.22 m off: the nearer is taken first
     tracks = [_track("T1", (10.0, 0.0))]
-    ms = [_meas((10.3, 0.0)), _meas((9.8, 0.1), source="cam:obu-a")]
-    assigned, births = associate(ms, _predicted(tracks), d_gate=2.0)
-    assert len(assigned["T1"]) == 2
+    assigned, births = associate([(10.3, 0.0), (9.8, 0.1)], *_predicted(tracks),
+                                 d_gate=2.0)
+    assert assigned == [[1, 0]]
     assert births == []
 
 
 def test_associate_measurement_lands_once():
     # two tracks inside the gate: the measurement goes to the nearer one only
     tracks = [_track("T1", (10.0, 0.0)), _track("T2", (11.0, 0.0))]
-    assigned, births = associate([_meas((10.2, 0.0))], _predicted(tracks), 2.0)
-    assert "T1" in assigned and "T2" not in assigned
+    assigned, births = associate([(10.2, 0.0)], *_predicted(tracks), 2.0)
+    assert assigned == [[0], []]
+    assert births == []
+
+
+def test_associate_breaks_a_distance_tie_by_track_id():
+    # both points lie 1 m from both tracks: each goes to the lower id as a
+    # string, "T10" < "T9", whatever the track order
+    tracks = [_track("T9", (10.0, 0.0)), _track("T10", (12.0, 0.0))]
+    assigned, births = associate([(11.0, 0.0), (11.0, 0.0)], *_predicted(tracks), 2.0)
+    assert assigned == [[], [0, 1]]
     assert births == []
 
 
@@ -182,6 +190,19 @@ def test_covered_silence_erodes_belief():
     b_after = state.objects[0].belief
     odds = b_confirmed / (1.0 - b_confirmed) * ldm.LR_ABSENT
     assert b_after == pytest.approx(odds / (1.0 + odds))
+
+
+def test_a_track_a_cam_moves_is_checked_for_coverage_where_it_moved():
+    # the track at x = 12 lies outside the 11.5 m frame; the CAM at x = 10
+    # pulls it to 12 + POSITION_ALPHA * (10 - 12) = 11.3, inside, where the
+    # frame saw nothing: absence evidence, with the CAM's station ratio
+    track = _track("T1", (12.0, 10.0), belief=0.5, t=1.0)
+    state = LdmState(stamp=1.0, objects=[track], events=[], active_map=MAP0,
+                     tracks_born=1)
+    state = _tick(state, 1.05, frames=[_frame(1.05, max_range=11.5)],
+                  v2x=[_cam("obu-a", (10.0, 10.0), recv=1.05)])
+    assert state.objects[0].position[0] == pytest.approx(11.3)
+    assert state.objects[0].belief == update_belief(0.5, ldm.LR_ABSENT, 1)
 
 
 def test_uncovered_track_keeps_belief():
@@ -317,3 +338,75 @@ def test_initial_state_empty():
     assert state.stamp == 0.0
     assert state.objects == [] and state.events == []
     assert state.active_map.version_id == 0
+
+
+# ---------------------------------------------------------------------------
+# the one-pass fusion step against the one it replaced
+
+
+# half-metre lattice points, so distances tie, and any point near them
+_xy = st.one_of(st.tuples(*[st.integers(0, 16).map(lambda k: k * 0.5)] * 2),
+                st.tuples(*[st.floats(-1.0, 9.0)] * 2))
+_vel = st.one_of(st.just((0.0, 0.0)), st.tuples(*[st.floats(-3.0, 3.0)] * 2))
+# three stations, so one station often sends two CAMs in a tick
+_station = st.sampled_from(["obu-a", "obu-b", "rsu-0"])
+
+
+@st.composite
+def _fusion_tick(draw, t, anchors):
+    """(frames, deliveries) of one tick at t: frames that cover the lattice
+    or not, with detections of any confidence; CAMs and DENMs in any order.
+    Half the points lie within 1 m of one of `anchors` in each axis, so a
+    track often collects three or more measurements, whose sum rounds
+    differently in another order."""
+    near = st.builds(lambda a, dx, dy: (a[0] + dx, a[1] + dy),
+                     st.sampled_from(anchors), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    points = st.one_of(_xy, near) if anchors else _xy
+    frames = []
+    for _ in range(draw(st.integers(0, 2))):
+        dets = draw(st.lists(st.builds(lambda p, c, v: _det(*p, conf=c, vel=v),
+                                       points, st.sampled_from([0.2, 0.5, 0.9]), _vel),
+                             max_size=4))
+        # a frame covers every track, some of them, or none
+        ego, max_range = draw(st.one_of(st.just(((4.0, 4.0, 0.0), 25.0)),
+                                        st.tuples(st.just((4.0, 4.0, 0.0)),
+                                                  st.floats(0.5, 6.0)),
+                                        st.just(((90.0, 90.0, 0.0), 5.0))))
+        frames.append(_frame(t, dets, ego=ego, max_range=max_range))
+    cams = st.builds(lambda s, p, v: _cam(s, p, v, recv=t), _station, points, _vel)
+    denms = st.builds(lambda s, p, k: _denm(s, (p[0] * 4.0, p[1] * 4.0), kind=k, recv=t),
+                      _station, points, st.sampled_from(HAZARD_KINDS))
+    return frames, draw(st.lists(st.one_of(cams, denms), max_size=5))
+
+
+def _fusion_state(tracks, born):
+    """A fresh LdmState holding fresh copies of `tracks`' rows."""
+    return LdmState(stamp=0.0, objects=[Track(*row) for row in tracks], events=[],
+                    active_map=MAP0, tracks_born=born)
+
+
+def _fused(state):
+    return repr(([(tr.track_id, tr.position, tr.velocity, tr.belief, tr.last_update)
+                  for tr in state.objects], state.tracks_born, state.stamp,
+                 [(e.event_id, e.kind, e.position, e.first_seen, e.support, e.status,
+                   e.accepted_at) for e in state.events]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12))
+def test_fuse_tick_matches_the_record_per_measurement_fusion_bit_for_bit(data, n):
+    # up to twelve tracks in any order, so an id tie-break compares "T10"
+    # with "T9"; ticks far enough apart that tracks go stale and pending
+    # hypotheses expire
+    order = data.draw(st.permutations(range(n)))
+    tracks = [(f"T{i + 1}", data.draw(_xy), data.draw(_vel),
+               data.draw(st.floats(0.01, 0.99)), data.draw(st.floats(0.0, 1.0)))
+              for i in order]
+    new, old = _fusion_state(tracks, n), _fusion_state(tracks, n)
+    t = 1.0
+    for _ in range(data.draw(st.integers(1, 4))):
+        t += data.draw(st.sampled_from([0.05, 0.1, 0.7, 1.2, 6.0]))
+        frames, v2x = data.draw(_fusion_tick(t, [row[1] for row in tracks]))
+        new = fuse_tick(new, t, v2x, MAP0, frames)
+        old = old_fuse_tick(old, t, v2x, MAP0, frames)
+        assert _fused(new) == _fused(old)

@@ -196,6 +196,31 @@ def test_pruned_projection_matches_the_global_scan_bit_for_bit(path, data):
     assert repr(line.project(point)) == repr(_old_project(point, path))
 
 
+@settings(max_examples=300, deadline=None)
+@given(path=st.one_of(_paths(), _awkward_paths()), data=st.data())
+def test_projection_sequences_on_one_polyline_match_the_global_scan_bit_for_bit(path,
+                                                                                data):
+    # one Polyline answers every query, so most start from the last full
+    # scan: two walkers take turns at random, each stepping a little,
+    # standing still, jumping across the path's box, landing on a vertex or
+    # a midpoint, or going far off
+    line = Polyline(path)
+    lo, hi = path.min(axis=0) - 5.0, path.max(axis=0) + 5.0
+    on_path = [tuple(p) for p in path] + [tuple(m) for m in (path[:-1] + path[1:]) / 2.0]
+    box = st.tuples(st.floats(lo[0], hi[0]), st.floats(lo[1], hi[1]))
+    walkers = [data.draw(box), data.draw(box)]
+    for _ in range(data.draw(st.integers(1, 40))):
+        w = data.draw(st.integers(0, 1))
+        x, y = walkers[w]
+        walkers[w] = data.draw(st.one_of(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(
+                lambda d: (x + d[0], y + d[1])),
+            st.just((x, y)), box, st.sampled_from(on_path),
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))))
+        # repr tells -0.0 from 0.0, so this compares bit for bit
+        assert repr(line.project(walkers[w])) == repr(_old_project(walkers[w], path))
+
+
 def test_projection_rejects_a_point_that_is_not_finite():
     line = Polyline(np.array([[0.0, 0.0], [10.0, 0.0]]))
     for point in ((math.nan, 0.0), (0.0, math.inf)):
