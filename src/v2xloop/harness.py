@@ -4,11 +4,12 @@ One episode couples the world, the fused environment model, the acceptance
 gate, the replanner, and the tracking controller on a fixed-step clock.
 The order inside a tick is always: activate any downloaded map, snapshot
 ground truth, check termination, project the ego onto the route, sense,
-exchange V2X traffic, fuse, poll the map server, gate pending event
-hypotheses, project the ego onto the plan, evaluate replan triggers,
-compute the command, log, step the vehicle. The ego is projected
-once onto the route and once onto the plan per tick (again onto a plan a
-replan just made), and every stage reuses those arc lengths.
+exchange V2X traffic, fuse, poll the map server (every ego does, on
+`world.polls_at`'s schedule), gate pending event hypotheses, project the
+ego onto the plan, evaluate replan triggers, compute the command, log,
+step the vehicle. The ego is projected once onto the route and once onto
+the plan per tick (again onto a plan a replan just made), and every stage
+reuses those arc lengths.
 
 The ego follows its plan and replans when a trigger fires. No plan means a
 safety stop: the brake ramps to full, and planning is retried every
@@ -94,12 +95,17 @@ from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import COLLISION_RADIUS, VehicleState, step
-from .world import (MapVersion, Polyline, VersionedMap, WorldObject,
-                    planning_occupancy, poll_update, wrap_angle)
+from .world import (OBJECT_RADIUS, MapVersion, Polyline, VersionedMap, WorldObject,
+                    download_latency, planning_occupancy, poll_update, polls_at,
+                    wrap_angle)
 
 RECOVERY_TICKS = 10               # replan retry cadence during a stop ramp
 SENSOR_LIKELIHOOD_WINDOW = 1.0    # [s] of frames the gate's veto reads
 EVENT_LABEL_RADIUS = 16.0         # [m] a claim this near a same-kind hazard is true
+# [m] the episode ends at the goal within this distance; at least the
+# planner's GOAL_XY_TOL, or a plan could end inside the planner's goal
+# region but outside the episode's and the ego hold still until timeout
+GOAL_TOLERANCE = 2.0
 
 # column name -> kind (logio: int, bool, float, str; "?" allows None)
 VEHICLE_COLS = {"tick": "int", "t": "float", "x": "float", "y": "float",
@@ -186,12 +192,11 @@ def _truth_at(spec: ScenarioSpec, t: float) -> list[WorldObject]:
     out: list[WorldObject] = []
     for sv in spec.traffic:
         pos, vel = sv.state_at(t)
-        out.append(WorldObject(object_id=sv.vehicle_id, position=pos,
-                               velocity=vel, radius=sv.radius))
+        out.append(WorldObject(object_id=sv.vehicle_id, position=pos, velocity=vel))
     for hz in spec.hazards:
         if hz.spawn_time <= t:
             out.append(WorldObject(object_id=hz.hazard_id, position=hz.position,
-                                   velocity=(0.0, 0.0), radius=hz.radius))
+                                   velocity=(0.0, 0.0)))
     return out
 
 
@@ -244,14 +249,14 @@ def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
         "time_limit": spec.time_limit,
         "route_length": spec.route.reference_path.length,
         "goal": list(spec.route.goal_pose),
-        "goal_tolerance": spec.goal_tolerance,
+        "goal_tolerance": GOAL_TOLERANCE,
         "collision_radius": COLLISION_RADIUS,
         "event_label_radius": EVENT_LABEL_RADIUS,
         "mot_belief_min": B_OBSTACLE,
         "metrics": asdict(MetricParams()),
         "hazards": [{"id": h.hazard_id, "x": h.position[0], "y": h.position[1],
                      "kind": h.kind, "spawn_time": h.spawn_time,
-                     "radius": h.radius} for h in spec.hazards],
+                     "radius": OBJECT_RADIUS} for h in spec.hazards],
     }
     # round exactly as the JSON writer would, so in-run metrics see the same
     # numbers a replay reads back from meta.json
@@ -272,7 +277,6 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
     active = spec.vmap.initial()
     pending_map: tuple | None = None      # (version, activation time)
-    client = spec.update_client
 
     ego = VehicleState(*spec.ego_start)
     pid = PidState()
@@ -334,9 +338,9 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
         termination = None
         if any(math.hypot(ego.x - o.position[0], ego.y - o.position[1])
-               < COLLISION_RADIUS + o.radius for o in truth):
+               < COLLISION_RADIUS + OBJECT_RADIUS for o in truth):
             termination = "collision"
-        elif math.hypot(ego.x - goal[0], ego.y - goal[1]) <= spec.goal_tolerance:
+        elif math.hypot(ego.x - goal[0], ego.y - goal[1]) <= GOAL_TOLERANCE:
             termination = "goal_reached"
         elif traj is None and ego.speed <= 0.02:
             termination = "safety_stop"
@@ -353,7 +357,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             scored = frame.covers(obj.position) or obj.object_id in cam_bound
             logs["truth"].append(k, t, obj.object_id, obj.position[0],
                                  obj.position[1], obj.velocity[0],
-                                 obj.velocity[1], obj.radius, scored)
+                                 obj.velocity[1], OBJECT_RADIUS, scored)
 
         due: list = []
         if spec.stations is not None:
@@ -385,10 +389,10 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
         ldm = fuse_tick(ldm, t, due, active, [frame])
 
-        if client is not None and client.polls_at(k, dt):
+        if polls_at(k, dt):
             newest = active if pending_map is None else pending_map[0]
             polled = poll_update(t, newest.version_id, spec.vmap,
-                                 client.download_latency(streams.get("updates")))
+                                 download_latency(streams.get("updates")))
             if polled is not None:
                 pending_map = polled
                 logs["updates"].append(k, t, "poll", polled[0].version_id, polled[1])

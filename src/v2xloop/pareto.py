@@ -1,9 +1,9 @@
 """Multi-objective selection: dominance frontier, knee point, hypervolume.
 
-All objectives are minimized. The frontier is maintained with a streaming
-sweep: each incoming point is discarded if any member dominates it,
-otherwise it evicts the members it dominates and joins. Equal vectors do
-not dominate each other, so duplicates coexist on the frontier.
+All objectives are minimized. A point dominates another when it is no
+worse in every objective and strictly better in one; the frontier is every
+point no other point dominates. Equal vectors do not dominate each other,
+so duplicates coexist on the frontier.
 """
 
 from __future__ import annotations
@@ -48,41 +48,12 @@ class ParetoResult:
     discarded_collided: int = 0
 
 
-def dominates(a, b) -> bool:
-    """True iff a is no worse everywhere and strictly better somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("objective vectors must share a dimension")
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def nondominated_set(points) -> list[int]:
-    """Indices of the nondominated members, in first-seen order.
-
-    Streaming sweep: for each point, drop it if a frontier member dominates
-    it, else remove the members it dominates and insert it.
-    """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    frontier_idx: list[int] = []
-    if not pts:
-        return frontier_idx
-    front = np.empty((0, pts[0].shape[0]))
-    for i, p in enumerate(pts):
-        if front.shape[0]:
-            le = (front <= p).all(axis=1)
-            lt = (front < p).any(axis=1)
-            if bool(np.any(le & lt)):
-                continue
-            ge = (front >= p).all(axis=1)
-            gt = (front > p).any(axis=1)
-            keep = ~(ge & gt)
-            if not keep.all():
-                front = front[keep]
-                frontier_idx = [j for j, k in zip(frontier_idx, keep) if k]
-        front = np.vstack([front, p])
-        frontier_idx.append(i)
-    return frontier_idx
+    """Indices of the points no point dominates, in index order: one
+    comparison of each point against the whole set."""
+    pts = np.asarray(points, dtype=float)
+    return [i for i, p in enumerate(pts)
+            if not ((pts <= p).all(axis=1) & (pts < p).any(axis=1)).any()]
 
 
 def normalize(points) -> np.ndarray:

@@ -17,18 +17,20 @@ from .rng import uniform
 from .world import check_range
 
 
+# [m/s] the noise sigma of every detection's velocity
+VEL_NOISE_SIGMA = 0.3
+
+
 @dataclass(frozen=True)
 class SensorModel:
     max_range: float = 25.0           # [m] the radius of the covered disc
     pos_noise_sigma: float = 0.5      # [m]
-    vel_noise_sigma: float = 0.3      # [m/s]
     p_miss: float = 0.15              # per object per frame
     clutter_rate: float = 0.3         # Poisson mean false detections per frame
 
     def __post_init__(self):
         check_range(self, ("p_miss",), hi=1.0)
-        check_range(self, ("max_range", "pos_noise_sigma", "vel_noise_sigma",
-                           "clutter_rate"))
+        check_range(self, ("max_range", "pos_noise_sigma", "clutter_rate"))
         # every false detection is drawn, fused and may seed a track
         check_range(self, ("clutter_rate",), hi=100.0)
 
@@ -70,7 +72,7 @@ def sense(ego_pose, truth_objects, model: SensorModel, rng: np.random.Generator,
         if rng.random() < model.p_miss:
             continue
         nx, ny = rng.normal(0.0, model.pos_noise_sigma, size=2).tolist()
-        nvx, nvy = rng.normal(0.0, model.vel_noise_sigma, size=2).tolist()
+        nvx, nvy = rng.normal(0.0, VEL_NOISE_SIGMA, size=2).tolist()
         wx, wy = obj.position[0] + nx, obj.position[1] + ny
         wvx, wvy = obj.velocity[0] + nvx, obj.velocity[1] + nvy
         conf = uniform(rng, 0.6, 1.0)

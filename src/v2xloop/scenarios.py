@@ -10,13 +10,16 @@ Four built-in scenarios exercise the stack:
 A scenario is a value object; everything an episode needs that some run
 varies serializes to JSON and back, and the settings no run varies are
 constants of the modules that read them: among them the ego's bicycle model
-(`vehicle`), the stations' CAM and DENM schedule and report noise (`v2x`) and
-the scoring weights (`metrics.MetricParams`' defaults, which every run
-records in its meta.json). Unknown keys anywhere in the document
+(`vehicle`), its map client's poll schedule and download latency (`world`),
+the bodies of hazards and traffic (`world.OBJECT_RADIUS`), the goal
+tolerance (`harness`), the stations' CAM and DENM schedule and report noise
+(`v2x`) and the scoring weights (`metrics.MetricParams`' defaults, which
+every run records in its meta.json). Unknown keys anywhere in the document
 are errors, never silently ignored, so a typo in a config cannot run with
 defaults behind the experimenter's back. The optional sections switch their
-capability by being present: `stations` (V2X), `attack` (forged DENMs from
-the Byzantine stations) and `update_client` (map polling).
+capability by being present: `stations` (V2X) and `attack` (forged DENMs
+from the Byzantine stations). Every ego polls the map server; on a map of
+one version a poll never finds an update.
 """
 
 from __future__ import annotations
@@ -33,31 +36,29 @@ from .control import ControllerConfig
 from .gate import GateConfig
 from .pareto import Configuration
 from .perception import SensorModel
-from .planner import CRUISE_SPEED, GOAL_XY_TOL, PRIMITIVE_ARC_LENGTH, TriggerConfig
+from .planner import CRUISE_SPEED, PRIMITIVE_ARC_LENGTH, TriggerConfig
 from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation
-from .vehicle import V_MAX
+from .vehicle import COLLISION_RADIUS, V_MAX
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
                     VersionedMap, as_polyline, check_id, check_range,
                     polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
-
-# map polling, when a scenario has an update_client
-POLL_INTERVAL = 2.0                   # [s]
-DOWNLOAD_LATENCY_MEAN = 1.1           # [s]
-DOWNLOAD_LATENCY_JITTER = 0.2         # [s] Gaussian sigma
+# the most cells the collision radius may span: inflating the planning grid
+# takes about pi * r^2 whole-grid shifts for a radius of r cells, and the
+# built-in maps need 2
+MAX_INFLATE_CELLS = 16
 
 
 @dataclass(frozen=True)
 class ScriptedVehicle:
-    """Constant-speed traffic along a fixed polyline; parks at the end."""
+    """Constant-speed traffic along a fixed polyline from t = 0; parks at
+    the end."""
 
     vehicle_id: str
     path: Polyline
     speed: float
-    radius: float = 1.0
-    start_time: float = 0.0
     # t -> state_at(t), filled by the first episode that asks and kept for
     # the life of the vehicle, so every episode of a spec reuses it
     _states: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -65,7 +66,7 @@ class ScriptedVehicle:
     def __post_init__(self):
         object.__setattr__(self, "path", as_polyline(self.path))
         check_id(self, "vehicle_id")
-        check_range(self, ("speed", "radius"))
+        check_range(self, ("speed",))
 
     def state_at(self, t: float):
         """((x, y), (vx, vy)) at time t, a pure function of t."""
@@ -73,9 +74,9 @@ class ScriptedVehicle:
         if state is not None:
             return state
         total = self.path.length
-        s = self.speed * max(0.0, t - self.start_time)
+        s = self.speed * t
         x, y = self.path.point_at(min(s, total)).tolist()
-        if t >= self.start_time and s < total:
+        if s < total:
             ax, ay = self.path.point_at(min(s + 0.5, total)).tolist()
             dx, dy = ax - x, ay - y
             norm = math.hypot(dx, dy)
@@ -85,21 +86,6 @@ class ScriptedVehicle:
             vel = (0.0, 0.0)
         state = self._states[t] = (x, y), vel
         return state
-
-
-@dataclass(frozen=True)
-class UpdateClientConfig:
-    """The map-update client; a scenario that has one polls the map server."""
-
-    def polls_at(self, tick: int, dt: float) -> bool:
-        """Whether the client polls on `tick`: every POLL_INTERVAL, rounded
-        to whole ticks (at least one), from the first tick after 0."""
-        return tick > 0 and tick % max(1, int(round(POLL_INTERVAL / dt))) == 0
-
-    def download_latency(self, rng) -> float:
-        """One poll's download time: DOWNLOAD_LATENCY_MEAN +
-        DOWNLOAD_LATENCY_JITTER * N(0, 1), at least 0.05 s."""
-        return max(0.05, DOWNLOAD_LATENCY_MEAN + DOWNLOAD_LATENCY_JITTER * float(rng.normal()))
 
 
 @dataclass(frozen=True)
@@ -114,7 +100,6 @@ class ScenarioSpec:
     ego_start: tuple[float, float, float, float]   # x, y, heading, speed
     dt: float = 0.05
     time_limit: float = 40.0
-    goal_tolerance: float = 2.0           # [m]
     sensor: SensorModel = SensorModel()
     channel: ChannelModel = ChannelModel()
     stations: StationPopulation | None = None
@@ -122,7 +107,6 @@ class ScenarioSpec:
     gate: GateConfig = GateConfig()
     triggers: TriggerConfig = TriggerConfig()
     controller: ControllerConfig = ControllerConfig()
-    update_client: UpdateClientConfig | None = None
     hazards: tuple[GroundTruthHazard, ...] = ()
     traffic: tuple[ScriptedVehicle, ...] = ()
 
@@ -135,16 +119,16 @@ class ScenarioSpec:
         # path spec_from_dict reports
         check_range(self, ("dt",), strict=True)
         check_range(self, ("time_limit",))
-        if self.goal_tolerance < GOAL_XY_TOL:
-            # the plan could then end inside the planner's goal region but
-            # outside the episode's, where the ego holds still until timeout
-            raise ValueError(f"goal_tolerance: must be at least the planner's "
-                             f"GOAL_XY_TOL={GOAL_XY_TOL}, got {self.goal_tolerance}")
         if not all(map(math.isfinite, self.ego_start)):
             raise ValueError(f"ego_start: must be finite, got {self.ego_start}")
+        cs = self.vmap.cell_size
+        if COLLISION_RADIUS / cs > MAX_INFLATE_CELLS:
+            raise ValueError(f"vmap.cell_size: the collision radius "
+                             f"COLLISION_RADIUS={COLLISION_RADIUS:g} m may span at most "
+                             f"{MAX_INFLATE_CELLS} cells, got {COLLISION_RADIUS / cs:g} "
+                             f"at {cs:g}")
         # the planner's cost-to-goal field is a Dijkstra from the goal's cell,
         # on a grid of whole cells; an ego off that grid stops at once
-        cs = self.vmap.cell_size
         width, height = (round(side / cs) * cs for side in self.vmap.size)
         for name, (x, y) in (("route.goal_pose", self.route.goal_pose[:2]),
                              ("ego_start", self.ego_start[:2])):
@@ -263,7 +247,7 @@ def _s2_layout():
     route = Route(reference_path=ref, goal_pose=(92.0, 50.0, 0.0))
     # off-center stall: blocks the reference line but leaves a gap below it
     hazard = GroundTruthHazard(hazard_id="hz-0", position=(62.0, 50.4),
-                               kind="stationary_vehicle", spawn_time=3.5, radius=1.0)
+                               kind="stationary_vehicle", spawn_time=3.5)
     traffic = (
         ScriptedVehicle("veh-a", _straight((90.0, 58.0), (10.0, 58.0)), speed=6.0),
         ScriptedVehicle("veh-b", _straight((10.0, 42.0), (90.0, 42.0)), speed=5.0),
@@ -309,17 +293,18 @@ def build_s3(updates_enabled: bool = True) -> ScenarioSpec:
         LaneSegment("det_b", _straight((56.0, 62.0), (80.0, 62.0)), hw),
         LaneSegment("det_c", _straight((80.0, 62.0), (80.0, 30.0)), hw),
     ]
-    vmap = _map(segs_v1, segs_v2, publish_times=(None, 4.0))
+    # without updates the map server never publishes version 2
+    vmap = (_map(segs_v1, segs_v2, publish_times=(None, 4.0)) if updates_enabled
+            else _map(segs_v1))
     ref = _straight((8.0, 30.0), (92.0, 30.0), n=24)
     route = Route(reference_path=ref, goal_pose=(92.0, 30.0, 0.0))
     posts = tuple(
         GroundTruthHazard(hazard_id=f"bar-{i}", position=(70.0, 26.8 + 1.6 * i),
-                          kind="road_closure", spawn_time=4.0, radius=1.0)
+                          kind="road_closure", spawn_time=4.0)
         for i in range(5))
     return ScenarioSpec(
         scenario_id="s3", vmap=vmap, route=route,
         ego_start=(8.0, 30.0, 0.0, 0.0),
-        update_client=UpdateClientConfig() if updates_enabled else None,
         sensor=SensorModel(max_range=20.0, p_miss=0.2, pos_noise_sigma=0.6,
                            clutter_rate=0.1),
         hazards=posts, time_limit=60.0)

@@ -1,4 +1,5 @@
-"""Static world model: paths, versioned maps, routes, hazards, the update server.
+"""Static world model: paths, versioned maps, routes, hazards, the map server
+and the ego's client of it.
 
 Map versions are value snapshots. Publishing a new version never mutates an
 old one, so an episode can be replayed against the exact map knowledge the
@@ -437,6 +438,24 @@ class VersionedMap:
         return self.versions[0]
 
 
+# the ego's map client
+POLL_INTERVAL = 2.0                   # [s]
+DOWNLOAD_LATENCY_MEAN = 1.1           # [s]
+DOWNLOAD_LATENCY_JITTER = 0.2         # [s]
+
+
+def polls_at(tick: int, dt: float) -> bool:
+    """Whether the map client polls on `tick`: every POLL_INTERVAL, rounded
+    to whole ticks (at least one), from the first tick after 0."""
+    return tick > 0 and tick % max(1, int(round(POLL_INTERVAL / dt))) == 0
+
+
+def download_latency(rng) -> float:
+    """One poll's download time: DOWNLOAD_LATENCY_MEAN +
+    DOWNLOAD_LATENCY_JITTER * N(0, 1), at least 0.05 s."""
+    return max(0.05, DOWNLOAD_LATENCY_MEAN + DOWNLOAD_LATENCY_JITTER * float(rng.normal()))
+
+
 def poll_update(client_time: float, last_seen_version: int, vmap: VersionedMap,
                 download_latency: float) -> tuple[MapVersion, float] | None:
     """Return (newest visible version, activation_time) or None if up to date.
@@ -485,6 +504,8 @@ class Route:
 
 
 HAZARD_KINDS = ("stationary_vehicle", "debris", "road_closure")
+# [m] the collision body of every hazard and scripted vehicle
+OBJECT_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -493,21 +514,19 @@ class GroundTruthHazard:
     position: tuple[float, float]
     kind: str
     spawn_time: float = 0.0
-    radius: float = 1.0           # [m] collision body
 
     def __post_init__(self):
         if self.kind not in HAZARD_KINDS:
             raise ValueError(f"unknown hazard kind {self.kind!r}")
         check_id(self, "hazard_id")
-        check_range(self, ("radius",))
 
 
 @dataclass(frozen=True)
 class WorldObject:
-    """Dynamic truth snapshot used for sensing, collision, and MOT scoring."""
+    """Dynamic truth snapshot used for sensing, collision, and MOT scoring;
+    its body is a disc of OBJECT_RADIUS."""
 
     object_id: str
     position: tuple[float, float]
     velocity: tuple[float, float]
-    radius: float = 1.0
 

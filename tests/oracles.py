@@ -1,8 +1,9 @@
-"""Slow, plain references the fast paths are checked against: a Monte
-Carlo hypervolume estimate for the exact sweeps of
-`v2xloop.pareto.hypervolume`, the whole-grid route deviation for
-`v2xloop.planner.route_deviation_field`, and the fusion step with one
-`Measurement` record per detection and CAM for `v2xloop.ldm.fuse_tick`."""
+"""Slow, plain references the fast paths are checked against: pairwise
+dominance for `v2xloop.pareto.nondominated_set`, a Monte Carlo hypervolume
+estimate for the exact sweeps of `v2xloop.pareto.hypervolume`, the
+whole-grid route deviation for `v2xloop.planner.route_deviation_field`, and
+the fusion step with one `Measurement` record per detection and CAM for
+`v2xloop.ldm.fuse_tick`."""
 
 import math
 from dataclasses import dataclass
@@ -14,6 +15,15 @@ from v2xloop.ldm import (B_BIRTH, B_PRUNE, CONF_BIRTH, D_GATE, EXPIRED, LR_ABSEN
                          VELOCITY_ALPHA, LdmState, Track, ingest_denm, update_belief)
 from v2xloop.v2x import CAM, DENM
 from v2xloop.world import MapVersion
+
+
+def dominates(a, b) -> bool:
+    """True iff a is no worse everywhere and strictly better somewhere."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("objective vectors must share a dimension")
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def mc_hypervolume(points, reference, samples: int = 200_000, seed: int = 0) -> float:

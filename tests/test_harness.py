@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2xloop import harness, planner
+from v2xloop import harness, planner, world
 from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, METRIC_COLUMNS, SWEEP_COLS,
                              V2X_COLS, compute_episode_metrics, read_meta, replay,
                              run_batch, run_episode, run_sweep)
@@ -347,6 +347,40 @@ def test_a_hazard_on_the_detour_is_replanned_round_on_its_acceptance_tick(tmp_pa
         plans = read_csv(out / "logs" / "plans.csv", LOG_COLUMNS["plans"])
         assert any(tick == accepted_tick and "hazard_on_route" in cause.split("+")
                    for tick, cause in zip(plans["tick"], plans["cause"])), seed
+
+
+def test_an_ego_on_a_one_version_map_polls_and_logs_no_update(monkeypatch, tmp_path):
+    # every ego polls the map server on the client's schedule, drawing its
+    # download time each poll; a map of one version never answers one
+    polls = []
+
+    def recorded(rng):
+        polls.append(rng)
+        return world.download_latency(rng)
+
+    monkeypatch.setattr(harness, "download_latency", recorded)
+    specs = {"s1": build_s1(), "s2": build_s2(), "s4": build_s4(),
+             "s3-no-updates": build_s3(updates_enabled=False)}
+    for name, spec in specs.items():
+        assert len(spec.vmap.versions) == 1
+        del polls[:]
+        result = run_episode(spec, 1, tmp_path / name)
+        # every 40 ticks of 0.05 s, from tick 40
+        ticks = result.summary["counters"]["ticks"]
+        assert len(polls) == len(range(40, ticks, 40)) > 0, name
+        updates = read_csv(tmp_path / name / "logs" / "updates.csv", LOG_COLUMNS["updates"])
+        assert updates["tick"] == [], name
+
+
+def test_s3_polls_and_activates_on_its_ticks(tmp_path):
+    # the poll at 4 s finds version 2, published then, and the swap waits
+    # for the drawn download time
+    for seed, activated in ((1, 106), (2, 101)):
+        run_episode(build_s3(), seed, tmp_path / str(seed))
+        updates = read_csv(tmp_path / str(seed) / "logs" / "updates.csv",
+                           LOG_COLUMNS["updates"])
+        assert list(zip(updates["tick"], updates["action"], updates["version_id"])) \
+            == [(80, "poll", 2), (activated, "activate", 2)]
 
 
 def test_run_batch_rejects_duplicate_seeds():

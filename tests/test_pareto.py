@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import mc_hypervolume
+from oracles import dominates, mc_hypervolume
 from v2xloop.pareto import (Configuration, EvaluatedPoint, config_grid,
-                            dominates, evaluate_grid, hypervolume, knee_point,
+                            evaluate_grid, hypervolume, knee_point,
                             nondominated_set, normalize, sweep)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from v2xloop import perception
 from v2xloop.perception import (NEUTRAL_LIKELIHOOD, Detection, SenseFrame,
                                 SensorModel, sense, sensor_likelihood)
 from v2xloop.rng import stream
@@ -97,10 +98,10 @@ def test_sense_clutter_rate_and_bounds():
     assert count / 2000 == pytest.approx(0.5, abs=0.06)
 
 
-def test_sense_ego_frame_conversion():
+def test_sense_ego_frame_conversion(monkeypatch):
     objs = [WorldObject("a", (0.0, 10.0), (0.0, 0.0))]
-    model = SensorModel(pos_noise_sigma=0.0, vel_noise_sigma=0.0, p_miss=0.0,
-                        clutter_rate=0.0)
+    monkeypatch.setattr(perception, "VEL_NOISE_SIGMA", 0.0)
+    model = SensorModel(pos_noise_sigma=0.0, p_miss=0.0, clutter_rate=0.0)
     # ego facing +y: the object sits straight ahead in the body frame and is
     # detected at its world position
     frame = sense((0.0, 0.0, math.pi / 2), objs, model, stream(6, "sense"), 0.0)

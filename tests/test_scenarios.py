@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingerprints import BUILT_IN_SPECS
-from v2xloop import scenarios, v2x, vehicle
+from v2xloop import harness, perception, scenarios, v2x, vehicle, world
 from v2xloop.gate import GateConfig
 from v2xloop.harness import run_episode
 from v2xloop.pareto import Configuration, config_grid
 from v2xloop.planner import CRUISE_SPEED, GOAL_XY_TOL
-from v2xloop.scenarios import (ScriptedVehicle, UpdateClientConfig, apply_configuration,
+from v2xloop.scenarios import (ScriptedVehicle, apply_configuration,
                                build_s1, build_s2, build_s3, build_s4,
                                build_scenario, spec_from_dict, spec_to_dict)
 from v2xloop.world import planning_occupancy
@@ -40,7 +40,6 @@ def test_s1_variants():
     assert curve.route.reference_path.length > straight.route.reference_path.length
     for spec in (straight, curve):
         assert spec.stations is None and spec.attack is None
-        assert spec.update_client is None
         assert spec.hazards == ()
         # ego starts on the route, roughly at its head
         x, y, _, v = spec.ego_start
@@ -73,11 +72,17 @@ def test_s2_arms():
 def test_s3_arms():
     updates = build_s3(updates_enabled=True)
     frozen = build_s3(updates_enabled=False)
-    assert updates.update_client is not None and frozen.update_client is None
-    # two map versions exist in both arms; only polling differs
+    # both egos poll; without updates the server only ever holds version 1
     assert len(updates.vmap.versions) == 2
-    assert len(frozen.vmap.versions) == 2
+    assert frozen.vmap.publish_times == (None,)
     v1, v2 = updates.vmap.versions
+    (frozen_v1,) = frozen.vmap.versions
+
+    def lanes(version):
+        return [(s.segment_id, s.closed, s.polyline.points.tolist())
+                for s in version.lane_graph]
+
+    assert frozen_v1.version_id == v1.version_id and lanes(frozen_v1) == lanes(v1)
     assert v1.version_id < v2.version_id
     closed_v1 = {s.segment_id for s in v1.lane_graph if s.closed}
     closed_v2 = {s.segment_id for s in v2.lane_graph if s.closed}
@@ -103,11 +108,10 @@ def test_s4_arms():
 
 
 def test_scripted_vehicle_motion():
-    sv = ScriptedVehicle(vehicle_id="v", path=[[0.0, 0.0], [10.0, 0.0]],
-                         speed=2.0, start_time=1.0)
-    pos, vel = sv.state_at(0.5)
-    assert pos == (0.0, 0.0) and vel == (0.0, 0.0)   # not started yet
-    pos, vel = sv.state_at(2.0)
+    sv = ScriptedVehicle(vehicle_id="v", path=[[0.0, 0.0], [10.0, 0.0]], speed=2.0)
+    pos, vel = sv.state_at(0.0)
+    assert pos == (0.0, 0.0) and vel == (2.0, 0.0)   # moving from t = 0
+    pos, vel = sv.state_at(1.0)
     assert pos[0] == pytest.approx(2.0)
     assert vel == pytest.approx((2.0, 0.0))
     pos, vel = sv.state_at(100.0)
@@ -132,8 +136,6 @@ def test_apply_configuration_maps_fields():
     # everything else untouched
     assert out.hazards == spec.hazards
     assert replace(out, controller=spec.controller, triggers=spec.triggers) == spec
-    polling = build_s3()
-    assert apply_configuration(polling, cfg).update_client == polling.update_client
 
 
 @pytest.mark.parametrize("name", BUILT_IN_SPECS)
@@ -202,7 +204,7 @@ def test_spec_roundtrip(spec):
     # dict-level equality sidesteps array identity in dataclass __eq__
     assert spec_to_dict(back) == d
     assert back.scenario_id == spec.scenario_id
-    for section in ("stations", "attack", "update_client"):
+    for section in ("stations", "attack"):
         assert (getattr(back, section) is None) == (getattr(spec, section) is None)
     assert len(back.vmap.versions) == len(spec.vmap.versions)
     assert back.route.reference_path.length == pytest.approx(spec.route.reference_path.length)
@@ -396,11 +398,10 @@ def test_spec_dict_is_json_ready():
     (lambda d: d.update(dt=float("nan")), "scenario.dt: must be finite and > 0"),
     (lambda d: d.update(time_limit=-1.0), "scenario.time_limit: must be finite and >= 0"),
     (lambda d: d.update(time_limit=float("inf")), "scenario.time_limit: must be finite"),
-    # the planner's goal region, GOAL_XY_TOL = 1 m wide, wider than the episode's
-    (lambda d: d.update(goal_tolerance=0.99),
-     "scenario.goal_tolerance: must be at least the planner's GOAL_XY_TOL=1.0, got 0.99"),
-    (lambda d: d.update(goal_tolerance=0.5),
-     "scenario.goal_tolerance: must be at least the planner's GOAL_XY_TOL=1.0, got 0.5"),
+    # the goal tolerance is harness.GOAL_TOLERANCE, so no document sets one
+    # inside the planner's goal region, GOAL_XY_TOL = 1 m wide
+    (lambda d: d.update(goal_tolerance=0.99), "scenario.goal_tolerance: unknown key"),
+    (lambda d: d.update(goal_tolerance=0.5), "scenario.goal_tolerance: unknown key"),
 ], ids=["dt-zero", "dt-negative", "dt-inf", "dt-nan", "time-limit-negative",
         "time-limit-inf", "goal-xy-tol-too-wide", "goal-tolerance-too-tight"])
 def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message):
@@ -441,10 +442,19 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.attack.start_time: must be finite, got inf"),
     (lambda d: d["stations"]["byzantine_ids"].append("byz-9"),
      "scenario.stations.byzantine_ids: names no station, got ['byz-9']"),
+    # 2,000 x 2,000 cells, within MAX_GRID_CELLS, but inflating them by the
+    # 1,000-cell collision radius takes about 3.1 million whole-grid shifts
+    (lambda d: _shrink_map(d, 2.0)["vmap"].update(cell_size=0.001),
+     "scenario.vmap.cell_size: the collision radius COLLISION_RADIUS=1 m may span "
+     "at most 16 cells, got 1000 at 0.001"),
+    (lambda d: d["vmap"].update(cell_size=0.05),
+     "scenario.vmap.cell_size: the collision radius COLLISION_RADIUS=1 m may span "
+     "at most 16 cells, got 20 at 0.05"),
 ], ids=["grid-without-cells", "grid-too-large", "lane-off-map", "primitive-past-map",
         "clutter-flood", "empty-attack-window",
         "ego-nan", "ego-off-map-x", "ego-off-map-y", "ego-reversing",
-        "ego-over-v-max", "route-inf", "unchecked-inf", "byzantine-id-of-no-station"])
+        "ego-over-v-max", "route-inf", "unchecked-inf", "byzantine-id-of-no-station",
+        "inflation-that-cannot-finish", "collision-radius-over-16-cells"])
 def test_spec_from_dict_rejects_values_that_cannot_run(damage, message):
     # each of these used to load, then crash, exhaust memory or never end
     d = spec_to_dict(build_s4())
@@ -453,12 +463,21 @@ def test_spec_from_dict_rejects_values_that_cannot_run(damage, message):
         spec_from_dict(d)
 
 
+def test_the_goal_tolerance_covers_the_planners_goal_region():
+    # a plan could otherwise end inside the planner's goal region but
+    # outside the episode's, where the ego holds still until timeout
+    assert harness.GOAL_TOLERANCE >= GOAL_XY_TOL
+
+
 def test_spec_limits_admit_the_edges():
     s2 = build_s2()
     replace(s2, time_limit=0.0)
-    replace(s2, goal_tolerance=GOAL_XY_TOL)
     # a map whose diagonal is the planner's primitive arc length
     spec_from_dict(_shrink_map(spec_to_dict(s2), math.sqrt(2.0)))
+    # a cell size at which the collision radius spans MAX_INFLATE_CELLS cells
+    d = spec_to_dict(s2)
+    d["vmap"]["cell_size"] = vehicle.COLLISION_RADIUS / scenarios.MAX_INFLATE_CELLS
+    spec_from_dict(d)
 
 
 NOT_FINITE = (float("nan"), float("inf"), -float("inf"))
@@ -514,8 +533,7 @@ def _rejects_out_of_range(section, probabilities, non_negative, build=build_s4,
 
 
 def test_sensor_model_ranges():
-    _rejects_out_of_range("sensor", ["p_miss"],
-                          ["pos_noise_sigma", "vel_noise_sigma", "clutter_rate"])
+    _rejects_out_of_range("sensor", ["p_miss"], ["pos_noise_sigma", "clutter_rate"])
 
 
 def test_channel_model_ranges():
@@ -544,10 +562,9 @@ def test_sensor_reach_ranges():
 
 def test_world_record_ranges():
     # on s2 without V2X at seed 1 each of these used to load: a traffic car
-    # at speed -6 drove into the ego, a lane of half width -4 walled the whole
-    # map and a hazard of radius -1 could never be hit
-    _rejects_out_of_range("traffic[0]", [], ["speed", "radius"], build=build_s2)
-    _rejects_out_of_range("hazards[0]", [], ["radius"], build=build_s2)
+    # at speed -6 drove into the ego and a lane of half width -4 walled the
+    # whole map
+    _rejects_out_of_range("traffic[0]", [], ["speed"], build=build_s2)
     _rejects_out_of_range("vmap.versions[0].lane_graph[0]", [], ["half_width"],
                           build=build_s2)
     _rejects_out_of_range("stations.stations[0]", [], ["sensing_range"], build=build_s2)
@@ -597,36 +614,34 @@ def test_a_station_bound_to_no_traffic_vehicle_is_refused(target):
 
 
 def test_update_client_ranges():
-    # the client's settings are constants of the scenarios module: s3's
-    # section is empty, and a document that still sets one, to any value,
-    # is refused at load naming it
-    assert spec_to_dict(build_s3())["update_client"] == {}
-    for name in ("poll_interval", "download_latency_mean", "download_latency_jitter"):
-        for value in (-0.1, 0.0, 2.0, *NOT_FINITE):
-            with pytest.raises(ValueError, match="^" + re.escape(
-                    f"scenario.update_client.{name}: unknown key")):
-                spec_from_dict(_document_with("update_client", name, value, build_s3))
+    # the map client is part of every ego and its settings are constants of
+    # the world module: no document has an update_client section, and one
+    # that still holds it, empty or with a setting, is refused at load
+    assert all("update_client" not in doc for doc in BUILT_IN_DOCS.values())
+    for value in ({}, {"poll_interval": 2.0}, None):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "scenario.update_client: unknown key")):
+            spec_from_dict(_document_with("", "update_client", value, build_s3))
 
 
 def test_update_client_schedule_and_latency(monkeypatch):
-    client = UpdateClientConfig()
     # every 2 s, 40 ticks of 0.05 s; tick 0 never polls
-    assert scenarios.POLL_INTERVAL == 2.0
-    assert [k for k in range(121) if client.polls_at(k, 0.05)] == [40, 80, 120]
+    assert world.POLL_INTERVAL == 2.0
+    assert [k for k in range(121) if world.polls_at(k, 0.05)] == [40, 80, 120]
     # 0.12 s is two 0.05 s ticks, and an interval under a tick polls every tick
-    monkeypatch.setattr(scenarios, "POLL_INTERVAL", 0.12)
-    assert [k for k in range(7) if client.polls_at(k, 0.05)] == [2, 4, 6]
-    monkeypatch.setattr(scenarios, "POLL_INTERVAL", 0.0)
-    assert [k for k in range(4) if client.polls_at(k, 0.05)] == [1, 2, 3]
+    monkeypatch.setattr(world, "POLL_INTERVAL", 0.12)
+    assert [k for k in range(7) if world.polls_at(k, 0.05)] == [2, 4, 6]
+    monkeypatch.setattr(world, "POLL_INTERVAL", 0.0)
+    assert [k for k in range(4) if world.polls_at(k, 0.05)] == [1, 2, 3]
 
     draw = float(np.random.default_rng(3).normal())
-    assert client.download_latency(np.random.default_rng(3)) == max(0.05, 1.1 + 0.2 * draw)
+    assert world.download_latency(np.random.default_rng(3)) == max(0.05, 1.1 + 0.2 * draw)
 
     class LowDraw:
         def normal(self):
             return -10.0
 
-    assert client.download_latency(LowDraw()) == 0.05         # clamped
+    assert world.download_latency(LowDraw()) == 0.05         # clamped
 
 
 def test_gate_config_ranges():
@@ -653,6 +668,9 @@ RANGED_CONSTANTS = [
     (v2x, "HONEST_REPORT_NOISE_SIGMA", 0.0, math.inf, False),
     (v2x, "CAM_PERIOD", 0.0, math.inf, False),
     (v2x, "DENM_PERIOD", 0.0, math.inf, False),
+    (perception, "VEL_NOISE_SIGMA", 0.0, math.inf, False),
+    # a body of radius -1 could never be hit
+    (world, "OBJECT_RADIUS", 0.0, math.inf, False),
 ]
 
 
@@ -675,9 +693,17 @@ def test_vehicle_and_station_constants_meet_their_range_rules(module, name, low,
     ("stations", "cam_period", 0.1),
     ("stations", "denm_period", 1.0),
     ("hazards[0]", "observable_by_sensing", True),
+    ("", "update_client", {}),
+    ("sensor", "vel_noise_sigma", 0.3),
+    ("", "goal_tolerance", 2.0),
+    ("hazards[0]", "radius", 1.0),
+    ("traffic[0]", "radius", 1.0),
+    ("traffic[0]", "start_time", 0.0),
 ], ids=["vehicle", "metrics", "stations.honest_report_noise_sigma",
         "stations.cam_period", "stations.denm_period",
-        "hazards[0].observable_by_sensing"])
+        "hazards[0].observable_by_sensing", "update_client", "sensor.vel_noise_sigma",
+        "goal_tolerance", "hazards[0].radius", "traffic[0].radius",
+        "traffic[0].start_time"])
 def test_a_document_holding_a_constant_is_refused(section, name, value):
     """A key whose setting became a constant is refused at load as an
     unknown key, at any value (today's default included), naming its path."""
