@@ -262,7 +262,9 @@ def cmd_replay(args) -> int:
         if recomputed == stored:
             print("replay matches stored summary")
             return 0
-        diffs = {k for k in stored if stored[k] != recomputed.get(k)}
+        # a metric missing on either side differs too
+        diffs = {k for k in stored.keys() | recomputed.keys()
+                 if k not in stored or k not in recomputed or stored[k] != recomputed[k]}
         print(f"REPLAY MISMATCH in fields: {sorted(diffs)}")
         return 1
     return 0

@@ -3,13 +3,17 @@
 One episode couples the world, the fused environment model, the acceptance
 gate, the replanner, and the tracking controller on a fixed-step clock.
 The order inside a tick is always: activate any downloaded map, snapshot
-ground truth, check termination, project the ego onto the route, sense,
-exchange V2X traffic, fuse, poll the map server (every ego does, on
-`world.polls_at`'s schedule), gate pending event hypotheses, project the
-ego onto the plan, evaluate replan triggers, compute the command, log,
-step the vehicle. The ego is projected once onto the route and once onto
-the plan per tick (again onto a plan a replan just made), and every stage
-reuses those arc lengths.
+ground truth, check termination, sense, exchange V2X traffic, fuse, poll
+the map server (every ego does, on `world.polls_at`'s schedule), gate
+pending event hypotheses, project the ego onto the plan, evaluate replan
+triggers, compute the command, log, step the vehicle. The ego is projected
+once onto the plan per tick (again onto a plan a replan just made), and
+every stage reuses that arc length. No decision reads the ego's place on
+the route: `vehicle.csv`'s route columns (`s_route`, `cross_track`,
+`heading_err`) are filled in after the last tick, from one
+`world.Polyline.project_many` of every logged position, and a forged claim
+placed on the route ahead projects the ego only on the ticks it is made
+(`v2x.generate_attack_traffic`).
 
 The ego follows its plan and replans when a trigger fires. No plan means a
 safety stop: the brake ramps to full, and planning is retried every
@@ -28,14 +32,16 @@ it derives from, never in `logs/` and never in the scenario document:
 - the tick-0 plan, searched on an empty LDM and so the same for every
   seed, per start pose, start steering and goal, on the planning maps
   (`_initial_plan`);
-- each scripted vehicle's state per time t, on the vehicle;
+- the objects physically present at each time t (`ScenarioSpec.truth_at`:
+  the scripted traffic, and one object per hazard), on the spec;
 - the honest and the Byzantine stations in id order, on the population;
 - the last full projection scan, on each path (`world.Polyline.project`):
-  the route's carries over from one episode to the next. A query answers
-  from it only when the triangle inequality proves that no segment the
-  scan left out can be as near, so every answer has the bits of a scan
-  of every segment, and an episode's logs do not depend on the queries
-  before it.
+  a plan's serves the ticks that follow it, and the route's, which only
+  the attack queries, carries over from one episode to the next. A query
+  answers from it only when the triangle inequality proves that no
+  segment the scan left out can be as near, so every answer has the bits
+  of a scan of every segment, and an episode's logs do not depend on the
+  queries before it.
 
 Each lives as long as its object: every episode of a batch or sweep that
 runs on the same objects (the seeds of a spec, and the copies
@@ -95,7 +101,7 @@ from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import COLLISION_RADIUS, VehicleState, step
-from .world import (OBJECT_RADIUS, MapVersion, Polyline, VersionedMap, WorldObject,
+from .world import (OBJECT_RADIUS, MapVersion, Polyline, VersionedMap,
                     download_latency, planning_occupancy, poll_update, polls_at,
                     wrap_angle)
 
@@ -187,19 +193,6 @@ def _new_logs() -> dict[str, CsvLog]:
     return {name: CsvLog(columns) for name, columns in LOG_COLUMNS.items()}
 
 
-def _truth_at(spec: ScenarioSpec, t: float) -> list[WorldObject]:
-    """Everything physically present at t."""
-    out: list[WorldObject] = []
-    for sv in spec.traffic:
-        pos, vel = sv.state_at(t)
-        out.append(WorldObject(object_id=sv.vehicle_id, position=pos, velocity=vel))
-    for hz in spec.hazards:
-        if hz.spawn_time <= t:
-            out.append(WorldObject(object_id=hz.hazard_id, position=hz.position,
-                                   velocity=(0.0, 0.0)))
-    return out
-
-
 def _is_true_claim(kind: str, x: float, y: float, hazards, radius: float) -> bool:
     """A claimed event is true iff a same-kind hazard, given as (kind, x, y),
     lies within `radius` of it."""
@@ -285,6 +278,9 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
     ldm = initial_state(active)
     frames_window: list = []
+    # each tick's vehicle row but its route columns, which are filled in
+    # after the last tick
+    vehicle_rows: list = []
     in_flight: list = []
     seq_counters: dict[str, int] = {}
     denm_started: set = set()
@@ -334,7 +330,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             logs["updates"].append(k, t, "activate", active.version_id, t)
             pending_map = None
 
-        truth = _truth_at(spec, t)
+        truth = spec.truth_at(t)
 
         termination = None
         if any(math.hypot(ego.x - o.position[0], ego.y - o.position[1])
@@ -346,7 +342,6 @@ def run_episode(spec: ScenarioSpec, seed: int,
             termination = "safety_stop"
         if termination is not None:
             break
-        s_route, cross_track, _ = ref.project(ego.position)
 
         frame = sense(ego.pose, truth, spec.sensor, streams.get("sense"), t)
         frames_window.append(frame)
@@ -367,7 +362,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
                 streams.get("v2x_honest"), denm_started)
             if spec.attack is not None:
                 outgoing += generate_attack_traffic(
-                    spec.attack, spec.stations, spec.route, s_route, t, dt,
+                    spec.attack, spec.stations, spec.route, ego.position, t, dt,
                     seq_counters, streams.get("attack"),
                     map_bounds=(0.0, 0.0, spec.vmap.size[0], spec.vmap.size[1]))
             if outgoing:
@@ -437,11 +432,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
             cmd, pid, target_speed = follow_tick(ego, traj, s_plan, spec.controller,
                                                  pid, dt)
 
-        heading_ref = ref.heading_at(s_route)
-        logs["vehicle"].append(k, t, ego.x, ego.y, ego.heading, ego.speed,
-                               ego.steering, ego.throttle, ego.brake, s_route,
-                               cross_track, wrap_angle(ego.heading - heading_ref),
-                               ttc_now)
+        vehicle_rows.append((k, t, ego.x, ego.y, ego.heading, ego.speed,
+                             ego.steering, ego.throttle, ego.brake, ttc_now))
         logs["control"].append(k, t, cmd.steering, cmd.throttle, cmd.brake,
                                target_speed, ego.speed)
         for tr in ldm.objects:
@@ -453,6 +445,14 @@ def run_episode(spec: ScenarioSpec, seed: int,
         termination, k = "timeout", n_ticks
     # k ticks ran to completion
     sim_time = k * dt
+
+    # the route columns, from one projection of every logged position
+    s_route, cross_track, _, heading_ref = ref.project_many(
+        [row[2:4] for row in vehicle_rows])
+    for row, s, lateral, heading in zip(vehicle_rows, s_route.tolist(),
+                                        cross_track.tolist(), heading_ref.tolist()):
+        logs["vehicle"].append(*row[:9], s, lateral, wrap_angle(row[4] - heading),
+                               row[9])
 
     for ev in sorted(ldm.events, key=lambda e: e.event_id):
         log_event(sim_time, ev, 1)

@@ -710,8 +710,9 @@ def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
     knots = traj.path._cum
     first = bisect.bisect_left(knots, min(s_plan, length))
     last = bisect.bisect_left(knots, min(s_plan + v * t_end, length))
-    box = traj.poses[max(first - 2, 0):last + 2, :2]
-    (bx0, by0), (bx1, by1) = box.min(axis=0).tolist(), box.max(axis=0).tolist()
+    box = slice(max(first - 2, 0), last + 2)
+    xs, ys = traj._xs[box], traj._ys[box]
+    bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
     scale = 1.0 + max(abs(bx0), abs(by0), abs(bx1), abs(by1))
     near = []
     for tr in tracks:

@@ -41,7 +41,7 @@ from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation
 from .vehicle import COLLISION_RADIUS, V_MAX
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
-                    VersionedMap, as_polyline, check_id, check_range,
+                    VersionedMap, WorldObject, as_polyline, check_id, check_range,
                     polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
@@ -59,9 +59,6 @@ class ScriptedVehicle:
     vehicle_id: str
     path: Polyline
     speed: float
-    # t -> state_at(t), filled by the first episode that asks and kept for
-    # the life of the vehicle, so every episode of a spec reuses it
-    _states: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "path", as_polyline(self.path))
@@ -70,9 +67,6 @@ class ScriptedVehicle:
 
     def state_at(self, t: float):
         """((x, y), (vx, vy)) at time t, a pure function of t."""
-        state = self._states.get(t)
-        if state is not None:
-            return state
         total = self.path.length
         s = self.speed * t
         x, y = self.path.point_at(min(s, total)).tolist()
@@ -84,8 +78,7 @@ class ScriptedVehicle:
                 else (0.0, 0.0)
         else:
             vel = (0.0, 0.0)
-        state = self._states[t] = (x, y), vel
-        return state
+        return (x, y), vel
 
 
 @dataclass(frozen=True)
@@ -109,12 +102,20 @@ class ScenarioSpec:
     controller: ControllerConfig = ControllerConfig()
     hazards: tuple[GroundTruthHazard, ...] = ()
     traffic: tuple[ScriptedVehicle, ...] = ()
+    # t -> truth_at(t), filled by the first episode that asks, and each
+    # hazard's object, which every t it is present at holds; kept for the
+    # life of the spec and shared by apply_configuration's copies
+    _truth: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _hazard_objects: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario_id not in SCENARIO_IDS:
             raise ValueError(f"scenario_id must be one of {SCENARIO_IDS}")
         object.__setattr__(self, "hazards", tuple(self.hazards))
         object.__setattr__(self, "traffic", tuple(self.traffic))
+        object.__setattr__(self, "_hazard_objects", tuple(
+            WorldObject(object_id=h.hazard_id, position=h.position, velocity=(0.0, 0.0))
+            for h in self.hazards))
         # a message that starts with the field at fault extends the dotted
         # path spec_from_dict reports
         check_range(self, ("dt",), strict=True)
@@ -169,6 +170,18 @@ class ScenarioSpec:
                 raise ValueError(f"stations.stations[{i}].bound_object: names no "
                                  f"traffic vehicle, got {station.bound_object!r}")
 
+    def truth_at(self, t: float) -> tuple[WorldObject, ...]:
+        """Everything physically present at t: each traffic vehicle, then
+        each hazard spawned by t. A pure function of the spec and t, built
+        once per t."""
+        truth = self._truth.get(t)
+        if truth is None:
+            truth = self._truth[t] = (
+                *(WorldObject(sv.vehicle_id, *sv.state_at(t)) for sv in self.traffic),
+                *(obj for h, obj in zip(self.hazards, self._hazard_objects)
+                  if h.spawn_time <= t))
+        return truth
+
 
 def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSpec:
     """Overlay one swept operating point onto a scenario's controller and
@@ -187,7 +200,11 @@ def apply_configuration(spec: ScenarioSpec, config: Configuration) -> ScenarioSp
                              look_ahead_min=la / 2.0, look_ahead_max=1.5 * la)
     if config.tau_risk is not None:
         triggers = replace(triggers, tau_risk=config.tau_risk)
-    return replace(spec, controller=controller, triggers=triggers)
+    copy = replace(spec, controller=controller, triggers=triggers)
+    # the copy keeps the traffic and hazards, so it keeps their truth
+    for name in ("_truth", "_hazard_objects"):
+        object.__setattr__(copy, name, getattr(spec, name))
+    return copy
 
 
 # ---------------------------------------------------------------------------

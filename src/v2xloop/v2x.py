@@ -202,7 +202,7 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
 
 
 def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
-                            route: Route, ego_progress: float, t: float, dt: float,
+                            route: Route, ego_position, t: float, dt: float,
                             seq_counters: dict[str, int],
                             rng: np.random.Generator,
                             map_bounds: tuple[float, float, float, float]
@@ -212,7 +212,10 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
     The attackers collude: they share one fabricated location per emission
     window, drawn before any attacker's p_attack draw. That is the strongest
     play against a quorum: support concentrates on a single hypothesis
-    instead of spreading across several.
+    instead of spreading across several. An `on_route_ahead` claim lies
+    ahead_min to ahead_max of arc length past the projection of
+    `ego_position` onto the route, which is made only on a tick that
+    places a claim.
     """
     attackers = population.byzantine()
     if not attackers or t < policy.start_time:
@@ -221,7 +224,8 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
         return []
 
     if policy.placement == "on_route_ahead":
-        s = ego_progress + uniform(rng, policy.ahead_min, policy.ahead_max)
+        s = (route.reference_path.project(ego_position)[0]
+             + uniform(rng, policy.ahead_min, policy.ahead_max))
         p = route.reference_path.point_at(s)
         pos = (float(p[0]), float(p[1]))
     else:                                # uniform_in_map

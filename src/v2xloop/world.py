@@ -68,6 +68,9 @@ def polyline_cumlength(path: np.ndarray) -> np.ndarray:
 # bound may lie for `Polyline.project` to keep it as a candidate for the
 # queries that follow
 PROJECT_REACH = 1.0
+# point-segment pairs `Polyline.project_many` measures in one pass, so its
+# temporaries stay near this size however many points it is given
+PROJECT_BATCH = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +86,11 @@ class Polyline:
     `MapVersion.planning_memo`, that state is a cache: it never changes an
     answer, so a Polyline shared by every episode of a spec (a route) gives
     each episode the bits a fresh one would.
+
+    `project_many` answers `project` and `heading_at` for a whole array of
+    points in one numpy pass, with the same bits, for a caller that needs
+    the answers only once it holds every point (an episode's logged route
+    columns).
     """
 
     points: np.ndarray                                    # (N, 2) [m]
@@ -163,6 +171,51 @@ class Polyline:
         gap = float(lower[~kept].min()) if len(near) < len(lower) else math.inf
         object.__setattr__(self, "_warm", (qx, qy, slack, near, gap))
         return self._answer(*self._nearest(qx, qy, near))
+
+    def project_many(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                            np.ndarray]:
+        """`project` and `heading_at` of every row of an (N, 2) array of
+        finite points, as arrays: arc length, signed lateral, segment index,
+        and the heading at that arc length.
+
+        Each point is measured against every segment with `_nearest`'s
+        operations, in numpy over a batch of points at a time, and the
+        first of equally near segments wins (argmin), so every value has
+        the bits the scalar queries return. `_warm` is neither read nor
+        changed.
+        """
+        q = np.asarray(points, dtype=float).reshape(-1, 2)
+        if not np.isfinite(q).all():
+            raise ValueError("expected finite points")
+        ax, ay, dx, dy, len2 = np.array(self._rows).T
+        degenerate = len2 < 1e-18
+        safe_len2 = np.where(degenerate, 1.0, len2)
+        seg_len = np.where(len2 > 1e-18, np.sqrt(len2), 0.0)
+        cum = self.cumlength
+        n = len(q)
+        s, lateral, index = np.empty(n), np.empty(n), np.empty(n, dtype=np.intp)
+        step = max(1, PROJECT_BATCH // len(len2))
+        for lo in range(0, n, step):
+            qx, qy = q[lo:lo + step, :1], q[lo:lo + step, 1:]
+            u = ((qx - ax) * dx + (qy - ay) * dy) / safe_len2
+            u = np.where(degenerate, 0.0, u)
+            u = np.where(u < 0.0, 0.0, u)
+            u = np.where(u < 1.0, u, 1.0)
+            ex = qx - (ax + u * dx)
+            ey = qy - (ay + u * dy)
+            dist2 = ex * ex + ey * ey
+            i = dist2.argmin(axis=1)
+            rows = np.arange(len(i))
+            t, ex, ey = u[rows, i], ex[rows, i], ey[rows, i]
+            s[lo:lo + step] = cum[i] + t * seg_len[i]
+            side = np.where(dx[i] * ey - dy[i] * ex < 0.0, -1.0, 1.0)
+            lateral[lo:lo + step] = side * np.sqrt(dist2[rows, i])
+            index[lo:lo + step] = i
+        # heading_at: the direction of the segment _locate finds; s is never
+        # negative, and past the end clamping s or the index finds the last
+        under = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(len2) - 1)
+        headings = np.array([math.atan2(y, x) for _, _, x, y, _ in self._rows])
+        return s, lateral, index, headings[under]
 
     def _nearest(self, qx: float, qy: float, near: list):
         """(squared distance, index, segment parameter, offset x, y) of the

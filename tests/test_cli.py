@@ -147,6 +147,22 @@ def test_replay_agreement_and_tamper_exit(tmp_path, capsys):
     assert "REPLAY MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit, fields", [
+    (lambda m: m.pop("mota"), ["mota"]),
+    (lambda m: m.update(extra=1.0), ["extra"]),
+    (lambda m: (m.pop("mota"), m.update(extra=1.0)), ["extra", "mota"]),
+])
+def test_replay_names_a_metric_missing_from_either_side(tmp_path, capsys, edit, fields):
+    out = tmp_path / "ep"
+    main(["run", "--scenario", "s1", "--seed", "1", "--out", str(out)])
+    summary = read_json(out / "summary.json")
+    edit(summary["metrics"])
+    write_json(out / "summary.json", summary)
+    capsys.readouterr()
+    assert main(["replay", "--log", str(out)]) == 1
+    assert f"REPLAY MISMATCH in fields: {fields}" in capsys.readouterr().out
+
+
 def test_replay_rerun_matches_a_fresh_run_and_names_an_edit(tmp_path, capsys):
     # s2 at seed 3 tells an exact scenario.json from one rounded to nine
     # significant digits

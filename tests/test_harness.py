@@ -747,3 +747,68 @@ def test_the_tick_loop_keeps_python_floats():
         v2x = spec.stations is not None
         assert all(n > 0 for key, n in seen.items()
                    if v2x or key not in ("payloads", "events")), (spec.scenario_id, seen)
+
+
+@pytest.mark.parametrize("build", [build_s2, build_s3])
+def test_the_truth_memo_answers_what_a_fresh_build_does(build):
+    # an episode fills the spec's memo; at every tick of the time limit it
+    # answers with the objects a newly built spec builds cold, and a copy
+    # apply_configuration makes shares it, so it answers with the same ones
+    warm, cold = build(), build()
+    run_episode(warm, 1)
+    copy = apply_configuration(warm, Configuration("c", k_p=0.5))
+    hazards = {h.hazard_id: h.spawn_time for h in warm.hazards}
+    # s2's hazard spawns at 3.5 s, s3's five posts at 4 s; each is one
+    # object at every t it is present at
+    objects = {hid: set() for hid in hazards}
+    for k in range(round(warm.time_limit / warm.dt)):
+        t = k * warm.dt
+        truth = warm.truth_at(t)
+        assert repr(truth) == repr(cold.truth_at(t))
+        assert copy.truth_at(t) is truth
+        ids = [o.object_id for o in truth]
+        assert ids == [v.vehicle_id for v in warm.traffic] + [
+            hid for hid, spawn in hazards.items() if spawn <= t]
+        for o in truth[len(warm.traffic):]:
+            objects[o.object_id].add(id(o))
+    assert all(len(ids) == 1 for ids in objects.values())
+    # a copy made before any episode fills the memo its original reads
+    fresh = build()
+    fresh_copy = apply_configuration(fresh, Configuration("c", k_p=0.5))
+    run_episode(fresh_copy, 1)
+    assert fresh.truth_at(warm.dt) is fresh_copy.truth_at(warm.dt)
+
+
+@pytest.mark.parametrize("sid", ["s1", "s2", "s3", "s4"])
+def test_the_route_is_projected_after_the_last_tick(sid):
+    # s1-s3 project the ego onto the route once, in one batch after the last
+    # tick; s4's attack projects it also on each tick it places a claim
+    spec = build_scenario(sid)
+    route = spec.route.reference_path
+    calls = []
+    project, project_many = world.Polyline.project, world.Polyline.project_many
+
+    def record(name, method):
+        def wrapped(line, *args):
+            if line is route:
+                calls.append(name)
+            return method(line, *args)
+        return wrapped
+
+    emissions = []
+    attack = harness.generate_attack_traffic
+
+    def generate_attack_traffic(*args, **kwargs):
+        msgs = attack(*args, **kwargs)
+        # s4's attackers claim at every emission (p_attack 1)
+        if msgs:
+            emissions.append(args[4])
+        return msgs
+
+    with patch.object(world.Polyline, "project", record("project", project)), \
+            patch.object(world.Polyline, "project_many",
+                         record("project_many", project_many)), \
+            patch.object(harness, "generate_attack_traffic", generate_attack_traffic):
+        run_episode(spec, 1)
+    assert calls == ["project"] * len(emissions) + ["project_many"]
+    assert bool(emissions) == (sid == "s4")

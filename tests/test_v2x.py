@@ -154,7 +154,7 @@ def test_honest_report_noise_sigma():
 def test_attack_emits_only_from_byzantine_stations():
     pop = _population(byz=frozenset({"rsu-0", "rsu-1"}))
     policy = AttackPolicy()
-    msgs = generate_attack_traffic(policy, pop, _route(), 5.0, 0.0, DT, {},
+    msgs = generate_attack_traffic(policy, pop, _route(), (5.0, 0.0), 0.0, DT, {},
                                    stream(2, "attack"), BOUNDS)
     assert {m.station_id for m in msgs} == {"rsu-0", "rsu-1"}
     for m in msgs:
@@ -164,8 +164,8 @@ def test_attack_emits_only_from_byzantine_stations():
 
 def test_colluding_attackers_share_one_location():
     pop = _population(byz=frozenset({"rsu-0", "rsu-1"}))
-    msgs = generate_attack_traffic(AttackPolicy(), pop, _route(),
-                                   5.0, 0.0, DT, {}, stream(3, "attack"), BOUNDS)
+    msgs = generate_attack_traffic(AttackPolicy(), pop, _route(), (5.0, 0.0),
+                                   0.0, DT, {}, stream(3, "attack"), BOUNDS)
     positions = {m.payload.event_position for m in msgs}
     assert len(positions) == 1
     x, y = positions.pop()
@@ -177,19 +177,20 @@ def test_colluding_attackers_share_one_location():
 def test_attack_respects_start_time_and_period():
     pop = _population(byz=frozenset({"rsu-0"}))
     policy = AttackPolicy(start_time=2.0, emission_period=1.0)
-    assert not generate_attack_traffic(policy, pop, _route(), 0.0, 0.0, DT,
+    assert not generate_attack_traffic(policy, pop, _route(), (0.0, 0.0), 0.0, DT,
                                        {}, stream(4, "attack"), BOUNDS)
-    assert generate_attack_traffic(policy, pop, _route(), 0.0, 2.0, DT,
+    assert generate_attack_traffic(policy, pop, _route(), (0.0, 0.0), 2.0, DT,
                                    {}, stream(4, "attack"), BOUNDS)
-    assert not generate_attack_traffic(policy, pop, _route(), 0.0, 2.5, DT,
+    assert not generate_attack_traffic(policy, pop, _route(), (0.0, 0.0), 2.5, DT,
                                        {}, stream(4, "attack"), BOUNDS)
-    assert generate_attack_traffic(policy, pop, _route(), 0.0, 3.0, DT,
+    assert generate_attack_traffic(policy, pop, _route(), (0.0, 0.0), 3.0, DT,
                                    {}, stream(4, "attack"), BOUNDS)
 
 
 def test_attack_no_byzantine_no_messages():
     msgs = generate_attack_traffic(AttackPolicy(), _population(), _route(),
-                                   0.0, 0.0, DT, {}, stream(5, "attack"), BOUNDS)
+                                   (0.0, 0.0), 0.0, DT, {}, stream(5, "attack"),
+                                   BOUNDS)
     assert msgs == []
 
 
@@ -198,7 +199,7 @@ def test_attack_uniform_placement_in_bounds():
     policy = AttackPolicy(placement="uniform_in_map")
     rng = stream(6, "attack")
     for t in range(30):
-        for m in generate_attack_traffic(policy, pop, _route(), 0.0, float(t),
+        for m in generate_attack_traffic(policy, pop, _route(), (0.0, 0.0), float(t),
                                          DT, {}, rng,
                                          map_bounds=(0.0, 0.0, 50.0, 30.0)):
             x, y = m.payload.event_position

@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grids import corridor_map, occupied_at
+from v2xloop import world
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Polyline,
                            Route, VersionedMap, empty_grid,
                            inflate, mark_disk, planning_occupancy, poll_update,
@@ -219,6 +221,69 @@ def test_projection_sequences_on_one_polyline_match_the_global_scan_bit_for_bit(
             st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))))
         # repr tells -0.0 from 0.0, so this compares bit for bit
         assert repr(line.project(walkers[w])) == repr(_old_project(walkers[w], path))
+
+
+@st.composite
+def _u_turns(draw):
+    """Paths that run out along a lattice direction and double back over
+    themselves, so every point beside the fold is equally near a segment
+    of the way out and one of the way back; a zero step repeats vertices."""
+    x0, y0 = draw(_coord), draw(_coord)
+    dx, dy = draw(_lattice), draw(_lattice)
+    out = [(x0 + i * dx, y0 + i * dy) for i in range(draw(st.integers(1, 4)) + 1)]
+    return np.array(out + out[-2::-1])
+
+
+def _batch_bits(line, points) -> list[bytes]:
+    s, lateral, index, heading = line.project_many(points)
+    return [struct.pack("3dq", *row) for row in zip(s.tolist(), lateral.tolist(),
+                                                    heading.tolist(), index.tolist())]
+
+
+def _scalar_bits(line, points) -> list[bytes]:
+    out = []
+    for p in points:
+        s, lateral, i = line.project(p)
+        out.append(struct.pack("3dq", s, lateral, line.heading_at(s), i))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.one_of(_paths(), _awkward_paths(), _u_turns()), data=st.data())
+def test_project_many_matches_project_and_heading_at_bit_for_bit(path, data):
+    # vertices (where two segments meet), midpoints, points on lattice
+    # offsets from them (equally near two segments of a lattice path or a
+    # fold), far points and signed zeros, in one batch
+    line = Polyline(path)
+    on_path = [tuple(p) for p in path] + [tuple(m) for m in (path[:-1] + path[1:]) / 2.0]
+    beside = st.tuples(st.sampled_from(on_path), _lattice, _lattice).map(
+        lambda p: (p[0][0] + p[1], p[0][1] + p[2]))
+    points = data.draw(st.lists(st.one_of(
+        st.sampled_from(on_path), beside,
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+        st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0]))),
+        max_size=30))
+    assert _batch_bits(line, np.array(points).reshape(-1, 2)) == _scalar_bits(line, points)
+
+
+def test_project_many_gives_a_tie_to_the_lower_segment():
+    # (5, 1) is 1 m from the way out and from the way back, on the left of
+    # the way out: the lower index wins, as in project's scan
+    line = Polyline(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 0.0]]))
+    s, lateral, index, heading = line.project_many([(5.0, 1.0), (10.0, 0.0)])
+    assert index.tolist() == [0, 0] and s.tolist() == [5.0, 10.0]
+    assert lateral.tolist() == [1.0, 0.0] and heading.tolist() == [0.0, math.pi]
+    assert line.project((5.0, 1.0)) == (5.0, 1.0, 0)
+
+
+def test_project_many_batches_many_points_and_refuses_a_point_that_is_not_finite():
+    line = Polyline(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]))
+    points = np.random.default_rng(1).uniform(-5.0, 15.0, (3 * world.PROJECT_BATCH, 2))
+    assert _batch_bits(line, points) == _scalar_bits(line, points)
+    assert all(len(a) == 0 for a in line.project_many(np.empty((0, 2))))
+    with pytest.raises(ValueError, match="finite points"):
+        line.project_many([(0.0, 0.0), (math.nan, 0.0)])
 
 
 def test_projection_rejects_a_point_that_is_not_finite():
