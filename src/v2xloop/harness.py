@@ -4,7 +4,7 @@ One episode couples the world, the fused environment model, the acceptance
 gate, the replanner, and the tracking controller on a fixed-step clock.
 The order inside a tick is always: activate any downloaded map, snapshot
 ground truth, check termination, sense, exchange V2X traffic, fuse, poll
-the map server (every ego does, on `world.polls_at`'s schedule), gate
+the map server (every ego does, every `world.POLL_INTERVAL`), gate
 pending event hypotheses, project the ego onto the plan, evaluate replan
 triggers, compute the command, log, step the vehicle. The ego is projected
 once onto the plan per tick (again onto a plan a replan just made), and
@@ -101,9 +101,9 @@ from .rng import StreamSet
 from .scenarios import ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import COLLISION_RADIUS, VehicleState, step
-from .world import (OBJECT_RADIUS, MapVersion, Polyline, VersionedMap,
-                    download_latency, planning_occupancy, poll_update, polls_at,
-                    wrap_angle)
+from .world import (OBJECT_RADIUS, POLL_INTERVAL, MapVersion, Polyline,
+                    VersionedMap, download_latency, fires_at, planning_occupancy,
+                    poll_update, wrap_angle)
 
 RECOVERY_TICKS = 10               # replan retry cadence during a stop ramp
 SENSOR_LIKELIHOOD_WINDOW = 1.0    # [s] of frames the gate's veto reads
@@ -210,7 +210,7 @@ def _planning_maps(vmap: VersionedMap, version: MapVersion,
     if maps is None:
         grid = planning_occupancy(vmap, version, COLLISION_RADIUS)
         maps = version.planning_memo[route] = PlanningMaps(
-            grid, route_deviation_field(grid, route.points))
+            grid, route_deviation_field(grid, route))
     return maps
 
 
@@ -384,7 +384,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
         ldm = fuse_tick(ldm, t, due, active, [frame])
 
-        if polls_at(k, dt):
+        if k > 0 and fires_at(t, dt, POLL_INTERVAL):
             newest = active if pending_map is None else pending_map[0]
             polled = poll_update(t, newest.version_id, spec.vmap,
                                  download_latency(streams.get("updates")))

@@ -59,7 +59,8 @@ import numpy as np
 
 from .ldm import LdmState
 from .vehicle import COLLISION_RADIUS, MAX_STEER, WHEELBASE
-from .world import TWO_PI, OccupancyGrid, Polyline, check_range, mark_disk, wrap_angle
+from .world import (TWO_PI, OccupancyGrid, Polyline, check_range, inflate, mark_disk,
+                    wrap_angle)
 
 # collision footprint of an event by kind, before vehicle-radius inflation
 EVENT_RADIUS = {
@@ -267,44 +268,27 @@ def obstacle_grid(ldm: LdmState, base: OccupancyGrid, start_xy) -> OccupancyGrid
     return out
 
 
-def route_deviation_field(grid: OccupancyGrid,
-                          reference_path: np.ndarray) -> np.ndarray:
-    """Distance from each readable cell center to the route reference
-    polyline, and 0 on every other cell.
+def route_deviation_field(grid: OccupancyGrid, route: Polyline) -> np.ndarray:
+    """Distance from each readable cell center to the route, and 0 on
+    every other cell.
 
     Shaped like the planning grid so the search can price lateral deviation
     with a plain array lookup; without it the shortest corridor path cuts
     curves instead of lane keeping. The readable cells are the free cells
-    of `grid` and their 8-neighbours: `plan`'s cost table reads the free
-    cells of a grid that stamps only more cells blocked, and
-    cost_to_goal_field reads those and the goal's cell, whose value counts
-    only when a free cell lies next to it. Only those cells are computed,
-    each with the arithmetic of the whole-grid formula, so they hold its
-    exact bits.
+    of `grid` and their 8-neighbours (the free cells inflated by one cell
+    diagonal): `plan`'s cost table reads the free cells of a grid that
+    stamps only more cells blocked, and cost_to_goal_field reads those and
+    the goal's cell, whose value counts only when a free cell lies next to
+    it. Only those cells are computed, each the size of its signed lateral
+    from `route.project_many`, with that function's bits.
     """
-    ny, nx = grid.cells.shape
-    res = grid.cell_size
-    near = np.zeros((ny + 2, nx + 2), dtype=bool)
-    free = ~grid.cells
-    for oy in range(3):
-        for ox in range(3):
-            near[oy:oy + ny, ox:ox + nx] |= free
-    iy, ix = np.nonzero(near[1:-1, 1:-1])
-    px = (ix + 0.5) * res
-    py = (iy + 0.5) * res
-    ref = np.asarray(reference_path, dtype=float)
-    best = np.full(px.shape, np.inf)
-    for a, b in zip(ref[:-1], ref[1:]):
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        seg_len2 = dx * dx + dy * dy
-        if seg_len2 < 1e-18:
-            d = np.hypot(px - a[0], py - a[1])
-        else:
-            tt = np.clip(((px - a[0]) * dx + (py - a[1]) * dy) / seg_len2, 0.0, 1.0)
-            d = np.hypot(px - (a[0] + tt * dx), py - (a[1] + tt * dy))
-        np.minimum(best, d, out=best)
-    out = np.zeros((ny, nx))
-    out[iy, ix] = best
+    cs = grid.cell_size
+    readable = inflate(OccupancyGrid(~grid.cells, cs), cs * math.sqrt(2.0)).cells
+    iy, ix = np.nonzero(readable)
+    _, lateral, _, _ = route.project_many(np.column_stack(((ix + 0.5) * cs,
+                                                           (iy + 0.5) * cs)))
+    out = np.zeros(grid.cells.shape)
+    out[iy, ix] = np.abs(lateral)
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import uniform
-from .world import HAZARD_KINDS, Route, check_id, check_range
+from .world import HAZARD_KINDS, Route, check_id, check_range, fires_at
 
 CAM = "CAM"
 DENM = "DENM"
@@ -131,15 +131,6 @@ class AttackPolicy:
                              f"got {self.false_event_kind!r}")
 
 
-def _emits_this_tick(t: float, dt: float, period: float, offset: float = 0.0) -> bool:
-    """Tick-grid schedule: fires on the first tick at or after each period mark."""
-    if period <= 0.0:
-        return False
-    k = int(round((t - offset) / dt))
-    period_ticks = max(1, int(round(period / dt)))
-    return k >= 0 and k % period_ticks == 0
-
-
 def _station_state(station: Station, truth_by_id: dict) -> tuple[tuple[float, float], tuple[float, float]]:
     if station.bound_object is not None and station.bound_object in truth_by_id:
         obj = truth_by_id[station.bound_object]
@@ -161,9 +152,9 @@ def generate_honest_traffic(population: StationPopulation, truth_objects,
     truth_by_id = {o.object_id: o for o in truth_objects}
     msgs: list[V2xMessage] = []
     # the schedules are the same for every station
-    cam_due = _emits_this_tick(t, dt, CAM_PERIOD)
-    denm_due = [_emits_this_tick(t, dt, DENM_PERIOD,
-                                 offset=hazard.spawn_time) for hazard in active_hazards]
+    cam_due = fires_at(t, dt, CAM_PERIOD)
+    denm_due = [fires_at(t, dt, DENM_PERIOD, offset=hazard.spawn_time)
+                for hazard in active_hazards]
 
     for station in population.honest():
         pos, vel = _station_state(station, truth_by_id)
@@ -220,7 +211,7 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
     attackers = population.byzantine()
     if not attackers or t < policy.start_time:
         return []
-    if not _emits_this_tick(t, dt, policy.emission_period, offset=policy.start_time):
+    if not fires_at(t, dt, policy.emission_period, offset=policy.start_time):
         return []
 
     if policy.placement == "on_route_ahead":

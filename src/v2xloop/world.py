@@ -87,10 +87,11 @@ class Polyline:
     answer, so a Polyline shared by every episode of a spec (a route) gives
     each episode the bits a fresh one would.
 
-    `project_many` answers `project` and `heading_at` for a whole array of
-    points in one numpy pass, with the same bits, for a caller that needs
-    the answers only once it holds every point (an episode's logged route
-    columns).
+    `project_many` answers `project`, and the heading of the segment under
+    each arc length, for a whole array of points in one numpy pass, with
+    the same bits, for a caller that needs the answers only once it holds
+    every point (an episode's logged route columns, the route deviation
+    field).
     """
 
     points: np.ndarray                                    # (N, 2) [m]
@@ -174,9 +175,10 @@ class Polyline:
 
     def project_many(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                             np.ndarray]:
-        """`project` and `heading_at` of every row of an (N, 2) array of
-        finite points, as arrays: arc length, signed lateral, segment index,
-        and the heading at that arc length.
+        """`project` of every row of an (N, 2) array of finite points, as
+        arrays: arc length, signed lateral, segment index, and the direction
+        of the segment under that arc length (the last such segment where
+        segments meet, the last segment past the end).
 
         Each point is measured against every segment with `_nearest`'s
         operations, in numpy over a batch of points at a time, and the
@@ -211,8 +213,8 @@ class Polyline:
             side = np.where(dx[i] * ey - dy[i] * ex < 0.0, -1.0, 1.0)
             lateral[lo:lo + step] = side * np.sqrt(dist2[rows, i])
             index[lo:lo + step] = i
-        # heading_at: the direction of the segment _locate finds; s is never
-        # negative, and past the end clamping s or the index finds the last
+        # the segment under s: s is never negative, and past the end
+        # clamping the index finds the last
         under = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(len2) - 1)
         headings = np.array([math.atan2(y, x) for _, _, x, y, _ in self._rows])
         return s, lateral, index, headings[under]
@@ -249,27 +251,15 @@ class Polyline:
             lateral = -lateral
         return s, lateral, i
 
-    def _locate(self, s: float) -> tuple[int, float]:
-        """(segment index, s clamped to [0, length]) of arc length s."""
-        cum = self._cum
-        s = min(max(float(s), 0.0), self.length)
-        # np.searchsorted(cum, s, side="right") - 1
-        i = bisect.bisect_right(cum, s) - 1
-        return min(max(i, 0), len(cum) - 2), s
-
     def point_at(self, s: float) -> np.ndarray:
         """Point at arc length s, clamped to the path's extent."""
-        i, s = self._locate(s)
         cum, p = self._cum, self.points
+        s = min(max(float(s), 0.0), self.length)
+        # np.searchsorted(cum, s, side="right") - 1
+        i = min(max(bisect.bisect_right(cum, s) - 1, 0), len(cum) - 2)
         seg = cum[i + 1] - cum[i]
         t = 0.0 if seg < 1e-12 else (s - cum[i]) / seg
         return p[i] + t * (p[i + 1] - p[i])
-
-    def heading_at(self, s: float) -> float:
-        """Direction of the segment under arc length s."""
-        i, _ = self._locate(s)
-        _, _, dx, dy, _ = self._rows[i]
-        return math.atan2(dy, dx)
 
 
 def as_polyline(path) -> Polyline:
@@ -440,8 +430,8 @@ class MapVersion:
     version_id: int
     lane_graph: tuple[LaneSegment, ...]
     # the planning views of this version, built by the first episode that
-    # plans on it and reused for as long as the version lives: (route
-    # reference path, collision radius) -> planner.PlanningMaps
+    # plans on it and reused for as long as the version lives: route
+    # reference path -> planner.PlanningMaps
     planning_memo: dict = field(init=False, repr=False, compare=False,
                                 default_factory=dict)
 
@@ -497,10 +487,16 @@ DOWNLOAD_LATENCY_MEAN = 1.1           # [s]
 DOWNLOAD_LATENCY_JITTER = 0.2         # [s]
 
 
-def polls_at(tick: int, dt: float) -> bool:
-    """Whether the map client polls on `tick`: every POLL_INTERVAL, rounded
-    to whole ticks (at least one), from the first tick after 0."""
-    return tick > 0 and tick % max(1, int(round(POLL_INTERVAL / dt))) == 0
+def fires_at(t: float, dt: float, period: float, offset: float = 0.0) -> bool:
+    """Whether a schedule that fires every `period` from `offset`, both
+    rounded to whole ticks of `dt` (the period to at least one), fires on
+    the tick at time t; a period of 0 never fires. The V2X beacons and
+    the attack run on it, and the map client polls on it from the first
+    tick after 0."""
+    if period <= 0.0:
+        return False
+    k = int(round((t - offset) / dt))
+    return k >= 0 and k % max(1, int(round(period / dt))) == 0
 
 
 def download_latency(rng) -> float:

@@ -1,9 +1,10 @@
 """Slow, plain references the fast paths are checked against: pairwise
 dominance for `v2xloop.pareto.nondominated_set`, a Monte Carlo hypervolume
 estimate for the exact sweeps of `v2xloop.pareto.hypervolume`, the
-whole-grid route deviation for `v2xloop.planner.route_deviation_field`, and
-the fusion step with one `Measurement` record per detection and CAM for
-`v2xloop.ldm.fuse_tick`."""
+whole-grid route deviation for `v2xloop.planner.route_deviation_field`, the
+fusion step with one `Measurement` record per detection and CAM for
+`v2xloop.ldm.fuse_tick`, and the two tick-grid schedules
+`v2xloop.world.fires_at` replaced."""
 
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from v2xloop.ldm import (B_BIRTH, B_PRUNE, CONF_BIRTH, D_GATE, EXPIRED, LR_ABSEN
                          LR_DETECT, PENDING, POSITION_ALPHA, TAU_EVENT, TAU_STALE,
                          VELOCITY_ALPHA, LdmState, Track, ingest_denm, update_belief)
 from v2xloop.v2x import CAM, DENM
-from v2xloop.world import MapVersion
+from v2xloop.world import POLL_INTERVAL, MapVersion
 
 
 def dominates(a, b) -> bool:
@@ -51,7 +52,8 @@ def mc_hypervolume(points, reference, samples: int = 200_000, seed: int = 0) -> 
 def route_deviation_everywhere(grid, reference_path) -> np.ndarray:
     """Distance from every cell center of `grid` to the reference polyline:
     the all-cells formula `route_deviation_field` computed before it kept
-    to the cells a plan reads."""
+    to the cells a plan reads, each distance the square root of the
+    squared offset, as `Polyline.project_many` takes it."""
     ny, nx = grid.cells.shape
     res = grid.cell_size
     cx = (np.arange(nx) + 0.5) * res
@@ -63,12 +65,30 @@ def route_deviation_everywhere(grid, reference_path) -> np.ndarray:
         dx, dy = b[0] - a[0], b[1] - a[1]
         seg_len2 = dx * dx + dy * dy
         if seg_len2 < 1e-18:
-            d = np.hypot(px - a[0], py - a[1])
+            ex, ey = px - a[0], py - a[1]
         else:
             tt = np.clip(((px - a[0]) * dx + (py - a[1]) * dy) / seg_len2, 0.0, 1.0)
-            d = np.hypot(px - (a[0] + tt * dx), py - (a[1] + tt * dy))
-        np.minimum(best, d, out=best)
+            ex, ey = px - (a[0] + tt * dx), py - (a[1] + tt * dy)
+        np.minimum(best, np.sqrt(ex * ex + ey * ey), out=best)
     return best
+
+
+# the two tick-grid schedules before they became `fires_at`, verbatim
+
+
+def emits_this_tick(t: float, dt: float, period: float, offset: float = 0.0) -> bool:
+    """Tick-grid schedule: fires on the first tick at or after each period mark."""
+    if period <= 0.0:
+        return False
+    k = int(round((t - offset) / dt))
+    period_ticks = max(1, int(round(period / dt)))
+    return k >= 0 and k % period_ticks == 0
+
+
+def polls_at(tick: int, dt: float) -> bool:
+    """Whether the map client polls on `tick`: every POLL_INTERVAL, rounded
+    to whole ticks (at least one), from the first tick after 0."""
+    return tick > 0 and tick % max(1, int(round(POLL_INTERVAL / dt))) == 0
 
 
 # the fusion step before it became one pass: fuse_tick, associate and

@@ -782,10 +782,13 @@ def test_the_truth_memo_answers_what_a_fresh_build_does(build):
 @pytest.mark.parametrize("sid", ["s1", "s2", "s3", "s4"])
 def test_the_route_is_projected_after_the_last_tick(sid):
     # s1-s3 project the ego onto the route once, in one batch after the last
-    # tick; s4's attack projects it also on each tick it places a claim
+    # tick; s4's attack projects it also on each tick it places a claim. A
+    # spec's first episode also measures the route deviation field of each
+    # map version it plans on (s3's second version mid-episode) with one
+    # project_many; the second episode finds those maps memoised
     spec = build_scenario(sid)
     route = spec.route.reference_path
-    calls = []
+    assert all(not v.planning_memo for v in spec.vmap.versions)
     project, project_many = world.Polyline.project, world.Polyline.project_many
 
     def record(name, method):
@@ -795,7 +798,6 @@ def test_the_route_is_projected_after_the_last_tick(sid):
             return method(line, *args)
         return wrapped
 
-    emissions = []
     attack = harness.generate_attack_traffic
 
     def generate_attack_traffic(*args, **kwargs):
@@ -805,10 +807,18 @@ def test_the_route_is_projected_after_the_last_tick(sid):
             emissions.append(args[4])
         return msgs
 
+    episodes = []
     with patch.object(world.Polyline, "project", record("project", project)), \
             patch.object(world.Polyline, "project_many",
                          record("project_many", project_many)), \
             patch.object(harness, "generate_attack_traffic", generate_attack_traffic):
-        run_episode(spec, 1)
+        for _ in range(2):
+            calls, emissions = [], []
+            run_episode(spec, 1)
+            episodes.append((calls, emissions))
+    (first, _), (calls, emissions) = episodes
     assert calls == ["project"] * len(emissions) + ["project_many"]
+    planned = [v for v in spec.vmap.versions if route in v.planning_memo]
+    assert len(planned) == (2 if sid == "s3" else 1)
+    assert sorted(first) == sorted(calls + ["project_many"] * len(planned))
     assert bool(emissions) == (sid == "s4")

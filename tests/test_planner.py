@@ -23,7 +23,7 @@ from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
 from v2xloop.scenarios import (SCENARIO_IDS, build_s1, build_scenario, spec_from_dict,
                                 spec_to_dict)
 from v2xloop.vehicle import COLLISION_RADIUS, MAX_CURVATURE, VehicleState
-from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Route,
+from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Polyline, Route,
                            empty_grid, inflate, planning_occupancy, wrap_angle)
 
 TRIG = TriggerConfig()
@@ -294,7 +294,7 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
                events=[replace(_event((x, y), kind), event_id=f"E{i}")
                        for i, (kind, x, y) in enumerate(events)])
     base = ROAD_BASE
-    deviation = route_deviation_field(base, ROUTE.reference_path.points)
+    deviation = route_deviation_field(base, ROUTE.reference_path)
     start = (start_x, 10.0, 0.0)
     grid = obstacle_grid(ldm, base, start[:2])
     want = cost_to_goal_field(grid, deviation, ROUTE.goal_pose[:2], planner.LATERAL_WEIGHT)
@@ -488,7 +488,7 @@ def _assert_plan_matches_reference(start, goal, ldm, base, budget, start_steerin
     from it, no line prices none. `plan` gets fresh planning maps and the
     oracle the field of the stamped grid it searches. Returns `plan`'s
     attempt."""
-    field = None if line is None else route_deviation_field(base, line)
+    field = None if line is None else route_deviation_field(base, Polyline(line))
     deviation = np.zeros(base.cells.shape) if field is None else field
     stamped = obstacle_grid(ldm, base, start[:2])
     searched = cost_to_goal_field(stamped, deviation, goal[:2], planner.LATERAL_WEIGHT)
@@ -522,7 +522,7 @@ def test_reference_oracle_covers_failure_edge_and_success(monkeypatch):
     assert not occupied_at(grid, 0.1, start[1])      # free up to the map edge
     monkeypatch.setattr(planner, "MAX_EXPANSIONS", 4000)
     ok = _plan(start, ldm, goal=goal,
-               maps=_maps(base, route_deviation_field(grid, line)))
+               maps=_maps(base, route_deviation_field(grid, Polyline(line))))
     assert ok.succeeded
 
 
@@ -590,7 +590,7 @@ def test_plan_matches_reference_from_both_signed_zero_headings(steer):
 
 def test_route_deviation_field_measures_distance():
     grid = planning_occupancy(ROAD_MAP, ROAD, 0.0)     # the corridor
-    fld = route_deviation_field(grid, ROUTE.reference_path.points)
+    fld = route_deviation_field(grid, ROUTE.reference_path)
     assert fld.shape == grid.cells.shape
     assert grid.cell_size == 0.5
     assert fld[20, 100] < grid.cell_size               # the cell of (50, 10)
@@ -599,7 +599,7 @@ def test_route_deviation_field_measures_distance():
 
 def _readable(cells):
     """The cells a plan may read the deviation of: the free cells and
-    their 8-neighbours."""
+    their 8-neighbours, dilated by padded shifts."""
     ny, nx = cells.shape
     padded = np.pad(~cells, 1)
     return np.logical_or.reduce([padded[dy:dy + ny, dx:dx + nx]
@@ -607,7 +607,7 @@ def _readable(cells):
 
 
 def _assert_deviation_matches_the_oracle(grid, line):
-    got = route_deviation_field(grid, line)
+    got = route_deviation_field(grid, Polyline(line))
     want = route_deviation_everywhere(grid, line)
     readable = _readable(grid.cells)
     assert got.shape == want.shape
@@ -638,6 +638,21 @@ def test_a_blocked_goal_reads_the_deviation_the_whole_grid_formula_gives():
     for weight in (0.3, 1.0):
         assert cost_to_goal_field(base, got, goal, weight).tobytes() == \
             cost_to_goal_field(base, want, goal, weight).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ny=st.integers(1, 11), nx=st.integers(1, 11),
+       cell_size=st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.75, 1.0, 1.7, 2.0]),
+       data=st.data())
+def test_route_deviation_field_reads_the_free_cells_and_their_8_neighbours(ny, nx,
+                                                                          cell_size,
+                                                                          data):
+    # a route far below the grid is a positive distance from every cell, so
+    # the nonzero cells are the ones the field computes
+    blocked = data.draw(st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx))
+    grid = OccupancyGrid(cells=np.array(blocked).reshape(ny, nx), cell_size=cell_size)
+    far = Polyline(np.array([[0.0, -100.0], [50.0, -100.0]]))
+    assert np.array_equal(route_deviation_field(grid, far) > 0.0, _readable(grid.cells))
 
 
 @settings(max_examples=40, deadline=None)

@@ -624,15 +624,17 @@ def test_update_client_ranges():
             spec_from_dict(_document_with("", "update_client", value, build_s3))
 
 
-def test_update_client_schedule_and_latency(monkeypatch):
-    # every 2 s, 40 ticks of 0.05 s; tick 0 never polls
+def test_update_client_schedule_and_latency():
+    # every 2 s, 40 ticks of 0.05 s, on the tick grid the episode polls on
+    # from the first tick after 0
+    def fires(period, ticks):
+        return [k for k in range(1, ticks) if world.fires_at(k * 0.05, 0.05, period)]
+
     assert world.POLL_INTERVAL == 2.0
-    assert [k for k in range(121) if world.polls_at(k, 0.05)] == [40, 80, 120]
-    # 0.12 s is two 0.05 s ticks, and an interval under a tick polls every tick
-    monkeypatch.setattr(world, "POLL_INTERVAL", 0.12)
-    assert [k for k in range(7) if world.polls_at(k, 0.05)] == [2, 4, 6]
-    monkeypatch.setattr(world, "POLL_INTERVAL", 0.0)
-    assert [k for k in range(4) if world.polls_at(k, 0.05)] == [1, 2, 3]
+    assert fires(world.POLL_INTERVAL, 121) == [40, 80, 120]
+    # 0.12 s is two 0.05 s ticks, and an interval under a tick fires every tick
+    assert fires(0.12, 7) == [2, 4, 6]
+    assert fires(0.01, 4) == [1, 2, 3]
 
     draw = float(np.random.default_rng(3).normal())
     assert world.download_latency(np.random.default_rng(3)) == max(0.05, 1.1 + 0.2 * draw)

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from grids import corridor_map, occupied_at
 from v2xloop import world
+from v2xloop.scenarios import SCENARIO_IDS, build_scenario
+from v2xloop.v2x import CAM_PERIOD, DENM_PERIOD
 from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Polyline,
                            Route, VersionedMap, empty_grid,
                            inflate, mark_disk, planning_occupancy, poll_update,
@@ -68,8 +71,9 @@ def test_point_and_heading_along_polyline():
     path = Polyline(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]))
     p = path.point_at(12.0)
     assert p.tolist() == pytest.approx([10.0, 2.0])
-    assert path.heading_at(2.0) == pytest.approx(0.0)
-    assert path.heading_at(12.0) == pytest.approx(math.pi / 2)
+    # the heading of the segment under each point's arc length
+    _, _, _, heading = path.project_many([(2.0, 1.0), (11.0, 2.0)])
+    assert heading.tolist() == pytest.approx([0.0, math.pi / 2])
     # arc length clamps at both ends
     assert path.point_at(-5.0).tolist() == pytest.approx([0.0, 0.0])
     assert path.point_at(99.0).tolist() == pytest.approx([10.0, 10.0])
@@ -157,7 +161,6 @@ def test_polyline_methods_match_the_free_functions_bit_for_bit(path, point, s):
     # s from before the start to past the end, in units of the length
     for at in (s * line.length, s, line.length, 0.0, line.length + 1.0):
         assert line.point_at(at).tobytes() == _old_point_along(path, at).tobytes()
-        assert repr(line.heading_at(at)) == repr(_old_heading_along(path, at))
     # points beyond both ends
     for q in (path[0] - (7.0, 3.0), path[-1] + (5.0, -2.0)):
         assert repr(line.project(q)) == repr(_old_project(q, path))
@@ -244,7 +247,8 @@ def _scalar_bits(line, points) -> list[bytes]:
     out = []
     for p in points:
         s, lateral, i = line.project(p)
-        out.append(struct.pack("3dq", s, lateral, line.heading_at(s), i))
+        heading = _old_heading_along(line.points, s)
+        out.append(struct.pack("3dq", s, lateral, heading, i))
     return out
 
 
@@ -607,3 +611,22 @@ def test_poll_update_skips_to_newest():
     assert version.version_id == 2
     version, _ = poll_update(1.5, 0, vmap, 0.5)
     assert version.version_id == 1
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.05, 0.1, 0.15])
+def test_one_tick_grid_rule_keeps_the_beacon_attack_and_poll_schedules(dt):
+    # the built-ins' schedules: CAMs, DENMs from each hazard's spawn, the
+    # attack from its start, and the map poll from the first tick after 0;
+    # the episode's clock reads t = k * dt
+    specs = [build_scenario(sid) for sid in SCENARIO_IDS]
+    schedules = {(CAM_PERIOD, 0.0)}
+    schedules |= {(DENM_PERIOD, h.spawn_time) for spec in specs for h in spec.hazards}
+    schedules |= {(spec.attack.emission_period, spec.attack.start_time)
+                  for spec in specs if spec.attack is not None}
+    assert schedules == {(0.1, 0.0), (1.0, 3.5), (1.0, 4.0), (1.0, 1.0)}
+    ticks = range(2401)
+    for period, offset in sorted(schedules):
+        assert [k for k in ticks if world.fires_at(k * dt, dt, period, offset)] == \
+            [k for k in ticks if oracles.emits_this_tick(k * dt, dt, period, offset)]
+    assert [k for k in ticks if k > 0 and world.fires_at(k * dt, dt, world.POLL_INTERVAL)] \
+        == [k for k in ticks if oracles.polls_at(k, dt)]
