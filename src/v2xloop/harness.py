@@ -114,16 +114,16 @@ EVENT_LABEL_RADIUS = 16.0         # [m] a claim this near a same-kind hazard is 
 GOAL_TOLERANCE = 2.0
 
 # column name -> kind (logio: int, bool, float, str; "?" allows None)
+# the ego's state at the start of each tick, its place on the route and its TTC
 VEHICLE_COLS = {"tick": "int", "t": "float", "x": "float", "y": "float",
-                "heading": "float", "speed": "float", "steering": "float",
-                "throttle": "float", "brake": "float", "s_route": "float",
+                "heading": "float", "speed": "float", "s_route": "float",
                 "cross_track": "float", "heading_err": "float", "ttc": "float"}
+# each tick's command, which the vehicle applies as sent, and the speed it targets
 CONTROL_COLS = {"tick": "int", "t": "float", "steering": "float",
-                "throttle": "float", "brake": "float", "target_speed": "float",
-                "speed": "float"}
+                "throttle": "float", "brake": "float", "target_speed": "float"}
+# each object present at each tick; every body's radius is meta.json's object_radius
 TRUTH_COLS = {"tick": "int", "t": "float", "object_id": "str", "x": "float",
-              "y": "float", "vx": "float", "vy": "float", "radius": "float",
-              "scored": "bool"}
+              "y": "float", "vx": "float", "vy": "float", "scored": "bool"}
 LDM_COLS = {"tick": "int", "t": "float", "track_id": "str", "x": "float",
             "y": "float", "vx": "float", "vy": "float", "belief": "float"}
 # CAM rows carry no event
@@ -161,8 +161,8 @@ LOG_NAMES = tuple(LOG_COLUMNS)
 # the columns of each table compute_episode_metrics reads; an episode formats
 # and parses only these to score itself
 METRIC_COLUMNS = {
-    "vehicle": ("heading_err", "ttc", "s_route", "cross_track"),
-    "control": ("t", "steering", "throttle", "brake", "speed"),
+    "vehicle": ("speed", "heading_err", "ttc", "s_route", "cross_track"),
+    "control": ("t", "steering", "throttle", "brake"),
     "truth": ("tick", "object_id", "x", "y", "scored"),
     "ldm": ("tick", "track_id", "x", "y", "belief"),
     "v2x": ("gen_time", "msg_kind", "event_kind", "event_x", "event_y"),
@@ -244,12 +244,12 @@ def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
         "goal": list(spec.route.goal_pose),
         "goal_tolerance": GOAL_TOLERANCE,
         "collision_radius": COLLISION_RADIUS,
+        "object_radius": OBJECT_RADIUS,
         "event_label_radius": EVENT_LABEL_RADIUS,
         "mot_belief_min": B_OBSTACLE,
         "metrics": asdict(MetricParams()),
         "hazards": [{"id": h.hazard_id, "x": h.position[0], "y": h.position[1],
-                     "kind": h.kind, "spawn_time": h.spawn_time,
-                     "radius": OBJECT_RADIUS} for h in spec.hazards],
+                     "kind": h.kind, "spawn_time": h.spawn_time} for h in spec.hazards],
     }
     # round exactly as the JSON writer would, so in-run metrics see the same
     # numbers a replay reads back from meta.json
@@ -350,9 +350,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
         for obj in truth:
             scored = frame.covers(obj.position) or obj.object_id in cam_bound
-            logs["truth"].append(k, t, obj.object_id, obj.position[0],
-                                 obj.position[1], obj.velocity[0],
-                                 obj.velocity[1], OBJECT_RADIUS, scored)
+            logs["truth"].append(k, t, obj.object_id, *obj.position, *obj.velocity,
+                                 scored)
 
         due: list = []
         if spec.stations is not None:
@@ -432,10 +431,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
             cmd, pid, target_speed = follow_tick(ego, traj, s_plan, spec.controller,
                                                  pid, dt)
 
-        vehicle_rows.append((k, t, ego.x, ego.y, ego.heading, ego.speed,
-                             ego.steering, ego.throttle, ego.brake, ttc_now))
-        logs["control"].append(k, t, cmd.steering, cmd.throttle, cmd.brake,
-                               target_speed, ego.speed)
+        vehicle_rows.append((k, t, ego.x, ego.y, ego.heading, ego.speed, ttc_now))
+        logs["control"].append(k, t, cmd.steering, cmd.throttle, cmd.brake, target_speed)
         for tr in ldm.objects:
             logs["ldm"].append(k, t, tr.track_id, tr.position[0], tr.position[1],
                                tr.velocity[0], tr.velocity[1], tr.belief)
@@ -451,8 +448,8 @@ def run_episode(spec: ScenarioSpec, seed: int,
         [row[2:4] for row in vehicle_rows])
     for row, s, lateral, heading in zip(vehicle_rows, s_route.tolist(),
                                         cross_track.tolist(), heading_ref.tolist()):
-        logs["vehicle"].append(*row[:9], s, lateral, wrap_angle(row[4] - heading),
-                               row[9])
+        logs["vehicle"].append(*row[:6], s, lateral, wrap_angle(row[4] - heading),
+                               row[6])
 
     for ev in sorted(ldm.events, key=lambda e: e.event_id):
         log_event(sim_time, ev, 1)
@@ -585,7 +582,7 @@ def compute_episode_metrics(tables: dict[str, dict[str, list]],
         trigger_latency_ms=trigger_latency,
         steer_variance=command_variance(control["steering"]),
         throttle_variance=command_variance(control["throttle"]),
-        brake_energy=brake_energy(control["brake"], control["speed"], dt),
+        brake_energy=brake_energy(control["brake"], vehicle["speed"], dt),
         mota=mota, motp=motp, id_switches=idsw,
         false_positive_rate=fpr, false_negative_rate=fnr,
         termination=termination, sim_time=sim_time)

@@ -49,6 +49,9 @@ SCENARIO_IDS = ("s1", "s2", "s3", "s4")
 # takes about pi * r^2 whole-grid shifts for a radius of r cells, and the
 # built-in maps need 2
 MAX_INFLATE_CELLS = 16
+# the most ticks an episode may run, round(time_limit / dt): its logs and
+# per-tick work grow with it, and the built-ins run 800 to 1,200
+MAX_TICKS = 100_000
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,10 @@ class ScenarioSpec:
         # path spec_from_dict reports
         check_range(self, ("dt",), strict=True)
         check_range(self, ("time_limit",))
+        ticks = round(self.time_limit / self.dt)
+        if not 1 <= ticks <= MAX_TICKS:
+            raise ValueError(f"dt: time_limit / dt must round to 1 to {MAX_TICKS} ticks, "
+                             f"got {self.time_limit:g} / {self.dt:g} = {ticks}")
         if not all(map(math.isfinite, self.ego_start)):
             raise ValueError(f"ego_start: must be finite, got {self.ego_start}")
         cs = self.vmap.cell_size
@@ -129,10 +136,14 @@ class ScenarioSpec:
                              f"{MAX_INFLATE_CELLS} cells, got {COLLISION_RADIUS / cs:g} "
                              f"at {cs:g}")
         # the planner's cost-to-goal field is a Dijkstra from the goal's cell,
-        # on a grid of whole cells; an ego off that grid stops at once
+        # on a grid of whole cells; an ego off that grid stops at once; and
+        # the route length and progress are measured along the reference path
         width, height = (round(side / cs) * cs for side in self.vmap.size)
+        points = self.route.reference_path.points.tolist()
         for name, (x, y) in (("route.goal_pose", self.route.goal_pose[:2]),
-                             ("ego_start", self.ego_start[:2])):
+                             ("ego_start", self.ego_start[:2]),
+                             *((f"route.reference_path[{i}]", xy)
+                               for i, xy in enumerate(points))):
             if not (0.0 <= x < width and 0.0 <= y < height):
                 raise ValueError(f"{name}: must lie on the {width:g} x {height:g} m "
                                  f"map, got ({x:g}, {y:g})")

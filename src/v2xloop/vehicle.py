@@ -24,12 +24,15 @@ MAX_CURVATURE = math.tan(MAX_STEER) / WHEELBASE
 
 @dataclass(frozen=True)
 class VehicleState:
+    """The ego's pose and speed, and the two actuators a tick reads back:
+    the steering the next plan starts from and the brake a safety stop
+    ramps up from. The throttle only accelerates the step that applies it."""
+
     x: float
     y: float
     heading: float                    # [rad]
     speed: float                      # [m/s]
     steering: float = 0.0             # [rad] applied at the last step
-    throttle: float = 0.0             # [0, 1] applied at the last step
     brake: float = 0.0                # [0, 1] applied at the last step
 
     @property
@@ -63,4 +66,4 @@ def step(state: VehicleState, cmd, dt: float) -> VehicleState:
     v_next = min(max(v + accel * dt, 0.0), V_MAX)
 
     return VehicleState(x=x, y=y, heading=heading, speed=v_next,
-                        steering=steering, throttle=throttle, brake=brake)
+                        steering=steering, brake=brake)

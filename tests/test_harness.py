@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fingerprints import BUILT_IN_SPECS
 from v2xloop import harness, planner, world
 from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, METRIC_COLUMNS, SWEEP_COLS,
                              V2X_COLS, compute_episode_metrics, read_meta, replay,
@@ -71,6 +72,28 @@ def test_vehicle_log_structure(s1_result):
     assert ts[1] - ts[0] == pytest.approx(dt)
     for speed in vehicle["speed"][:50]:
         assert 0.0 <= speed <= 15.0
+
+
+@pytest.mark.parametrize("name", BUILT_IN_SPECS)
+def test_the_vehicle_applies_every_command_unclamped(monkeypatch, name):
+    # vehicle.step's clamps leave each command the loop sends as it is, so
+    # control.csv's row k-1 is exactly the actuator state at tick k, which
+    # vehicle.csv therefore does not repeat
+    scenario_id, kwargs = BUILT_IN_SPECS[name]
+    commands = []
+    harness_step = harness.step
+
+    def step(ego, cmd, dt):
+        state = harness_step(ego, cmd, dt)
+        assert state.steering.hex() == cmd.steering.hex(), cmd
+        assert state.brake.hex() == cmd.brake.hex(), cmd
+        assert min(max(cmd.throttle, 0.0), 1.0) == cmd.throttle, cmd
+        commands.append(cmd)
+        return state
+
+    monkeypatch.setattr(harness, "step", step)
+    result = run_episode(build_scenario(scenario_id, **kwargs), 1)
+    assert len(commands) == result.summary["counters"]["ticks"] > 0
 
 
 def test_replay_matches_stored_summary(s1_result):
@@ -530,7 +553,7 @@ def test_metrics_label_claims_against_meta_hazards():
     meta = {"metrics": asdict(MetricParams()), "dt": 0.05, "route_length": 84.0,
             "event_label_radius": 16.0, "mot_belief_min": 0.6,
             "hazards": [{"id": "hz-0", "x": 62.0, "y": 50.4, "kind": "debris",
-                         "spawn_time": 0.0, "radius": 1.0}]}
+                         "spawn_time": 0.0}]}
 
     def denm(gen, kind, x, y):
         return {"msg_kind": "DENM", "gen_time": gen, "event_kind": kind,
@@ -540,11 +563,10 @@ def test_metrics_label_claims_against_meta_hazards():
         return {col: [row.get(col) for row in rows] for col in LOG_COLUMNS[name]}
 
     tables = {
-        "vehicle": [{"cross_track": 0.0, "heading_err": 0.0, "ttc": None,
-                     "s_route": 84.0}],
-        "control": [{"t": t, "steering": 0.0, "throttle": 0.2, "brake": b,
-                     "speed": 5.0} for t, b in ((0.0, 0.0), (1.0, 0.0),
-                                                (2.0, 0.5), (3.0, 0.5))],
+        "vehicle": [{"speed": 5.0, "cross_track": 0.0, "heading_err": 0.0,
+                     "ttc": None, "s_route": 84.0}] * 4,
+        "control": [{"t": t, "steering": 0.0, "throttle": 0.2, "brake": b}
+                    for t, b in ((0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (3.0, 0.5))],
         "episode": [{"termination": "goal_reached", "sim_time": 3.0,
                      "ticks": 60, "collision": 0}],
         "v2x": [{"msg_kind": "CAM", "gen_time": 0.2, "event_kind": None,

@@ -398,12 +398,26 @@ def test_spec_dict_is_json_ready():
     (lambda d: d.update(dt=float("nan")), "scenario.dt: must be finite and > 0"),
     (lambda d: d.update(time_limit=-1.0), "scenario.time_limit: must be finite and >= 0"),
     (lambda d: d.update(time_limit=float("inf")), "scenario.time_limit: must be finite"),
+    # a clock of no tick, or of more than MAX_TICKS
+    (lambda d: d.update(dt=1e-9), "scenario.dt: time_limit / dt must round to 1 to "
+                                  "100000 ticks, got 40 / 1e-09 = 40000000000"),
+    (lambda d: d.update(dt=1e6), "scenario.dt: time_limit / dt must round to 1 to "
+                                 "100000 ticks, got 40 / 1e+06 = 0"),
+    (lambda d: d.update(time_limit=0.0), "scenario.dt: time_limit / dt must round to 1 "
+                                         "to 100000 ticks, got 0 / 0.05 = 0"),
+    (lambda d: d.update(time_limit=1e9), "scenario.dt: time_limit / dt must round to 1 "
+                                         "to 100000 ticks, got 1e+09 / 0.05 = 20000000000"),
+    (lambda d: d.update(time_limit=100_001 * 0.05), "scenario.dt: time_limit / dt must "
+                                                    "round to 1 to 100000 ticks, got "
+                                                    "5000.05 / 0.05 = 100001"),
     # the goal tolerance is harness.GOAL_TOLERANCE, so no document sets one
     # inside the planner's goal region, GOAL_XY_TOL = 1 m wide
     (lambda d: d.update(goal_tolerance=0.99), "scenario.goal_tolerance: unknown key"),
     (lambda d: d.update(goal_tolerance=0.5), "scenario.goal_tolerance: unknown key"),
 ], ids=["dt-zero", "dt-negative", "dt-inf", "dt-nan", "time-limit-negative",
-        "time-limit-inf", "goal-xy-tol-too-wide", "goal-tolerance-too-tight"])
+        "time-limit-inf", "dt-too-fine", "dt-over-the-limit", "time-limit-zero",
+        "time-limit-too-long", "one-tick-past-max-ticks", "goal-xy-tol-too-wide",
+        "goal-tolerance-too-tight"])
 def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message):
     d = spec_to_dict(build_s2())
     damage(d)
@@ -438,6 +452,12 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.ego_start: speed must be in [0, 15] m/s, got 40"),
     (lambda d: d["route"]["reference_path"][3].__setitem__(1, math.inf),
      "scenario.route.reference_path: expected finite points"),
+    (lambda d: d["route"]["reference_path"][3].__setitem__(0, 1e6),
+     "scenario.route.reference_path[3]: must lie on the 100 x 100 m map, "
+     "got (1e+06, 50)"),
+    (lambda d: d["route"]["reference_path"][-1].__setitem__(1, -0.5),
+     "scenario.route.reference_path[23]: must lie on the 100 x 100 m map, "
+     "got (92, -0.5)"),
     (lambda d: d["attack"].update(start_time=math.inf),
      "scenario.attack.start_time: must be finite, got inf"),
     (lambda d: d["stations"]["byzantine_ids"].append("byz-9"),
@@ -453,7 +473,8 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
 ], ids=["grid-without-cells", "grid-too-large", "lane-off-map", "primitive-past-map",
         "clutter-flood", "empty-attack-window",
         "ego-nan", "ego-off-map-x", "ego-off-map-y", "ego-reversing",
-        "ego-over-v-max", "route-inf", "unchecked-inf", "byzantine-id-of-no-station",
+        "ego-over-v-max", "route-inf", "route-point-off-map-x",
+        "route-point-off-map-y", "unchecked-inf", "byzantine-id-of-no-station",
         "inflation-that-cannot-finish", "collision-radius-over-16-cells"])
 def test_spec_from_dict_rejects_values_that_cannot_run(damage, message):
     # each of these used to load, then crash, exhaust memory or never end
@@ -471,7 +492,9 @@ def test_the_goal_tolerance_covers_the_planners_goal_region():
 
 def test_spec_limits_admit_the_edges():
     s2 = build_s2()
-    replace(s2, time_limit=0.0)
+    # one tick, and MAX_TICKS ticks
+    replace(s2, time_limit=s2.dt)
+    replace(s2, time_limit=scenarios.MAX_TICKS * s2.dt)
     # a map whose diagonal is the planner's primitive arc length
     spec_from_dict(_shrink_map(spec_to_dict(s2), math.sqrt(2.0)))
     # a cell size at which the collision radius spans MAX_INFLATE_CELLS cells

@@ -79,7 +79,8 @@ def test_steering_clamped_to_max():
 
 def test_commands_clamped_to_unit_range():
     s = step(_state(speed=5.0), _cmd(throttle=7.0, brake=-3.0), dt=0.1)
-    assert s.throttle == 1.0
+    # full throttle and no brake: the throttle is read back through the speed
+    assert s.speed == 5.0 + MAX_ACCEL * 0.1
     assert s.brake == 0.0
 
 
@@ -108,8 +109,11 @@ def test_step_invariants(speed, steer, throttle, brake, dt):
     assert 0.0 <= s.speed <= V_MAX
     assert -math.pi - 1e-12 <= s.heading < math.pi + 1e-12
     assert abs(s.steering) <= MAX_STEER
-    assert 0.0 <= s.throttle <= 1.0
     assert 0.0 <= s.brake <= 1.0
+    # a throttle and a brake clamped to [0, 1] change the speed by at most
+    # MAX_ACCEL and MAX_DECEL over the tick
+    assert max(speed - MAX_DECEL * dt, 0.0) - 1e-9 <= s.speed \
+        <= speed + MAX_ACCEL * dt + 1e-9
     assert math.isfinite(s.x) and math.isfinite(s.y)
     # displacement bounded by the speed at the start of the tick
     assert math.hypot(s.x, s.y) <= speed * dt + 1e-9
