@@ -63,7 +63,7 @@ def pure_pursuit(pose, traj: Trajectory, look_ahead: float, s_ego: float) -> flo
     chased instead. `s_ego` is the pose's arc length along the trajectory.
     """
     x, y, heading = float(pose[0]), float(pose[1]), float(pose[2])
-    target = traj.point_at(min(s_ego + look_ahead, traj.length))
+    target = traj.path.point_at(s_ego + look_ahead)
     alpha = wrap_angle(math.atan2(target[1] - y, target[0] - x) - heading)
     kappa = 2.0 * math.sin(alpha) / look_ahead
     steer = math.atan(kappa * WHEELBASE)

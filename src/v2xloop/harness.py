@@ -59,8 +59,8 @@ exact cheaper forms, which take the same draws from the same stream with
 the same bits: `gen.random()` for `gen.uniform()`,
 `rng.uniform(gen, low, high)` (numpy's own `low + (high - low) *
 next_double`) for `gen.uniform(low, high)`, and
-`gen.normal(0.0, s, size=2).tolist()`. `Trajectory.point_at` and
-`speed_at` do np.interp's scalar arithmetic over Python lists.
+`gen.normal(0.0, s, size=2).tolist()`. `Polyline.point_at` and
+`Trajectory.speed_at` do np.interp's scalar arithmetic over Python lists.
 
 Determinism contract: every stochastic draw goes through a named Philox
 stream, log rows are kept in an order fixed by the loop itself, and their
@@ -302,10 +302,9 @@ def run_episode(spec: ScenarioSpec, seed: int,
             attempt = plan(ego.pose, goal, ldm, cause=cause, maps=maps,
                            start_steering=ego.steering)
         traj = attempt.trajectory
-        logs["plans"].append(tick, t, attempt.cause, traj is not None,
-                             attempt.expansions, attempt.path_length,
-                             0 if traj is None else len(traj.poses),
-                             active.version_id)
+        logs["plans"].append(tick, t, attempt.cause, traj is not None, attempt.expansions,
+                             0.0 if traj is None else traj.path.length,
+                             0 if traj is None else len(traj.poses), active.version_id)
         timing.append(len(timing.rows), tick, attempt.cause, attempt.cpu_ms,
                       attempt.expansions, attempt.heuristic_ms)
         return traj
@@ -409,7 +408,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
         ttc_now = math.inf
         cause = ""
         if traj is not None:
-            s_plan = traj.project(ego.position)
+            s_plan = traj.path.project(ego.position)[0]
             ttc_now = ttc_min(ego, traj, s_plan, unexplained_tracks(ldm),
                               PREFIX_HORIZON, COLLISION_RADIUS, TRACK_RADIUS)
             cause = "+".join(check_triggers(ldm, traj, s_plan, spec.triggers,
@@ -423,7 +422,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
             if traj is None:
                 stop_tick = k
             else:
-                s_plan = traj.project(ego.position)
+                s_plan = traj.path.project(ego.position)[0]
 
         if traj is None:
             cmd, target_speed = safety_stop_command(ego.brake, dt), 0.0

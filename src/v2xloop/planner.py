@@ -59,8 +59,8 @@ import numpy as np
 
 from .ldm import LdmState
 from .vehicle import COLLISION_RADIUS, MAX_STEER, WHEELBASE
-from .world import (TWO_PI, OccupancyGrid, Polyline, check_range, inflate, mark_disk,
-                    wrap_angle)
+from .world import (TWO_PI, OccupancyGrid, Polyline, _interp, check_range, inflate,
+                    mark_disk, wrap_angle)
 
 # collision footprint of an event by kind, before vehicle-radius inflation
 EVENT_RADIUS = {
@@ -126,30 +126,15 @@ RISK_THRESHOLD = "risk_threshold"
 KNOWLEDGE_CHANGE = "knowledge_change"
 
 
-def _interp(x: float, xp: list, fp: list) -> float:
-    """`np.interp(x, xp, fp)` for one finite x over non-decreasing knots,
-    with its arithmetic and so its bits: fp[0] below the first knot, fp[j]
-    on knot j (the last of equal knots) and at or past the last one, and
-    `slope * (x - xp[j]) + fp[j]` between knots j and j + 1."""
-    j = bisect.bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
-
-
 @dataclass(frozen=True)
 class Trajectory:
     poses: np.ndarray                 # (N, 3) x, y, heading; N >= 2
     target_speeds: np.ndarray         # (N,) [m/s]
     planned_on_version: int
     planned_at: float
-    path: Polyline = field(init=False, repr=False)   # the poses' x, y
-    # the poses' x and y and the target speeds as Python floats, for the
-    # per-tick scalar queries
-    _xs: list = field(init=False, repr=False)
-    _ys: list = field(init=False, repr=False)
+    # the poses' x, y: every geometric query (length, project, point_at)
+    path: Polyline = field(init=False, repr=False)
+    # the target speeds as Python floats, for the per-tick speed_at
     _speeds: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -157,22 +142,8 @@ class Trajectory:
         speeds = np.asarray(self.target_speeds, dtype=float)
         for name, value in (("poses", poses), ("target_speeds", speeds),
                             ("path", Polyline(poses[:, :2])),
-                            ("_xs", poses[:, 0].tolist()), ("_ys", poses[:, 1].tolist()),
                             ("_speeds", speeds.tolist())):
             object.__setattr__(self, name, value)
-
-    @property
-    def length(self) -> float:
-        return self.path.length
-
-    def project(self, position) -> float:
-        return self.path.project(position)[0]
-
-    def point_at(self, s: float) -> tuple[float, float]:
-        """(x, y) at arc length s, clamped to the plan's extent."""
-        s = min(max(float(s), 0.0), self.length)
-        cum = self.path._cum
-        return _interp(s, cum, self._xs), _interp(s, cum, self._ys)
 
     def speed_at(self, s: float) -> float:
         return _interp(float(s), self.path._cum, self._speeds)
@@ -190,10 +161,6 @@ class PlanAttempt:
     @property
     def succeeded(self) -> bool:
         return self.trajectory is not None
-
-    @property
-    def path_length(self) -> float:
-        return 0.0 if self.trajectory is None else self.trajectory.length
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +590,7 @@ def attach_speed_profile(traj: Trajectory, ldm: LdmState) -> Trajectory:
     s_axis = traj.path.cumlength
     speeds = np.full(len(s_axis), CRUISE_SPEED)
 
-    total = traj.length
+    total = traj.path.length
     ramp = np.clip((total - s_axis) / GOAL_RAMP_DISTANCE, 0.0, 1.0)
     speeds = np.minimum(speeds, CRUISE_SPEED * ramp)
 
@@ -682,7 +649,7 @@ def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
     v = max(float(ego_state.speed), 0.0)
     taus = _rollout_times(horizon)
     reach = collision_radius + track_radius + 1e-9
-    cum, length, t_end = traj.path.cumlength, traj.length, float(taus[-1])
+    cum, length, t_end = traj.path.cumlength, traj.path.length, float(taus[-1])
 
     # The ego's samples stay in the box of the poses around its arc lengths
     # [s_plan, s_plan + v * t_end], and a track's on the segment from its
@@ -695,7 +662,7 @@ def ttc_min(ego_state, traj: Trajectory, s_plan: float, tracks, horizon: float,
     first = bisect.bisect_left(knots, min(s_plan, length))
     last = bisect.bisect_left(knots, min(s_plan + v * t_end, length))
     box = slice(max(first - 2, 0), last + 2)
-    xs, ys = traj._xs[box], traj._ys[box]
+    xs, ys = traj.path._xs[box], traj.path._ys[box]
     bx0, by0, bx1, by1 = min(xs), min(ys), max(xs), max(ys)
     scale = 1.0 + max(abs(bx0), abs(by0), abs(bx1), abs(by1))
     near = []

@@ -70,11 +70,10 @@ class ScriptedVehicle:
 
     def state_at(self, t: float):
         """((x, y), (vx, vy)) at time t, a pure function of t."""
-        total = self.path.length
         s = self.speed * t
-        x, y = self.path.point_at(min(s, total)).tolist()
-        if s < total:
-            ax, ay = self.path.point_at(min(s + 0.5, total)).tolist()
+        x, y = self.path.point_at(s)
+        if s < self.path.length:
+            ax, ay = self.path.point_at(s + 0.5)
             dx, dy = ax - x, ay - y
             norm = math.hypot(dx, dy)
             vel = (self.speed * dx / norm, self.speed * dy / norm) if norm > 1e-9 \

@@ -217,8 +217,7 @@ def generate_attack_traffic(policy: AttackPolicy, population: StationPopulation,
     if policy.placement == "on_route_ahead":
         s = (route.reference_path.project(ego_position)[0]
              + uniform(rng, policy.ahead_min, policy.ahead_max))
-        p = route.reference_path.point_at(s)
-        pos = (float(p[0]), float(p[1]))
+        pos = route.reference_path.point_at(s)
     else:                                # uniform_in_map
         x0, y0, x1, y1 = map_bounds
         pos = (uniform(rng, x0, x1), uniform(rng, y0, y1))

@@ -58,6 +58,19 @@ def check_id(obj, name: str) -> None:
 # polyline geometry
 
 
+def _interp(x: float, xp: list, fp: list) -> float:
+    """`np.interp(x, xp, fp)` for one finite x over non-decreasing knots,
+    with its arithmetic and so its bits: fp[0] below the first knot, fp[j]
+    on knot j (the last of equal knots) and at or past the last one, and
+    `slope * (x - xp[j]) + fp[j]` between knots j and j + 1."""
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
 def polyline_cumlength(path: np.ndarray) -> np.ndarray:
     d = np.diff(np.asarray(path, dtype=float), axis=0)
     seg = np.hypot(d[:, 0], d[:, 1])
@@ -79,7 +92,9 @@ class Polyline:
 
     The shape is checked, and the segment table and cumulative arc length
     computed, once, here; every query reuses them. Segments may have zero
-    length.
+    length; a path whose squared segment lengths overflow is refused.
+    `point_at` (pure pursuit's target, scripted traffic, a forged claim
+    ahead on the route) is np.interp of each coordinate over arc length.
 
     `project` also keeps what its last full scan found (`_warm`), so that a
     query near the last one measures a handful of segments. Like
@@ -97,9 +112,12 @@ class Polyline:
     points: np.ndarray                                    # (N, 2) [m]
     cumlength: np.ndarray = field(init=False, repr=False)  # (N,) [m]
     length: float = field(init=False, repr=False)          # [m]
-    # cumlength, and a segment table of (N-1) rows (start x, y, direction
-    # x, y, squared length), as Python floats for the scalar queries
+    # cumlength, the points' x and y, and a segment table of (N-1) rows
+    # (start x, y, direction x, y, squared length), as Python floats for
+    # the scalar queries
     _cum: list = field(init=False, repr=False)
+    _xs: list = field(init=False, repr=False)
+    _ys: list = field(init=False, repr=False)
     _rows: list = field(init=False, repr=False)
     # what project prunes with: segment midpoints as x + iy, half lengths,
     # and the largest coordinate magnitude, which scales the rounding slack
@@ -119,15 +137,19 @@ class Polyline:
             raise ValueError(f"expected an (N, 2) array with N >= 2, got shape {p.shape}")
         if not np.isfinite(p).all():
             raise ValueError("expected finite points")
-        cum = polyline_cumlength(p)
         a = p[:-1]
-        d = p[1:] - a
-        len2 = (d * d).sum(axis=1)
+        with np.errstate(over="ignore"):
+            d = p[1:] - a
+            len2 = (d * d).sum(axis=1)
+        if not np.isfinite(len2).all():
+            raise ValueError("expected points whose squared segment lengths are finite")
+        cum = polyline_cumlength(p)
+        xs, ys = p.T.tolist()
         rows = list(zip(*a.T.tolist(), *d.T.tolist(), len2.tolist()))
         mid = a + 0.5 * d
         for name, value in (("points", p), ("cumlength", cum),
                             ("length", float(cum[-1])), ("_cum", cum.tolist()),
-                            ("_rows", rows),
+                            ("_xs", xs), ("_ys", ys), ("_rows", rows),
                             ("_mid", mid[:, 0] + 1j * mid[:, 1]),
                             ("_half", 0.5 * np.sqrt(len2)),
                             ("_extent", float(np.abs(p).max()))):
@@ -251,15 +273,11 @@ class Polyline:
             lateral = -lateral
         return s, lateral, i
 
-    def point_at(self, s: float) -> np.ndarray:
-        """Point at arc length s, clamped to the path's extent."""
-        cum, p = self._cum, self.points
-        s = min(max(float(s), 0.0), self.length)
-        # np.searchsorted(cum, s, side="right") - 1
-        i = min(max(bisect.bisect_right(cum, s) - 1, 0), len(cum) - 2)
-        seg = cum[i + 1] - cum[i]
-        t = 0.0 if seg < 1e-12 else (s - cum[i]) / seg
-        return p[i] + t * (p[i + 1] - p[i])
+    def point_at(self, s: float) -> tuple[float, float]:
+        """(x, y) at arc length s, clamped to the path's extent: np.interp
+        of each coordinate over `cumlength`, with its bits."""
+        s = float(s)
+        return _interp(s, self._cum, self._xs), _interp(s, self._cum, self._ys)
 
 
 def as_polyline(path) -> Polyline:
@@ -309,9 +327,9 @@ def check_grid(size, cell_size: float) -> None:
     axis or into more than MAX_GRID_CELLS; the message starts with the field."""
     nx, ny = (round(side / cell_size) for side in size)
     if not (nx >= 1 and ny >= 1 and nx * ny <= MAX_GRID_CELLS):
-        raise ValueError(f"cell_size: must divide the {size[0]:g} x {size[1]:g} m map "
-                         f"into 1 to {MAX_GRID_CELLS} cells, got {nx} x {ny} at "
-                         f"{cell_size:g}")
+        raise ValueError(f"cell_size: must divide the map's size={size[0]:g} x "
+                         f"{size[1]:g} m into 1 to {MAX_GRID_CELLS} cells, got "
+                         f"{nx} x {ny} at {cell_size:g}")
 
 
 def empty_grid(size_x: float, size_y: float, cell_size: float = 0.5,

@@ -381,7 +381,7 @@ def test_08_controller_and_dynamics_oracles(pytestconfig):
     s = VehicleState(x=radius, y=0.0, heading=math.pi / 2, speed=5.0)
     last = 0.0
     for _ in range(400):
-        last = pure_pursuit(s.pose, circle, 3.0, circle.project(s.position))
+        last = pure_pursuit(s.pose, circle, 3.0, circle.path.project(s.position)[0])
         s = step(s, ControlCommand(steering=last, throttle=0.0, brake=0.0), 0.02)
         s = VehicleState(x=s.x, y=s.y, heading=s.heading, speed=5.0,
                          steering=s.steering)
@@ -425,7 +425,7 @@ def test_08_controller_and_dynamics_oracles(pytestconfig):
     pid = PidState()
     lateral = []
     for _ in range(250):
-        cmd, pid, _ = follow_tick(s, straight, straight.project(s.position), ccfg,
+        cmd, pid, _ = follow_tick(s, straight, straight.path.project(s.position)[0], ccfg,
                                   pid, 0.05)
         s = step(s, cmd, 0.05)
         if s.x > 20.0:  # settle the initial transient first
@@ -457,7 +457,7 @@ def test_09_metric_hand_values(pytestconfig):
     tr = Track(track_id="T", position=(29.0, 0.0), velocity=(0.0, 0.0),
                belief=0.9, last_update=0.0)
     ego = VehicleState(x=0.0, y=0.0, heading=0.0, speed=4.0)
-    ttc = ttc_min(ego, traj, traj.project(ego.position), [tr], horizon=8.0,
+    ttc = ttc_min(ego, traj, traj.path.project(ego.position)[0], [tr], horizon=8.0,
                   collision_radius=2.0, track_radius=1.0)
     ttc_ok = ttc == 6.5
 

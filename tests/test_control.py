@@ -27,7 +27,7 @@ def _traj_from_path(path, speed=8.0):
 
 def _steer(pose, traj, look_ahead):
     """Pure Pursuit from the pose's projection, as follow_tick calls it."""
-    return pure_pursuit(pose, traj, look_ahead, traj.project(pose[:2]))
+    return pure_pursuit(pose, traj, look_ahead, traj.path.project(pose[:2])[0])
 
 
 def _circle_traj(radius, n=200):
@@ -124,7 +124,7 @@ def test_closed_loop_straight_tracking_rmse():
     dt = 0.05
     lateral = []
     for _ in range(250):
-        cmd, pid, _ = follow_tick(s, traj, traj.project(s.position), CFG, pid, dt)
+        cmd, pid, _ = follow_tick(s, traj, traj.path.project(s.position)[0], CFG, pid, dt)
         s = step(s, cmd, dt)
         if s.x > 20.0:   # skip the initial transient
             lateral.append(s.y)
@@ -137,12 +137,12 @@ def test_closed_loop_straight_tracking_rmse():
 def test_follow_tick_splits_throttle_and_brake():
     traj = _traj_from_path([[0.0, 0.0], [50.0, 0.0]], speed=8.0)
     slow = VehicleState(x=1.0, y=0.0, heading=0.0, speed=2.0)
-    cmd, _, target = follow_tick(slow, traj, traj.project(slow.position), CFG,
+    cmd, _, target = follow_tick(slow, traj, traj.path.project(slow.position)[0], CFG,
                                  PidState(), 0.05)
     assert target == 8.0
     assert cmd.throttle > 0.0 and cmd.brake == 0.0
     fast = VehicleState(x=1.0, y=0.0, heading=0.0, speed=14.0)
-    cmd, _, _ = follow_tick(fast, traj, traj.project(fast.position), CFG,
+    cmd, _, _ = follow_tick(fast, traj, traj.path.project(fast.position)[0], CFG,
                             PidState(), 0.05)
     assert cmd.brake > 0.0 and cmd.throttle == 0.0
 

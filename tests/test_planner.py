@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from grids import corridor_map, occupied_at
 from oracles import route_deviation_everywhere
-from v2xloop import planner
+from v2xloop import planner, world
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
 from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
                              OCTILE_SCALE, PlanAttempt,
@@ -147,7 +147,7 @@ def test_plan_arc_lengths_monotone_and_consistent():
     assert np.all(np.diff(traj.path.cumlength) >= 0.0)
     seg = np.hypot(*np.diff(traj.poses[:, :2], axis=0).T)
     assert np.allclose(np.diff(traj.path.cumlength), seg)
-    assert attempt.path_length == pytest.approx(traj.length)
+    assert traj.path.length == pytest.approx(float(seg.sum()))
 
 
 def test_planning_maps_reject_a_deviation_field_of_another_shape():
@@ -833,8 +833,8 @@ def _plain_traj():
 def test_speed_profile_cruise_and_goal_ramp():
     traj = _plain_traj()
     assert float(traj.target_speeds.max()) == planner.CRUISE_SPEED
-    assert traj.speed_at(traj.length) == pytest.approx(0.0, abs=0.3)
-    mid = traj.speed_at(traj.length / 2.0)
+    assert traj.speed_at(traj.path.length) == pytest.approx(0.0, abs=0.3)
+    mid = traj.speed_at(traj.path.length / 2.0)
     assert mid == planner.CRUISE_SPEED
 
 
@@ -842,7 +842,7 @@ def test_speed_profile_dips_to_pass_speed_near_hazard():
     ev = _event((50.0, 12.5))    # beside the path, within the slow corridor
     ldm = _ldm(events=[ev])
     traj = attach_speed_profile(_plain_traj(), ldm)
-    s_h = traj.project((50.0, 10.0))
+    s_h = traj.path.project((50.0, 10.0))[0]
     assert traj.speed_at(s_h) == pytest.approx(planner.PASS_SPEED, abs=0.3)
     # comfort-decel envelope: monotone ramp down into the hazard
     ramp = traj.target_speeds[traj.path.cumlength <= s_h]
@@ -853,7 +853,7 @@ def test_speed_profile_dips_to_pass_speed_near_hazard():
 def test_speed_profile_zeroes_when_hazard_on_path():
     ev = _event((50.0, 10.0))    # dead on the path
     traj = attach_speed_profile(_plain_traj(), _ldm(events=[ev]))
-    s_h = traj.project((50.0, 10.0))
+    s_h = traj.path.project((50.0, 10.0))[0]
     assert traj.speed_at(s_h) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -866,7 +866,7 @@ def test_ttc_exact_head_on_oracle():
     ego = _ego(x=2.0, speed=5.0)
     # closing distance 27 - (1 + 1) = 25 m at 5 m/s -> 5.0 s
     tracks = [_track("T1", (29.0, 10.0))]
-    t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
+    t = ttc_min(ego, traj, traj.path.project(ego.position)[0], tracks, horizon=10.0,
                 collision_radius=COLLISION_RADIUS,
                 track_radius=planner.TRACK_RADIUS)
     assert t == pytest.approx(5.0, abs=0.02)
@@ -877,7 +877,7 @@ def test_ttc_converging_track():
     ego = _ego(x=2.0, speed=5.0)
     # obstacle drives toward the ego at 5 m/s: closing speed 10 m/s
     tracks = [_track("T1", (52.0, 10.0), vel=(-5.0, 0.0))]
-    t = ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=10.0,
+    t = ttc_min(ego, traj, traj.path.project(ego.position)[0], tracks, horizon=10.0,
                 collision_radius=COLLISION_RADIUS,
                 track_radius=planner.TRACK_RADIUS)
     assert t == pytest.approx(4.8, abs=0.02)
@@ -887,7 +887,7 @@ def test_ttc_ignores_weak_and_clear_tracks():
     # a weak track never reaches ttc_min: unexplained_tracks drops it
     traj = _plain_traj()
     ego = _ego(x=2.0, speed=5.0)
-    s_plan = traj.project(ego.position)
+    s_plan = traj.path.project(ego.position)[0]
     assert ttc_min(ego, traj, s_plan, [], 10.0, 1.0, 1.0) == math.inf
     offside = [_track("T1", (20.0, 16.0))]
     assert ttc_min(ego, traj, s_plan, offside, 10.0, 1.0, 1.0) == math.inf
@@ -897,7 +897,7 @@ def test_ttc_horizon_cutoff():
     traj = _plain_traj()
     ego = _ego(x=2.0, speed=5.0)
     tracks = [_track("T1", (80.0, 10.0))]    # collision at ~15.2 s
-    assert ttc_min(ego, traj, traj.project(ego.position), tracks, horizon=3.0,
+    assert ttc_min(ego, traj, traj.path.project(ego.position)[0], tracks, horizon=3.0,
                    collision_radius=1.0, track_radius=1.0) == math.inf
 
 
@@ -908,7 +908,7 @@ def _old_ttc_min(ego_state, traj, s_plan, tracks, horizon, collision_radius,
         return math.inf
     v = max(float(ego_state.speed), 0.0)
     taus = np.arange(0.0, horizon + dt * 0.5, dt)
-    s_grid = np.minimum(s_plan + v * taus, traj.length)
+    s_grid = np.minimum(s_plan + v * taus, traj.path.length)
     ex = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 0])
     ey = np.interp(s_grid, traj.path.cumlength, traj.poses[:, 1])
     best = math.inf
@@ -936,7 +936,7 @@ def _rollout_cases(draw):
     # the ego on a pose, or anywhere along the plan
     k = draw(st.integers(0, n))
     s_plan = draw(st.one_of(st.just(float(traj.path.cumlength[k])),
-                            st.floats(0.0, 1.0).map(lambda u: u * traj.length)))
+                            st.floats(0.0, 1.0).map(lambda u: u * traj.path.length)))
     speed = draw(st.sampled_from([0.0, 0.5, 3.0, 8.0]))
     horizon = draw(st.sampled_from([0.5, 1.0, 3.0]))
     reach = planner.TRACK_RADIUS + COLLISION_RADIUS + 1e-9
@@ -983,7 +983,7 @@ def test_trigger_hazard_respects_corridor_and_window():
     fired = check_triggers(_ldm(events=[wide]), traj, 0.0, TRIG, risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
     behind = _event((10.0, 10.0), accepted_at=1.0)
-    s_plan = traj.project((30.0, 10.0))
+    s_plan = traj.path.project((30.0, 10.0))[0]
     assert s_plan == pytest.approx(28.0, abs=0.1)
     fired = check_triggers(_ldm(events=[behind]), traj, s_plan, TRIG, risk_ttc=math.inf)
     assert HAZARD_ON_ROUTE not in fired
@@ -1006,7 +1006,7 @@ def _detour_traj():
 
 def test_trigger_hazard_reads_the_plan_not_the_route():
     traj = _detour_traj()
-    s_plan = traj.project((20.0, 40.0))       # the ego has turned onto y = 40
+    s_plan = traj.path.project((20.0, 40.0))[0]   # the ego has turned onto y = 40
     assert s_plan == 48.0
     on_plan = _event((50.0, 40.0), accepted_at=1.0)
     assert abs(ROUTE.reference_path.project(on_plan.position)[1]) == 30.0
@@ -1016,7 +1016,7 @@ def test_trigger_hazard_reads_the_plan_not_the_route():
 
 def test_trigger_hazard_on_the_route_but_off_the_plan_stays_silent():
     traj = _detour_traj()
-    s_plan = traj.project((20.0, 40.0))
+    s_plan = traj.path.project((20.0, 40.0))[0]
     on_route = _event((50.0, 10.0), accepted_at=1.0)
     assert ROUTE.reference_path.project(on_route.position)[1] == 0.0
     fired = check_triggers(_ldm(events=[on_route]), traj, s_plan, TRIG, risk_ttc=math.inf)
@@ -1123,7 +1123,7 @@ def test_interp_equals_np_interp_bit_for_bit(data, knots):
                             min_size=len(xp), max_size=len(xp)))
     queries = xp + [xp[0] - 1.0, xp[-1] + 1.0, data.draw(_coord)]
     for x in queries:
-        assert _bits(planner._interp(x, xp, fp)) == _bits(np.interp(x, xp, fp)), x
+        assert _bits(world._interp(x, xp, fp)) == _bits(np.interp(x, xp, fp)), x
 
 
 @settings(max_examples=100, deadline=None)
@@ -1135,13 +1135,14 @@ def test_trajectory_point_and_speed_equal_np_interp_bit_for_bit(data, points):
     xy = np.array([p for p, n in zip(points, repeats) for _ in range(n + 1)])
     speeds = data.draw(st.lists(st.floats(0.0, 20.0), min_size=len(xy), max_size=len(xy)))
     traj = Trajectory(np.column_stack([xy, np.zeros(len(xy))]), speeds, 0, 0.0)
-    cum = traj.path.cumlength
-    queries = cum.tolist() + [-1.0, traj.length + 1.0,
-                              data.draw(st.floats(-10.0, traj.length + 10.0))]
+    path = traj.path
+    cum = path.cumlength
+    # every knot, below the start and past the end: np.interp's own clamp
+    queries = cum.tolist() + [-1.0, path.length + 1.0,
+                              data.draw(st.floats(-10.0, path.length + 10.0))]
     for s in queries:
-        clamped = min(max(s, 0.0), traj.length)
-        x, y = traj.point_at(s)
-        assert _bits(x) == _bits(np.interp(clamped, cum, xy[:, 0])), s
-        assert _bits(y) == _bits(np.interp(clamped, cum, xy[:, 1])), s
+        x, y = path.point_at(s)
+        assert _bits(x) == _bits(np.interp(s, cum, xy[:, 0])), s
+        assert _bits(y) == _bits(np.interp(s, cum, xy[:, 1])), s
         assert _bits(traj.speed_at(s)) == _bits(np.interp(s, cum, speeds)), s
         assert type(x) is float and type(traj.speed_at(s)) is float

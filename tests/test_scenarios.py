@@ -3,7 +3,8 @@
 import copy
 import math
 import re
-from dataclasses import fields, replace
+import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -427,10 +428,10 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
 
 @pytest.mark.parametrize("damage, message", [
     (lambda d: d["vmap"].update(cell_size=1e12),
-     "scenario.vmap.cell_size: must divide the 100 x 100 m map into 1 to 4000000 "
-     "cells, got 0 x 0"),
+     "scenario.vmap.cell_size: must divide the map's size=100 x 100 m into 1 to "
+     "4000000 cells, got 0 x 0"),
     (lambda d: d["vmap"].update(size=[1e12, 100.0]),
-     "scenario.vmap.cell_size: must divide the 1e+12 x 100 m map"),
+     "scenario.vmap.cell_size: must divide the map's size=1e+12 x 100 m"),
     (lambda d: d["vmap"]["versions"][0]["lane_graph"][0]["polyline"][0].__setitem__(0, 1e12),
      "scenario.vmap.versions[0].lane_graph: segment 'main' leaves the 100 x 100 m map"),
     (lambda d: _shrink_map(d, 1.4),
@@ -770,23 +771,100 @@ NUMERIC_LEAVES = [(name, path) for name, doc in BUILT_IN_DOCS.items()
                   for path in _numeric_leaves(doc)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(leaf=st.sampled_from(NUMERIC_LEAVES),
-       value=st.sampled_from([0, -1, math.nan, math.inf, 1e12, "1"]))
-def test_a_document_with_one_bad_number_is_rejected_at_load_or_runs(leaf, value):
-    # a document that cannot run is refused at load, naming its dotted path;
-    # one that loads runs to a termination
-    name, path = leaf
-    d = copy.deepcopy(BUILT_IN_DOCS[name])
+def _dotted(path) -> str:
+    """A document path as spec_from_dict names it, e.g. `scenario.a.b[3][0]`."""
+    return "scenario" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+def _names_leaf(message: str, leaf: str) -> bool:
+    """Whether a load error names `leaf`: its message starts with the leaf's
+    dotted path or an ancestor's below `scenario`, or with a sibling field's
+    (a cross-field rule) when it also names the leaf's field."""
+    where = message.split(": ", 1)[0]
+    if where != "scenario" and (where == leaf or leaf.startswith((where + ".", where + "["))):
+        return True
+    parent, name = re.sub(r"(\[\d+\])+$", "", leaf).rsplit(".", 1)
+    return where.rsplit(".", 1)[0] == parent and re.search(rf"\b{name}\b", message) is not None
+
+
+def _load_or_run(doc: dict, path, value) -> str | None:
+    """Set the leaf at `path` of a copy of `doc` to `value`, then load it
+    and, if it loads, run it at seed 1 for at most 2 s. A document that
+    cannot run must be refused at load, naming the leaf; one that loads
+    must run to a termination with no exception and no NaN metric. Returns
+    what breaks that, or None."""
+    d = copy.deepcopy(doc)
     target = d
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    leaf = _dotted(path)
     try:
         spec = spec_from_dict(d)
     except ValueError as exc:
-        assert str(exc).startswith("scenario."), str(exc)
-        return
+        return None if _names_leaf(str(exc), leaf) else f"{leaf}={value}: {exc}"
     result = run_episode(replace(spec, time_limit=min(spec.time_limit, 2.0)), 1)
-    assert result.summary["termination"] in ("goal_reached", "collision",
-                                             "safety_stop", "timeout")
+    nan = [k for k, v in asdict(result.metrics).items()
+           if isinstance(v, float) and math.isnan(v)]
+    if nan or result.summary["termination"] not in ("goal_reached", "collision",
+                                                    "safety_stop", "timeout"):
+        return f"{leaf}={value}: NaN {nan}, {result.summary['termination']}"
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(leaf=st.sampled_from(NUMERIC_LEAVES),
+       value=st.sampled_from([0, -1, math.nan, math.inf, 1e12, "1"]))
+def test_a_document_with_one_bad_number_is_rejected_at_load_or_runs(leaf, value):
+    name, path = leaf
+    assert _load_or_run(BUILT_IN_DOCS[name], path, value) is None
+
+
+# the load-or-run property over the documents that set every section: each
+# numeric leaf of s2, s3 and s4 in turn takes each of these values. The
+# full product is 1,965 mutations, about 50 s on two cores, so the test
+# takes every FUZZ_STRIDE-th; 3 shares no factor with the five values, so
+# every leaf is set to at least one of them
+FUZZ_VALUES = (0, -1, 1e-9, 1e6, 1e300)
+FUZZ_STRIDE = 3
+
+
+@pytest.mark.parametrize("sid", ["s2", "s3", "s4"])
+def test_every_number_of_a_document_is_refused_naming_it_or_runs_to_its_end(sid):
+    doc = BUILT_IN_DOCS[sid]
+    mutations = [(path, value) for path in _numeric_leaves(doc)
+                 for value in FUZZ_VALUES][::FUZZ_STRIDE]
+    broken = list(filter(None, (_load_or_run(doc, path, value) for path, value in mutations)))
+    assert not broken, broken[:5]
+
+
+def test_names_leaf_reads_ancestors_and_cross_field_rules():
+    leaf = "scenario.route.reference_path[3][0]"
+    assert _names_leaf("scenario.route.reference_path[3]: must lie on the map", leaf)
+    assert _names_leaf("scenario.route.reference_path: expected points", leaf)
+    assert not _names_leaf("scenario: gate.f=1 needs at least 4 stations", leaf)
+    assert not _names_leaf("scenario.route.goal_pose: must lie on the map", leaf)
+    assert _names_leaf("scenario.vmap.cell_size: must divide the map's size=2 x 2 m",
+                       "scenario.vmap.size[1]")
+    assert not _names_leaf("scenario.vmap.cell_size: must divide the map into cells",
+                           "scenario.vmap.size[1]")
+    assert _names_leaf("scenario.dt: time_limit / dt must round to 1 to 100000 ticks",
+                       "scenario.time_limit")
+
+
+@pytest.mark.parametrize("path, damage", [
+    ("scenario.route.reference_path", lambda d: d["route"]["reference_path"][3]),
+    ("scenario.vmap.versions[0].lane_graph[0].polyline",
+     lambda d: d["vmap"]["versions"][0]["lane_graph"][0]["polyline"][0]),
+    ("scenario.traffic[0].path", lambda d: d["traffic"][0]["path"][0]),
+], ids=["route", "lane", "traffic"])
+def test_a_path_whose_squared_segment_lengths_overflow_is_refused_naming_it(path, damage):
+    # 1e300 squared overflows; numpy's warning must not escape before the
+    # load rule names the path
+    d = spec_to_dict(build_s2())
+    damage(d)[0] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: expected points whose squared segment lengths are finite")):
+            spec_from_dict(d)

@@ -69,14 +69,13 @@ def test_project_to_polyline_on_and_off_segment():
 
 def test_point_and_heading_along_polyline():
     path = Polyline(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]))
-    p = path.point_at(12.0)
-    assert p.tolist() == pytest.approx([10.0, 2.0])
+    assert path.point_at(12.0) == pytest.approx((10.0, 2.0))
     # the heading of the segment under each point's arc length
     _, _, _, heading = path.project_many([(2.0, 1.0), (11.0, 2.0)])
     assert heading.tolist() == pytest.approx([0.0, math.pi / 2])
     # arc length clamps at both ends
-    assert path.point_at(-5.0).tolist() == pytest.approx([0.0, 0.0])
-    assert path.point_at(99.0).tolist() == pytest.approx([10.0, 10.0])
+    assert path.point_at(-5.0) == (0.0, 0.0)
+    assert path.point_at(99.0) == (10.0, 10.0)
 
 
 @pytest.mark.parametrize("points", [
@@ -116,17 +115,6 @@ def _old_project(point, path):
     return s, lateral, i
 
 
-def _old_point_along(path, s):
-    p = np.asarray(path, dtype=float)
-    cum = polyline_cumlength(p)
-    s = float(np.clip(s, 0.0, cum[-1]))
-    i = int(np.searchsorted(cum, s, side="right")) - 1
-    i = min(max(i, 0), len(p) - 2)
-    seg = cum[i + 1] - cum[i]
-    t = 0.0 if seg < 1e-12 else (s - cum[i]) / seg
-    return p[i] + t * (p[i + 1] - p[i])
-
-
 def _old_heading_along(path, s):
     p = np.asarray(path, dtype=float)
     cum = polyline_cumlength(p)
@@ -158,9 +146,11 @@ def test_polyline_methods_match_the_free_functions_bit_for_bit(path, point, s):
     assert line.cumlength.tobytes() == polyline_cumlength(path).tobytes()
     # repr tells -0.0 from 0.0, so these compare bit for bit
     assert repr(line.project(point)) == repr(_old_project(point, path))
-    # s from before the start to past the end, in units of the length
+    # s from before the start to past the end, in units of the length:
+    # point_at is np.interp of each coordinate over the arc length
     for at in (s * line.length, s, line.length, 0.0, line.length + 1.0):
-        assert line.point_at(at).tobytes() == _old_point_along(path, at).tobytes()
+        expect = [np.interp(at, line.cumlength, path[:, k]) for k in (0, 1)]
+        assert np.array(line.point_at(at)).tobytes() == np.array(expect).tobytes()
     # points beyond both ends
     for q in (path[0] - (7.0, 3.0), path[-1] + (5.0, -2.0)):
         assert repr(line.project(q)) == repr(_old_project(q, path))
