@@ -20,17 +20,17 @@ from .world import check_range
 
 SUPPORT_RADIUS = 15.0                 # [m] claims farther than this do not count
 SENSOR_SUPPORT_RADIUS = 3.0           # [m] detection-to-event match for the veto
+TAU_BFT = 3.0                         # [s] recency window for support
 
 
 @dataclass(frozen=True)
 class GateConfig:
     f: int = 3                        # tolerated Byzantine stations
     eta: float = 0.5                  # sensor-likelihood floor
-    tau_bft: float = 3.0              # [s] recency window for support
 
     def __post_init__(self):
         check_range(self, ("eta",), hi=1.0)
-        check_range(self, ("f", "tau_bft"))
+        check_range(self, ("f",))
 
     def threshold(self) -> float:
         return float(2 * self.f + 1)
@@ -53,7 +53,7 @@ class GateDecision:
 def support(event: EventHypothesis, cfg: GateConfig, now: float) -> int:
     """Number of distinct stations with a fresh, in-radius claim."""
     return sum(1 for recv_time, claim in event.support.values()
-               if now - cfg.tau_bft <= recv_time <= now
+               if now - TAU_BFT <= recv_time <= now
                and math.hypot(claim[0] - event.position[0],
                               claim[1] - event.position[1]) <= SUPPORT_RADIUS)
 

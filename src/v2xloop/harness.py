@@ -98,7 +98,7 @@ from .planner import (B_OBSTACLE, PREFIX_HORIZON, TRACK_RADIUS, PlanAttempt,
                       PlanningMaps, check_triggers, plan, route_deviation_field,
                       ttc_min, unexplained_tracks)
 from .rng import StreamSet
-from .scenarios import ScenarioSpec, apply_configuration, build_scenario
+from .scenarios import DT, ScenarioSpec, apply_configuration, build_scenario
 from .v2x import DENM, generate_attack_traffic, generate_honest_traffic, transmit
 from .vehicle import COLLISION_RADIUS, VehicleState, step
 from .world import (OBJECT_RADIUS, POLL_INTERVAL, MapVersion, Polyline,
@@ -238,7 +238,7 @@ def _build_meta(spec: ScenarioSpec, seed: int) -> dict:
     meta = {
         "scenario_id": spec.scenario_id,
         "seed": int(seed),
-        "dt": spec.dt,
+        "dt": DT,
         "time_limit": spec.time_limit,
         "route_length": spec.route.reference_path.length,
         "goal": list(spec.route.goal_pose),
@@ -262,7 +262,6 @@ def run_episode(spec: ScenarioSpec, seed: int,
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    dt = spec.dt
     streams = StreamSet(seed)
     logs = _new_logs()
     timing = CsvLog(TIMING_COLS)
@@ -320,9 +319,9 @@ def run_episode(spec: ScenarioSpec, seed: int,
     traj = replan("initial", 0, 0.0)
     stop_tick = 0
 
-    n_ticks = int(round(spec.time_limit / dt))
+    n_ticks = int(round(spec.time_limit / DT))
     for k in range(n_ticks):
-        t = k * dt
+        t = k * DT
 
         if pending_map is not None and t >= pending_map[1] - 1e-9:
             active = pending_map[0]
@@ -356,11 +355,11 @@ def run_episode(spec: ScenarioSpec, seed: int,
         if spec.stations is not None:
             active_hazards = [h for h in spec.hazards if h.spawn_time <= t]
             outgoing = generate_honest_traffic(
-                spec.stations, truth, active_hazards, t, dt, seq_counters,
+                spec.stations, truth, active_hazards, t, DT, seq_counters,
                 streams.get("v2x_honest"), denm_started)
             if spec.attack is not None:
                 outgoing += generate_attack_traffic(
-                    spec.attack, spec.stations, spec.route, ego.position, t, dt,
+                    spec.attack, spec.stations, spec.route, ego.position, t, DT,
                     seq_counters, streams.get("attack"),
                     map_bounds=(0.0, 0.0, spec.vmap.size[0], spec.vmap.size[1]))
             if outgoing:
@@ -382,7 +381,7 @@ def run_episode(spec: ScenarioSpec, seed: int,
 
         ldm = fuse_tick(ldm, t, due, active, [frame])
 
-        if k > 0 and fires_at(t, dt, POLL_INTERVAL):
+        if k > 0 and fires_at(t, DT, POLL_INTERVAL):
             newest = active if pending_map is None else pending_map[0]
             polled = poll_update(t, newest.version_id, spec.vmap,
                                  download_latency(streams.get("updates")))
@@ -425,10 +424,10 @@ def run_episode(spec: ScenarioSpec, seed: int,
                 s_plan = traj.path.project(ego.position)[0]
 
         if traj is None:
-            cmd, target_speed = safety_stop_command(ego.brake, dt), 0.0
+            cmd, target_speed = safety_stop_command(ego.brake, DT), 0.0
         else:
             cmd, pid, target_speed = follow_tick(ego, traj, s_plan, spec.controller,
-                                                 pid, dt)
+                                                 pid, DT)
 
         vehicle_rows.append((k, t, ego.x, ego.y, ego.heading, ego.speed, ttc_now))
         logs["control"].append(k, t, cmd.steering, cmd.throttle, cmd.brake, target_speed)
@@ -436,11 +435,11 @@ def run_episode(spec: ScenarioSpec, seed: int,
             logs["ldm"].append(k, t, tr.track_id, tr.position[0], tr.position[1],
                                tr.velocity[0], tr.velocity[1], tr.belief)
 
-        ego = step(ego, cmd, dt)
+        ego = step(ego, cmd, DT)
     else:
         termination, k = "timeout", n_ticks
     # k ticks ran to completion
-    sim_time = k * dt
+    sim_time = k * DT
 
     # the route columns, from one projection of every logged position
     s_route, cross_track, _, heading_ref = ref.project_many(

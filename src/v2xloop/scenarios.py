@@ -9,17 +9,19 @@ Four built-in scenarios exercise the stack:
 
 A scenario is a value object; everything an episode needs that some run
 varies serializes to JSON and back, and the settings no run varies are
-constants of the modules that read them: among them the ego's bicycle model
-(`vehicle`), its map client's poll schedule and download latency (`world`),
-the bodies of hazards and traffic (`world.OBJECT_RADIUS`), the goal
-tolerance (`harness`), the stations' CAM and DENM schedule and report noise
-(`v2x`) and the scoring weights (`metrics.MetricParams`' defaults, which
-every run records in its meta.json). Unknown keys anywhere in the document
-are errors, never silently ignored, so a typo in a config cannot run with
-defaults behind the experimenter's back. The optional sections switch their
-capability by being present: `stations` (V2X) and `attack` (forged DENMs
-from the Byzantine stations). Every ego polls the map server; on a map of
-one version a poll never finds an update.
+constants of the modules that read them: among them the clock's step
+(`DT`, which every run records in its meta.json), the ego's bicycle model
+(`vehicle`), the map grid's cell (`world.CELL_SIZE`), its map client's poll
+schedule and download latency (`world`), the bodies of hazards and traffic
+(`world.OBJECT_RADIUS`), the goal tolerance (`harness`), the gate's recency
+window (`gate.TAU_BFT`), the stations' CAM and DENM schedule and report
+noise (`v2x`) and the scoring weights (`metrics.MetricParams`' defaults,
+which every run records in its meta.json too). Unknown keys anywhere in the
+document are errors, never silently ignored, so a typo in a config cannot
+run with defaults behind the experimenter's back. The optional sections
+switch their capability by being present: `stations` (V2X) and `attack`
+(forged DENMs from the Byzantine stations). Every ego polls the map server;
+on a map of one version a poll never finds an update.
 """
 
 from __future__ import annotations
@@ -38,18 +40,15 @@ from .pareto import Configuration
 from .perception import SensorModel
 from .planner import CRUISE_SPEED, PRIMITIVE_ARC_LENGTH, TriggerConfig
 from .v2x import AttackPolicy, ChannelModel, Station, StationPopulation
-from .vehicle import COLLISION_RADIUS, V_MAX
+from .vehicle import V_MAX
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
-from .world import (GroundTruthHazard, LaneSegment, MapVersion, Polyline, Route,
-                    VersionedMap, WorldObject, as_polyline, check_id, check_range,
-                    polyline_cumlength)
+from .world import (CELL_SIZE, GroundTruthHazard, LaneSegment, MapVersion, Polyline,
+                    Route, VersionedMap, WorldObject, as_polyline, check_id,
+                    check_range, polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
-# the most cells the collision radius may span: inflating the planning grid
-# takes about pi * r^2 whole-grid shifts for a radius of r cells, and the
-# built-in maps need 2
-MAX_INFLATE_CELLS = 16
-# the most ticks an episode may run, round(time_limit / dt): its logs and
+DT = 0.05                             # [s] the step of every episode's clock
+# the most ticks an episode may run, round(time_limit / DT): its logs and
 # per-tick work grow with it, and the built-ins run 800 to 1,200
 MAX_TICKS = 100_000
 
@@ -93,7 +92,6 @@ class ScenarioSpec:
     vmap: VersionedMap
     route: Route
     ego_start: tuple[float, float, float, float]   # x, y, heading, speed
-    dt: float = 0.05
     time_limit: float = 40.0
     sensor: SensorModel = SensorModel()
     channel: ChannelModel = ChannelModel()
@@ -120,24 +118,17 @@ class ScenarioSpec:
             for h in self.hazards))
         # a message that starts with the field at fault extends the dotted
         # path spec_from_dict reports
-        check_range(self, ("dt",), strict=True)
         check_range(self, ("time_limit",))
-        ticks = round(self.time_limit / self.dt)
+        ticks = round(self.time_limit / DT)
         if not 1 <= ticks <= MAX_TICKS:
-            raise ValueError(f"dt: time_limit / dt must round to 1 to {MAX_TICKS} ticks, "
-                             f"got {self.time_limit:g} / {self.dt:g} = {ticks}")
+            raise ValueError(f"time_limit: must round to 1 to {MAX_TICKS} ticks of "
+                             f"{DT:g} s, got {self.time_limit:g} s = {ticks}")
         if not all(map(math.isfinite, self.ego_start)):
             raise ValueError(f"ego_start: must be finite, got {self.ego_start}")
-        cs = self.vmap.cell_size
-        if COLLISION_RADIUS / cs > MAX_INFLATE_CELLS:
-            raise ValueError(f"vmap.cell_size: the collision radius "
-                             f"COLLISION_RADIUS={COLLISION_RADIUS:g} m may span at most "
-                             f"{MAX_INFLATE_CELLS} cells, got {COLLISION_RADIUS / cs:g} "
-                             f"at {cs:g}")
         # the planner's cost-to-goal field is a Dijkstra from the goal's cell,
         # on a grid of whole cells; an ego off that grid stops at once; and
         # the route length and progress are measured along the reference path
-        width, height = (round(side / cs) * cs for side in self.vmap.size)
+        width, height = (round(side / CELL_SIZE) * CELL_SIZE for side in self.vmap.size)
         points = self.route.reference_path.points.tolist()
         for name, (x, y) in (("route.goal_pose", self.route.goal_pose[:2]),
                              ("ego_start", self.ego_start[:2]),
@@ -238,9 +229,9 @@ def _rsu_row(count: int, x0: float, dx: float, y: float,
 
 
 def _map(*lane_graphs, publish_times=(None,)) -> VersionedMap:
-    """The 100 m square map at 0.5 m cells of every built-in scenario, with
-    one version per lane graph, ids from 1."""
-    return VersionedMap(size=(100.0, 100.0), cell_size=0.5,
+    """The 100 m square map of every built-in scenario, with one version
+    per lane graph, ids from 1."""
+    return VersionedMap(size=(100.0, 100.0),
                         versions=tuple(MapVersion(i + 1, lanes)
                                        for i, lanes in enumerate(lane_graphs)),
                         publish_times=publish_times)
@@ -419,7 +410,7 @@ _FIELD_FIRST = re.compile(r"([A-Za-z_]\w*)(\.\w+|\[\d+\])*: ")
 
 def _located(exc: ValueError, path: str, cls) -> ValueError:
     """cls's constructor error under `path`; a message that starts with a
-    field of cls extends the dotted path, e.g. `scenario.dt: ...`."""
+    field of cls extends the dotted path, e.g. `scenario.time_limit: ...`."""
     field_first = _FIELD_FIRST.match(str(exc))
     if field_first and field_first[1] in {f.name for f in fields(cls)}:
         return ValueError(f"{path}.{exc}")

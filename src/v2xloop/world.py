@@ -317,22 +317,23 @@ class OccupancyGrid:
             raise ValueError("cell_size must be positive")
 
 
+CELL_SIZE = 0.5                       # [m] the side of a map grid cell
 # a 1 km square at 0.5 m; the route deviation field alone takes several
 # float64 arrays of this many cells
 MAX_GRID_CELLS = 4_000_000
 
 
-def check_grid(size, cell_size: float) -> None:
-    """Reject a map extent that `cell_size` divides into no cell along an
-    axis or into more than MAX_GRID_CELLS; the message starts with the field."""
-    nx, ny = (round(side / cell_size) for side in size)
+def check_grid(size) -> None:
+    """Reject a map extent of no whole CELL_SIZE cell along an axis or of
+    more than MAX_GRID_CELLS; the message starts with the field."""
+    # clamped first, so that an extent near the float maximum still rounds
+    nx, ny = (round(min(side / CELL_SIZE, MAX_GRID_CELLS + 1)) for side in size)
     if not (nx >= 1 and ny >= 1 and nx * ny <= MAX_GRID_CELLS):
-        raise ValueError(f"cell_size: must divide the map's size={size[0]:g} x "
-                         f"{size[1]:g} m into 1 to {MAX_GRID_CELLS} cells, got "
-                         f"{nx} x {ny} at {cell_size:g}")
+        raise ValueError(f"size: must span 1 to {MAX_GRID_CELLS} cells of "
+                         f"{CELL_SIZE:g} m, got {size[0]:g} x {size[1]:g} m")
 
 
-def empty_grid(size_x: float, size_y: float, cell_size: float = 0.5,
+def empty_grid(size_x: float, size_y: float, cell_size: float = CELL_SIZE,
                occupied: bool = False) -> OccupancyGrid:
     nx = int(round(size_x / cell_size))
     ny = int(round(size_y / cell_size))
@@ -461,18 +462,18 @@ class MapVersion:
 
 @dataclass(frozen=True)
 class VersionedMap:
-    """The map server: the extent every version's grid is rasterized on,
-    the initial map, then later versions with their publish times, in
-    publish order. A rejected map's message starts with the field at fault."""
+    """The map server: the extent every version's grid of CELL_SIZE cells
+    is rasterized on, the initial map, then later versions with their
+    publish times, in publish order. A rejected map's message starts with
+    the field at fault."""
 
     size: tuple[float, float]     # [m] width, height
-    cell_size: float              # [m]
     versions: tuple[MapVersion, ...]
     publish_times: tuple[float | None, ...]   # None for the initial version
 
     def __post_init__(self):
-        check_range(self, ("size", "cell_size"), strict=True)
-        check_grid(self.size, self.cell_size)
+        check_range(self, ("size",), strict=True)
+        check_grid(self.size)
         times, ids = self.publish_times, [v.version_id for v in self.versions]
         if len(times) != len(ids):
             raise ValueError(f"publish_times: expected one per version, got {len(times)} "
@@ -546,7 +547,7 @@ def planning_occupancy(vmap: VersionedMap, version: MapVersion,
     """Planner-facing view of `version` on `vmap`'s extent: everything is
     wall but the open lanes, the closed lanes are stamped back in, and the
     result is inflated by the vehicle radius."""
-    grid = empty_grid(*vmap.size, vmap.cell_size, occupied=True)
+    grid = empty_grid(*vmap.size, occupied=True)
     for seg in version.lane_graph:
         if not seg.closed:
             stamp_polyline(grid.cells, grid, seg.polyline.points, seg.half_width,

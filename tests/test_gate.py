@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from v2xloop.gate import (GateConfig, REASON_ACCEPTED, REASON_QUORUM,
-                          REASON_VETO, apply_decision, evaluate,
+                          REASON_VETO, TAU_BFT, apply_decision, evaluate,
                           support)
 from v2xloop.ldm import ACCEPTED, PENDING, EventHypothesis
 
@@ -37,7 +37,7 @@ def test_support_counts_distinct_fresh_stations():
 
 def test_support_excludes_stale_claims():
     claims = _support(4, t=5.0)
-    claims["old"] = (1.0, (50.0, 10.0))     # older than tau_bft before now
+    claims["old"] = (1.0, (50.0, 10.0))     # older than TAU_BFT before now
     ev = _event(support=claims)
     assert support(ev, CFG, now=5.5) == 4.0
     # exactly at the window edge still counts
@@ -103,18 +103,17 @@ def test_attacker_minority_never_reaches_quorum():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_colluding_coalition_never_reaches_a_valid_quorum(data):
-    # any f, n >= 3f + 1 and tau_bft, and at most f colluders agreeing on
-    # one forged location with claims at both edges of the tau_bft window:
-    # a forged event has no honest support, so it stays below 2f + 1, which
-    # the n - f honest stations still reach on their own
+    # any f and n >= 3f + 1, and at most f colluders agreeing on one forged
+    # location with claims at both edges of the TAU_BFT window: a forged
+    # event has no honest support, so it stays below 2f + 1, which the n - f
+    # honest stations still reach on their own
     f = data.draw(st.integers(0, 12), label="f")
     n = data.draw(st.integers(3 * f + 1, 3 * f + 12), label="n")
-    tau_bft = data.draw(st.floats(0.1, 10.0), label="tau_bft")
-    cfg = GateConfig(f=f, tau_bft=tau_bft)
+    cfg = GateConfig(f=f)
     assert cfg.threshold() <= n - f
     k = data.draw(st.integers(0, f), label="coalition")
     now = data.draw(st.floats(0.0, 100.0), label="now")
-    edges = (now - cfg.tau_bft, now)
+    edges = (now - TAU_BFT, now)
     claims = {f"byz-{i}": (data.draw(st.sampled_from(edges)), (50.0, 10.0))
               for i in range(k)}
     event = _event(support=claims)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from fingerprints import BUILT_IN_SPECS
 from v2xloop import harness, planner, world
+from v2xloop.gate import REASON_VETO
 from v2xloop.harness import (LOG_COLUMNS, LOG_NAMES, METRIC_COLUMNS, SWEEP_COLS,
                              V2X_COLS, compute_episode_metrics, read_meta, replay,
                              run_batch, run_episode, run_sweep)
@@ -22,7 +23,7 @@ from v2xloop.metrics import MetricParams, objective_vector
 from v2xloop.pareto import Configuration
 from v2xloop.perception import SenseFrame
 from v2xloop.rng import StreamSet, stream
-from v2xloop.scenarios import (apply_configuration, build_s1, build_s2,
+from v2xloop.scenarios import (DT, apply_configuration, build_s1, build_s2,
                                build_s3, build_s4, build_scenario, spec_from_dict,
                                spec_to_dict)
 from v2xloop.v2x import Station, StationPopulation
@@ -656,6 +657,21 @@ def test_the_veto_scores_exactly_the_frames_of_its_window(monkeypatch):
     assert scored_at and scored_at[0] > window
 
 
+def test_s4_at_f_1_decides_the_sensor_veto(tmp_path):
+    # at f = 1 the three forging stations reach the 2f + 1 quorum alone, so
+    # the onboard sensor is what refuses their closure: the paper's veto
+    d = spec_to_dict(build_s4())
+    d["gate"]["f"] = 1
+    spec = spec_from_dict(d)
+    run_episode(spec, 3, tmp_path)
+    gate = rows(read_csv(tmp_path / "logs" / "gate.csv", LOG_COLUMNS["gate"]))
+    vetoed = [row for row in gate if row["reason"] == REASON_VETO]
+    assert vetoed
+    for row in vetoed:
+        assert row["support"] >= spec.gate.threshold()
+        assert row["sensor_likelihood"] < spec.gate.eta
+
+
 class _WatchedFrame(SenseFrame):
     """A sense frame that notes which fusion calls read its detections.
 
@@ -672,10 +688,15 @@ class _WatchedFrame(SenseFrame):
 
 
 @settings(max_examples=4, deadline=None)
-@given(dt=st.floats(0.02, 0.15), seed=st.integers(1, 50))
-def test_every_frame_and_message_is_fused_exactly_once(dt, seed):
+@given(latency_mean=st.floats(0.0, 0.3), latency_jitter=st.floats(0.0, 0.05),
+       seed=st.integers(1, 50))
+def test_every_frame_and_message_is_fused_exactly_once(latency_mean, latency_jitter,
+                                                       seed):
+    # the drawn latencies deliver messages at every phase of the 0.05 s tick
     for spec in (build_s2(), build_s4()):
-        spec = replace(spec, dt=dt, time_limit=5.0)
+        channel = replace(spec.channel, latency_mean=latency_mean,
+                          latency_jitter=latency_jitter)
+        spec = replace(spec, channel=channel, time_limit=5.0)
         sensed, sent, passed = [], [], []
         fusing = {"call": None}
 
@@ -783,8 +804,8 @@ def test_the_truth_memo_answers_what_a_fresh_build_does(build):
     # s2's hazard spawns at 3.5 s, s3's five posts at 4 s; each is one
     # object at every t it is present at
     objects = {hid: set() for hid in hazards}
-    for k in range(round(warm.time_limit / warm.dt)):
-        t = k * warm.dt
+    for k in range(round(warm.time_limit / DT)):
+        t = k * DT
         truth = warm.truth_at(t)
         assert repr(truth) == repr(cold.truth_at(t))
         assert copy.truth_at(t) is truth
@@ -798,7 +819,7 @@ def test_the_truth_memo_answers_what_a_fresh_build_does(build):
     fresh = build()
     fresh_copy = apply_configuration(fresh, Configuration("c", k_p=0.5))
     run_episode(fresh_copy, 1)
-    assert fresh.truth_at(warm.dt) is fresh_copy.truth_at(warm.dt)
+    assert fresh.truth_at(DT) is fresh_copy.truth_at(DT)
 
 
 @pytest.mark.parametrize("sid", ["s1", "s2", "s3", "s4"])

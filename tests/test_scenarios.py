@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingerprints import BUILT_IN_SPECS
-from v2xloop import harness, perception, scenarios, v2x, vehicle, world
+from v2xloop import gate, harness, perception, scenarios, v2x, vehicle, world
 from v2xloop.gate import GateConfig
 from v2xloop.harness import run_episode
 from v2xloop.pareto import Configuration, config_grid
@@ -313,10 +313,6 @@ def test_spec_from_dict_rejects_a_goal_off_the_map(size, goal):
 @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan], ids=["zero", "negative", "nan"])
 def test_spec_from_dict_rejects_bad_map_extent(bad):
     d = spec_to_dict(build_s2())
-    d["vmap"]["cell_size"] = bad
-    with pytest.raises(ValueError, match=re.escape("scenario.vmap.cell_size")):
-        spec_from_dict(d)
-    d = spec_to_dict(build_s2())
     d["vmap"]["size"] = [100.0, bad]
     with pytest.raises(ValueError, match=re.escape("scenario.vmap.size")):
         spec_from_dict(d)
@@ -393,24 +389,21 @@ def test_spec_dict_is_json_ready():
 
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda d: d.update(dt=0.0), "scenario.dt: must be finite and > 0, got 0.0"),
-    (lambda d: d.update(dt=-0.05), "scenario.dt: must be finite and > 0"),
-    (lambda d: d.update(dt=float("inf")), "scenario.dt: must be finite and > 0"),
-    (lambda d: d.update(dt=float("nan")), "scenario.dt: must be finite and > 0"),
+    # the step is scenarios.DT, so no document sets one, not even one that
+    # could not run
+    *[(lambda d, dt=dt: d.update(dt=dt), "scenario.dt: unknown key")
+      for dt in (0.0, -0.05, float("inf"), float("nan"))],
     (lambda d: d.update(time_limit=-1.0), "scenario.time_limit: must be finite and >= 0"),
     (lambda d: d.update(time_limit=float("inf")), "scenario.time_limit: must be finite"),
+    *[(lambda d, dt=dt: d.update(dt=dt), "scenario.dt: unknown key") for dt in (1e-9, 1e6)],
     # a clock of no tick, or of more than MAX_TICKS
-    (lambda d: d.update(dt=1e-9), "scenario.dt: time_limit / dt must round to 1 to "
-                                  "100000 ticks, got 40 / 1e-09 = 40000000000"),
-    (lambda d: d.update(dt=1e6), "scenario.dt: time_limit / dt must round to 1 to "
-                                 "100000 ticks, got 40 / 1e+06 = 0"),
-    (lambda d: d.update(time_limit=0.0), "scenario.dt: time_limit / dt must round to 1 "
-                                         "to 100000 ticks, got 0 / 0.05 = 0"),
-    (lambda d: d.update(time_limit=1e9), "scenario.dt: time_limit / dt must round to 1 "
-                                         "to 100000 ticks, got 1e+09 / 0.05 = 20000000000"),
-    (lambda d: d.update(time_limit=100_001 * 0.05), "scenario.dt: time_limit / dt must "
-                                                    "round to 1 to 100000 ticks, got "
-                                                    "5000.05 / 0.05 = 100001"),
+    (lambda d: d.update(time_limit=0.0), "scenario.time_limit: must round to 1 to 100000 "
+                                         "ticks of 0.05 s, got 0 s = 0"),
+    (lambda d: d.update(time_limit=1e9), "scenario.time_limit: must round to 1 to 100000 "
+                                         "ticks of 0.05 s, got 1e+09 s = 20000000000"),
+    (lambda d: d.update(time_limit=100_001 * 0.05), "scenario.time_limit: must round to "
+                                                    "1 to 100000 ticks of 0.05 s, got "
+                                                    "5000.05 s = 100001"),
     # the goal tolerance is harness.GOAL_TOLERANCE, so no document sets one
     # inside the planner's goal region, GOAL_XY_TOL = 1 m wide
     (lambda d: d.update(goal_tolerance=0.99), "scenario.goal_tolerance: unknown key"),
@@ -427,11 +420,13 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
 
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda d: d["vmap"].update(cell_size=1e12),
-     "scenario.vmap.cell_size: must divide the map's size=100 x 100 m into 1 to "
-     "4000000 cells, got 0 x 0"),
+    (lambda d: d["vmap"].update(size=[0.2, 100.0]),
+     "scenario.vmap.size: must span 1 to 4000000 cells of 0.5 m, got 0.2 x 100 m"),
     (lambda d: d["vmap"].update(size=[1e12, 100.0]),
-     "scenario.vmap.cell_size: must divide the map's size=1e+12 x 100 m"),
+     "scenario.vmap.size: must span 1 to 4000000 cells of 0.5 m, got 1e+12 x 100 m"),
+    # 2e308 cells is past the float maximum, which round() cannot convert
+    (lambda d: d["vmap"].update(size=[1e308, 100.0]),
+     "scenario.vmap.size: must span 1 to 4000000 cells of 0.5 m, got 1e+308 x 100 m"),
     (lambda d: d["vmap"]["versions"][0]["lane_graph"][0]["polyline"][0].__setitem__(0, 1e12),
      "scenario.vmap.versions[0].lane_graph: segment 'main' leaves the 100 x 100 m map"),
     (lambda d: _shrink_map(d, 1.4),
@@ -463,15 +458,12 @@ def test_spec_from_dict_rejects_a_clock_or_goal_that_cannot_run(damage, message)
      "scenario.attack.start_time: must be finite, got inf"),
     (lambda d: d["stations"]["byzantine_ids"].append("byz-9"),
      "scenario.stations.byzantine_ids: names no station, got ['byz-9']"),
-    # 2,000 x 2,000 cells, within MAX_GRID_CELLS, but inflating them by the
-    # 1,000-cell collision radius takes about 3.1 million whole-grid shifts
-    (lambda d: _shrink_map(d, 2.0)["vmap"].update(cell_size=0.001),
-     "scenario.vmap.cell_size: the collision radius COLLISION_RADIUS=1 m may span "
-     "at most 16 cells, got 1000 at 0.001"),
-    (lambda d: d["vmap"].update(cell_size=0.05),
-     "scenario.vmap.cell_size: the collision radius COLLISION_RADIUS=1 m may span "
-     "at most 16 cells, got 20 at 0.05"),
-], ids=["grid-without-cells", "grid-too-large", "lane-off-map", "primitive-past-map",
+    # the cell is world.CELL_SIZE, so no document sets one fine enough that
+    # inflating its grid by the collision radius could not finish
+    *[(lambda d, cs=cs: d["vmap"].update(cell_size=cs),
+       "scenario.vmap.cell_size: unknown key") for cs in (0.001, 0.05)],
+], ids=["grid-without-cells", "grid-too-large", "grid-past-the-float-maximum",
+        "lane-off-map", "primitive-past-map",
         "clutter-flood", "empty-attack-window",
         "ego-nan", "ego-off-map-x", "ego-off-map-y", "ego-reversing",
         "ego-over-v-max", "route-inf", "route-point-off-map-x",
@@ -494,13 +486,13 @@ def test_the_goal_tolerance_covers_the_planners_goal_region():
 def test_spec_limits_admit_the_edges():
     s2 = build_s2()
     # one tick, and MAX_TICKS ticks
-    replace(s2, time_limit=s2.dt)
-    replace(s2, time_limit=scenarios.MAX_TICKS * s2.dt)
+    replace(s2, time_limit=scenarios.DT)
+    replace(s2, time_limit=scenarios.MAX_TICKS * scenarios.DT)
     # a map whose diagonal is the planner's primitive arc length
     spec_from_dict(_shrink_map(spec_to_dict(s2), math.sqrt(2.0)))
-    # a cell size at which the collision radius spans MAX_INFLATE_CELLS cells
+    # a map of MAX_GRID_CELLS cells
     d = spec_to_dict(s2)
-    d["vmap"]["cell_size"] = vehicle.COLLISION_RADIUS / scenarios.MAX_INFLATE_CELLS
+    d["vmap"]["size"] = [1000.0, 1000.0]
     spec_from_dict(d)
 
 
@@ -671,7 +663,7 @@ def test_update_client_schedule_and_latency():
 
 
 def test_gate_config_ranges():
-    _rejects_out_of_range("gate", ["eta"], ["tau_bft"])
+    _rejects_out_of_range("gate", ["eta"], [])
 
 
 def test_trigger_config_ranges():
@@ -697,6 +689,11 @@ RANGED_CONSTANTS = [
     (perception, "VEL_NOISE_SIGMA", 0.0, math.inf, False),
     # a body of radius -1 could never be hit
     (world, "OBJECT_RADIUS", 0.0, math.inf, False),
+    # a step of 0 would never advance the clock, and a cell of 0 would
+    # divide the map into no grid
+    (scenarios, "DT", 0.0, math.inf, True),
+    (world, "CELL_SIZE", 0.0, math.inf, True),
+    (gate, "TAU_BFT", 0.0, math.inf, False),
 ]
 
 
@@ -725,11 +722,14 @@ def test_vehicle_and_station_constants_meet_their_range_rules(module, name, low,
     ("hazards[0]", "radius", 1.0),
     ("traffic[0]", "radius", 1.0),
     ("traffic[0]", "start_time", 0.0),
+    ("", "dt", 0.05),
+    ("vmap", "cell_size", 0.5),
+    ("gate", "tau_bft", 3.0),
 ], ids=["vehicle", "metrics", "stations.honest_report_noise_sigma",
         "stations.cam_period", "stations.denm_period",
         "hazards[0].observable_by_sensing", "update_client", "sensor.vel_noise_sigma",
         "goal_tolerance", "hazards[0].radius", "traffic[0].radius",
-        "traffic[0].start_time"])
+        "traffic[0].start_time", "dt", "vmap.cell_size", "gate.tau_bft"])
 def test_a_document_holding_a_constant_is_refused(section, name, value):
     """A key whose setting became a constant is refused at load as an
     unknown key, at any value (today's default included), naming its path."""
@@ -844,12 +844,12 @@ def test_names_leaf_reads_ancestors_and_cross_field_rules():
     assert _names_leaf("scenario.route.reference_path: expected points", leaf)
     assert not _names_leaf("scenario: gate.f=1 needs at least 4 stations", leaf)
     assert not _names_leaf("scenario.route.goal_pose: must lie on the map", leaf)
-    assert _names_leaf("scenario.vmap.cell_size: must divide the map's size=2 x 2 m",
+    assert _names_leaf("scenario.vmap.size: must span 1 to 4000000 cells",
                        "scenario.vmap.size[1]")
-    assert not _names_leaf("scenario.vmap.cell_size: must divide the map into cells",
-                           "scenario.vmap.size[1]")
-    assert _names_leaf("scenario.dt: time_limit / dt must round to 1 to 100000 ticks",
-                       "scenario.time_limit")
+    assert _names_leaf("scenario.attack.ahead_min: must not exceed ahead_max=0.0",
+                       "scenario.attack.ahead_max")
+    assert not _names_leaf("scenario.attack.ahead_min: must not exceed the window",
+                           "scenario.attack.ahead_max")
 
 
 @pytest.mark.parametrize("path, damage", [

@@ -461,7 +461,7 @@ def test_a_map_refuses_a_lane_that_leaves_it(end):
              LaneSegment("far", [[20.0, 10.0], end], half_width=3.0)]
     with pytest.raises(ValueError, match=re.escape(
             "versions[1].lane_graph: segment 'far' leaves the 40 x 20 m map")):
-        VersionedMap(size=(40.0, 20.0), cell_size=0.5,
+        VersionedMap(size=(40.0, 20.0),
                      versions=(MapVersion(0, lanes[:1]), MapVersion(1, lanes)),
                      publish_times=(None, 4.0))
 
@@ -558,8 +558,7 @@ def _version(vid):
 
 
 def _vmap(ids, times):
-    return VersionedMap(size=(30.0, 30.0), cell_size=0.5,
-                        versions=tuple(_version(v) for v in ids),
+    return VersionedMap(size=(30.0, 30.0), versions=tuple(_version(v) for v in ids),
                         publish_times=tuple(times))
 
 
