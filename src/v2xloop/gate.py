@@ -50,7 +50,7 @@ class GateDecision:
     reason: str
 
 
-def support(event: EventHypothesis, cfg: GateConfig, now: float) -> int:
+def support(event: EventHypothesis, now: float) -> int:
     """Number of distinct stations with a fresh, in-radius claim."""
     return sum(1 for recv_time, claim in event.support.values()
                if now - TAU_BFT <= recv_time <= now
@@ -61,7 +61,7 @@ def support(event: EventHypothesis, cfg: GateConfig, now: float) -> int:
 def evaluate(event: EventHypothesis, cfg: GateConfig, sensor_likelihood: float,
              now: float) -> GateDecision:
     """Decide one pending hypothesis. Quorum is checked before the veto."""
-    n_support = support(event, cfg, now)
+    n_support = support(event, now)
     if n_support < cfg.threshold():
         reason, accepted = REASON_QUORUM, False
     elif sensor_likelihood < cfg.eta:

@@ -59,7 +59,7 @@ import numpy as np
 
 from .ldm import LdmState
 from .vehicle import COLLISION_RADIUS, MAX_STEER, WHEELBASE
-from .world import (TWO_PI, OccupancyGrid, Polyline, _interp, check_range, inflate,
+from .world import (CELL_SIZE, TWO_PI, Polyline, _interp, check_range, inflate,
                     mark_disk, wrap_angle)
 
 # collision footprint of an event by kind, before vehicle-radius inflation
@@ -82,9 +82,9 @@ EVENT_MARGIN = 0.5                    # [m] accepted-event padding; fused
 STATIC_SPEED_FLOOR = 0.75             # [m/s] below this a track is stamped
                                       # in place, not velocity-extrapolated
 PREFIX_HORIZON = 3.0                  # [s] plan prefix checked for risk
-# search. The planning grid's cell_size sets the spatial resolution: the
-# closed set bins states by grid cell and heading bin, and a primitive is
-# sampled at most 0.8 cell apart along its arc
+# search. world.CELL_SIZE sets the spatial resolution: the closed set bins
+# states by grid cell and heading bin, and a primitive is sampled at most
+# 0.8 cell apart along its arc
 HEADING_BINS = 36
 STEERING_SAMPLES = 5                  # odd: straight plus both locks
 PRIMITIVE_ARC_LENGTH = 2.0            # [m]
@@ -192,9 +192,9 @@ def unexplained_tracks(ldm: LdmState) -> list:
     return out
 
 
-def obstacle_grid(ldm: LdmState, base: OccupancyGrid, start_xy) -> OccupancyGrid:
-    """Planning grid = `base` (the inflated static map, from
-    world.planning_occupancy) + confident tracks + accepted events.
+def obstacle_grid(ldm: LdmState, base: np.ndarray, start_xy) -> np.ndarray:
+    """A new planning grid, the cells of `base` (the inflated static map,
+    from world.planning_occupancy) + confident tracks + accepted events.
 
     Moving tracks are stamped at their prefix-mean predicted position so a
     mover is blocked where it will be; near-static ones are stamped in place
@@ -211,8 +211,7 @@ def obstacle_grid(ldm: LdmState, base: OccupancyGrid, start_xy) -> OccupancyGrid
     escape a region its own start is buried in, and the right reaction to
     an overlapping estimate is to keep driving the stop ramp, not to fail.
     """
-    cells = base.cells.copy()
-    out = OccupancyGrid(cells=cells, cell_size=base.cell_size)
+    cells = base.copy()
     half_prefix = PREFIX_HORIZON / 2.0
 
     def blocks_start(cx: float, cy: float, radius: float) -> bool:
@@ -226,16 +225,16 @@ def obstacle_grid(ldm: LdmState, base: OccupancyGrid, start_xy) -> OccupancyGrid
         radius = TRACK_RADIUS + COLLISION_RADIUS + OBSTACLE_MARGIN
         if blocks_start(px, py, radius):
             continue
-        mark_disk(cells, out, (px, py), radius)
+        mark_disk(cells, (px, py), radius)
     for ev in ldm.accepted_events():
         radius = EVENT_RADIUS[ev.kind] + COLLISION_RADIUS + EVENT_MARGIN
         if blocks_start(ev.position[0], ev.position[1], radius):
             continue
-        mark_disk(cells, out, ev.position, radius, touching=True)
-    return out
+        mark_disk(cells, ev.position, radius, touching=True)
+    return cells
 
 
-def route_deviation_field(grid: OccupancyGrid, route: Polyline) -> np.ndarray:
+def route_deviation_field(grid: np.ndarray, route: Polyline) -> np.ndarray:
     """Distance from each readable cell center to the route, and 0 on
     every other cell.
 
@@ -249,12 +248,11 @@ def route_deviation_field(grid: OccupancyGrid, route: Polyline) -> np.ndarray:
     it. Only those cells are computed, each the size of its signed lateral
     from `route.project_many`, with that function's bits.
     """
-    cs = grid.cell_size
-    readable = inflate(OccupancyGrid(~grid.cells, cs), cs * math.sqrt(2.0)).cells
+    readable = inflate(~grid, CELL_SIZE * math.sqrt(2.0))
     iy, ix = np.nonzero(readable)
-    _, lateral, _, _ = route.project_many(np.column_stack(((ix + 0.5) * cs,
-                                                           (iy + 0.5) * cs)))
-    out = np.zeros(grid.cells.shape)
+    _, lateral, _, _ = route.project_many(np.column_stack(((ix + 0.5) * CELL_SIZE,
+                                                           (iy + 0.5) * CELL_SIZE)))
+    out = np.zeros(grid.shape)
     out[iy, ix] = np.abs(lateral)
     return out
 
@@ -264,7 +262,7 @@ def route_deviation_field(grid: OccupancyGrid, route: Polyline) -> np.ndarray:
 OCTILE_SCALE = math.cos(math.pi / 8.0)
 
 
-def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
+def cost_to_goal_field(grid: np.ndarray, deviation_field: np.ndarray,
                        goal_xy, lateral_weight: float) -> np.ndarray:
     """Cost from every cell to the goal's cell, inf where no 8-connected
     chain of free cells of `grid` reaches it; `deviation_field` is shaped
@@ -274,14 +272,13 @@ def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
     the free cells; a step between 8-neighbours costs its centre-to-centre
     length times OCTILE_SCALE times (1 + lateral_weight * the mean of the
     two cells' deviations), the search's own price of deviation. Arc
-    samples lie at most 0.8 * cell size apart (`_primitives`), closer than a
+    samples lie at most 0.8 * CELL_SIZE apart (`_primitives`), closer than a
     cell, so every path the search can drive passes through such a chain,
     and a cell at inf cannot reach the goal.
     """
-    cells = grid.cells
-    ny, nx = cells.shape
+    ny, nx = grid.shape
     # the goal's cell as `plan` finds a node's
-    inv_res = 1.0 / grid.cell_size
+    inv_res = 1.0 / CELL_SIZE
     ix, iy = math.floor(goal_xy[0] * inv_res), math.floor(goal_xy[1] * inv_res)
     if not (0 <= ix < nx and 0 <= iy < ny):
         raise ValueError(f"goal {tuple(goal_xy)} lies outside the planning grid")
@@ -289,7 +286,7 @@ def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
     # neighbour is one offset away and never out of bounds
     width = nx + 2
     free = np.zeros((ny + 2, width), dtype=bool)
-    free[1:-1, 1:-1] = ~cells
+    free[1:-1, 1:-1] = ~grid
     goal = (iy + 1) * width + ix + 1
     free.flat[goal] = True
     index = np.flatnonzero(free)
@@ -298,7 +295,7 @@ def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
     # cells i and j costs length * (1 + half_dev[i] + half_dev[j])
     halves = 0.5 * lateral_weight * deviation_field[rows - 1, cols - 1]
     half_dev = dict(zip(index.tolist(), halves.tolist()))
-    axial = grid.cell_size * OCTILE_SCALE
+    axial = CELL_SIZE * OCTILE_SCALE
     diagonal = axial * math.sqrt(2.0)
     steps = ([(off, axial) for off in (1, -1, width, -width)]
              + [(off, diagonal) for off in (width + 1, width - 1, 1 - width, -1 - width)])
@@ -329,8 +326,9 @@ def cost_to_goal_field(grid: OccupancyGrid, deviation_field: np.ndarray,
 @dataclass(frozen=True, eq=False)
 class PlanningMaps:
     """The read-only maps every plan on one map version searches: the
-    inflated static grid (world.planning_occupancy), the route deviation
-    field (route_deviation_field) of the same shape, and in `fields` the
+    inflated static grid (world.planning_occupancy, a bool array of
+    world.CELL_SIZE cells), the route deviation field
+    (route_deviation_field) of the same shape, and in `fields` the
     cost-to-goal fields plans searched: the static grid's per (goal x,
     goal y), stored by the first plan that searches it, and at most one
     stamped grid's, the last a plan searched, under (goal x, goal y, the
@@ -342,20 +340,20 @@ class PlanningMaps:
     start pose, start steering and goal; the harness fills and reads it. An
     all-zero deviation field prices no deviation."""
 
-    grid: OccupancyGrid
+    grid: np.ndarray
     deviation: np.ndarray
     fields: dict = field(init=False, repr=False, default_factory=dict)
     initial_plans: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.deviation.shape != self.grid.cells.shape:
+        if self.deviation.shape != self.grid.shape:
             raise ValueError(f"deviation: shape {self.deviation.shape} != "
-                             f"planning grid shape {self.grid.cells.shape}")
+                             f"planning grid shape {self.grid.shape}")
         # an arc is free iff its summed cost is finite, and a negative
         # deviation would give the cost-to-goal Dijkstra negative steps
         if not (np.isfinite(self.deviation) & (self.deviation >= 0.0)).all():
             raise ValueError("deviation: must be finite and >= 0 everywhere")
-        self.grid.cells.setflags(write=False)
+        self.grid.setflags(write=False)
         self.deviation.setflags(write=False)
 
 
@@ -363,12 +361,12 @@ class PlanningMaps:
 # hybrid A*
 
 
-def _primitives(cell_size: float):
+def _primitives():
     """Body-frame arc samples per steering value; reused across expansions.
-    Samples lie at most 0.8 * cell_size apart, closer than one grid cell."""
+    Samples lie at most 0.8 * CELL_SIZE apart, closer than one grid cell."""
     steers = np.linspace(-MAX_STEER, MAX_STEER, STEERING_SAMPLES)
     arc = PRIMITIVE_ARC_LENGTH
-    substep = max(2, int(math.ceil(arc / (0.8 * cell_size))))
+    substep = max(2, int(math.ceil(arc / (0.8 * CELL_SIZE))))
     s = np.linspace(arc / substep, arc, substep)
     pts = np.zeros((len(steers), substep, 2))
     dthetas = np.zeros((len(steers), substep))
@@ -436,10 +434,9 @@ def plan(start_pose, goal_pose, ldm: LdmState, cause: str, maps: PlanningMaps,
     t0 = time.perf_counter()
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
-    grid = obstacle_grid(ldm, base=maps.grid, start_xy=(sx, sy))
-    cells = grid.cells
+    cells = obstacle_grid(ldm, base=maps.grid, start_xy=(sx, sy))
     ny, nx = cells.shape
-    stamp = np.flatnonzero(cells != maps.grid.cells)
+    stamp = np.flatnonzero(cells != maps.grid)
     field_key = (gx, gy)
     if stamp.size:
         field_key += (stamp.tobytes(),)
@@ -448,7 +445,7 @@ def plan(start_pose, goal_pose, ldm: LdmState, cause: str, maps: PlanningMaps,
     heuristic_ms = 0.0
     if cost_to_goal is None:
         t_field = time.perf_counter()
-        cost_to_goal = cost_to_goal_field(grid, maps.deviation, (gx, gy),
+        cost_to_goal = cost_to_goal_field(cells, maps.deviation, (gx, gy),
                                           LATERAL_WEIGHT)
         heuristic_ms = (time.perf_counter() - t_field) * 1000.0
         cost_to_goal.setflags(write=False)
@@ -456,14 +453,14 @@ def plan(start_pose, goal_pose, ldm: LdmState, cause: str, maps: PlanningMaps,
             for key in [key for key in kept if len(key) == 3]:
                 del kept[key]
         kept[field_key] = cost_to_goal
-    inv_res = 1.0 / grid.cell_size
+    inv_res = 1.0 / CELL_SIZE
     bin_size = TWO_PI / HEADING_BINS
     n_bins = HEADING_BINS
     hw = HEURISTIC_WEIGHT
     goal_xy_tol, goal_heading_tol = GOAL_XY_TOL, GOAL_HEADING_TOL
     max_expansions = MAX_EXPANSIONS
 
-    steers, prim_pts, prim_dth = _primitives(grid.cell_size)
+    steers, prim_pts, prim_dth = _primitives()
     substep = prim_pts.shape[1]
     arc = PRIMITIVE_ARC_LENGTH
     # per-plan constants, each evaluated in the order the per-push cost is

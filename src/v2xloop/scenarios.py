@@ -44,7 +44,7 @@ from .vehicle import V_MAX
 # polyline_cumlength is not called here: perfbench/layers.py traces this binding
 from .world import (CELL_SIZE, GroundTruthHazard, LaneSegment, MapVersion, Polyline,
                     Route, VersionedMap, WorldObject, as_polyline, check_id,
-                    check_range, polyline_cumlength)
+                    check_range, grid_shape, polyline_cumlength)
 
 SCENARIO_IDS = ("s1", "s2", "s3", "s4")
 DT = 0.05                             # [s] the step of every episode's clock
@@ -128,7 +128,8 @@ class ScenarioSpec:
         # the planner's cost-to-goal field is a Dijkstra from the goal's cell,
         # on a grid of whole cells; an ego off that grid stops at once; and
         # the route length and progress are measured along the reference path
-        width, height = (round(side / CELL_SIZE) * CELL_SIZE for side in self.vmap.size)
+        ny, nx = grid_shape(self.vmap.size)
+        width, height = nx * CELL_SIZE, ny * CELL_SIZE
         points = self.route.reference_path.points.tolist()
         for name, (x, y) in (("route.goal_pose", self.route.goal_pose[:2]),
                              ("ego_start", self.ego_start[:2]),

@@ -301,57 +301,43 @@ class LaneSegment:
         check_range(self, ("half_width",))
 
 
-@dataclass(frozen=True, eq=False)
-class OccupancyGrid:
-    """Boolean grid, True = occupied, anchored at the world origin: cell
-    (iy, ix) covers [ix, ix + 1) x [iy, iy + 1) times cell_size. A grid
-    compares and hashes by identity, as a Polyline does."""
-
-    cells: np.ndarray             # (ny, nx) bool
-    cell_size: float              # [m]
-
-    def __post_init__(self):
-        c = np.asarray(self.cells, dtype=bool)
-        object.__setattr__(self, "cells", c)
-        if self.cell_size <= 0.0:
-            raise ValueError("cell_size must be positive")
-
-
+# A map grid is a (ny, nx) bool array, True = occupied, anchored at the
+# world origin: cell (iy, ix) covers [ix, ix + 1) x [iy, iy + 1) times
+# CELL_SIZE.
 CELL_SIZE = 0.5                       # [m] the side of a map grid cell
 # a 1 km square at 0.5 m; the route deviation field alone takes several
 # float64 arrays of this many cells
 MAX_GRID_CELLS = 4_000_000
 
 
+def grid_shape(size) -> tuple[int, int]:
+    """(ny, nx), the whole CELL_SIZE cells a map of extent `size` (width,
+    height) spans along each axis, each side's count rounded."""
+    # clamped first, so that an extent near the float maximum still rounds
+    nx, ny = (round(min(side / CELL_SIZE, MAX_GRID_CELLS + 1)) for side in size)
+    return ny, nx
+
+
 def check_grid(size) -> None:
     """Reject a map extent of no whole CELL_SIZE cell along an axis or of
     more than MAX_GRID_CELLS; the message starts with the field."""
-    # clamped first, so that an extent near the float maximum still rounds
-    nx, ny = (round(min(side / CELL_SIZE, MAX_GRID_CELLS + 1)) for side in size)
+    ny, nx = grid_shape(size)
     if not (nx >= 1 and ny >= 1 and nx * ny <= MAX_GRID_CELLS):
         raise ValueError(f"size: must span 1 to {MAX_GRID_CELLS} cells of "
                          f"{CELL_SIZE:g} m, got {size[0]:g} x {size[1]:g} m")
 
 
-def empty_grid(size_x: float, size_y: float, cell_size: float = CELL_SIZE,
-               occupied: bool = False) -> OccupancyGrid:
-    nx = int(round(size_x / cell_size))
-    ny = int(round(size_y / cell_size))
-    cells = np.full((ny, nx), occupied, dtype=bool)
-    return OccupancyGrid(cells=cells, cell_size=cell_size)
-
-
-def mark_disk(cells: np.ndarray, grid: OccupancyGrid, center, radius: float,
-              value: bool = True, touching: bool = False) -> None:
+def mark_disk(cells: np.ndarray, center, radius: float, value: bool = True,
+              touching: bool = False) -> None:
     """Mark all cells whose center lies within radius; with `touching`, all
     cells that some point of the open disk lies in, so every point of every
     other cell is at least `radius` away."""
-    cs = grid.cell_size
-    _mark_disks(cells, np.array([center], dtype=float) / cs, radius / cs, value, touching)
+    _mark_disks(cells, np.array([center], dtype=float) / CELL_SIZE, radius / CELL_SIZE,
+                value, touching)
 
 
-def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
-                   radius: float, value: bool = True) -> None:
+def stamp_polyline(cells: np.ndarray, polyline: np.ndarray, radius: float,
+                   value: bool = True) -> None:
     """Mark every cell within `radius` of the polyline.
 
     Each segment is sampled every half cell at np.linspace(0, 1, n), and a
@@ -359,14 +345,14 @@ def stamp_polyline(cells: np.ndarray, grid: OccupancyGrid, polyline: np.ndarray,
     of the lane, so a lane must lie on the grid (VersionedMap checks that).
     """
     p = np.asarray(polyline, dtype=float)
-    cs = grid.cell_size
-    step = cs * 0.5
+    step = CELL_SIZE * 0.5
     for i in range(len(p) - 1):
         a, b = p[i], p[i + 1]
         seg = math.hypot(b[0] - a[0], b[1] - a[1])
         n = max(2, int(math.ceil(seg / step)) + 1)
         t = np.linspace(0.0, 1.0, n)
-        _mark_disks(cells, (a + t[:, None] * (b - a)) / cs, radius / cs, value)
+        _mark_disks(cells, (a + t[:, None] * (b - a)) / CELL_SIZE, radius / CELL_SIZE,
+                    value)
 
 
 # box cells `_mark_disks` tests in one pass: as many disks as fit, and at
@@ -412,21 +398,19 @@ def _mark_disks(cells: np.ndarray, centers: np.ndarray, r: float, value: bool,
         cells[rows[s + i, yk], cols[s + i, xk]] = value
 
 
-def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
+def inflate(cells: np.ndarray, radius: float) -> np.ndarray:
     """Dilate occupied cells by a metric radius (for point-robot planning)."""
     if radius <= 0.0:
-        return grid
-    r_cells = radius / grid.cell_size
-    src = grid.cells
-    ny, nx = src.shape
+        return cells
+    r_cells = radius / CELL_SIZE
+    ny, nx = cells.shape
     if r_cells >= math.hypot(ny, nx):
         # every cell lies within reach of every other
-        return OccupancyGrid(cells=np.full_like(src, src.any()),
-                             cell_size=grid.cell_size)
+        return np.full_like(cells, cells.any())
     r = int(math.ceil(r_cells))
     # an offset past the grid's extent reaches no cell
     ry, rx = min(r, ny - 1), min(r, nx - 1)
-    out = src.copy()
+    out = cells.copy()
     for di in range(-ry, ry + 1):
         for dj in range(-rx, rx + 1):
             if di == 0 and dj == 0:
@@ -437,8 +421,8 @@ def inflate(grid: OccupancyGrid, radius: float) -> OccupancyGrid:
             yd = slice(max(0, -di), min(ny, ny - di))
             xs = slice(max(0, dj), min(nx, nx + dj))
             xd = slice(max(0, -dj), min(nx, nx - dj))
-            out[yd, xd] |= src[ys, xs]
-    return OccupancyGrid(cells=out, cell_size=grid.cell_size)
+            out[yd, xd] |= cells[ys, xs]
+    return out
 
 
 @dataclass(frozen=True)
@@ -543,19 +527,18 @@ def poll_update(client_time: float, last_seen_version: int, vmap: VersionedMap,
 
 
 def planning_occupancy(vmap: VersionedMap, version: MapVersion,
-                       vehicle_radius: float) -> OccupancyGrid:
-    """Planner-facing view of `version` on `vmap`'s extent: everything is
+                       vehicle_radius: float) -> np.ndarray:
+    """Planner-facing grid of `version` on `vmap`'s extent: everything is
     wall but the open lanes, the closed lanes are stamped back in, and the
     result is inflated by the vehicle radius."""
-    grid = empty_grid(*vmap.size, occupied=True)
+    cells = np.ones(grid_shape(vmap.size), dtype=bool)
     for seg in version.lane_graph:
         if not seg.closed:
-            stamp_polyline(grid.cells, grid, seg.polyline.points, seg.half_width,
-                           value=False)
+            stamp_polyline(cells, seg.polyline.points, seg.half_width, value=False)
     for seg in version.lane_graph:
         if seg.closed:
-            stamp_polyline(grid.cells, grid, seg.polyline.points, seg.half_width)
-    return inflate(grid, vehicle_radius)
+            stamp_polyline(cells, seg.polyline.points, seg.half_width)
+    return inflate(cells, vehicle_radius)
 
 
 # ---------------------------------------------------------------------------

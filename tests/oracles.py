@@ -15,7 +15,7 @@ from v2xloop.ldm import (B_BIRTH, B_PRUNE, CONF_BIRTH, D_GATE, EXPIRED, LR_ABSEN
                          LR_DETECT, PENDING, POSITION_ALPHA, TAU_EVENT, TAU_STALE,
                          VELOCITY_ALPHA, LdmState, Track, ingest_denm, update_belief)
 from v2xloop.v2x import CAM, DENM
-from v2xloop.world import POLL_INTERVAL, MapVersion
+from v2xloop.world import CELL_SIZE, POLL_INTERVAL, MapVersion
 
 
 def dominates(a, b) -> bool:
@@ -54,8 +54,8 @@ def route_deviation_everywhere(grid, reference_path) -> np.ndarray:
     the all-cells formula `route_deviation_field` computed before it kept
     to the cells a plan reads, each distance the square root of the
     squared offset, as `Polyline.project_many` takes it."""
-    ny, nx = grid.cells.shape
-    res = grid.cell_size
+    ny, nx = grid.shape
+    res = CELL_SIZE
     cx = (np.arange(nx) + 0.5) * res
     cy = (np.arange(ny) + 0.5) * res
     px, py = np.meshgrid(cx, cy)

@@ -161,7 +161,7 @@ def test_03_gate_blocks_minority_attacks(pytestconfig, s4_bank):
                 event_id="forged", kind="road_closure", position=(60.0, 50.0),
                 first_seen=1.0,
                 support={sid: (1.0, (60.0, 50.0)) for sid in subset})
-            w = support(hyp, spec.gate, now=1.05)
+            w = support(hyp, now=1.05)
             decision = evaluate(hyp, spec.gate, sensor_likelihood=1.0, now=1.05)
             tried += 1
             if decision.accepted or w >= spec.gate.threshold():
@@ -300,7 +300,7 @@ def test_06_planner_success_rate_and_bounds(pytestconfig):
         # the static field inside its cpu_ms, as an episode's first plan
         # does; no deviation field prices none
         base = planning_occupancy(vmap, ldm.active_map, COLLISION_RADIUS)
-        maps = PlanningMaps(base, np.zeros(base.cells.shape))
+        maps = PlanningMaps(base, np.zeros(base.shape))
         attempt = plan(start, goal, ldm, "initial", maps, 0.0)
         if not attempt.succeeded:
             failures += 1

@@ -32,29 +32,29 @@ def test_threshold_default_is_2f_plus_1():
 
 def test_support_counts_distinct_fresh_stations():
     ev = _event(support=_support(5, t=5.0))
-    assert support(ev, CFG, now=5.5) == 5.0
+    assert support(ev, now=5.5) == 5.0
 
 
 def test_support_excludes_stale_claims():
     claims = _support(4, t=5.0)
     claims["old"] = (1.0, (50.0, 10.0))     # older than TAU_BFT before now
     ev = _event(support=claims)
-    assert support(ev, CFG, now=5.5) == 4.0
+    assert support(ev, now=5.5) == 4.0
     # exactly at the window edge still counts
     edge = _event(support={"e": (2.5, (50.0, 10.0))})
-    assert support(edge, CFG, now=5.5) == 1.0
+    assert support(edge, now=5.5) == 1.0
 
 
 def test_support_excludes_future_claims():
     ev = _event(support={"s0": (9.0, (50.0, 10.0))})
-    assert support(ev, CFG, now=5.0) == 0.0
+    assert support(ev, now=5.0) == 0.0
 
 
 def test_support_excludes_far_claims():
     claims = {"near": (5.0, (52.0, 10.0)),
               "far": (5.0, (80.0, 10.0))}    # 30 m from the hypothesis
     ev = _event(support=claims)
-    assert support(ev, CFG, now=5.0) == 1.0
+    assert support(ev, now=5.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_colluding_coalition_never_reaches_a_valid_quorum(data):
     claims = {f"byz-{i}": (data.draw(st.sampled_from(edges)), (50.0, 10.0))
               for i in range(k)}
     event = _event(support=claims)
-    assert support(event, cfg, now) == k
+    assert support(event, now) == k
     d = evaluate(event, cfg, sensor_likelihood=1.0, now=now)
     assert not d.accepted
     assert d.reason == REASON_QUORUM

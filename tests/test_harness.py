@@ -326,7 +326,7 @@ def test_planning_maps_are_built_once_per_map_version(monkeypatch, tmp_path):
         assert set(version.planning_memo) == {maps_key}
         maps = version.planning_memo[maps_key]
         assert set(maps.fields) == {field_key}
-        for array in (maps.grid.cells, maps.deviation, maps.fields[field_key]):
+        for array in (maps.grid, maps.deviation, maps.fields[field_key]):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = array[0, 0]
     # the field's build time is on the plan that built it, 0 on a memo hit
@@ -494,7 +494,7 @@ def test_sweep_points_at_one_seed_share_their_stamped_field(monkeypatch):
     build_field, episode = planner.cost_to_goal_field, harness.run_episode
 
     def counted_build(grid, *args):
-        builds.append((seed_now[-1], grid.cells))
+        builds.append((seed_now[-1], grid))
         return build_field(grid, *args)
 
     def counted_episode(spec, seed, *args):

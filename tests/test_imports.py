@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, every
-function the package defines is named elsewhere in it, and every name the
-package exports exists."""
+function the package defines is named elsewhere in it, every parameter of
+a function is read in its body, and every name the package exports exists."""
 
 import ast
 from pathlib import Path
@@ -82,6 +82,37 @@ def test_every_function_is_named_elsewhere_in_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert [entry for entry in _unnamed_functions(sources)
             if tuple(entry.split(": ")) not in UNNAMED_EXEMPT] == []
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """`function: parameter` of each parameter of a function or method, `self`
+    and `*args` and `**kwargs` included, that its body, nested functions
+    and lambdas included, never reads by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args, args.vararg,
+                                      *args.kwonlyargs, args.kwarg) if arg is not None]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.name}: {param}" for param in params if param not in read]
+    return found
+
+
+def test_unread_parameter_scan_sees_nested_reads_and_every_kind_of_parameter():
+    src = ("def f(a, b, /, c, *args, d, **kw):\n    return a + d\n"
+           "def g(x, y=1):\n    def h(z):\n        return x\n"
+           "    return lambda: h(y)\n"
+           "class C:\n    def m(self, v):\n        v = 2\n        return self\n")
+    assert _unread_parameters(src) == ["f: b", "f: c", "f: args", "f: kw", "h: z",
+                                       "m: v"]
+
+
+def test_every_parameter_is_read():
+    assert [f"{path.stem}.{entry}" for path in sorted(PACKAGE.glob("*.py"))
+            for entry in _unread_parameters(path.read_text())] == []
 
 
 def test_package_exports_resolve():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grids import corridor_map, occupied_at
+from grids import corridor_map, empty_grid, occupied_at
 from oracles import route_deviation_everywhere
 from v2xloop import planner, world
 from v2xloop.ldm import ACCEPTED, EventHypothesis, Track, initial_state
@@ -23,8 +23,8 @@ from v2xloop.planner import (EVENT_RADIUS, HAZARD_ON_ROUTE, KNOWLEDGE_CHANGE,
 from v2xloop.scenarios import (SCENARIO_IDS, build_s1, build_scenario, spec_from_dict,
                                 spec_to_dict)
 from v2xloop.vehicle import COLLISION_RADIUS, MAX_CURVATURE, VehicleState
-from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Polyline, Route,
-                           empty_grid, inflate, planning_occupancy, wrap_angle)
+from v2xloop.world import (CELL_SIZE, LaneSegment, MapVersion, Polyline, Route, inflate,
+                           planning_occupancy, wrap_angle)
 
 TRIG = TriggerConfig()
 
@@ -63,7 +63,7 @@ def _maps(base=ROAD_BASE, deviation_field=None):
     """Fresh PlanningMaps over the static grid `base`; no deviation field
     prices no deviation."""
     if deviation_field is None:
-        deviation_field = np.zeros(base.cells.shape)
+        deviation_field = np.zeros(base.shape)
     return PlanningMaps(base, deviation_field)
 
 
@@ -160,7 +160,7 @@ def test_planning_maps_reject_a_negative_or_non_finite_deviation_field():
     # a negative deviation would give the cost-to-goal field negative steps
     base = ROAD_BASE
     for bad in (math.inf, math.nan, -1.0):
-        field = np.zeros(base.cells.shape)
+        field = np.zeros(base.shape)
         field[3, 4] = bad
         with pytest.raises(ValueError, match="^deviation: must be finite"):
             PlanningMaps(base, field)
@@ -223,7 +223,7 @@ def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
     # stamp: this track's disk lies wholly off the road, below y = 5
     edge = _ldm(tracks=[_track("T1", (40.0, 1.0))])
     assert occupied_at(_grid(edge), 40.0, 1.0)
-    assert np.array_equal(_grid(edge).cells, ROAD_BASE.cells)
+    assert np.array_equal(_grid(edge), ROAD_BASE)
     on_edge = _plan((2.0, 10.0, 0.0), edge, maps=maps)
     assert on_edge.succeeded and on_edge.heuristic_ms == 0.0
     assert len(built) == 2 and stored()
@@ -232,7 +232,7 @@ def test_only_a_stamped_plan_builds_a_field_of_its_own(monkeypatch):
 
 def _stamp_key(ldm, start_xy=(2.0, 10.0), goal=ROUTE.goal_pose):
     """The key a stamped plan on `_maps()` keeps its field under."""
-    stamp = np.flatnonzero(_grid(ldm, start_xy).cells != ROAD_BASE.cells)
+    stamp = np.flatnonzero(_grid(ldm, start_xy) != ROAD_BASE)
     return (*goal[:2], stamp.tobytes())
 
 
@@ -306,7 +306,7 @@ def test_a_stamped_plan_searches_the_field_of_the_stamped_grid(events, tracks,
     # one field, stored under the goal when it is the static grid's and
     # under the goal and the stamp otherwise
     assert len(built) == 1
-    assert bool(_static(maps)) == np.array_equal(grid.cells, base.cells)
+    assert bool(_static(maps)) == np.array_equal(grid, base)
     assert bool(_stamped(maps)) != bool(_static(maps))
     got = built[0]
     assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -328,14 +328,13 @@ def _reference_plan(start_pose, goal_pose, ldm, cause, base_grid, start_steering
     equal `plan` given an all-zero one."""
     sx, sy, sth = float(start_pose[0]), float(start_pose[1]), float(start_pose[2])
     gx, gy, gth = float(goal_pose[0]), float(goal_pose[1]), float(goal_pose[2])
-    grid = obstacle_grid(ldm, base=base_grid, start_xy=(sx, sy))
-    cells = grid.cells
+    cells = obstacle_grid(ldm, base=base_grid, start_xy=(sx, sy))
     ny, nx = cells.shape
-    inv_res = 1.0 / grid.cell_size
+    inv_res = 1.0 / CELL_SIZE
     bin_size = TWO_PI / planner.HEADING_BINS
     hw = planner.HEURISTIC_WEIGHT
 
-    steers, prim_pts, prim_dth = _primitives(grid.cell_size)
+    steers, prim_pts, prim_dth = _primitives()
     n_steer = len(steers)
     arc = planner.PRIMITIVE_ARC_LENGTH
 
@@ -489,7 +488,7 @@ def _assert_plan_matches_reference(start, goal, ldm, base, budget, start_steerin
     oracle the field of the stamped grid it searches. Returns `plan`'s
     attempt."""
     field = None if line is None else route_deviation_field(base, Polyline(line))
-    deviation = np.zeros(base.cells.shape) if field is None else field
+    deviation = np.zeros(base.shape) if field is None else field
     stamped = obstacle_grid(ldm, base, start[:2])
     searched = cost_to_goal_field(stamped, deviation, goal[:2], planner.LATERAL_WEIGHT)
     with pytest.MonkeyPatch.context() as mp:
@@ -535,9 +534,9 @@ def _open_ldm(blocked=()):
     """`initial_state` of a lane-less version, and the open map with
     `blocked` (x0, x1, y0, y1) boxes, their corners on the 0.5 m cell
     lattice, inflated as its static planning grid."""
-    grid = empty_grid(30.0, 20.0, 0.5)
+    grid = empty_grid(30.0, 20.0)
     for x0, x1, y0, y1 in blocked:
-        grid.cells[int(y0 / 0.5):int(y1 / 0.5), int(x0 / 0.5):int(x1 / 0.5)] = True
+        grid[int(y0 / 0.5):int(y1 / 0.5), int(x0 / 0.5):int(x1 / 0.5)] = True
     return initial_state(MapVersion(0, ())), inflate(grid, COLLISION_RADIUS)
 
 
@@ -564,9 +563,8 @@ def test_plan_matches_reference_beside_blocked_cells_on_the_border():
     walls = [(0.0, 6.0, 4.0, 5.0), (24.0, 30.0, 13.0, 14.0),
              (11.0, 12.0, 0.0, 6.0), (18.0, 19.0, 14.0, 20.0)]
     ldm, base = _open_ldm(walls)
-    cells = base.cells
-    assert cells[:, 0].any() and cells[:, -1].any()
-    assert cells[0].any() and cells[-1].any()
+    assert base[:, 0].any() and base[:, -1].any()
+    assert base[0].any() and base[-1].any()
     for x, y, out in NEAR_SIDES.values():
         for turn in (0.5, -0.5):
             _assert_plan_matches_reference(
@@ -591,10 +589,10 @@ def test_plan_matches_reference_from_both_signed_zero_headings(steer):
 def test_route_deviation_field_measures_distance():
     grid = planning_occupancy(ROAD_MAP, ROAD, 0.0)     # the corridor
     fld = route_deviation_field(grid, ROUTE.reference_path)
-    assert fld.shape == grid.cells.shape
-    assert grid.cell_size == 0.5
-    assert fld[20, 100] < grid.cell_size               # the cell of (50, 10)
-    assert fld[28, 100] == pytest.approx(4.0, abs=grid.cell_size)   # of (50, 14)
+    assert fld.shape == grid.shape
+    assert CELL_SIZE == 0.5
+    assert fld[20, 100] < CELL_SIZE                    # the cell of (50, 10)
+    assert fld[28, 100] == pytest.approx(4.0, abs=CELL_SIZE)   # of (50, 14)
 
 
 def _readable(cells):
@@ -609,7 +607,7 @@ def _readable(cells):
 def _assert_deviation_matches_the_oracle(grid, line):
     got = route_deviation_field(grid, Polyline(line))
     want = route_deviation_everywhere(grid, line)
-    readable = _readable(grid.cells)
+    readable = _readable(grid)
     assert got.shape == want.shape
     assert got[readable].tobytes() == want[readable].tobytes()
     assert not got[~readable].any()
@@ -629,9 +627,9 @@ def test_a_blocked_goal_reads_the_deviation_the_whole_grid_formula_gives():
     # reads its deviation for the first steps out of it
     _, base = _open_ldm([(14.0, 15.0, 9.5, 10.5)])
     iy = 20
-    ix = int(np.argmax(base.cells[iy]))         # the first blocked cell of its row
-    assert base.cells[iy, ix] and not base.cells[iy, ix - 1]
-    goal = ((ix + 0.5) * base.cell_size, (iy + 0.5) * base.cell_size)
+    ix = int(np.argmax(base[iy]))               # the first blocked cell of its row
+    assert base[iy, ix] and not base[iy, ix - 1]
+    goal = ((ix + 0.5) * CELL_SIZE, (iy + 0.5) * CELL_SIZE)
     line = np.array([[0.0, 12.0], [30.0, 8.0]])
     got, want = _assert_deviation_matches_the_oracle(base, line)
     assert got[iy, ix] > 0.0
@@ -641,18 +639,14 @@ def test_a_blocked_goal_reads_the_deviation_the_whole_grid_formula_gives():
 
 
 @settings(max_examples=200, deadline=None)
-@given(ny=st.integers(1, 11), nx=st.integers(1, 11),
-       cell_size=st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.75, 1.0, 1.7, 2.0]),
-       data=st.data())
-def test_route_deviation_field_reads_the_free_cells_and_their_8_neighbours(ny, nx,
-                                                                          cell_size,
-                                                                          data):
+@given(ny=st.integers(1, 11), nx=st.integers(1, 11), data=st.data())
+def test_route_deviation_field_reads_the_free_cells_and_their_8_neighbours(ny, nx, data):
     # a route far below the grid is a positive distance from every cell, so
     # the nonzero cells are the ones the field computes
     blocked = data.draw(st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx))
-    grid = OccupancyGrid(cells=np.array(blocked).reshape(ny, nx), cell_size=cell_size)
+    grid = np.array(blocked, dtype=bool).reshape(ny, nx)
     far = Polyline(np.array([[0.0, -100.0], [50.0, -100.0]]))
-    assert np.array_equal(route_deviation_field(grid, far) > 0.0, _readable(grid.cells))
+    assert np.array_equal(route_deviation_field(grid, far) > 0.0, _readable(grid))
 
 
 @settings(max_examples=40, deadline=None)
@@ -660,7 +654,7 @@ def test_route_deviation_field_reads_the_free_cells_and_their_8_neighbours(ny, n
        line=st.lists(st.tuples(st.floats(-2.0, 8.0), st.floats(-2.0, 8.0)),
                      min_size=2, max_size=5))
 def test_route_deviation_field_matches_the_whole_grid_formula_on_any_grid(blocked, line):
-    grid = OccupancyGrid(cells=np.array(blocked).reshape(6, 8), cell_size=0.75)
+    grid = np.array(blocked, dtype=bool).reshape(6, 8)
     _assert_deviation_matches_the_oracle(grid, np.array(line))
 
 
@@ -699,10 +693,8 @@ def _bellman_ford_to_goal(cells, deviation, cell_size, goal, lateral_weight):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), ny=st.integers(1, 7), nx=st.integers(1, 7),
-       cell_size=st.sampled_from([0.5, 0.25, 1.0]),
        lateral_weight=st.sampled_from([0.0, 0.3, 2.0]))
-def test_cost_to_goal_field_is_the_relaxation_fixpoint(data, ny, nx, cell_size,
-                                                       lateral_weight):
+def test_cost_to_goal_field_is_the_relaxation_fixpoint(data, ny, nx, lateral_weight):
     cells = np.array(data.draw(st.lists(st.booleans(), min_size=ny * nx,
                                         max_size=ny * nx), label="blocked"),
                      dtype=bool).reshape(ny, nx)
@@ -711,10 +703,9 @@ def test_cost_to_goal_field_is_the_relaxation_fixpoint(data, ny, nx, cell_size,
                          ).reshape(ny, nx)
     iy = data.draw(st.integers(0, ny - 1), label="goal row")
     ix = data.draw(st.integers(0, nx - 1), label="goal column")
-    goal_xy = ((ix + 0.5) * cell_size, (iy + 0.5) * cell_size)
-    got = cost_to_goal_field(OccupancyGrid(cells=cells, cell_size=cell_size),
-                             deviation, goal_xy, lateral_weight)
-    want = _bellman_ford_to_goal(cells, deviation, cell_size, (iy, ix), lateral_weight)
+    goal_xy = ((ix + 0.5) * CELL_SIZE, (iy + 0.5) * CELL_SIZE)
+    got = cost_to_goal_field(cells, deviation, goal_xy, lateral_weight)
+    want = _bellman_ford_to_goal(cells, deviation, CELL_SIZE, (iy, ix), lateral_weight)
     assert got.shape == (ny, nx)
     assert got[iy, ix] == 0.0
     # inf exactly where no 8-connected chain of free cells reaches the goal
@@ -727,8 +718,8 @@ def test_cost_to_goal_field_never_exceeds_the_straight_line_on_open_ground():
     # OCTILE_SCALE = cos(pi/8): on an open map with no deviation priced, the
     # field stays at or below the distance between cell centres, and meets
     # it along the axes and diagonals
-    grid = empty_grid(20.0, 20.0, 0.5)
-    field = cost_to_goal_field(grid, np.zeros(grid.cells.shape), (10.25, 10.25), 0.3)
+    grid = empty_grid(20.0, 20.0)
+    field = cost_to_goal_field(grid, np.zeros(grid.shape), (10.25, 10.25), 0.3)
     iy, ix = np.indices(field.shape)
     straight = 0.5 * np.hypot(iy - 20, ix - 20)
     assert (field <= straight + 1e-9).all()
@@ -737,9 +728,9 @@ def test_cost_to_goal_field_never_exceeds_the_straight_line_on_open_ground():
 
 
 def test_cost_to_goal_field_rejects_a_goal_off_the_grid():
-    grid = empty_grid(10.0, 10.0, 0.5)
+    grid = empty_grid(10.0, 10.0)
     with pytest.raises(ValueError, match="outside the planning grid"):
-        cost_to_goal_field(grid, np.zeros(grid.cells.shape), (10.0, 5.0), 0.3)
+        cost_to_goal_field(grid, np.zeros(grid.shape), (10.0, 5.0), 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,8 @@ def test_spec_roundtrip(spec):
     assert back.route.reference_path.length == pytest.approx(spec.route.reference_path.length)
     # the planning grids derived from the lane graphs are identical
     for a, b in zip(back.vmap.versions, spec.vmap.versions):
-        assert np.array_equal(planning_occupancy(back.vmap, a, 1.0).cells,
-                              planning_occupancy(spec.vmap, b, 1.0).cells)
+        assert np.array_equal(planning_occupancy(back.vmap, a, 1.0),
+                              planning_occupancy(spec.vmap, b, 1.0))
 
 
 def test_spec_from_dict_rejects_unknown_keys():
@@ -308,6 +308,27 @@ def test_spec_from_dict_rejects_a_goal_off_the_map(size, goal):
     with pytest.raises(ValueError, match=re.escape(
             "scenario.route.goal_pose: must lie on the 100 x 100 m map")):
         spec_from_dict(d)
+
+
+def test_a_map_of_part_cells_is_its_whole_cells_to_every_rule():
+    # 100.2 x 99.8 m rounds to 200 x 200 cells of 0.5 m: the grid's shape,
+    # the load rule and the on-map bound all read a 100 x 100 m map, so an
+    # ego just inside the last cell loads and one on its far edge does not
+    size = [100.2, 99.8]
+    assert world.grid_shape(size) == (200, 200)
+    world.check_grid(size)
+    d = spec_to_dict(build_s2())
+    d["vmap"]["size"] = size
+    d["ego_start"][:2] = [99.99, 99.99]
+    spec = spec_from_dict(d)
+    for version in spec.vmap.versions:
+        assert planning_occupancy(spec.vmap, version, 1.0).shape == (200, 200)
+    for far in ([100.0, 50.0], [50.0, 100.0]):
+        d["ego_start"][:2] = far
+        with pytest.raises(ValueError, match=re.escape(
+                "scenario.ego_start: must lie on the 100 x 100 m map, "
+                f"got ({far[0]:g}, {far[1]:g})")):
+            spec_from_dict(d)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan], ids=["zero", "negative", "nan"])

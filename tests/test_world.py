@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from grids import corridor_map, occupied_at
+from grids import corridor_map, empty_grid, occupied_at
 from v2xloop import world
 from v2xloop.scenarios import SCENARIO_IDS, build_scenario
 from v2xloop.v2x import CAM_PERIOD, DENM_PERIOD
-from v2xloop.world import (LaneSegment, MapVersion, OccupancyGrid, Polyline,
-                           Route, VersionedMap, empty_grid,
-                           inflate, mark_disk, planning_occupancy, poll_update,
-                           polyline_cumlength, stamp_polyline, wrap_angle)
+from v2xloop.world import (CELL_SIZE, LaneSegment, MapVersion, Polyline, Route,
+                           VersionedMap, inflate, mark_disk, planning_occupancy,
+                           poll_update, polyline_cumlength, stamp_polyline,
+                           wrap_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +296,9 @@ def test_projection_rejects_a_point_that_is_not_finite():
 def test_grid_indexing_and_bounds():
     # anchored at the world origin: cell (iy, ix) covers [ix, ix + 1) x
     # [iy, iy + 1) half metres
-    g = empty_grid(10.0, 5.0, cell_size=0.5)
-    assert g.cells.shape == (10, 20)
-    g.cells[0, 0] = g.cells[9, 19] = True
+    g = empty_grid(10.0, 5.0)
+    assert g.shape == (10, 20)
+    g[0, 0] = g[9, 19] = True
     assert occupied_at(g, 0.0, 0.0) and occupied_at(g, 0.49, 0.49)
     assert not occupied_at(g, 0.5, 0.0)
     assert occupied_at(g, 9.99, 4.99)
@@ -309,14 +309,9 @@ def test_grid_indexing_and_bounds():
     assert occupied_at(g, 10.5, 0.0)
 
 
-def test_grid_rejects_bad_cell_size():
-    with pytest.raises(ValueError):
-        OccupancyGrid(cells=np.zeros((2, 2), dtype=bool), cell_size=0.0)
-
-
 def test_mark_disk_cells_within_radius():
-    g = empty_grid(10.0, 10.0, cell_size=0.5)
-    mark_disk(g.cells, g, (5.0, 5.0), 1.0)
+    g = empty_grid(10.0, 10.0)
+    mark_disk(g, (5.0, 5.0), 1.0)
     assert occupied_at(g, 5.0, 5.0)
     assert occupied_at(g, 5.7, 5.0)
     assert not occupied_at(g, 7.0, 5.0)
@@ -328,91 +323,87 @@ def test_mark_disk_cells_within_radius():
 @given(cx=st.floats(-2.0, 12.0), cy=st.floats(-2.0, 12.0),
        radius=st.floats(0.05, 4.0))
 def test_mark_disk_touching_blocks_each_cell_the_disk_reaches(cx, cy, radius):
-    centred = empty_grid(10.0, 10.0, cell_size=0.5)
-    mark_disk(centred.cells, centred, (cx, cy), radius)
-    g = empty_grid(10.0, 10.0, cell_size=0.5)
-    mark_disk(g.cells, g, (cx, cy), radius, touching=True)
-    assert np.all(g.cells[centred.cells])
+    centred = empty_grid(10.0, 10.0)
+    mark_disk(centred, (cx, cy), radius)
+    g = empty_grid(10.0, 10.0)
+    mark_disk(g, (cx, cy), radius, touching=True)
+    assert np.all(g[centred])
     # each cell's nearest point to the center, as the center clamped
     # into the cell's square
-    iy, ix = np.indices(g.cells.shape)
+    iy, ix = np.indices(g.shape)
     near_x = np.clip(cx, ix * 0.5, (ix + 1) * 0.5)
     near_y = np.clip(cy, iy * 0.5, (iy + 1) * 0.5)
     gap = np.hypot(near_x - cx, near_y - cy)
     clear = np.abs(gap - radius) > 1e-9     # leave rounding at the rim out
-    assert np.array_equal(g.cells[clear], (gap < radius)[clear])
+    assert np.array_equal(g[clear], (gap < radius)[clear])
 
 
 def test_stamp_polyline_covers_full_band():
-    g = empty_grid(20.0, 10.0, cell_size=0.5)
+    g = empty_grid(20.0, 10.0)
     line = np.array([[2.0, 5.0], [18.0, 5.0]])
-    stamp_polyline(g.cells, g, line, radius=1.5)
+    stamp_polyline(g, line, radius=1.5)
     for x in np.arange(2.0, 18.0, 0.5):
         assert occupied_at(g, x, 5.0)
         assert occupied_at(g, x, 6.2)
         assert not occupied_at(g, x, 7.5)
 
 
-def _mark_disk_on_every_cell(cells, grid, center, radius, value):
+def _mark_disk_on_every_cell(cells, center, radius, value):
     """mark_disk without its box: every cell of the grid whose center lies
     within radius, tested with the same arithmetic."""
-    cs = grid.cell_size
-    cx, cy, r = center[0] / cs, center[1] / cs, radius / cs
+    cx, cy, r = center[0] / CELL_SIZE, center[1] / CELL_SIZE, radius / CELL_SIZE
     iy, ix = np.indices(cells.shape)
     cells[(ix + 0.5 - cx) ** 2 + (iy + 0.5 - cy) ** 2 <= r * r] = value
 
 
-def _stamp_polyline_sampling_every_sample(cells, grid, polyline, radius,
-                                          value=True):
+def _stamp_polyline_sampling_every_sample(cells, polyline, radius, value=True):
     """stamp_polyline without its batching: a disk at every sample of every
     segment, each marked on its own. stamp_polyline must mark exactly its
     cells."""
     p = np.asarray(polyline, dtype=float)
-    step = grid.cell_size * 0.5
+    step = CELL_SIZE * 0.5
     for i in range(len(p) - 1):
         a, b = p[i], p[i + 1]
         seg = math.hypot(b[0] - a[0], b[1] - a[1])
         n = max(2, int(math.ceil(seg / step)) + 1)
         for t in np.linspace(0.0, 1.0, n):
-            _mark_disk_on_every_cell(cells, grid, a + t * (b - a), radius, value)
+            _mark_disk_on_every_cell(cells, a + t * (b - a), radius, value)
 
 
-def _stamp_coord(hi: float, n: int, cell_size: float, radius: float):
+def _stamp_coord(hi: float, n: int, radius: float):
     """A point of [0, hi]: anywhere, within radius + 2 m of an edge, or a
     cell center."""
     return st.one_of(st.floats(0.0, hi),
                      st.builds(lambda edge, d: min(max(edge + d, 0.0), hi),
                                st.sampled_from([0.0, hi]),
                                st.floats(-radius - 2.0, radius + 2.0)),
-                     st.integers(0, n - 1).map(lambda k: (k + 0.5) * cell_size))
+                     st.integers(0, n - 1).map(lambda k: (k + 0.5) * CELL_SIZE))
 
 
 @settings(max_examples=100, deadline=None)
-@given(cell_size=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.2, 2.0)),
-       shape=st.tuples(st.integers(1, 50), st.integers(1, 50)), value=st.booleans(),
+@given(shape=st.tuples(st.integers(1, 50), st.integers(1, 50)), value=st.booleans(),
        fill=st.integers(0, 2**32 - 1), data=st.data())
-def test_stamp_polyline_marks_the_cells_of_every_sample(cell_size, shape, value, fill,
-                                                        data):
-    # lanes on the grid that run along and into its sides, at any cell size,
-    # on a grid already partly marked; cell centers and radii of whole half
-    # cells put cells exactly on a disk's rim
+def test_stamp_polyline_marks_the_cells_of_every_sample(shape, value, fill, data):
+    # lanes on the grid that run along and into its sides, on a grid already
+    # partly marked; cell centers and radii of whole half cells put cells
+    # exactly on a disk's rim
     nx, ny = shape
     radius = data.draw(st.one_of(st.sampled_from([0.0, 0.3, 1.5, 5.0]),
                                  st.floats(0.0, 6.0),
-                                 st.integers(0, 12).map(lambda k: k * cell_size / 2)))
-    line = data.draw(st.lists(st.tuples(_stamp_coord(nx * cell_size, nx, cell_size, radius),
-                                        _stamp_coord(ny * cell_size, ny, cell_size, radius)),
+                                 st.integers(0, 12).map(lambda k: k * CELL_SIZE / 2)))
+    line = data.draw(st.lists(st.tuples(_stamp_coord(nx * CELL_SIZE, nx, radius),
+                                        _stamp_coord(ny * CELL_SIZE, ny, radius)),
                               min_size=2, max_size=4))
     cells = np.random.default_rng(fill).random((ny, nx)) < 0.5
-    want = OccupancyGrid(cells.copy(), cell_size)
-    _stamp_polyline_sampling_every_sample(want.cells, want, line, radius, value)
-    got = OccupancyGrid(cells.copy(), cell_size)
-    stamp_polyline(got.cells, got, line, radius, value)
-    assert np.array_equal(got.cells, want.cells)
+    want = cells.copy()
+    _stamp_polyline_sampling_every_sample(want, line, radius, value)
+    got = cells.copy()
+    stamp_polyline(got, line, radius, value)
+    assert np.array_equal(got, want)
 
 
 # a 30 x 20 m grid
-STAMP_GRID = dict(size_x=30.0, size_y=20.0, cell_size=0.5)
+STAMP_GRID = (30.0, 20.0)
 
 
 @pytest.mark.parametrize("line", [
@@ -428,25 +419,25 @@ STAMP_GRID = dict(size_x=30.0, size_y=20.0, cell_size=0.5)
 def test_stamp_polyline_edge_lanes_match_every_sample(line):
     # lanes on the map's edges, whose disks reach past the grid
     for radius in (0.0, 1.5, 5.0):
-        want = empty_grid(**STAMP_GRID)
-        _stamp_polyline_sampling_every_sample(want.cells, want, line, radius)
-        got = empty_grid(**STAMP_GRID)
-        stamp_polyline(got.cells, got, line, radius)
-        assert np.array_equal(got.cells, want.cells)
+        want = empty_grid(*STAMP_GRID)
+        _stamp_polyline_sampling_every_sample(want, line, radius)
+        got = empty_grid(*STAMP_GRID)
+        stamp_polyline(got, line, radius)
+        assert np.array_equal(got, want)
 
 
 def test_stamp_polyline_takes_a_subnormal_axis_delta_without_a_warning():
     # x moves by 1e-320, a delta no step of the stamp may divide by. The
     # stamp is the band along the left edge, y 4..10
     line = np.array([[1e-320, 5.0], [2e-320, 9.0]])
-    want = empty_grid(10.0, 10.0, 0.5)
-    _stamp_polyline_sampling_every_sample(want.cells, want, line, 1.0)
-    got = empty_grid(10.0, 10.0, 0.5)
+    want = empty_grid(10.0, 10.0)
+    _stamp_polyline_sampling_every_sample(want, line, 1.0)
+    got = empty_grid(10.0, 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stamp_polyline(got.cells, got, line, 1.0)
-    assert np.array_equal(got.cells, want.cells)
-    rows, cols = np.nonzero(got.cells)
+        stamp_polyline(got, line, 1.0)
+    assert np.array_equal(got, want)
+    rows, cols = np.nonzero(got)
     assert set(zip(rows.tolist(), cols.tolist())) == \
         {(r, 0) for r in range(8, 20)} | {(r, 1) for r in range(9, 19)}
 
@@ -467,28 +458,28 @@ def test_a_map_refuses_a_lane_that_leaves_it(end):
 
 
 def test_inflate_grows_by_metric_radius():
-    g = empty_grid(20.0, 20.0, cell_size=0.5)
-    mark_disk(g.cells, g, (10.0, 10.0), 0.4)   # single cell
+    g = empty_grid(20.0, 20.0)
+    mark_disk(g, (10.0, 10.0), 0.4)            # single cell
     grown = inflate(g, 2.0)
     assert occupied_at(grown, 11.9, 10.0)
     assert not occupied_at(grown, 13.0, 10.0)
     # inflation only adds cells
-    assert np.all(grown.cells[g.cells])
+    assert np.all(grown[g])
 
 
 def test_inflate_beyond_the_grid_diagonal_fills_the_grid_at_once():
     # a radius of 1e12 m used to loop over (2r + 1)^2 offsets, and one past
     # the grid's side made the offset slices disagree (ValueError)
-    g = empty_grid(2.5, 2.0, cell_size=0.5)           # 4 x 5 cells, diagonal 6.4
-    g.cells[1, 2] = True
-    assert inflate(g, 6.3 * 0.5).cells.all()          # the offset loop
-    assert inflate(g, 1e12).cells.all()
-    assert not inflate(empty_grid(2.5, 2.0, cell_size=0.5), 1e12).cells.any()
+    g = empty_grid(2.5, 2.0)                          # 4 x 5 cells, diagonal 6.4
+    g[1, 2] = True
+    assert inflate(g, 6.3 * 0.5).all()                # the offset loop
+    assert inflate(g, 1e12).all()
+    assert not inflate(empty_grid(2.5, 2.0), 1e12).any()
 
 
 def test_inflate_zero_radius_is_identity():
-    g = empty_grid(5.0, 5.0, cell_size=0.5)
-    mark_disk(g.cells, g, (2.0, 2.0), 0.6)
+    g = empty_grid(5.0, 5.0)
+    mark_disk(g, (2.0, 2.0), 0.6)
     assert inflate(g, 0.0) is g
 
 
